@@ -14,28 +14,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgejsv
 
-from .errors import EntropyUndefinedError, VerificationError
-from .fock import TransitionKernel, _sector_state_indices, totals_vector
+from .errors import EntropyUndefinedError, NumericError, VerificationError
+from .fock import TransitionKernel, sector_layout
 from .spacetime import SqueezeChannel
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport
 
 PROBABILITY_FLOOR = 1e-12
-BINNING_RESOLUTION = 1e-12
 EIGENVALUE_CLIP = 1e-300
 
 
 @dataclass(frozen=True)
 class ProcessJoint:
-    """Dense trajectory masses, indexed [final-of-expansion, initial].
+    """Trajectory masses per difference sector, [final-of-expansion, initial].
 
-    For direction "expansion" entries[m, n] is the mass of trajectory
-    n -> m. For "contraction" entries[m, n] is the mass of the reverse
-    trajectory m -> n (same conditional by kernel symmetry, thermal weight
-    taken at the contraction's initial state m).
+    entries[d] follows the kernel's sector layout; the mirrored states of a
+    sector d > 0 carry the same block. For direction "expansion"
+    entries[d][p, q] is the mass of trajectory n -> m with n, m the sector
+    states at positions q, p. For "contraction" it is the mass of the
+    reverse trajectory m -> n (same conditional by kernel symmetry, thermal
+    weight taken at the contraction's initial state m).
     """
 
-    entries: np.ndarray
+    entries: tuple[np.ndarray, ...]
     direction: str
     omega: float
     temperature: float
@@ -47,7 +49,6 @@ class EntropyDistribution:
 
     support: np.ndarray
     masses: np.ndarray
-    binning_resolution: float
 
     @property
     def total_mass(self) -> float:
@@ -65,8 +66,12 @@ def forward_joint(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> ProcessJoint:
     """Expansion trajectories: p(n -> m) = p(m|n) p_th(n)."""
+    w = thermal.weights
     return ProcessJoint(
-        entries=kernel.probabilities * thermal.weights[None, :],
+        entries=tuple(
+            P * w[s.index][None, :]
+            for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities)
+        ),
         direction="expansion",
         omega=thermal.omega,
         temperature=thermal.temperature,
@@ -82,8 +87,12 @@ def reverse_joint(
     adiabatic temperature has the same Boltzmann factor x, so its weights
     coincide with the expansion's thermal weights on the shared basis.
     """
+    w = thermal.weights
     return ProcessJoint(
-        entries=kernel.probabilities * thermal.weights[:, None],
+        entries=tuple(
+            P * w[s.index][:, None]
+            for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities)
+        ),
         direction="contraction",
         omega=thermal.omega,
         temperature=thermal.temperature,
@@ -101,16 +110,16 @@ def entropy_change(
     return (omega_out / t_ad) * float((m[0] + m[1]) - (n[0] + n[1]))
 
 
-def _lattice_masses(
-    joint: ProcessJoint, cutoff: int
-) -> np.ndarray:
+def _lattice_masses(joint: ProcessJoint) -> np.ndarray:
     """Mass per integer total-change, offset by 2*cutoff (length 4N+1)."""
-    side = cutoff + 1
-    tot = (np.arange(side)[:, None] + np.arange(side)[None, :]).reshape(-1)
-    delta = (tot[:, None] - tot[None, :]) + 2 * cutoff
-    return np.bincount(
-        delta.ravel(), weights=joint.entries.ravel(), minlength=4 * cutoff + 1
-    )
+    cutoff = len(joint.entries) - 1
+    masses = np.zeros(4 * cutoff + 1)
+    for s, block in zip(sector_layout(cutoff), joint.entries):
+        delta = s.totals[:, None] - s.totals[None, :] + 2 * cutoff
+        masses += s.multiplicity * np.bincount(
+            delta.ravel(), weights=block.ravel(), minlength=4 * cutoff + 1
+        )
+    return masses
 
 
 def entropy_distributions(
@@ -122,51 +131,47 @@ def entropy_distributions(
     """Aggregate trajectory mass onto the entropy lattice.
 
     Both processes live on the same integer lattice of total change, so the
-    expansion value s and the contraction value -s land on shared points
-    and the 1e-12 merge tolerance is inert. The contraction distribution is
-    returned over its own increment (the negated lattice).
+    expansion value s and the contraction value -s land on shared points.
+    The contraction distribution is returned over its own increment (the
+    negated lattice, in ascending order). channel is unused: the lattice
+    rate omega_in / T comes from the joints and temperature.
     """
     if temperature == 0.0:
         raise EntropyUndefinedError(
             "entropy distributions are undefined on the T = 0 vacuum path"
         )
     rate = forward.omega / temperature
-    cutoff = int(np.sqrt(forward.entries.shape[0])) - 1
-    mass_e = _lattice_masses(forward, cutoff)
-    mass_c = _lattice_masses(reverse, cutoff)
+    cutoff = len(forward.entries) - 1
+    mass_e = _lattice_masses(forward)
+    mass_c = _lattice_masses(reverse)
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
     s_vals = rate * delta[keep].astype(float)
-    p_e = EntropyDistribution(
-        support=s_vals,
-        masses=mass_e[keep],
-        binning_resolution=BINNING_RESOLUTION,
-    )
+    p_e = EntropyDistribution(support=s_vals, masses=mass_e[keep])
     # Contraction increment for trajectory m -> n is -s(n -> m); flip to
     # ascending order in its own variable.
     p_c = EntropyDistribution(
         support=(-s_vals)[::-1].copy(),
         masses=mass_c[keep][::-1].copy(),
-        binning_resolution=BINNING_RESOLUTION,
     )
     return p_e, p_c
 
 
-def _paired_reverse_masses(
+def _mirrored_masses(
     p_e: EntropyDistribution, p_c: EntropyDistribution
 ) -> np.ndarray:
-    """P_C(-s) aligned with P_E's support via the binning tolerance."""
-    targets = -p_e.support
-    pos = np.searchsorted(p_c.support, targets)
-    aligned = np.zeros_like(targets)
-    for i, (t, j) in enumerate(zip(targets, pos)):
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < len(p_c.support) and abs(
-                p_c.support[cand] - t
-            ) <= p_c.binning_resolution * max(1.0, abs(t)):
-                aligned[i] = p_c.masses[cand]
-                break
-    return aligned
+    """P_C(-s) aligned with P_E's support: the reversed contraction masses.
+
+    Both distributions come from one integer lattice, so the contraction
+    support is exactly the negated, reversed expansion support; anything
+    else means the two were not built together.
+    """
+    if not np.array_equal(p_c.support, -p_e.support[::-1]):
+        raise VerificationError(
+            "support mismatch: the contraction support is not the mirrored "
+            "expansion support"
+        )
+    return p_c.masses[::-1]
 
 
 def crooks_deviation(
@@ -183,7 +188,7 @@ def crooks_deviation(
     is exactly zero is a support mismatch: impossible for thermal inputs,
     so it surfaces as a verification error instead of an infinity.
     """
-    paired = _paired_reverse_masses(p_e, p_c)
+    paired = _mirrored_masses(p_e, p_c)
     live = p_e.masses > floor
     floored = float(p_e.masses[~live].sum())
     if np.any(live & (paired <= 0.0)):
@@ -197,21 +202,15 @@ def crooks_deviation(
         dist_dev = float(np.max(np.abs(logratio - p_e.support[live])))
 
     rate = forward.omega / forward.temperature
-    J = forward.entries
-    Q = reverse.entries
-    mask = J > floor
     micro_dev = 0.0
-    if np.any(mask):
-        cutoff = int(np.sqrt(J.shape[0])) - 1
-        side = cutoff + 1
-        tot = (
-            (np.arange(side)[:, None] + np.arange(side)[None, :])
-            .reshape(-1)
-            .astype(float)
-        )
-        s_mat = rate * (tot[:, None] - tot[None, :])
-        resid = np.log(J[mask]) - np.log(Q[mask]) - s_mat[mask]
-        micro_dev = float(np.max(np.abs(resid)))
+    for s, J, Q in zip(
+        sector_layout(len(forward.entries) - 1), forward.entries, reverse.entries
+    ):
+        mask = J > floor
+        if np.any(mask):
+            s_mat = rate * (s.totals[:, None] - s.totals[None, :])
+            resid = np.log(J[mask]) - np.log(Q[mask]) - s_mat[mask]
+            micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
     return CrooksReport(
         distribution_deviation=dist_dev,
         microstate_deviation=micro_dev,
@@ -239,7 +238,7 @@ def mean_entropy_and_kl(
     sub-truncation masses cannot inject log noise.
     """
     s_mean = float(p_e.support @ p_e.masses)
-    paired = _paired_reverse_masses(p_e, p_c)
+    paired = _mirrored_masses(p_e, p_c)
     live = p_e.masses > floor
     kl = float(
         p_e.masses[live]
@@ -291,63 +290,19 @@ def entropy_friction_identity(
     return record
 
 
-def _jacobi_svd(
-    B: np.ndarray, tol: float = 1e-15, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One-sided Jacobi SVD with classical small-angle rotations.
+def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of B (rows >= columns).
 
-    Orthogonalizes columns by disjoint plane rotations in round-robin
-    tournament order, vectorizing each round. Rotation angles are kept
-    below pi/4 (classical formula), which preserves monotone convergence
-    and the high relative accuracy one-sided Jacobi achieves on strongly
-    graded matrices; LAPACK eigensolvers lose exactly that grading here.
+    LAPACK dgejsv is the preconditioned one-sided Jacobi SVD of Drmac and
+    Veselic (SIAM J. Matrix Anal. Appl. 29, 2008). It keeps high relative
+    accuracy on column-graded matrices, whose small singular values a
+    bidiagonalizing SVD loses. dgejsv may return the singular values in
+    the factored form (work[0] / work[1]) * sva, which is undone here.
     """
-    A = B.copy()
-    n = A.shape[1]
-    if n == 1:
-        s = float(np.linalg.norm(A[:, 0]))
-        return A / (s if s > 0.0 else 1.0), np.array([s]), 0
-    idx = list(range(n)) if n % 2 == 0 else list(range(n)) + [-1]
-    m = len(idx)
-    sweeps_done = 0
-    for sweep in range(1, max_sweeps + 1):
-        sweeps_done = sweep
-        rotated = False
-        order = idx[:]
-        for _round in range(m - 1):
-            tops = order[: m // 2]
-            bots = order[m // 2 :][::-1]
-            pairs = [(a, b) for a, b in zip(tops, bots) if a >= 0 and b >= 0]
-            order = [order[0]] + [order[-1]] + order[1:-1]
-            if not pairs:
-                continue
-            p = np.array([a for a, _ in pairs], dtype=int)
-            q = np.array([b for _, b in pairs], dtype=int)
-            Ap = A[:, p]
-            Aq = A[:, q]
-            app = np.einsum("ij,ij->j", Ap, Ap)
-            aqq = np.einsum("ij,ij->j", Aq, Aq)
-            apq = np.einsum("ij,ij->j", Ap, Aq)
-            denom = np.sqrt(app * aqq)
-            mask = np.abs(apq) > tol * denom
-            if not mask.any():
-                continue
-            rotated = True
-            pp, qq, pq = app[mask], aqq[mask], apq[mask]
-            zeta = (qq - pp) / (2.0 * pq)
-            t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            t = np.where(zeta == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            Pm = Ap[:, mask]
-            Qm = Aq[:, mask]
-            A[:, p[mask]] = c * Pm - s * Qm
-            A[:, q[mask]] = s * Pm + c * Qm
-        if not rotated:
-            break
-    s = np.sqrt(np.einsum("ij,ij->j", A, A))
-    U = A / np.where(s > 0.0, s, 1.0)
-    return U, s, sweeps_done
+    sva, U, _v, work, _iwork, info = dgejsv(B, joba=0, jobu=0, jobv=3)
+    if info != 0:
+        raise NumericError(f"dgejsv failed with info = {info}")
+    return U, sva * (work[0] / work[1])
 
 
 def quantum_relative_entropy(
@@ -362,26 +317,23 @@ def quantum_relative_entropy(
     Hamiltonian at t_ad, so K = tr rho log rho - tr rho log rho'. rho'
     block-diagonalizes per difference sector as B B^T with B the amplitude
     block times sqrt of the sector weights; its eigenpairs come from the
-    one-sided Jacobi SVD of B. Eigendirections below the clip are excluded
-    from the trace (their rho-weight is bounded by the leaked mass). When a
-    work report is supplied, asserts T_ad K = W_fric within 1e-5 relative,
-    widened by the truncation bound at inadequate cutoffs.
+    one-sided Jacobi SVD of B (LAPACK dgejsv). Eigendirections below the
+    clip are excluded from the trace (their rho-weight is bounded by the
+    leaked mass). When a work report is supplied, asserts T_ad K = W_fric
+    within 1e-5 relative, widened by the truncation bound at inadequate
+    cutoffs.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
-    N = kernel.spec.cutoff
-    w_all = thermal.weights
+    w = thermal.weights
     K = 0.0
-    for d in range(N + 1):
-        hi, _lo = _sector_state_indices(d, N)
-        wd = w_all[hi]
-        mult = 2.0 if d > 0 else 1.0
+    for s, A in zip(sector_layout(kernel.spec.cutoff), kernel.amplitudes):
+        wd = w[s.index]
         pos = wd > 0.0
         rho_term = float(wd[pos] @ np.log(wd[pos])) if pos.any() else 0.0
-        B = kernel.sectors[d] * np.sqrt(wd)[None, :]
-        U, sv, _sweeps = _jacobi_svd(B)
+        U, sv = _graded_svd(A * np.sqrt(wd)[None, :])
         lam = sv * sv
         keep = lam > EIGENVALUE_CLIP
         if keep.any():
@@ -389,7 +341,7 @@ def quantum_relative_entropy(
             rho_prime_term = float(r @ np.log(lam[keep]))
         else:
             rho_prime_term = 0.0
-        K += mult * (rho_term - rho_prime_term)
+        K += s.multiplicity * (rho_term - rho_prime_term)
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))
         tolerance = max(1e-5 * scale, work.truncation_bound + FLOAT_SLACK * scale)

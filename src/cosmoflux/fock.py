@@ -1,8 +1,10 @@
 """Truncated two-mode Fock space and the squeeze-transition kernel.
 
 Mode occupations (n_a, n_b) live on a square box 0..cutoff per mode. The
-squeeze unitary S = exp(z(a+b+ - ab)) conserves n_a - n_b, so everything is
-built per difference sector d and assembled into dense operators on demand.
+squeeze unitary S = exp(z(a+b+ - ab)) conserves n_a - n_b, so every operator
+is block-diagonal in the difference sector d and is stored only as its
+blocks. This module owns the sector layout (sector_layout); downstream code
+iterates over it instead of indexing dense (N+1)^2 x (N+1)^2 arrays.
 
 Two independent evaluation routes are provided:
 
@@ -54,10 +56,6 @@ class TruncationSpec:
         return (self.cutoff + 1) ** 2
 
 
-def total(n: tuple[int, int]) -> int:
-    return n[0] + n[1]
-
-
 def difference(n: tuple[int, int]) -> int:
     return n[0] - n[1]
 
@@ -78,6 +76,43 @@ def totals_vector(spec: TruncationSpec) -> np.ndarray:
     """total(n) for every basis state, in enumeration order."""
     occ = np.arange(spec.cutoff + 1)
     return (occ[:, None] + occ[None, :]).reshape(-1).astype(float)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """Difference sector d: the states (i + d, i) for i = 0..cutoff-d.
+
+    For d > 0 the mirrored states (i, i + d) carry an identical block and
+    identical thermal weights, so sector sums count them once with
+    multiplicity 2. index and mirror_index are the states' positions in the
+    dense enumeration; totals holds total(n) = 2i + d.
+    """
+
+    d: int
+    multiplicity: int
+    totals: np.ndarray
+    index: np.ndarray
+    mirror_index: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.totals)
+
+
+def sector_layout(cutoff: int) -> tuple[Sector, ...]:
+    """Every difference sector of the box, d = 0..cutoff in order."""
+    side = cutoff + 1
+    layout = []
+    for d in range(side):
+        i = np.arange(side - d)
+        layout.append(Sector(
+            d=d,
+            multiplicity=2 if d else 1,
+            totals=2 * i + d,
+            index=(i + d) * side + i,
+            mirror_index=i * side + i + d,
+        ))
+    return tuple(layout)
 
 
 def vacuum_column_leakage(z: float, cutoff: int) -> float:
@@ -167,60 +202,7 @@ def sector_spectral(z: float, d: int, size: int) -> np.ndarray:
     return np.ascontiguousarray(S.real)
 
 
-def _sector_state_indices(d: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense indices of sector states: (i+d, i) and the mirrored (i, i+d)."""
-    i = np.arange(cutoff + 1 - d)
-    hi = (i + d) * (cutoff + 1) + i
-    lo = i * (cutoff + 1) + (i + d)
-    return hi, lo
-
-
-def squeeze_generator(z: float, spec: TruncationSpec) -> np.ndarray:
-    """Dense antisymmetric generator z(a+b+ - ab) on the truncated basis."""
-    if z < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {z}")
-    side = spec.cutoff + 1
-    G = np.zeros((spec.dim, spec.dim))
-    if z == 0.0 or spec.cutoff == 0:
-        return G
-    a = np.arange(side - 1)
-    b = np.arange(side - 1)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    src = A.ravel() * side + B.ravel()
-    dst = (A.ravel() + 1) * side + (B.ravel() + 1)
-    amp = z * np.sqrt((A.ravel() + 1.0) * (B.ravel() + 1.0))
-    G[dst, src] = amp
-    G[src, dst] = -amp
-    return G
-
-
-def _assemble_dense(
-    sector_fn, z: float, spec: TruncationSpec
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Embed per-sector matrices into the dense basis; returns sectors too."""
-    N = spec.cutoff
-    dense = np.zeros((spec.dim, spec.dim))
-    sectors: list[np.ndarray] = []
-    for d in range(N + 1):
-        size = N + 1 - d
-        block = sector_fn(z, d, size)
-        sectors.append(block)
-        hi, lo = _sector_state_indices(d, N)
-        dense[np.ix_(hi, hi)] = block
-        if d > 0:
-            dense[np.ix_(lo, lo)] = block
-    return dense, sectors
-
-
-def squeeze_operator_oracle(z: float, spec: TruncationSpec) -> np.ndarray:
-    """Dense squeeze operator via the spectral route, with a leakage gate.
-
-    Raises LeakageError when the vacuum column already loses more mass than
-    the budget allows; entries of such an operator renormalize escaped mass
-    back into the box and are not trustworthy for any state of interest.
-    """
-    if z < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {z}")
+def _gate_vacuum_leakage(z: float, spec: TruncationSpec) -> None:
     vac_leak = vacuum_column_leakage(z, spec.cutoff)
     if vac_leak > spec.leakage_tolerance:
         raise LeakageError(
@@ -228,8 +210,24 @@ def squeeze_operator_oracle(z: float, spec: TruncationSpec) -> np.ndarray:
             f"{spec.leakage_tolerance:.3e} at cutoff {spec.cutoff}; "
             f"suggested cutoff >= {suggested_cutoff(z, spec.leakage_tolerance)}"
         )
-    dense, _ = _assemble_dense(sector_spectral, z, spec)
-    return dense
+
+
+def squeeze_operator_oracle(
+    z: float, spec: TruncationSpec
+) -> tuple[np.ndarray, ...]:
+    """Squeeze operator blocks via the spectral route, with a leakage gate.
+
+    Returns one block per difference sector in sector_layout order. Raises
+    LeakageError when the vacuum column already loses more mass than the
+    budget allows; entries of such an operator renormalize escaped mass
+    back into the box and are not trustworthy for any state of interest.
+    """
+    if z < 0.0:
+        raise ValueError(f"squeeze parameter must be >= 0, got {z}")
+    _gate_vacuum_leakage(z, spec)
+    return tuple(
+        sector_spectral(z, s.d, s.size) for s in sector_layout(spec.cutoff)
+    )
 
 
 def squeeze_amplitude(
@@ -254,21 +252,26 @@ def squeeze_amplitude(
 class TransitionKernel:
     """Squared squeeze amplitudes p(m|n) with truncation diagnostics.
 
-    probabilities is dense, indexed [final, initial] in enumeration order.
-    sectors holds the signed amplitude blocks (difference d = index), which
-    downstream state-space computations reuse. column_leakage[n] is the true
-    probability that the image of basis state n escaped the box.
+    probabilities[d] is the block of difference sector d (sector_layout),
+    indexed [final, initial] by the sector position i; amplitudes[d] holds
+    the signed amplitudes it squares. column_leakage[n] is the true
+    probability that the image of basis state n escaped the box, over the
+    dense basis in enumeration order.
     """
 
     z: float
     spec: TruncationSpec
-    probabilities: np.ndarray = field(repr=False)
+    probabilities: tuple[np.ndarray, ...] = field(repr=False)
     column_leakage: np.ndarray = field(repr=False)
-    sectors: tuple[np.ndarray, ...] = field(repr=False)
+    amplitudes: tuple[np.ndarray, ...] = field(repr=False)
 
     def probability(self, m: tuple[int, int], n: tuple[int, int]) -> float:
         N = self.spec.cutoff
-        return float(self.probabilities[basis_index(m, N), basis_index(n, N)])
+        basis_index(m, N)
+        basis_index(n, N)
+        if difference(m) != difference(n):
+            return 0.0
+        return float(self.probabilities[abs(difference(n))][min(m), min(n)])
 
 
 def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
@@ -282,28 +285,26 @@ def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
     """
     if z < 0.0:
         raise ValueError(f"squeeze parameter must be >= 0, got {z}")
-    vac_leak = vacuum_column_leakage(z, spec.cutoff)
-    if vac_leak > spec.leakage_tolerance:
-        raise LeakageError(
-            f"vacuum column leaks {vac_leak:.3e} > tolerance "
-            f"{spec.leakage_tolerance:.3e} at cutoff {spec.cutoff}; "
-            f"suggested cutoff >= {suggested_cutoff(z, spec.leakage_tolerance)}"
-        )
-    amps, sectors = _assemble_dense(sector_amplitudes, z, spec)
-    probs = amps**2
-    colsums = probs.sum(axis=0)
-    excess = float(colsums.max()) - 1.0
+    _gate_vacuum_leakage(z, spec)
+    layout = sector_layout(spec.cutoff)
+    amps = tuple(sector_amplitudes(z, s.d, s.size) for s in layout)
+    probs = tuple(a**2 for a in amps)
+    leak = np.empty(spec.dim)
+    excess = -1.0
+    for s, P in zip(layout, probs):
+        colsums = P.sum(axis=0)
+        excess = max(excess, float(colsums.max()) - 1.0)
+        leak[s.index] = leak[s.mirror_index] = np.maximum(1.0 - colsums, 0.0)
     if excess > COLSUM_EXCESS_LIMIT:
         raise NumericError(
             f"column mass exceeds 1 by {excess:.3e}: the analytic amplitude "
             f"sum lost double precision at z={z}, cutoff={spec.cutoff}; "
             "reduce the cutoff or the squeeze parameter"
         )
-    leak = np.maximum(1.0 - colsums, 0.0)
     return TransitionKernel(
         z=z,
         spec=spec,
         probabilities=probs,
         column_leakage=leak,
-        sectors=tuple(sectors),
+        amplitudes=amps,
     )

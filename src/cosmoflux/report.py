@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -103,6 +102,10 @@ class RunConfig:
         return RunConfig.from_mapping(mapping)
 
     def validate(self) -> None:
+        for f in dataclass_fields(self):
+            value = getattr(self, f.name)
+            if f.name in FLOAT_KEYS and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
@@ -147,16 +150,30 @@ class RunConfig:
 def _coerce(key: str, value):
     if value is None:
         return None
+    if key in FLOAT_KEYS:
+        return _number(key, value)
+    if key in INT_KEYS:
+        return _integer(key, value)
+    return value
+
+
+def _number(key: str, value) -> float:
     try:
-        if key in FLOAT_KEYS:
-            return float(value)
-        if key in INT_KEYS:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{value} is not an integer")
-            return int(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return value
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {key!r}: {value!r} is not a finite number")
+    return number
+
+
+def _integer(key: str, value) -> int:
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value} is not an integer")
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -184,14 +201,16 @@ class SweepConfig:
         if grid is not None:
             if grid_min is not None or grid_max is not None or grid_count is not None:
                 raise ConfigError("give either an explicit grid or min/max/count, not both")
-            values = tuple(float(v) for v in grid)
+            if not isinstance(grid, (list, tuple)):
+                raise ConfigError(f"grid must be a list of numbers, got {grid!r}")
+            values = tuple(_number("grid", v) for v in grid)
         else:
             if grid_min is None or grid_max is None or grid_count is None:
                 raise ConfigError("grid requires grid_min, grid_max and grid_count")
-            count = _coerce("cutoff", grid_count)
+            count = _integer("grid_count", grid_count)
             if count < 2:
                 raise ConfigError(f"grid_count must be >= 2, got {count}")
-            lo, hi = float(grid_min), float(grid_max)
+            lo, hi = _number("grid_min", grid_min), _number("grid_max", grid_max)
             if grid_scale == "linear":
                 values = tuple(np.linspace(lo, hi, count).tolist())
             elif grid_scale == "log":
@@ -295,7 +314,7 @@ def run_simulation(cfg: RunConfig) -> dict:
     }
 
 
-def _sweep_worker(cfg: RunConfig) -> dict:
+def _sweep_row(cfg: RunConfig) -> dict:
     try:
         row = run_simulation(cfg)
         row["error"] = ""
@@ -317,44 +336,23 @@ def _sweep_worker(cfg: RunConfig) -> dict:
         return row
 
 
-def sweep_workers() -> int:
-    env = os.environ.get("COSMOFLUX_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"COSMOFLUX_THREADS must be an integer: {env!r}") from exc
-        if n < 1:
-            raise ConfigError(f"COSMOFLUX_THREADS must be >= 1, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def run_sweep(sweep: SweepConfig) -> list[dict]:
-    """Evaluate the grid concurrently; rows assembled in grid order."""
-    configs = []
+    """Evaluate the grid point by point; rows come in grid order."""
+    rows = []
     for value in sweep.grid:
         try:
-            configs.append(sweep.base.replace(**{sweep.axis: value}))
+            cfg = sweep.base.replace(**{sweep.axis: value})
         except ConfigError:
-            configs.append(None)
-    rows: list[dict | None] = [None] * len(configs)
-    with ThreadPoolExecutor(max_workers=sweep_workers()) as pool:
-        futures = {}
-        for i, cfg in enumerate(configs):
-            if cfg is None:
-                row = {name: None for name in REPORT_FIELDS}
-                row.update(
-                    scenario=sweep.base.scenario,
-                    flags="error",
-                    error=f"ConfigError: invalid {sweep.axis} value {sweep.grid[i]}",
-                )
-                rows[i] = row
-            else:
-                futures[pool.submit(_sweep_worker, cfg)] = i
-        for future, i in futures.items():
-            rows[i] = future.result()
-    return rows  # type: ignore[return-value]
+            row = {name: None for name in REPORT_FIELDS}
+            row.update(
+                scenario=sweep.base.scenario,
+                flags="error",
+                error=f"ConfigError: invalid {sweep.axis} value {value}",
+            )
+            rows.append(row)
+        else:
+            rows.append(_sweep_row(cfg))
+    return rows
 
 
 def round_sig(value: float, digits: int) -> float:
@@ -425,19 +423,9 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
     kernel = transition_kernel(channel.z, spec)
 
-    P = kernel.probabilities
-    sym = float(np.max(np.abs(P - P.T)))
+    sym = max(float(np.max(np.abs(P - P.T))) for P in kernel.probabilities)
     items.append(("kernel-symmetry", sym <= 1e-12, f"max |p(m|n)-p(n|m)| = {sym:.3e}"))
-
-    occ = np.arange(cfg.cutoff + 1)
-    tot = (occ[:, None] + occ[None, :]).reshape(-1)
-    dif = (occ[:, None] - occ[None, :]).reshape(-1)
-    off_sector = dif[:, None] != dif[None, :]
-    odd_parity = ((tot[:, None] - tot[None, :]) % 2) != 0
-    v1 = float(np.max(np.abs(P[off_sector]))) if off_sector.any() else 0.0
-    v2 = float(np.max(np.abs(P[odd_parity]))) if odd_parity.any() else 0.0
-    items.append(("difference-conservation", v1 == 0.0, f"max off-sector mass = {v1:.3e}"))
-    items.append(("parity-support", v2 == 0.0, f"max odd-change mass = {v2:.3e}"))
+    items.extend(_conservation_checks(kernel, fock.sector_layout(cfg.cutoff)))
 
     vac_leak = fock.vacuum_column_leakage(channel.z, cfg.cutoff)
     items.append((
@@ -515,6 +503,50 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     return items
 
 
+def _max_mass(P: np.ndarray, where: np.ndarray) -> float:
+    return float(np.max(P[where])) if where.any() else 0.0
+
+
+def _conservation_checks(
+    kernel: fock.TransitionKernel, layout: tuple[fock.Sector, ...]
+) -> list[tuple[str, bool, str]]:
+    """Difference and parity conservation of the sector-stored kernel.
+
+    The kernel stores only in-sector blocks, so it conserves n_a - n_b and
+    changes total(n) by even steps exactly when every computation reads
+    those blocks through the right layout: the states of block d have
+    difference d (mirror -d) and cover the box once, and the totals it
+    carries are the states' own. Mass a wrong layout would place between
+    states of another sector, or on an odd change of total, is reported.
+    """
+    side = kernel.spec.cutoff + 1
+    cover = np.zeros(side * side, dtype=int)
+    off_sector = odd_change = 0.0
+    for s, P in zip(layout, kernel.probabilities):
+        a, b = np.divmod(s.index, side)
+        ma, mb = np.divmod(s.mirror_index, side)
+        cover[s.index] += 1
+        if s.d:
+            cover[s.mirror_index] += 1
+        foreign = (a - b != s.d) | (mb - ma != s.d)
+        off_sector = max(off_sector, _max_mass(P, foreign[:, None] | foreign[None, :]))
+        mislabeled = s.totals != a + b
+        odd = (s.totals[:, None] - s.totals[None, :]) % 2 != 0
+        odd_change = max(
+            odd_change, _max_mass(P, odd | mislabeled[:, None] | mislabeled[None, :])
+        )
+    uncovered = int(np.count_nonzero(cover != 1))
+    return [
+        (
+            "difference-conservation",
+            off_sector == 0.0 and uncovered == 0,
+            f"max off-sector mass = {off_sector:.3e}, "
+            f"states not covered once = {uncovered}",
+        ),
+        ("parity-support", odd_change == 0.0, f"max odd-change mass = {odd_change:.3e}"),
+    ]
+
+
 def _battery_global() -> list[tuple[str, bool, str]]:
     """Point-independent checks: oracles, scenario limits, closed forms."""
     items: list[tuple[str, bool, str]] = []
@@ -523,8 +555,8 @@ def _battery_global() -> list[tuple[str, bool, str]]:
     spec40 = TruncationSpec(40, 1e-2)
     worst = 0.0
     for z in (z_canon, 1.0, 1.2):
-        S = fock.squeeze_operator_oracle(z, spec40)
-        worst = max(worst, float(np.max(np.abs(S.T @ S - np.eye(S.shape[0])))))
+        for S in fock.squeeze_operator_oracle(z, spec40):
+            worst = max(worst, float(np.max(np.abs(S.T @ S - np.eye(len(S))))))
     items.append(("oracle-orthogonality", worst <= 1e-12, f"max |S^T S - I| = {worst:.3e}"))
 
     # Equivalence measured at a box large enough that states up to index 8

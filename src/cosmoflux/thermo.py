@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, VerificationError
-from .fock import TransitionKernel, TruncationSpec, totals_vector
+from .fock import (
+    TransitionKernel,
+    TruncationSpec,
+    sector_layout,
+    sector_spectral,
+    totals_vector,
+)
 
 # Slack added to truncation-bound comparisons to absorb pure rounding noise.
 FLOAT_SLACK = 1e-12
@@ -135,10 +141,11 @@ def average_work(
     omega_out: float,
 ) -> tuple[float, float]:
     """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1) and its bound."""
-    tot = totals_vector(kernel.spec)
     w = thermal.weights
-    n_f = float(tot @ kernel.probabilities @ w)
-    n_i = float(tot @ w)
+    n_f = 0.0
+    for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities):
+        n_f += s.multiplicity * float(s.totals @ P @ w[s.index])
+    n_i = float(totals_vector(kernel.spec) @ w)
     mean_work = omega_out * (n_f + 1.0) - omega_in * (n_i + 1.0)
     bound = truncation_bound(
         kernel.spec, omega_out, weighted_kernel_leakage(kernel, thermal)
@@ -146,15 +153,20 @@ def average_work(
     return mean_work, bound
 
 
+def _sector_created(totals: np.ndarray, P: np.ndarray, w: np.ndarray) -> float:
+    """In-sector <total(m) - total(n)> under p(m|n) w(n)."""
+    return float((totals @ P - totals * P.sum(axis=0)) @ w)
+
+
 def mean_created_kernel(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> float:
     """<total(m) - total(n)> under p(m|n) p_th(n), in-box."""
-    tot = totals_vector(kernel.spec)
-    P = kernel.probabilities
     w = thermal.weights
-    colsums = P.sum(axis=0)
-    return float((tot @ P - tot * colsums) @ w)
+    return sum(
+        s.multiplicity * _sector_created(s.totals, P, w[s.index])
+        for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities)
+    )
 
 
 def mean_created_closed_form(z: float, temperature: float, omega: float) -> float:
@@ -217,25 +229,18 @@ def mean_created_spectral(
     use the exact geometric normalization: at the cutoffs this targets the
     thermal tail is far below any tolerance of interest.
     """
-    from .fock import sector_spectral
-
     if z == 0.0:
         return 0.0
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
+    layout = sector_layout(cutoff)
+    masses = [(1.0 - x) ** 2 * x**s.totals for s in layout]
     norm = 0.0
-    for d in range(cutoff + 1):
-        i = np.arange(cutoff + 1 - d)
-        mass = ((1.0 - x) ** 2 * x ** (2 * i + d)).sum()
-        norm += (2.0 if d else 1.0) * mass
+    for s, mass in zip(layout, masses):
+        norm += s.multiplicity * mass.sum()
     acc = 0.0
-    for d in range(cutoff + 1):
-        size = cutoff + 1 - d
-        S = sector_spectral(z, d, size)
-        P = S**2
-        i = np.arange(size)
-        wd = (1.0 - x) ** 2 * x ** (2 * i + d) / norm
-        tot = 2 * i + d
-        acc += (2.0 if d else 1.0) * float((tot @ P - tot * P.sum(axis=0)) @ wd)
+    for s, mass in zip(layout, masses):
+        P = sector_spectral(z, s.d, s.size) ** 2
+        acc += s.multiplicity * _sector_created(s.totals, P, mass / norm)
     return acc

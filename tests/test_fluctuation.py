@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
     EntropyUndefinedError,
+    NumericError,
     SqueezeChannel,
     TruncationSpec,
     VerificationError,
@@ -20,8 +21,9 @@ from cosmoflux import (
     thermal_distribution,
     transition_kernel,
 )
-from cosmoflux.fluctuation import _jacobi_svd
-from cosmoflux.fock import basis_index
+import cosmoflux.fluctuation as fluctuation_mod
+from cosmoflux.fluctuation import EntropyDistribution, _graded_svd
+from cosmoflux.fock import sector_layout
 
 from conftest import Z_CANON
 
@@ -29,27 +31,34 @@ Q_11_TO_00 = 0.01013939726055356  # 0.1875 * (1-1/e)^2 / e^2
 N_CREATED_CANON = 1.442635609159102
 
 
+def _total_mass(joint):
+    return sum(
+        s.multiplicity * block.sum()
+        for s, block in zip(sector_layout(len(joint.entries) - 1), joint.entries)
+    )
+
+
 def test_joint_shapes_and_mass(joints40):
     fwd, rev = joints40
-    assert fwd.entries.shape == (41 * 41, 41 * 41)
+    assert [b.shape for b in fwd.entries] == [(41 - d, 41 - d) for d in range(41)]
+    assert [b.shape for b in rev.entries] == [(41 - d, 41 - d) for d in range(41)]
     assert fwd.direction == "expansion"
     assert rev.direction == "contraction"
-    assert fwd.entries.sum() == pytest.approx(1.0, abs=1e-9)
-    assert rev.entries.sum() == pytest.approx(1.0, abs=1e-9)
+    assert _total_mass(fwd) == pytest.approx(1.0, abs=1e-9)
+    assert _total_mass(rev) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reverse_jump_reference_value(joints40):
     _, rev = joints40
-    i, j = basis_index((1, 1), 40), basis_index((0, 0), 40)
-    assert rev.entries[i, j] == pytest.approx(Q_11_TO_00, rel=1e-13)
+    # sector d = 0, final (1, 1) at position 1, initial (0, 0) at position 0
+    assert rev.entries[0][1, 0] == pytest.approx(Q_11_TO_00, rel=1e-13)
 
 
 def test_microstate_ratio_is_exponential(joints40):
     fwd, rev = joints40
-    i, j = basis_index((1, 1), 40), basis_index((0, 0), 40)
     s = entropy_change((0, 0), (1, 1), 2.0, 2.0)
     assert s == 2.0
-    assert fwd.entries[i, j] / rev.entries[i, j] == pytest.approx(
+    assert fwd.entries[0][1, 0] / rev.entries[0][1, 0] == pytest.approx(
         np.exp(s), rel=4e-15
     )
 
@@ -147,8 +156,18 @@ def test_kl_pairing_fails_closed_when_reverse_underflows():
     assert mean_entropy(p_e) >= 0.0  # the mean itself stays evaluable
 
 
+def test_crooks_rejects_unmirrored_support(dists40, joints40):
+    fwd, rev = joints40
+    p_e, p_c = dists40
+    shifted = EntropyDistribution(support=p_c.support + 2.0, masses=p_c.masses)
+    with pytest.raises(VerificationError):
+        crooks_deviation(p_e, shifted, fwd, rev)
+    with pytest.raises(VerificationError):
+        mean_entropy_and_kl(p_e, shifted)
+
+
 def test_jacobi_svd_identity():
-    U, s, sweeps = _jacobi_svd(np.eye(6))
+    U, s = _graded_svd(np.eye(6))
     assert np.allclose(np.sort(s), np.ones(6), atol=1e-15)
     assert np.max(np.abs(U.T @ U - np.eye(6))) <= 1e-14
 
@@ -161,17 +180,26 @@ def test_jacobi_svd_graded_relative_accuracy():
     g = 10.0 ** -np.linspace(0.0, 30.0, 8)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     B = Q * g[None, :]
-    U, s, sweeps = _jacobi_svd(B)
+    U, s = _graded_svd(B)
     rel = np.abs(np.sort(s)[::-1] - g) / g
     assert np.max(rel) <= 1e-12
     assert np.max(np.abs(U.T @ U - np.eye(8))) <= 1e-12
-    assert sweeps < 60
 
 
 def test_jacobi_svd_single_column():
-    U, s, _ = _jacobi_svd(np.array([[3.0], [4.0]]))
+    U, s = _graded_svd(np.array([[3.0], [4.0]]))
     assert s[0] == pytest.approx(5.0, rel=1e-15)
     assert np.allclose(U[:, 0], [0.6, 0.8], atol=1e-15)
+
+
+def test_jacobi_svd_failure_is_numeric_error(monkeypatch):
+    def failing(a, **kwargs):
+        n = a.shape[1]
+        return np.zeros(n), np.zeros_like(a), None, np.ones(7), np.zeros(3), 1
+
+    monkeypatch.setattr(fluctuation_mod, "dgejsv", failing)
+    with pytest.raises(NumericError):
+        _graded_svd(np.eye(3))
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from cosmoflux import (
     LeakageError,
@@ -8,7 +9,6 @@ from cosmoflux import (
     TruncationSpec,
     enumerate_basis,
     squeeze_amplitude,
-    squeeze_generator,
     squeeze_operator_oracle,
     suggested_cutoff,
     transition_kernel,
@@ -17,11 +17,13 @@ from cosmoflux import (
 from cosmoflux.fock import (
     basis_index,
     sector_amplitudes,
+    sector_layout,
     sector_spectral,
     totals_vector,
 )
 
 from conftest import Z_CANON
+from dense_reference import dense_generator, dense_view
 
 # 50-digit reference values for <m| S |n> at tanh z = 1/2 (and one at z = 1).
 AMPLITUDE_TABLE = [
@@ -87,8 +89,10 @@ def test_totals_vector_matches_basis():
 
 
 def test_generator_antisymmetric_and_sector_structured():
-    spec = TruncationSpec(cutoff=6)
-    G = squeeze_generator(0.7, spec)
+    # the dense generator is a test-side reference; its exponential must
+    # reproduce the oracle's per-sector spectral blocks
+    spec = TruncationSpec(cutoff=6, leakage_tolerance=1e-2)
+    G = dense_generator(0.7, 6)
     assert np.max(np.abs(G + G.T)) == 0.0
     states = enumerate_basis(spec)
     for i, n in enumerate(states):
@@ -98,21 +102,30 @@ def test_generator_antisymmetric_and_sector_structured():
                 assert abs(m[0] - n[0]) == 1 and m[0] - n[0] == m[1] - n[1]
     # matrix element of z(a+b+ - ab): <1,1| G |0,0> = z
     assert G[basis_index((1, 1), 6), 0] == pytest.approx(0.7)
+    blocks = squeeze_operator_oracle(0.7, spec)
+    assert np.max(np.abs(expm(G) - dense_view(blocks, 6))) <= 1e-12
 
 
 @pytest.mark.parametrize("z", [Z_CANON, 1.0, 1.2])
 def test_oracle_orthogonal_on_box(z):
     spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-2)
-    S = squeeze_operator_oracle(z, spec)
-    defect = np.max(np.abs(S.T @ S - np.eye(spec.dim)))
+    blocks = squeeze_operator_oracle(z, spec)
+    defect = max(np.max(np.abs(S.T @ S - np.eye(len(S)))) for S in blocks)
     assert defect <= 1e-12
 
 
 def test_oracle_difference_blocks_exact(spec40):
-    S = squeeze_operator_oracle(Z_CANON, spec40)
-    occ = np.arange(spec40.cutoff + 1)
+    blocks = squeeze_operator_oracle(Z_CANON, spec40)
+    assert [S.shape for S in blocks] == [(41 - d, 41 - d) for d in range(41)]
+    # the exponential of the full generator has no mass outside the
+    # difference sectors, so the blocks lose nothing
+    spec = TruncationSpec(cutoff=8, leakage_tolerance=1e-2)
+    S = expm(dense_generator(Z_CANON, 8))
+    occ = np.arange(9)
     dif = (occ[:, None] - occ[None, :]).reshape(-1)
     assert np.max(np.abs(S[dif[:, None] != dif[None, :]])) == 0.0
+    oracle = dense_view(squeeze_operator_oracle(Z_CANON, spec), 8)
+    assert np.max(np.abs(S - oracle)) <= 1e-12
 
 
 def test_oracle_vacuum_gate_raises():
@@ -134,16 +147,15 @@ def test_analytic_matches_spectral_small_indices():
 
 def test_vacuum_column_law(kernel40):
     tau = np.tanh(Z_CANON)
-    col = kernel40.probabilities[:, 0]
+    col = kernel40.probabilities[0][:, 0]  # sector d = 0: states (n, n)
     for n in range(11):
-        idx = basis_index((n, n), 40)
         expected = (1.0 - tau * tau) * tau ** (2 * n)
-        assert abs(col[idx] - expected) / expected <= 1e-9
+        assert abs(col[n] - expected) / expected <= 1e-9
 
 
 def test_vacuum_column_leakage_closed_form(kernel40):
     # closed form tau^(2(N+1)) equals the measured column defect
-    measured = 1.0 - kernel40.probabilities[:, 0].sum()
+    measured = 1.0 - kernel40.probabilities[0][:, 0].sum()
     assert vacuum_column_leakage(Z_CANON, 40) == pytest.approx(measured, abs=1e-13)
 
 
@@ -166,8 +178,8 @@ def test_transition_kernel_instability_raises():
 
 
 def test_kernel_symmetry_exact(kernel40):
-    P = kernel40.probabilities
-    assert np.max(np.abs(P - P.T)) == 0.0
+    for P in kernel40.probabilities:
+        assert np.max(np.abs(P - P.T)) == 0.0
 
 
 def test_kernel_probability_lookup(kernel40):
@@ -180,7 +192,8 @@ def test_kernel_probability_lookup(kernel40):
 def test_zero_squeeze_is_identity():
     spec = TruncationSpec(cutoff=10)
     kern = transition_kernel(0.0, spec)
-    assert np.array_equal(kern.probabilities, np.eye(spec.dim))
+    for P in kern.probabilities:
+        assert np.array_equal(P, np.eye(len(P)))
     assert np.max(kern.column_leakage) == 0.0
 
 
@@ -189,14 +202,15 @@ def test_zero_squeeze_is_identity():
 def test_kernel_columns_substochastic(z):
     spec = TruncationSpec(cutoff=14, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
-    P = kern.probabilities
-    assert np.min(P) >= 0.0
-    colsums = P.sum(axis=0)
-    assert np.max(colsums) <= 1.0 + 1e-12
-    assert np.max(np.abs(P - P.T)) == 0.0
-    # leakage is clipped at zero; an allowed excess below the stability
-    # limit may leave a gap of that size
-    assert np.max(np.abs((1.0 - colsums) - kern.column_leakage)) <= 2e-9
+    for s, P in zip(sector_layout(14), kern.probabilities):
+        assert np.min(P) >= 0.0
+        colsums = P.sum(axis=0)
+        assert np.max(colsums) <= 1.0 + 1e-12
+        assert np.max(np.abs(P - P.T)) == 0.0
+        # leakage is clipped at zero; an allowed excess below the stability
+        # limit may leave a gap of that size
+        for idx in (s.index, s.mirror_index):
+            assert np.max(np.abs((1.0 - colsums) - kern.column_leakage[idx])) <= 2e-9
 
 
 @settings(max_examples=20, deadline=None)

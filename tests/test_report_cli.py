@@ -15,7 +15,6 @@ from cosmoflux.report import (
     round_sig,
     run_simulation,
     run_sweep,
-    sweep_workers,
 )
 
 from conftest import Z_CANON
@@ -93,6 +92,9 @@ def test_config_foreign_scenario_key_fails():
     {"scenario": "dejitter"},
     {"omega_in": 3.0},          # would exceed omega_out
     {"z": -0.5},
+    {"z": float("nan")},
+    {"temperature": float("inf")},
+    {"omega_out": "-inf"},
 ])
 def test_config_validation_rejects(patch):
     with pytest.raises(ConfigError):
@@ -198,12 +200,43 @@ def test_sweep_grid_generation():
     assert sweep.grid == pytest.approx((0.5, 1.0, 2.0), rel=1e-12)
 
 
-def test_sweep_workers_env(monkeypatch):
-    monkeypatch.setenv("COSMOFLUX_THREADS", "2")
-    assert sweep_workers() == 2
-    monkeypatch.setenv("COSMOFLUX_THREADS", "zero")
+def test_directly_built_config_rejects_nan():
+    cfg = RunConfig(scenario="direct-z", z=float("nan"), omega_in=1.0, omega_out=2.0)
     with pytest.raises(ConfigError):
-        sweep_workers()
+        run_simulation(cfg)
+
+
+def _flags(mapping):
+    return [arg for key, value in mapping.items() for arg in (f"--{key}", str(value))]
+
+
+COSMOLOGY = {"scenario": "cosmology", "momentum": 1.0, "mass": 1.0, "epsilon": 1.0,
+             "sigma": 1.0}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", *_flags({**SMALL_DIRECT, "z": "nan"})], "z"),
+    (["simulate", *_flags({**SMALL_DIRECT, "temperature": "nan"})], "temperature"),
+    (["simulate", *_flags({**COSMOLOGY, "sigma": "nan"})], "sigma"),
+    (["simulate", *_flags({**SMALL_DIRECT, "z": "inf"})], "z"),
+    (["sweep", *_flags({**SMALL_DIRECT, "axis": "temperature", "grid_min": "abc",
+                        "grid_max": 1.0, "grid_count": 3})], "grid_min"),
+    (["sweep", *_flags({**SMALL_DIRECT, "axis": "temperature", "grid_min": 0.5,
+                        "grid_max": 1.0, "grid_count": "two"})], "grid_count"),
+])
+def test_cli_rejects_bad_numbers(argv, key, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("grid", ["0.5,1.0", [0.5, "abc"], [0.5, None], [0.5, "nan"]])
+def test_cli_rejects_bad_grid_in_config_file(grid, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_DIRECT, "axis": "temperature", "grid": grid}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_simulate_roundtrip(tmp_path, capsys):
