@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import (
     ConfigError,
@@ -20,6 +21,7 @@ from .errors import (
     VerificationError,
 )
 from .report import (
+    SWEEP_ONLY_KEYS,
     RunConfig,
     SweepConfig,
     canonical_config,
@@ -30,12 +32,7 @@ from .report import (
     verify_invariants,
 )
 
-CONFIG_FLAGS = (
-    "scenario", "momentum", "mass", "epsilon", "sigma", "omega",
-    "acceleration", "mass_bh", "z", "omega_in", "omega_out",
-    "temperature", "cutoff", "leakage_tolerance", "output", "precision",
-)
-SWEEP_FLAGS = ("axis", "grid", "grid_min", "grid_max", "grid_count", "grid_scale")
+CONFIG_FLAGS = tuple(f.name for f in fields(RunConfig))
 
 
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
@@ -45,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
     for key in CONFIG_FLAGS:
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V")
     if sweep:
-        for key in SWEEP_FLAGS:
+        for key in SWEEP_ONLY_KEYS:
             parser.add_argument(f"--{key}", dest=key, default=None, metavar="V")
 
 
@@ -73,7 +70,7 @@ def _load_mapping(args: argparse.Namespace, sweep: bool = False) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(mapping, dict):
             raise ConfigError("config file must hold a single JSON object")
-    keys = CONFIG_FLAGS + (SWEEP_FLAGS if sweep else ())
+    keys = CONFIG_FLAGS + (SWEEP_ONLY_KEYS if sweep else ())
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:

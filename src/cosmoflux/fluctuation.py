@@ -66,11 +66,9 @@ def forward_joint(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> ProcessJoint:
     """Expansion trajectories: p(n -> m) = p(m|n) p_th(n)."""
-    w = thermal.weights
     return ProcessJoint(
         entries=tuple(
-            P * w[s.index][None, :]
-            for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities)
+            P * w[None, :] for P, w in zip(kernel.probabilities, thermal.weights)
         ),
         direction="expansion",
         omega=thermal.omega,
@@ -87,11 +85,9 @@ def reverse_joint(
     adiabatic temperature has the same Boltzmann factor x, so its weights
     coincide with the expansion's thermal weights on the shared basis.
     """
-    w = thermal.weights
     return ProcessJoint(
         entries=tuple(
-            P * w[s.index][:, None]
-            for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities)
+            P * w[:, None] for P, w in zip(kernel.probabilities, thermal.weights)
         ),
         direction="contraction",
         omega=thermal.omega,
@@ -179,17 +175,17 @@ def crooks_deviation(
     p_c: EntropyDistribution,
     forward: ProcessJoint,
     reverse: ProcessJoint,
-    floor: float = PROBABILITY_FLOOR,
 ) -> CrooksReport:
     """max |log(P_E(s)/P_C(-s)) - s| plus the microstate-level residual.
 
-    Support points with P_E(s) <= floor are excluded and their mass is
-    reported for the truncation budget. A floored point whose partner mass
-    is exactly zero is a support mismatch: impossible for thermal inputs,
-    so it surfaces as a verification error instead of an infinity.
+    Support points with P_E(s) <= PROBABILITY_FLOOR are excluded and their
+    mass is reported for the truncation budget. A floored point whose
+    partner mass is exactly zero is a support mismatch: impossible for
+    thermal inputs, so it surfaces as a verification error instead of an
+    infinity.
     """
     paired = _mirrored_masses(p_e, p_c)
-    live = p_e.masses > floor
+    live = p_e.masses > PROBABILITY_FLOOR
     floored = float(p_e.masses[~live].sum())
     if np.any(live & (paired <= 0.0)):
         bad = p_e.support[live & (paired <= 0.0)][0]
@@ -206,7 +202,7 @@ def crooks_deviation(
     for s, J, Q in zip(
         sector_layout(len(forward.entries) - 1), forward.entries, reverse.entries
     ):
-        mask = J > floor
+        mask = J > PROBABILITY_FLOOR
         if np.any(mask):
             s_mat = rate * (s.totals[:, None] - s.totals[None, :])
             resid = np.log(J[mask]) - np.log(Q[mask]) - s_mat[mask]
@@ -228,18 +224,16 @@ def mean_entropy(p_e: EntropyDistribution) -> float:
 
 
 def mean_entropy_and_kl(
-    p_e: EntropyDistribution,
-    p_c: EntropyDistribution,
-    floor: float = PROBABILITY_FLOOR,
+    p_e: EntropyDistribution, p_c: EntropyDistribution
 ) -> tuple[float, float]:
     """<s> and K[P_E || P_C(-s)], asserting their identity.
 
-    The mean runs over the full support; the KL sum applies the floor so
-    sub-truncation masses cannot inject log noise.
+    The mean runs over the full support; the KL sum applies
+    PROBABILITY_FLOOR so sub-truncation masses cannot inject log noise.
     """
-    s_mean = float(p_e.support @ p_e.masses)
+    s_mean = mean_entropy(p_e)
     paired = _mirrored_masses(p_e, p_c)
-    live = p_e.masses > floor
+    live = p_e.masses > PROBABILITY_FLOOR
     kl = float(
         p_e.masses[live]
         @ (np.log(p_e.masses[live]) - np.log(np.maximum(paired[live], 1e-300)))
@@ -327,10 +321,10 @@ def quantum_relative_entropy(
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
-    w = thermal.weights
     K = 0.0
-    for s, A in zip(sector_layout(kernel.spec.cutoff), kernel.amplitudes):
-        wd = w[s.index]
+    for s, A, wd in zip(
+        sector_layout(kernel.spec.cutoff), kernel.amplitudes, thermal.weights
+    ):
         pos = wd > 0.0
         rho_term = float(wd[pos] @ np.log(wd[pos])) if pos.any() else 0.0
         U, sv = _graded_svd(A * np.sqrt(wd)[None, :])

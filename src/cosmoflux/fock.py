@@ -24,6 +24,7 @@ Two independent evaluation routes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -51,10 +52,6 @@ class TruncationSpec:
                 f"leakage_tolerance must lie in (0, 1), got {self.leakage_tolerance}"
             )
 
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** 2
-
 
 def difference(n: tuple[int, int]) -> int:
     return n[0] - n[1]
@@ -72,18 +69,12 @@ def basis_index(n: tuple[int, int], cutoff: int) -> int:
     return n[0] * (cutoff + 1) + n[1]
 
 
-def totals_vector(spec: TruncationSpec) -> np.ndarray:
-    """total(n) for every basis state, in enumeration order."""
-    occ = np.arange(spec.cutoff + 1)
-    return (occ[:, None] + occ[None, :]).reshape(-1).astype(float)
-
-
 @dataclass(frozen=True)
 class Sector:
     """Difference sector d: the states (i + d, i) for i = 0..cutoff-d.
 
     For d > 0 the mirrored states (i, i + d) carry an identical block and
-    identical thermal weights, so sector sums count them once with
+    identical per-state values, so sector sums count them once with
     multiplicity 2. index and mirror_index are the states' positions in the
     dense enumeration; totals holds total(n) = 2i + d.
     """
@@ -99,8 +90,18 @@ class Sector:
         return len(self.totals)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
 def sector_layout(cutoff: int) -> tuple[Sector, ...]:
-    """Every difference sector of the box, d = 0..cutoff in order."""
+    """Every difference sector of the box, d = 0..cutoff in order.
+
+    Built once per cutoff and shared by every caller, so its arrays are
+    read-only.
+    """
     side = cutoff + 1
     layout = []
     for d in range(side):
@@ -108,9 +109,9 @@ def sector_layout(cutoff: int) -> tuple[Sector, ...]:
         layout.append(Sector(
             d=d,
             multiplicity=2 if d else 1,
-            totals=2 * i + d,
-            index=(i + d) * side + i,
-            mirror_index=i * side + i + d,
+            totals=_frozen(2 * i + d),
+            index=_frozen((i + d) * side + i),
+            mirror_index=_frozen(i * side + i + d),
         ))
     return tuple(layout)
 
@@ -254,15 +255,15 @@ class TransitionKernel:
 
     probabilities[d] is the block of difference sector d (sector_layout),
     indexed [final, initial] by the sector position i; amplitudes[d] holds
-    the signed amplitudes it squares. column_leakage[n] is the true
-    probability that the image of basis state n escaped the box, over the
-    dense basis in enumeration order.
+    the signed amplitudes it squares. column_leakage[d][i] is the true
+    probability that the image of the sector state at position i escaped
+    the box.
     """
 
     z: float
     spec: TruncationSpec
     probabilities: tuple[np.ndarray, ...] = field(repr=False)
-    column_leakage: np.ndarray = field(repr=False)
+    column_leakage: tuple[np.ndarray, ...] = field(repr=False)
     amplitudes: tuple[np.ndarray, ...] = field(repr=False)
 
     def probability(self, m: tuple[int, int], n: tuple[int, int]) -> float:
@@ -286,15 +287,12 @@ def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
     if z < 0.0:
         raise ValueError(f"squeeze parameter must be >= 0, got {z}")
     _gate_vacuum_leakage(z, spec)
-    layout = sector_layout(spec.cutoff)
-    amps = tuple(sector_amplitudes(z, s.d, s.size) for s in layout)
+    amps = tuple(
+        sector_amplitudes(z, s.d, s.size) for s in sector_layout(spec.cutoff)
+    )
     probs = tuple(a**2 for a in amps)
-    leak = np.empty(spec.dim)
-    excess = -1.0
-    for s, P in zip(layout, probs):
-        colsums = P.sum(axis=0)
-        excess = max(excess, float(colsums.max()) - 1.0)
-        leak[s.index] = leak[s.mirror_index] = np.maximum(1.0 - colsums, 0.0)
+    colsums = [P.sum(axis=0) for P in probs]
+    excess = max(float(c.max()) for c in colsums) - 1.0
     if excess > COLSUM_EXCESS_LIMIT:
         raise NumericError(
             f"column mass exceeds 1 by {excess:.3e}: the analytic amplitude "
@@ -305,6 +303,6 @@ def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
         z=z,
         spec=spec,
         probabilities=probs,
-        column_leakage=leak,
+        column_leakage=tuple(np.maximum(1.0 - c, 0.0) for c in colsums),
         amplitudes=amps,
     )

@@ -19,7 +19,6 @@ from .fock import (
     TruncationSpec,
     sector_layout,
     sector_spectral,
-    totals_vector,
 )
 
 # Slack added to truncation-bound comparisons to absorb pure rounding noise.
@@ -30,14 +29,16 @@ FLOAT_SLACK = 1e-12
 class ThermalDistribution:
     """Diagonal Gibbs weights over the joint basis, renormalized to the box.
 
-    temperature = 0 marks the vacuum path: a point mass on (0, 0) with no
-    entropy scale. renorm_defect is the pre-renormalization tail mass.
+    weights[d] holds the weights of the sector states in sector_layout
+    order; mirrored states share them. temperature = 0 marks the vacuum
+    path: a point mass on (0, 0) with no entropy scale. renorm_defect is
+    the Gibbs mass outside the box.
     """
 
     temperature: float
     omega: float
     spec: TruncationSpec
-    weights: np.ndarray
+    weights: tuple[np.ndarray, ...]
     renorm_defect: float
 
     @property
@@ -50,12 +51,29 @@ class WorkReport:
     mean_work: float
     adiabatic_work: float
     inner_friction: float
-    mean_initial: float
     mean_created: float
     adiabatic_temperature: float
     truncation_bound: float
     weighted_leakage: float
     omega_out: float
+
+
+def _gibbs_weights(
+    temperature: float, omega: float, cutoff: int
+) -> tuple[tuple[np.ndarray, ...], float]:
+    """Box-renormalized Gibbs weights per sector and the mass outside the box.
+
+    The weight of n is (1-x)^2 x^total(n) with x = exp(-omega/T). Each mode
+    keeps 1 - t of its mass in the box, t = x^(cutoff+1), so the weights
+    are divided by (1-t)^2 and the escaped mass is t(2-t), both in closed
+    form. At T = 0, x = 0 gives the point mass on (0, 0) through 0^0 = 1.
+    When T >> omega rounds x to 1, the box holds none of the mass.
+    """
+    x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
+    t = x ** (cutoff + 1)
+    scale = ((1.0 - x) / (1.0 - t)) ** 2 if t < 1.0 else 0.0
+    weights = tuple(scale * x**s.totals for s in sector_layout(cutoff))
+    return weights, t * (2.0 - t)
 
 
 def thermal_distribution(
@@ -70,21 +88,7 @@ def thermal_distribution(
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     if omega <= 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    dim = spec.dim
-    if temperature == 0.0:
-        weights = np.zeros(dim)
-        weights[0] = 1.0
-        return ThermalDistribution(
-            temperature=0.0,
-            omega=omega,
-            spec=spec,
-            weights=weights,
-            renorm_defect=0.0,
-        )
-    x = np.exp(-omega / temperature)
-    raw = (1.0 - x) ** 2 * x ** totals_vector(spec)
-    in_box = float(raw.sum())
-    defect = max(1.0 - in_box, 0.0)
+    weights, defect = _gibbs_weights(temperature, omega, spec.cutoff)
     if defect > spec.leakage_tolerance:
         raise LeakageError(
             f"thermal tail mass {defect:.3e} > tolerance "
@@ -95,7 +99,7 @@ def thermal_distribution(
         temperature=temperature,
         omega=omega,
         spec=spec,
-        weights=raw / in_box,
+        weights=weights,
         renorm_defect=defect,
     )
 
@@ -110,7 +114,10 @@ def mean_initial_closed_form(temperature: float, omega: float) -> float:
 
 def mean_initial_total(thermal: ThermalDistribution) -> float:
     """Box-truncated <n_a + n_b> under the renormalized weights."""
-    return float(totals_vector(thermal.spec) @ thermal.weights)
+    return sum(
+        s.multiplicity * float(s.totals @ w)
+        for s, w in zip(sector_layout(thermal.spec.cutoff), thermal.weights)
+    )
 
 
 def adiabatic_work(temperature: float, omega_in: float, omega_out: float) -> float:
@@ -131,7 +138,12 @@ def weighted_kernel_leakage(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> float:
     """Kernel leakage weighted by the initial distribution, plus its tail."""
-    return float(kernel.column_leakage @ thermal.weights) + thermal.renorm_defect
+    return sum(
+        s.multiplicity * float(leak @ w)
+        for s, leak, w in zip(
+            sector_layout(kernel.spec.cutoff), kernel.column_leakage, thermal.weights
+        )
+    ) + thermal.renorm_defect
 
 
 def average_work(
@@ -141,11 +153,13 @@ def average_work(
     omega_out: float,
 ) -> tuple[float, float]:
     """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1) and its bound."""
-    w = thermal.weights
-    n_f = 0.0
-    for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities):
-        n_f += s.multiplicity * float(s.totals @ P @ w[s.index])
-    n_i = float(totals_vector(kernel.spec) @ w)
+    n_f = sum(
+        s.multiplicity * float(s.totals @ P @ w)
+        for s, P, w in zip(
+            sector_layout(kernel.spec.cutoff), kernel.probabilities, thermal.weights
+        )
+    )
+    n_i = mean_initial_total(thermal)
     mean_work = omega_out * (n_f + 1.0) - omega_in * (n_i + 1.0)
     bound = truncation_bound(
         kernel.spec, omega_out, weighted_kernel_leakage(kernel, thermal)
@@ -162,10 +176,11 @@ def mean_created_kernel(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> float:
     """<total(m) - total(n)> under p(m|n) p_th(n), in-box."""
-    w = thermal.weights
     return sum(
-        s.multiplicity * _sector_created(s.totals, P, w[s.index])
-        for s, P in zip(sector_layout(kernel.spec.cutoff), kernel.probabilities)
+        s.multiplicity * _sector_created(s.totals, P, w)
+        for s, P, w in zip(
+            sector_layout(kernel.spec.cutoff), kernel.probabilities, thermal.weights
+        )
     )
 
 
@@ -209,7 +224,6 @@ def inner_friction(
         mean_work=mean_work,
         adiabatic_work=w_ad,
         inner_friction=w_fric,
-        mean_initial=mean_initial_total(thermal),
         mean_created=n_c,
         adiabatic_temperature=t_ad,
         truncation_bound=bound,
@@ -226,21 +240,16 @@ def mean_created_spectral(
     The spectral route stays entrywise stable at box sizes where the
     analytic sum does not, and its in-box boundary reflection vanishes as
     the cutoff grows, so this converges to the untruncated value. Weights
-    use the exact geometric normalization: at the cutoffs this targets the
-    thermal tail is far below any tolerance of interest.
+    are the thermal weights renormalized to the box, as in
+    thermal_distribution, with no gate on the thermal tail.
     """
     if z == 0.0:
         return 0.0
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
-    layout = sector_layout(cutoff)
-    masses = [(1.0 - x) ** 2 * x**s.totals for s in layout]
-    norm = 0.0
-    for s, mass in zip(layout, masses):
-        norm += s.multiplicity * mass.sum()
-    acc = 0.0
-    for s, mass in zip(layout, masses):
-        P = sector_spectral(z, s.d, s.size) ** 2
-        acc += s.multiplicity * _sector_created(s.totals, P, mass / norm)
-    return acc
+    weights, _defect = _gibbs_weights(temperature, omega, cutoff)
+    return sum(
+        s.multiplicity
+        * _sector_created(s.totals, sector_spectral(z, s.d, s.size) ** 2, w)
+        for s, w in zip(sector_layout(cutoff), weights)
+    )

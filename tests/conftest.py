@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,14 @@ from cosmoflux import (
 )
 
 Z_CANON = float(np.arctanh(0.5))
+
+# Environment for `python -m cosmoflux` child processes: they import this
+# checkout's package, as the tests themselves do, installed or not.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 @pytest.fixture(scope="session")

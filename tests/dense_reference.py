@@ -37,6 +37,17 @@ def dense_view(blocks, cutoff):
     return dense
 
 
+def dense_state_vector(vectors, cutoff):
+    """Embed per-sector state values vectors[d][i] into the dense basis.
+
+    State n sits in sector d = |n_a - n_b| at position min(n); a mirrored
+    state takes the value of its partner.
+    """
+    return np.array(
+        [vectors[abs(n[0] - n[1])][min(n)] for n in basis_states(cutoff)]
+    )
+
+
 def dense_generator(z, cutoff):
     """Antisymmetric generator z(a+b+ - ab) on the truncated basis."""
     side = cutoff + 1

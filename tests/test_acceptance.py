@@ -35,7 +35,7 @@ from cosmoflux import (
 )
 from cosmoflux.fock import sector_amplitudes, sector_spectral
 
-from conftest import Z_CANON
+from conftest import CHILD_ENV, Z_CANON
 
 N_CREATED_CANON = 1.442635609159102
 W_FRIC_CANON = 2.885271218318204
@@ -257,7 +257,7 @@ def test_12_cli_contract(request, tmp_path):
     def run(*args):
         return subprocess.run(
             [sys.executable, "-m", "cosmoflux", *args],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, env=CHILD_ENV, text=True, timeout=300,
         )
 
     first = run("simulate", "--config", str(path))

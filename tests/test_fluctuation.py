@@ -26,6 +26,7 @@ from cosmoflux.fluctuation import EntropyDistribution, _graded_svd
 from cosmoflux.fock import sector_layout
 
 from conftest import Z_CANON
+from dense_reference import dense_state_vector
 
 Q_11_TO_00 = 0.01013939726055356  # 0.1875 * (1-1/e)^2 / e^2
 N_CREATED_CANON = 1.442635609159102
@@ -225,5 +226,8 @@ def test_crooks_exact_for_geometric_weights(z, t_ratio):
     assert s_mean >= -1e-10
     # the integral-fluctuation defect equals the kernel leakage weighted
     # by the renormalized initial state, exactly
-    leak_w = float(kern.column_leakage @ thermal.weights)
+    leak_w = float(
+        dense_state_vector(kern.column_leakage, 16)
+        @ dense_state_vector(thermal.weights, 16)
+    )
     assert abs(integral_fluctuation_defect(p_e) - leak_w) <= 1e-9

@@ -1,14 +1,23 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cosmoflux import ConfigError, RunConfig, SweepConfig, canonical_config
-from cosmoflux.cli import main
+from cosmoflux import (
+    ConfigError,
+    RunConfig,
+    SweepConfig,
+    VerificationError,
+    canonical_config,
+    verify_invariants,
+)
+from cosmoflux.cli import build_parser, main
 from cosmoflux.report import (
     REPORT_FIELDS,
+    SWEEP_ONLY_KEYS,
     render_csv,
     render_json,
     resolve_channel,
@@ -17,7 +26,7 @@ from cosmoflux.report import (
     run_sweep,
 )
 
-from conftest import Z_CANON
+from conftest import CHILD_ENV, Z_CANON
 
 SMALL_DIRECT = {
     "scenario": "direct-z",
@@ -280,6 +289,47 @@ def test_cli_rejects_unknown_flag(capsys):
     capsys.readouterr()
 
 
+def test_every_config_key_is_a_cli_flag():
+    parser = build_parser()
+    config_keys = [f.name for f in fields(RunConfig)]
+    for command, keys in (
+        ("simulate", config_keys),
+        ("sweep", config_keys + list(SWEEP_ONLY_KEYS)),
+    ):
+        for key in keys:
+            args = parser.parse_args([command, f"--{key}", "1"])
+            assert getattr(args, key) == "1", (command, key)
+
+
+BATTERY_CHECKS = [
+    "kernel-symmetry", "difference-conservation", "parity-support",
+    "vacuum-column-budget", "bogoliubov-identity", "created-closed-form",
+    "second-law", "crooks-microstate", "crooks-distribution", "kl-identity",
+    "integral-fluctuation", "entropy-friction-chain",
+    "quantum-relative-entropy", "oracle-orthogonality", "oracle-equivalence",
+    "vacuum-law", "massless-null", "sudden-limit", "quasistatic-limit",
+    "adiabatic-work-closed-form", "adiabatic-consistency",
+]
+
+
+def _check_names(lines):
+    return [ln.split()[1] for ln in lines if ln.startswith(("  PASS", "  FAIL"))]
+
+
+def test_verify_reports_kl_identity_failure(monkeypatch):
+    # a broken <s> = KL identity is one failed check, not an aborted battery
+    import cosmoflux.fluctuation as fluctuation_mod
+
+    def broken(p_e, p_c):
+        raise VerificationError("<s> and KL disagree by 1.000e+00 (> 1e-8)")
+
+    monkeypatch.setattr(fluctuation_mod, "mean_entropy_and_kl", broken)
+    lines, failures = verify_invariants()
+    assert _check_names(lines) == BATTERY_CHECKS
+    assert failures == 1
+    assert [ln.split()[1] for ln in lines if ln.startswith("  FAIL")] == ["kl-identity"]
+
+
 def test_cli_verify_failure_exit(monkeypatch, capsys):
     import cosmoflux.cli as cli_mod
 
@@ -310,7 +360,7 @@ def test_module_entrypoint_runs():
          "--scenario", "direct-z", "--z", "0.3", "--omega_in", "1",
          "--omega_out", "2", "--temperature", "0.5", "--cutoff", "16",
          "--leakage_tolerance", "1e-6"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, env=CHILD_ENV, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     row = json.loads(proc.stdout)

@@ -28,6 +28,7 @@ from dense_reference import (
     dense_lattice_masses,
     dense_mean_created,
     dense_mean_final_total,
+    dense_state_vector,
     dense_totals,
     dense_view,
 )
@@ -43,7 +44,7 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    w = thermal.weights
+    w = dense_state_vector(thermal.weights, cutoff)
     amps = [sector_amplitudes(z, d, cutoff + 1 - d) for d in range(cutoff + 1)]
     P = dense_view(amps, cutoff) ** 2
 
@@ -53,7 +54,10 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     J, Q = P * w[None, :], P * w[:, None]
     assert np.array_equal(dense_view(fwd.entries, cutoff), J)
     assert np.array_equal(dense_view(rev.entries, cutoff), Q)
-    assert np.array_equal(kern.column_leakage, np.maximum(1.0 - P.sum(axis=0), 0.0))
+    assert np.array_equal(
+        dense_state_vector(kern.column_leakage, cutoff),
+        np.maximum(1.0 - P.sum(axis=0), 0.0),
+    )
 
     # averages and lattice masses: summation order differs, so the gap is
     # bounded by sum length x unit roundoff x the size of the summands

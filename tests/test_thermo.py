@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from cosmoflux.thermo import (
 )
 
 from conftest import Z_CANON
+from dense_reference import dense_state_vector
 
 # geometric-weight reference values at T = 1, omega = 1 (x = 1/e)
 PTH_00 = 0.39957640089372803
@@ -37,13 +39,25 @@ W_MEAN_CANON = 5.049224632056856
 
 
 def test_thermal_reference_weights(thermal40):
-    w = thermal40.weights
+    w = dense_state_vector(thermal40.weights, 40)
     assert w[basis_index((0, 0), 40)] == pytest.approx(PTH_00, rel=1e-14)
     assert w[basis_index((1, 0), 40)] == pytest.approx(PTH_10, rel=1e-14)
     assert w[basis_index((0, 1), 40)] == pytest.approx(PTH_10, rel=1e-14)
     assert w[basis_index((1, 1), 40)] == pytest.approx(PTH_11, rel=1e-14)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     assert thermal40.renorm_defect <= 1e-15
+
+
+@pytest.mark.parametrize("temperature", [1.0, 1.5])
+def test_renorm_defect_is_exact_tail_mass(temperature):
+    # the Gibbs mass outside the box is 1 - (1 - x^(N+1))^2; one minus the
+    # in-box sum would leave only rounding noise of about 1e-16
+    spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-8)
+    thermal = thermal_distribution(temperature, 1.0, spec)
+    with mpmath.workdps(50):
+        t = mpmath.exp(-mpmath.mpf(41) / temperature)
+        expected = float(t * (2 - t))
+    assert thermal.renorm_defect == pytest.approx(expected, rel=1e-12)
 
 
 def test_thermal_validation():
@@ -58,6 +72,9 @@ def test_thermal_tail_gate_raises():
     # T / omega = 10 cannot be represented at cutoff 40 within 1e-8
     with pytest.raises(LeakageError):
         thermal_distribution(10.0, 1.0, TruncationSpec(cutoff=40))
+    # exp(-omega/T) rounds to 1: no mass in the box at all
+    with pytest.raises(LeakageError):
+        thermal_distribution(1e17, 1.0, TruncationSpec(cutoff=40))
 
 
 def test_mean_initial_total(thermal40):
@@ -118,8 +135,9 @@ def test_created_closed_form_region(z, t_ratio):
 def test_vacuum_initial_state(kernel40, spec40):
     vac = thermal_distribution(0.0, 1.0, spec40)
     assert vac.is_vacuum
-    assert vac.weights[0] == 1.0
-    assert vac.weights.sum() == 1.0
+    w = dense_state_vector(vac.weights, 40)
+    assert w[0] == 1.0
+    assert w.sum() == 1.0
     created = mean_created_kernel(kernel40, vac)
     assert created == pytest.approx(2.0 * np.sinh(Z_CANON) ** 2, abs=1e-8)
     work = inner_friction(kernel40, vac, 1.0, 2.0)
@@ -144,7 +162,11 @@ def test_truncation_bound_scales():
 
 def test_weighted_leakage_combines_sources(kernel40, thermal40):
     wleak = weighted_kernel_leakage(kernel40, thermal40)
-    direct = kernel40.column_leakage @ thermal40.weights + thermal40.renorm_defect
+    direct = (
+        dense_state_vector(kernel40.column_leakage, 40)
+        @ dense_state_vector(thermal40.weights, 40)
+        + thermal40.renorm_defect
+    )
     assert wleak == pytest.approx(direct, rel=1e-12)
 
 
