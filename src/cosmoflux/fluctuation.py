@@ -252,23 +252,20 @@ def integral_fluctuation_defect(p_e: EntropyDistribution) -> float:
     return abs(float(p_e.masses @ np.exp(-p_e.support)) - 1.0)
 
 
-def entropy_friction_identity(
-    work: WorkReport, s_mean: float, tolerance: float | None = None
-) -> dict[str, float]:
+def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, float]:
     """Check <s> = W_fric / T_ad = (omega_out / T_ad) <n_c>.
 
-    The default tolerance is 1e-6 widened by the truncation bound: at an
-    inadequate cutoff both sides drift by the leaked mass the bound covers.
+    The tolerance is 1e-6 widened by the truncation bound: at an inadequate
+    cutoff both sides drift by the leaked mass the bound covers.
     """
     t_ad = work.adiabatic_temperature
     if t_ad == 0.0:
         raise EntropyUndefinedError(
             "entropy identities are undefined on the T = 0 vacuum path"
         )
-    if tolerance is None:
-        tolerance = max(
-            1e-6, work.truncation_bound / t_ad + FLOAT_SLACK * max(1.0, abs(s_mean))
-        )
+    tolerance = max(
+        1e-6, work.truncation_bound / t_ad + FLOAT_SLACK * max(1.0, abs(s_mean))
+    )
     resid_friction = abs(s_mean - work.inner_friction / t_ad)
     resid_creation = abs(s_mean - (work.omega_out / t_ad) * work.mean_created)
     record = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .errors import ConfigError, LeakageError, VerificationError
+from .errors import ConfigError, VerificationError
 from . import fock, spacetime, thermo, fluctuation
 from .fock import TruncationSpec, transition_kernel
 from .spacetime import (
@@ -260,34 +260,56 @@ def resolve_channel(cfg: RunConfig) -> tuple[SqueezeChannel, list[str]]:
         raise ConfigError(str(exc)) from exc
 
 
-def run_simulation(cfg: RunConfig) -> dict:
-    """End-to-end pipeline for one configuration; deterministic report."""
-    cfg.validate()
+@dataclass(frozen=True)
+class _Entropy:
+    """Entropy statistics and identity checks; a failed check holds its error."""
+
+    p_e: fluctuation.EntropyDistribution
+    crooks: fluctuation.CrooksReport | VerificationError
+    kl: tuple[float, float] | VerificationError  # (<s>, KL)
+    friction: dict[str, float] | VerificationError
+    k_quantum: float | VerificationError
+
+
+def _capture(fn, *args):
+    """fn(*args), or the VerificationError it raised, so later checks still run."""
+    try:
+        return fn(*args)
+    except VerificationError as exc:
+        return exc
+
+
+def _run_stages(cfg: RunConfig, fluctuations: bool) -> tuple:
+    """One point's stages in order: (channel, flags, kernel, work, entropy).
+
+    entropy is None on the vacuum path and when, without fluctuations, the
+    sequence stops at the work. A failed identity check is captured and the
+    later ones still run (<s> then comes from mean_entropy); other errors
+    propagate.
+    """
     channel, flags = resolve_channel(cfg)
-    spec = TruncationSpec(cutoff=cfg.cutoff, leakage_tolerance=cfg.leakage_tolerance)
+    spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
     kernel = transition_kernel(channel.z, spec)
     thermal = thermal_distribution(cfg.temperature, channel.omega_in, spec)
     work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
+    if not fluctuations or thermal.is_vacuum:
+        return channel, flags, kernel, work, None
+    fwd = fluctuation.forward_joint(kernel, thermal)
+    rev = fluctuation.reverse_joint(kernel, thermal)
+    p_e, p_c = fluctuation.entropy_distributions(fwd, rev, channel, cfg.temperature)
+    crooks = _capture(fluctuation.crooks_deviation, p_e, p_c, fwd, rev)
+    kl = _capture(fluctuation.mean_entropy_and_kl, p_e, p_c)
+    s_mean = fluctuation.mean_entropy(p_e) if isinstance(kl, VerificationError) else kl[0]
+    friction = _capture(fluctuation.entropy_friction_identity, work, s_mean)
+    k_quantum = _capture(
+        fluctuation.quantum_relative_entropy,
+        thermal, kernel, work.adiabatic_temperature, work,
+    )
+    return channel, flags, kernel, work, _Entropy(p_e, crooks, kl, friction, k_quantum)
 
-    if thermal.is_vacuum:
-        flags = flags + ["vacuum-path"]
-        s_mean = kl = k_quantum = crooks_dev = None
-        leakage = work.weighted_leakage
-    else:
-        fwd = fluctuation.forward_joint(kernel, thermal)
-        rev = fluctuation.reverse_joint(kernel, thermal)
-        p_e, p_c = fluctuation.entropy_distributions(
-            fwd, rev, channel, cfg.temperature
-        )
-        crooks = fluctuation.crooks_deviation(p_e, p_c, fwd, rev)
-        s_mean, kl = fluctuation.mean_entropy_and_kl(p_e, p_c)
-        fluctuation.entropy_friction_identity(work, s_mean)
-        k_quantum = fluctuation.quantum_relative_entropy(
-            thermal, kernel, work.adiabatic_temperature, work
-        )
-        crooks_dev = max(crooks.distribution_deviation, crooks.microstate_deviation)
-        leakage = work.weighted_leakage + crooks.floored_mass
 
+def _config_fields(cfg: RunConfig) -> dict:
+    """The report's leading config fields; scenario parameters only for cosmology."""
     is_cosmo = cfg.scenario == "cosmology"
     return {
         "scenario": cfg.scenario,
@@ -297,6 +319,31 @@ def run_simulation(cfg: RunConfig) -> dict:
         "sigma": cfg.sigma if is_cosmo else None,
         "T": cfg.temperature,
         "cutoff": cfg.cutoff,
+    }
+
+
+def _error_row(fields: dict, error: str) -> dict:
+    return {**dict.fromkeys(REPORT_FIELDS), **fields, "flags": "error", "error": error}
+
+
+def run_simulation(cfg: RunConfig) -> dict:
+    """End-to-end pipeline for one configuration; deterministic report.
+    The first failed identity check is raised as its VerificationError."""
+    cfg.validate()
+    channel, flags, _kernel, work, ent = _run_stages(cfg, True)
+    if ent is None:
+        flags = flags + ["vacuum-path"]
+        s_mean = kl = k_quantum = crooks_dev = None
+        leakage = work.weighted_leakage
+    else:
+        for check in (ent.crooks, ent.kl, ent.friction, ent.k_quantum):
+            if isinstance(check, VerificationError):
+                raise check
+        (s_mean, kl), k_quantum = ent.kl, ent.k_quantum
+        crooks_dev = max(ent.crooks.distribution_deviation, ent.crooks.microstate_deviation)
+        leakage = work.weighted_leakage + ent.crooks.floored_mass
+    return {
+        **_config_fields(cfg),
         "z": channel.z,
         "omega_in": channel.omega_in,
         "omega_out": channel.omega_out,
@@ -313,44 +360,24 @@ def run_simulation(cfg: RunConfig) -> dict:
     }
 
 
-def _sweep_row(cfg: RunConfig) -> dict:
-    try:
-        row = run_simulation(cfg)
-        row["error"] = ""
-        return row
-    except Exception as exc:  # per-row capture: a bad point must not abort the sweep
-        is_cosmo = cfg.scenario == "cosmology"
-        row = {name: None for name in REPORT_FIELDS}
-        row.update(
-            scenario=cfg.scenario,
-            k=cfg.momentum if is_cosmo else None,
-            m=cfg.mass if is_cosmo else None,
-            epsilon=cfg.epsilon if is_cosmo else None,
-            sigma=cfg.sigma if is_cosmo else None,
-            T=cfg.temperature,
-            cutoff=cfg.cutoff,
-            flags="error",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return row
-
-
 def run_sweep(sweep: SweepConfig) -> list[dict]:
-    """Evaluate the grid point by point; rows come in grid order."""
+    """Evaluate the grid point by point; rows come in grid order. A failed
+    point is an error row: with only the scenario when the config rejects
+    its value, with its config fields when it fails at run time."""
     rows = []
     for value in sweep.grid:
         try:
             cfg = sweep.base.replace(**{sweep.axis: value})
         except ConfigError:
-            row = {name: None for name in REPORT_FIELDS}
-            row.update(
-                scenario=sweep.base.scenario,
-                flags="error",
-                error=f"ConfigError: invalid {sweep.axis} value {value}",
-            )
-            rows.append(row)
-        else:
-            rows.append(_sweep_row(cfg))
+            rows.append(_error_row(
+                {"scenario": sweep.base.scenario},
+                f"ConfigError: invalid {sweep.axis} value {value}",
+            ))
+            continue
+        try:
+            rows.append({**run_simulation(cfg), "error": ""})
+        except Exception as exc:  # per-row capture: a bad point must not abort the sweep
+            rows.append(_error_row(_config_fields(cfg), f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -417,10 +444,8 @@ def canonical_config() -> RunConfig:
 
 def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Identity checks at one configuration; returns (name, ok, detail)."""
+    channel, _flags, kernel, work, ent = _run_stages(cfg, True)
     items: list[tuple[str, bool, str]] = []
-    channel, _flags = resolve_channel(cfg)
-    spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
-    kernel = transition_kernel(channel.z, spec)
 
     sym = max(float(np.max(np.abs(P - P.T))) for P in kernel.probabilities)
     items.append(("kernel-symmetry", sym <= 1e-12, f"max |p(m|n)-p(n|m)| = {sym:.3e}"))
@@ -438,8 +463,6 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     bog = abs(ch * ch - sh * sh - 1.0)
     items.append(("bogoliubov-identity", bog <= 1e-12, f"|cosh^2-sinh^2-1| = {bog:.3e}"))
 
-    thermal = thermal_distribution(cfg.temperature, channel.omega_in, spec)
-    work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     closed = thermo.mean_created_closed_form(
         channel.z, cfg.temperature, channel.omega_in
     )
@@ -455,53 +478,36 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         work.inner_friction >= -work.truncation_bound,
         f"W_fric = {work.inner_friction:.6e} >= -{work.truncation_bound:.3e}",
     ))
+    if ent is None:
+        return items
 
-    if not thermal.is_vacuum:
-        fwd = fluctuation.forward_joint(kernel, thermal)
-        rev = fluctuation.reverse_joint(kernel, thermal)
-        p_e, p_c = fluctuation.entropy_distributions(fwd, rev, channel, cfg.temperature)
-        crooks = fluctuation.crooks_deviation(p_e, p_c, fwd, rev)
-        items.append((
-            "crooks-microstate",
-            crooks.microstate_deviation <= 1e-10,
-            f"residual = {crooks.microstate_deviation:.3e}",
-        ))
-        items.append((
-            "crooks-distribution",
-            crooks.distribution_deviation <= 1e-8,
-            f"deviation = {crooks.distribution_deviation:.3e}",
-        ))
-        try:
-            s_mean, kl = fluctuation.mean_entropy_and_kl(p_e, p_c)
-            ok = True
-            detail = f"|<s>-KL| = {abs(s_mean - kl):.3e}, <s> = {s_mean:.6e}"
-        except VerificationError as exc:
-            s_mean = fluctuation.mean_entropy(p_e)
-            ok, detail = False, str(exc)
-        items.append(("kl-identity", ok, detail))
-        ift = fluctuation.integral_fluctuation_defect(p_e)
-        items.append(("integral-fluctuation", ift <= 1e-6, f"|E[e^-s]-1| = {ift:.3e}"))
-        try:
-            rec = fluctuation.entropy_friction_identity(work, s_mean)
-            ok = True
-            detail = (
-                f"residuals = {rec['residual_friction']:.3e}, "
-                f"{rec['residual_creation']:.3e}"
-            )
-        except VerificationError as exc:
-            ok, detail = False, str(exc)
-        items.append(("entropy-friction-chain", ok, detail))
-        try:
-            K = fluctuation.quantum_relative_entropy(
-                thermal, kernel, work.adiabatic_temperature, work
-            )
-            resid = abs(work.adiabatic_temperature * K - work.inner_friction)
-            ok = True
-            detail = f"|T_ad K - W_fric| = {resid:.3e}"
-        except VerificationError as exc:
-            ok, detail = False, str(exc)
-        items.append(("quantum-relative-entropy", ok, detail))
-    return items
+    t_ad, w_fric = work.adiabatic_temperature, work.inner_friction
+    ift = fluctuation.integral_fluctuation_defect(ent.p_e)
+    return items + [
+        _line("crooks-microstate", ent.crooks, lambda c: (
+            c.microstate_deviation <= 1e-10, f"residual = {c.microstate_deviation:.3e}"
+        )),
+        _line("crooks-distribution", ent.crooks, lambda c: (
+            c.distribution_deviation <= 1e-8, f"deviation = {c.distribution_deviation:.3e}"
+        )),
+        _line("kl-identity", ent.kl, lambda r: (
+            True, f"|<s>-KL| = {abs(r[0] - r[1]):.3e}, <s> = {r[0]:.6e}"
+        )),
+        ("integral-fluctuation", ift <= 1e-6, f"|E[e^-s]-1| = {ift:.3e}"),
+        _line("entropy-friction-chain", ent.friction, lambda r: (
+            True, f"residuals = {r['residual_friction']:.3e}, {r['residual_creation']:.3e}"
+        )),
+        _line("quantum-relative-entropy", ent.k_quantum, lambda K: (
+            True, f"|T_ad K - W_fric| = {abs(t_ad * K - w_fric):.3e}"
+        )),
+    ]
+
+
+def _line(name: str, result, judge) -> tuple[str, bool, str]:
+    """A check's battery line: FAIL with the message of a captured failure."""
+    if isinstance(result, VerificationError):
+        return name, False, str(result)
+    return name, *judge(result)
 
 
 def _max_mass(P: np.ndarray, where: np.ndarray) -> float:
@@ -598,12 +604,7 @@ def _battery_global() -> list[tuple[str, bool, str]]:
     gap = abs(wad - 2.1639534137386528)
     items.append(("adiabatic-work-closed-form", gap <= 1e-12, f"|W_ad - ref| = {gap:.3e}"))
 
-    cfg0 = canonical_config().replace(z=0.0)
-    ch0, _ = resolve_channel(cfg0)
-    spec0 = TruncationSpec(cfg0.cutoff, cfg0.leakage_tolerance)
-    kern0 = transition_kernel(0.0, spec0)
-    th0 = thermal_distribution(cfg0.temperature, ch0.omega_in, spec0)
-    w0 = inner_friction(kern0, th0, ch0.omega_in, ch0.omega_out)
+    *_, w0, _ = _run_stages(canonical_config().replace(z=0.0), False)
     adiabatic_gap = abs(w0.mean_work - w0.adiabatic_work)
     items.append((
         "adiabatic-consistency",
@@ -616,9 +617,13 @@ def _battery_global() -> list[tuple[str, bool, str]]:
 def verify_invariants(cfg: RunConfig | None = None) -> tuple[list[str], int]:
     """Run the invariant battery; returns printable lines and failure count.
 
-    Leakage and numeric-instability errors propagate to the caller: they
-    mean the configured point cannot be evaluated at all, which is a
-    budget problem rather than a failed identity.
+    A failed identity is a FAIL line: a missed threshold, or the
+    VerificationError of crooks_deviation (both Crooks lines),
+    mean_entropy_and_kl, entropy_friction_identity or
+    quantum_relative_entropy. Every other error propagates: LeakageError
+    and NumericError mean the point cannot be evaluated at all (a budget
+    problem, not a failed identity), a VerificationError from
+    inner_friction that the work bookkeeping itself is broken.
     """
     canon = canonical_config()
     if cfg is None:

@@ -151,20 +151,15 @@ def average_work(
     thermal: ThermalDistribution,
     omega_in: float,
     omega_out: float,
-) -> tuple[float, float]:
-    """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1) and its bound."""
+) -> float:
+    """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1), in-box."""
     n_f = sum(
         s.multiplicity * float(s.totals @ P @ w)
         for s, P, w in zip(
             sector_layout(kernel.spec.cutoff), kernel.probabilities, thermal.weights
         )
     )
-    n_i = mean_initial_total(thermal)
-    mean_work = omega_out * (n_f + 1.0) - omega_in * (n_i + 1.0)
-    bound = truncation_bound(
-        kernel.spec, omega_out, weighted_kernel_leakage(kernel, thermal)
-    )
-    return mean_work, bound
+    return omega_out * (n_f + 1.0) - omega_in * (mean_initial_total(thermal) + 1.0)
 
 
 def _sector_created(totals: np.ndarray, P: np.ndarray, w: np.ndarray) -> float:
@@ -205,7 +200,9 @@ def inner_friction(
     covers, so exceeding the bound signals an implementation bug rather
     than truncation.
     """
-    mean_work, bound = average_work(kernel, thermal, omega_in, omega_out)
+    leakage = weighted_kernel_leakage(kernel, thermal)
+    bound = truncation_bound(kernel.spec, omega_out, leakage)
+    mean_work = average_work(kernel, thermal, omega_in, omega_out)
     w_ad = adiabatic_work(thermal.temperature, omega_in, omega_out)
     w_fric = mean_work - w_ad
     n_c = mean_created_kernel(kernel, thermal)
@@ -227,7 +224,7 @@ def inner_friction(
         mean_created=n_c,
         adiabatic_temperature=t_ad,
         truncation_bound=bound,
-        weighted_leakage=weighted_kernel_leakage(kernel, thermal),
+        weighted_leakage=leakage,
         omega_out=omega_out,
     )
 

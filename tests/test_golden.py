@@ -2,6 +2,7 @@
 
 import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,15 +11,26 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("script", ["run_canonical", "horizon_scenarios"])
-def test_script_report_is_byte_identical(script, capsys):
+# script -> its frozen default-precision report
+GOLDEN_REPORTS = {
+    "run_canonical": "run_canonical.json",
+    "horizon_scenarios": "horizon_scenarios.json",
+    "sweep_expansion_rate": "sweep_expansion_rate.csv",
+}
+
+
+@pytest.mark.parametrize("script", GOLDEN_REPORTS)
+def test_script_report_is_byte_identical(script, capsys, monkeypatch):
     # default-precision reports frozen before sector-block storage and the
     # dgejsv SVD, which reorder floating-point sums only; the leakage lines
     # were refrozen when the thermal tail mass became the closed form
-    # t(2 - t), which dropped about 1.1e-16 of cancellation noise
-    runpy.run_path(str(ROOT / "scripts" / f"{script}.py"), run_name="__main__")
+    # t(2 - t), which dropped about 1.1e-16 of cancellation noise. The sweep
+    # CSV was frozen after that, with the script's default arguments.
+    path = str(ROOT / "scripts" / f"{script}.py")
+    monkeypatch.setattr(sys, "argv", [path])
+    runpy.run_path(path, run_name="__main__")
     out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / f"{script}.json").read_bytes()
+    assert out.encode() == (GOLDEN / GOLDEN_REPORTS[script]).read_bytes()
 
 
 def _readme_python_blocks():

@@ -8,6 +8,7 @@ import pytest
 
 from cosmoflux import (
     ConfigError,
+    LeakageError,
     RunConfig,
     SweepConfig,
     VerificationError,
@@ -185,6 +186,27 @@ def test_sweep_bad_point_reports_error():
     assert text.splitlines()[0].endswith(",error")
 
 
+def test_sweep_error_rows_are_exact():
+    # the config fields come from one place: a point rejected at run time
+    # keeps them, a value the config rejects keeps only the scenario
+    base = {"scenario": "cosmology", "momentum": 1.0, "mass": 1.0,
+            "epsilon": 1.0, "sigma": 1.0, "cutoff": 8}
+    sweep = SweepConfig.from_mapping({**base, "axis": "temperature", "grid": [50.0, -1.0]})
+    with pytest.raises(LeakageError) as leak:
+        run_simulation(sweep.base.replace(temperature=50.0))
+    none = dict.fromkeys(REPORT_FIELDS)
+    rows = run_sweep(sweep)
+    assert rows == [
+        {**none, "scenario": "cosmology", "k": 1.0, "m": 1.0, "epsilon": 1.0,
+         "sigma": 1.0, "T": 50.0, "cutoff": 8, "flags": "error",
+         "error": f"LeakageError: {leak.value}"},
+        {**none, "scenario": "cosmology", "flags": "error",
+         "error": "ConfigError: invalid temperature value -1.0"},
+    ]
+    for row in rows:
+        assert list(row) == [*REPORT_FIELDS, "error"]
+
+
 def test_sweep_axis_validation():
     with pytest.raises(ConfigError):
         SweepConfig.from_mapping({**SMALL_DIRECT, "axis": "cutoff", "grid": [8, 16]})
@@ -328,6 +350,38 @@ def test_verify_reports_kl_identity_failure(monkeypatch):
     assert _check_names(lines) == BATTERY_CHECKS
     assert failures == 1
     assert [ln.split()[1] for ln in lines if ln.startswith("  FAIL")] == ["kl-identity"]
+
+
+def test_verify_reports_crooks_failure(monkeypatch):
+    # a Crooks support mismatch fails both Crooks lines; the battery goes on
+    import cosmoflux.fluctuation as fluctuation_mod
+
+    message = "support mismatch: P_E(1) > floor but P_C(-1) = 0"
+
+    def broken(p_e, p_c, forward, reverse):
+        raise VerificationError(message)
+
+    monkeypatch.setattr(fluctuation_mod, "crooks_deviation", broken)
+    lines, failures = verify_invariants()
+    assert _check_names(lines) == BATTERY_CHECKS
+    assert failures == 2
+    assert [ln.split(None, 2)[1:] for ln in lines if ln.startswith("  FAIL")] == [
+        ["crooks-microstate", message], ["crooks-distribution", message],
+    ]
+
+
+def test_run_simulation_raises_first_failed_check(monkeypatch):
+    import cosmoflux.fluctuation as fluctuation_mod
+
+    def failing(message):
+        def check(*args):
+            raise VerificationError(message)
+        return check
+
+    monkeypatch.setattr(fluctuation_mod, "mean_entropy_and_kl", failing("kl"))
+    monkeypatch.setattr(fluctuation_mod, "quantum_relative_entropy", failing("qre"))
+    with pytest.raises(VerificationError, match="^kl$"):
+        run_simulation(canonical_config())
 
 
 def test_cli_verify_failure_exit(monkeypatch, capsys):

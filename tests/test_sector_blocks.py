@@ -63,7 +63,7 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     # bounded by sum length x unit roundoff x the size of the summands
     # (masses sum to at most 1, totals are at most 2N)
     rounding = (cutoff + 1) ** 2 * np.finfo(float).eps
-    mean_work, _ = average_work(kern, thermal, 1.0, 2.0)
+    mean_work = average_work(kern, thermal, 1.0, 2.0)
     n_i = float(dense_totals(cutoff) @ w)
     dense_work = 2.0 * (dense_mean_final_total(P, w, cutoff) + 1.0) - (n_i + 1.0)
     assert abs(mean_work - dense_work) <= rounding * 2.0 * 2 * cutoff

@@ -89,7 +89,10 @@ def test_adiabatic_work_closed_form():
 
 
 def test_average_work_canonical(kernel40, thermal40):
-    mean_work, bound = average_work(kernel40, thermal40, 1.0, 2.0)
+    mean_work = average_work(kernel40, thermal40, 1.0, 2.0)
+    bound = truncation_bound(
+        kernel40.spec, 2.0, weighted_kernel_leakage(kernel40, thermal40)
+    )
     assert bound > 0.0
     assert abs(mean_work - W_MEAN_CANON) <= bound + 1e-9
 
@@ -168,6 +171,26 @@ def test_weighted_leakage_combines_sources(kernel40, thermal40):
         + thermal40.renorm_defect
     )
     assert wleak == pytest.approx(direct, rel=1e-12)
+
+
+def test_inner_friction_weighs_leakage_once(kernel40, thermal40, monkeypatch):
+    # the truncation bound and the reported leakage come from one pass
+    import cosmoflux.thermo as thermo_mod
+
+    calls = []
+    original = thermo_mod.weighted_kernel_leakage
+
+    def spy(kernel, thermal):
+        calls.append(kernel)
+        return original(kernel, thermal)
+
+    monkeypatch.setattr(thermo_mod, "weighted_kernel_leakage", spy)
+    work = inner_friction(kernel40, thermal40, 1.0, 2.0)
+    assert len(calls) == 1
+    assert work.weighted_leakage == original(kernel40, thermal40)
+    assert work.truncation_bound == truncation_bound(
+        kernel40.spec, 2.0, work.weighted_leakage
+    )
 
 
 def test_friction_consistency_tripwire(kernel40, thermal40, monkeypatch):
