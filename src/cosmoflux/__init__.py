@@ -18,8 +18,6 @@ from .errors import (
 from .fock import (
     TransitionKernel,
     TruncationSpec,
-    enumerate_basis,
-    squeeze_amplitude,
     squeeze_operator_oracle,
     suggested_cutoff,
     transition_kernel,
@@ -54,7 +52,6 @@ from .fluctuation import (
     EntropyDistribution,
     ProcessJoint,
     crooks_deviation,
-    entropy_change,
     entropy_distributions,
     entropy_friction_identity,
     forward_joint,
@@ -108,10 +105,8 @@ __all__ = [
     "channel_from_unruh",
     "conformal_factor",
     "crooks_deviation",
-    "entropy_change",
     "entropy_distributions",
     "entropy_friction_identity",
-    "enumerate_basis",
     "forward_joint",
     "inner_friction",
     "integral_fluctuation_defect",
@@ -127,7 +122,6 @@ __all__ = [
     "round_sig",
     "run_simulation",
     "run_sweep",
-    "squeeze_amplitude",
     "squeeze_from_blackhole",
     "squeeze_from_cosmology",
     "squeeze_from_unruh",

@@ -38,7 +38,6 @@ CONFIG_FLAGS = tuple(f.name for f in fields(RunConfig))
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
     parser.add_argument("--outfile", metavar="PATH", help="write the report here instead of stdout")
-    parser.add_argument("--quiet", action="store_true", help="suppress non-essential output")
     for key in CONFIG_FLAGS:
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V")
     if sweep:
@@ -53,8 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("simulate", help="run one configuration"))
-    _add_common(sub.add_parser("sweep", help="run a one-axis grid"), sweep=True)
-    _add_common(sub.add_parser("verify", help="run the invariant battery"))
+    sweep = sub.add_parser("sweep", help="run a one-axis grid")
+    verify = sub.add_parser("verify", help="run the invariant battery")
+    _add_common(sweep, sweep=True)
+    _add_common(verify)
+    for quietable in (sweep, verify):
+        quietable.add_argument("--quiet", action="store_true", help="suppress non-essential output")
     return parser
 
 

@@ -95,17 +95,6 @@ def reverse_joint(
     )
 
 
-def entropy_change(
-    n: tuple[int, int], m: tuple[int, int], omega_out: float, t_ad: float
-) -> float:
-    """s(n -> m) = (omega_out / T_ad)(total(m) - total(n))."""
-    if t_ad == 0.0:
-        raise EntropyUndefinedError(
-            "entropy increment has no scale on the T = 0 vacuum path"
-        )
-    return (omega_out / t_ad) * float((m[0] + m[1]) - (n[0] + n[1]))
-
-
 def _lattice_masses(joint: ProcessJoint) -> np.ndarray:
     """Mass per integer total-change, offset by 2*cutoff (length 4N+1)."""
     cutoff = len(joint.entries) - 1

@@ -28,7 +28,6 @@ from cosmoflux import (
     mean_entropy_and_kl,
     quantum_relative_entropy,
     reverse_joint,
-    squeeze_amplitude,
     squeeze_from_cosmology,
     thermal_distribution,
     transition_kernel,
@@ -57,7 +56,7 @@ def test_01_amplitude_dual_route(request):
             spe = sector_spectral(z, d, 128)[:13, :13]
             worst = max(worst, float(np.max(np.abs(ana - spe))))
     spot = abs(
-        squeeze_amplitude(1.0, (5, 2), (8, 5))
+        sector_amplitudes(1.0, 3, 6)[5, 2]
         - sector_spectral(1.0, 3, 128)[5, 2]
     )
     worst = max(worst, spot)

@@ -7,22 +7,19 @@ from cosmoflux import (
     LeakageError,
     NumericError,
     TruncationSpec,
-    enumerate_basis,
-    squeeze_amplitude,
     squeeze_operator_oracle,
     suggested_cutoff,
     transition_kernel,
     vacuum_column_leakage,
 )
 from cosmoflux.fock import (
-    basis_index,
     sector_amplitudes,
     sector_layout,
     sector_spectral,
 )
 
 from conftest import Z_CANON
-from dense_reference import dense_generator, dense_view
+from dense_reference import basis_states, dense_generator, dense_view
 
 # 50-digit reference values for <m| S |n> at tanh z = 1/2 (and one at z = 1).
 AMPLITUDE_TABLE = [
@@ -40,20 +37,19 @@ AMPLITUDE_TABLE = [
 
 @pytest.mark.parametrize("z, n, m, expected", AMPLITUDE_TABLE)
 def test_amplitude_reference_values(z, n, m, expected):
-    assert squeeze_amplitude(z, n, m) == pytest.approx(expected, abs=5e-15)
-
-
-def test_amplitude_cross_sector_is_zero():
-    assert squeeze_amplitude(Z_CANON, (1, 0), (0, 1)) == 0.0
-    assert squeeze_amplitude(Z_CANON, (2, 0), (1, 0)) == 0.0
-    assert squeeze_amplitude(Z_CANON, (0, 0), (1, 0)) == 0.0
+    # <m|S|n> sits in sector d = |n_a - n_b| at positions min(m), min(n)
+    p, q = min(m), min(n)
+    amp = sector_amplitudes(z, abs(n[0] - n[1]), max(p, q) + 1)[p, q]
+    assert amp == pytest.approx(expected, abs=5e-15)
 
 
 def test_amplitude_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        squeeze_amplitude(-0.1, (0, 0), (0, 0))
+        sector_amplitudes(-0.1, 0, 3)
     with pytest.raises(ValueError):
-        squeeze_amplitude(0.5, (-1, 0), (0, 0))
+        sector_amplitudes(0.5, -1, 3)
+    with pytest.raises(ValueError):
+        sector_amplitudes(0.5, 0, 0)
 
 
 def test_truncation_spec_validation():
@@ -63,20 +59,6 @@ def test_truncation_spec_validation():
         TruncationSpec(cutoff=8, leakage_tolerance=0.0)
     with pytest.raises(ValueError):
         TruncationSpec(cutoff=8, leakage_tolerance=1.5)
-
-
-def test_enumerate_basis_row_major():
-    spec = TruncationSpec(cutoff=2)
-    states = enumerate_basis(spec)
-    assert states == [
-        (0, 0), (0, 1), (0, 2),
-        (1, 0), (1, 1), (1, 2),
-        (2, 0), (2, 1), (2, 2),
-    ]
-    for i, n in enumerate(states):
-        assert basis_index(n, 2) == i
-    with pytest.raises(ValueError):
-        basis_index((3, 0), 2)
 
 
 def test_sector_layout_built_once_and_read_only():
@@ -92,14 +74,14 @@ def test_generator_antisymmetric_and_sector_structured():
     spec = TruncationSpec(cutoff=6, leakage_tolerance=1e-2)
     G = dense_generator(0.7, 6)
     assert np.max(np.abs(G + G.T)) == 0.0
-    states = enumerate_basis(spec)
+    states = basis_states(6)
     for i, n in enumerate(states):
         for j, m in enumerate(states):
             if G[i, j] != 0.0:
                 # only pair creation/annihilation couples states
                 assert abs(m[0] - n[0]) == 1 and m[0] - n[0] == m[1] - n[1]
     # matrix element of z(a+b+ - ab): <1,1| G |0,0> = z
-    assert G[basis_index((1, 1), 6), 0] == pytest.approx(0.7)
+    assert G[states.index((1, 1)), 0] == pytest.approx(0.7)
     blocks = squeeze_operator_oracle(0.7, spec)
     assert np.max(np.abs(expm(G) - dense_view(blocks, 6))) <= 1e-12
 
@@ -161,6 +143,8 @@ def test_suggested_cutoff_restores_budget():
     n = suggested_cutoff(1.2, 1e-8)
     assert vacuum_column_leakage(1.2, n) <= 1e-8
     assert vacuum_column_leakage(1.2, n - 4) > 1e-8
+    with pytest.raises(ValueError, match="no cutoff"):
+        suggested_cutoff(20.0, 1e-8)  # tanh(20) rounds to 1
 
 
 def test_transition_kernel_gate_raises():
@@ -182,9 +166,8 @@ def test_kernel_symmetry_exact(kernel40):
 
 def test_kernel_probability_lookup(kernel40):
     tau = np.tanh(Z_CANON)
-    p = kernel40.probability((1, 1), (0, 0))
+    p = kernel40.probabilities[0][1, 0]  # sector d = 0: (0, 0) -> (1, 1)
     assert p == pytest.approx((1 - tau * tau) * tau * tau, rel=1e-12)
-    assert kernel40.probability((1, 0), (0, 1)) == 0.0
 
 
 def test_zero_squeeze_is_identity():
@@ -220,8 +203,8 @@ def test_kernel_columns_substochastic(z):
 def test_amplitude_mirror_sign(z, n, m, d):
     # exchanging initial and final states flips the sign with the parity
     # of the number of pair steps between them
-    fwd = squeeze_amplitude(z, (n + d, n), (m + d, m))
-    bwd = squeeze_amplitude(z, (m + d, m), (n + d, n))
+    block = sector_amplitudes(z, d, max(n, m) + 1)
+    fwd, bwd = block[m, n], block[n, m]
     assert fwd == pytest.approx((-1.0) ** abs(m - n) * bwd, abs=1e-14)
 
 

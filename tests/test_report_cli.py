@@ -306,8 +306,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unholdable_squeeze_suggests_no_cutoff():
+    # tanh(20) rounds to 1: the vacuum column leaks everything at any cutoff
+    with pytest.raises(LeakageError, match="no cutoff can hold") as leak:
+        run_simulation(RunConfig.from_mapping({**SMALL_DIRECT, "z": 20.0}))
+    assert "suggested cutoff" not in str(leak.value)
+
+
 def test_cli_rejects_unknown_flag(capsys):
     assert main(["simulate", "--frobnicate", "1"]) == 1
+    # --quiet belongs to sweep and verify; simulate has nothing to quieten
+    valid = ["--scenario", "direct-z", "--z", "0.3", "--omega_in", "1",
+             "--omega_out", "2", "--temperature", "0.5", "--cutoff", "16"]
+    assert main(["simulate", *valid]) == 0
+    assert main(["simulate", "--quiet", *valid]) == 1
     capsys.readouterr()
 
 

@@ -15,7 +15,6 @@ from cosmoflux import (
     thermal_distribution,
     transition_kernel,
 )
-from cosmoflux.fock import basis_index
 from cosmoflux.thermo import (
     mean_created_kernel,
     mean_initial_closed_form,
@@ -39,12 +38,11 @@ W_MEAN_CANON = 5.049224632056856
 
 
 def test_thermal_reference_weights(thermal40):
-    w = dense_state_vector(thermal40.weights, 40)
-    assert w[basis_index((0, 0), 40)] == pytest.approx(PTH_00, rel=1e-14)
-    assert w[basis_index((1, 0), 40)] == pytest.approx(PTH_10, rel=1e-14)
-    assert w[basis_index((0, 1), 40)] == pytest.approx(PTH_10, rel=1e-14)
-    assert w[basis_index((1, 1), 40)] == pytest.approx(PTH_11, rel=1e-14)
-    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    w = thermal40.weights  # w[d][i] is the weight of (i + d, i) and (i, i + d)
+    assert w[0][0] == pytest.approx(PTH_00, rel=1e-14)
+    assert w[1][0] == pytest.approx(PTH_10, rel=1e-14)
+    assert w[0][1] == pytest.approx(PTH_11, rel=1e-14)
+    assert dense_state_vector(w, 40).sum() == pytest.approx(1.0, abs=1e-14)
     assert thermal40.renorm_defect <= 1e-15
 
 
