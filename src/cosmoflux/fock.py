@@ -230,7 +230,8 @@ class TransitionKernel:
     indexed [final, initial] by the sector position i; amplitudes[d] holds
     the signed amplitudes it squares. column_leakage[d][i] is the true
     probability that the image of the sector state at position i escaped
-    the box.
+    the box. All three hold read-only arrays, since a sweep shares one
+    kernel between its points.
     """
 
     z: float
@@ -253,9 +254,9 @@ def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
         raise ValueError(f"squeeze parameter must be >= 0, got {z}")
     _gate_vacuum_leakage(z, spec)
     amps = tuple(
-        sector_amplitudes(z, s.d, s.size) for s in sector_layout(spec.cutoff)
+        _frozen(sector_amplitudes(z, s.d, s.size)) for s in sector_layout(spec.cutoff)
     )
-    probs = tuple(a**2 for a in amps)
+    probs = tuple(_frozen(a**2) for a in amps)
     colsums = [P.sum(axis=0) for P in probs]
     excess = max(float(c.max()) for c in colsums) - 1.0
     if excess > COLSUM_EXCESS_LIMIT:
@@ -268,6 +269,6 @@ def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
         z=z,
         spec=spec,
         probabilities=probs,
-        column_leakage=tuple(np.maximum(1.0 - c, 0.0) for c in colsums),
+        column_leakage=tuple(_frozen(np.maximum(1.0 - c, 0.0)) for c in colsums),
         amplitudes=amps,
     )

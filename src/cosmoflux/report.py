@@ -279,17 +279,36 @@ def _capture(fn, *args):
         return exc
 
 
-def _run_stages(cfg: RunConfig, fluctuations: bool) -> tuple:
+class _KernelSlot:
+    """The last kernel built for a run, reused while (z, spec) repeats.
+
+    A kernel depends on (z, cutoff, leakage budget) only, and every check
+    transition_kernel makes depends on that key too, so a reused kernel is
+    one already checked. The slot holds at most one kernel; a build that
+    raises leaves it empty, so the next point builds, and fails, again.
+    """
+
+    def __init__(self) -> None:
+        self.kernel: fock.TransitionKernel | None = None
+
+    def get(self, z: float, spec: TruncationSpec) -> fock.TransitionKernel:
+        if self.kernel is None or (self.kernel.z, self.kernel.spec) != (z, spec):
+            self.kernel = None  # dropped before the build: one kernel alive at most
+            self.kernel = transition_kernel(z, spec)
+        return self.kernel
+
+
+def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tuple:
     """One point's stages in order: (channel, flags, kernel, work, entropy).
 
-    entropy is None on the vacuum path and when, without fluctuations, the
-    sequence stops at the work. A failed identity check is captured and the
-    later ones still run (<s> then comes from mean_entropy); other errors
-    propagate.
+    The kernel comes from kernels. entropy is None on the vacuum path and
+    when, without fluctuations, the sequence stops at the work. A failed
+    identity check is captured and the later ones still run (<s> then comes
+    from mean_entropy); other errors propagate.
     """
     channel, flags = resolve_channel(cfg)
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
-    kernel = transition_kernel(channel.z, spec)
+    kernel = kernels.get(channel.z, spec)
     thermal = thermal_distribution(cfg.temperature, channel.omega_in, spec)
     work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
@@ -329,8 +348,12 @@ def _error_row(fields: dict, error: str) -> dict:
 def run_simulation(cfg: RunConfig) -> dict:
     """End-to-end pipeline for one configuration; deterministic report.
     The first failed identity check is raised as its VerificationError."""
+    return _simulate(cfg, _KernelSlot())
+
+
+def _simulate(cfg: RunConfig, kernels: _KernelSlot) -> dict:
     cfg.validate()
-    channel, flags, _kernel, work, ent = _run_stages(cfg, True)
+    channel, flags, _kernel, work, ent = _run_stages(cfg, True, kernels)
     if ent is None:
         flags = flags + ["vacuum-path"]
         s_mean = kl = k_quantum = crooks_dev = None
@@ -363,7 +386,13 @@ def run_simulation(cfg: RunConfig) -> dict:
 def run_sweep(sweep: SweepConfig) -> list[dict]:
     """Evaluate the grid point by point; rows come in grid order. A failed
     point is an error row: with only the scenario when the config rejects
-    its value, with its config fields when it fails at run time."""
+    its value, with its config fields when it fails at run time.
+
+    Consecutive points sharing (z, cutoff, leakage budget), as on a
+    temperature axis, share one transition kernel; it is built for the
+    first of them and dropped when the sweep returns.
+    """
+    kernels = _KernelSlot()
     rows = []
     for value in sweep.grid:
         try:
@@ -375,7 +404,7 @@ def run_sweep(sweep: SweepConfig) -> list[dict]:
             ))
             continue
         try:
-            rows.append({**run_simulation(cfg), "error": ""})
+            rows.append({**_simulate(cfg, kernels), "error": ""})
         except Exception as exc:  # per-row capture: a bad point must not abort the sweep
             rows.append(_error_row(_config_fields(cfg), f"{type(exc).__name__}: {exc}"))
     return rows
@@ -444,7 +473,7 @@ def canonical_config() -> RunConfig:
 
 def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Identity checks at one configuration; returns (name, ok, detail)."""
-    channel, _flags, kernel, work, ent = _run_stages(cfg, True)
+    channel, _flags, kernel, work, ent = _run_stages(cfg, True, _KernelSlot())
     items: list[tuple[str, bool, str]] = []
 
     sym = max(float(np.max(np.abs(P - P.T))) for P in kernel.probabilities)
@@ -604,7 +633,7 @@ def _battery_global() -> list[tuple[str, bool, str]]:
     gap = abs(wad - 2.1639534137386528)
     items.append(("adiabatic-work-closed-form", gap <= 1e-12, f"|W_ad - ref| = {gap:.3e}"))
 
-    *_, w0, _ = _run_stages(canonical_config().replace(z=0.0), False)
+    *_, w0, _ = _run_stages(canonical_config().replace(z=0.0), False, _KernelSlot())
     adiabatic_gap = abs(w0.mean_work - w0.adiabatic_work)
     items.append((
         "adiabatic-consistency",

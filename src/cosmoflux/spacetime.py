@@ -103,8 +103,15 @@ def asymptotic_frequencies(p: CosmologyParams) -> tuple[float, float]:
 
 
 def _log_sinh(x: float) -> float:
-    """log(sinh x) for x > 0 without overflow: x - log 2 + log1p(-e^(-2x))."""
-    return x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x))
+    """log(sinh x) for x > 0 without overflow: x - log 2 + log1p(-e^(-2x)).
+
+    Where e^(-2x) rounds to 1 (x below about 6e-17) log1p(-1) would divide
+    by zero; sinh x = x to full precision there, so it is log x.
+    """
+    e = np.exp(-2.0 * x)
+    if e == 1.0:
+        return np.log(x)
+    return x - np.log(2.0) + np.log1p(-e)
 
 
 def squeeze_from_cosmology(
@@ -127,14 +134,29 @@ def squeeze_from_cosmology(
     return float(np.arctanh(ratio))
 
 
+def _artanh_exp(y: float) -> float:
+    """z with tanh z = exp(-y) for y >= 0.
+
+    Where exp(-y) rounds to 1, arctanh would divide by zero; z is then
+    -log(tanh(y/2))/2, about 19 at y = 1e-17 (inf only at y = 0), and the
+    vacuum gate rejects it. Elsewhere arctanh is kept, since the log-tanh
+    form loses the tail: -0.0 against 1.9e-22 at y = 50.
+    """
+    t = np.exp(-y)
+    if t < 1.0:
+        return float(np.arctanh(t))
+    with np.errstate(divide="ignore"):
+        return float(-0.5 * np.log(np.tanh(0.5 * y)))
+
+
 def squeeze_from_unruh(p: UnruhParams) -> float:
     """z with tanh z = exp(-pi omega / a)."""
-    return float(np.arctanh(np.exp(-np.pi * p.omega / p.acceleration)))
+    return _artanh_exp(np.pi * p.omega / p.acceleration)
 
 
 def squeeze_from_blackhole(p: BlackHoleParams) -> float:
     """z with tanh z = exp(-4 pi M omega)."""
-    return float(np.arctanh(np.exp(-4.0 * np.pi * p.mass_bh * p.omega)))
+    return _artanh_exp(4.0 * np.pi * p.mass_bh * p.omega)
 
 
 def channel_from_cosmology(p: CosmologyParams) -> SqueezeChannel:

@@ -26,6 +26,19 @@ CHILD_ENV = {
 }
 
 
+def spy_on(monkeypatch, module, name: str) -> list:
+    """Wrap module.name for one test; returns the list of each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def spec40():
     return TruncationSpec(cutoff=40, leakage_tolerance=1e-8)

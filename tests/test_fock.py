@@ -159,6 +159,14 @@ def test_transition_kernel_instability_raises():
         transition_kernel(1.2, TruncationSpec(cutoff=64, leakage_tolerance=1e-2))
 
 
+def test_kernel_arrays_read_only(kernel40):
+    # a sweep shares one kernel between its points
+    for blocks in (kernel40.amplitudes, kernel40.probabilities, kernel40.column_leakage):
+        for a in blocks:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 def test_kernel_symmetry_exact(kernel40):
     for P in kernel40.probabilities:
         assert np.max(np.abs(P - P.T)) == 0.0

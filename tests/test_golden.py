@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from cosmoflux.report import SweepConfig, canonical_config, render_csv, run_sweep
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -31,6 +33,17 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
     runpy.run_path(path, run_name="__main__")
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / GOLDEN_REPORTS[script]).read_bytes()
+
+
+# the canonical point swept over temperature, with a thermal-gate failure
+# (T = 50) mid-grid; frozen before the sweep shared one kernel between points
+TEMPERATURE_GRID = (0.25, 0.5, 0.75, 50.0, 1.0, 1.25, 1.5)
+
+
+def test_temperature_sweep_is_byte_identical():
+    sweep = SweepConfig(base=canonical_config(), axis="temperature", grid=TEMPERATURE_GRID)
+    out = render_csv(run_sweep(sweep), 12)
+    assert out.encode() == (GOLDEN / "sweep_temperature.csv").read_bytes()
 
 
 def _readme_python_blocks():

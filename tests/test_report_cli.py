@@ -11,10 +11,12 @@ from cosmoflux import (
     LeakageError,
     RunConfig,
     SweepConfig,
+    TruncationSpec,
     VerificationError,
     canonical_config,
     verify_invariants,
 )
+import cosmoflux.report as report_mod
 from cosmoflux.cli import build_parser, main
 from cosmoflux.report import (
     REPORT_FIELDS,
@@ -27,7 +29,7 @@ from cosmoflux.report import (
     run_sweep,
 )
 
-from conftest import CHILD_ENV, Z_CANON
+from conftest import CHILD_ENV, Z_CANON, spy_on
 
 SMALL_DIRECT = {
     "scenario": "direct-z",
@@ -207,6 +209,79 @@ def test_sweep_error_rows_are_exact():
         assert list(row) == [*REPORT_FIELDS, "error"]
 
 
+def _temperature_sweep(grid, **base):
+    return SweepConfig.from_mapping(
+        {**SMALL_DIRECT, **base, "axis": "temperature", "grid": grid}
+    )
+
+
+def test_temperature_sweep_builds_one_kernel(monkeypatch):
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(_temperature_sweep([0.0, 0.25, 0.5, 0.75]))
+    assert [r["error"] for r in rows] == [""] * 4
+    assert builds == [(0.3, TruncationSpec(16, 1e-6))]
+
+
+def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    sweep = SweepConfig.from_mapping({
+        "scenario": "cosmology", "momentum": 1.0, "mass": 1.0, "epsilon": 1.0,
+        "sigma": 0.5, "temperature": 0.0, "cutoff": 16,
+        "axis": "sigma", "grid": [0.5, 1.0, 1.0, 2.0],
+    })
+    rows = run_sweep(sweep)
+    zs = [r["z"] for r in rows]
+    assert len(set(zs)) == 3
+    assert [z for z, _spec in builds] == list(dict.fromkeys(zs))
+
+
+def test_no_kernel_outlives_a_call(monkeypatch):
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    sweep = _temperature_sweep([0.25, 0.5])
+    run_sweep(sweep)
+    run_sweep(sweep)
+    assert len(builds) == 2
+    run_simulation(sweep.base)
+    run_simulation(sweep.base)
+    assert len(builds) == 4
+
+
+def test_sweep_points_after_a_failed_point_match_single_runs(monkeypatch):
+    # T = 50 fails the thermal gate after the kernel is built; the held
+    # kernel must serve the later points unchanged
+    grid = [0.25, 50.0, 0.5, 0.75]
+    sweep = _temperature_sweep(grid)
+    singles = {}
+    for value in grid:
+        try:
+            singles[value] = run_simulation(sweep.base.replace(temperature=value))
+        except LeakageError:
+            singles[value] = None
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(sweep)
+    assert len(builds) == 1
+    assert singles[50.0] is None and rows[1]["error"].startswith("LeakageError")
+    for value, row in zip(grid, rows):
+        if singles[value] is not None:
+            assert row == {**singles[value], "error": ""}
+
+
+def test_sweep_failing_vacuum_gate_errors_every_point(monkeypatch):
+    # a failed build is not held: each point raises its own error row
+    sweep = _temperature_sweep([0.25, 0.5, 0.75], z=1.2, cutoff=8)
+    with pytest.raises(LeakageError, match="vacuum column leaks") as leak:
+        run_simulation(sweep.base)
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(sweep)
+    assert len(builds) == 3
+    none = dict.fromkeys(REPORT_FIELDS)
+    assert rows == [
+        {**none, "scenario": "direct-z", "T": t, "cutoff": 8, "flags": "error",
+         "error": f"LeakageError: {leak.value}"}
+        for t in (0.25, 0.5, 0.75)
+    ]
+
+
 def test_sweep_axis_validation():
     with pytest.raises(ConfigError):
         SweepConfig.from_mapping({**SMALL_DIRECT, "axis": "cutoff", "grid": [8, 16]})
@@ -312,6 +387,22 @@ def test_unholdable_squeeze_suggests_no_cutoff():
     with pytest.raises(LeakageError, match="no cutoff can hold") as leak:
         run_simulation(RunConfig.from_mapping({**SMALL_DIRECT, "z": 20.0}))
     assert "suggested cutoff" not in str(leak.value)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"scenario": "unruh", "omega": 1.0, "acceleration": 1e17},
+        {"scenario": "blackhole", "omega": 1.0, "mass_bh": 1e-18},
+        {"scenario": "unruh", "omega": 1e-300, "acceleration": 1e100},
+    ],
+    ids=["unruh", "blackhole", "unruh-underflow"],
+)
+def test_horizon_squeeze_past_tanh_one_is_budget_error(scenario):
+    # a z whose tanh rounds to 1 fails the vacuum gate, warning-free; it is
+    # inf only where pi omega / a underflows to 0
+    with pytest.raises(LeakageError, match="no cutoff can hold"):
+        run_simulation(RunConfig.from_mapping(scenario))
 
 
 def test_cli_rejects_unknown_flag(capsys):

@@ -77,6 +77,18 @@ def test_slow_transition_stays_finite():
     assert np.isfinite(z) and 0.0 <= z < 1e-300
 
 
+def test_tiny_frequency_gap_stays_finite():
+    # a one-ulp gap makes pi (w_out - w_in) / 2 sigma about 1e-20, where
+    # e^(-2a) rounds to 1; tanh z is then sinh(a) / sinh(b) = a / sinh(b)
+    w_in = 0.1
+    w_out = w_in + np.spacing(w_in)
+    for sigma in (1.0, 1e3):
+        a = np.pi * (w_out - w_in) / (2.0 * sigma)
+        b = np.pi * (w_out + w_in) / (2.0 * sigma)
+        z = squeeze_from_cosmology(w_in, w_out, sigma)
+        assert z == pytest.approx(a / np.sinh(b), rel=1e-14)
+
+
 def test_unruh_reference_value():
     p = UnruhParams(acceleration=np.pi, omega=1.0)
     z = squeeze_from_unruh(p)
@@ -88,6 +100,21 @@ def test_blackhole_reference_value():
     p = BlackHoleParams(mass_bh=1.0, omega=1.0)
     z = squeeze_from_blackhole(p)
     assert np.tanh(z) == pytest.approx(3.4873423562089956e-06, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "squeeze",
+    [
+        lambda: squeeze_from_unruh(UnruhParams(acceleration=1e17, omega=1.0)),
+        lambda: squeeze_from_blackhole(BlackHoleParams(mass_bh=1e-18, omega=1.0)),
+    ],
+    ids=["unruh", "blackhole"],
+)
+def test_horizon_squeeze_finite_where_tanh_rounds_to_one(squeeze):
+    # exp(-y) rounds to 1 at y ~ 1e-17; arctanh(1) would warn and give inf
+    z = squeeze()
+    assert np.isfinite(z) and 19.0 < z < 20.0
+    assert np.tanh(z) == 1.0
 
 
 def test_horizon_channels_conserve_frequency():

@@ -23,7 +23,7 @@ from cosmoflux.thermo import (
     weighted_kernel_leakage,
 )
 
-from conftest import Z_CANON
+from conftest import Z_CANON, spy_on
 from dense_reference import dense_state_vector
 
 # geometric-weight reference values at T = 1, omega = 1 (x = 1/e)
@@ -175,14 +175,8 @@ def test_inner_friction_weighs_leakage_once(kernel40, thermal40, monkeypatch):
     # the truncation bound and the reported leakage come from one pass
     import cosmoflux.thermo as thermo_mod
 
-    calls = []
     original = thermo_mod.weighted_kernel_leakage
-
-    def spy(kernel, thermal):
-        calls.append(kernel)
-        return original(kernel, thermal)
-
-    monkeypatch.setattr(thermo_mod, "weighted_kernel_leakage", spy)
+    calls = spy_on(monkeypatch, thermo_mod, "weighted_kernel_leakage")
     work = inner_friction(kernel40, thermal40, 1.0, 2.0)
     assert len(calls) == 1
     assert work.weighted_leakage == original(kernel40, thermal40)
