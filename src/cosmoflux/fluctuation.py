@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgejsv
 from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import TransitionKernel, sector_layout
 from .spacetime import SqueezeChannel
-from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport
+from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, weighted_sectors
 
 PROBABILITY_FLOOR = 1e-12
 EIGENVALUE_CLIP = 1e-300
@@ -68,7 +68,7 @@ def forward_joint(
     """Expansion trajectories: p(n -> m) = p(m|n) p_th(n)."""
     return ProcessJoint(
         entries=tuple(
-            P * w[None, :] for P, w in zip(kernel.probabilities, thermal.weights)
+            P * w[None, :] for _s, P, w in weighted_sectors(kernel.probabilities, thermal)
         ),
         direction="expansion",
         omega=thermal.omega,
@@ -87,7 +87,7 @@ def reverse_joint(
     """
     return ProcessJoint(
         entries=tuple(
-            P * w[:, None] for P, w in zip(kernel.probabilities, thermal.weights)
+            P * w[:, None] for _s, P, w in weighted_sectors(kernel.probabilities, thermal)
         ),
         direction="contraction",
         omega=thermal.omega,
@@ -237,8 +237,15 @@ def mean_entropy_and_kl(
 
 
 def integral_fluctuation_defect(p_e: EntropyDistribution) -> float:
-    """|sum_s P_E(s) e^(-s) - 1|; deviation equals the escaped mass."""
-    return abs(float(p_e.masses @ np.exp(-p_e.support)) - 1.0)
+    """|sum_s P_E(s) e^(-s) - 1|; deviation equals the escaped mass.
+
+    Each term is summed as exp(log P_E(s) - s), which is P_C(-s) <= 1, over
+    the points of positive mass: at low temperature e^(-s) alone overflows
+    where P_E(s) is 0.
+    """
+    live = p_e.masses > 0.0
+    terms = np.exp(np.log(p_e.masses[live]) - p_e.support[live])
+    return abs(float(terms.sum()) - 1.0)
 
 
 def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, float]:
@@ -308,9 +315,7 @@ def quantum_relative_entropy(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
     K = 0.0
-    for s, A, wd in zip(
-        sector_layout(kernel.spec.cutoff), kernel.amplitudes, thermal.weights
-    ):
+    for s, A, wd in weighted_sectors(kernel.amplitudes, thermal):
         pos = wd > 0.0
         rho_term = float(wd[pos] @ np.log(wd[pos])) if pos.any() else 0.0
         U, sv = _graded_svd(A * np.sqrt(wd)[None, :])

@@ -230,8 +230,10 @@ class TransitionKernel:
     indexed [final, initial] by the sector position i; amplitudes[d] holds
     the signed amplitudes it squares. column_leakage[d][i] is the true
     probability that the image of the sector state at position i escaped
-    the box. All three hold read-only arrays, since a sweep shares one
-    kernel between its points.
+    the box. The three hold the sectors d = 0..sectors-1 that were built:
+    every sector of the box, or only d = 0 for a T = 0 vacuum point, whose
+    initial state occupies no other (thermo.occupied_sectors). All hold
+    read-only arrays, since a sweep shares one kernel between its points.
     """
 
     z: float
@@ -240,22 +242,35 @@ class TransitionKernel:
     column_leakage: tuple[np.ndarray, ...] = field(repr=False)
     amplitudes: tuple[np.ndarray, ...] = field(repr=False)
 
+    @property
+    def sectors(self) -> int:
+        """Number of difference sectors held, d = 0..sectors-1."""
+        return len(self.probabilities)
 
-def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
+
+def transition_kernel(
+    z: float, spec: TruncationSpec, sectors: int | None = None
+) -> TransitionKernel:
     """Build the transition kernel from analytic amplitudes.
+
+    Builds the blocks of sectors d = 0..sectors-1, by default every sector
+    of the box. A T = 0 vacuum point needs d = 0 only
+    (thermo.occupied_sectors).
 
     Gates on the closed-form vacuum-column leakage: the vacuum column is the
     slowest-leaking low-lying column, so a budget violation there means the
     box cannot represent this squeeze at all. Columns of higher total leak
     more; their losses are recorded per column and must be folded into
-    downstream truncation bounds rather than gated here.
+    downstream truncation bounds rather than gated here. The column-sum
+    check runs on every block built.
     """
     if z < 0.0:
         raise ValueError(f"squeeze parameter must be >= 0, got {z}")
+    layout = sector_layout(spec.cutoff)
+    if sectors is not None and not 1 <= sectors <= len(layout):
+        raise ValueError(f"sectors must lie in [1, {len(layout)}], got {sectors}")
     _gate_vacuum_leakage(z, spec)
-    amps = tuple(
-        _frozen(sector_amplitudes(z, s.d, s.size)) for s in sector_layout(spec.cutoff)
-    )
+    amps = tuple(_frozen(sector_amplitudes(z, s.d, s.size)) for s in layout[:sectors])
     probs = tuple(_frozen(a**2) for a in amps)
     colsums = [P.sum(axis=0) for P in probs]
     excess = max(float(c.max()) for c in colsums) - 1.0

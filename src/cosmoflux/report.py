@@ -280,35 +280,43 @@ def _capture(fn, *args):
 
 
 class _KernelSlot:
-    """The last kernel built for a run, reused while (z, spec) repeats.
+    """The last kernel built for a run, reused while (z, spec) repeats and
+    it holds at least the sectors asked for.
 
-    A kernel depends on (z, cutoff, leakage budget) only, and every check
-    transition_kernel makes depends on that key too, so a reused kernel is
-    one already checked. The slot holds at most one kernel; a build that
+    Block d depends on (z, cutoff) only, whichever other sectors are built
+    with it, and every check transition_kernel makes depends on (z, cutoff,
+    leakage budget) and the blocks built. So a held kernel with that key
+    and enough sectors is one already checked, and a full kernel serves a
+    vacuum point unchanged. The slot holds at most one kernel; a build that
     raises leaves it empty, so the next point builds, and fails, again.
     """
 
     def __init__(self) -> None:
         self.kernel: fock.TransitionKernel | None = None
 
-    def get(self, z: float, spec: TruncationSpec) -> fock.TransitionKernel:
-        if self.kernel is None or (self.kernel.z, self.kernel.spec) != (z, spec):
+    def get(self, z: float, spec: TruncationSpec, sectors: int) -> fock.TransitionKernel:
+        held = self.kernel
+        if held is None or (held.z, held.spec) != (z, spec) or held.sectors < sectors:
             self.kernel = None  # dropped before the build: one kernel alive at most
-            self.kernel = transition_kernel(z, spec)
+            self.kernel = transition_kernel(z, spec, sectors)
         return self.kernel
 
 
 def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tuple:
     """One point's stages in order: (channel, flags, kernel, work, entropy).
 
-    The kernel comes from kernels. entropy is None on the vacuum path and
-    when, without fluctuations, the sequence stops at the work. A failed
+    The kernel comes from kernels and holds at least the sectors the
+    initial state occupies, which on the vacuum path is d = 0 alone.
+    entropy is None on the vacuum path and when, without fluctuations,
+    the sequence stops at the work. A failed
     identity check is captured and the later ones still run (<s> then comes
     from mean_entropy); other errors propagate.
     """
     channel, flags = resolve_channel(cfg)
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
-    kernel = kernels.get(channel.z, spec)
+    kernel = kernels.get(
+        channel.z, spec, thermo.occupied_sectors(cfg.temperature, cfg.cutoff)
+    )
     thermal = thermal_distribution(cfg.temperature, channel.omega_in, spec)
     work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
@@ -473,12 +481,16 @@ def canonical_config() -> RunConfig:
 
 def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     """Identity checks at one configuration; returns (name, ok, detail)."""
-    channel, _flags, kernel, work, ent = _run_stages(cfg, True, _KernelSlot())
+    kernels = _KernelSlot()
+    channel, _flags, staged, work, ent = _run_stages(cfg, True, kernels)
+    layout = fock.sector_layout(cfg.cutoff)
+    # the kernel checks read every sector; a vacuum point builds d = 0 only
+    kernel = kernels.get(channel.z, staged.spec, len(layout))
     items: list[tuple[str, bool, str]] = []
 
     sym = max(float(np.max(np.abs(P - P.T))) for P in kernel.probabilities)
     items.append(("kernel-symmetry", sym <= 1e-12, f"max |p(m|n)-p(n|m)| = {sym:.3e}"))
-    items.extend(_conservation_checks(kernel, fock.sector_layout(cfg.cutoff)))
+    items.extend(_conservation_checks(kernel, layout))
 
     vac_leak = fock.vacuum_column_leakage(channel.z, cfg.cutoff)
     items.append((

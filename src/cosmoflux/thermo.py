@@ -9,12 +9,14 @@ largest in-box energy times the initial-weighted mass lost to the box.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LeakageError, VerificationError
 from .fock import (
+    Sector,
     TransitionKernel,
     TruncationSpec,
     sector_layout,
@@ -30,9 +32,11 @@ class ThermalDistribution:
     """Diagonal Gibbs weights over the joint basis, renormalized to the box.
 
     weights[d] holds the weights of the sector states in sector_layout
-    order; mirrored states share them. temperature = 0 marks the vacuum
-    path: a point mass on (0, 0) with no entropy scale. renorm_defect is
-    the Gibbs mass outside the box.
+    order; mirrored states share them. There is one vector per occupied
+    sector (occupied_sectors): every sector of the box at T > 0, and only
+    d = 0 at temperature = 0, which marks the vacuum path: a point mass on
+    (0, 0) with no entropy scale. renorm_defect is the Gibbs mass outside
+    the box.
     """
 
     temperature: float
@@ -58,21 +62,53 @@ class WorkReport:
     omega_out: float
 
 
+def occupied_sectors(temperature: float, cutoff: int) -> int:
+    """How many leading difference sectors d = 0, 1, ... carry initial weight.
+
+    The vacuum (temperature 0) is the point mass on (0, 0), so it occupies
+    sector 0 only; a Gibbs state weighs every sector of the box. The
+    thermal weights and the kernel a point needs both follow this count,
+    and every sector past it has initial weight exactly 0, so sums over the
+    initial state that skip those sectors drop only exact zeros.
+    """
+    return 1 if temperature == 0.0 else cutoff + 1
+
+
+def weighted_sectors(
+    blocks: tuple[np.ndarray, ...], thermal: ThermalDistribution
+) -> Iterator[tuple[Sector, np.ndarray, np.ndarray]]:
+    """(sector, block, weights) for every sector the initial state occupies.
+
+    blocks follows sector_layout (a kernel's probabilities, amplitudes or
+    column_leakage). It may hold more sectors than the weights, as when a
+    full kernel serves a vacuum point, but never fewer.
+    """
+    if len(blocks) < len(thermal.weights):
+        raise ValueError(
+            f"kernel holds {len(blocks)} sector(s) but the initial state "
+            f"occupies {len(thermal.weights)}"
+        )
+    return zip(sector_layout(thermal.spec.cutoff), blocks, thermal.weights)
+
+
 def _gibbs_weights(
     temperature: float, omega: float, cutoff: int
 ) -> tuple[tuple[np.ndarray, ...], float]:
-    """Box-renormalized Gibbs weights per sector and the mass outside the box.
+    """Box-renormalized Gibbs weights per occupied sector and the mass
+    outside the box.
 
     The weight of n is (1-x)^2 x^total(n) with x = exp(-omega/T). Each mode
     keeps 1 - t of its mass in the box, t = x^(cutoff+1), so the weights
     are divided by (1-t)^2 and the escaped mass is t(2-t), both in closed
-    form. At T = 0, x = 0 gives the point mass on (0, 0) through 0^0 = 1.
-    When T >> omega rounds x to 1, the box holds none of the mass.
+    form. At T = 0, x = 0 gives the point mass on (0, 0) through 0^0 = 1,
+    and only sector 0 is returned. When T >> omega rounds x to 1, the box
+    holds none of the mass.
     """
     x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
     t = x ** (cutoff + 1)
     scale = ((1.0 - x) / (1.0 - t)) ** 2 if t < 1.0 else 0.0
-    weights = tuple(scale * x**s.totals for s in sector_layout(cutoff))
+    occupied = sector_layout(cutoff)[: occupied_sectors(temperature, cutoff)]
+    weights = tuple(scale * x**s.totals for s in occupied)
     return weights, t * (2.0 - t)
 
 
@@ -140,9 +176,7 @@ def weighted_kernel_leakage(
     """Kernel leakage weighted by the initial distribution, plus its tail."""
     return sum(
         s.multiplicity * float(leak @ w)
-        for s, leak, w in zip(
-            sector_layout(kernel.spec.cutoff), kernel.column_leakage, thermal.weights
-        )
+        for s, leak, w in weighted_sectors(kernel.column_leakage, thermal)
     ) + thermal.renorm_defect
 
 
@@ -155,9 +189,7 @@ def average_work(
     """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1), in-box."""
     n_f = sum(
         s.multiplicity * float(s.totals @ P @ w)
-        for s, P, w in zip(
-            sector_layout(kernel.spec.cutoff), kernel.probabilities, thermal.weights
-        )
+        for s, P, w in weighted_sectors(kernel.probabilities, thermal)
     )
     return omega_out * (n_f + 1.0) - omega_in * (mean_initial_total(thermal) + 1.0)
 
@@ -173,9 +205,7 @@ def mean_created_kernel(
     """<total(m) - total(n)> under p(m|n) p_th(n), in-box."""
     return sum(
         s.multiplicity * _sector_created(s.totals, P, w)
-        for s, P, w in zip(
-            sector_layout(kernel.spec.cutoff), kernel.probabilities, thermal.weights
-        )
+        for s, P, w in weighted_sectors(kernel.probabilities, thermal)
     )
 
 

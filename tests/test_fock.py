@@ -167,6 +167,24 @@ def test_kernel_arrays_read_only(kernel40):
                 a[0] = 0.0
 
 
+def test_leading_sectors_match_the_full_kernel(kernel40, spec40):
+    # a vacuum point builds d = 0 only; its block is the full kernel's
+    for sectors in (1, 3):
+        part = transition_kernel(Z_CANON, spec40, sectors)
+        assert part.sectors == sectors and kernel40.sectors == 41
+        for field in ("amplitudes", "probabilities", "column_leakage"):
+            held = getattr(part, field)
+            assert len(held) == sectors
+            for a, b in zip(held, getattr(kernel40, field)):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sectors", [0, 42])
+def test_sector_count_out_of_range(spec40, sectors):
+    with pytest.raises(ValueError, match="sectors must lie in"):
+        transition_kernel(Z_CANON, spec40, sectors)
+
+
 def test_kernel_symmetry_exact(kernel40):
     for P in kernel40.probabilities:
         assert np.max(np.abs(P - P.T)) == 0.0

@@ -5,9 +5,16 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cosmoflux.report import SweepConfig, canonical_config, render_csv, run_sweep
+from cosmoflux.report import (
+    RunConfig,
+    SweepConfig,
+    canonical_config,
+    render_csv,
+    run_sweep,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -44,6 +51,32 @@ def test_temperature_sweep_is_byte_identical():
     sweep = SweepConfig(base=canonical_config(), axis="temperature", grid=TEMPERATURE_GRID)
     out = render_csv(run_sweep(sweep), 12)
     assert out.encode() == (GOLDEN / "sweep_temperature.csv").read_bytes()
+
+
+# the cosmology sigma sweep on the T = 0 vacuum path (k = 1, m = 1,
+# epsilon = 3, N = 56), then one point whose vacuum column overflows the
+# budget at a starved cutoff; frozen before the vacuum path built only the
+# d = 0 sector, at 17 digits so any change in the last bit shows
+SIGMA_BASE = RunConfig(
+    scenario="cosmology", momentum=1.0, mass=1.0, epsilon=3.0, sigma=1.0,
+    temperature=0.0, cutoff=56,
+)
+SIGMA_GRID = tuple(np.geomspace(0.1, 100.0, 12).tolist())
+
+
+def sigma_vacuum_rows() -> list[dict]:
+    starved = SIGMA_BASE.replace(cutoff=8, leakage_tolerance=1e-12)
+    return (
+        run_sweep(SweepConfig(base=SIGMA_BASE, axis="sigma", grid=SIGMA_GRID))
+        + run_sweep(SweepConfig(base=starved, axis="sigma", grid=(100.0,)))
+    )
+
+
+def test_sigma_vacuum_sweep_is_byte_identical():
+    rows = sigma_vacuum_rows()
+    assert rows[-1]["error"].startswith("LeakageError: vacuum column leaks")
+    out = render_csv(rows, 17)
+    assert out.encode() == (GOLDEN / "sweep_sigma_vacuum.csv").read_bytes()
 
 
 def _readme_python_blocks():

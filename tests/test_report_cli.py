@@ -9,11 +9,13 @@ import pytest
 from cosmoflux import (
     ConfigError,
     LeakageError,
+    NumericError,
     RunConfig,
     SweepConfig,
     TruncationSpec,
     VerificationError,
     canonical_config,
+    transition_kernel,
     verify_invariants,
 )
 import cosmoflux.report as report_mod
@@ -216,10 +218,40 @@ def _temperature_sweep(grid, **base):
 
 
 def test_temperature_sweep_builds_one_kernel(monkeypatch):
+    # the T = 0 point builds sector 0 only; the first T > 0 point needs
+    # every sector, and that kernel serves the rest
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(_temperature_sweep([0.0, 0.25, 0.5, 0.75]))
     assert [r["error"] for r in rows] == [""] * 4
-    assert builds == [(0.3, TruncationSpec(16, 1e-6))]
+    assert builds == [(0.3, TruncationSpec(16, 1e-6), 1), (0.3, TruncationSpec(16, 1e-6), 17)]
+
+
+def test_vacuum_points_reuse_a_full_kernel(monkeypatch):
+    # a held kernel with at least the needed sectors serves the point
+    grid = [1.0, 0.0, 0.5, 0.0]
+    sweep = _temperature_sweep(grid)
+    singles = [run_simulation(sweep.base.replace(temperature=t)) for t in grid]
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(sweep)
+    assert builds == [(0.3, TruncationSpec(16, 1e-6), 17)]
+    assert rows == [{**single, "error": ""} for single in singles]
+
+
+UNSTABLE_VACUUM = {**SMALL_DIRECT, "z": 1.2, "cutoff": 64, "leakage_tolerance": 1e-2,
+                   "temperature": 0.0}
+
+
+def test_unstable_vacuum_point_fails_closed(tmp_path, capsys):
+    # the full kernel loses double precision here, and so does its d = 0 block
+    spec = TruncationSpec(64, 1e-2)
+    with pytest.raises(NumericError):
+        transition_kernel(1.2, spec)
+    with pytest.raises(NumericError, match="column mass exceeds 1"):
+        run_simulation(RunConfig.from_mapping(UNSTABLE_VACUUM))
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(UNSTABLE_VACUUM))
+    assert main(["simulate", "--config", str(path)]) == 3
+    capsys.readouterr()
 
 
 def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
@@ -232,7 +264,8 @@ def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
     rows = run_sweep(sweep)
     zs = [r["z"] for r in rows]
     assert len(set(zs)) == 3
-    assert [z for z, _spec in builds] == list(dict.fromkeys(zs))
+    assert [z for z, _spec, _sectors in builds] == list(dict.fromkeys(zs))
+    assert [sectors for *_, sectors in builds] == [1, 1, 1]
 
 
 def test_no_kernel_outlives_a_call(monkeypatch):
@@ -267,7 +300,8 @@ def test_sweep_points_after_a_failed_point_match_single_runs(monkeypatch):
 
 
 def test_sweep_failing_vacuum_gate_errors_every_point(monkeypatch):
-    # a failed build is not held: each point raises its own error row
+    # a failed build is not held: each point raises its own error row.
+    # T = 0.75 also fails the thermal gate; the kernel stage comes first
     sweep = _temperature_sweep([0.25, 0.5, 0.75], z=1.2, cutoff=8)
     with pytest.raises(LeakageError, match="vacuum column leaks") as leak:
         run_simulation(sweep.base)
@@ -472,6 +506,32 @@ def test_verify_reports_crooks_failure(monkeypatch):
     assert [ln.split(None, 2)[1:] for ln in lines if ln.startswith("  FAIL")] == [
         ["crooks-microstate", message], ["crooks-distribution", message],
     ]
+
+
+def _section(lines, title):
+    start = lines.index(f"[{title}]") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    return lines[start:end]
+
+
+def test_verify_vacuum_point_checks_the_full_kernel():
+    # the vacuum path builds sector 0 only, but the kernel checks read
+    # every sector; the configured point stops after second-law
+    lines, failures = verify_invariants(canonical_config().replace(temperature=0.0))
+    assert failures == 0
+    configured = _section(lines, "configured point (scenario=direct-z)")
+    assert _check_names(configured) == BATTERY_CHECKS[:7]
+    assert "states not covered once = 0" in configured[1]
+    assert _check_names(_section(lines, "canonical point")) == BATTERY_CHECKS[:13]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_integral_fluctuation_finite_at_low_temperature():
+    # at T = 0.05, e^(-s) alone overflows where P_E(s) = 0
+    lines, _failures = verify_invariants(canonical_config().replace(temperature=0.05))
+    configured = _section(lines, "configured point (scenario=direct-z)")
+    line = next(ln for ln in configured if ln.split()[1] == "integral-fluctuation")
+    assert line.split()[0] == "PASS"
 
 
 def test_run_simulation_raises_first_failed_check(monkeypatch):

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
     LeakageError,
+    ThermalDistribution,
     TruncationSpec,
     VerificationError,
     adiabatic_work,
     average_work,
+    forward_joint,
     inner_friction,
     mean_created_closed_form,
     mean_created_spectral,
@@ -19,6 +21,7 @@ from cosmoflux.thermo import (
     mean_created_kernel,
     mean_initial_closed_form,
     mean_initial_total,
+    occupied_sectors,
     truncation_bound,
     weighted_kernel_leakage,
 )
@@ -136,7 +139,9 @@ def test_created_closed_form_region(z, t_ratio):
 def test_vacuum_initial_state(kernel40, spec40):
     vac = thermal_distribution(0.0, 1.0, spec40)
     assert vac.is_vacuum
-    w = dense_state_vector(vac.weights, 40)
+    assert len(vac.weights) == 1  # the vacuum occupies sector 0 only
+    empty = tuple(np.zeros(41 - d) for d in range(1, 41))
+    w = dense_state_vector(vac.weights + empty, 40)
     assert w[0] == 1.0
     assert w.sum() == 1.0
     created = mean_created_kernel(kernel40, vac)
@@ -144,6 +149,26 @@ def test_vacuum_initial_state(kernel40, spec40):
     work = inner_friction(kernel40, vac, 1.0, 2.0)
     assert work.adiabatic_temperature == 0.0
     assert work.adiabatic_work == 1.0
+
+
+def test_vacuum_sums_match_a_full_kernel(kernel40, spec40):
+    # the sectors a vacuum point skips carry weight exactly 0
+    vac = thermal_distribution(0.0, 1.0, spec40)
+    part = transition_kernel(Z_CANON, spec40, occupied_sectors(0.0, 40))
+    assert part.sectors == 1
+    assert inner_friction(part, vac, 1.0, 2.0) == inner_friction(kernel40, vac, 1.0, 2.0)
+    dense_weights = vac.weights + tuple(np.zeros(41 - d) for d in range(1, 41))
+    full = ThermalDistribution(0.0, 1.0, spec40, dense_weights, vac.renorm_defect)
+    assert inner_friction(kernel40, full, 1.0, 2.0) == inner_friction(part, vac, 1.0, 2.0)
+
+
+def test_thermal_state_needs_every_sector(spec40, thermal40):
+    assert occupied_sectors(1.0, 40) == 41 and occupied_sectors(0.0, 40) == 1
+    part = transition_kernel(Z_CANON, spec40, 1)
+    with pytest.raises(ValueError, match="kernel holds 1 sector"):
+        inner_friction(part, thermal40, 1.0, 2.0)
+    with pytest.raises(ValueError, match="kernel holds 1 sector"):
+        forward_joint(part, thermal40)
 
 
 def test_zero_squeeze_work_is_adiabatic(thermal40):
