@@ -22,6 +22,13 @@ Two independent evaluation routes are provided:
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
   into the box), so it is entrywise stable at sizes where the analytic sum
   is not, at the price of reflecting leaked mass instead of measuring it.
+  The sector generator is z times a z-free tridiagonal matrix, so one
+  eigendecomposition per sector serves every z: the eigenvalues scale with
+  z and the block is rebuilt in real arithmetic. It and
+  squeeze_operator_oracle take one z or a 1-D array of z; an array gives
+  every block a leading z axis.
+
+Both routes raise ValueError for a negative or non-finite z.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
@@ -130,6 +138,14 @@ def suggested_cutoff(z: float, leakage_tolerance: float) -> int:
     return int(np.ceil(max(needed, 0.0)))
 
 
+def _squeeze_values(z: ArrayLike) -> np.ndarray:
+    """z as a float array, or ValueError unless every entry is finite and >= 0."""
+    zs = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(zs) & (zs >= 0.0)):
+        raise ValueError(f"squeeze parameter must be finite and >= 0, got {z}")
+    return zs
+
+
 def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
     """Analytic amplitudes <(p+d, p)|S|(q+d, q)> for p, q in 0..size-1.
 
@@ -141,8 +157,7 @@ def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
     <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes the returned
     matrix satisfy the transpose symmetry of squared entries exactly.
     """
-    if z < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {z}")
+    _squeeze_values(z)
     if size < 1:
         raise ValueError("sector size must be >= 1")
     if d < 0:
@@ -169,26 +184,46 @@ def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
     return np.tril(M) + np.triu(sign * M.T, 1)
 
 
-def sector_spectral(z: float, d: int, size: int) -> np.ndarray:
+def sector_spectral(
+    z: ArrayLike, d: int, size: int, corner: int | None = None
+) -> np.ndarray:
     """Spectral exponential of the sector generator (brute-force route).
 
-    The generator restricted to a difference sector is i times a real
-    symmetric tridiagonal matrix after the phase rotation diag(i^k), so the
-    exponential follows from one real tridiagonal eigendecomposition. The
-    result is orthogonal to machine precision at any size.
+    The generator restricted to a difference sector is z times i times a
+    real symmetric tridiagonal matrix T after the phase rotation diag(i^k).
+    T does not depend on z, so one eigendecomposition T = V diag(lam) V^T
+    serves every z: the block is the real part of
+    i^(j-k) [V cos(z lam) V^T - i V sin(z lam) V^T]_jk, which takes the
+    cosine part where j - k is even and the sine part where it is odd, with
+    the sign of the period-4 pattern of i^(j-k). The result is orthogonal
+    to machine precision at any size; z = 0 gives the exact identity.
+
+    z is one value or a 1-D array; for an array the result gains a leading
+    z axis. corner, if given, forms only the leading corner x corner entries.
     """
+    zs = _squeeze_values(z)
+    if zs.ndim > 1:
+        raise ValueError("squeeze parameter must be a scalar or a 1-D array")
     if size < 1:
         raise ValueError("sector size must be >= 1")
     if d < 0:
         raise ValueError("difference sector label must be >= 0")
-    if z == 0.0 or size == 1:
-        return np.eye(size)
+    n = size if corner is None else corner
+    if not 1 <= n <= size:
+        raise ValueError(f"corner must lie in [1, {size}], got {corner}")
+    if size == 1 or not zs.any():
+        return np.broadcast_to(np.eye(n), zs.shape + (n, n)).copy()
     k = np.arange(size - 1)
-    off = z * np.sqrt((k + 1.0 + d) * (k + 1.0))
-    lam, V = eigh_tridiagonal(np.zeros(size), off)
-    ph = (1j) ** np.arange(size)
-    S = ph[:, None] * (V @ (np.exp(-1j * lam)[:, None] * V.T)) * np.conj(ph)[None, :]
-    return np.ascontiguousarray(S.real)
+    lam, V = eigh_tridiagonal(np.zeros(size), np.sqrt((k + 1.0 + d) * (k + 1.0)))
+    theta = zs[..., None, None] * lam
+    Vn = V[:n]
+    cos_part = (Vn * np.cos(theta)) @ Vn.T
+    sin_part = (Vn * np.sin(theta)) @ Vn.T
+    j = np.arange(n)
+    phase = (j[:, None] - j[None, :]) % 4
+    S = np.where(phase % 2, sin_part, cos_part) * np.where(phase < 2, 1.0, -1.0)
+    S[zs == 0.0] = np.eye(n)
+    return S
 
 
 def _gate_vacuum_leakage(z: float, spec: TruncationSpec) -> None:
@@ -205,20 +240,23 @@ def _gate_vacuum_leakage(z: float, spec: TruncationSpec) -> None:
 
 
 def squeeze_operator_oracle(
-    z: float, spec: TruncationSpec
+    z: ArrayLike, spec: TruncationSpec
 ) -> tuple[np.ndarray, ...]:
     """Squeeze operator blocks via the spectral route, with a leakage gate.
 
-    Returns one block per difference sector in sector_layout order. Raises
-    LeakageError when the vacuum column already loses more mass than the
-    budget allows; entries of such an operator renormalize escaped mass
-    back into the box and are not trustworthy for any state of interest.
+    Returns one block per difference sector in sector_layout order, each
+    from one z-free decomposition of its sector (sector_spectral). z is one
+    value or a 1-D array; for an array every block gains a leading z axis.
+    Raises LeakageError when the vacuum column already loses more mass than
+    the budget allows at any z; entries of such an operator renormalize
+    escaped mass back into the box and are not trustworthy for any state of
+    interest.
     """
-    if z < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {z}")
-    _gate_vacuum_leakage(z, spec)
+    zs = _squeeze_values(z)
+    for value in zs.flat:
+        _gate_vacuum_leakage(float(value), spec)
     return tuple(
-        sector_spectral(z, s.d, s.size) for s in sector_layout(spec.cutoff)
+        sector_spectral(zs, s.d, s.size) for s in sector_layout(spec.cutoff)
     )
 
 

@@ -44,12 +44,33 @@ def test_amplitude_reference_values(z, n, m, expected):
 
 
 def test_amplitude_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        sector_amplitudes(-0.1, 0, 3)
+    for z in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="squeeze parameter"):
+            sector_amplitudes(z, 0, 3)
     with pytest.raises(ValueError):
         sector_amplitudes(0.5, -1, 3)
     with pytest.raises(ValueError):
         sector_amplitudes(0.5, 0, 0)
+
+
+def test_spectral_rejects_bad_arguments():
+    # a negative z would silently give the inverse squeeze, a NaN an all-NaN
+    # block; both fail whether z is one value or an array
+    spec = TruncationSpec(cutoff=8, leakage_tolerance=1e-2)
+    for z in (-0.5, np.nan, np.inf, [0.5, -0.1], [np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="squeeze parameter"):
+            sector_spectral(z, 0, 3)
+        with pytest.raises(ValueError, match="squeeze parameter"):
+            squeeze_operator_oracle(z, spec)
+    with pytest.raises(ValueError, match="scalar or a 1-D array"):
+        sector_spectral([[0.5]], 0, 3)
+    with pytest.raises(ValueError):
+        sector_spectral(0.5, -1, 3)
+    with pytest.raises(ValueError):
+        sector_spectral(0.5, 0, 0)
+    for corner in (0, 4):
+        with pytest.raises(ValueError, match="corner must lie in"):
+            sector_spectral(0.5, 0, 3, corner=corner)
 
 
 def test_truncation_spec_validation():
@@ -111,6 +132,52 @@ def test_oracle_difference_blocks_exact(spec40):
 def test_oracle_vacuum_gate_raises():
     with pytest.raises(LeakageError):
         squeeze_operator_oracle(1.2, TruncationSpec(cutoff=8, leakage_tolerance=1e-8))
+    # an array fails if any of its z leaks too much
+    with pytest.raises(LeakageError):
+        squeeze_operator_oracle([0.1, 1.2], TruncationSpec(cutoff=8, leakage_tolerance=1e-8))
+
+
+MULTI_Z = np.array([0.0, 0.25, Z_CANON, 1.0, 1.2])
+
+
+@pytest.mark.parametrize("size, corner", [(1, None), (2, None), (7, None), (97, 9)])
+def test_multi_z_blocks_equal_scalar_blocks(size, corner):
+    blocks = sector_spectral(MULTI_Z, 3, size, corner)
+    n = size if corner is None else corner
+    assert blocks.shape == (len(MULTI_Z), n, n)
+    for z, block in zip(MULTI_Z, blocks):
+        assert np.array_equal(block, sector_spectral(z, 3, size, corner))
+
+
+def test_multi_z_oracle_equals_scalar_oracle():
+    spec = TruncationSpec(cutoff=14, leakage_tolerance=1e-2)
+    stacked = squeeze_operator_oracle(MULTI_Z, spec)
+    assert [S.shape for S in stacked] == [(len(MULTI_Z), 15 - d, 15 - d) for d in range(15)]
+    for i, z in enumerate(MULTI_Z):
+        for S, single in zip(stacked, squeeze_operator_oracle(z, spec)):
+            assert np.array_equal(S[i], single)
+
+
+@pytest.mark.parametrize("d, corner", [(12, None), (11, None), (0, 9), (2, 9)])
+def test_spectral_blocks_match_dense_exponential(d, corner):
+    # on a box of cutoff 12, sector d = 12 has size 1 and d = 11 size 2; the
+    # 9-row corner is read from the full-size blocks of d = 0 and d = 2
+    sector = sector_layout(12)[d]
+    n = sector.size if corner is None else corner
+    rows = sector.index[:n]
+    blocks = sector_spectral(MULTI_Z, d, sector.size, corner)
+    for z, block in zip(MULTI_Z, blocks):
+        dense = expm(dense_generator(z, 12))
+        assert np.max(np.abs(block - dense[np.ix_(rows, rows)])) <= 1e-12
+
+
+def test_zero_squeeze_spectral_is_exact_identity():
+    for size, corner in ((1, None), (6, None), (40, 9)):
+        n = size if corner is None else corner
+        assert np.array_equal(sector_spectral(0.0, 2, size, corner), np.eye(n))
+        blocks = sector_spectral([0.0, 0.5, 0.0], 2, size, corner)
+        assert np.array_equal(blocks[0], np.eye(n))
+        assert np.array_equal(blocks[2], np.eye(n))
 
 
 def test_analytic_matches_spectral_small_indices():
@@ -150,6 +217,13 @@ def test_suggested_cutoff_restores_budget():
 def test_transition_kernel_gate_raises():
     with pytest.raises(LeakageError):
         transition_kernel(1.2, TruncationSpec(cutoff=8, leakage_tolerance=1e-8))
+
+
+def test_transition_kernel_rejects_nan_squeeze():
+    # a NaN z passes the vacuum gate (NaN compares false) and once gave an
+    # all-NaN kernel; the amplitude route now refuses it
+    with pytest.raises(ValueError, match="squeeze parameter"):
+        transition_kernel(np.nan, TruncationSpec(cutoff=10))
 
 
 def test_transition_kernel_instability_raises():

@@ -2,6 +2,7 @@
 
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from cosmoflux.report import (
     render_csv,
     run_sweep,
 )
+
+from conftest import CHILD_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -77,6 +80,19 @@ def test_sigma_vacuum_sweep_is_byte_identical():
     assert rows[-1]["error"].startswith("LeakageError: vacuum column leaks")
     out = render_csv(rows, 17)
     assert out.encode() == (GOLDEN / "sweep_sigma_vacuum.csv").read_bytes()
+
+
+def test_verify_output_is_byte_identical():
+    # `python -m cosmoflux verify` stdout, frozen before the spectral oracle
+    # shared one decomposition between its z; the oracle-equivalence detail
+    # was then refrozen, since the rescaled eigenvalues moved it at noise
+    # level (2.748e-13 -> 2.768e-13)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosmoflux", "verify"],
+        capture_output=True, env=CHILD_ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "verify.txt").read_bytes()
 
 
 def _readme_python_blocks():

@@ -534,6 +534,17 @@ def test_verify_integral_fluctuation_finite_at_low_temperature():
     assert line.split()[0] == "PASS"
 
 
+def test_battery_decomposes_each_sector_once(monkeypatch):
+    # one decomposition per sector serves all three z: 40 sectors of size
+    # >= 2 at cutoff 40 for orthogonality, 9 sectors for equivalence
+    import cosmoflux.fock as fock_mod
+
+    decompositions = spy_on(monkeypatch, fock_mod, "eigh_tridiagonal")
+    items = report_mod._battery_global()
+    assert len(decompositions) == 49
+    assert all(ok for _name, ok, _detail in items)
+
+
 def test_run_simulation_raises_first_failed_check(monkeypatch):
     import cosmoflux.fluctuation as fluctuation_mod
 
