@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, sector_layout
+from .fock import TransitionKernel, sector_layout, sector_tables
 from .spacetime import SqueezeChannel
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, weighted_sectors
 
@@ -98,11 +98,13 @@ def reverse_joint(
 def _lattice_masses(joint: ProcessJoint) -> np.ndarray:
     """Mass per integer total-change, offset by 2*cutoff (length 4N+1)."""
     cutoff = len(joint.entries) - 1
+    bins = sector_tables(cutoff).total_change + 2 * cutoff
     masses = np.zeros(4 * cutoff + 1)
     for s, block in zip(sector_layout(cutoff), joint.entries):
-        delta = s.totals[:, None] - s.totals[None, :] + 2 * cutoff
         masses += s.multiplicity * np.bincount(
-            delta.ravel(), weights=block.ravel(), minlength=4 * cutoff + 1
+            bins[:s.size, :s.size].ravel(),
+            weights=block.ravel(),
+            minlength=4 * cutoff + 1,
         )
     return masses
 
@@ -187,14 +189,13 @@ def crooks_deviation(
         dist_dev = float(np.max(np.abs(logratio - p_e.support[live])))
 
     rate = forward.omega / forward.temperature
+    total_change = sector_tables(len(forward.entries) - 1).total_change
     micro_dev = 0.0
-    for s, J, Q in zip(
-        sector_layout(len(forward.entries) - 1), forward.entries, reverse.entries
-    ):
+    for J, Q in zip(forward.entries, reverse.entries):
         mask = J > PROBABILITY_FLOOR
         if np.any(mask):
-            s_mat = rate * (s.totals[:, None] - s.totals[None, :])
-            resid = np.log(J[mask]) - np.log(Q[mask]) - s_mat[mask]
+            s_vals = rate * total_change[:len(J), :len(J)][mask]
+            resid = np.log(J[mask]) - np.log(Q[mask]) - s_vals
             micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
     return CrooksReport(
         distribution_deviation=dist_dev,

@@ -16,7 +16,12 @@ Two independent evaluation routes are provided:
   by 1.3e-5 at tanh z = 1/2 with cutoff 40, by 4.4e-4 at z = 1 with cutoff
   40 and by 0.14 at tanh z = 1/2 with cutoff 52. The column-sum excess
   check (COLSUM_EXCESS_LIMIT) catches only the gross failure: at
-  tanh z = 1/2 it first fires at cutoff 57.
+  tanh z = 1/2 it first fires at cutoff 57. Its z-free parts (log
+  factorials, the p - q grids, the signs and the triangle mask) are read
+  from sector_tables, built once per cutoff beside the layout;
+  transition_kernel forms the parts that depend on z but not on d once
+  for all its sectors, and every block keeps the float operations of the
+  plain per-sector formula in order.
 
 - sector_spectral: the spectral exponential of the tridiagonal generator.
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
@@ -28,7 +33,9 @@ Two independent evaluation routes are provided:
   squeeze_operator_oracle take one z or a 1-D array of z; an array gives
   every block a leading z axis.
 
-Both routes raise ValueError for a negative or non-finite z.
+Both routes raise ValueError for a negative or non-finite z, or for a
+sector label or size that is not an integer; transition_kernel checks z
+before its leakage gate.
 """
 
 from __future__ import annotations
@@ -138,12 +145,104 @@ def suggested_cutoff(z: float, leakage_tolerance: float) -> int:
     return int(np.ceil(max(needed, 0.0)))
 
 
+@dataclass(frozen=True)
+class SectorTables:
+    """z-free grids shared by every difference sector of one box.
+
+    Sector d of the box has size cutoff + 1 - d, and its grids are the
+    leading size x size corner of each grid here, indexed [p, q] by final
+    and initial sector position. total_change holds
+    total(m) - total(n) = 2(p - q), the same in every sector; the rest are
+    the z-free parts of the analytic amplitude sum. All arrays are
+    read-only.
+    """
+
+    log_factorial: np.ndarray  # log k!, k = 0..cutoff
+    diff: np.ndarray  # p - q, as float
+    neg_log_factorial_diff: np.ndarray  # -log |p - q|!
+    sign: np.ndarray  # (-1)^(p - q)
+    upper_sign: np.ndarray  # (-1)^(p - q) where p <= q, 0 below the diagonal
+    lower: np.ndarray  # p >= q
+    total_change: np.ndarray  # 2(p - q), as int
+
+
+@cache
+def sector_tables(cutoff: int) -> SectorTables:
+    """The z-free grids of the box, built once per cutoff and shared."""
+    i = np.arange(cutoff + 1)
+    diff = i[:, None] - i[None, :]
+    lf = gammaln(i + 1.0)
+    sign = np.where(diff % 2, -1.0, 1.0)
+    return SectorTables(
+        log_factorial=_frozen(lf),
+        diff=_frozen(diff.astype(float)),
+        neg_log_factorial_diff=_frozen(-lf[np.abs(diff)]),
+        sign=_frozen(sign),
+        upper_sign=_frozen(np.triu(sign)),
+        lower=_frozen(diff >= 0),
+        total_change=_frozen(2 * diff),
+    )
+
+
 def _squeeze_values(z: ArrayLike) -> np.ndarray:
     """z as a float array, or ValueError unless every entry is finite and >= 0."""
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs >= 0.0)):
         raise ValueError(f"squeeze parameter must be finite and >= 0, got {z}")
     return zs
+
+
+def _check_sector(d: int, size: int) -> None:
+    """ValueError unless d >= 0 and size >= 1 are integers."""
+    if not all(isinstance(v, (int, np.integer)) for v in (d, size)):
+        raise ValueError(f"sector label and size must be integers, got {d!r}, {size!r}")
+    if size < 1:
+        raise ValueError("sector size must be >= 1")
+    if d < 0:
+        raise ValueError("difference sector label must be >= 0")
+
+
+def _block_terms(
+    z: float, cutoff: int
+) -> tuple[SectorTables, np.ndarray, np.ndarray] | None:
+    """What every analytic block of the box shares at one validated z.
+
+    The box's tables, (p - q) log tanh z - log |p - q|! on its p - q grid,
+    and sech(z)^j = exp(-j log cosh z) for j = 0..2 cutoff + 1. None at
+    z = 0, where every block is the identity.
+    """
+    if z == 0.0:
+        return None
+    t = sector_tables(cutoff)
+    grid = t.diff * np.log(np.tanh(z)) + t.neg_log_factorial_diff
+    sech_powers = np.exp(-np.arange(2 * cutoff + 2) * np.log(np.cosh(z)))
+    return t, grid, sech_powers
+
+
+def _amplitude_block(
+    d: int, size: int, terms: tuple[SectorTables, np.ndarray, np.ndarray] | None
+) -> np.ndarray:
+    """Analytic block of sector (d, size) from _block_terms of its box.
+
+    Only the log-factorial ratio, which depends on d, and the z-dependent
+    exponential and product are formed per sector. Every float operation
+    keeps the operands and order of the plain per-sector formula (x - y
+    only becomes x + (-y), which is exact): the sum is ill-conditioned, so
+    a reordering would move entries.
+    """
+    if terms is None:
+        return np.eye(size)
+    t, grid, sech_powers = terms
+    lf = t.log_factorial
+    lower = t.lower[:size, :size]
+    half = 0.5 * ((lf[:size] + lf[d:size + d])[:, None] - lf[:size] - lf[d:size + d])
+    L = np.exp(np.where(lower, grid[:size, :size] + half, -np.inf))
+    # sech(z)^(total + 1) for the initial state at each position q
+    D = sech_powers[d + 1:2 * size + d:2]
+    M = L @ (D[:, None] * (t.upper_sign[:size, :size] * L.T))
+    # lower triangle from the product, upper from the mirror identity;
+    # + 0.0 turns -0 into +0, as adding the two zero-padded triangles does
+    return np.where(lower, M, t.sign[:size, :size] * M.T) + 0.0
 
 
 def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
@@ -156,32 +255,17 @@ def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
     from the product; the upper triangle follows from the mirror identity
     <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes the returned
     matrix satisfy the transpose symmetry of squared entries exactly.
+
+    The parts that do not depend on z (log factorials, the p - q grids, the
+    signs and the triangle mask) come from sector_tables of the box whose
+    sector d has this size, built once per cutoff. Per call only the
+    log-factorial ratio of sector d, the tau powers, the sech(z) weights
+    and the product are formed; transition_kernel forms the tau powers and
+    sech(z) weights once for all its sectors.
     """
     _squeeze_values(z)
-    if size < 1:
-        raise ValueError("sector size must be >= 1")
-    if d < 0:
-        raise ValueError("difference sector label must be >= 0")
-    if z == 0.0:
-        return np.eye(size)
-    logtau = np.log(np.tanh(z))
-    logcosh = np.log(np.cosh(z))
-    lf = gammaln(np.arange(size + d + 1) + 1.0)
-    i = np.arange(size)
-    p, q = i[:, None], i[None, :]
-    diff = p - q
-    sign = np.where(diff % 2, -1.0, 1.0)
-    L = np.exp(np.where(
-        diff >= 0,
-        diff * logtau
-        - lf[np.abs(diff)]
-        + 0.5 * (lf[p] + lf[p + d] - lf[q] - lf[q + d]),
-        -np.inf,
-    ))
-    U = np.triu(sign * L.T)
-    D = np.exp(-(2 * i + d + 1) * logcosh)
-    M = L @ (D[:, None] * U)
-    return np.tril(M) + np.triu(sign * M.T, 1)
+    _check_sector(d, size)
+    return _amplitude_block(d, size, _block_terms(z, size + d - 1))
 
 
 def sector_spectral(
@@ -204,10 +288,7 @@ def sector_spectral(
     zs = _squeeze_values(z)
     if zs.ndim > 1:
         raise ValueError("squeeze parameter must be a scalar or a 1-D array")
-    if size < 1:
-        raise ValueError("sector size must be >= 1")
-    if d < 0:
-        raise ValueError("difference sector label must be >= 0")
+    _check_sector(d, size)
     n = size if corner is None else corner
     if not 1 <= n <= size:
         raise ValueError(f"corner must lie in [1, {size}], got {corner}")
@@ -302,13 +383,14 @@ def transition_kernel(
     downstream truncation bounds rather than gated here. The column-sum
     check runs on every block built.
     """
-    if z < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {z}")
+    _squeeze_values(z)
     layout = sector_layout(spec.cutoff)
     if sectors is not None and not 1 <= sectors <= len(layout):
         raise ValueError(f"sectors must lie in [1, {len(layout)}], got {sectors}")
     _gate_vacuum_leakage(z, spec)
-    amps = tuple(_frozen(sector_amplitudes(z, s.d, s.size)) for s in layout[:sectors])
+    terms = _block_terms(z, spec.cutoff)
+    amps = tuple(_frozen(_amplitude_block(s.d, s.size, terms)) for s in layout[:sectors])
+    del terms  # its z grid would otherwise add to the build's peak memory
     probs = tuple(_frozen(a**2) for a in amps)
     colsums = [P.sum(axis=0) for P in probs]
     excess = max(float(c.max()) for c in colsums) - 1.0

@@ -134,29 +134,39 @@ def squeeze_from_cosmology(
     return float(np.arctanh(ratio))
 
 
-def _artanh_exp(y: float) -> float:
-    """z with tanh z = exp(-y) for y >= 0.
+def _artanh_exp(y: float, log_y: float) -> float:
+    """z with tanh z = exp(-y) for y > 0, given y and log y.
 
     Where exp(-y) rounds to 1, arctanh would divide by zero; z is then
-    -log(tanh(y/2))/2, about 19 at y = 1e-17 (inf only at y = 0), and the
-    vacuum gate rejects it. Elsewhere arctanh is kept, since the log-tanh
-    form loses the tail: -0.0 against 1.9e-22 at y = 50.
+    -log(tanh(y/2))/2, about 19 at y = 1e-17, and the vacuum gate rejects
+    it. Where even tanh(y/2) = y/2 underflows to 0, z = (log 2 - log y)/2
+    from the log y that the caller forms without underflow, so z stays
+    finite (about 460 at y = 1e-400). Elsewhere arctanh is kept, since the
+    log-tanh form loses the tail: -0.0 against 1.9e-22 at y = 50.
     """
     t = np.exp(-y)
     if t < 1.0:
         return float(np.arctanh(t))
-    with np.errstate(divide="ignore"):
-        return float(-0.5 * np.log(np.tanh(0.5 * y)))
+    tanh_half = np.tanh(0.5 * y)
+    if tanh_half > 0.0:
+        return float(-0.5 * np.log(tanh_half))
+    return float(0.5 * (np.log(2.0) - log_y))
 
 
 def squeeze_from_unruh(p: UnruhParams) -> float:
     """z with tanh z = exp(-pi omega / a)."""
-    return _artanh_exp(np.pi * p.omega / p.acceleration)
+    return _artanh_exp(
+        np.pi * p.omega / p.acceleration,
+        np.log(np.pi) + np.log(p.omega) - np.log(p.acceleration),
+    )
 
 
 def squeeze_from_blackhole(p: BlackHoleParams) -> float:
     """z with tanh z = exp(-4 pi M omega)."""
-    return _artanh_exp(4.0 * np.pi * p.mass_bh * p.omega)
+    return _artanh_exp(
+        4.0 * np.pi * p.mass_bh * p.omega,
+        np.log(4.0 * np.pi) + np.log(p.mass_bh) + np.log(p.omega),
+    )
 
 
 def channel_from_cosmology(p: CosmologyParams) -> SqueezeChannel:

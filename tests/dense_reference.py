@@ -4,12 +4,15 @@ The package stores every operator as difference-sector blocks. The loops
 and dense (N+1)^2 x (N+1)^2 arrays here compute the same quantities the
 way the pipeline did before sector storage, independently of
 fock.sector_layout, and serve as the tests' oracle for it. They are
-O(N^4) in memory: keep the cutoff at about 16 or less.
+O(N^4) in memory: keep the cutoff at about 16 or less. The one exception,
+reference_sector_amplitudes, is the plain per-sector analytic formula
+that fock's table-driven builder must match bit for bit, at any cutoff.
 """
 
 import dataclasses
 
 import numpy as np
+from scipy.special import gammaln
 
 
 def basis_states(cutoff):
@@ -58,6 +61,35 @@ def dense_generator(z, cutoff):
             G[(a + 1) * side + b + 1, a * side + b] = amp
             G[a * side + b, (a + 1) * side + b + 1] = -amp
     return G
+
+
+def reference_sector_amplitudes(z, d, size):
+    """The analytic sector block as one self-contained per-sector formula.
+
+    Every float operation is in the order the package's table-driven
+    builder (fock.sector_amplitudes) must keep, so the two agree bit for
+    bit; the sum is ill-conditioned, and any reordering moves entries.
+    """
+    if z == 0.0:
+        return np.eye(size)
+    logtau = np.log(np.tanh(z))
+    logcosh = np.log(np.cosh(z))
+    lf = gammaln(np.arange(size + d + 1) + 1.0)
+    i = np.arange(size)
+    p, q = i[:, None], i[None, :]
+    diff = p - q
+    sign = np.where(diff % 2, -1.0, 1.0)
+    L = np.exp(np.where(
+        diff >= 0,
+        diff * logtau
+        - lf[np.abs(diff)]
+        + 0.5 * (lf[p] + lf[p + d] - lf[q] - lf[q + d]),
+        -np.inf,
+    ))
+    U = np.triu(sign * L.T)
+    D = np.exp(-(2 * i + d + 1) * logcosh)
+    M = L @ (D[:, None] * U)
+    return np.tril(M) + np.triu(sign * M.T, 1)
 
 
 def dense_mean_final_total(P, w, cutoff):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,20 @@ from cosmoflux import (
     vacuum_column_leakage,
 )
 from cosmoflux.fock import (
+    SectorTables,
     sector_amplitudes,
     sector_layout,
     sector_spectral,
+    sector_tables,
 )
 
 from conftest import Z_CANON
-from dense_reference import basis_states, dense_generator, dense_view
+from dense_reference import (
+    basis_states,
+    dense_generator,
+    dense_view,
+    reference_sector_amplitudes,
+)
 
 # 50-digit reference values for <m| S |n> at tanh z = 1/2 (and one at z = 1).
 AMPLITUDE_TABLE = [
@@ -51,6 +60,10 @@ def test_amplitude_rejects_bad_arguments():
         sector_amplitudes(0.5, -1, 3)
     with pytest.raises(ValueError):
         sector_amplitudes(0.5, 0, 0)
+    # a non-integer label or size once gave a bare numpy IndexError
+    for d, size in ((1.5, 3), (0, 3.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            sector_amplitudes(0.5, d, size)
 
 
 def test_spectral_rejects_bad_arguments():
@@ -68,6 +81,9 @@ def test_spectral_rejects_bad_arguments():
         sector_spectral(0.5, -1, 3)
     with pytest.raises(ValueError):
         sector_spectral(0.5, 0, 0)
+    for d, size in ((1.5, 3), (0, 3.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            sector_spectral(0.5, d, size)
     for corner in (0, 4):
         with pytest.raises(ValueError, match="corner must lie in"):
             sector_spectral(0.5, 0, 3, corner=corner)
@@ -87,6 +103,52 @@ def test_sector_layout_built_once_and_read_only():
     assert sector_layout(12) is layout
     with pytest.raises(ValueError):
         layout[3].totals[0] = 0
+    # the z-free tables of the analytic blocks are cached the same way
+    tables = sector_tables(12)
+    assert sector_tables(12) is tables
+    for f in dataclasses.fields(SectorTables):
+        with pytest.raises(ValueError):
+            getattr(tables, f.name)[0] = 0
+
+
+BITWISE_Z = [1e-300, 0.25, Z_CANON, 1.0]
+
+
+def assert_same_bits(block, reference):
+    assert block.shape == reference.shape
+    assert block.tobytes() == reference.tobytes()
+
+
+# The analytic sum is ill-conditioned: reordering its float operations moves
+# entries by up to 3e-8 at cutoff 40, so the table-driven builder must
+# reproduce the plain per-sector formula bit for bit, signed zeros included.
+@pytest.mark.parametrize("cutoff", [8, 40, 56])
+@pytest.mark.parametrize("z", BITWISE_Z)
+def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
+    layout = sector_layout(cutoff)
+    references = [reference_sector_amplitudes(z, s.d, s.size) for s in layout]
+    for s, reference in zip(layout, references):
+        assert_same_bits(sector_amplitudes(z, s.d, s.size), reference)
+    spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
+    if (z, cutoff) == (1.0, 56):
+        # the sum has lost double precision there, and the kernel says so
+        with pytest.raises(NumericError):
+            transition_kernel(z, spec)
+        return
+    kernel = transition_kernel(z, spec)
+    assert kernel.sectors == len(layout)
+    for block, reference in zip(kernel.amplitudes, references):
+        assert_same_bits(block, reference)
+
+
+@pytest.mark.parametrize("z", BITWISE_Z)
+def test_battery_blocks_equal_the_per_sector_formula_bitwise(z):
+    # the verify battery's standalone calls: 9 x 9 blocks of d = 0..8 and
+    # the 12 x 12 block of d = 0
+    for d, size in [(d, 9) for d in range(9)] + [(0, 12)]:
+        assert_same_bits(
+            sector_amplitudes(z, d, size), reference_sector_amplitudes(z, d, size)
+        )
 
 
 def test_generator_antisymmetric_and_sector_structured():
@@ -224,6 +286,14 @@ def test_transition_kernel_rejects_nan_squeeze():
     # all-NaN kernel; the amplitude route now refuses it
     with pytest.raises(ValueError, match="squeeze parameter"):
         transition_kernel(np.nan, TruncationSpec(cutoff=10))
+
+
+def test_transition_kernel_rejects_infinite_squeeze():
+    # the domain guard runs before the vacuum gate, which once refused an
+    # infinite z as a budget error ("tanh(z) rounds to 1")
+    for z in (np.inf, -0.1):
+        with pytest.raises(ValueError, match="squeeze parameter"):
+            transition_kernel(z, TruncationSpec(cutoff=10))
 
 
 def test_transition_kernel_instability_raises():

@@ -433,8 +433,8 @@ def test_unholdable_squeeze_suggests_no_cutoff():
     ids=["unruh", "blackhole", "unruh-underflow"],
 )
 def test_horizon_squeeze_past_tanh_one_is_budget_error(scenario):
-    # a z whose tanh rounds to 1 fails the vacuum gate, warning-free; it is
-    # inf only where pi omega / a underflows to 0
+    # a z whose tanh rounds to 1 fails the vacuum gate, warning-free; it
+    # stays finite where pi omega / a underflows to 0
     with pytest.raises(LeakageError, match="no cutoff can hold"):
         run_simulation(RunConfig.from_mapping(scenario))
 

@@ -117,6 +117,24 @@ def test_horizon_squeeze_finite_where_tanh_rounds_to_one(squeeze):
     assert np.tanh(z) == 1.0
 
 
+@pytest.mark.parametrize(
+    "squeeze, log_y",
+    [
+        (lambda: squeeze_from_unruh(UnruhParams(acceleration=1e100, omega=1e-300)),
+         np.log(np.pi) - 400.0 * np.log(10.0)),
+        (lambda: squeeze_from_blackhole(BlackHoleParams(mass_bh=1e-300, omega=1e-300)),
+         np.log(4.0 * np.pi) - 600.0 * np.log(10.0)),
+    ],
+    ids=["unruh", "blackhole"],
+)
+def test_horizon_squeeze_finite_where_the_exponent_underflows(squeeze, log_y):
+    # y = pi omega / a or 4 pi M omega underflows to 0; z = (log 2 - log y)/2
+    # still holds to full precision, and tanh z rounds to 1
+    z = squeeze()
+    assert z == pytest.approx(0.5 * (np.log(2.0) - log_y), rel=1e-14)
+    assert np.tanh(z) == 1.0
+
+
 def test_horizon_channels_conserve_frequency():
     ch_u = channel_from_unruh(UnruhParams(acceleration=2.0, omega=0.7))
     ch_b = channel_from_blackhole(BlackHoleParams(mass_bh=1.0, omega=0.05))
