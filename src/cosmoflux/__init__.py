@@ -50,16 +50,13 @@ from .thermo import (
 from .fluctuation import (
     CrooksReport,
     EntropyDistribution,
-    ProcessJoint,
     crooks_deviation,
     entropy_distributions,
     entropy_friction_identity,
-    forward_joint,
     integral_fluctuation_defect,
     mean_entropy,
     mean_entropy_and_kl,
     quantum_relative_entropy,
-    reverse_joint,
 )
 from .report import (
     RunConfig,
@@ -86,7 +83,6 @@ __all__ = [
     "EntropyUndefinedError",
     "LeakageError",
     "NumericError",
-    "ProcessJoint",
     "RunConfig",
     "SqueezeChannel",
     "SweepConfig",
@@ -107,7 +103,6 @@ __all__ = [
     "crooks_deviation",
     "entropy_distributions",
     "entropy_friction_identity",
-    "forward_joint",
     "inner_friction",
     "integral_fluctuation_defect",
     "mean_created_closed_form",
@@ -118,7 +113,6 @@ __all__ = [
     "render_csv",
     "render_json",
     "resolve_channel",
-    "reverse_joint",
     "round_sig",
     "run_simulation",
     "run_sweep",

@@ -5,8 +5,10 @@ after the squeeze. For geometric thermal weights the entropy increment per
 trajectory s = (omega/T)(total(m) - total(n)) cancels the weight ratio
 exactly, so the forward/reverse log-ratio identity holds microstate by
 microstate and every deviation measured here is pure floating-point or
-truncation noise. Coarse-graining to the entropy lattice happens only for
-reporting; sector degeneracies would otherwise contaminate the increment.
+truncation noise. The trajectory masses of one sector at a time are binned
+onto the entropy lattice and checked microstate by microstate in one pass;
+coarse-graining to the lattice happens only for reporting, since sector
+degeneracies would otherwise contaminate the increment.
 """
 
 from __future__ import annotations
@@ -17,30 +19,11 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, sector_layout, sector_tables
-from .spacetime import SqueezeChannel
+from .fock import TransitionKernel, sector_tables
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, weighted_sectors
 
 PROBABILITY_FLOOR = 1e-12
 EIGENVALUE_CLIP = 1e-300
-
-
-@dataclass(frozen=True)
-class ProcessJoint:
-    """Trajectory masses per difference sector, [final-of-expansion, initial].
-
-    entries[d] follows the kernel's sector layout; the mirrored states of a
-    sector d > 0 carry the same block. For direction "expansion"
-    entries[d][p, q] is the mass of trajectory n -> m with n, m the sector
-    states at positions q, p. For "contraction" it is the mass of the
-    reverse trajectory m -> n (same conditional by kernel symmetry, thermal
-    weight taken at the contraction's initial state m).
-    """
-
-    entries: tuple[np.ndarray, ...]
-    direction: str
-    omega: float
-    temperature: float
 
 
 @dataclass(frozen=True)
@@ -62,75 +45,50 @@ class CrooksReport:
     floored_mass: float
 
 
-def forward_joint(
-    kernel: TransitionKernel, thermal: ThermalDistribution
-) -> ProcessJoint:
-    """Expansion trajectories: p(n -> m) = p(m|n) p_th(n)."""
-    return ProcessJoint(
-        entries=tuple(
-            P * w[None, :] for _s, P, w in weighted_sectors(kernel.probabilities, thermal)
-        ),
-        direction="expansion",
-        omega=thermal.omega,
-        temperature=thermal.temperature,
-    )
-
-
-def reverse_joint(
-    kernel: TransitionKernel, thermal: ThermalDistribution
-) -> ProcessJoint:
-    """Contraction trajectories: q(m -> n) = p(m|n) p_th(m).
-
-    The contraction's initial thermal state at the rescaled frequency and
-    adiabatic temperature has the same Boltzmann factor x, so its weights
-    coincide with the expansion's thermal weights on the shared basis.
-    """
-    return ProcessJoint(
-        entries=tuple(
-            P * w[:, None] for _s, P, w in weighted_sectors(kernel.probabilities, thermal)
-        ),
-        direction="contraction",
-        omega=thermal.omega,
-        temperature=thermal.temperature,
-    )
-
-
-def _lattice_masses(joint: ProcessJoint) -> np.ndarray:
-    """Mass per integer total-change, offset by 2*cutoff (length 4N+1)."""
-    cutoff = len(joint.entries) - 1
-    bins = sector_tables(cutoff).total_change + 2 * cutoff
-    masses = np.zeros(4 * cutoff + 1)
-    for s, block in zip(sector_layout(cutoff), joint.entries):
-        masses += s.multiplicity * np.bincount(
-            bins[:s.size, :s.size].ravel(),
-            weights=block.ravel(),
-            minlength=4 * cutoff + 1,
-        )
-    return masses
-
-
 def entropy_distributions(
-    forward: ProcessJoint,
-    reverse: ProcessJoint,
-    channel: SqueezeChannel,
-    temperature: float,
-) -> tuple[EntropyDistribution, EntropyDistribution]:
-    """Aggregate trajectory mass onto the entropy lattice.
+    kernel: TransitionKernel, thermal: ThermalDistribution
+) -> tuple[EntropyDistribution, EntropyDistribution, float]:
+    """Entropy distributions of both processes and the microstate Crooks residual.
 
-    Both processes live on the same integer lattice of total change, so the
-    expansion value s and the contraction value -s land on shared points.
-    The contraction distribution is returned over its own increment (the
-    negated lattice, in ascending order). channel is unused: the lattice
-    rate omega_in / T comes from the joints and temperature.
+    Per sector, the expansion masses p(n -> m) = p(m|n) p_th(n) and the
+    contraction masses q(m -> n) = p(m|n) p_th(m) are formed for that step
+    only: the contraction's initial thermal state at the rescaled frequency
+    and adiabatic temperature has the same Boltzmann factor, so its weights
+    coincide with the expansion's on the shared basis. Both are binned onto
+    one integer lattice of total change at the rate omega_in / T, so the
+    expansion value s and the contraction value -s land on shared points;
+    the contraction distribution is returned over its own increment (the
+    negated lattice, in ascending order). The residual is
+    max |log p - log q - s| over p > PROBABILITY_FLOOR. Where q underflows
+    to 0 at low temperature its residual is +inf; crooks_deviation reports
+    the support mismatch first when the whole lattice point is empty.
     """
-    if temperature == 0.0:
+    if thermal.is_vacuum:
         raise EntropyUndefinedError(
             "entropy distributions are undefined on the T = 0 vacuum path"
         )
-    rate = forward.omega / temperature
-    cutoff = len(forward.entries) - 1
-    mass_e = _lattice_masses(forward)
-    mass_c = _lattice_masses(reverse)
+    rate = thermal.omega / thermal.temperature
+    cutoff = thermal.spec.cutoff
+    total_change = sector_tables(cutoff).total_change
+    bins = total_change + 2 * cutoff
+    mass_e = np.zeros(4 * cutoff + 1)
+    mass_c = np.zeros(4 * cutoff + 1)
+    micro_dev = 0.0
+    for s, P, w in weighted_sectors(kernel.probabilities, thermal):
+        J, Q = P * w[None, :], P * w[:, None]
+        sector_bins = bins[:s.size, :s.size].ravel()
+        mass_e += s.multiplicity * np.bincount(
+            sector_bins, weights=J.ravel(), minlength=4 * cutoff + 1
+        )
+        mass_c += s.multiplicity * np.bincount(
+            sector_bins, weights=Q.ravel(), minlength=4 * cutoff + 1
+        )
+        mask = J > PROBABILITY_FLOOR
+        if np.any(mask):
+            s_vals = rate * total_change[:s.size, :s.size][mask]
+            with np.errstate(divide="ignore"):
+                resid = np.log(J[mask]) - np.log(Q[mask]) - s_vals
+            micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
     s_vals = rate * delta[keep].astype(float)
@@ -141,7 +99,7 @@ def entropy_distributions(
         support=(-s_vals)[::-1].copy(),
         masses=mass_c[keep][::-1].copy(),
     )
-    return p_e, p_c
+    return p_e, p_c, micro_dev
 
 
 def _mirrored_masses(
@@ -164,16 +122,16 @@ def _mirrored_masses(
 def crooks_deviation(
     p_e: EntropyDistribution,
     p_c: EntropyDistribution,
-    forward: ProcessJoint,
-    reverse: ProcessJoint,
+    microstate_deviation: float,
 ) -> CrooksReport:
-    """max |log(P_E(s)/P_C(-s)) - s| plus the microstate-level residual.
+    """max |log(P_E(s)/P_C(-s)) - s| beside the microstate-level residual.
 
-    Support points with P_E(s) <= PROBABILITY_FLOOR are excluded and their
-    mass is reported for the truncation budget. A floored point whose
-    partner mass is exactly zero is a support mismatch: impossible for
-    thermal inputs, so it surfaces as a verification error instead of an
-    infinity.
+    microstate_deviation is the residual entropy_distributions returns with
+    p_e and p_c. Support points with P_E(s) <= PROBABILITY_FLOOR are
+    excluded and their mass is reported for the truncation budget. A
+    floored point whose partner mass is exactly zero is a support mismatch:
+    impossible for thermal inputs, so it surfaces as a verification error
+    instead of an infinity.
     """
     paired = _mirrored_masses(p_e, p_c)
     live = p_e.masses > PROBABILITY_FLOOR
@@ -187,19 +145,9 @@ def crooks_deviation(
     if np.any(live):
         logratio = np.log(p_e.masses[live]) - np.log(paired[live])
         dist_dev = float(np.max(np.abs(logratio - p_e.support[live])))
-
-    rate = forward.omega / forward.temperature
-    total_change = sector_tables(len(forward.entries) - 1).total_change
-    micro_dev = 0.0
-    for J, Q in zip(forward.entries, reverse.entries):
-        mask = J > PROBABILITY_FLOOR
-        if np.any(mask):
-            s_vals = rate * total_change[:len(J), :len(J)][mask]
-            resid = np.log(J[mask]) - np.log(Q[mask]) - s_vals
-            micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
     return CrooksReport(
         distribution_deviation=dist_dev,
-        microstate_deviation=micro_dev,
+        microstate_deviation=microstate_deviation,
         floored_mass=floored,
     )
 

@@ -321,10 +321,8 @@ def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tup
     work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
         return channel, flags, kernel, work, None
-    fwd = fluctuation.forward_joint(kernel, thermal)
-    rev = fluctuation.reverse_joint(kernel, thermal)
-    p_e, p_c = fluctuation.entropy_distributions(fwd, rev, channel, cfg.temperature)
-    crooks = _capture(fluctuation.crooks_deviation, p_e, p_c, fwd, rev)
+    p_e, p_c, micro_dev = fluctuation.entropy_distributions(kernel, thermal)
+    crooks = _capture(fluctuation.crooks_deviation, p_e, p_c, micro_dev)
     kl = _capture(fluctuation.mean_entropy_and_kl, p_e, p_c)
     s_mean = fluctuation.mean_entropy(p_e) if isinstance(kl, VerificationError) else kl[0]
     friction = _capture(fluctuation.entropy_friction_identity, work, s_mean)

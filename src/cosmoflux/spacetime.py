@@ -10,6 +10,7 @@ instead of pretending the dynamics seen by one observer is unitary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,11 @@ class SqueezeChannel:
     omega_out: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.z, self.omega_in, self.omega_out))):
+            raise ValueError(
+                f"z and frequencies must be finite, got z = {self.z}, "
+                f"{self.omega_in} -> {self.omega_out}"
+            )
         if self.z < 0.0:
             raise ValueError(f"z must be >= 0, got {self.z}")
         if self.omega_in <= 0.0 or self.omega_out <= 0.0:
@@ -117,10 +123,15 @@ def _log_sinh(x: float) -> float:
 def squeeze_from_cosmology(
     omega_in: float, omega_out: float, sigma: float
 ) -> float:
-    """z with tanh z = sinh(pi(w_out - w_in)/2 sigma) / sinh(pi(w_out + w_in)/2 sigma).
+    """z with tanh z = sinh a / sinh b = exp(-y), a, b = pi(w_out -+ w_in)/2 sigma.
 
-    Evaluated in the log domain so that small sigma (huge sinh arguments)
-    underflows gracefully to z = 0 instead of overflowing.
+    At large epsilon log sinh b - log sinh a is the difference of two large
+    numbers, so y is taken as b - a = pi w_in / sigma plus g(b) - g(a),
+    with g(x) = log sinh x - x near -log 2. Small sigma (huge sinh
+    arguments) then underflows gracefully to z = 0, and large epsilon keeps
+    z finite. log y comes from y = (b - a) coth(x) for some x in [a, b],
+    exact to first order in b - a; _artanh_exp reads it only where y
+    rounds to 0 or below.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -130,8 +141,9 @@ def squeeze_from_cosmology(
         return 0.0
     a = np.pi * (omega_out - omega_in) / (2.0 * sigma)
     b = np.pi * (omega_out + omega_in) / (2.0 * sigma)
-    ratio = np.exp(_log_sinh(a) - _log_sinh(b))
-    return float(np.arctanh(ratio))
+    y = np.pi * omega_in / sigma + ((_log_sinh(b) - b) - (_log_sinh(a) - a))
+    log_y = np.log(np.pi) + np.log(omega_in) - np.log(sigma) - np.log(np.tanh(a))
+    return _artanh_exp(y, log_y)
 
 
 def _artanh_exp(y: float, log_y: float) -> float:

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from cosmoflux import (
-    SqueezeChannel,
     TruncationSpec,
-    forward_joint,
     entropy_distributions,
     inner_friction,
-    reverse_joint,
     thermal_distribution,
     transition_kernel,
 )
@@ -60,19 +57,8 @@ def work40(kernel40, thermal40):
 
 
 @pytest.fixture(scope="session")
-def channel40():
-    return SqueezeChannel(z=Z_CANON, omega_in=1.0, omega_out=2.0)
-
-
-@pytest.fixture(scope="session")
-def joints40(kernel40, thermal40):
-    return forward_joint(kernel40, thermal40), reverse_joint(kernel40, thermal40)
-
-
-@pytest.fixture(scope="session")
-def dists40(joints40, channel40):
-    fwd, rev = joints40
-    return entropy_distributions(fwd, rev, channel40, 1.0)
+def dists40(kernel40, thermal40):
+    return entropy_distributions(kernel40, thermal40)
 
 
 def pytest_configure(config):

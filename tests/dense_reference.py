@@ -103,7 +103,7 @@ def dense_mean_created(P, w, cutoff):
     return float((tot @ P - tot * P.sum(axis=0)) @ w)
 
 
-def dense_lattice_masses(J, cutoff):
+def dense_entropy_lattice(J, cutoff):
     """Mass per integer total change, offset by 2*cutoff (length 4N+1)."""
     tot = dense_totals(cutoff).astype(int)
     delta = (tot[:, None] - tot[None, :]) + 2 * cutoff

@@ -5,18 +5,15 @@ from hypothesis import given, settings, strategies as st
 from cosmoflux import (
     EntropyUndefinedError,
     NumericError,
-    SqueezeChannel,
     TruncationSpec,
     VerificationError,
     crooks_deviation,
     entropy_distributions,
     entropy_friction_identity,
-    forward_joint,
     integral_fluctuation_defect,
     mean_entropy,
     mean_entropy_and_kl,
     quantum_relative_entropy,
-    reverse_joint,
     thermal_distribution,
     transition_kernel,
 )
@@ -31,41 +28,42 @@ Q_11_TO_00 = 0.01013939726055356  # 0.1875 * (1-1/e)^2 / e^2
 N_CREATED_CANON = 1.442635609159102
 
 
-def _total_mass(joint):
-    return sum(
-        s.multiplicity * block.sum()
-        for s, block in zip(sector_layout(len(joint.entries) - 1), joint.entries)
+def _trajectory_masses(kernel, thermal):
+    """Per-sector expansion and contraction masses, as the lattice pass forms them."""
+    return (
+        [P * w[None, :] for P, w in zip(kernel.probabilities, thermal.weights)],
+        [P * w[:, None] for P, w in zip(kernel.probabilities, thermal.weights)],
     )
 
 
-def test_joint_shapes_and_mass(joints40):
-    fwd, rev = joints40
-    assert [b.shape for b in fwd.entries] == [(41 - d, 41 - d) for d in range(41)]
-    assert [b.shape for b in rev.entries] == [(41 - d, 41 - d) for d in range(41)]
-    assert fwd.direction == "expansion"
-    assert rev.direction == "contraction"
+def _total_mass(blocks):
+    return sum(s.multiplicity * b.sum() for s, b in zip(sector_layout(40), blocks))
+
+
+def test_joint_shapes_and_mass(kernel40, thermal40):
+    fwd, rev = _trajectory_masses(kernel40, thermal40)
+    assert [b.shape for b in fwd] == [(41 - d, 41 - d) for d in range(41)]
+    assert [b.shape for b in rev] == [(41 - d, 41 - d) for d in range(41)]
     assert _total_mass(fwd) == pytest.approx(1.0, abs=1e-9)
     assert _total_mass(rev) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_reverse_jump_reference_value(joints40):
-    _, rev = joints40
+def test_reverse_jump_reference_value(kernel40, thermal40):
     # sector d = 0, final (1, 1) at position 1, initial (0, 0) at position 0
-    assert rev.entries[0][1, 0] == pytest.approx(Q_11_TO_00, rel=1e-13)
+    q = kernel40.probabilities[0][1, 0] * thermal40.weights[0][1]
+    assert q == pytest.approx(Q_11_TO_00, rel=1e-13)
 
 
-def test_microstate_ratio_is_exponential(joints40):
-    fwd, rev = joints40
+def test_microstate_ratio_is_exponential(kernel40, thermal40):
+    fwd, rev = _trajectory_masses(kernel40, thermal40)
     # (0, 0) -> (1, 1) raises the total by 2 at the lattice rate omega_in / T
-    s = fwd.omega / fwd.temperature * 2
+    s = thermal40.omega / thermal40.temperature * 2
     assert s == 2.0
-    assert fwd.entries[0][1, 0] / rev.entries[0][1, 0] == pytest.approx(
-        np.exp(s), rel=4e-15
-    )
+    assert fwd[0][1, 0] / rev[0][1, 0] == pytest.approx(np.exp(s), rel=4e-15)
 
 
 def test_entropy_distributions_lattice(dists40):
-    p_e, p_c = dists40
+    p_e, p_c, _ = dists40
     # canonical rate omega/T = 1 puts the support on the even integers
     assert np.all(np.diff(p_e.support) > 0.0)
     steps = np.diff(p_e.support)
@@ -76,23 +74,20 @@ def test_entropy_distributions_lattice(dists40):
     assert p_c.support[0] == pytest.approx(-p_e.support[-1], abs=1e-12)
 
 
-def test_distributions_require_temperature(joints40, channel40):
-    fwd, rev = joints40
+def test_distributions_require_temperature(kernel40, spec40):
     with pytest.raises(EntropyUndefinedError):
-        entropy_distributions(fwd, rev, channel40, 0.0)
+        entropy_distributions(kernel40, thermal_distribution(0.0, 1.0, spec40))
 
 
-def test_crooks_canonical(dists40, joints40):
-    fwd, rev = joints40
-    p_e, p_c = dists40
-    report = crooks_deviation(p_e, p_c, fwd, rev)
+def test_crooks_canonical(dists40):
+    report = crooks_deviation(*dists40)
     assert report.distribution_deviation <= 1e-10
     assert report.microstate_deviation <= 1e-10
     assert report.floored_mass <= 1e-9
 
 
 def test_mean_entropy_and_kl_canonical(dists40):
-    p_e, p_c = dists40
+    p_e, p_c, _ = dists40
     s_mean, kl = mean_entropy_and_kl(p_e, p_c)
     assert abs(s_mean - kl) <= 1e-8
     assert s_mean >= -1e-10
@@ -101,12 +96,12 @@ def test_mean_entropy_and_kl_canonical(dists40):
 
 
 def test_integral_fluctuation_canonical(dists40):
-    p_e, _ = dists40
+    p_e, _, _ = dists40
     assert integral_fluctuation_defect(p_e) <= 1e-6
 
 
 def test_entropy_friction_identity_canonical(work40, dists40):
-    p_e, p_c = dists40
+    p_e, p_c, _ = dists40
     s_mean, _ = mean_entropy_and_kl(p_e, p_c)
     record = entropy_friction_identity(work40, s_mean)
     assert record["residual_friction"] <= 1e-6
@@ -141,20 +136,17 @@ def test_kl_pairing_fails_closed_when_reverse_underflows():
     spec = TruncationSpec(cutoff=44, leakage_tolerance=1e-2)
     kern = transition_kernel(1.2, spec)
     thermal = thermal_distribution(0.1, 1.0, spec)
-    ch = SqueezeChannel(z=1.2, omega_in=1.0, omega_out=2.0)
-    fwd, rev = forward_joint(kern, thermal), reverse_joint(kern, thermal)
-    p_e, p_c = entropy_distributions(fwd, rev, ch, 0.1)
+    p_e, p_c, _ = entropy_distributions(kern, thermal)
     with pytest.raises(VerificationError):
         mean_entropy_and_kl(p_e, p_c)
     assert mean_entropy(p_e) >= 0.0  # the mean itself stays evaluable
 
 
-def test_crooks_rejects_unmirrored_support(dists40, joints40):
-    fwd, rev = joints40
-    p_e, p_c = dists40
+def test_crooks_rejects_unmirrored_support(dists40):
+    p_e, p_c, micro_dev = dists40
     shifted = EntropyDistribution(support=p_c.support + 2.0, masses=p_c.masses)
     with pytest.raises(VerificationError):
-        crooks_deviation(p_e, shifted, fwd, rev)
+        crooks_deviation(p_e, shifted, micro_dev)
     with pytest.raises(VerificationError):
         mean_entropy_and_kl(p_e, shifted)
 
@@ -207,10 +199,8 @@ def test_crooks_exact_for_geometric_weights(z, t_ratio):
     spec = TruncationSpec(cutoff=16, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    ch = SqueezeChannel(z=z, omega_in=1.0, omega_out=2.0)
-    fwd, rev = forward_joint(kern, thermal), reverse_joint(kern, thermal)
-    p_e, p_c = entropy_distributions(fwd, rev, ch, t_ratio)
-    report = crooks_deviation(p_e, p_c, fwd, rev)
+    p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
+    report = crooks_deviation(p_e, p_c, micro_dev)
     assert report.distribution_deviation <= 1e-8
     assert report.microstate_deviation <= 1e-10
     s_mean, kl = mean_entropy_and_kl(p_e, p_c)

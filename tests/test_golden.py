@@ -37,7 +37,10 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
     # dgejsv SVD, which reorder floating-point sums only; the leakage lines
     # were refrozen when the thermal tail mass became the closed form
     # t(2 - t), which dropped about 1.1e-16 of cancellation noise. The sweep
-    # CSV was frozen after that, with the script's default arguments.
+    # CSV was frozen after that, with the script's default arguments; its
+    # noise-level crooks_dev and leakage at sigma = 15.81 and 50 were
+    # refrozen when the cosmology squeeze map stopped cancelling two large
+    # log sinh values, which moved z in its last bits.
     path = str(ROOT / "scripts" / f"{script}.py")
     monkeypatch.setattr(sys, "argv", [path])
     runpy.run_path(path, run_name="__main__")
@@ -59,7 +62,10 @@ def test_temperature_sweep_is_byte_identical():
 # the cosmology sigma sweep on the T = 0 vacuum path (k = 1, m = 1,
 # epsilon = 3, N = 56), then one point whose vacuum column overflows the
 # budget at a starved cutoff; frozen before the vacuum path built only the
-# d = 0 sector, at 17 digits so any change in the last bit shows
+# d = 0 sector, at 17 digits so any change in the last bit shows; z and
+# mean_created of the rows at sigma <= 4.33 and sigma = 53.4 were then
+# refrozen with the squeeze map's cancellation-free form (z moved by at
+# most 7.2e-15 relative)
 SIGMA_BASE = RunConfig(
     scenario="cosmology", momentum=1.0, mass=1.0, epsilon=3.0, sigma=1.0,
     temperature=0.0, cutoff=56,

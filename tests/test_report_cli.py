@@ -415,6 +415,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_large_epsilon_cosmology_is_budget_error(capsys):
+    # log sinh b - log sinh a no longer rounds tanh z to 1 at epsilon = 1e40:
+    # z stays finite and the vacuum gate suggests a cutoff
+    argv = ["simulate", "--scenario", "cosmology", "--momentum", "0",
+            "--mass", "1", "--epsilon", "1e40", "--sigma", "1e3"]
+    assert main(argv) == 3
+    assert "suggested cutoff >= 2931" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unholdable_squeeze_suggests_no_cutoff():
     # tanh(20) rounds to 1: the vacuum column leaks everything at any cutoff
@@ -496,7 +505,7 @@ def test_verify_reports_crooks_failure(monkeypatch):
 
     message = "support mismatch: P_E(1) > floor but P_C(-1) = 0"
 
-    def broken(p_e, p_c, forward, reverse):
+    def broken(p_e, p_c, microstate_deviation):
         raise VerificationError(message)
 
     monkeypatch.setattr(fluctuation_mod, "crooks_deviation", broken)
@@ -527,11 +536,17 @@ def test_verify_vacuum_point_checks_the_full_kernel():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_integral_fluctuation_finite_at_low_temperature():
-    # at T = 0.05, e^(-s) alone overflows where P_E(s) = 0
+    # at T = 0.05, e^(-s) alone overflows where P_E(s) = 0, and contraction
+    # masses underflow to 0 where the expansion masses pass the floor: the
+    # microstate residual meets log(0) before the support check runs
     lines, _failures = verify_invariants(canonical_config().replace(temperature=0.05))
     configured = _section(lines, "configured point (scenario=direct-z)")
     line = next(ln for ln in configured if ln.split()[1] == "integral-fluctuation")
     assert line.split()[0] == "PASS"
+    message = "support mismatch: P_E(720) > floor but P_C(-720) = 0"
+    assert [ln.split(None, 2) for ln in configured if "crooks" in ln] == [
+        ["FAIL", "crooks-microstate", message], ["FAIL", "crooks-distribution", message],
+    ]
 
 
 def test_battery_decomposes_each_sector_once(monkeypatch):

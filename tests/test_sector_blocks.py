@@ -6,17 +6,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
-    SqueezeChannel,
     TruncationSpec,
     average_work,
-    crooks_deviation,
     entropy_distributions,
-    forward_joint,
-    reverse_joint,
     thermal_distribution,
     transition_kernel,
 )
-from cosmoflux.fluctuation import _lattice_masses
 from cosmoflux.fock import sector_amplitudes, sector_layout
 from cosmoflux.report import _conservation_checks
 from cosmoflux.thermo import mean_created_kernel
@@ -25,7 +20,7 @@ from conftest import Z_CANON
 from dense_reference import (
     array_bytes,
     dense_crooks_microstate,
-    dense_lattice_masses,
+    dense_entropy_lattice,
     dense_mean_created,
     dense_mean_final_total,
     dense_state_vector,
@@ -48,12 +43,8 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     amps = [sector_amplitudes(z, d, cutoff + 1 - d) for d in range(cutoff + 1)]
     P = dense_view(amps, cutoff) ** 2
 
-    # kernel and joints: elementwise the same products, so exactly equal
+    # kernel: elementwise the same products, so exactly equal
     assert np.array_equal(dense_view(kern.probabilities, cutoff), P)
-    fwd, rev = forward_joint(kern, thermal), reverse_joint(kern, thermal)
-    J, Q = P * w[None, :], P * w[:, None]
-    assert np.array_equal(dense_view(fwd.entries, cutoff), J)
-    assert np.array_equal(dense_view(rev.entries, cutoff), Q)
     assert np.array_equal(
         dense_state_vector(kern.column_leakage, cutoff),
         np.maximum(1.0 - P.sum(axis=0), 0.0),
@@ -69,22 +60,31 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     assert abs(mean_work - dense_work) <= rounding * 2.0 * 2 * cutoff
     created = mean_created_kernel(kern, thermal)
     assert abs(created - dense_mean_created(P, w, cutoff)) <= rounding * 2 * cutoff
-    assert np.max(np.abs(_lattice_masses(fwd) - dense_lattice_masses(J, cutoff))) <= rounding
-    assert np.max(np.abs(_lattice_masses(rev) - dense_lattice_masses(Q, cutoff))) <= rounding
+    # expansion and contraction trajectory masses p(m|n) w(n), p(m|n) w(m)
+    J, Q = P * w[None, :], P * w[:, None]
+    rate = 1.0 / t_ratio
+    p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
+    lattice_e = _lattice(p_e.support, p_e.masses, rate, cutoff)
+    lattice_c = _lattice(-p_c.support, p_c.masses, rate, cutoff)
+    assert np.max(np.abs(lattice_e - dense_entropy_lattice(J, cutoff))) <= rounding
+    assert np.max(np.abs(lattice_c - dense_entropy_lattice(Q, cutoff))) <= rounding
 
     # microstate Crooks residual: same entries, same arithmetic, same max
-    ch = SqueezeChannel(z=z, omega_in=1.0, omega_out=2.0)
-    p_e, p_c = entropy_distributions(fwd, rev, ch, t_ratio)
-    report = crooks_deviation(p_e, p_c, fwd, rev)
-    assert report.microstate_deviation == dense_crooks_microstate(J, Q, 1.0 / t_ratio, cutoff)
+    assert micro_dev == dense_crooks_microstate(J, Q, rate, cutoff)
+
+
+def _lattice(support, masses, rate, cutoff):
+    """Masses per integer total change, offset by 2*cutoff (length 4N+1)."""
+    full = np.zeros(4 * cutoff + 1)
+    full[np.rint(support / rate).astype(int) + 2 * cutoff] = masses
+    return full
 
 
 def test_footprint_at_cutoff_56():
     # the dense kernel alone held 57^4 doubles (85 MB) at this cutoff
     spec = TruncationSpec(cutoff=56, leakage_tolerance=1e-8)
     kern = transition_kernel(Z_CANON, spec)
-    joint = forward_joint(kern, thermal_distribution(1.0, 1.0, spec))
-    assert array_bytes(kern) + array_bytes(joint) < 4 * 2**20
+    assert array_bytes(kern) < 2 * 2**20
 
 
 def test_conservation_checks_flag_wrong_layout(kernel40):

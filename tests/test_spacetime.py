@@ -89,6 +89,16 @@ def test_tiny_frequency_gap_stays_finite():
         assert z == pytest.approx(a / np.sinh(b), rel=1e-14)
 
 
+@pytest.mark.parametrize("epsilon", [1e20, 1e25, 1e30, 1e33, 1e35, 1e40])
+def test_large_epsilon_squeeze_stays_accurate(epsilon):
+    # k = 0, m = 1, sigma = 1e3: log sinh b - log sinh a is a difference of
+    # numbers near 1e12 to 1e17 whose true value is pi omega_in / sigma
+    # (e^(-2a) underflows), so tanh z = exp(-pi / 1e3) at every epsilon
+    p = CosmologyParams(epsilon=epsilon, sigma=1e3, mass=1.0, momentum=0.0)
+    z = channel_from_cosmology(p).z
+    assert z == pytest.approx(np.arctanh(np.exp(-np.pi / 1e3)), rel=1e-14)
+
+
 def test_unruh_reference_value():
     p = UnruhParams(acceleration=np.pi, omega=1.0)
     z = squeeze_from_unruh(p)
@@ -156,6 +166,10 @@ def test_horizon_channels_conserve_frequency():
         lambda: SqueezeChannel(z=-0.1, omega_in=1.0, omega_out=2.0),
         lambda: SqueezeChannel(z=0.1, omega_in=0.0, omega_out=2.0),
         lambda: SqueezeChannel(z=0.1, omega_in=2.0, omega_out=1.0),
+        lambda: SqueezeChannel(z=np.nan, omega_in=1.0, omega_out=2.0),
+        lambda: SqueezeChannel(z=np.inf, omega_in=1.0, omega_out=2.0),
+        lambda: SqueezeChannel(z=0.1, omega_in=np.nan, omega_out=2.0),
+        lambda: SqueezeChannel(z=0.1, omega_in=1.0, omega_out=np.inf),
     ],
 )
 def test_parameter_validation(bad):

@@ -10,7 +10,7 @@ from cosmoflux import (
     VerificationError,
     adiabatic_work,
     average_work,
-    forward_joint,
+    entropy_distributions,
     inner_friction,
     mean_created_closed_form,
     mean_created_spectral,
@@ -168,7 +168,7 @@ def test_thermal_state_needs_every_sector(spec40, thermal40):
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
         inner_friction(part, thermal40, 1.0, 2.0)
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
-        forward_joint(part, thermal40)
+        entropy_distributions(part, thermal40)
 
 
 def test_zero_squeeze_work_is_adiabatic(thermal40):
