@@ -21,7 +21,10 @@ Two independent evaluation routes are provided:
   from sector_tables, built once per cutoff beside the layout;
   transition_kernel forms the parts that depend on z but not on d once
   for all its sectors, and every block keeps the float operations of the
-  plain per-sector formula in order.
+  plain per-sector formula in order. A T = 0 point reads only the vacuum
+  column of d = 0; transition_kernel with vacuum builds that column alone
+  in O(N) work (_vacuum_block), bit for bit the block's, so such a point
+  evaluates at cutoffs where the full kernel fails the column-sum check.
 
 - sector_spectral: the spectral exponential of the tridiagonal generator.
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
@@ -268,6 +271,30 @@ def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
     return _amplitude_block(d, size, _block_terms(z, size + d - 1))
 
 
+def _vacuum_block(z: float, cutoff: int) -> np.ndarray:
+    """The d = 0 block of the box with only its vacuum column, in O(N) work.
+
+    Column 0 equals the analytic block's bit for bit: of the triangular
+    product only the term of the initial vacuum survives there, so each
+    entry is L[p,0] * (sech z * (1.0 * L[0,0])) + 0.0 with the log
+    magnitude L[p,0] formed as in _amplitude_block (whose d = 0
+    log-factorial ratio is log p! exactly, and L[0,0] is exactly 1). Every
+    other column is 0: a vacuum point reads only column 0, and the block
+    keeps its full size so that every sum over it takes the same path.
+    """
+    side = cutoff + 1
+    block = np.zeros((side, side))
+    if z == 0.0:
+        block[0, 0] = 1.0
+        return block
+    t = sector_tables(cutoff)
+    grid = t.diff[:, 0] * np.log(np.tanh(z)) + t.neg_log_factorial_diff[:, 0]
+    L = np.exp(grid + t.log_factorial)
+    sech = np.exp(-np.log(np.cosh(z)))
+    block[:, 0] = L * (sech * (1.0 * L[0])) + 0.0
+    return block
+
+
 def sector_spectral(
     z: ArrayLike, d: int, size: int, corner: int | None = None
 ) -> np.ndarray:
@@ -349,32 +376,31 @@ class TransitionKernel:
     indexed [final, initial] by the sector position i; amplitudes[d] holds
     the signed amplitudes it squares. column_leakage[d][i] is the true
     probability that the image of the sector state at position i escaped
-    the box. The three hold the sectors d = 0..sectors-1 that were built:
-    every sector of the box, or only d = 0 for a T = 0 vacuum point, whose
-    initial state occupies no other (thermo.occupied_sectors). All hold
+    the box. A full kernel holds every sector of the box. A vacuum kernel
+    (vacuum True) serves only a T = 0 point, whose initial state is the
+    vacuum (0, 0): it holds the d = 0 block alone, and of that block only
+    column 0; its other columns are 0, so their leakage reads 1. All hold
     read-only arrays, since a sweep shares one kernel between its points.
     """
 
     z: float
     spec: TruncationSpec
+    vacuum: bool
     probabilities: tuple[np.ndarray, ...] = field(repr=False)
     column_leakage: tuple[np.ndarray, ...] = field(repr=False)
     amplitudes: tuple[np.ndarray, ...] = field(repr=False)
 
-    @property
-    def sectors(self) -> int:
-        """Number of difference sectors held, d = 0..sectors-1."""
-        return len(self.probabilities)
-
 
 def transition_kernel(
-    z: float, spec: TruncationSpec, sectors: int | None = None
+    z: float, spec: TruncationSpec, vacuum: bool = False
 ) -> TransitionKernel:
     """Build the transition kernel from analytic amplitudes.
 
-    Builds the blocks of sectors d = 0..sectors-1, by default every sector
-    of the box. A T = 0 vacuum point needs d = 0 only
-    (thermo.occupied_sectors).
+    Builds every sector of the box, or with vacuum the vacuum kernel: the
+    d = 0 block with only its vacuum column, in O(N) work (_vacuum_block).
+    That column is the full kernel's bit for bit, and since the block
+    skips the columns the analytic sum evaluates least accurately, it also
+    holds at cutoffs where the full kernel fails the column-sum check.
 
     Gates on the closed-form vacuum-column leakage: the vacuum column is the
     slowest-leaking low-lying column, so a budget violation there means the
@@ -384,13 +410,16 @@ def transition_kernel(
     check runs on every block built.
     """
     _squeeze_values(z)
-    layout = sector_layout(spec.cutoff)
-    if sectors is not None and not 1 <= sectors <= len(layout):
-        raise ValueError(f"sectors must lie in [1, {len(layout)}], got {sectors}")
     _gate_vacuum_leakage(z, spec)
-    terms = _block_terms(z, spec.cutoff)
-    amps = tuple(_frozen(_amplitude_block(s.d, s.size, terms)) for s in layout[:sectors])
-    del terms  # its z grid would otherwise add to the build's peak memory
+    if vacuum:
+        amps = (_frozen(_vacuum_block(z, spec.cutoff)),)
+    else:
+        terms = _block_terms(z, spec.cutoff)
+        amps = tuple(
+            _frozen(_amplitude_block(s.d, s.size, terms))
+            for s in sector_layout(spec.cutoff)
+        )
+        del terms  # its z grid would otherwise add to the build's peak memory
     probs = tuple(_frozen(a**2) for a in amps)
     colsums = [P.sum(axis=0) for P in probs]
     excess = max(float(c.max()) for c in colsums) - 1.0
@@ -403,6 +432,7 @@ def transition_kernel(
     return TransitionKernel(
         z=z,
         spec=spec,
+        vacuum=vacuum,
         probabilities=probs,
         column_leakage=tuple(_frozen(np.maximum(1.0 - c, 0.0)) for c in colsums),
         amplitudes=amps,

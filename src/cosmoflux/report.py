@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace as dataclass_replace
 
 import numpy as np
 
@@ -96,9 +96,15 @@ class RunConfig:
         return out
 
     def replace(self, **updates) -> "RunConfig":
-        mapping = self.to_mapping()
-        mapping.update(updates)
-        return RunConfig.from_mapping(mapping)
+        """This config with updates, coerced and validated as from_mapping does."""
+        unknown = sorted(set(updates) - {f.name for f in dataclass_fields(self)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        cfg = dataclass_replace(
+            self, **{key: _coerce(key, value) for key, value in updates.items()}
+        )
+        cfg.validate()
+        return cfg
 
     def validate(self) -> None:
         for f in dataclass_fields(self):
@@ -281,12 +287,13 @@ def _capture(fn, *args):
 
 class _KernelSlot:
     """The last kernel built for a run, reused while (z, spec) repeats and
-    it holds at least the sectors asked for.
+    it serves the point: a full kernel serves every point, a vacuum kernel
+    only a vacuum point.
 
-    Block d depends on (z, cutoff) only, whichever other sectors are built
-    with it, and every check transition_kernel makes depends on (z, cutoff,
-    leakage budget) and the blocks built. So a held kernel with that key
-    and enough sectors is one already checked, and a full kernel serves a
+    Block d depends on (z, cutoff) only, and the vacuum kernel's column is
+    the full kernel's bit for bit; every check transition_kernel makes
+    depends on (z, cutoff, leakage budget) and the blocks built. So a held
+    kernel with that key is one already checked, and a full kernel serves a
     vacuum point unchanged. The slot holds at most one kernel; a build that
     raises leaves it empty, so the next point builds, and fails, again.
     """
@@ -294,29 +301,26 @@ class _KernelSlot:
     def __init__(self) -> None:
         self.kernel: fock.TransitionKernel | None = None
 
-    def get(self, z: float, spec: TruncationSpec, sectors: int) -> fock.TransitionKernel:
+    def get(self, z: float, spec: TruncationSpec, vacuum: bool) -> fock.TransitionKernel:
         held = self.kernel
-        if held is None or (held.z, held.spec) != (z, spec) or held.sectors < sectors:
+        if held is None or (held.z, held.spec) != (z, spec) or (held.vacuum and not vacuum):
             self.kernel = None  # dropped before the build: one kernel alive at most
-            self.kernel = transition_kernel(z, spec, sectors)
+            self.kernel = transition_kernel(z, spec, vacuum)
         return self.kernel
 
 
 def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tuple:
     """One point's stages in order: (channel, flags, kernel, work, entropy).
 
-    The kernel comes from kernels and holds at least the sectors the
-    initial state occupies, which on the vacuum path is d = 0 alone.
-    entropy is None on the vacuum path and when, without fluctuations,
-    the sequence stops at the work. A failed
-    identity check is captured and the later ones still run (<s> then comes
-    from mean_entropy); other errors propagate.
+    The kernel comes from kernels; on the vacuum path (T = 0) it may be a
+    vacuum kernel, which holds the vacuum column alone. entropy is None on
+    the vacuum path and when, without fluctuations, the sequence stops at
+    the work. A failed identity check is captured and the later ones still
+    run (<s> then comes from mean_entropy); other errors propagate.
     """
     channel, flags = resolve_channel(cfg)
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
-    kernel = kernels.get(
-        channel.z, spec, thermo.occupied_sectors(cfg.temperature, cfg.cutoff)
-    )
+    kernel = kernels.get(channel.z, spec, cfg.temperature == 0.0)
     thermal = thermal_distribution(cfg.temperature, channel.omega_in, spec)
     work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
@@ -354,11 +358,12 @@ def _error_row(fields: dict, error: str) -> dict:
 def run_simulation(cfg: RunConfig) -> dict:
     """End-to-end pipeline for one configuration; deterministic report.
     The first failed identity check is raised as its VerificationError."""
+    cfg.validate()
     return _simulate(cfg, _KernelSlot())
 
 
 def _simulate(cfg: RunConfig, kernels: _KernelSlot) -> dict:
-    cfg.validate()
+    """One validated point's report row; kernels may hold a kernel to reuse."""
     channel, flags, _kernel, work, ent = _run_stages(cfg, True, kernels)
     if ent is None:
         flags = flags + ["vacuum-path"]
@@ -482,8 +487,9 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     kernels = _KernelSlot()
     channel, _flags, staged, work, ent = _run_stages(cfg, True, kernels)
     layout = fock.sector_layout(cfg.cutoff)
-    # the kernel checks read every sector; a vacuum point builds d = 0 only
-    kernel = kernels.get(channel.z, staged.spec, len(layout))
+    # the kernel checks read the full kernel; a vacuum point builds its
+    # vacuum column only
+    kernel = kernels.get(channel.z, staged.spec, False)
     items: list[tuple[str, bool, str]] = []
 
     sym = max(float(np.max(np.abs(P - P.T))) for P in kernel.probabilities)

@@ -67,9 +67,11 @@ def occupied_sectors(temperature: float, cutoff: int) -> int:
 
     The vacuum (temperature 0) is the point mass on (0, 0), so it occupies
     sector 0 only; a Gibbs state weighs every sector of the box. The
-    thermal weights and the kernel a point needs both follow this count,
-    and every sector past it has initial weight exactly 0, so sums over the
-    initial state that skip those sectors drop only exact zeros.
+    thermal weights follow this count, and every sector past it has
+    initial weight exactly 0, so sums over the initial state that skip
+    those sectors drop only exact zeros. A vacuum point's kernel goes one
+    step further and holds only the vacuum column of sector 0
+    (fock.transition_kernel with vacuum).
     """
     return 1 if temperature == 0.0 else cutoff + 1
 
@@ -81,7 +83,8 @@ def weighted_sectors(
 
     blocks follows sector_layout (a kernel's probabilities, amplitudes or
     column_leakage). It may hold more sectors than the weights, as when a
-    full kernel serves a vacuum point, but never fewer.
+    full kernel serves a vacuum point, but never fewer: a vacuum kernel,
+    which holds sector 0 alone, raises ValueError with a Gibbs state.
     """
     if len(blocks) < len(thermal.weights):
         raise ValueError(

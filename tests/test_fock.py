@@ -14,6 +14,7 @@ from cosmoflux import (
     transition_kernel,
     vacuum_column_leakage,
 )
+import cosmoflux.fock as fock_mod
 from cosmoflux.fock import (
     SectorTables,
     sector_amplitudes,
@@ -136,7 +137,7 @@ def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
             transition_kernel(z, spec)
         return
     kernel = transition_kernel(z, spec)
-    assert kernel.sectors == len(layout)
+    assert not kernel.vacuum and len(kernel.amplitudes) == len(layout)
     for block, reference in zip(kernel.amplitudes, references):
         assert_same_bits(block, reference)
 
@@ -311,22 +312,52 @@ def test_kernel_arrays_read_only(kernel40):
                 a[0] = 0.0
 
 
-def test_leading_sectors_match_the_full_kernel(kernel40, spec40):
-    # a vacuum point builds d = 0 only; its block is the full kernel's
-    for sectors in (1, 3):
-        part = transition_kernel(Z_CANON, spec40, sectors)
-        assert part.sectors == sectors and kernel40.sectors == 41
-        for field in ("amplitudes", "probabilities", "column_leakage"):
-            held = getattr(part, field)
-            assert len(held) == sectors
-            for a, b in zip(held, getattr(kernel40, field)):
-                assert np.array_equal(a, b)
+def test_vacuum_kernel_holds_the_full_kernels_vacuum_column(kernel40, spec40):
+    # a vacuum point builds the d = 0 block's vacuum column only; it is the
+    # full kernel's, and the block's other columns hold 0 and leak 1
+    vac = transition_kernel(Z_CANON, spec40, True)
+    assert vac.vacuum and not kernel40.vacuum
+    for field in ("amplitudes", "probabilities", "column_leakage"):
+        (held,) = getattr(vac, field)
+        full = getattr(kernel40, field)[0]
+        assert held.shape == full.shape
+        assert held[..., 0].tobytes() == full[..., 0].tobytes()
+    assert not vac.amplitudes[0][:, 1:].any()
+    assert np.all(vac.column_leakage[0][1:] == 1.0)
 
 
-@pytest.mark.parametrize("sectors", [0, 42])
-def test_sector_count_out_of_range(spec40, sectors):
-    with pytest.raises(ValueError, match="sectors must lie in"):
-        transition_kernel(Z_CANON, spec40, sectors)
+def test_vacuum_kernel_keeps_its_guards(spec40, monkeypatch):
+    # the domain guard, the vacuum gate and the column-sum check all run
+    # on the vacuum path
+    with pytest.raises(ValueError, match="squeeze parameter"):
+        transition_kernel(np.nan, spec40, True)
+    with pytest.raises(LeakageError):
+        transition_kernel(1.2, TruncationSpec(cutoff=8, leakage_tolerance=1e-8), True)
+    real = fock_mod._vacuum_block
+
+    def heavy(z, cutoff):
+        block = real(z, cutoff)
+        block[1, 0] *= 1.001  # the column now holds more than mass 1
+        return block
+
+    monkeypatch.setattr(fock_mod, "_vacuum_block", heavy)
+    with pytest.raises(NumericError, match="column mass exceeds 1"):
+        transition_kernel(Z_CANON, spec40, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    z=st.one_of(st.floats(min_value=0.0, max_value=1.5), st.just(5e-324)),
+    cutoff=st.integers(min_value=8, max_value=170),
+)
+def test_vacuum_block_is_the_analytic_column_bitwise(z, cutoff):
+    # the O(N) column keeps the float operations the triangular product
+    # gives it, so a vacuum point's report does not move by a bit
+    block = fock_mod._vacuum_block(z, cutoff)
+    column = sector_amplitudes(z, 0, cutoff + 1)[:, 0]
+    assert block.shape == (cutoff + 1, cutoff + 1)
+    assert block[:, 0].tobytes() == column.tobytes()
+    assert not block[:, 1:].any()
 
 
 def test_kernel_symmetry_exact(kernel40):

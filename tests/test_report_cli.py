@@ -18,6 +18,7 @@ from cosmoflux import (
     transition_kernel,
     verify_invariants,
 )
+import cosmoflux.fock as fock_mod
 import cosmoflux.report as report_mod
 from cosmoflux.cli import build_parser, main
 from cosmoflux.report import (
@@ -125,6 +126,35 @@ def test_config_coercion_from_strings():
         RunConfig.from_mapping({**SMALL_DIRECT, "cutoff": "16.5"})
 
 
+@pytest.mark.parametrize("updates", [
+    {"cutofff": 12},
+    {"cutoff": 7},
+    {"cutoff": "16.5"},
+    {"temperature": -1.0},
+    {"temperature": float("nan")},
+    {"z": "inf"},
+    {"z": "abc"},
+    {"leakage_tolerance": 0.02},
+    {"omega_in": 3.0},
+    {"epsilon": 1.0},
+])
+def test_replace_rejects_what_from_mapping_rejects(updates):
+    # a sweep point is validated once, by replace; it must refuse every
+    # value from_mapping refuses, with the same message
+    base = RunConfig.from_mapping(SMALL_DIRECT)
+    with pytest.raises(ConfigError) as direct:
+        RunConfig.from_mapping({**SMALL_DIRECT, **updates})
+    with pytest.raises(ConfigError) as replaced:
+        base.replace(**updates)
+    assert str(replaced.value) == str(direct.value)
+
+
+def test_replace_coerces_like_from_mapping():
+    base = RunConfig.from_mapping(SMALL_DIRECT)
+    updates = {"cutoff": "24", "z": "0.25", "sigma": None}
+    assert base.replace(**updates) == RunConfig.from_mapping({**SMALL_DIRECT, **updates})
+
+
 def test_config_round_trip():
     cfg = RunConfig.from_mapping(SMALL_DIRECT)
     assert RunConfig.from_mapping(cfg.to_mapping()) == cfg
@@ -218,22 +248,36 @@ def _temperature_sweep(grid, **base):
 
 
 def test_temperature_sweep_builds_one_kernel(monkeypatch):
-    # the T = 0 point builds sector 0 only; the first T > 0 point needs
-    # every sector, and that kernel serves the rest
+    # the T = 0 point builds a vacuum kernel; the first T > 0 point needs
+    # the full kernel, and that kernel serves the rest
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(_temperature_sweep([0.0, 0.25, 0.5, 0.75]))
     assert [r["error"] for r in rows] == [""] * 4
-    assert builds == [(0.3, TruncationSpec(16, 1e-6), 1), (0.3, TruncationSpec(16, 1e-6), 17)]
+    spec = TruncationSpec(16, 1e-6)
+    assert builds == [(0.3, spec, True), (0.3, spec, False)]
 
 
 def test_vacuum_points_reuse_a_full_kernel(monkeypatch):
-    # a held kernel with at least the needed sectors serves the point
+    # a held full kernel serves a vacuum point
     grid = [1.0, 0.0, 0.5, 0.0]
     sweep = _temperature_sweep(grid)
     singles = [run_simulation(sweep.base.replace(temperature=t)) for t in grid]
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(sweep)
-    assert builds == [(0.3, TruncationSpec(16, 1e-6), 17)]
+    assert builds == [(0.3, TruncationSpec(16, 1e-6), False)]
+    assert rows == [{**single, "error": ""} for single in singles]
+
+
+def test_vacuum_kernel_gives_way_to_a_full_kernel(monkeypatch):
+    # a held vacuum kernel never serves a T > 0 point; the full kernel
+    # built for it serves the vacuum point after it
+    grid = [0.0, 0.5, 0.0]
+    sweep = _temperature_sweep(grid)
+    singles = [run_simulation(sweep.base.replace(temperature=t)) for t in grid]
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(sweep)
+    spec = TruncationSpec(16, 1e-6)
+    assert builds == [(0.3, spec, True), (0.3, spec, False)]
     assert rows == [{**single, "error": ""} for single in singles]
 
 
@@ -242,16 +286,38 @@ UNSTABLE_VACUUM = {**SMALL_DIRECT, "z": 1.2, "cutoff": 64, "leakage_tolerance": 
 
 
 def test_unstable_vacuum_point_fails_closed(tmp_path, capsys):
-    # the full kernel loses double precision here, and so does its d = 0 block
+    # the full kernel loses double precision here; the vacuum point reads
+    # only the vacuum column, which holds, but verify's kernel checks read
+    # the full kernel and fail closed
     spec = TruncationSpec(64, 1e-2)
     with pytest.raises(NumericError):
         transition_kernel(1.2, spec)
-    with pytest.raises(NumericError, match="column mass exceeds 1"):
-        run_simulation(RunConfig.from_mapping(UNSTABLE_VACUUM))
+    row = run_simulation(RunConfig.from_mapping(UNSTABLE_VACUUM))
+    assert row["flags"] == "ok;vacuum-path"
+    assert row["mean_created"] == pytest.approx(2.0 * np.sinh(1.2) ** 2, abs=1e-6)
     path = tmp_path / "unstable.json"
     path.write_text(json.dumps(UNSTABLE_VACUUM))
-    assert main(["simulate", "--config", str(path)]) == 3
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["verify", "--config", str(path)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("z, cutoff", [
+    (Z_CANON, 57), (Z_CANON, 80), (Z_CANON, 120), (Z_CANON, 170), (1.5, 170),
+])
+def test_vacuum_point_evaluates_past_the_full_kernels_reach(z, cutoff):
+    # the full kernel fails its column-sum check at every cutoff here; the
+    # vacuum point still gives the paper's 2 sinh^2 z, and verify of the
+    # point, whose kernel checks read the full kernel, still fails closed
+    cfg = canonical_config().replace(z=z, cutoff=cutoff, temperature=0.0)
+    with pytest.raises(NumericError):
+        transition_kernel(z, TruncationSpec(cutoff, cfg.leakage_tolerance))
+    row = run_simulation(cfg)
+    assert row["flags"] == "ok;vacuum-path"
+    assert row["mean_created"] == pytest.approx(2.0 * np.sinh(z) ** 2, abs=1e-6)
+    assert row["leakage"] <= cfg.leakage_tolerance
+    with pytest.raises(NumericError):
+        verify_invariants(cfg)
 
 
 def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
@@ -264,8 +330,8 @@ def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
     rows = run_sweep(sweep)
     zs = [r["z"] for r in rows]
     assert len(set(zs)) == 3
-    assert [z for z, _spec, _sectors in builds] == list(dict.fromkeys(zs))
-    assert [sectors for *_, sectors in builds] == [1, 1, 1]
+    assert [z for z, _spec, _vacuum in builds] == list(dict.fromkeys(zs))
+    assert [vacuum for *_, vacuum in builds] == [True, True, True]
 
 
 def test_no_kernel_outlives_a_call(monkeypatch):
@@ -515,6 +581,26 @@ def test_verify_reports_crooks_failure(monkeypatch):
     assert [ln.split(None, 2)[1:] for ln in lines if ln.startswith("  FAIL")] == [
         ["crooks-microstate", message], ["crooks-distribution", message],
     ]
+
+
+def test_verify_catches_a_shifted_vacuum_column(monkeypatch):
+    # failure witness for created-closed-form on the vacuum path: moving
+    # 1e-5 of probability from 2 to 4 quanta shifts <n_c> by 2e-5, past
+    # the 1e-6 tolerance; the kernel checks read the full kernel and pass
+    real = fock_mod._vacuum_block
+
+    def shifted(z, cutoff):
+        block = real(z, cutoff)
+        p1, p2 = block[1:3, 0] ** 2
+        block[1, 0], block[2, 0] = np.sqrt(p1 - 1e-5), np.sqrt(p2 + 1e-5)
+        return block
+
+    monkeypatch.setattr(fock_mod, "_vacuum_block", shifted)
+    lines, failures = verify_invariants(canonical_config().replace(temperature=0.0))
+    assert failures == 1
+    (failed,) = [ln for ln in lines if ln.startswith("  FAIL")]
+    assert failed.split()[1] == "created-closed-form"
+    assert "|<n_c> - closed| = 2.000e-05 (tol 1.0e-06)" in failed
 
 
 def _section(lines, title):

@@ -24,6 +24,7 @@ from cosmoflux.thermo import (
     occupied_sectors,
     truncation_bound,
     weighted_kernel_leakage,
+    weighted_sectors,
 )
 
 from conftest import Z_CANON, spy_on
@@ -152,10 +153,10 @@ def test_vacuum_initial_state(kernel40, spec40):
 
 
 def test_vacuum_sums_match_a_full_kernel(kernel40, spec40):
-    # the sectors a vacuum point skips carry weight exactly 0
+    # the sectors and columns a vacuum kernel skips carry weight exactly 0
     vac = thermal_distribution(0.0, 1.0, spec40)
-    part = transition_kernel(Z_CANON, spec40, occupied_sectors(0.0, 40))
-    assert part.sectors == 1
+    part = transition_kernel(Z_CANON, spec40, True)
+    assert part.vacuum
     assert inner_friction(part, vac, 1.0, 2.0) == inner_friction(kernel40, vac, 1.0, 2.0)
     dense_weights = vac.weights + tuple(np.zeros(41 - d) for d in range(1, 41))
     full = ThermalDistribution(0.0, 1.0, spec40, dense_weights, vac.renorm_defect)
@@ -164,7 +165,9 @@ def test_vacuum_sums_match_a_full_kernel(kernel40, spec40):
 
 def test_thermal_state_needs_every_sector(spec40, thermal40):
     assert occupied_sectors(1.0, 40) == 41 and occupied_sectors(0.0, 40) == 1
-    part = transition_kernel(Z_CANON, spec40, 1)
+    part = transition_kernel(Z_CANON, spec40, True)  # a vacuum kernel
+    with pytest.raises(ValueError, match="kernel holds 1 sector"):
+        weighted_sectors(part.probabilities, thermal40)
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
         inner_friction(part, thermal40, 1.0, 2.0)
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
