@@ -407,8 +407,15 @@ def transition_kernel(
     box cannot represent this squeeze at all. Columns of higher total leak
     more; their losses are recorded per column and must be folded into
     downstream truncation bounds rather than gated here. The column-sum
-    check runs on every block built.
+    check runs on every block built. vacuum must be a bool: the slot once
+    took a sector count, and a count read as a flag would build the wrong
+    kernel without a word.
     """
+    if not isinstance(vacuum, (bool, np.bool_)):
+        raise ValueError(
+            f"vacuum must be a bool, got {vacuum!r}: transition_kernel takes "
+            "no sector count; pass vacuum=True for the d = 0 vacuum column"
+        )
     _squeeze_values(z)
     _gate_vacuum_leakage(z, spec)
     if vacuum:

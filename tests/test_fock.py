@@ -345,6 +345,14 @@ def test_vacuum_kernel_keeps_its_guards(spec40, monkeypatch):
         transition_kernel(Z_CANON, spec40, True)
 
 
+@pytest.mark.parametrize("sectors", [0, 42])
+def test_sector_count_out_of_range(spec40, sectors):
+    # the third slot once took a sector count; a count is refused, not read
+    # as the vacuum flag (0 would build the full kernel, 42 the vacuum one)
+    with pytest.raises(ValueError, match="vacuum must be a bool"):
+        transition_kernel(Z_CANON, spec40, sectors)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     z=st.one_of(st.floats(min_value=0.0, max_value=1.5), st.just(5e-324)),
