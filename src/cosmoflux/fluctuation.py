@@ -5,10 +5,12 @@ after the squeeze. For geometric thermal weights the entropy increment per
 trajectory s = (omega/T)(total(m) - total(n)) cancels the weight ratio
 exactly, so the forward/reverse log-ratio identity holds microstate by
 microstate and every deviation measured here is pure floating-point or
-truncation noise. The trajectory masses of one sector at a time are binned
-onto the entropy lattice and checked microstate by microstate in one pass;
-coarse-graining to the lattice happens only for reporting, since sector
-degeneracies would otherwise contaminate the increment.
+truncation noise. The trajectory masses of every sector are formed in one
+pass over the kernel's sector-major buffer, binned onto the entropy lattice
+and checked microstate by microstate; coarse-graining to the lattice
+happens only for reporting, since sector degeneracies would otherwise
+contaminate the increment. Every check here fails closed on a NaN: it
+passes only when its residual is <= its tolerance.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, sector_tables
-from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, weighted_sectors
+from .fock import TransitionKernel, sector_index, sector_tables
+from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, require_sectors
 
 PROBABILITY_FLOOR = 1e-12
 EIGENVALUE_CLIP = 1e-300
@@ -50,45 +52,46 @@ def entropy_distributions(
 ) -> tuple[EntropyDistribution, EntropyDistribution, float]:
     """Entropy distributions of both processes and the microstate Crooks residual.
 
-    Per sector, the expansion masses p(n -> m) = p(m|n) p_th(n) and the
-    contraction masses q(m -> n) = p(m|n) p_th(m) are formed for that step
-    only: the contraction's initial thermal state at the rescaled frequency
-    and adiabatic temperature has the same Boltzmann factor, so its weights
-    coincide with the expansion's on the shared basis. Both are binned onto
-    one integer lattice of total change at the rate omega_in / T, so the
-    expansion value s and the contraction value -s land on shared points;
-    the contraction distribution is returned over its own increment (the
-    negated lattice, in ascending order). The residual is
-    max |log p - log q - s| over p > PROBABILITY_FLOOR. Where q underflows
-    to 0 at low temperature its residual is +inf; crooks_deviation reports
-    the support mismatch first when the whole lattice point is empty.
+    The expansion masses p(n -> m) = p(m|n) p_th(n) and the contraction
+    masses q(m -> n) = p(m|n) p_th(m) of every sector are formed in one pass
+    over the kernel buffer: the contraction's initial thermal state at the
+    rescaled frequency and adiabatic temperature has the same Boltzmann
+    factor, so its weights coincide with the expansion's on the shared
+    basis. Both are binned onto one integer lattice of total change at the
+    rate omega_in / T, so the expansion value s and the contraction value
+    -s land on shared points; the contraction distribution is returned over
+    its own increment (the negated lattice, in ascending order; _binned
+    says how the sectors add up). The residual is max |log p - log q - s|
+    over p > PROBABILITY_FLOOR. Where q underflows to 0 at low temperature
+    its residual is +inf; crooks_deviation reports the support mismatch
+    first when the whole lattice point is empty.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
             "entropy distributions are undefined on the T = 0 vacuum path"
         )
+    require_sectors(len(kernel.probabilities), thermal)
     rate = thermal.omega / thermal.temperature
     cutoff = thermal.spec.cutoff
-    total_change = sector_tables(cutoff).total_change
-    bins = total_change + 2 * cutoff
-    mass_e = np.zeros(4 * cutoff + 1)
-    mass_c = np.zeros(4 * cutoff + 1)
+    ix = sector_index(cutoff)
+    P, w = kernel.flat_probabilities, thermal.flat_weights
+    # expansion masses weigh each entry by its initial state, contraction
+    # masses by its final state; only the live entries are kept past binning
+    J = np.take(w, ix.col)
+    J *= P
+    mass_e = _binned(J, ix.lattice, cutoff)
+    live = J > PROBABILITY_FLOOR
+    J = J[live]
+    Q = np.repeat(w, ix.state_size)
+    Q *= P
+    mass_c = _binned(Q, ix.lattice, cutoff)
+    Q = Q[live]
     micro_dev = 0.0
-    for s, P, w in weighted_sectors(kernel.probabilities, thermal):
-        J, Q = P * w[None, :], P * w[:, None]
-        sector_bins = bins[:s.size, :s.size].ravel()
-        mass_e += s.multiplicity * np.bincount(
-            sector_bins, weights=J.ravel(), minlength=4 * cutoff + 1
-        )
-        mass_c += s.multiplicity * np.bincount(
-            sector_bins, weights=Q.ravel(), minlength=4 * cutoff + 1
-        )
-        mask = J > PROBABILITY_FLOOR
-        if np.any(mask):
-            s_vals = rate * total_change[:s.size, :s.size][mask]
-            with np.errstate(divide="ignore"):
-                resid = np.log(J[mask]) - np.log(Q[mask]) - s_vals
-            micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
+    if live.any():
+        s_vals = rate * np.take(sector_tables(cutoff).total_change, ix.grid[live])
+        with np.errstate(divide="ignore"):
+            resid = np.log(J) - np.log(Q) - s_vals
+        micro_dev = float(np.max(np.abs(resid)))
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
     s_vals = rate * delta[keep].astype(float)
@@ -100,6 +103,22 @@ def entropy_distributions(
         masses=mass_c[keep][::-1].copy(),
     )
     return p_e, p_c, micro_dev
+
+
+def _binned(masses: np.ndarray, lattice: np.ndarray, cutoff: int) -> np.ndarray:
+    """Trajectory masses of a kernel buffer per total change -2N..2N.
+
+    Each sector is binned on its own (one bincount keyed by sector and
+    p - q), then the sectors are added in order with their multiplicity,
+    as a loop over sectors would add them. Odd total changes hold 0.
+    """
+    binned = np.bincount(
+        lattice, weights=masses, minlength=(cutoff + 1) * (2 * cutoff + 1)
+    ).reshape(cutoff + 1, 2 * cutoff + 1)
+    binned[1:] *= 2.0  # mirrored sectors
+    total = np.zeros(4 * cutoff + 1)
+    np.add.reduce(binned, axis=0, out=total[::2])
+    return total
 
 
 def _mirrored_masses(
@@ -176,11 +195,11 @@ def mean_entropy_and_kl(
         p_e.masses[live]
         @ (np.log(p_e.masses[live]) - np.log(np.maximum(paired[live], 1e-300)))
     )
-    if abs(s_mean - kl) > 1e-8:
+    if not abs(s_mean - kl) <= 1e-8:
         raise VerificationError(
             f"<s> and KL disagree by {abs(s_mean - kl):.3e} (> 1e-8)"
         )
-    if s_mean < -1e-10:
+    if not s_mean >= -1e-10:
         raise VerificationError(f"<s> = {s_mean:.3e} violates positivity")
     return s_mean, kl
 
@@ -218,7 +237,7 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
         "residual_creation": resid_creation,
         "tolerance": tolerance,
     }
-    if resid_friction > tolerance or resid_creation > tolerance:
+    if not (resid_friction <= tolerance and resid_creation <= tolerance):
         raise VerificationError(
             f"entropy/friction identity violated: residuals "
             f"{resid_friction:.3e}, {resid_creation:.3e} > {tolerance:.3e}"
@@ -252,34 +271,48 @@ def quantum_relative_entropy(
     rho is diagonal and simultaneously thermal for the rescaled adiabatic
     Hamiltonian at t_ad, so K = tr rho log rho - tr rho log rho'. rho'
     block-diagonalizes per difference sector as B B^T with B the amplitude
-    block times sqrt of the sector weights; its eigenpairs come from the
-    one-sided Jacobi SVD of B (LAPACK dgejsv). Eigendirections below the
-    clip are excluded from the trace (their rho-weight is bounded by the
-    leaked mass). When a work report is supplied, asserts T_ad K = W_fric
-    within 1e-5 relative, widened by the truncation bound at inadequate
-    cutoffs.
+    block times sqrt of the sector weights; B and log rho are formed for
+    every sector in one pass over the buffers, and the eigenpairs of each
+    block come from the one-sided Jacobi SVD of its B (LAPACK dgejsv).
+    Eigendirections below the clip are excluded from the trace (their
+    rho-weight is bounded by the leaked mass). When a work report is
+    supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
+    truncation bound at inadequate cutoffs.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
+    require_sectors(len(kernel.amplitudes), thermal)
+    ix = sector_index(thermal.spec.cutoff)
+    w = thermal.flat_weights
+    B = np.take(np.sqrt(w), ix.col)
+    B *= kernel.flat_amplitudes
+    # tr rho log rho per sector over its states of positive weight
+    pos = w > 0.0
+    w_pos = w[pos]
+    log_w = np.log(w_pos)
+    pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
     K = 0.0
-    for s, A, wd in weighted_sectors(kernel.amplitudes, thermal):
-        pos = wd > 0.0
-        rho_term = float(wd[pos] @ np.log(wd[pos])) if pos.any() else 0.0
-        U, sv = _graded_svd(A * np.sqrt(wd)[None, :])
+    for d, size in enumerate(range(thermal.spec.cutoff + 1, 0, -1)):
+        a, b = pos_before[ix.state_start[d]], pos_before[ix.state_start[d + 1]]
+        rho_term = float(w_pos[a:b] @ log_w[a:b]) if b > a else 0.0
+        U, sv = _graded_svd(
+            B[ix.block_start[d]:ix.block_start[d + 1]].reshape(size, size)
+        )
         lam = sv * sv
         keep = lam > EIGENVALUE_CLIP
         if keep.any():
+            wd = w[ix.state_start[d]:ix.state_start[d + 1]]
             r = (U[:, keep] ** 2).T @ wd
             rho_prime_term = float(r @ np.log(lam[keep]))
         else:
             rho_prime_term = 0.0
-        K += s.multiplicity * (rho_term - rho_prime_term)
+        K += (2 if d else 1) * (rho_term - rho_prime_term)
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))
         tolerance = max(1e-5 * scale, work.truncation_bound + FLOAT_SLACK * scale)
-        if abs(t_ad * K - work.inner_friction) > tolerance:
+        if not abs(t_ad * K - work.inner_friction) <= tolerance:
             raise VerificationError(
                 f"quantum relative entropy mismatch: |T_ad K - W_fric| = "
                 f"{abs(t_ad * K - work.inner_friction):.3e} > {tolerance:.3e}"

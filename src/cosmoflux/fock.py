@@ -3,28 +3,34 @@
 Mode occupations (n_a, n_b) live on a square box 0..cutoff per mode. The
 squeeze unitary S = exp(z(a+b+ - ab)) conserves n_a - n_b, so every operator
 is block-diagonal in the difference sector d and is stored only as its
-blocks. This module owns the sector layout (sector_layout); downstream code
-iterates over it instead of indexing dense (N+1)^2 x (N+1)^2 arrays.
+blocks. This module owns the sector layout (sector_layout) and its flat
+storage: a kernel keeps each per-sector quantity in one sector-major buffer
+(the blocks d = 0..cutoff end to end, or their states end to end), and its
+per-sector blocks are read-only views into that buffer (sector_views).
+sector_index holds, once per cutoff, the gather indices that let a stage
+treat every sector of a buffer in one array pass.
 
 Two independent evaluation routes are provided:
 
-- sector_amplitudes: the analytic normal-ordered finite sum. Entries are
-  exact in exact arithmetic, and each column's missing mass is the true
-  probability that the image escaped the box, which is what downstream
-  truncation budgets need. The alternating sum loses accuracy silently:
-  against the spectral route on a box padded by 300, its worst entry is off
-  by 1.3e-5 at tanh z = 1/2 with cutoff 40, by 4.4e-4 at z = 1 with cutoff
-  40 and by 0.14 at tanh z = 1/2 with cutoff 52. The column-sum excess
-  check (COLSUM_EXCESS_LIMIT) catches only the gross failure: at
-  tanh z = 1/2 it first fires at cutoff 57. Its z-free parts (log
-  factorials, the p - q grids, the signs and the triangle mask) are read
-  from sector_tables, built once per cutoff beside the layout;
-  transition_kernel forms the parts that depend on z but not on d once
-  for all its sectors, and every block keeps the float operations of the
-  plain per-sector formula in order. A T = 0 point reads only the vacuum
-  column of d = 0; transition_kernel with vacuum builds that column alone
-  in O(N) work (_vacuum_block), bit for bit the block's, so such a point
-  evaluates at cutoffs where the full kernel fails the column-sum check.
+- the analytic normal-ordered finite sum (sector_amplitudes for one block,
+  transition_kernel for the whole box). Entries are exact in exact
+  arithmetic, and each column's missing mass is the true probability that
+  the image escaped the box, which is what downstream truncation budgets
+  need. The alternating sum loses accuracy silently: against the spectral
+  route on a box padded by 300, its worst entry is off by 1.3e-5 at
+  tanh z = 1/2 with cutoff 40, by 4.4e-4 at z = 1 with cutoff 40 and by
+  0.14 at tanh z = 1/2 with cutoff 52. The column-sum excess check
+  (COLSUM_EXCESS_LIMIT) catches only the gross failure: at tanh z = 1/2 it
+  first fires at cutoff 57. Its z-free parts (log factorials, the p - q
+  grids, the signs and the triangle mask) are read from sector_tables,
+  built once per cutoff beside the layout. transition_kernel gathers them
+  for every sector of the box in one pass over its buffer, leaving one
+  matrix product per sector, and every entry keeps the float operations
+  of the plain per-sector formula in order. A T = 0 point reads only the
+  vacuum column of d = 0; transition_kernel with vacuum builds that column
+  alone in O(N) work (_vacuum_block), bit for bit the block's, so such a
+  point evaluates at cutoffs where the full kernel fails the column-sum
+  check.
 
 - sector_spectral: the spectral exponential of the tridiagonal generator.
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
@@ -44,7 +50,7 @@ before its leakage gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -122,6 +128,34 @@ def sector_layout(cutoff: int) -> tuple[Sector, ...]:
     return tuple(layout)
 
 
+@cache
+def state_totals(cutoff: int) -> np.ndarray:
+    """total(n) of every sector state, sector-major: the layout's totals
+    end to end, the order of every per-state buffer. Read-only."""
+    return _frozen(np.concatenate([s.totals for s in sector_layout(cutoff)]))
+
+
+def sector_views(
+    flat: np.ndarray, cutoff: int, blocks: bool
+) -> tuple[np.ndarray, ...]:
+    """Views of the sectors d = 0, 1, ... that a sector-major buffer holds.
+
+    With blocks, sector d takes (cutoff + 1 - d)^2 entries, viewed as its
+    row-major square block; without, cutoff + 1 - d, one per sector state.
+    The buffer may end after any sector, as a vacuum kernel's does after
+    d = 0. Views of a read-only buffer cannot be made writeable.
+    """
+    views, start = [], 0
+    for size in range(cutoff + 1, 0, -1):
+        if start >= flat.size:
+            break
+        stop = start + (size * size if blocks else size)
+        view = flat[start:stop]
+        views.append(view.reshape(size, size) if blocks else view)
+        start = stop
+    return tuple(views)
+
+
 def vacuum_column_leakage(z: float, cutoff: int) -> float:
     """Exact mass the squeezed vacuum loses beyond the box: tanh(z)^(2(N+1)).
 
@@ -187,6 +221,82 @@ def sector_tables(cutoff: int) -> SectorTables:
     )
 
 
+@dataclass(frozen=True)
+class SectorIndex:
+    """Where each entry of the box's sector-major buffers reads its inputs.
+
+    Entry k of a kernel buffer is [p, q] of block d, indexed by final and
+    initial sector position; block d starts at block_start[d], and sector
+    d's states at state_start[d] of a per-state buffer (state_totals
+    order). A per-state value of the final state p of every entry is
+    np.repeat(values, state_size), since the entries of row p are
+    consecutive. Index arrays hold the smallest unsigned integer type that
+    fits; all arrays are read-only.
+    """
+
+    block_start: tuple[int, ...]  # d = 0..cutoff + 1
+    state_start: tuple[int, ...]  # d = 0..cutoff + 1
+    grid: np.ndarray  # p (cutoff + 1) + q: the entry in sector_tables' raveled grids
+    transpose: np.ndarray  # the entry [q, p] of the same block
+    mirror: np.ndarray  # [max(p, q), min(p, q)]: the lower-triangle entry it mirrors
+    mirror_sign: np.ndarray  # int8: 1 where p >= q, else the mirror sign (-1)^(p - q)
+    state_size: np.ndarray  # per state: the size of its sector, cutoff + 1 - d
+    col: np.ndarray  # the initial state of the entry, sector d position q
+    lattice: np.ndarray  # d (2 cutoff + 1) + (p - q) + cutoff: sector and total change
+    half_log_ratio: np.ndarray  # float: (log p! + log (p+d)! - log q! - log (q+d)!) / 2
+
+
+@cache
+def sector_index(cutoff: int) -> SectorIndex:
+    """The gather tables of the box's buffers, built once per cutoff.
+
+    Built sector by sector straight into the narrow arrays, so the build
+    holds no wide temporaries of the buffer's length. half_log_ratio keeps
+    the operations of the per-sector analytic block (sector_amplitudes).
+    """
+    side = cutoff + 1
+    sizes = range(side, 0, -1)
+    block_start = (0, *np.cumsum([n * n for n in sizes]).tolist())
+    state_start = (0, *np.cumsum(sizes).tolist())
+    count = block_start[-1]
+
+    def table(top: int) -> np.ndarray:
+        return np.empty(count, dtype=np.min_scalar_type(top))
+
+    grid, transpose, mirror = table(side * side - 1), table(count - 1), table(count - 1)
+    col = table(state_start[-1] - 1)
+    lattice = table(side * (2 * cutoff + 1) - 1)
+    mirror_sign = np.empty(count, dtype=np.int8)
+    half_log_ratio = np.empty(count)
+    lf = sector_tables(cutoff).log_factorial
+    for d, size in enumerate(sizes):
+        block = slice(block_start[d], block_start[d + 1])
+        i = np.arange(size)
+        p, q = i[:, None], i[None, :]
+        grid[block] = (p * side + q).ravel()
+        transpose[block] = (block_start[d] + q * size + p).ravel()
+        mirror[block] = (block_start[d] + np.maximum(p, q) * size + np.minimum(p, q)).ravel()
+        mirror_sign[block] = np.where((p < q) & ((q - p) % 2 == 1), -1, 1).ravel()
+        col[block] = np.tile(state_start[d] + i, size)
+        lattice[block] = (d * (2 * cutoff + 1) + cutoff + p - q).ravel()
+        pair = lf[:size] + lf[d:size + d]
+        half_log_ratio[block] = (0.5 * (pair[:, None] - lf[:size] - lf[d:size + d])).ravel()
+    return SectorIndex(
+        block_start=block_start,
+        state_start=state_start,
+        grid=_frozen(grid),
+        transpose=_frozen(transpose),
+        mirror=_frozen(mirror),
+        mirror_sign=_frozen(mirror_sign),
+        state_size=_frozen(np.repeat(
+            np.arange(side, 0, -1, dtype=np.min_scalar_type(side)), sizes
+        )),
+        col=_frozen(col),
+        lattice=_frozen(lattice),
+        half_log_ratio=_frozen(half_log_ratio),
+    )
+
+
 def _squeeze_values(z: ArrayLike) -> np.ndarray:
     """z as a float array, or ValueError unless every entry is finite and >= 0."""
     zs = np.asarray(z, dtype=float)
@@ -205,49 +315,6 @@ def _check_sector(d: int, size: int) -> None:
         raise ValueError("difference sector label must be >= 0")
 
 
-def _block_terms(
-    z: float, cutoff: int
-) -> tuple[SectorTables, np.ndarray, np.ndarray] | None:
-    """What every analytic block of the box shares at one validated z.
-
-    The box's tables, (p - q) log tanh z - log |p - q|! on its p - q grid,
-    and sech(z)^j = exp(-j log cosh z) for j = 0..2 cutoff + 1. None at
-    z = 0, where every block is the identity.
-    """
-    if z == 0.0:
-        return None
-    t = sector_tables(cutoff)
-    grid = t.diff * np.log(np.tanh(z)) + t.neg_log_factorial_diff
-    sech_powers = np.exp(-np.arange(2 * cutoff + 2) * np.log(np.cosh(z)))
-    return t, grid, sech_powers
-
-
-def _amplitude_block(
-    d: int, size: int, terms: tuple[SectorTables, np.ndarray, np.ndarray] | None
-) -> np.ndarray:
-    """Analytic block of sector (d, size) from _block_terms of its box.
-
-    Only the log-factorial ratio, which depends on d, and the z-dependent
-    exponential and product are formed per sector. Every float operation
-    keeps the operands and order of the plain per-sector formula (x - y
-    only becomes x + (-y), which is exact): the sum is ill-conditioned, so
-    a reordering would move entries.
-    """
-    if terms is None:
-        return np.eye(size)
-    t, grid, sech_powers = terms
-    lf = t.log_factorial
-    lower = t.lower[:size, :size]
-    half = 0.5 * ((lf[:size] + lf[d:size + d])[:, None] - lf[:size] - lf[d:size + d])
-    L = np.exp(np.where(lower, grid[:size, :size] + half, -np.inf))
-    # sech(z)^(total + 1) for the initial state at each position q
-    D = sech_powers[d + 1:2 * size + d:2]
-    M = L @ (D[:, None] * (t.upper_sign[:size, :size] * L.T))
-    # lower triangle from the product, upper from the mirror identity;
-    # + 0.0 turns -0 into +0, as adding the two zero-padded triangles does
-    return np.where(lower, M, t.sign[:size, :size] * M.T) + 0.0
-
-
 def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
     """Analytic amplitudes <(p+d, p)|S|(q+d, q)> for p, q in 0..size-1.
 
@@ -261,14 +328,28 @@ def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
 
     The parts that do not depend on z (log factorials, the p - q grids, the
     signs and the triangle mask) come from sector_tables of the box whose
-    sector d has this size, built once per cutoff. Per call only the
-    log-factorial ratio of sector d, the tau powers, the sech(z) weights
-    and the product are formed; transition_kernel forms the tau powers and
-    sech(z) weights once for all its sectors.
+    sector d has this size, built once per cutoff. Every float operation
+    keeps the operands and order of the plain per-sector formula (x - y
+    only becomes x + (-y), which is exact): the sum is ill-conditioned, so
+    a reordering would move entries. transition_kernel builds every block
+    of a box with these operations in a few passes over one buffer.
     """
     _squeeze_values(z)
     _check_sector(d, size)
-    return _amplitude_block(d, size, _block_terms(z, size + d - 1))
+    if z == 0.0:
+        return np.eye(size)
+    t = sector_tables(size + d - 1)
+    lf = t.log_factorial
+    lower = t.lower[:size, :size]
+    grid = t.diff[:size, :size] * np.log(np.tanh(z)) + t.neg_log_factorial_diff[:size, :size]
+    half = 0.5 * ((lf[:size] + lf[d:size + d])[:, None] - lf[:size] - lf[d:size + d])
+    L = np.exp(np.where(lower, grid + half, -np.inf))
+    # sech(z)^(total + 1) for the intermediate state at each position k
+    D = np.exp(-np.arange(d + 1, 2 * size + d, 2) * np.log(np.cosh(z)))
+    M = L @ (D[:, None] * (t.upper_sign[:size, :size] * L.T))
+    # lower triangle from the product, upper from the mirror identity;
+    # + 0.0 turns -0 into +0, as adding the two zero-padded triangles does
+    return np.where(lower, M, t.sign[:size, :size] * M.T) + 0.0
 
 
 def _vacuum_block(z: float, cutoff: int) -> np.ndarray:
@@ -277,7 +358,7 @@ def _vacuum_block(z: float, cutoff: int) -> np.ndarray:
     Column 0 equals the analytic block's bit for bit: of the triangular
     product only the term of the initial vacuum survives there, so each
     entry is L[p,0] * (sech z * (1.0 * L[0,0])) + 0.0 with the log
-    magnitude L[p,0] formed as in _amplitude_block (whose d = 0
+    magnitude L[p,0] formed as in sector_amplitudes (whose d = 0
     log-factorial ratio is log p! exactly, and L[0,0] is exactly 1). Every
     other column is 0: a vacuum point reads only column 0, and the block
     keeps its full size so that every sum over it takes the same path.
@@ -368,6 +449,44 @@ def squeeze_operator_oracle(
     )
 
 
+def _kernel_amplitudes(z: float, cutoff: int) -> np.ndarray:
+    """Analytic amplitudes of every sector of the box, one sector-major buffer.
+
+    Each entry gets the operands of sector_amplitudes' float operations in
+    that order (up to x * 1 and commuted products, both exact), so every
+    block is that function's bit for bit: the gathers and in-place updates
+    only replace its per-sector loop, and the product stays per sector.
+    """
+    ix, t = sector_index(cutoff), sector_tables(cutoff)
+    if z == 0.0:
+        return (np.take(t.diff.ravel(), ix.grid) == 0.0) * 1.0  # identity blocks
+    # L = exp((p - q) log tanh z - log (p - q)! + half_log_ratio), 0 above
+    # the diagonal, where -inf + half_log_ratio stays -inf
+    log_l = np.where(t.lower, t.diff * np.log(np.tanh(z)) + t.neg_log_factorial_diff, -np.inf)
+    L = np.take(log_l.ravel(), ix.grid)
+    L += ix.half_log_ratio
+    np.exp(L, out=L)
+    # right factor sech(z)^(total(p) + 1) (upper_sign L^T)[p, q]: below the
+    # diagonal L^T is 0, so mirror_sign serves there as upper_sign's 0 would
+    sech_powers = np.exp(-np.arange(2 * cutoff + 2) * np.log(np.cosh(z)))
+    R = np.take(L, ix.transpose)
+    R *= ix.mirror_sign
+    R *= np.repeat(sech_powers[state_totals(cutoff) + 1], ix.state_size)
+    # the product M = L R per block, written over R's block once it is
+    # spent, so the build holds two buffers where three would do
+    for d, size in enumerate(range(cutoff + 1, 0, -1)):
+        span = slice(ix.block_start[d], ix.block_start[d + 1])
+        block = R[span].reshape(size, size)
+        block[...] = L[span].reshape(size, size) @ block
+    M = R
+    # lower triangle from the product, upper from the mirror identity;
+    # + 0.0 turns -0 into +0, as adding the two zero-padded triangles does
+    amps = np.take(M, ix.mirror, out=L, mode="clip")  # L is spent
+    amps *= ix.mirror_sign
+    amps += 0.0
+    return amps
+
+
 @dataclass(frozen=True)
 class TransitionKernel:
     """Squared squeeze amplitudes p(m|n) with truncation diagnostics.
@@ -376,19 +495,36 @@ class TransitionKernel:
     indexed [final, initial] by the sector position i; amplitudes[d] holds
     the signed amplitudes it squares. column_leakage[d][i] is the true
     probability that the image of the sector state at position i escaped
-    the box. A full kernel holds every sector of the box. A vacuum kernel
-    (vacuum True) serves only a T = 0 point, whose initial state is the
-    vacuum (0, 0): it holds the d = 0 block alone, and of that block only
-    column 0; its other columns are 0, so their leakage reads 1. All hold
-    read-only arrays, since a sweep shares one kernel between its points.
+    the box. Each is a tuple of read-only views (sector_views) into one
+    sector-major buffer, flat_probabilities, flat_amplitudes and
+    flat_column_leakage; only the buffers are fields, so each byte is held
+    and counted once. A full kernel holds every sector of the box. A
+    vacuum kernel (vacuum True) serves only a T = 0 point, whose initial
+    state is the vacuum (0, 0): it holds the d = 0 block alone, and of
+    that block only column 0; its other columns are 0, so their leakage
+    reads 1. All arrays are read-only, since a sweep shares one kernel
+    between its points.
     """
 
     z: float
     spec: TruncationSpec
     vacuum: bool
-    probabilities: tuple[np.ndarray, ...] = field(repr=False)
-    column_leakage: tuple[np.ndarray, ...] = field(repr=False)
-    amplitudes: tuple[np.ndarray, ...] = field(repr=False)
+    flat_probabilities: np.ndarray = field(repr=False)
+    flat_column_leakage: np.ndarray = field(repr=False)
+    flat_amplitudes: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # every consumer reads these two; set here rather than declared, so
+        # that they are not fields
+        cutoff = self.spec.cutoff
+        views = sector_views(self.flat_probabilities, cutoff, True)
+        object.__setattr__(self, "probabilities", views)
+        views = sector_views(self.flat_column_leakage, cutoff, False)
+        object.__setattr__(self, "column_leakage", views)
+
+    @cached_property
+    def amplitudes(self) -> tuple[np.ndarray, ...]:
+        return sector_views(self.flat_amplitudes, self.spec.cutoff, True)
 
 
 def transition_kernel(
@@ -418,19 +554,23 @@ def transition_kernel(
         )
     _squeeze_values(z)
     _gate_vacuum_leakage(z, spec)
+    # the buffers are frozen where they are made; a view of a frozen array
+    # cannot be made writeable
     if vacuum:
-        amps = (_frozen(_vacuum_block(z, spec.cutoff)),)
+        block = _frozen(_vacuum_block(z, spec.cutoff))
+        square = _frozen(block**2)
+        amps, probs, colsums = block.ravel(), square.ravel(), square.sum(axis=0)
     else:
-        terms = _block_terms(z, spec.cutoff)
-        amps = tuple(
-            _frozen(_amplitude_block(s.d, s.size, terms))
-            for s in sector_layout(spec.cutoff)
+        amps = _frozen(_kernel_amplitudes(z, spec.cutoff))
+        probs = _frozen(amps**2)
+        # sums in row order, as a block's sum over axis 0 takes them
+        colsums = np.bincount(
+            sector_index(spec.cutoff).col,
+            weights=probs,
+            minlength=len(state_totals(spec.cutoff)),
         )
-        del terms  # its z grid would otherwise add to the build's peak memory
-    probs = tuple(_frozen(a**2) for a in amps)
-    colsums = [P.sum(axis=0) for P in probs]
-    excess = max(float(c.max()) for c in colsums) - 1.0
-    if excess > COLSUM_EXCESS_LIMIT:
+    excess = float(colsums.max()) - 1.0
+    if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(
             f"column mass exceeds 1 by {excess:.3e}: the analytic amplitude "
             f"sum lost double precision at z={z}, cutoff={spec.cutoff}; "
@@ -440,7 +580,7 @@ def transition_kernel(
         z=z,
         spec=spec,
         vacuum=vacuum,
-        probabilities=probs,
-        column_leakage=tuple(_frozen(np.maximum(1.0 - c, 0.0)) for c in colsums),
-        amplitudes=amps,
+        flat_probabilities=probs,
+        flat_column_leakage=_frozen(np.maximum(1.0 - colsums, 0.0)),
+        flat_amplitudes=amps,
     )

@@ -492,7 +492,8 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     kernel = kernels.get(channel.z, staged.spec, False)
     items: list[tuple[str, bool, str]] = []
 
-    sym = max(float(np.max(np.abs(P - P.T))) for P in kernel.probabilities)
+    P = kernel.flat_probabilities
+    sym = float(np.max(np.abs(P - np.take(P, fock.sector_index(cfg.cutoff).transpose))))
     items.append(("kernel-symmetry", sym <= 1e-12, f"max |p(m|n)-p(n|m)| = {sym:.3e}"))
     items.extend(_conservation_checks(kernel, layout))
 

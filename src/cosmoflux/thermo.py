@@ -5,22 +5,28 @@ zero-point energy, which cancels inside thermal weights but not in work
 differences, so the work decomposition keeps the explicit (omega_out -
 omega_in) shift. All kernel averages carry a truncation bound equal to the
 largest in-box energy times the initial-weighted mass lost to the box.
+The Gibbs weights of every occupied sector state are one buffer, formed in
+one pass over the box's state totals (fock.state_totals); the per-sector
+weight vectors are read-only views of it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeakageError, VerificationError
+from .errors import LeakageError, NumericError, VerificationError
 from .fock import (
     Sector,
     TransitionKernel,
     TruncationSpec,
     sector_layout,
     sector_spectral,
+    sector_views,
+    state_totals,
 )
 
 # Slack added to truncation-bound comparisons to absorb pure rounding noise.
@@ -31,19 +37,25 @@ FLOAT_SLACK = 1e-12
 class ThermalDistribution:
     """Diagonal Gibbs weights over the joint basis, renormalized to the box.
 
-    weights[d] holds the weights of the sector states in sector_layout
-    order; mirrored states share them. There is one vector per occupied
-    sector (occupied_sectors): every sector of the box at T > 0, and only
-    d = 0 at temperature = 0, which marks the vacuum path: a point mass on
-    (0, 0) with no entropy scale. renorm_defect is the Gibbs mass outside
-    the box.
+    flat_weights holds the weights of the sector states of every occupied
+    sector (occupied_sectors), sector-major in sector_layout order
+    (fock.state_totals); mirrored states share them. weights[d] is sector
+    d's read-only view of it. Every sector of the box is occupied at T > 0,
+    and only d = 0 at temperature = 0, which marks the vacuum path: a point
+    mass on (0, 0) with no entropy scale. renorm_defect is the Gibbs mass
+    outside the box.
     """
 
     temperature: float
     omega: float
     spec: TruncationSpec
-    weights: tuple[np.ndarray, ...]
+    flat_weights: np.ndarray
     renorm_defect: float
+
+    def __post_init__(self) -> None:
+        # set here rather than declared, so that it is not a field
+        weights = sector_views(self.flat_weights, self.spec.cutoff, False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def is_vacuum(self) -> bool:
@@ -76,42 +88,51 @@ def occupied_sectors(temperature: float, cutoff: int) -> int:
     return 1 if temperature == 0.0 else cutoff + 1
 
 
+def require_sectors(held: int, thermal: ThermalDistribution) -> None:
+    """ValueError unless a kernel holding `held` sectors (d = 0, 1, ...)
+    covers every sector the initial state occupies. It may hold more, as
+    when a full kernel serves a vacuum point, but never fewer: a vacuum
+    kernel, which holds sector 0 alone, cannot serve a Gibbs state."""
+    if held < len(thermal.weights):
+        raise ValueError(
+            f"kernel holds {held} sector(s) but the initial state "
+            f"occupies {len(thermal.weights)}"
+        )
+
+
 def weighted_sectors(
     blocks: tuple[np.ndarray, ...], thermal: ThermalDistribution
 ) -> Iterator[tuple[Sector, np.ndarray, np.ndarray]]:
     """(sector, block, weights) for every sector the initial state occupies.
 
     blocks follows sector_layout (a kernel's probabilities, amplitudes or
-    column_leakage). It may hold more sectors than the weights, as when a
-    full kernel serves a vacuum point, but never fewer: a vacuum kernel,
-    which holds sector 0 alone, raises ValueError with a Gibbs state.
+    column_leakage); require_sectors says which blocks may serve.
     """
-    if len(blocks) < len(thermal.weights):
-        raise ValueError(
-            f"kernel holds {len(blocks)} sector(s) but the initial state "
-            f"occupies {len(thermal.weights)}"
-        )
+    require_sectors(len(blocks), thermal)
     return zip(sector_layout(thermal.spec.cutoff), blocks, thermal.weights)
 
 
 def _gibbs_weights(
     temperature: float, omega: float, cutoff: int
-) -> tuple[tuple[np.ndarray, ...], float]:
-    """Box-renormalized Gibbs weights per occupied sector and the mass
-    outside the box.
+) -> tuple[np.ndarray, float]:
+    """Box-renormalized Gibbs weights of the occupied sector states, as one
+    sector-major buffer, and the mass outside the box.
 
     The weight of n is (1-x)^2 x^total(n) with x = exp(-omega/T). Each mode
     keeps 1 - t of its mass in the box, t = x^(cutoff+1), so the weights
     are divided by (1-t)^2 and the escaped mass is t(2-t), both in closed
     form. At T = 0, x = 0 gives the point mass on (0, 0) through 0^0 = 1,
-    and only sector 0 is returned. When T >> omega rounds x to 1, the box
-    holds none of the mass.
+    and only the states of sector 0 are returned. When T >> omega rounds x
+    to 1, the box holds none of the mass.
     """
     x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
     t = x ** (cutoff + 1)
     scale = ((1.0 - x) / (1.0 - t)) ** 2 if t < 1.0 else 0.0
-    occupied = sector_layout(cutoff)[: occupied_sectors(temperature, cutoff)]
-    weights = tuple(scale * x**s.totals for s in occupied)
+    totals = state_totals(cutoff)
+    if occupied_sectors(temperature, cutoff) == 1:
+        totals = totals[: cutoff + 1]
+    weights = scale * x**totals
+    weights.flags.writeable = False
     return weights, t * (2.0 - t)
 
 
@@ -138,7 +159,7 @@ def thermal_distribution(
         temperature=temperature,
         omega=omega,
         spec=spec,
-        weights=weights,
+        flat_weights=weights,
         renorm_defect=defect,
     )
 
@@ -231,7 +252,9 @@ def inner_friction(
     The identity W_fric = omega_out <n_c> holds untruncated; in the box the
     two sides differ by exactly the leaked-mass terms the truncation bound
     covers, so exceeding the bound signals an implementation bug rather
-    than truncation.
+    than truncation. Raises NumericError when any of the numbers is not
+    finite, as when omega_out near the float64 limit overflows the work:
+    a NaN would otherwise pass every comparison.
     """
     leakage = weighted_kernel_leakage(kernel, thermal)
     bound = truncation_bound(kernel.spec, omega_out, leakage)
@@ -239,8 +262,14 @@ def inner_friction(
     w_ad = adiabatic_work(thermal.temperature, omega_in, omega_out)
     w_fric = mean_work - w_ad
     n_c = mean_created_kernel(kernel, thermal)
+    if not all(map(math.isfinite, (leakage, bound, mean_work, w_ad, w_fric, n_c))):
+        raise NumericError(
+            f"work is not finite in double precision: <W> = {mean_work}, "
+            f"W_ad = {w_ad}, W_fric = {w_fric}, <n_c> = {n_c}, "
+            f"bound = {bound} at omega_in = {omega_in}, omega_out = {omega_out}"
+        )
     scale = max(1.0, abs(w_fric))
-    if abs(w_fric - omega_out * n_c) > bound + FLOAT_SLACK * scale:
+    if not abs(w_fric - omega_out * n_c) <= bound + FLOAT_SLACK * scale:
         raise VerificationError(
             f"friction/creation mismatch {abs(w_fric - omega_out * n_c):.3e} "
             f"exceeds truncation bound {bound:.3e}"
@@ -281,5 +310,5 @@ def mean_created_spectral(
     return sum(
         s.multiplicity
         * _sector_created(s.totals, sector_spectral(z, s.d, s.size) ** 2, w)
-        for s, w in zip(sector_layout(cutoff), weights)
+        for s, w in zip(sector_layout(cutoff), sector_views(weights, cutoff, False))
     )

@@ -4,14 +4,18 @@ The package stores every operator as difference-sector blocks. The loops
 and dense (N+1)^2 x (N+1)^2 arrays here compute the same quantities the
 way the pipeline did before sector storage, independently of
 fock.sector_layout, and serve as the tests' oracle for it. They are
-O(N^4) in memory: keep the cutoff at about 16 or less. The one exception,
-reference_sector_amplitudes, is the plain per-sector analytic formula
-that fock's table-driven builder must match bit for bit, at any cutoff.
+O(N^4) in memory: keep the cutoff at about 16 or less. The exceptions
+work at any cutoff: reference_sector_amplitudes is the plain per-sector
+analytic formula that fock's table-driven builder must match bit for bit,
+and the reference_* loops after it are the per-sector loops the pipeline
+ran before it kept each quantity in one sector-major buffer. The flat
+stages must reproduce them bit for bit too.
 """
 
 import dataclasses
 
 import numpy as np
+from scipy.linalg.lapack import dgejsv
 from scipy.special import gammaln
 
 
@@ -90,6 +94,73 @@ def reference_sector_amplitudes(z, d, size):
     D = np.exp(-(2 * i + d + 1) * logcosh)
     M = L @ (D[:, None] * U)
     return np.tril(M) + np.triu(sign * M.T, 1)
+
+
+def reference_kernel(z, cutoff):
+    """(amplitudes, probabilities, column sums) per sector, d = 0..cutoff."""
+    amps = [reference_sector_amplitudes(z, d, cutoff + 1 - d) for d in range(cutoff + 1)]
+    probs = [a**2 for a in amps]
+    return amps, probs, [P.sum(axis=0) for P in probs]
+
+
+def reference_gibbs_weights(temperature, omega, cutoff):
+    """Box-renormalized Gibbs weights per occupied sector, and the tail mass."""
+    x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
+    t = x ** (cutoff + 1)
+    scale = ((1.0 - x) / (1.0 - t)) ** 2 if t < 1.0 else 0.0
+    occupied = 1 if temperature == 0.0 else cutoff + 1
+    weights = [scale * x ** (2 * np.arange(cutoff + 1 - d) + d) for d in range(occupied)]
+    return weights, t * (2.0 - t)
+
+
+def reference_entropy_pass(probabilities, weights, rate, cutoff, floor=1e-12):
+    """Expansion and contraction masses per total change -2N..2N (offset by
+    2N) and the microstate Crooks residual, one sector at a time."""
+    i = np.arange(cutoff + 1)
+    total_change = 2 * (i[:, None] - i[None, :])
+    bins = total_change + 2 * cutoff
+    mass_e = np.zeros(4 * cutoff + 1)
+    mass_c = np.zeros(4 * cutoff + 1)
+    micro_dev = 0.0
+    for d, (P, w) in enumerate(zip(probabilities, weights)):
+        size, multiplicity = len(w), 2 if d else 1
+        J, Q = P * w[None, :], P * w[:, None]
+        sector_bins = bins[:size, :size].ravel()
+        mass_e += multiplicity * np.bincount(
+            sector_bins, weights=J.ravel(), minlength=4 * cutoff + 1
+        )
+        mass_c += multiplicity * np.bincount(
+            sector_bins, weights=Q.ravel(), minlength=4 * cutoff + 1
+        )
+        mask = J > floor
+        if np.any(mask):
+            s_vals = rate * total_change[:size, :size][mask]
+            with np.errstate(divide="ignore"):
+                resid = np.log(J[mask]) - np.log(Q[mask]) - s_vals
+            micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
+    return mass_e, mass_c, micro_dev
+
+
+def reference_relative_entropy(amplitudes, weights, clip=1e-300):
+    """K[rho || rho'] summed one sector at a time (dgejsv per sector)."""
+    K = 0.0
+    for d, (A, wd) in enumerate(zip(amplitudes, weights)):
+        pos = wd > 0.0
+        rho_term = float(wd[pos] @ np.log(wd[pos])) if pos.any() else 0.0
+        sva, U, _v, work, _iwork, info = dgejsv(
+            A * np.sqrt(wd)[None, :], joba=0, jobu=0, jobv=3
+        )
+        assert info == 0
+        sv = sva * (work[0] / work[1])
+        lam = sv * sv
+        keep = lam > clip
+        if keep.any():
+            r = (U[:, keep] ** 2).T @ wd
+            rho_prime_term = float(r @ np.log(lam[keep]))
+        else:
+            rho_prime_term = 0.0
+        K += (2 if d else 1) * (rho_term - rho_prime_term)
+    return K
 
 
 def dense_mean_final_total(P, w, cutoff):

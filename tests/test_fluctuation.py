@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,3 +215,19 @@ def test_crooks_exact_for_geometric_weights(z, t_ratio):
         @ dense_state_vector(thermal.weights, 16)
     )
     assert abs(integral_fluctuation_defect(p_e) - leak_w) <= 1e-9
+
+
+def test_identity_checks_fail_closed_on_nan(kernel40, thermal40, work40, dists40):
+    # a NaN residual makes every "residual > tolerance" False; each check
+    # must pass only when its residual is <= its tolerance
+    nan = float("nan")
+    p_e, p_c, _ = dists40
+    with pytest.raises(VerificationError):
+        mean_entropy_and_kl(dataclasses.replace(p_e, masses=p_e.masses * nan), p_c)
+    nan_work = dataclasses.replace(work40, inner_friction=nan)
+    with pytest.raises(VerificationError):
+        entropy_friction_identity(nan_work, mean_entropy(p_e))
+    with pytest.raises(VerificationError):
+        quantum_relative_entropy(
+            thermal40, kernel40, nan_work.adiabatic_temperature, nan_work
+        )

@@ -345,6 +345,20 @@ def test_vacuum_kernel_keeps_its_guards(spec40, monkeypatch):
         transition_kernel(Z_CANON, spec40, True)
 
 
+def test_column_sum_check_fails_closed_on_nan(spec40, monkeypatch):
+    # a NaN column sum once passed "excess > limit" as False
+    real = fock_mod._kernel_amplitudes
+
+    def poisoned(z, cutoff):
+        amps = real(z, cutoff)
+        amps[5] = np.nan
+        return amps
+
+    monkeypatch.setattr(fock_mod, "_kernel_amplitudes", poisoned)
+    with pytest.raises(NumericError, match="column mass exceeds 1 by nan"):
+        transition_kernel(Z_CANON, spec40)
+
+
 @pytest.mark.parametrize("sectors", [0, 42])
 def test_sector_count_out_of_range(spec40, sectors):
     # the third slot once took a sector count; a count is refused, not read

@@ -490,6 +490,27 @@ def test_large_epsilon_cosmology_is_budget_error(capsys):
     assert "suggested cutoff >= 2931" in capsys.readouterr().err
 
 
+def test_overflowing_work_fails_closed(capsys):
+    # omega_out near the float64 limit overflows <W> to inf and W_fric to
+    # NaN; the report once printed both (not valid JSON) with flags "ok"
+    argv = ["simulate", "--scenario", "direct-z", "--z", "0.5", "--omega_in", "1",
+            "--omega_out", "1e308", "--temperature", "1"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "NaN" not in out and "Infinity" not in out
+    assert "work is not finite" in err
+
+
+def test_overflowing_work_is_a_sweep_error_row():
+    rows = run_sweep(_temperature_sweep([0.5, 1.0], omega_out=1e308))
+    assert [row["flags"] for row in rows] == ["error", "error"]
+    for row in rows:
+        assert row["error"].startswith("NumericError: work is not finite")
+        assert row["mean_work"] is None and row["inner_friction"] is None
+    rendered = render_json(rows, 12)
+    assert "NaN" not in rendered and "Infinity" not in rendered
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unholdable_squeeze_suggests_no_cutoff():
     # tanh(20) rounds to 1: the vacuum column leaks everything at any cutoff

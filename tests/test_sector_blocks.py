@@ -1,18 +1,29 @@
-"""Sector-block storage against the dense reference, footprint, layout checks."""
+"""Sector-block storage against the dense reference and the per-sector
+loops, footprint, layout checks."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
+    NumericError,
     TruncationSpec,
     average_work,
     entropy_distributions,
+    quantum_relative_entropy,
     thermal_distribution,
     transition_kernel,
 )
-from cosmoflux.fock import sector_amplitudes, sector_layout
+from cosmoflux.fock import (
+    COLSUM_EXCESS_LIMIT,
+    SectorIndex,
+    sector_amplitudes,
+    sector_index,
+    sector_layout,
+)
 from cosmoflux.report import _conservation_checks
 from cosmoflux.thermo import mean_created_kernel
 
@@ -26,6 +37,10 @@ from dense_reference import (
     dense_state_vector,
     dense_totals,
     dense_view,
+    reference_entropy_pass,
+    reference_gibbs_weights,
+    reference_kernel,
+    reference_relative_entropy,
 )
 
 
@@ -78,6 +93,96 @@ def _lattice(support, masses, rate, cutoff):
     full = np.zeros(4 * cutoff + 1)
     full[np.rint(support / rate).astype(int) + 2 * cutoff] = masses
     return full
+
+
+def _same_bits(flat_views, reference):
+    assert len(flat_views) == len(reference)
+    for view, ref in zip(flat_views, reference):
+        assert view.shape == ref.shape and view.dtype == ref.dtype
+        assert view.tobytes() == ref.tobytes()
+
+
+# The flat stages replace per-sector loops without moving a bit: each entry
+# gets the same float operations on the same operands, and every sum adds
+# in the loop's order. The references are those loops (dense_reference).
+@settings(max_examples=30, deadline=None)
+@given(
+    z=st.one_of(
+        st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+        st.sampled_from([0.0, 5e-324]),
+    ),
+    t_ratio=st.floats(min_value=0.05, max_value=2.0, allow_nan=False),
+    cutoff=st.integers(min_value=8, max_value=48),
+)
+def test_flat_stages_equal_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
+    spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
+    amps, probs, colsums = reference_kernel(z, cutoff)
+    excess = max(float(c.max()) for c in colsums) - 1.0
+    if excess > COLSUM_EXCESS_LIMIT:
+        with pytest.raises(NumericError):
+            transition_kernel(z, spec)
+        return
+    kern = transition_kernel(z, spec)
+    _same_bits(kern.amplitudes, amps)
+    _same_bits(kern.probabilities, probs)
+    _same_bits(kern.column_leakage, [np.maximum(1.0 - c, 0.0) for c in colsums])
+
+    weights, defect = reference_gibbs_weights(t_ratio, 1.0, cutoff)
+    thermal = thermal_distribution(t_ratio, 1.0, spec)
+    _same_bits(thermal.weights, weights)
+    assert thermal.renorm_defect == defect
+    vacuum = thermal_distribution(0.0, 1.0, spec)
+    _same_bits(vacuum.weights, reference_gibbs_weights(0.0, 1.0, cutoff)[0])
+
+    p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
+    mass_e, mass_c, ref_dev = reference_entropy_pass(probs, weights, 1.0 / t_ratio, cutoff)
+    keep = (mass_e > 0.0) | (mass_c > 0.0)
+    assert np.array_equal(p_e.masses, mass_e[keep])
+    assert np.array_equal(p_c.masses, mass_c[keep][::-1])
+    assert micro_dev == ref_dev
+
+    K = quantum_relative_entropy(thermal, kern, 2.0 * t_ratio)
+    assert K == reference_relative_entropy(amps, weights)
+
+
+def test_sector_index_tables_fit_their_budget():
+    # the tables are built once per cutoff and live as long as the process,
+    # so the indices are held in the narrowest integer types: 19 bytes per
+    # kernel entry in all, 453,460 bytes at cutoff 40, where the five index
+    # arrays alone would take 952,840 bytes as int64
+    for cutoff, budget in ((40, 0.5 * 2**20), (56, 1.25 * 2**20)):
+        ix = sector_index(cutoff)
+        assert sector_index(cutoff) is ix
+        tables = [
+            getattr(ix, f.name) for f in dataclasses.fields(SectorIndex)
+            if isinstance(getattr(ix, f.name), np.ndarray)
+        ]
+        assert sum(a.nbytes for a in tables) <= budget
+        for a in tables:
+            assert a.dtype.itemsize <= 2 or a.dtype.kind == "f"
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_sector_views_cannot_be_made_writeable(kernel40, thermal40, spec40):
+    # a sweep shares one kernel between its points: no view into its
+    # buffers may be turned back into a writeable array
+    vacuum = transition_kernel(Z_CANON, spec40, True)
+    for views in (
+        kernel40.amplitudes, kernel40.probabilities, kernel40.column_leakage,
+        vacuum.amplitudes, vacuum.probabilities, vacuum.column_leakage,
+        thermal40.weights, thermal_distribution(0.0, 1.0, spec40).weights,
+    ):
+        for view in views:
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+    for flat in (
+        kernel40.flat_amplitudes, kernel40.flat_probabilities,
+        kernel40.flat_column_leakage, thermal40.flat_weights,
+    ):
+        with pytest.raises(ValueError):
+            flat[0] = 0.0
 
 
 def test_footprint_at_cutoff_56():

@@ -159,7 +159,9 @@ def test_vacuum_sums_match_a_full_kernel(kernel40, spec40):
     assert part.vacuum
     assert inner_friction(part, vac, 1.0, 2.0) == inner_friction(kernel40, vac, 1.0, 2.0)
     dense_weights = vac.weights + tuple(np.zeros(41 - d) for d in range(1, 41))
-    full = ThermalDistribution(0.0, 1.0, spec40, dense_weights, vac.renorm_defect)
+    full = ThermalDistribution(
+        0.0, 1.0, spec40, np.concatenate(dense_weights), vac.renorm_defect
+    )
     assert inner_friction(kernel40, full, 1.0, 2.0) == inner_friction(part, vac, 1.0, 2.0)
 
 
