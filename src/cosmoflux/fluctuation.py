@@ -26,6 +26,9 @@ from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, require_sector
 
 PROBABILITY_FLOOR = 1e-12
 EIGENVALUE_CLIP = 1e-300
+# log of the smallest normal double: a partner mass P e^(-s) with
+# log P - s below it underflows, as the Crooks relation predicts
+LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,10 @@ def entropy_distributions(
     -s land on shared points; the contraction distribution is returned over
     its own increment (the negated lattice, in ascending order; _binned
     says how the sectors add up). The residual is max |log p - log q - s|
-    over p > PROBABILITY_FLOOR. Where q underflows to 0 at low temperature
-    its residual is +inf; crooks_deviation reports the support mismatch
-    first when the whole lattice point is empty.
+    over p > PROBABILITY_FLOOR, leaving out the microstates with
+    log p - s < LOG_TINY: there the relation puts q below the smallest
+    normal double, so it underflows at low temperature and its log carries
+    no digits. A q that is 0 where it should be representable gives +inf.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
@@ -87,10 +91,12 @@ def entropy_distributions(
     mass_c = _binned(Q, ix.lattice, cutoff)
     Q = Q[live]
     micro_dev = 0.0
-    if live.any():
-        s_vals = rate * np.take(sector_tables(cutoff).total_change, ix.grid[live])
+    s_vals = rate * np.take(sector_tables(cutoff).total_change, ix.grid[live])
+    log_j = np.log(J)
+    normal = log_j - s_vals >= LOG_TINY  # q = J e^(-s) is a normal double
+    if normal.any():
         with np.errstate(divide="ignore"):
-            resid = np.log(J) - np.log(Q) - s_vals
+            resid = log_j[normal] - np.log(Q[normal]) - s_vals[normal]
         micro_dev = float(np.max(np.abs(resid)))
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
@@ -147,23 +153,26 @@ def crooks_deviation(
 
     microstate_deviation is the residual entropy_distributions returns with
     p_e and p_c. Support points with P_E(s) <= PROBABILITY_FLOOR are
-    excluded and their mass is reported for the truncation budget. A
-    floored point whose partner mass is exactly zero is a support mismatch:
-    impossible for thermal inputs, so it surfaces as a verification error
-    instead of an infinity.
+    excluded, and so are those with log P_E(s) - s < LOG_TINY, whose
+    partner P_C(-s) = P_E(s) e^(-s) underflows at low temperature; the mass
+    of both is reported for the truncation budget. A checked point whose
+    partner mass is exactly zero is a support mismatch: impossible for
+    thermal inputs, so it surfaces as a verification error instead of an
+    infinity.
     """
     paired = _mirrored_masses(p_e, p_c)
-    live = p_e.masses > PROBABILITY_FLOOR
-    floored = float(p_e.masses[~live].sum())
-    if np.any(live & (paired <= 0.0)):
-        bad = p_e.support[live & (paired <= 0.0)][0]
+    checked = p_e.masses > PROBABILITY_FLOOR
+    checked[checked] = np.log(p_e.masses[checked]) - p_e.support[checked] >= LOG_TINY
+    floored = float(p_e.masses[~checked].sum())
+    if np.any(checked & (paired <= 0.0)):
+        bad = p_e.support[checked & (paired <= 0.0)][0]
         raise VerificationError(
             f"support mismatch: P_E({bad:.6g}) > floor but P_C({-bad:.6g}) = 0"
         )
     dist_dev = 0.0
-    if np.any(live):
-        logratio = np.log(p_e.masses[live]) - np.log(paired[live])
-        dist_dev = float(np.max(np.abs(logratio - p_e.support[live])))
+    if np.any(checked):
+        logratio = np.log(p_e.masses[checked]) - np.log(paired[checked])
+        dist_dev = float(np.max(np.abs(logratio - p_e.support[checked])))
     return CrooksReport(
         distribution_deviation=dist_dev,
         microstate_deviation=microstate_deviation,

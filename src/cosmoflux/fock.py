@@ -49,12 +49,13 @@ before its leakage gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 from scipy.special import gammaln
 
 from .errors import LeakageError, NumericError
@@ -297,11 +298,15 @@ def sector_index(cutoff: int) -> SectorIndex:
     )
 
 
+def _squeeze_error(z) -> ValueError:
+    return ValueError(f"squeeze parameter must be finite and >= 0, got {z}")
+
+
 def _squeeze_values(z: ArrayLike) -> np.ndarray:
     """z as a float array, or ValueError unless every entry is finite and >= 0."""
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs) & (zs >= 0.0)):
-        raise ValueError(f"squeeze parameter must be finite and >= 0, got {z}")
+        raise _squeeze_error(z)
     return zs
 
 
@@ -403,7 +408,11 @@ def sector_spectral(
     if size == 1 or not zs.any():
         return np.broadcast_to(np.eye(n), zs.shape + (n, n)).copy()
     k = np.arange(size - 1)
-    lam, V = eigh_tridiagonal(np.zeros(size), np.sqrt((k + 1.0 + d) * (k + 1.0)))
+    # LAPACK's divide-and-conquer driver, the one eigh_tridiagonal picks for
+    # a full decomposition, called without that wrapper's checks
+    lam, V, info = dstevd(np.zeros(size), np.sqrt((k + 1.0 + d) * (k + 1.0)))
+    if info != 0:
+        raise NumericError(f"dstevd failed with info = {info} in sector {d}")
     theta = zs[..., None, None] * lam
     Vn = V[:n]
     cos_part = (Vn * np.cos(theta)) @ Vn.T
@@ -552,7 +561,8 @@ def transition_kernel(
             f"vacuum must be a bool, got {vacuum!r}: transition_kernel takes "
             "no sector count; pass vacuum=True for the d = 0 vacuum column"
         )
-    _squeeze_values(z)
+    if not (math.isfinite(z) and z >= 0.0):
+        raise _squeeze_error(z)
     _gate_vacuum_leakage(z, spec)
     # the buffers are frozen where they are made; a view of a frozen array
     # cannot be made writeable

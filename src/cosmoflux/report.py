@@ -4,6 +4,11 @@ Config files are flat JSON with explicitly named keys; unknown keys are
 errors so a typo cannot silently run different physics. Reports serialize
 with a fixed field order and a fixed significant-digit rounding, making
 repeated runs byte-identical.
+
+A run holds its last kernel and its last Gibbs state (_KernelSlot): the
+kernel is reused while (z, spec) repeats, which is the temperature axis of
+a sweep, and the Gibbs state while (T, omega_in, spec) repeats, which is
+the sigma and epsilon axes.
 """
 
 from __future__ import annotations
@@ -74,8 +79,7 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
-        known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(mapping) - known)
+        unknown = sorted(set(mapping) - _FIELD_NAMES)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         coerced = {}
@@ -89,15 +93,15 @@ class RunConfig:
 
     def to_mapping(self) -> dict:
         out = {}
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
+        for name in _FIELDS:
+            value = getattr(self, name)
             if value is not None:
-                out[f.name] = value
+                out[name] = value
         return out
 
     def replace(self, **updates) -> "RunConfig":
         """This config with updates, coerced and validated as from_mapping does."""
-        unknown = sorted(set(updates) - {f.name for f in dataclass_fields(self)})
+        unknown = sorted(set(updates) - _FIELD_NAMES)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = dataclass_replace(
@@ -107,10 +111,10 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if f.name in FLOAT_KEYS and value is not None and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
@@ -150,6 +154,13 @@ class RunConfig:
                 raise ConfigError(f"z must be >= 0, got {self.z}")
             if not 0.0 < self.omega_in <= self.omega_out:
                 raise ConfigError("need 0 < omega_in <= omega_out")
+
+
+# RunConfig's field names in declaration order, and its float fields among
+# them, read once here rather than scanned on every replace and validate
+_FIELDS = tuple(f.name for f in dataclass_fields(RunConfig))
+_FIELD_NAMES = frozenset(_FIELDS)
+_FLOAT_FIELDS = tuple(name for name in _FIELDS if name in FLOAT_KEYS)
 
 
 def _coerce(key: str, value):
@@ -286,27 +297,45 @@ def _capture(fn, *args):
 
 
 class _KernelSlot:
-    """The last kernel built for a run, reused while (z, spec) repeats and
-    it serves the point: a full kernel serves every point, a vacuum kernel
-    only a vacuum point.
+    """The last kernel and the last Gibbs state built for a run, each held
+    while its key repeats.
 
-    Block d depends on (z, cutoff) only, and the vacuum kernel's column is
-    the full kernel's bit for bit; every check transition_kernel makes
-    depends on (z, cutoff, leakage budget) and the blocks built. So a held
-    kernel with that key is one already checked, and a full kernel serves a
-    vacuum point unchanged. The slot holds at most one kernel; a build that
-    raises leaves it empty, so the next point builds, and fails, again.
+    The kernel is reused while (z, spec) repeats, as along a temperature
+    axis, and it serves the point: a full kernel serves every point, a
+    vacuum kernel only a vacuum point. Block d depends on (z, cutoff) only,
+    and the vacuum kernel's column is the full kernel's bit for bit; every
+    check transition_kernel makes depends on (z, cutoff, leakage budget)
+    and the blocks built. So a held kernel with that key is one already
+    checked, and a full kernel serves a vacuum point unchanged.
+
+    The Gibbs state, and its thermal gate, depend on (T, omega_in, spec)
+    only, so it is reused while that key repeats, as along a sigma or
+    epsilon axis. Each entry holds at most one object and is dropped before
+    its rebuild; a build that raises leaves the entry empty, so the next
+    point builds, and fails, again.
     """
 
     def __init__(self) -> None:
         self.kernel: fock.TransitionKernel | None = None
+        self.thermal: thermo.ThermalDistribution | None = None
 
-    def get(self, z: float, spec: TruncationSpec, vacuum: bool) -> fock.TransitionKernel:
+    def kernel_for(
+        self, z: float, spec: TruncationSpec, vacuum: bool
+    ) -> fock.TransitionKernel:
         held = self.kernel
         if held is None or (held.z, held.spec) != (z, spec) or (held.vacuum and not vacuum):
             self.kernel = None  # dropped before the build: one kernel alive at most
             self.kernel = transition_kernel(z, spec, vacuum)
         return self.kernel
+
+    def thermal_for(
+        self, temperature: float, omega: float, spec: TruncationSpec
+    ) -> thermo.ThermalDistribution:
+        held = self.thermal
+        if held is None or (held.temperature, held.omega, held.spec) != (temperature, omega, spec):
+            self.thermal = None
+            self.thermal = thermal_distribution(temperature, omega, spec)
+        return self.thermal
 
 
 def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tuple:
@@ -320,8 +349,8 @@ def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tup
     """
     channel, flags = resolve_channel(cfg)
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
-    kernel = kernels.get(channel.z, spec, cfg.temperature == 0.0)
-    thermal = thermal_distribution(cfg.temperature, channel.omega_in, spec)
+    kernel = kernels.kernel_for(channel.z, spec, cfg.temperature == 0.0)
+    thermal = kernels.thermal_for(cfg.temperature, channel.omega_in, spec)
     work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
         return channel, flags, kernel, work, None
@@ -400,8 +429,10 @@ def run_sweep(sweep: SweepConfig) -> list[dict]:
     its value, with its config fields when it fails at run time.
 
     Consecutive points sharing (z, cutoff, leakage budget), as on a
-    temperature axis, share one transition kernel; it is built for the
-    first of them and dropped when the sweep returns.
+    temperature axis, share one transition kernel, and consecutive points
+    sharing (T, omega_in, cutoff, leakage budget), as on a sigma or
+    epsilon axis, one Gibbs state; each is built for the first of them
+    and dropped when the sweep returns.
     """
     kernels = _KernelSlot()
     rows = []
@@ -489,7 +520,7 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     layout = fock.sector_layout(cfg.cutoff)
     # the kernel checks read the full kernel; a vacuum point builds its
     # vacuum column only
-    kernel = kernels.get(channel.z, staged.spec, False)
+    kernel = kernels.kernel_for(channel.z, staged.spec, False)
     items: list[tuple[str, bool, str]] = []
 
     P = kernel.flat_probabilities

@@ -7,7 +7,12 @@ omega_in) shift. All kernel averages carry a truncation bound equal to the
 largest in-box energy times the initial-weighted mass lost to the box.
 The Gibbs weights of every occupied sector state are one buffer, formed in
 one pass over the box's state totals (fock.state_totals); the per-sector
-weight vectors are read-only views of it.
+weight vectors are read-only views of it. Every kernel average the work
+bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>) comes from
+one pass over the occupied sectors (_work_pass), which forms each sector's
+totals @ P once; inner_friction reads that pass, and the public averages
+are readers of it. Each sector term keeps its operands and each sum its
+order, so the averages are those of one loop per average bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,14 +178,6 @@ def mean_initial_closed_form(temperature: float, omega: float) -> float:
     return float(2.0 * x / (1.0 - x))
 
 
-def mean_initial_total(thermal: ThermalDistribution) -> float:
-    """Box-truncated <n_a + n_b> under the renormalized weights."""
-    return sum(
-        s.multiplicity * float(s.totals @ w)
-        for s, w in zip(sector_layout(thermal.spec.cutoff), thermal.weights)
-    )
-
-
 def adiabatic_work(temperature: float, omega_in: float, omega_out: float) -> float:
     """(omega_out - omega_in)(<n_i> + 1) with the untruncated <n_i>."""
     return (omega_out - omega_in) * (
@@ -194,14 +192,52 @@ def truncation_bound(
     return omega_out * (2 * spec.cutoff + 1) * weighted_leakage
 
 
+class _WorkSums(NamedTuple):
+    """The kernel averages of one work pass (_work_pass)."""
+
+    leakage: float  # initial-weighted kernel leakage plus the thermal tail
+    final: float  # <total(m)> under p(m|n) p_th(n), in-box
+    initial: float  # <total(n)> under the renormalized weights
+    created: float  # <total(m) - total(n)> under p(m|n) p_th(n), in-box
+
+
+def _sector_created(
+    totals: np.ndarray, final: np.ndarray, P: np.ndarray, w: np.ndarray
+) -> float:
+    """In-sector <total(m) - total(n)> under p(m|n) w(n); final = totals @ P."""
+    return float((final - totals * P.sum(axis=0)) @ w)
+
+
+def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkSums:
+    """Every kernel average of the work bookkeeping, in one pass over the
+    sectors the initial state occupies.
+
+    Each sector's totals @ P is formed once and serves both <n_f> and
+    <n_c>. Every sector term keeps its operands, and each sum adds the
+    terms in layout order, as one loop per average would.
+    """
+    leakage = final = initial = created = 0
+    for (s, P, w), leak in zip(
+        weighted_sectors(kernel.probabilities, thermal), kernel.column_leakage
+    ):
+        m = s.multiplicity
+        tP = s.totals @ P
+        leakage += m * float(leak @ w)
+        final += m * float(tP @ w)
+        initial += m * float(s.totals @ w)
+        created += m * _sector_created(s.totals, tP, P, w)
+    return _WorkSums(leakage + thermal.renorm_defect, final, initial, created)
+
+
 def weighted_kernel_leakage(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> float:
     """Kernel leakage weighted by the initial distribution, plus its tail."""
-    return sum(
-        s.multiplicity * float(leak @ w)
-        for s, leak, w in weighted_sectors(kernel.column_leakage, thermal)
-    ) + thermal.renorm_defect
+    return _work_pass(kernel, thermal).leakage
+
+
+def _mean_work(sums: _WorkSums, omega_in: float, omega_out: float) -> float:
+    return omega_out * (sums.final + 1.0) - omega_in * (sums.initial + 1.0)
 
 
 def average_work(
@@ -211,26 +247,14 @@ def average_work(
     omega_out: float,
 ) -> float:
     """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1), in-box."""
-    n_f = sum(
-        s.multiplicity * float(s.totals @ P @ w)
-        for s, P, w in weighted_sectors(kernel.probabilities, thermal)
-    )
-    return omega_out * (n_f + 1.0) - omega_in * (mean_initial_total(thermal) + 1.0)
-
-
-def _sector_created(totals: np.ndarray, P: np.ndarray, w: np.ndarray) -> float:
-    """In-sector <total(m) - total(n)> under p(m|n) w(n)."""
-    return float((totals @ P - totals * P.sum(axis=0)) @ w)
+    return _mean_work(_work_pass(kernel, thermal), omega_in, omega_out)
 
 
 def mean_created_kernel(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> float:
     """<total(m) - total(n)> under p(m|n) p_th(n), in-box."""
-    return sum(
-        s.multiplicity * _sector_created(s.totals, P, w)
-        for s, P, w in weighted_sectors(kernel.probabilities, thermal)
-    )
+    return _work_pass(kernel, thermal).created
 
 
 def mean_created_closed_form(z: float, temperature: float, omega: float) -> float:
@@ -256,12 +280,12 @@ def inner_friction(
     finite, as when omega_out near the float64 limit overflows the work:
     a NaN would otherwise pass every comparison.
     """
-    leakage = weighted_kernel_leakage(kernel, thermal)
+    sums = _work_pass(kernel, thermal)
+    leakage, n_c = sums.leakage, sums.created
     bound = truncation_bound(kernel.spec, omega_out, leakage)
-    mean_work = average_work(kernel, thermal, omega_in, omega_out)
+    mean_work = _mean_work(sums, omega_in, omega_out)
     w_ad = adiabatic_work(thermal.temperature, omega_in, omega_out)
     w_fric = mean_work - w_ad
-    n_c = mean_created_kernel(kernel, thermal)
     if not all(map(math.isfinite, (leakage, bound, mean_work, w_ad, w_fric, n_c))):
         raise NumericError(
             f"work is not finite in double precision: <W> = {mean_work}, "
@@ -307,8 +331,8 @@ def mean_created_spectral(
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     weights, _defect = _gibbs_weights(temperature, omega, cutoff)
-    return sum(
-        s.multiplicity
-        * _sector_created(s.totals, sector_spectral(z, s.d, s.size) ** 2, w)
-        for s, w in zip(sector_layout(cutoff), sector_views(weights, cutoff, False))
-    )
+    total = 0
+    for s, w in zip(sector_layout(cutoff), sector_views(weights, cutoff, False)):
+        P = sector_spectral(z, s.d, s.size) ** 2
+        total += s.multiplicity * _sector_created(s.totals, s.totals @ P, P, w)
+    return total

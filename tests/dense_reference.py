@@ -8,8 +8,9 @@ O(N^4) in memory: keep the cutoff at about 16 or less. The exceptions
 work at any cutoff: reference_sector_amplitudes is the plain per-sector
 analytic formula that fock's table-driven builder must match bit for bit,
 and the reference_* loops after it are the per-sector loops the pipeline
-ran before it kept each quantity in one sector-major buffer. The flat
-stages must reproduce them bit for bit too.
+ran before it kept each quantity in one sector-major buffer, or before it
+took the work averages in one pass. The flat stages and the work pass must
+reproduce them bit for bit too.
 """
 
 import dataclasses
@@ -111,6 +112,34 @@ def reference_gibbs_weights(temperature, omega, cutoff):
     occupied = 1 if temperature == 0.0 else cutoff + 1
     weights = [scale * x ** (2 * np.arange(cutoff + 1 - d) + d) for d in range(occupied)]
     return weights, t * (2.0 - t)
+
+
+def reference_work_sums(probabilities, column_leakage, weights, renorm_defect):
+    """(weighted leakage, <n_f>, <n_i>, <n_c>) as four per-sector loops.
+
+    These are the loops the work bookkeeping ran before it took every
+    average in one pass; weights lists the occupied sectors only.
+    """
+    def totals(w, d):
+        return 2 * np.arange(len(w)) + d
+
+    def multiplicity(d):
+        return 2 if d else 1
+
+    sectors = list(enumerate(zip(probabilities, column_leakage, weights)))
+    leakage = sum(
+        multiplicity(d) * float(leak @ w) for d, (_P, leak, w) in sectors
+    ) + renorm_defect
+    final = sum(
+        multiplicity(d) * float(totals(w, d) @ P @ w) for d, (P, _leak, w) in sectors
+    )
+    initial = sum(multiplicity(d) * float(totals(w, d) @ w) for d, (*_, w) in sectors)
+    created = sum(
+        multiplicity(d)
+        * float((totals(w, d) @ P - totals(w, d) * P.sum(axis=0)) @ w)
+        for d, (P, _leak, w) in sectors
+    )
+    return leakage, final, initial, created
 
 
 def reference_entropy_pass(probabilities, weights, rate, cutoff, floor=1e-12):

@@ -20,7 +20,12 @@ from cosmoflux import (
     transition_kernel,
 )
 import cosmoflux.fluctuation as fluctuation_mod
-from cosmoflux.fluctuation import EntropyDistribution, _graded_svd
+from cosmoflux.fluctuation import (
+    LOG_TINY,
+    PROBABILITY_FLOOR,
+    EntropyDistribution,
+    _graded_svd,
+)
 from cosmoflux.fock import sector_layout
 
 from conftest import Z_CANON
@@ -151,6 +156,45 @@ def test_crooks_rejects_unmirrored_support(dists40):
         crooks_deviation(p_e, shifted, micro_dev)
     with pytest.raises(VerificationError):
         mean_entropy_and_kl(p_e, shifted)
+
+
+def _cold_canonical_distributions():
+    """Entropy distributions at the canonical z and T = 0.05, N = 40, and the
+    lattice points whose partner P_E(s) e^(-s) falls below the smallest
+    normal double."""
+    spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-8)
+    p_e, p_c, micro_dev = entropy_distributions(
+        transition_kernel(Z_CANON, spec), thermal_distribution(0.05, 1.0, spec)
+    )
+    live = p_e.masses > PROBABILITY_FLOOR
+    with np.errstate(divide="ignore"):
+        under = live & (np.log(p_e.masses) - p_e.support < LOG_TINY)
+    return p_e, p_c, micro_dev, live, under
+
+
+def test_crooks_leaves_out_underflowing_partners():
+    # at T = 0.05 the partners of the highest lattice points underflow to
+    # 0, as the relation predicts; they are left out of both residuals and
+    # their mass is floored, and every other point keeps the relation
+    p_e, p_c, micro_dev, live, under = _cold_canonical_distributions()
+    assert under.any() and np.all(p_c.masses[::-1][under] == 0.0)
+    report = crooks_deviation(p_e, p_c, micro_dev)
+    assert report.distribution_deviation <= 1e-8
+    assert report.microstate_deviation == micro_dev <= 1e-10
+    assert report.floored_mass == float(p_e.masses[~live | under].sum())
+    assert report.floored_mass > float(p_e.masses[~live].sum())
+
+
+def test_crooks_still_rejects_a_missing_representable_partner():
+    # failure witness: zero the partner of the highest lattice point whose
+    # partner should be representable; the mismatch must still be raised
+    p_e, p_c, micro_dev, live, under = _cold_canonical_distributions()
+    bad = np.flatnonzero(live & ~under)[-1]
+    masses = p_c.masses.copy()
+    masses[len(masses) - 1 - bad] = 0.0
+    zeroed = EntropyDistribution(support=p_c.support, masses=masses)
+    with pytest.raises(VerificationError, match="support mismatch"):
+        crooks_deviation(p_e, zeroed, micro_dev)
 
 
 def test_jacobi_svd_identity():

@@ -243,6 +243,15 @@ def test_zero_squeeze_spectral_is_exact_identity():
         assert np.array_equal(blocks[2], np.eye(n))
 
 
+def test_spectral_decomposition_failure_is_numeric_error(monkeypatch):
+    def failing(d, e):
+        return np.zeros_like(d), np.eye(len(d)), 1
+
+    monkeypatch.setattr(fock_mod, "dstevd", failing)
+    with pytest.raises(NumericError, match="dstevd failed"):
+        sector_spectral(0.5, 2, 6)
+
+
 def test_analytic_matches_spectral_small_indices():
     # spectral route needs headroom: the image of low states must stay
     # inside the box or reflection contaminates the comparison

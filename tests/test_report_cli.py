@@ -320,18 +320,57 @@ def test_vacuum_point_evaluates_past_the_full_kernels_reach(z, cutoff):
         verify_invariants(cfg)
 
 
-def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
-    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
-    sweep = SweepConfig.from_mapping({
+def _sigma_sweep(grid):
+    return SweepConfig.from_mapping({
         "scenario": "cosmology", "momentum": 1.0, "mass": 1.0, "epsilon": 1.0,
         "sigma": 0.5, "temperature": 0.0, "cutoff": 16,
-        "axis": "sigma", "grid": [0.5, 1.0, 1.0, 2.0],
+        "axis": "sigma", "grid": grid,
     })
-    rows = run_sweep(sweep)
+
+
+def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(_sigma_sweep([0.5, 1.0, 1.0, 2.0]))
     zs = [r["z"] for r in rows]
     assert len(set(zs)) == 3
     assert [z for z, _spec, _vacuum in builds] == list(dict.fromkeys(zs))
     assert [vacuum for *_, vacuum in builds] == [True, True, True]
+
+
+def test_sweep_holds_the_gibbs_state_along_sigma(monkeypatch):
+    # (T, omega_in, spec) repeats on every point of a sigma axis, so one
+    # Gibbs state serves the sweep while each z builds its kernel
+    sweep = _sigma_sweep([0.5, 1.0, 2.0])
+    singles = [run_simulation(sweep.base.replace(sigma=v)) for v in sweep.grid]
+    gibbs = spy_on(monkeypatch, report_mod, "thermal_distribution")
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    rows = run_sweep(sweep)
+    assert len(gibbs) == 1 and len(builds) == 3
+    assert rows == [{**single, "error": ""} for single in singles]
+
+
+def test_temperature_sweep_builds_a_gibbs_state_per_point(monkeypatch):
+    gibbs = spy_on(monkeypatch, report_mod, "thermal_distribution")
+    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    run_sweep(_temperature_sweep([0.25, 0.5, 0.75]))
+    assert [t for t, _omega, _spec in gibbs] == [0.25, 0.5, 0.75]
+    assert len(builds) == 1
+
+
+def test_failed_gibbs_state_is_not_held(monkeypatch):
+    # T = 50 fails the thermal gate: the slot is left empty, so the next
+    # point with the same key builds again and raises again, and the point
+    # after it builds its own state
+    grid = [0.5, 50.0, 50.0, 0.5]
+    sweep = _temperature_sweep(grid)
+    with pytest.raises(LeakageError) as leak:
+        run_simulation(sweep.base.replace(temperature=50.0))
+    single = run_simulation(sweep.base.replace(temperature=0.5))
+    gibbs = spy_on(monkeypatch, report_mod, "thermal_distribution")
+    rows = run_sweep(sweep)
+    assert [t for t, _omega, _spec in gibbs] == grid
+    assert [r["error"] for r in rows[1:3]] == [f"LeakageError: {leak.value}"] * 2
+    assert rows[0] == rows[3] == {**single, "error": ""}
 
 
 def test_no_kernel_outlives_a_call(monkeypatch):
@@ -643,17 +682,19 @@ def test_verify_vacuum_point_checks_the_full_kernel():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_integral_fluctuation_finite_at_low_temperature():
-    # at T = 0.05, e^(-s) alone overflows where P_E(s) = 0, and contraction
-    # masses underflow to 0 where the expansion masses pass the floor: the
-    # microstate residual meets log(0) before the support check runs
-    lines, _failures = verify_invariants(canonical_config().replace(temperature=0.05))
+    # at T = 0.05, e^(-s) alone overflows where P_E(s) = 0, and the
+    # contraction masses of the highest lattice points underflow to 0 where
+    # the expansion masses pass the floor, as the relation predicts: both
+    # Crooks checks leave those points out and pass
+    cfg = canonical_config().replace(temperature=0.05)
+    lines, failures = verify_invariants(cfg)
+    assert failures == 0
     configured = _section(lines, "configured point (scenario=direct-z)")
-    line = next(ln for ln in configured if ln.split()[1] == "integral-fluctuation")
-    assert line.split()[0] == "PASS"
-    message = "support mismatch: P_E(720) > floor but P_C(-720) = 0"
-    assert [ln.split(None, 2) for ln in configured if "crooks" in ln] == [
-        ["FAIL", "crooks-microstate", message], ["FAIL", "crooks-distribution", message],
-    ]
+    checks = {ln.split()[1]: ln.split()[0] for ln in configured}
+    for name in ("integral-fluctuation", "crooks-microstate", "crooks-distribution"):
+        assert checks[name] == "PASS"
+    row = run_simulation(cfg)
+    assert row["flags"] == "ok" and row["crooks_dev"] <= 1e-8
 
 
 def test_battery_decomposes_each_sector_once(monkeypatch):
@@ -661,7 +702,7 @@ def test_battery_decomposes_each_sector_once(monkeypatch):
     # >= 2 at cutoff 40 for orthogonality, 9 sectors for equivalence
     import cosmoflux.fock as fock_mod
 
-    decompositions = spy_on(monkeypatch, fock_mod, "eigh_tridiagonal")
+    decompositions = spy_on(monkeypatch, fock_mod, "dstevd")
     items = report_mod._battery_global()
     assert len(decompositions) == 49
     assert all(ok for _name, ok, _detail in items)

@@ -25,7 +25,7 @@ from cosmoflux.fock import (
     sector_layout,
 )
 from cosmoflux.report import _conservation_checks
-from cosmoflux.thermo import mean_created_kernel
+from cosmoflux.thermo import _work_pass, inner_friction, mean_created_kernel
 
 from conftest import Z_CANON
 from dense_reference import (
@@ -41,6 +41,7 @@ from dense_reference import (
     reference_gibbs_weights,
     reference_kernel,
     reference_relative_entropy,
+    reference_work_sums,
 )
 
 
@@ -143,6 +144,44 @@ def test_flat_stages_equal_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
 
     K = quantum_relative_entropy(thermal, kern, 2.0 * t_ratio)
     assert K == reference_relative_entropy(amps, weights)
+
+
+def _float_bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+# The work pass takes the four averages the bookkeeping once took in four
+# per-sector loops (dense_reference.reference_work_sums), each bit for bit:
+# a full kernel at T > 0, a vacuum kernel at T = 0 and a full kernel
+# serving a T = 0 point.
+@settings(max_examples=20, deadline=None)
+@given(
+    z=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    t_ratio=st.floats(min_value=0.05, max_value=2.0, allow_nan=False),
+    cutoff=st.integers(min_value=8, max_value=48),
+)
+def test_work_pass_equals_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
+    spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
+    try:
+        full = transition_kernel(z, spec)
+    except NumericError:
+        return  # the analytic sum lost double precision; no kernel to sum
+    cases = (
+        (full, thermal_distribution(t_ratio, 1.0, spec)),
+        (transition_kernel(z, spec, True), thermal_distribution(0.0, 1.0, spec)),
+        (full, thermal_distribution(0.0, 1.0, spec)),
+    )
+    for kernel, thermal in cases:
+        reference = reference_work_sums(
+            kernel.probabilities, kernel.column_leakage, thermal.weights,
+            thermal.renorm_defect,
+        )
+        assert _float_bits(_work_pass(kernel, thermal)) == _float_bits(reference)
+        leakage, final, initial, created = reference
+        work = inner_friction(kernel, thermal, 1.0, 2.0)
+        assert _float_bits((work.weighted_leakage, work.mean_work, work.mean_created)) == (
+            _float_bits((leakage, 2.0 * (final + 1.0) - 1.0 * (initial + 1.0), created))
+        )
 
 
 def test_sector_index_tables_fit_their_budget():

@@ -17,10 +17,10 @@ from cosmoflux import (
     thermal_distribution,
     transition_kernel,
 )
+import cosmoflux.thermo as thermo_mod
 from cosmoflux.thermo import (
     mean_created_kernel,
     mean_initial_closed_form,
-    mean_initial_total,
     occupied_sectors,
     truncation_bound,
     weighted_kernel_leakage,
@@ -79,8 +79,9 @@ def test_thermal_tail_gate_raises():
         thermal_distribution(1e17, 1.0, TruncationSpec(cutoff=40))
 
 
-def test_mean_initial_total(thermal40):
-    assert mean_initial_total(thermal40) == pytest.approx(N_INITIAL, abs=1e-12)
+def test_mean_initial_total(kernel40, thermal40):
+    initial = thermo_mod._work_pass(kernel40, thermal40).initial
+    assert initial == pytest.approx(N_INITIAL, abs=1e-12)
     assert mean_initial_closed_form(1.0, 1.0) == pytest.approx(N_INITIAL, abs=1e-14)
 
 
@@ -202,14 +203,13 @@ def test_weighted_leakage_combines_sources(kernel40, thermal40):
 
 
 def test_inner_friction_weighs_leakage_once(kernel40, thermal40, monkeypatch):
-    # the truncation bound and the reported leakage come from one pass
-    import cosmoflux.thermo as thermo_mod
-
-    original = thermo_mod.weighted_kernel_leakage
-    calls = spy_on(monkeypatch, thermo_mod, "weighted_kernel_leakage")
+    # the truncation bound, the reported leakage and every average come
+    # from one work pass
+    leakage = weighted_kernel_leakage(kernel40, thermal40)
+    calls = spy_on(monkeypatch, thermo_mod, "_work_pass")
     work = inner_friction(kernel40, thermal40, 1.0, 2.0)
     assert len(calls) == 1
-    assert work.weighted_leakage == original(kernel40, thermal40)
+    assert work.weighted_leakage == leakage
     assert work.truncation_bound == truncation_bound(
         kernel40.spec, 2.0, work.weighted_leakage
     )
@@ -218,12 +218,13 @@ def test_inner_friction_weighs_leakage_once(kernel40, thermal40, monkeypatch):
 def test_friction_consistency_tripwire(kernel40, thermal40, monkeypatch):
     # the friction/creation cross-check is algebraically tight, so the
     # only way to exercise the error branch is to corrupt one route
-    import cosmoflux.thermo as thermo_mod
+    original = thermo_mod._work_pass
 
-    original = thermo_mod.mean_created_kernel
-    monkeypatch.setattr(
-        thermo_mod, "mean_created_kernel", lambda k, t: original(k, t) + 0.5
-    )
+    def corrupted(kernel, thermal):
+        sums = original(kernel, thermal)
+        return sums._replace(created=sums.created + 0.5)
+
+    monkeypatch.setattr(thermo_mod, "_work_pass", corrupted)
     with pytest.raises(VerificationError):
         inner_friction(kernel40, thermal40, 1.0, 2.0)
 
