@@ -41,7 +41,6 @@ from .thermo import (
     ThermalDistribution,
     WorkReport,
     adiabatic_work,
-    average_work,
     inner_friction,
     mean_created_closed_form,
     mean_created_spectral,
@@ -94,7 +93,6 @@ __all__ = [
     "WorkReport",
     "adiabatic_work",
     "asymptotic_frequencies",
-    "average_work",
     "canonical_config",
     "channel_from_blackhole",
     "channel_from_cosmology",

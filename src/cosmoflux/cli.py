@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .errors import (
     ConfigError,
@@ -21,6 +20,7 @@ from .errors import (
     VerificationError,
 )
 from .report import (
+    CONFIG_KEYS,
     SWEEP_ONLY_KEYS,
     RunConfig,
     SweepConfig,
@@ -32,13 +32,10 @@ from .report import (
     verify_invariants,
 )
 
-CONFIG_FLAGS = tuple(f.name for f in fields(RunConfig))
-
-
 def _add_common(parser: argparse.ArgumentParser, sweep: bool = False) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
     parser.add_argument("--outfile", metavar="PATH", help="write the report here instead of stdout")
-    for key in CONFIG_FLAGS:
+    for key in CONFIG_KEYS:
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V")
     if sweep:
         for key in SWEEP_ONLY_KEYS:
@@ -73,7 +70,7 @@ def _load_mapping(args: argparse.Namespace, sweep: bool = False) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(mapping, dict):
             raise ConfigError("config file must hold a single JSON object")
-    keys = CONFIG_FLAGS + (SWEEP_ONLY_KEYS if sweep else ())
+    keys = CONFIG_KEYS + (SWEEP_ONLY_KEYS if sweep else ())
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:

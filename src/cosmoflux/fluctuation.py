@@ -6,11 +6,13 @@ trajectory s = (omega/T)(total(m) - total(n)) cancels the weight ratio
 exactly, so the forward/reverse log-ratio identity holds microstate by
 microstate and every deviation measured here is pure floating-point or
 truncation noise. The trajectory masses of every sector are formed in one
-pass over the kernel's sector-major buffer, binned onto the entropy lattice
-and checked microstate by microstate; coarse-graining to the lattice
-happens only for reporting, since sector degeneracies would otherwise
-contaminate the increment. Every check here fails closed on a NaN: it
-passes only when its residual is <= its tolerance.
+pass over the kernel's sector-major buffer, squared once into p(m|n),
+binned onto the entropy lattice and checked microstate by microstate;
+coarse-graining to the lattice happens only for reporting, since sector
+degeneracies would otherwise contaminate the increment. The Crooks and KL
+checks pair the same lattice points, leaving out those whose partner
+underflows as the relation predicts. Every check here fails closed on a
+NaN: it passes only when its residual is <= its tolerance.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ class EntropyDistribution:
     support: np.ndarray
     masses: np.ndarray
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 @dataclass(frozen=True)
 class CrooksReport:
@@ -57,10 +55,10 @@ def entropy_distributions(
 
     The expansion masses p(n -> m) = p(m|n) p_th(n) and the contraction
     masses q(m -> n) = p(m|n) p_th(m) of every sector are formed in one pass
-    over the kernel buffer: the contraction's initial thermal state at the
-    rescaled frequency and adiabatic temperature has the same Boltzmann
-    factor, so its weights coincide with the expansion's on the shared
-    basis. Both are binned onto one integer lattice of total change at the
+    over the squared kernel buffer: the contraction's initial thermal state
+    at the rescaled frequency and adiabatic temperature has the same
+    Boltzmann factor, so its weights coincide with the expansion's on the
+    shared basis. Both are binned onto one integer lattice of total change at the
     rate omega_in / T, so the expansion value s and the contraction value
     -s land on shared points; the contraction distribution is returned over
     its own increment (the negated lattice, in ascending order; _binned
@@ -74,11 +72,11 @@ def entropy_distributions(
         raise EntropyUndefinedError(
             "entropy distributions are undefined on the T = 0 vacuum path"
         )
-    require_sectors(len(kernel.probabilities), thermal)
+    require_sectors(len(kernel.amplitudes), thermal)
     rate = thermal.omega / thermal.temperature
     cutoff = thermal.spec.cutoff
     ix = sector_index(cutoff)
-    P, w = kernel.flat_probabilities, thermal.flat_weights
+    P, w = kernel.flat_amplitudes**2, thermal.flat_weights
     # expansion masses weigh each entry by its initial state, contraction
     # masses by its final state; only the live entries are kept past binning
     J = np.take(w, ix.col)
@@ -144,6 +142,15 @@ def _mirrored_masses(
     return p_c.masses[::-1]
 
 
+def _paired_points(p_e: EntropyDistribution) -> np.ndarray:
+    """The support points whose partner the relations are checked on:
+    P_E(s) > PROBABILITY_FLOOR and log P_E(s) - s >= LOG_TINY, so that the
+    partner P_C(-s) = P_E(s) e^(-s) is a normal double."""
+    checked = p_e.masses > PROBABILITY_FLOOR
+    checked[checked] = np.log(p_e.masses[checked]) - p_e.support[checked] >= LOG_TINY
+    return checked
+
+
 def crooks_deviation(
     p_e: EntropyDistribution,
     p_c: EntropyDistribution,
@@ -161,8 +168,7 @@ def crooks_deviation(
     infinity.
     """
     paired = _mirrored_masses(p_e, p_c)
-    checked = p_e.masses > PROBABILITY_FLOOR
-    checked[checked] = np.log(p_e.masses[checked]) - p_e.support[checked] >= LOG_TINY
+    checked = _paired_points(p_e)
     floored = float(p_e.masses[~checked].sum())
     if np.any(checked & (paired <= 0.0)):
         bad = p_e.support[checked & (paired <= 0.0)][0]
@@ -194,20 +200,23 @@ def mean_entropy_and_kl(
 ) -> tuple[float, float]:
     """<s> and K[P_E || P_C(-s)], asserting their identity.
 
-    The mean runs over the full support; the KL sum applies
-    PROBABILITY_FLOOR so sub-truncation masses cannot inject log noise.
+    The mean runs over the full support. The KL sum pairs the points the
+    Crooks checks pair (_paired_points): sub-truncation masses would inject
+    log noise, and a partner that underflows, as the relation predicts at
+    low temperature, carries no digits. The points left out are left out
+    of both sides, so KL is compared with <s> less their P_E(s) s; their
+    mass is crooks_deviation's floored_mass. A paired point whose partner
+    is 0 makes KL infinite, and the identity fails.
     """
     s_mean = mean_entropy(p_e)
     paired = _mirrored_masses(p_e, p_c)
-    live = p_e.masses > PROBABILITY_FLOOR
-    kl = float(
-        p_e.masses[live]
-        @ (np.log(p_e.masses[live]) - np.log(np.maximum(paired[live], 1e-300)))
-    )
-    if not abs(s_mean - kl) <= 1e-8:
-        raise VerificationError(
-            f"<s> and KL disagree by {abs(s_mean - kl):.3e} (> 1e-8)"
-        )
+    checked = _paired_points(p_e)
+    masses = p_e.masses[checked]
+    with np.errstate(divide="ignore"):
+        kl = float(masses @ (np.log(masses) - np.log(paired[checked])))
+    gap = abs(s_mean - float(p_e.support[~checked] @ p_e.masses[~checked]) - kl)
+    if not gap <= 1e-8:
+        raise VerificationError(f"<s> and KL disagree by {gap:.3e} (> 1e-8)")
     if not s_mean >= -1e-10:
         raise VerificationError(f"<s> = {s_mean:.3e} violates positivity")
     return s_mean, kl

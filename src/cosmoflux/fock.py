@@ -6,7 +6,9 @@ is block-diagonal in the difference sector d and is stored only as its
 blocks. This module owns the sector layout (sector_layout) and its flat
 storage: a kernel keeps each per-sector quantity in one sector-major buffer
 (the blocks d = 0..cutoff end to end, or their states end to end), and its
-per-sector blocks are read-only views into that buffer (sector_views).
+per-sector blocks are read-only views into that buffer (sector_views). It
+stores the signed amplitudes, not their squares: every stage that reads
+p(m|n) squares the buffer itself, once per call.
 sector_index holds, once per cutoff, the gather indices that let a stage
 treat every sector of a buffer in one array pass.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -498,42 +500,38 @@ def _kernel_amplitudes(z: float, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Squared squeeze amplitudes p(m|n) with truncation diagnostics.
+    """Signed squeeze amplitudes <m|S|n> with truncation diagnostics.
 
-    probabilities[d] is the block of difference sector d (sector_layout),
-    indexed [final, initial] by the sector position i; amplitudes[d] holds
-    the signed amplitudes it squares. column_leakage[d][i] is the true
-    probability that the image of the sector state at position i escaped
-    the box. Each is a tuple of read-only views (sector_views) into one
-    sector-major buffer, flat_probabilities, flat_amplitudes and
-    flat_column_leakage; only the buffers are fields, so each byte is held
-    and counted once. A full kernel holds every sector of the box. A
-    vacuum kernel (vacuum True) serves only a T = 0 point, whose initial
-    state is the vacuum (0, 0): it holds the d = 0 block alone, and of
-    that block only column 0; its other columns are 0, so their leakage
-    reads 1. All arrays are read-only, since a sweep shares one kernel
-    between its points.
+    amplitudes[d] is the block of difference sector d (sector_layout),
+    indexed [final, initial] by the sector position i. Its elementwise
+    square is the transition probability p(m|n), which each consumer
+    forms per call as flat_amplitudes**2: the same float operation, so the
+    same bits, that a stored copy would hold at twice the kernel's bytes.
+    column_leakage[d][i] is the true probability that the image of the
+    sector state at position i escaped the box. Each is a tuple of
+    read-only views (sector_views) into one sector-major buffer,
+    flat_amplitudes and flat_column_leakage; only the buffers are fields,
+    so each byte is held and counted once. A full kernel holds every
+    sector of the box. A vacuum kernel (vacuum True) serves only a T = 0
+    point, whose initial state is the vacuum (0, 0): it holds the d = 0
+    block alone, and of that block only column 0; its other columns are
+    0, so their leakage reads 1. All arrays are read-only, since a sweep
+    shares one kernel between its points.
     """
 
     z: float
     spec: TruncationSpec
     vacuum: bool
-    flat_probabilities: np.ndarray = field(repr=False)
-    flat_column_leakage: np.ndarray = field(repr=False)
     flat_amplitudes: np.ndarray = field(repr=False)
+    flat_column_leakage: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        # every consumer reads these two; set here rather than declared, so
-        # that they are not fields
+        # set here rather than declared, so that they are not fields
         cutoff = self.spec.cutoff
-        views = sector_views(self.flat_probabilities, cutoff, True)
-        object.__setattr__(self, "probabilities", views)
+        views = sector_views(self.flat_amplitudes, cutoff, True)
+        object.__setattr__(self, "amplitudes", views)
         views = sector_views(self.flat_column_leakage, cutoff, False)
         object.__setattr__(self, "column_leakage", views)
-
-    @cached_property
-    def amplitudes(self) -> tuple[np.ndarray, ...]:
-        return sector_views(self.flat_amplitudes, self.spec.cutoff, True)
 
 
 def transition_kernel(
@@ -568,15 +566,13 @@ def transition_kernel(
     # cannot be made writeable
     if vacuum:
         block = _frozen(_vacuum_block(z, spec.cutoff))
-        square = _frozen(block**2)
-        amps, probs, colsums = block.ravel(), square.ravel(), square.sum(axis=0)
+        amps, colsums = block.ravel(), (block**2).sum(axis=0)
     else:
         amps = _frozen(_kernel_amplitudes(z, spec.cutoff))
-        probs = _frozen(amps**2)
         # sums in row order, as a block's sum over axis 0 takes them
         colsums = np.bincount(
             sector_index(spec.cutoff).col,
-            weights=probs,
+            weights=amps**2,
             minlength=len(state_totals(spec.cutoff)),
         )
     excess = float(colsums.max()) - 1.0
@@ -590,7 +586,6 @@ def transition_kernel(
         z=z,
         spec=spec,
         vacuum=vacuum,
-        flat_probabilities=probs,
-        flat_column_leakage=_frozen(np.maximum(1.0 - colsums, 0.0)),
         flat_amplitudes=amps,
+        flat_column_leakage=_frozen(np.maximum(1.0 - colsums, 0.0)),
     )

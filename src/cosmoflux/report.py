@@ -93,7 +93,7 @@ class RunConfig:
 
     def to_mapping(self) -> dict:
         out = {}
-        for name in _FIELDS:
+        for name in CONFIG_KEYS:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -157,10 +157,11 @@ class RunConfig:
 
 
 # RunConfig's field names in declaration order, and its float fields among
-# them, read once here rather than scanned on every replace and validate
-_FIELDS = tuple(f.name for f in dataclass_fields(RunConfig))
-_FIELD_NAMES = frozenset(_FIELDS)
-_FLOAT_FIELDS = tuple(name for name in _FIELDS if name in FLOAT_KEYS)
+# them, read once here rather than scanned on every replace and validate;
+# CONFIG_KEYS is also the CLI's list of config flags
+CONFIG_KEYS = tuple(f.name for f in dataclass_fields(RunConfig))
+_FIELD_NAMES = frozenset(CONFIG_KEYS)
+_FLOAT_FIELDS = tuple(name for name in CONFIG_KEYS if name in FLOAT_KEYS)
 
 
 def _coerce(key: str, value):
@@ -523,7 +524,7 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     kernel = kernels.kernel_for(channel.z, staged.spec, False)
     items: list[tuple[str, bool, str]] = []
 
-    P = kernel.flat_probabilities
+    P = kernel.flat_amplitudes**2
     sym = float(np.max(np.abs(P - np.take(P, fock.sector_index(cfg.cutoff).transpose))))
     items.append(("kernel-symmetry", sym <= 1e-12, f"max |p(m|n)-p(n|m)| = {sym:.3e}"))
     items.extend(_conservation_checks(kernel, layout))
@@ -606,7 +607,8 @@ def _conservation_checks(
     side = kernel.spec.cutoff + 1
     cover = np.zeros(side * side, dtype=int)
     off_sector = odd_change = 0.0
-    for s, P in zip(layout, kernel.probabilities):
+    blocks = fock.sector_views(kernel.flat_amplitudes**2, kernel.spec.cutoff, True)
+    for s, P in zip(layout, blocks):
         a, b = np.divmod(s.index, side)
         ma, mb = np.divmod(s.mirror_index, side)
         cover[s.index] += 1

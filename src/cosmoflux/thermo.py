@@ -9,10 +9,11 @@ The Gibbs weights of every occupied sector state are one buffer, formed in
 one pass over the box's state totals (fock.state_totals); the per-sector
 weight vectors are read-only views of it. Every kernel average the work
 bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>) comes from
-one pass over the occupied sectors (_work_pass), which forms each sector's
-totals @ P once; inner_friction reads that pass, and the public averages
-are readers of it. Each sector term keeps its operands and each sum its
-order, so the averages are those of one loop per average bit for bit.
+one pass over the occupied sectors (_work_pass), which squares the kernel's
+amplitudes once into p(m|n) and forms each sector's totals @ P once;
+inner_friction reads that pass and reports every average in its
+WorkReport. Each sector term keeps its operands and each sum its order, so
+the averages are those of one loop per average bit for bit.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def weighted_sectors(
 ) -> Iterator[tuple[Sector, np.ndarray, np.ndarray]]:
     """(sector, block, weights) for every sector the initial state occupies.
 
-    blocks follows sector_layout (a kernel's probabilities, amplitudes or
-    column_leakage); require_sectors says which blocks may serve.
+    blocks follows sector_layout (a kernel's amplitudes or their squares);
+    require_sectors says which blocks may serve.
     """
     require_sectors(len(blocks), thermal)
     return zip(sector_layout(thermal.spec.cutoff), blocks, thermal.weights)
@@ -147,13 +148,16 @@ def thermal_distribution(
 ) -> ThermalDistribution:
     """Gibbs weights (1-x)^2 x^total with x = exp(-omega/T), renormalized.
 
+    Raises ValueError unless the temperature is finite and >= 0 and omega
+    is finite and > 0: a NaN would pass the tail gate below, and an
+    infinite omega would give a point mass that is not the vacuum path.
     Raises LeakageError when the untruncated tail mass exceeds the leakage
     budget: the box is too small to hold this temperature.
     """
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
     weights, defect = _gibbs_weights(temperature, omega, spec.cutoff)
     if defect > spec.leakage_tolerance:
         raise LeakageError(
@@ -212,13 +216,15 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     """Every kernel average of the work bookkeeping, in one pass over the
     sectors the initial state occupies.
 
-    Each sector's totals @ P is formed once and serves both <n_f> and
-    <n_c>. Every sector term keeps its operands, and each sum adds the
+    The amplitudes are squared once into p(m|n), the same bits at every
+    call. Each sector's totals @ P is formed once and serves both <n_f>
+    and <n_c>. Every sector term keeps its operands, and each sum adds the
     terms in layout order, as one loop per average would.
     """
+    squares = sector_views(kernel.flat_amplitudes**2, kernel.spec.cutoff, True)
     leakage = final = initial = created = 0
     for (s, P, w), leak in zip(
-        weighted_sectors(kernel.probabilities, thermal), kernel.column_leakage
+        weighted_sectors(squares, thermal), kernel.column_leakage
     ):
         m = s.multiplicity
         tP = s.totals @ P
@@ -227,34 +233,6 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
         initial += m * float(s.totals @ w)
         created += m * _sector_created(s.totals, tP, P, w)
     return _WorkSums(leakage + thermal.renorm_defect, final, initial, created)
-
-
-def weighted_kernel_leakage(
-    kernel: TransitionKernel, thermal: ThermalDistribution
-) -> float:
-    """Kernel leakage weighted by the initial distribution, plus its tail."""
-    return _work_pass(kernel, thermal).leakage
-
-
-def _mean_work(sums: _WorkSums, omega_in: float, omega_out: float) -> float:
-    return omega_out * (sums.final + 1.0) - omega_in * (sums.initial + 1.0)
-
-
-def average_work(
-    kernel: TransitionKernel,
-    thermal: ThermalDistribution,
-    omega_in: float,
-    omega_out: float,
-) -> float:
-    """Mean work omega_out(<n_f> + 1) - omega_in(<n_i> + 1), in-box."""
-    return _mean_work(_work_pass(kernel, thermal), omega_in, omega_out)
-
-
-def mean_created_kernel(
-    kernel: TransitionKernel, thermal: ThermalDistribution
-) -> float:
-    """<total(m) - total(n)> under p(m|n) p_th(n), in-box."""
-    return _work_pass(kernel, thermal).created
 
 
 def mean_created_closed_form(z: float, temperature: float, omega: float) -> float:
@@ -283,7 +261,8 @@ def inner_friction(
     sums = _work_pass(kernel, thermal)
     leakage, n_c = sums.leakage, sums.created
     bound = truncation_bound(kernel.spec, omega_out, leakage)
-    mean_work = _mean_work(sums, omega_in, omega_out)
+    # omega_out(<n_f> + 1) - omega_in(<n_i> + 1), in-box
+    mean_work = omega_out * (sums.final + 1.0) - omega_in * (sums.initial + 1.0)
     w_ad = adiabatic_work(thermal.temperature, omega_in, omega_out)
     w_fric = mean_work - w_ad
     if not all(map(math.isfinite, (leakage, bound, mean_work, w_ad, w_fric, n_c))):

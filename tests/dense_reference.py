@@ -144,13 +144,18 @@ def reference_work_sums(probabilities, column_leakage, weights, renorm_defect):
 
 def reference_entropy_pass(probabilities, weights, rate, cutoff, floor=1e-12):
     """Expansion and contraction masses per total change -2N..2N (offset by
-    2N) and the microstate Crooks residual, one sector at a time."""
+    2N) and the microstate Crooks residual, one sector at a time.
+
+    The residual leaves out the microstates with log J - s below the log of
+    the smallest normal double, whose contraction mass J e^(-s) underflows
+    as the relation predicts."""
     i = np.arange(cutoff + 1)
     total_change = 2 * (i[:, None] - i[None, :])
     bins = total_change + 2 * cutoff
     mass_e = np.zeros(4 * cutoff + 1)
     mass_c = np.zeros(4 * cutoff + 1)
     micro_dev = 0.0
+    log_tiny = np.log(np.finfo(float).tiny)
     for d, (P, w) in enumerate(zip(probabilities, weights)):
         size, multiplicity = len(w), 2 if d else 1
         J, Q = P * w[None, :], P * w[:, None]
@@ -162,6 +167,7 @@ def reference_entropy_pass(probabilities, weights, rate, cutoff, floor=1e-12):
             sector_bins, weights=Q.ravel(), minlength=4 * cutoff + 1
         )
         mask = J > floor
+        mask[mask] = np.log(J[mask]) - rate * total_change[:size, :size][mask] >= log_tiny
         if np.any(mask):
             s_vals = rate * total_change[:size, :size][mask]
             with np.errstate(divide="ignore"):

@@ -65,7 +65,7 @@ def test_01_amplitude_dual_route(request):
 
 def test_02_vacuum_pair_law(request, kernel40):
     tau = np.tanh(Z_CANON)
-    col = kernel40.probabilities[0][:, 0]  # sector d = 0: states (n, n)
+    col = kernel40.amplitudes[0][:, 0] ** 2  # sector d = 0: states (n, n)
     worst = 0.0
     for n in range(11):
         expected = (1.0 - tau * tau) * tau ** (2 * n)

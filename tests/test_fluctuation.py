@@ -37,9 +37,10 @@ N_CREATED_CANON = 1.442635609159102
 
 def _trajectory_masses(kernel, thermal):
     """Per-sector expansion and contraction masses, as the lattice pass forms them."""
+    probabilities = [A**2 for A in kernel.amplitudes]
     return (
-        [P * w[None, :] for P, w in zip(kernel.probabilities, thermal.weights)],
-        [P * w[:, None] for P, w in zip(kernel.probabilities, thermal.weights)],
+        [P * w[None, :] for P, w in zip(probabilities, thermal.weights)],
+        [P * w[:, None] for P, w in zip(probabilities, thermal.weights)],
     )
 
 
@@ -57,7 +58,7 @@ def test_joint_shapes_and_mass(kernel40, thermal40):
 
 def test_reverse_jump_reference_value(kernel40, thermal40):
     # sector d = 0, final (1, 1) at position 1, initial (0, 0) at position 0
-    q = kernel40.probabilities[0][1, 0] * thermal40.weights[0][1]
+    q = kernel40.amplitudes[0][1, 0] ** 2 * thermal40.weights[0][1]
     assert q == pytest.approx(Q_11_TO_00, rel=1e-13)
 
 
@@ -75,8 +76,8 @@ def test_entropy_distributions_lattice(dists40):
     assert np.all(np.diff(p_e.support) > 0.0)
     steps = np.diff(p_e.support)
     assert np.allclose(steps, 2.0, atol=1e-12)
-    assert p_e.total_mass == pytest.approx(1.0, abs=1e-9)
-    assert p_c.total_mass == pytest.approx(1.0, abs=1e-9)
+    assert p_e.masses.sum() == pytest.approx(1.0, abs=1e-9)
+    assert p_c.masses.sum() == pytest.approx(1.0, abs=1e-9)
     # contraction support is the negated expansion lattice
     assert p_c.support[0] == pytest.approx(-p_e.support[-1], abs=1e-12)
 
@@ -136,17 +137,45 @@ def test_quantum_relative_entropy_zero_squeeze(thermal40):
     )
 
 
+def _underflowing(p_e):
+    """The live lattice points and those whose partner P_E(s) e^(-s) falls
+    below the smallest normal double."""
+    live = p_e.masses > PROBABILITY_FLOOR
+    with np.errstate(divide="ignore"):
+        under = live & (np.log(p_e.masses) - p_e.support < LOG_TINY)
+    return live, under
+
+
+def _without_partner(p_e, p_c, live, under):
+    """p_c with the partner of the highest live point whose partner should
+    be representable set to 0."""
+    bad = np.flatnonzero(live & ~under)[-1]
+    masses = p_c.masses.copy()
+    masses[len(masses) - 1 - bad] = 0.0
+    return EntropyDistribution(support=p_c.support, masses=masses)
+
+
 def test_kl_pairing_fails_closed_when_reverse_underflows():
-    # z = 1.2 from a near-vacuum state reaches entropy values s ~ 900;
-    # the reverse masses e^(-s) underflow float64, so the KL estimate is
-    # biased and the identity check must refuse rather than report it
+    # z = 1.2 from a near-vacuum state reaches entropy values s ~ 900,
+    # where the reverse masses P_E(s) e^(-s) underflow float64 as the
+    # relation predicts: the KL pairing leaves those points out of both
+    # sides of the identity, as the Crooks checks do, and the identity
+    # holds on the rest. A reverse mass that underflows where it should be
+    # representable must still be refused
     spec = TruncationSpec(cutoff=44, leakage_tolerance=1e-2)
     kern = transition_kernel(1.2, spec)
     thermal = thermal_distribution(0.1, 1.0, spec)
-    p_e, p_c, _ = entropy_distributions(kern, thermal)
-    with pytest.raises(VerificationError):
-        mean_entropy_and_kl(p_e, p_c)
-    assert mean_entropy(p_e) >= 0.0  # the mean itself stays evaluable
+    p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
+    live, under = _underflowing(p_e)
+    assert under.any()
+    left_out = ~live | under
+    s_mean, kl = mean_entropy_and_kl(p_e, p_c)
+    assert s_mean == mean_entropy(p_e) >= 0.0  # the full-support mean
+    assert abs(s_mean - float(p_e.support[left_out] @ p_e.masses[left_out]) - kl) <= 1e-8
+    report = crooks_deviation(p_e, p_c, micro_dev)
+    assert report.floored_mass == float(p_e.masses[left_out].sum())
+    with pytest.raises(VerificationError, match="disagree by inf"):
+        mean_entropy_and_kl(p_e, _without_partner(p_e, p_c, live, under))
 
 
 def test_crooks_rejects_unmirrored_support(dists40):
@@ -166,10 +195,7 @@ def _cold_canonical_distributions():
     p_e, p_c, micro_dev = entropy_distributions(
         transition_kernel(Z_CANON, spec), thermal_distribution(0.05, 1.0, spec)
     )
-    live = p_e.masses > PROBABILITY_FLOOR
-    with np.errstate(divide="ignore"):
-        under = live & (np.log(p_e.masses) - p_e.support < LOG_TINY)
-    return p_e, p_c, micro_dev, live, under
+    return p_e, p_c, micro_dev, *_underflowing(p_e)
 
 
 def test_crooks_leaves_out_underflowing_partners():
@@ -189,10 +215,7 @@ def test_crooks_still_rejects_a_missing_representable_partner():
     # failure witness: zero the partner of the highest lattice point whose
     # partner should be representable; the mismatch must still be raised
     p_e, p_c, micro_dev, live, under = _cold_canonical_distributions()
-    bad = np.flatnonzero(live & ~under)[-1]
-    masses = p_c.masses.copy()
-    masses[len(masses) - 1 - bad] = 0.0
-    zeroed = EntropyDistribution(support=p_c.support, masses=masses)
+    zeroed = _without_partner(p_e, p_c, live, under)
     with pytest.raises(VerificationError, match="support mismatch"):
         crooks_deviation(p_e, zeroed, micro_dev)
 

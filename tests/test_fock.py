@@ -266,7 +266,7 @@ def test_analytic_matches_spectral_small_indices():
 
 def test_vacuum_column_law(kernel40):
     tau = np.tanh(Z_CANON)
-    col = kernel40.probabilities[0][:, 0]  # sector d = 0: states (n, n)
+    col = kernel40.amplitudes[0][:, 0] ** 2  # sector d = 0: states (n, n)
     for n in range(11):
         expected = (1.0 - tau * tau) * tau ** (2 * n)
         assert abs(col[n] - expected) / expected <= 1e-9
@@ -274,7 +274,7 @@ def test_vacuum_column_law(kernel40):
 
 def test_vacuum_column_leakage_closed_form(kernel40):
     # closed form tau^(2(N+1)) equals the measured column defect
-    measured = 1.0 - kernel40.probabilities[0][:, 0].sum()
+    measured = 1.0 - (kernel40.amplitudes[0][:, 0] ** 2).sum()
     assert vacuum_column_leakage(Z_CANON, 40) == pytest.approx(measured, abs=1e-13)
 
 
@@ -315,7 +315,7 @@ def test_transition_kernel_instability_raises():
 
 def test_kernel_arrays_read_only(kernel40):
     # a sweep shares one kernel between its points
-    for blocks in (kernel40.amplitudes, kernel40.probabilities, kernel40.column_leakage):
+    for blocks in (kernel40.amplitudes, kernel40.column_leakage):
         for a in blocks:
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -326,7 +326,7 @@ def test_vacuum_kernel_holds_the_full_kernels_vacuum_column(kernel40, spec40):
     # full kernel's, and the block's other columns hold 0 and leak 1
     vac = transition_kernel(Z_CANON, spec40, True)
     assert vac.vacuum and not kernel40.vacuum
-    for field in ("amplitudes", "probabilities", "column_leakage"):
+    for field in ("amplitudes", "column_leakage"):
         (held,) = getattr(vac, field)
         full = getattr(kernel40, field)[0]
         assert held.shape == full.shape
@@ -392,21 +392,22 @@ def test_vacuum_block_is_the_analytic_column_bitwise(z, cutoff):
 
 
 def test_kernel_symmetry_exact(kernel40):
-    for P in kernel40.probabilities:
+    for A in kernel40.amplitudes:
+        P = A**2
         assert np.max(np.abs(P - P.T)) == 0.0
 
 
 def test_kernel_probability_lookup(kernel40):
     tau = np.tanh(Z_CANON)
-    p = kernel40.probabilities[0][1, 0]  # sector d = 0: (0, 0) -> (1, 1)
+    p = kernel40.amplitudes[0][1, 0] ** 2  # sector d = 0: (0, 0) -> (1, 1)
     assert p == pytest.approx((1 - tau * tau) * tau * tau, rel=1e-12)
 
 
 def test_zero_squeeze_is_identity():
     spec = TruncationSpec(cutoff=10)
     kern = transition_kernel(0.0, spec)
-    for P in kern.probabilities:
-        assert np.array_equal(P, np.eye(len(P)))
+    for A in kern.amplitudes:
+        assert np.array_equal(A**2, np.eye(len(A)))
     assert max(np.max(leak) for leak in kern.column_leakage) == 0.0
 
 
@@ -415,7 +416,8 @@ def test_zero_squeeze_is_identity():
 def test_kernel_columns_substochastic(z):
     spec = TruncationSpec(cutoff=14, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
-    for P, leak in zip(kern.probabilities, kern.column_leakage):
+    for A, leak in zip(kern.amplitudes, kern.column_leakage):
+        P = A**2
         assert np.min(P) >= 0.0
         colsums = P.sum(axis=0)
         assert np.max(colsums) <= 1.0 + 1e-12

@@ -697,6 +697,18 @@ def test_verify_integral_fluctuation_finite_at_low_temperature():
     assert row["flags"] == "ok" and row["crooks_dev"] <= 1e-8
 
 
+@pytest.mark.parametrize("temperature", [0.04, 0.03])
+def test_kl_identity_holds_below_t_005(temperature):
+    # below T = 0.05 more lattice points have partners below the smallest
+    # normal double; the KL pairing leaves them out, as the Crooks checks
+    # do, so the point runs and the battery passes
+    cfg = canonical_config().replace(temperature=temperature)
+    row = run_simulation(cfg)
+    assert row["flags"] == "ok"
+    lines, failures = verify_invariants(cfg)
+    assert failures == 0
+
+
 def test_battery_decomposes_each_sector_once(monkeypatch):
     # one decomposition per sector serves all three z: 40 sectors of size
     # >= 2 at cutoff 40 for orthogonality, 9 sectors for equivalence

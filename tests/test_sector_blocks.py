@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
     NumericError,
+    TransitionKernel,
     TruncationSpec,
-    average_work,
     entropy_distributions,
     quantum_relative_entropy,
     thermal_distribution,
@@ -25,7 +25,7 @@ from cosmoflux.fock import (
     sector_layout,
 )
 from cosmoflux.report import _conservation_checks
-from cosmoflux.thermo import _work_pass, inner_friction, mean_created_kernel
+from cosmoflux.thermo import _work_pass, inner_friction
 
 from conftest import Z_CANON
 from dense_reference import (
@@ -60,7 +60,7 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     P = dense_view(amps, cutoff) ** 2
 
     # kernel: elementwise the same products, so exactly equal
-    assert np.array_equal(dense_view(kern.probabilities, cutoff), P)
+    assert np.array_equal(dense_view([A**2 for A in kern.amplitudes], cutoff), P)
     assert np.array_equal(
         dense_state_vector(kern.column_leakage, cutoff),
         np.maximum(1.0 - P.sum(axis=0), 0.0),
@@ -70,11 +70,11 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     # bounded by sum length x unit roundoff x the size of the summands
     # (masses sum to at most 1, totals are at most 2N)
     rounding = (cutoff + 1) ** 2 * np.finfo(float).eps
-    mean_work = average_work(kern, thermal, 1.0, 2.0)
+    work = inner_friction(kern, thermal, 1.0, 2.0)
     n_i = float(dense_totals(cutoff) @ w)
     dense_work = 2.0 * (dense_mean_final_total(P, w, cutoff) + 1.0) - (n_i + 1.0)
-    assert abs(mean_work - dense_work) <= rounding * 2.0 * 2 * cutoff
-    created = mean_created_kernel(kern, thermal)
+    assert abs(work.mean_work - dense_work) <= rounding * 2.0 * 2 * cutoff
+    created = work.mean_created
     assert abs(created - dense_mean_created(P, w, cutoff)) <= rounding * 2 * cutoff
     # expansion and contraction trajectory masses p(m|n) w(n), p(m|n) w(m)
     J, Q = P * w[None, :], P * w[:, None]
@@ -125,7 +125,6 @@ def test_flat_stages_equal_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
         return
     kern = transition_kernel(z, spec)
     _same_bits(kern.amplitudes, amps)
-    _same_bits(kern.probabilities, probs)
     _same_bits(kern.column_leakage, [np.maximum(1.0 - c, 0.0) for c in colsums])
 
     weights, defect = reference_gibbs_weights(t_ratio, 1.0, cutoff)
@@ -172,9 +171,11 @@ def test_work_pass_equals_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
         (full, thermal_distribution(0.0, 1.0, spec)),
     )
     for kernel, thermal in cases:
+        # the reference loops take squares formed here, so the squaring
+        # inside the pass is checked too
         reference = reference_work_sums(
-            kernel.probabilities, kernel.column_leakage, thermal.weights,
-            thermal.renorm_defect,
+            [A**2 for A in kernel.amplitudes], kernel.column_leakage,
+            thermal.weights, thermal.renorm_defect,
         )
         assert _float_bits(_work_pass(kernel, thermal)) == _float_bits(reference)
         leakage, final, initial, created = reference
@@ -208,8 +209,8 @@ def test_sector_views_cannot_be_made_writeable(kernel40, thermal40, spec40):
     # buffers may be turned back into a writeable array
     vacuum = transition_kernel(Z_CANON, spec40, True)
     for views in (
-        kernel40.amplitudes, kernel40.probabilities, kernel40.column_leakage,
-        vacuum.amplitudes, vacuum.probabilities, vacuum.column_leakage,
+        kernel40.amplitudes, kernel40.column_leakage,
+        vacuum.amplitudes, vacuum.column_leakage,
         thermal40.weights, thermal_distribution(0.0, 1.0, spec40).weights,
     ):
         for view in views:
@@ -217,8 +218,8 @@ def test_sector_views_cannot_be_made_writeable(kernel40, thermal40, spec40):
             with pytest.raises(ValueError):
                 view.flags.writeable = True
     for flat in (
-        kernel40.flat_amplitudes, kernel40.flat_probabilities,
-        kernel40.flat_column_leakage, thermal40.flat_weights,
+        kernel40.flat_amplitudes, kernel40.flat_column_leakage,
+        thermal40.flat_weights,
     ):
         with pytest.raises(ValueError):
             flat[0] = 0.0
@@ -229,6 +230,21 @@ def test_footprint_at_cutoff_56():
     spec = TruncationSpec(cutoff=56, leakage_tolerance=1e-8)
     kern = transition_kernel(Z_CANON, spec)
     assert array_bytes(kern) < 2 * 2**20
+
+
+@pytest.mark.parametrize("cutoff, vacuum, expected", [
+    (40, False, 197_456), (56, False, 520_144), (56, True, 26_448),
+])
+def test_kernel_holds_each_quantity_once(cutoff, vacuum, expected):
+    # one double per block entry (the signed amplitude) and one per state
+    # (the column leakage); every consumer squares the amplitudes into
+    # p(m|n) itself. A vacuum kernel holds the d = 0 block and its states
+    fields = [f.name for f in dataclasses.fields(TransitionKernel)]
+    assert fields == ["z", "spec", "vacuum", "flat_amplitudes", "flat_column_leakage"]
+    spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=1e-8)
+    kern = transition_kernel(Z_CANON, spec, vacuum)
+    sizes = [cutoff + 1] if vacuum else range(cutoff + 1, 0, -1)
+    assert array_bytes(kern) == 8 * sum(n * n + n for n in sizes) == expected
 
 
 def test_conservation_checks_flag_wrong_layout(kernel40):

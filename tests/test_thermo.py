@@ -9,7 +9,6 @@ from cosmoflux import (
     TruncationSpec,
     VerificationError,
     adiabatic_work,
-    average_work,
     entropy_distributions,
     inner_friction,
     mean_created_closed_form,
@@ -19,11 +18,10 @@ from cosmoflux import (
 )
 import cosmoflux.thermo as thermo_mod
 from cosmoflux.thermo import (
-    mean_created_kernel,
+    _work_pass,
     mean_initial_closed_form,
     occupied_sectors,
     truncation_bound,
-    weighted_kernel_leakage,
     weighted_sectors,
 )
 
@@ -70,6 +68,16 @@ def test_thermal_validation():
         thermal_distribution(1.0, 0.0, spec)
 
 
+@pytest.mark.parametrize("temperature, omega", [
+    (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, float("inf")),
+])
+def test_thermal_distribution_rejects_non_finite(temperature, omega):
+    # a NaN passes the tail gate (NaN compares false) and gave NaN weights;
+    # an infinite omega gave a point mass that is not the vacuum path
+    with pytest.raises(ValueError, match="must be finite"):
+        thermal_distribution(temperature, omega, TruncationSpec(cutoff=12))
+
+
 def test_thermal_tail_gate_raises():
     # T / omega = 10 cannot be represented at cutoff 40 within 1e-8
     with pytest.raises(LeakageError):
@@ -80,7 +88,7 @@ def test_thermal_tail_gate_raises():
 
 
 def test_mean_initial_total(kernel40, thermal40):
-    initial = thermo_mod._work_pass(kernel40, thermal40).initial
+    initial = _work_pass(kernel40, thermal40).initial
     assert initial == pytest.approx(N_INITIAL, abs=1e-12)
     assert mean_initial_closed_form(1.0, 1.0) == pytest.approx(N_INITIAL, abs=1e-14)
 
@@ -91,13 +99,11 @@ def test_adiabatic_work_closed_form():
     assert adiabatic_work(1.0, 2.0, 2.0) == 0.0
 
 
-def test_average_work_canonical(kernel40, thermal40):
-    mean_work = average_work(kernel40, thermal40, 1.0, 2.0)
-    bound = truncation_bound(
-        kernel40.spec, 2.0, weighted_kernel_leakage(kernel40, thermal40)
-    )
+def test_average_work_canonical(work40):
+    # the bound is truncation_bound(spec, omega_out, weighted leakage)
+    bound = work40.truncation_bound
     assert bound > 0.0
-    assert abs(mean_work - W_MEAN_CANON) <= bound + 1e-9
+    assert abs(work40.mean_work - W_MEAN_CANON) <= bound + 1e-9
 
 
 def test_inner_friction_canonical(work40):
@@ -134,7 +140,7 @@ def test_created_closed_form_region(z, t_ratio):
     spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    created = mean_created_kernel(kern, thermal)
+    created = _work_pass(kern, thermal).created
     assert abs(created - mean_created_closed_form(z, t_ratio, 1.0)) <= 1e-6
 
 
@@ -146,7 +152,7 @@ def test_vacuum_initial_state(kernel40, spec40):
     w = dense_state_vector(vac.weights + empty, 40)
     assert w[0] == 1.0
     assert w.sum() == 1.0
-    created = mean_created_kernel(kernel40, vac)
+    created = _work_pass(kernel40, vac).created
     assert created == pytest.approx(2.0 * np.sinh(Z_CANON) ** 2, abs=1e-8)
     work = inner_friction(kernel40, vac, 1.0, 2.0)
     assert work.adiabatic_temperature == 0.0
@@ -170,7 +176,7 @@ def test_thermal_state_needs_every_sector(spec40, thermal40):
     assert occupied_sectors(1.0, 40) == 41 and occupied_sectors(0.0, 40) == 1
     part = transition_kernel(Z_CANON, spec40, True)  # a vacuum kernel
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
-        weighted_sectors(part.probabilities, thermal40)
+        weighted_sectors(part.amplitudes, thermal40)
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
         inner_friction(part, thermal40, 1.0, 2.0)
     with pytest.raises(ValueError, match="kernel holds 1 sector"):
@@ -193,7 +199,7 @@ def test_truncation_bound_scales():
 
 
 def test_weighted_leakage_combines_sources(kernel40, thermal40):
-    wleak = weighted_kernel_leakage(kernel40, thermal40)
+    wleak = _work_pass(kernel40, thermal40).leakage
     direct = (
         dense_state_vector(kernel40.column_leakage, 40)
         @ dense_state_vector(thermal40.weights, 40)
@@ -205,7 +211,7 @@ def test_weighted_leakage_combines_sources(kernel40, thermal40):
 def test_inner_friction_weighs_leakage_once(kernel40, thermal40, monkeypatch):
     # the truncation bound, the reported leakage and every average come
     # from one work pass
-    leakage = weighted_kernel_leakage(kernel40, thermal40)
+    leakage = _work_pass(kernel40, thermal40).leakage
     calls = spy_on(monkeypatch, thermo_mod, "_work_pass")
     work = inner_friction(kernel40, thermal40, 1.0, 2.0)
     assert len(calls) == 1
@@ -231,7 +237,7 @@ def test_friction_consistency_tripwire(kernel40, thermal40, monkeypatch):
 
 def test_spectral_route_matches_kernel_route(kernel40, thermal40):
     spectral = mean_created_spectral(Z_CANON, 1.0, 1.0, 40)
-    kernelled = mean_created_kernel(kernel40, thermal40)
+    kernelled = _work_pass(kernel40, thermal40).created
     assert abs(spectral - kernelled) <= 1e-7
 
 
