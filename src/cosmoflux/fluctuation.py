@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgejsv
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import TransitionKernel, sector_index, sector_tables
-from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, require_sectors
+from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
 PROBABILITY_FLOOR = 1e-12
 EIGENVALUE_CLIP = 1e-300
@@ -72,7 +72,7 @@ def entropy_distributions(
         raise EntropyUndefinedError(
             "entropy distributions are undefined on the T = 0 vacuum path"
         )
-    require_sectors(len(kernel.amplitudes), thermal)
+    _require_pairing(kernel, thermal)
     rate = thermal.omega / thermal.temperature
     cutoff = thermal.spec.cutoff
     ix = sector_index(cutoff)
@@ -301,7 +301,7 @@ def quantum_relative_entropy(
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
-    require_sectors(len(kernel.amplitudes), thermal)
+    _require_pairing(kernel, thermal)
     ix = sector_index(thermal.spec.cutoff)
     w = thermal.flat_weights
     B = np.take(np.sqrt(w), ix.col)

@@ -14,8 +14,8 @@ treat every sector of a buffer in one array pass.
 
 Two independent evaluation routes are provided:
 
-- the analytic normal-ordered finite sum (sector_amplitudes for one block,
-  transition_kernel for the whole box). Entries are exact in exact
+- the analytic normal-ordered finite sum (transition_kernel, which builds
+  every block of the box in _kernel_amplitudes). Entries are exact in exact
   arithmetic, and each column's missing mass is the true probability that
   the image escaped the box, which is what downstream truncation budgets
   need. The alternating sum loses accuracy silently: against the spectral
@@ -24,11 +24,12 @@ Two independent evaluation routes are provided:
   0.14 at tanh z = 1/2 with cutoff 52. The column-sum excess check
   (COLSUM_EXCESS_LIMIT) catches only the gross failure: at tanh z = 1/2 it
   first fires at cutoff 57. Its z-free parts (log factorials, the p - q
-  grids, the signs and the triangle mask) are read from sector_tables,
-  built once per cutoff beside the layout. transition_kernel gathers them
-  for every sector of the box in one pass over its buffer, leaving one
-  matrix product per sector, and every entry keeps the float operations
-  of the plain per-sector formula in order. A T = 0 point reads only the
+  grids and the triangle mask) are read from sector_tables, and the
+  per-entry gathers and mirror signs from sector_index, both built once
+  per cutoff beside the layout. transition_kernel gathers them for every
+  sector of the box in one pass over its buffer, leaving one matrix
+  product per sector, and every entry keeps the float operations of the
+  plain per-sector formula in order. A T = 0 point reads only the
   vacuum column of d = 0; transition_kernel with vacuum builds that column
   alone in O(N) work (_vacuum_block), bit for bit the block's, so such a
   point evaluates at cutoffs where the full kernel fails the column-sum
@@ -44,9 +45,9 @@ Two independent evaluation routes are provided:
   squeeze_operator_oracle take one z or a 1-D array of z; an array gives
   every block a leading z axis.
 
-Both routes raise ValueError for a negative or non-finite z, or for a
-sector label or size that is not an integer; transition_kernel checks z
-before its leakage gate.
+Both routes raise ValueError for a negative or non-finite z, and
+sector_spectral also for a sector label or size that is not an integer;
+transition_kernel checks z before its leakage gate.
 """
 
 from __future__ import annotations
@@ -200,8 +201,6 @@ class SectorTables:
     log_factorial: np.ndarray  # log k!, k = 0..cutoff
     diff: np.ndarray  # p - q, as float
     neg_log_factorial_diff: np.ndarray  # -log |p - q|!
-    sign: np.ndarray  # (-1)^(p - q)
-    upper_sign: np.ndarray  # (-1)^(p - q) where p <= q, 0 below the diagonal
     lower: np.ndarray  # p >= q
     total_change: np.ndarray  # 2(p - q), as int
 
@@ -212,13 +211,10 @@ def sector_tables(cutoff: int) -> SectorTables:
     i = np.arange(cutoff + 1)
     diff = i[:, None] - i[None, :]
     lf = gammaln(i + 1.0)
-    sign = np.where(diff % 2, -1.0, 1.0)
     return SectorTables(
         log_factorial=_frozen(lf),
         diff=_frozen(diff.astype(float)),
         neg_log_factorial_diff=_frozen(-lf[np.abs(diff)]),
-        sign=_frozen(sign),
-        upper_sign=_frozen(np.triu(sign)),
         lower=_frozen(diff >= 0),
         total_change=_frozen(2 * diff),
     )
@@ -255,7 +251,8 @@ def sector_index(cutoff: int) -> SectorIndex:
 
     Built sector by sector straight into the narrow arrays, so the build
     holds no wide temporaries of the buffer's length. half_log_ratio keeps
-    the operations of the per-sector analytic block (sector_amplitudes).
+    the operations of the plain per-sector analytic formula
+    (_kernel_amplitudes).
     """
     side = cutoff + 1
     sizes = range(side, 0, -1)
@@ -322,50 +319,13 @@ def _check_sector(d: int, size: int) -> None:
         raise ValueError("difference sector label must be >= 0")
 
 
-def sector_amplitudes(z: float, d: int, size: int) -> np.ndarray:
-    """Analytic amplitudes <(p+d, p)|S|(q+d, q)> for p, q in 0..size-1.
-
-    Normal-ordered form S = exp(tau a+b+) sech(z)^(n_a+n_b+1) exp(-tau ab)
-    with tau = tanh z gives each entry as a finite alternating sum over the
-    lowering count. The sum is evaluated as a triangular matrix product in
-    log magnitude. Only the lower triangle (p >= q, net raising) is taken
-    from the product; the upper triangle follows from the mirror identity
-    <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes the returned
-    matrix satisfy the transpose symmetry of squared entries exactly.
-
-    The parts that do not depend on z (log factorials, the p - q grids, the
-    signs and the triangle mask) come from sector_tables of the box whose
-    sector d has this size, built once per cutoff. Every float operation
-    keeps the operands and order of the plain per-sector formula (x - y
-    only becomes x + (-y), which is exact): the sum is ill-conditioned, so
-    a reordering would move entries. transition_kernel builds every block
-    of a box with these operations in a few passes over one buffer.
-    """
-    _squeeze_values(z)
-    _check_sector(d, size)
-    if z == 0.0:
-        return np.eye(size)
-    t = sector_tables(size + d - 1)
-    lf = t.log_factorial
-    lower = t.lower[:size, :size]
-    grid = t.diff[:size, :size] * np.log(np.tanh(z)) + t.neg_log_factorial_diff[:size, :size]
-    half = 0.5 * ((lf[:size] + lf[d:size + d])[:, None] - lf[:size] - lf[d:size + d])
-    L = np.exp(np.where(lower, grid + half, -np.inf))
-    # sech(z)^(total + 1) for the intermediate state at each position k
-    D = np.exp(-np.arange(d + 1, 2 * size + d, 2) * np.log(np.cosh(z)))
-    M = L @ (D[:, None] * (t.upper_sign[:size, :size] * L.T))
-    # lower triangle from the product, upper from the mirror identity;
-    # + 0.0 turns -0 into +0, as adding the two zero-padded triangles does
-    return np.where(lower, M, t.sign[:size, :size] * M.T) + 0.0
-
-
 def _vacuum_block(z: float, cutoff: int) -> np.ndarray:
     """The d = 0 block of the box with only its vacuum column, in O(N) work.
 
-    Column 0 equals the analytic block's bit for bit: of the triangular
-    product only the term of the initial vacuum survives there, so each
-    entry is L[p,0] * (sech z * (1.0 * L[0,0])) + 0.0 with the log
-    magnitude L[p,0] formed as in sector_amplitudes (whose d = 0
+    Column 0 equals the full kernel's d = 0 column bit for bit: of the
+    triangular product only the term of the initial vacuum survives there,
+    so each entry is L[p,0] * (sech z * (1.0 * L[0,0])) + 0.0 with the log
+    magnitude L[p,0] formed as in _kernel_amplitudes (whose d = 0
     log-factorial ratio is log p! exactly, and L[0,0] is exactly 1). Every
     other column is 0: a vacuum point reads only column 0, and the block
     keeps its full size so that every sum over it takes the same path.
@@ -463,10 +423,22 @@ def squeeze_operator_oracle(
 def _kernel_amplitudes(z: float, cutoff: int) -> np.ndarray:
     """Analytic amplitudes of every sector of the box, one sector-major buffer.
 
-    Each entry gets the operands of sector_amplitudes' float operations in
-    that order (up to x * 1 and commuted products, both exact), so every
-    block is that function's bit for bit: the gathers and in-place updates
-    only replace its per-sector loop, and the product stays per sector.
+    Normal-ordered form S = exp(tau a+b+) sech(z)^(n_a+n_b+1) exp(-tau ab)
+    with tau = tanh z gives each entry <(p+d, p)|S|(q+d, q)> as a finite
+    alternating sum over the lowering count, evaluated per block as the
+    triangular matrix product L R, with L formed in log magnitude and R the
+    signed transpose of L scaled by powers of sech z. Only the lower
+    triangle (p >= q, net raising) is taken from the product; the upper
+    triangle follows from the mirror identity
+    <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes the squared
+    entries satisfy the transpose symmetry exactly.
+
+    Each entry gets the operands of the plain per-sector formula's float
+    operations in that order (up to x * 1, x - y as x + (-y) and commuted
+    products, all exact), so every block is that formula's bit for bit:
+    the sum is ill-conditioned, and a reordering would move entries. The
+    gathers and in-place updates only replace a per-sector loop, and the
+    product stays per sector.
     """
     ix, t = sector_index(cutoff), sector_tables(cutoff)
     if z == 0.0:
@@ -477,8 +449,8 @@ def _kernel_amplitudes(z: float, cutoff: int) -> np.ndarray:
     L = np.take(log_l.ravel(), ix.grid)
     L += ix.half_log_ratio
     np.exp(L, out=L)
-    # right factor sech(z)^(total(p) + 1) (upper_sign L^T)[p, q]: below the
-    # diagonal L^T is 0, so mirror_sign serves there as upper_sign's 0 would
+    # right factor sech(z)^(total(p) + 1) (-1)^(p - q) L^T[p, q] for p <= q:
+    # below the diagonal L^T is 0, so mirror_sign's 1 there leaves it 0
     sech_powers = np.exp(-np.arange(2 * cutoff + 2) * np.log(np.cosh(z)))
     R = np.take(L, ix.transpose)
     R *= ix.mirror_sign

@@ -13,13 +13,15 @@ one pass over the occupied sectors (_work_pass), which squares the kernel's
 amplitudes once into p(m|n) and forms each sector's totals @ P once;
 inner_friction reads that pass and reports every average in its
 WorkReport. Each sector term keeps its operands and each sum its order, so
-the averages are those of one loop per average bit for bit.
+the averages are those of one loop per average bit for bit. Every stage
+that pairs a kernel with an initial state, here and in fluctuation, first
+checks that the two fit (_require_pairing): one cutoff, and a vacuum
+kernel only for the vacuum.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +29,6 @@ import numpy as np
 
 from .errors import LeakageError, NumericError, VerificationError
 from .fock import (
-    Sector,
     TransitionKernel,
     TruncationSpec,
     sector_layout,
@@ -45,12 +46,12 @@ class ThermalDistribution:
     """Diagonal Gibbs weights over the joint basis, renormalized to the box.
 
     flat_weights holds the weights of the sector states of every occupied
-    sector (occupied_sectors), sector-major in sector_layout order
-    (fock.state_totals); mirrored states share them. weights[d] is sector
-    d's read-only view of it. Every sector of the box is occupied at T > 0,
-    and only d = 0 at temperature = 0, which marks the vacuum path: a point
-    mass on (0, 0) with no entropy scale. renorm_defect is the Gibbs mass
-    outside the box.
+    sector, sector-major in sector_layout order (fock.state_totals);
+    mirrored states share them. weights[d] is sector d's read-only view of
+    it. Every sector of the box is occupied at T > 0, and only d = 0 at
+    temperature = 0, which marks the vacuum path: a point mass on (0, 0)
+    with no entropy scale, served by a vacuum kernel or a full one
+    (_require_pairing). renorm_defect is the Gibbs mass outside the box.
     """
 
     temperature: float
@@ -81,42 +82,22 @@ class WorkReport:
     omega_out: float
 
 
-def occupied_sectors(temperature: float, cutoff: int) -> int:
-    """How many leading difference sectors d = 0, 1, ... carry initial weight.
-
-    The vacuum (temperature 0) is the point mass on (0, 0), so it occupies
-    sector 0 only; a Gibbs state weighs every sector of the box. The
-    thermal weights follow this count, and every sector past it has
-    initial weight exactly 0, so sums over the initial state that skip
-    those sectors drop only exact zeros. A vacuum point's kernel goes one
-    step further and holds only the vacuum column of sector 0
-    (fock.transition_kernel with vacuum).
-    """
-    return 1 if temperature == 0.0 else cutoff + 1
-
-
-def require_sectors(held: int, thermal: ThermalDistribution) -> None:
-    """ValueError unless a kernel holding `held` sectors (d = 0, 1, ...)
-    covers every sector the initial state occupies. It may hold more, as
-    when a full kernel serves a vacuum point, but never fewer: a vacuum
-    kernel, which holds sector 0 alone, cannot serve a Gibbs state."""
-    if held < len(thermal.weights):
+def _require_pairing(kernel: TransitionKernel, thermal: ThermalDistribution) -> None:
+    """ValueError unless the kernel can serve the initial state: both must
+    share one cutoff, and a vacuum kernel, which holds the vacuum column
+    alone, serves only the vacuum (T = 0). A full kernel serves every
+    state; at T = 0 the sectors past d = 0 carry weight exactly 0, and the
+    sums over the initial state skip them."""
+    if kernel.spec.cutoff != thermal.spec.cutoff:
         raise ValueError(
-            f"kernel holds {held} sector(s) but the initial state "
-            f"occupies {len(thermal.weights)}"
+            f"kernel cutoff {kernel.spec.cutoff} does not match the initial "
+            f"state's cutoff {thermal.spec.cutoff}"
         )
-
-
-def weighted_sectors(
-    blocks: tuple[np.ndarray, ...], thermal: ThermalDistribution
-) -> Iterator[tuple[Sector, np.ndarray, np.ndarray]]:
-    """(sector, block, weights) for every sector the initial state occupies.
-
-    blocks follows sector_layout (a kernel's amplitudes or their squares);
-    require_sectors says which blocks may serve.
-    """
-    require_sectors(len(blocks), thermal)
-    return zip(sector_layout(thermal.spec.cutoff), blocks, thermal.weights)
+    if kernel.vacuum and not thermal.is_vacuum:
+        raise ValueError(
+            "a vacuum kernel holds the vacuum column alone and cannot serve "
+            f"the Gibbs state at T = {thermal.temperature}"
+        )
 
 
 def _gibbs_weights(
@@ -136,7 +117,7 @@ def _gibbs_weights(
     t = x ** (cutoff + 1)
     scale = ((1.0 - x) / (1.0 - t)) ** 2 if t < 1.0 else 0.0
     totals = state_totals(cutoff)
-    if occupied_sectors(temperature, cutoff) == 1:
+    if temperature == 0.0:
         totals = totals[: cutoff + 1]
     weights = scale * x**totals
     weights.flags.writeable = False
@@ -221,10 +202,13 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     and <n_c>. Every sector term keeps its operands, and each sum adds the
     terms in layout order, as one loop per average would.
     """
-    squares = sector_views(kernel.flat_amplitudes**2, kernel.spec.cutoff, True)
+    _require_pairing(kernel, thermal)
+    cutoff = kernel.spec.cutoff
+    squares = sector_views(kernel.flat_amplitudes**2, cutoff, True)
     leakage = final = initial = created = 0
-    for (s, P, w), leak in zip(
-        weighted_sectors(squares, thermal), kernel.column_leakage
+    # zip stops at the last sector the initial state occupies
+    for s, P, leak, w in zip(
+        sector_layout(cutoff), squares, kernel.column_leakage, thermal.weights
     ):
         m = s.multiplicity
         tP = s.totals @ P

@@ -6,7 +6,8 @@ way the pipeline did before sector storage, independently of
 fock.sector_layout, and serve as the tests' oracle for it. They are
 O(N^4) in memory: keep the cutoff at about 16 or less. The exceptions
 work at any cutoff: reference_sector_amplitudes is the plain per-sector
-analytic formula that fock's table-driven builder must match bit for bit,
+analytic formula, the tests' copy of the sum that fock._kernel_amplitudes
+evaluates for the whole box and must match bit for bit in every block,
 and the reference_* loops after it are the per-sector loops the pipeline
 ran before it kept each quantity in one sector-major buffer, or before it
 took the work averages in one pass. The flat stages and the work pass must
@@ -72,8 +73,9 @@ def reference_sector_amplitudes(z, d, size):
     """The analytic sector block as one self-contained per-sector formula.
 
     Every float operation is in the order the package's table-driven
-    builder (fock.sector_amplitudes) must keep, so the two agree bit for
-    bit; the sum is ill-conditioned, and any reordering moves entries.
+    builder (fock._kernel_amplitudes, read through transition_kernel) must
+    keep, so the two agree bit for bit; the sum is ill-conditioned, and any
+    reordering moves entries.
     """
     if z == 0.0:
         return np.eye(size)

@@ -17,7 +17,6 @@ from cosmoflux import (
 import cosmoflux.fock as fock_mod
 from cosmoflux.fock import (
     SectorTables,
-    sector_amplitudes,
     sector_layout,
     sector_spectral,
     sector_tables,
@@ -49,22 +48,8 @@ AMPLITUDE_TABLE = [
 def test_amplitude_reference_values(z, n, m, expected):
     # <m|S|n> sits in sector d = |n_a - n_b| at positions min(m), min(n)
     p, q = min(m), min(n)
-    amp = sector_amplitudes(z, abs(n[0] - n[1]), max(p, q) + 1)[p, q]
+    amp = reference_sector_amplitudes(z, abs(n[0] - n[1]), max(p, q) + 1)[p, q]
     assert amp == pytest.approx(expected, abs=5e-15)
-
-
-def test_amplitude_rejects_bad_arguments():
-    for z in (-0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="squeeze parameter"):
-            sector_amplitudes(z, 0, 3)
-    with pytest.raises(ValueError):
-        sector_amplitudes(0.5, -1, 3)
-    with pytest.raises(ValueError):
-        sector_amplitudes(0.5, 0, 0)
-    # a non-integer label or size once gave a bare numpy IndexError
-    for d, size in ((1.5, 3), (0, 3.0)):
-        with pytest.raises(ValueError, match="must be integers"):
-            sector_amplitudes(0.5, d, size)
 
 
 def test_spectral_rejects_bad_arguments():
@@ -128,8 +113,6 @@ def assert_same_bits(block, reference):
 def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
     layout = sector_layout(cutoff)
     references = [reference_sector_amplitudes(z, s.d, s.size) for s in layout]
-    for s, reference in zip(layout, references):
-        assert_same_bits(sector_amplitudes(z, s.d, s.size), reference)
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
     if (z, cutoff) == (1.0, 56):
         # the sum has lost double precision there, and the kernel says so
@@ -144,12 +127,17 @@ def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
 
 @pytest.mark.parametrize("z", BITWISE_Z)
 def test_battery_blocks_equal_the_per_sector_formula_bitwise(z):
-    # the verify battery's standalone calls: 9 x 9 blocks of d = 0..8 and
-    # the 12 x 12 block of d = 0
-    for d, size in [(d, 9) for d in range(9)] + [(0, 12)]:
-        assert_same_bits(
-            sector_amplitudes(z, d, size), reference_sector_amplitudes(z, d, size)
-        )
+    # the verify battery's kernels: the 9 x 9 corners of blocks d = 0..8 at
+    # cutoff 16 are the 9 x 9 blocks of the formula, since a larger box
+    # only adds exact zeros to the triangular product, and the vacuum
+    # column at cutoff 11 is the 12 x 12 block's
+    blocks = transition_kernel(z, TruncationSpec(16, 1e-2)).amplitudes
+    for d in range(9):
+        assert_same_bits(blocks[d][:9, :9], reference_sector_amplitudes(z, d, 9))
+    vacuum = transition_kernel(z, TruncationSpec(11, 1e-2), vacuum=True)
+    assert_same_bits(
+        vacuum.amplitudes[0][:, 0], reference_sector_amplitudes(z, 0, 12)[:, 0]
+    )
 
 
 def test_generator_antisymmetric_and_sector_structured():
@@ -257,8 +245,9 @@ def test_analytic_matches_spectral_small_indices():
     # inside the box or reflection contaminates the comparison
     worst = 0.0
     for z in (0.25, Z_CANON, 1.0):
+        blocks = transition_kernel(z, TruncationSpec(16, 1e-2)).amplitudes
         for d in range(9):
-            ana = sector_amplitudes(z, d, 9)
+            ana = blocks[d][:9, :9]
             spe = sector_spectral(z, d, 97)[:9, :9]
             worst = max(worst, float(np.max(np.abs(ana - spe))))
     assert worst <= 1e-10
@@ -385,7 +374,7 @@ def test_vacuum_block_is_the_analytic_column_bitwise(z, cutoff):
     # the O(N) column keeps the float operations the triangular product
     # gives it, so a vacuum point's report does not move by a bit
     block = fock_mod._vacuum_block(z, cutoff)
-    column = sector_amplitudes(z, 0, cutoff + 1)[:, 0]
+    column = reference_sector_amplitudes(z, 0, cutoff + 1)[:, 0]
     assert block.shape == (cutoff + 1, cutoff + 1)
     assert block[:, 0].tobytes() == column.tobytes()
     assert not block[:, 1:].any()
@@ -437,7 +426,7 @@ def test_kernel_columns_substochastic(z):
 def test_amplitude_mirror_sign(z, n, m, d):
     # exchanging initial and final states flips the sign with the parity
     # of the number of pair steps between them
-    block = sector_amplitudes(z, d, max(n, m) + 1)
+    block = reference_sector_amplitudes(z, d, max(n, m) + 1)
     fwd, bwd = block[m, n], block[n, m]
     assert fwd == pytest.approx((-1.0) ** abs(m - n) * bwd, abs=1e-14)
 

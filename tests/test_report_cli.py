@@ -646,7 +646,8 @@ def test_verify_reports_crooks_failure(monkeypatch):
 def test_verify_catches_a_shifted_vacuum_column(monkeypatch):
     # failure witness for created-closed-form on the vacuum path: moving
     # 1e-5 of probability from 2 to 4 quanta shifts <n_c> by 2e-5, past
-    # the 1e-6 tolerance; the kernel checks read the full kernel and pass
+    # the 1e-6 tolerance; the kernel checks read the full kernel and pass.
+    # vacuum-law reads the vacuum kernel too, and fails beside it
     real = fock_mod._vacuum_block
 
     def shifted(z, cutoff):
@@ -657,10 +658,39 @@ def test_verify_catches_a_shifted_vacuum_column(monkeypatch):
 
     monkeypatch.setattr(fock_mod, "_vacuum_block", shifted)
     lines, failures = verify_invariants(canonical_config().replace(temperature=0.0))
-    assert failures == 1
-    (failed,) = [ln for ln in lines if ln.startswith("  FAIL")]
-    assert failed.split()[1] == "created-closed-form"
-    assert "|<n_c> - closed| = 2.000e-05 (tol 1.0e-06)" in failed
+    assert failures == 2
+    created, law = [ln for ln in lines if ln.startswith("  FAIL")]
+    assert created.split()[1] == "created-closed-form"
+    assert "|<n_c> - closed| = 2.000e-05 (tol 1.0e-06)" in created
+    assert law.split()[1] == "vacuum-law"
+
+
+def test_battery_catches_a_shifted_kernel_entry(monkeypatch):
+    # failure witness for oracle-equivalence: one entry inside the 9 x 9
+    # corner of block d = 2 moves by 3e-10, past the line's 1e-10
+    # tolerance and below the 1e-9 column-sum limit, so the kernel builds
+    real = fock_mod._kernel_amplitudes
+
+    def shifted(z, cutoff):
+        amps = real(z, cutoff)
+        if z > 0.0:
+            size = cutoff - 1
+            amps[fock_mod.sector_index(cutoff).block_start[2] + 3 * size + 1] += 3e-10
+        return amps
+
+    monkeypatch.setattr(fock_mod, "_kernel_amplitudes", shifted)
+    items = report_mod._battery_global()
+    assert [name for name, ok, _detail in items if not ok] == ["oracle-equivalence"]
+
+
+@pytest.mark.parametrize("rendering", [{"precision": 6}, {"output": "csv"}])
+def test_verify_runs_the_canonical_point_once(rendering):
+    # output and precision only render a report: the canonical point with
+    # either changed is still the canonical point, checked once
+    lines, failures = verify_invariants(canonical_config().replace(**rendering))
+    assert failures == 0
+    assert "canonical point" not in "\n".join(lines)
+    assert lines[-1] == "0 failure(s) out of 21 checks"
 
 
 def _section(lines, title):

@@ -20,7 +20,6 @@ from cosmoflux import (
 from cosmoflux.fock import (
     COLSUM_EXCESS_LIMIT,
     SectorIndex,
-    sector_amplitudes,
     sector_index,
     sector_layout,
 )
@@ -41,6 +40,7 @@ from dense_reference import (
     reference_gibbs_weights,
     reference_kernel,
     reference_relative_entropy,
+    reference_sector_amplitudes,
     reference_work_sums,
 )
 
@@ -56,7 +56,7 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     kern = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
     w = dense_state_vector(thermal.weights, cutoff)
-    amps = [sector_amplitudes(z, d, cutoff + 1 - d) for d in range(cutoff + 1)]
+    amps = [reference_sector_amplitudes(z, d, cutoff + 1 - d) for d in range(cutoff + 1)]
     P = dense_view(amps, cutoff) ** 2
 
     # kernel: elementwise the same products, so exactly equal

@@ -13,6 +13,7 @@ from cosmoflux import (
     inner_friction,
     mean_created_closed_form,
     mean_created_spectral,
+    quantum_relative_entropy,
     thermal_distribution,
     transition_kernel,
 )
@@ -20,9 +21,7 @@ import cosmoflux.thermo as thermo_mod
 from cosmoflux.thermo import (
     _work_pass,
     mean_initial_closed_form,
-    occupied_sectors,
     truncation_bound,
-    weighted_sectors,
 )
 
 from conftest import Z_CANON, spy_on
@@ -172,15 +171,34 @@ def test_vacuum_sums_match_a_full_kernel(kernel40, spec40):
     assert inner_friction(kernel40, full, 1.0, 2.0) == inner_friction(part, vac, 1.0, 2.0)
 
 
+def _kernel_stages(kernel, thermal):
+    # every stage that pairs a kernel with an initial state
+    return (
+        lambda: inner_friction(kernel, thermal, 1.0, 2.0),
+        lambda: entropy_distributions(kernel, thermal),
+        lambda: quantum_relative_entropy(thermal, kernel, 2.0),
+    )
+
+
 def test_thermal_state_needs_every_sector(spec40, thermal40):
-    assert occupied_sectors(1.0, 40) == 41 and occupied_sectors(0.0, 40) == 1
-    part = transition_kernel(Z_CANON, spec40, True)  # a vacuum kernel
-    with pytest.raises(ValueError, match="kernel holds 1 sector"):
-        weighted_sectors(part.amplitudes, thermal40)
-    with pytest.raises(ValueError, match="kernel holds 1 sector"):
-        inner_friction(part, thermal40, 1.0, 2.0)
-    with pytest.raises(ValueError, match="kernel holds 1 sector"):
-        entropy_distributions(part, thermal40)
+    # a vacuum kernel holds the vacuum column alone; a Gibbs state weighs
+    # every sector, so the pair is refused
+    part = transition_kernel(Z_CANON, spec40, True)
+    for stage in _kernel_stages(part, thermal40):
+        with pytest.raises(ValueError, match="vacuum kernel .* T = 1.0"):
+            stage()
+
+
+@pytest.mark.parametrize("kernel_cutoff, state_cutoff", [(40, 20), (20, 40)])
+def test_kernel_and_state_must_share_a_cutoff(kernel_cutoff, state_cutoff):
+    # a mismatch once reached numpy and failed there with a matmul or
+    # broadcast message, or as a sector count
+    kernel = transition_kernel(Z_CANON, TruncationSpec(kernel_cutoff))
+    thermal = thermal_distribution(1.0, 1.0, TruncationSpec(state_cutoff))
+    message = f"kernel cutoff {kernel_cutoff} .* cutoff {state_cutoff}"
+    for stage in _kernel_stages(kernel, thermal):
+        with pytest.raises(ValueError, match=message):
+            stage()
 
 
 def test_zero_squeeze_work_is_adiabatic(thermal40):
