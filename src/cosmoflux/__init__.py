@@ -43,7 +43,6 @@ from .thermo import (
     adiabatic_work,
     inner_friction,
     mean_created_closed_form,
-    mean_created_spectral,
     thermal_distribution,
 )
 from .fluctuation import (
@@ -104,7 +103,6 @@ __all__ = [
     "inner_friction",
     "integral_fluctuation_defect",
     "mean_created_closed_form",
-    "mean_created_spectral",
     "mean_entropy",
     "mean_entropy_and_kl",
     "quantum_relative_entropy",

@@ -119,8 +119,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     mapping = _load_mapping(args)
-    cfg = RunConfig.from_mapping(mapping) if mapping else canonical_config()
-    lines, failures = verify_invariants(cfg)
+    # output and precision only render a report: alone, they leave the
+    # canonical point to check
+    if set(mapping) <= {"output", "precision"}:
+        mapping = {**canonical_config().to_mapping(), **mapping}
+    lines, failures = verify_invariants(RunConfig.from_mapping(mapping))
     text = ("\n".join(lines[-1:] if args.quiet else lines)) + "\n"
     _emit(text, args.outfile)
     if failures:

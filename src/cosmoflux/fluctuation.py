@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, sector_index, sector_tables
+from .fock import TransitionKernel, sector_index
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
 PROBABILITY_FLOOR = 1e-12
@@ -89,7 +89,9 @@ def entropy_distributions(
     mass_c = _binned(Q, ix.lattice, cutoff)
     Q = Q[live]
     micro_dev = 0.0
-    s_vals = rate * np.take(sector_tables(cutoff).total_change, ix.grid[live])
+    # total(m) - total(n) = 2(p - q)
+    change = np.arange(-2 * cutoff, 2 * cutoff + 1, 2)
+    s_vals = rate * np.take(change, ix.change[live])
     log_j = np.log(J)
     normal = log_j - s_vals >= LOG_TINY  # q = J e^(-s) is a normal double
     if normal.any():

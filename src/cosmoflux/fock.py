@@ -14,31 +14,27 @@ treat every sector of a buffer in one array pass.
 
 Two independent evaluation routes are provided:
 
-- the analytic normal-ordered finite sum (transition_kernel, which builds
-  every block of the box in _kernel_amplitudes). Entries are exact in exact
-  arithmetic, and each column's missing mass is the true probability that
-  the image escaped the box, which is what downstream truncation budgets
-  need. The alternating sum loses accuracy silently: against the spectral
-  route on a box padded by 300, its worst entry is off by 1.3e-5 at
-  tanh z = 1/2 with cutoff 40, by 4.4e-4 at z = 1 with cutoff 40 and by
-  0.14 at tanh z = 1/2 with cutoff 52. The column-sum excess check
-  (COLSUM_EXCESS_LIMIT) catches only the gross failure: at tanh z = 1/2 it
-  first fires at cutoff 57. Its z-free parts (log factorials, the p - q
-  grids and the triangle mask) are read from sector_tables, and the
-  per-entry gathers and mirror signs from sector_index, both built once
-  per cutoff beside the layout. transition_kernel gathers them for every
-  sector of the box in one pass over its buffer, leaving one matrix
-  product per sector, and every entry keeps the float operations of the
-  plain per-sector formula in order. A T = 0 point reads only the
-  vacuum column of d = 0; transition_kernel with vacuum builds that column
-  alone in O(N) work (_vacuum_block), bit for bit the block's, so such a
-  point evaluates at cutoffs where the full kernel fails the column-sum
-  check.
+- the su(1,1) recurrence (transition_kernel, which builds every block of
+  the box in _amplitudes). Each block's lower triangle follows from a
+  closed-form first column by a three-term recurrence in the column index,
+  run forward where it is stable (Gautschi, SIAM Rev. 9, 24 (1967)), one
+  step per column for every sector at once; the upper triangle is its
+  mirror. Entries are those of the untruncated operator, so each column's
+  missing mass is the true probability that the image escaped the box,
+  which is what downstream truncation budgets need. Against the spectral
+  route on a box padded by 600, every entry agrees to 1e-14 for z from
+  5e-324 to 1.5 and cutoffs up to 120. The column-sum excess check
+  (COLSUM_EXCESS_LIMIT) stays as a fail-closed guard against a NaN or a
+  gross excess. sector_index holds the per-entry gathers of the mirror
+  step, built once per cutoff beside the layout. A T = 0 point reads
+  only the vacuum column of d = 0; transition_kernel with vacuum builds
+  that column alone from the same closed form, in O(N) work and bit for
+  bit the full kernel's.
 
 - sector_spectral: the spectral exponential of the tridiagonal generator.
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
-  into the box), so it is entrywise stable at sizes where the analytic sum
-  is not, at the price of reflecting leaked mass instead of measuring it.
+  into the box), at the price of reflecting leaked mass instead of
+  measuring it, so it serves as the entrywise oracle on a padded box.
   The sector generator is z times a z-free tridiagonal matrix, so one
   eigendecomposition per sector serves every z: the eigenvalues scale with
   z and the block is rebuilt in real arithmetic. It and
@@ -59,12 +55,11 @@ from functools import cache
 import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg.lapack import dstevd
-from scipy.special import gammaln
 
 from .errors import LeakageError, NumericError
 
-# Column sums of squared analytic amplitudes may exceed 1 only by accumulated
-# rounding noise; anything larger means the alternating sum cancelled badly.
+# Column sums of squared amplitudes may exceed 1 only by accumulated rounding
+# noise; anything larger, or a NaN, means the kernel is broken.
 COLSUM_EXCESS_LIMIT = 1e-9
 
 
@@ -187,40 +182,6 @@ def suggested_cutoff(z: float, leakage_tolerance: float) -> int:
 
 
 @dataclass(frozen=True)
-class SectorTables:
-    """z-free grids shared by every difference sector of one box.
-
-    Sector d of the box has size cutoff + 1 - d, and its grids are the
-    leading size x size corner of each grid here, indexed [p, q] by final
-    and initial sector position. total_change holds
-    total(m) - total(n) = 2(p - q), the same in every sector; the rest are
-    the z-free parts of the analytic amplitude sum. All arrays are
-    read-only.
-    """
-
-    log_factorial: np.ndarray  # log k!, k = 0..cutoff
-    diff: np.ndarray  # p - q, as float
-    neg_log_factorial_diff: np.ndarray  # -log |p - q|!
-    lower: np.ndarray  # p >= q
-    total_change: np.ndarray  # 2(p - q), as int
-
-
-@cache
-def sector_tables(cutoff: int) -> SectorTables:
-    """The z-free grids of the box, built once per cutoff and shared."""
-    i = np.arange(cutoff + 1)
-    diff = i[:, None] - i[None, :]
-    lf = gammaln(i + 1.0)
-    return SectorTables(
-        log_factorial=_frozen(lf),
-        diff=_frozen(diff.astype(float)),
-        neg_log_factorial_diff=_frozen(-lf[np.abs(diff)]),
-        lower=_frozen(diff >= 0),
-        total_change=_frozen(2 * diff),
-    )
-
-
-@dataclass(frozen=True)
 class SectorIndex:
     """Where each entry of the box's sector-major buffers reads its inputs.
 
@@ -229,20 +190,33 @@ class SectorIndex:
     d's states at state_start[d] of a per-state buffer (state_totals
     order). A per-state value of the final state p of every entry is
     np.repeat(values, state_size), since the entries of row p are
-    consecutive. Index arrays hold the smallest unsigned integer type that
-    fits; all arrays are read-only.
+    consecutive. The kernel builder fills the lower triangles of every
+    block column by column into one buffer (_amplitudes): column q holds
+    the rows p >= q of every sector, row-major over (p, d), and mirror
+    reads each entry from there. Index arrays hold the smallest unsigned
+    integer type that fits; all arrays are read-only.
     """
 
     block_start: tuple[int, ...]  # d = 0..cutoff + 1
     state_start: tuple[int, ...]  # d = 0..cutoff + 1
-    grid: np.ndarray  # p (cutoff + 1) + q: the entry in sector_tables' raveled grids
-    transpose: np.ndarray  # the entry [q, p] of the same block
-    mirror: np.ndarray  # [max(p, q), min(p, q)]: the lower-triangle entry it mirrors
-    mirror_sign: np.ndarray  # int8: 1 where p >= q, else the mirror sign (-1)^(p - q)
+    mirror: np.ndarray  # [max(p, q), min(p, q)]: its place in the lower-triangle buffer
+    change: np.ndarray  # (p - q) + cutoff: half the entry's total change, offset
     state_size: np.ndarray  # per state: the size of its sector, cutoff + 1 - d
     col: np.ndarray  # the initial state of the entry, sector d position q
     lattice: np.ndarray  # d (2 cutoff + 1) + (p - q) + cutoff: sector and total change
-    half_log_ratio: np.ndarray  # float: (log p! + log (p+d)! - log q! - log (q+d)!) / 2
+
+
+def _lower_starts(cutoff: int) -> tuple[list[int], list[int]]:
+    """Where each row p and each column q start in the lower-triangle
+    buffer's order, each list ending with its total.
+
+    The rows p of every sector run row-major over (p, d), sector d holding
+    rows 0..cutoff - d; column q holds the rows p >= q, the last of them.
+    """
+    rows = np.arange(cutoff + 1, 0, -1)
+    row_start = np.concatenate([[0], np.cumsum(rows)])
+    col_start = np.concatenate([[0], np.cumsum(row_start[-1] - row_start[:-1])])
+    return row_start.tolist(), col_start.tolist()
 
 
 @cache
@@ -250,50 +224,41 @@ def sector_index(cutoff: int) -> SectorIndex:
     """The gather tables of the box's buffers, built once per cutoff.
 
     Built sector by sector straight into the narrow arrays, so the build
-    holds no wide temporaries of the buffer's length. half_log_ratio keeps
-    the operations of the plain per-sector analytic formula
-    (_kernel_amplitudes).
+    holds no wide temporaries of the buffer's length.
     """
     side = cutoff + 1
     sizes = range(side, 0, -1)
     block_start = (0, *np.cumsum([n * n for n in sizes]).tolist())
     state_start = (0, *np.cumsum(sizes).tolist())
     count = block_start[-1]
+    row_start, col_start = map(np.array, _lower_starts(cutoff))
 
     def table(top: int) -> np.ndarray:
         return np.empty(count, dtype=np.min_scalar_type(top))
 
-    grid, transpose, mirror = table(side * side - 1), table(count - 1), table(count - 1)
+    mirror = table(col_start[-1] - 1)
     col = table(state_start[-1] - 1)
     lattice = table(side * (2 * cutoff + 1) - 1)
-    mirror_sign = np.empty(count, dtype=np.int8)
-    half_log_ratio = np.empty(count)
-    lf = sector_tables(cutoff).log_factorial
+    change = table(2 * cutoff)
     for d, size in enumerate(sizes):
         block = slice(block_start[d], block_start[d + 1])
         i = np.arange(size)
         p, q = i[:, None], i[None, :]
-        grid[block] = (p * side + q).ravel()
-        transpose[block] = (block_start[d] + q * size + p).ravel()
-        mirror[block] = (block_start[d] + np.maximum(p, q) * size + np.minimum(p, q)).ravel()
-        mirror_sign[block] = np.where((p < q) & ((q - p) % 2 == 1), -1, 1).ravel()
+        hi, lo = np.maximum(p, q), np.minimum(p, q)
+        mirror[block] = (col_start[lo] + row_start[hi] - row_start[lo] + d).ravel()
+        change[block] = (cutoff + p - q).ravel()
         col[block] = np.tile(state_start[d] + i, size)
         lattice[block] = (d * (2 * cutoff + 1) + cutoff + p - q).ravel()
-        pair = lf[:size] + lf[d:size + d]
-        half_log_ratio[block] = (0.5 * (pair[:, None] - lf[:size] - lf[d:size + d])).ravel()
     return SectorIndex(
         block_start=block_start,
         state_start=state_start,
-        grid=_frozen(grid),
-        transpose=_frozen(transpose),
         mirror=_frozen(mirror),
-        mirror_sign=_frozen(mirror_sign),
+        change=_frozen(change),
         state_size=_frozen(np.repeat(
             np.arange(side, 0, -1, dtype=np.min_scalar_type(side)), sizes
         )),
         col=_frozen(col),
         lattice=_frozen(lattice),
-        half_log_ratio=_frozen(half_log_ratio),
     )
 
 
@@ -317,30 +282,6 @@ def _check_sector(d: int, size: int) -> None:
         raise ValueError("sector size must be >= 1")
     if d < 0:
         raise ValueError("difference sector label must be >= 0")
-
-
-def _vacuum_block(z: float, cutoff: int) -> np.ndarray:
-    """The d = 0 block of the box with only its vacuum column, in O(N) work.
-
-    Column 0 equals the full kernel's d = 0 column bit for bit: of the
-    triangular product only the term of the initial vacuum survives there,
-    so each entry is L[p,0] * (sech z * (1.0 * L[0,0])) + 0.0 with the log
-    magnitude L[p,0] formed as in _kernel_amplitudes (whose d = 0
-    log-factorial ratio is log p! exactly, and L[0,0] is exactly 1). Every
-    other column is 0: a vacuum point reads only column 0, and the block
-    keeps its full size so that every sum over it takes the same path.
-    """
-    side = cutoff + 1
-    block = np.zeros((side, side))
-    if z == 0.0:
-        block[0, 0] = 1.0
-        return block
-    t = sector_tables(cutoff)
-    grid = t.diff[:, 0] * np.log(np.tanh(z)) + t.neg_log_factorial_diff[:, 0]
-    L = np.exp(grid + t.log_factorial)
-    sech = np.exp(-np.log(np.cosh(z)))
-    block[:, 0] = L * (sech * (1.0 * L[0])) + 0.0
-    return block
 
 
 def sector_spectral(
@@ -420,53 +361,80 @@ def squeeze_operator_oracle(
     )
 
 
-def _kernel_amplitudes(z: float, cutoff: int) -> np.ndarray:
-    """Analytic amplitudes of every sector of the box, one sector-major buffer.
+def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
+    """Squeeze amplitudes of every block of the box, one sector-major
+    buffer; with vacuum, the d = 0 block with only its vacuum column.
 
-    Normal-ordered form S = exp(tau a+b+) sech(z)^(n_a+n_b+1) exp(-tau ab)
-    with tau = tanh z gives each entry <(p+d, p)|S|(q+d, q)> as a finite
-    alternating sum over the lowering count, evaluated per block as the
-    triangular matrix product L R, with L formed in log magnitude and R the
-    signed transpose of L scaled by powers of sech z. Only the lower
-    triangle (p >= q, net raising) is taken from the product; the upper
-    triangle follows from the mirror identity
-    <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes the squared
-    entries satisfy the transpose symmetry exactly.
+    On the lower triangle q <= p of sector d, with C_j = C(j+d, j),
 
-    Each entry gets the operands of the plain per-sector formula's float
-    operations in that order (up to x * 1, x - y as x + (-y) and commuted
-    products, all exact), so every block is that formula's bit for bit:
-    the sum is ill-conditioned, and a reordering would move entries. The
-    gathers and in-place updates only replace a per-sector loop, and the
-    product stays per sector.
+        A[p, q] = tanh(z)^(p-q) sqrt(C_p / C_q) Phi[p, q],
+
+    where Phi[p, 0] = sech(z)^(d+1) and S^-1 K0 S = cosh(2z) K0 +
+    sinh(2z) (K+ + K-) / 2 gives, column by column,
+
+        (q+1) Phi[p, q+1] = ((p-q) - (p+q+d+1) tanh^2 z) Phi[p, q]
+                            - (q+d) tanh^2 z Phi[p, q-1].
+
+    Run forward on q <= p only, the recurrence is stable (the wanted
+    solution dominates there). It divides by no power of tanh z, and p - q
+    is formed exactly before the small term is taken off, so it holds from
+    subnormal z up; as z -> 0, Phi[p, q] tends to the integer C(p, q), so
+    the diagonal is exactly 1 while C(p, q) (p - q) stays below 2^53. Each
+    step fills column q + 1 of every sector at once, reading columns q and
+    q - 1 from the same buffer. The upper triangle follows from the
+    mirror identity <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes
+    the squared entries satisfy the transpose symmetry exactly; the gather
+    applies the sign and tanh(z)^|p-q| together. The vacuum column is
+    column 0 of d = 0 from the same start, bit for bit the full kernel's,
+    in O(N) work; the block keeps its full size, its other columns 0, so
+    that every sum over it takes the same path.
     """
-    ix, t = sector_index(cutoff), sector_tables(cutoff)
+    side = cutoff + 1
+    sech, tau = 1.0 / np.cosh(z), np.tanh(z)
+    tau_powers = tau ** np.arange(side)
+    d = np.arange(1 if vacuum else side)
+    start = sech ** (d + 1.0)
+    if vacuum:  # the block's column 0, where sqrt(C_p / C_0) = 1
+        amps = np.zeros(side * side)
+        amps[::side] = tau_powers * start[0]
+        return amps
+    # beta[p, d] = sqrt(C(p+d, p)), a running product over p
+    k = np.arange(1.0, side)[:, None]
+    beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), (k + d) / k]), axis=0))
+    ix = sector_index(cutoff)
     if z == 0.0:
-        return (np.take(t.diff.ravel(), ix.grid) == 0.0) * 1.0  # identity blocks
-    # L = exp((p - q) log tanh z - log (p - q)! + half_log_ratio), 0 above
-    # the diagonal, where -inf + half_log_ratio stays -inf
-    log_l = np.where(t.lower, t.diff * np.log(np.tanh(z)) + t.neg_log_factorial_diff, -np.inf)
-    L = np.take(log_l.ravel(), ix.grid)
-    L += ix.half_log_ratio
-    np.exp(L, out=L)
-    # right factor sech(z)^(total(p) + 1) (-1)^(p - q) L^T[p, q] for p <= q:
-    # below the diagonal L^T is 0, so mirror_sign's 1 there leaves it 0
-    sech_powers = np.exp(-np.arange(2 * cutoff + 2) * np.log(np.cosh(z)))
-    R = np.take(L, ix.transpose)
-    R *= ix.mirror_sign
-    R *= np.repeat(sech_powers[state_totals(cutoff) + 1], ix.state_size)
-    # the product M = L R per block, written over R's block once it is
-    # spent, so the build holds two buffers where three would do
-    for d, size in enumerate(range(cutoff + 1, 0, -1)):
-        span = slice(ix.block_start[d], ix.block_start[d + 1])
-        block = R[span].reshape(size, size)
-        block[...] = L[span].reshape(size, size) @ block
-    M = R
-    # lower triangle from the product, upper from the mirror identity;
-    # + 0.0 turns -0 into +0, as adding the two zero-padded triangles does
-    amps = np.take(M, ix.mirror, out=L, mode="clip")  # L is spent
-    amps *= ix.mirror_sign
-    amps += 0.0
+        return (ix.change == cutoff) * 1.0  # identity blocks
+    # the rows p of every sector d, row-major over (p, d); column q of the
+    # lower-triangle buffer holds the last of them, the rows p >= q
+    p, d = np.nonzero(np.add.outer(np.arange(side), d) <= cutoff)
+    row_start, col_start = _lower_starts(cutoff)
+    lower = np.empty(col_start[-1])
+    cols = [lower[a:b] for a, b in zip(col_start, col_start[1:])]
+    cols[0][:] = start[d]
+    t2 = tau * tau
+    small, tail = (p + d + 1.0) * t2, d * t2
+    coef, work = np.empty(len(p)), np.empty(len(p))
+    for q in range(cutoff):
+        r = slice(row_start[q + 1], None)  # the rows p > q
+        new = cols[q + 1]
+        coef_r, work_r = coef[r], work[r]
+        np.subtract(p[r], q, out=coef_r)  # exact, before the small term
+        np.add(small[r], q * t2, out=work_r)
+        coef_r -= work_r
+        np.multiply(coef_r, cols[q][-len(new):], out=new)
+        if q:
+            np.add(tail[r], q * t2, out=work_r)
+            work_r *= cols[q - 1][-len(new):]
+            new -= work_r
+        new /= q + 1.0
+    row_beta = beta[p, d]
+    for q, col in enumerate(cols):  # times sqrt(C_p / C_q)
+        col *= row_beta[row_start[q]:]
+        col /= np.take(beta[q], d[row_start[q]:])
+    amps = np.take(lower, ix.mirror)
+    # (-1)^(q-p) for p < q and tanh(z)^|p-q|, keyed by p - q + cutoff
+    factor = np.concatenate([(-1.0) ** np.arange(cutoff, 0, -1) * tau_powers[:0:-1], tau_powers])
+    amps *= np.take(factor, ix.change)
     return amps
 
 
@@ -509,13 +477,11 @@ class TransitionKernel:
 def transition_kernel(
     z: float, spec: TruncationSpec, vacuum: bool = False
 ) -> TransitionKernel:
-    """Build the transition kernel from analytic amplitudes.
+    """Build the transition kernel by the su(1,1) recurrence (_amplitudes).
 
     Builds every sector of the box, or with vacuum the vacuum kernel: the
-    d = 0 block with only its vacuum column, in O(N) work (_vacuum_block).
-    That column is the full kernel's bit for bit, and since the block
-    skips the columns the analytic sum evaluates least accurately, it also
-    holds at cutoffs where the full kernel fails the column-sum check.
+    d = 0 block with only its vacuum column, in O(N) work from the same
+    closed form, so that column is the full kernel's bit for bit.
 
     Gates on the closed-form vacuum-column leakage: the vacuum column is the
     slowest-leaking low-lying column, so a budget violation there means the
@@ -536,11 +502,11 @@ def transition_kernel(
     _gate_vacuum_leakage(z, spec)
     # the buffers are frozen where they are made; a view of a frozen array
     # cannot be made writeable
+    amps = _frozen(_amplitudes(z, spec.cutoff, vacuum))
     if vacuum:
-        block = _frozen(_vacuum_block(z, spec.cutoff))
-        amps, colsums = block.ravel(), (block**2).sum(axis=0)
+        side = spec.cutoff + 1
+        colsums = (amps.reshape(side, side) ** 2).sum(axis=0)
     else:
-        amps = _frozen(_kernel_amplitudes(z, spec.cutoff))
         # sums in row order, as a block's sum over axis 0 takes them
         colsums = np.bincount(
             sector_index(spec.cutoff).col,
@@ -550,9 +516,8 @@ def transition_kernel(
     excess = float(colsums.max()) - 1.0
     if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(
-            f"column mass exceeds 1 by {excess:.3e}: the analytic amplitude "
-            f"sum lost double precision at z={z}, cutoff={spec.cutoff}; "
-            "reduce the cutoff or the squeeze parameter"
+            f"column mass exceeds 1 by {excess:.3e} at z={z}, "
+            f"cutoff={spec.cutoff}: the kernel is not a substochastic matrix"
         )
     return TransitionKernel(
         z=z,

@@ -32,7 +32,6 @@ from .fock import (
     TransitionKernel,
     TruncationSpec,
     sector_layout,
-    sector_spectral,
     sector_views,
     state_totals,
 )
@@ -186,13 +185,6 @@ class _WorkSums(NamedTuple):
     created: float  # <total(m) - total(n)> under p(m|n) p_th(n), in-box
 
 
-def _sector_created(
-    totals: np.ndarray, final: np.ndarray, P: np.ndarray, w: np.ndarray
-) -> float:
-    """In-sector <total(m) - total(n)> under p(m|n) w(n); final = totals @ P."""
-    return float((final - totals * P.sum(axis=0)) @ w)
-
-
 def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkSums:
     """Every kernel average of the work bookkeeping, in one pass over the
     sectors the initial state occupies.
@@ -215,7 +207,7 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
         leakage += m * float(leak @ w)
         final += m * float(tP @ w)
         initial += m * float(s.totals @ w)
-        created += m * _sector_created(s.totals, tP, P, w)
+        created += m * float((tP - s.totals * P.sum(axis=0)) @ w)
     return _WorkSums(leakage + thermal.renorm_defect, final, initial, created)
 
 
@@ -276,26 +268,3 @@ def inner_friction(
         weighted_leakage=leakage,
         omega_out=omega_out,
     )
-
-
-def mean_created_spectral(
-    z: float, temperature: float, omega: float, cutoff: int
-) -> float:
-    """<n_c> via per-sector spectral amplitudes at large cutoffs.
-
-    The spectral route stays entrywise stable at box sizes where the
-    analytic sum does not, and its in-box boundary reflection vanishes as
-    the cutoff grows, so this converges to the untruncated value. Weights
-    are the thermal weights renormalized to the box, as in
-    thermal_distribution, with no gate on the thermal tail.
-    """
-    if z == 0.0:
-        return 0.0
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
-    weights, _defect = _gibbs_weights(temperature, omega, cutoff)
-    total = 0
-    for s, w in zip(sector_layout(cutoff), sector_views(weights, cutoff, False)):
-        P = sector_spectral(z, s.d, s.size) ** 2
-        total += s.multiplicity * _sector_created(s.totals, s.totals @ P, P, w)
-    return total

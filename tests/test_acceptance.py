@@ -21,7 +21,6 @@ from cosmoflux import (
     inner_friction,
     integral_fluctuation_defect,
     mean_created_closed_form,
-    mean_created_spectral,
     mean_entropy,
     mean_entropy_and_kl,
     quantum_relative_entropy,
@@ -51,14 +50,14 @@ def test_01_amplitude_dual_route(request):
     for z in (0.25, Z_CANON, 1.0):
         blocks = transition_kernel(z, TruncationSpec(24, 1e-2)).amplitudes
         for d in range(13):
-            ana = blocks[d][:13, :13]
+            built = blocks[d][:13, :13]
             spe = sector_spectral(z, d, 128)[:13, :13]
-            worst = max(worst, float(np.max(np.abs(ana - spe))))
+            worst = max(worst, float(np.max(np.abs(built - spe))))
     spot = abs(blocks[3][5, 2] - sector_spectral(1.0, 3, 128)[5, 2])
     worst = max(worst, spot)
     _accept(
         request, "01-amplitude-dual-route", worst <= 1e-10,
-        f"max |analytic - spectral| = {worst:.3e} (tol 1e-10, indices <= 12)",
+        f"max |kernel - spectral| = {worst:.3e} (tol 1e-10, indices <= 12)",
     )
 
 
@@ -143,12 +142,17 @@ def test_07_work_bookkeeping(request, work40, thermal40):
 
 
 def test_08_created_pairs_closed_form(request):
+    def kernel_created(z, t_ratio, size):
+        spec = TruncationSpec(size, 0.5)
+        thermal = thermal_distribution(t_ratio, 1.0, spec)
+        return inner_friction(transition_kernel(z, spec), thermal, 1.0, 2.0).mean_created
+
     def ladder(z, t_ratio):
-        prev = mean_created_spectral(z, t_ratio, 1.0, 40)
+        prev = kernel_created(z, t_ratio, 40)
         size = 40
         while size < 232:
             size += 24
-            cur = mean_created_spectral(z, t_ratio, 1.0, size)
+            cur = kernel_created(z, t_ratio, size)
             if abs(cur - prev) <= 1e-7:
                 return cur
             prev = cur

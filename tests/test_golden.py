@@ -40,7 +40,10 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
     # CSV was frozen after that, with the script's default arguments; its
     # noise-level crooks_dev and leakage at sigma = 15.81 and 50 were
     # refrozen when the cosmology squeeze map stopped cancelling two large
-    # log sinh values, which moved z in its last bits.
+    # log sinh values, which moved z in its last bits. All three were
+    # refrozen when the su(1,1) recurrence replaced the alternating analytic
+    # sum: leakage, crooks_dev and a few mean_created, inner_friction and
+    # kl_quantum cells moved at noise level (CHANGES.md lists each cell).
     path = str(ROOT / "scripts" / f"{script}.py")
     monkeypatch.setattr(sys, "argv", [path])
     runpy.run_path(path, run_name="__main__")
@@ -49,7 +52,9 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
 
 
 # the canonical point swept over temperature, with a thermal-gate failure
-# (T = 50) mid-grid; frozen before the sweep shared one kernel between points
+# (T = 50) mid-grid; frozen before the sweep shared one kernel between
+# points, and refrozen when the recurrence replaced the analytic sum
+# (leakage, crooks_dev and kl_quantum moved at noise level)
 TEMPERATURE_GRID = (0.25, 0.5, 0.75, 50.0, 1.0, 1.25, 1.5)
 
 
@@ -65,7 +70,8 @@ def test_temperature_sweep_is_byte_identical():
 # d = 0 sector, at 17 digits so any change in the last bit shows; z and
 # mean_created of the rows at sigma <= 4.33 and sigma = 53.4 were then
 # refrozen with the squeeze map's cancellation-free form (z moved by at
-# most 7.2e-15 relative)
+# most 7.2e-15 relative), and rows 7, 9, 10 and 12 in their last digits
+# when the vacuum column became sech(z) tanh(z)^p from the recurrence's start
 SIGMA_BASE = RunConfig(
     scenario="cosmology", momentum=1.0, mass=1.0, epsilon=3.0, sigma=1.0,
     temperature=0.0, cutoff=56,
@@ -92,7 +98,9 @@ def test_verify_output_is_byte_identical():
     # `python -m cosmoflux verify` stdout, frozen before the spectral oracle
     # shared one decomposition between its z; the oracle-equivalence detail
     # was then refrozen, since the rescaled eigenvalues moved it at noise
-    # level (2.748e-13 -> 2.768e-13)
+    # level (2.748e-13 -> 2.768e-13); refrozen when the recurrence replaced
+    # the analytic sum, which moved that detail to 2.720e-15 (now "max
+    # |kernel - spectral|"), the vacuum-law and one entropy-friction residual
     proc = subprocess.run(
         [sys.executable, "-m", "cosmoflux", "verify"],
         capture_output=True, env=CHILD_ENV, timeout=120,

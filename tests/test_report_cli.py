@@ -9,13 +9,11 @@ import pytest
 from cosmoflux import (
     ConfigError,
     LeakageError,
-    NumericError,
     RunConfig,
     SweepConfig,
     TruncationSpec,
     VerificationError,
     canonical_config,
-    transition_kernel,
     verify_invariants,
 )
 import cosmoflux.fock as fock_mod
@@ -281,24 +279,21 @@ def test_vacuum_kernel_gives_way_to_a_full_kernel(monkeypatch):
     assert rows == [{**single, "error": ""} for single in singles]
 
 
-UNSTABLE_VACUUM = {**SMALL_DIRECT, "z": 1.2, "cutoff": 64, "leakage_tolerance": 1e-2,
-                   "temperature": 0.0}
+LARGE_VACUUM = {**SMALL_DIRECT, "z": 1.2, "cutoff": 64, "leakage_tolerance": 1e-2,
+                "temperature": 0.0}
 
 
-def test_unstable_vacuum_point_fails_closed(tmp_path, capsys):
-    # the full kernel loses double precision here; the vacuum point reads
-    # only the vacuum column, which holds, but verify's kernel checks read
-    # the full kernel and fail closed
-    spec = TruncationSpec(64, 1e-2)
-    with pytest.raises(NumericError):
-        transition_kernel(1.2, spec)
-    row = run_simulation(RunConfig.from_mapping(UNSTABLE_VACUUM))
+def test_large_cutoff_vacuum_point_verifies(tmp_path, capsys):
+    # the alternating analytic sum lost double precision here, so verify,
+    # whose kernel checks read the full kernel, exited 3; the recurrence
+    # holds, and the point simulates and verifies
+    row = run_simulation(RunConfig.from_mapping(LARGE_VACUUM))
     assert row["flags"] == "ok;vacuum-path"
     assert row["mean_created"] == pytest.approx(2.0 * np.sinh(1.2) ** 2, abs=1e-6)
-    path = tmp_path / "unstable.json"
-    path.write_text(json.dumps(UNSTABLE_VACUUM))
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(LARGE_VACUUM))
     assert main(["simulate", "--config", str(path)]) == 0
-    assert main(["verify", "--config", str(path)]) == 3
+    assert main(["verify", "--config", str(path)]) == 0
     capsys.readouterr()
 
 
@@ -306,18 +301,25 @@ def test_unstable_vacuum_point_fails_closed(tmp_path, capsys):
     (Z_CANON, 57), (Z_CANON, 80), (Z_CANON, 120), (Z_CANON, 170), (1.5, 170),
 ])
 def test_vacuum_point_evaluates_past_the_full_kernels_reach(z, cutoff):
-    # the full kernel fails its column-sum check at every cutoff here; the
-    # vacuum point still gives the paper's 2 sinh^2 z, and verify of the
-    # point, whose kernel checks read the full kernel, still fails closed
+    # these cutoffs were past the reach of the alternating analytic sum,
+    # whose full kernel failed its column-sum check at every one of them;
+    # the vacuum point gives the paper's 2 sinh^2 z within its leakage
     cfg = canonical_config().replace(z=z, cutoff=cutoff, temperature=0.0)
-    with pytest.raises(NumericError):
-        transition_kernel(z, TruncationSpec(cutoff, cfg.leakage_tolerance))
     row = run_simulation(cfg)
     assert row["flags"] == "ok;vacuum-path"
     assert row["mean_created"] == pytest.approx(2.0 * np.sinh(z) ** 2, abs=1e-6)
     assert row["leakage"] <= cfg.leakage_tolerance
-    with pytest.raises(NumericError):
-        verify_invariants(cfg)
+
+
+@pytest.mark.parametrize("changes", [
+    {"temperature": 0.0, "cutoff": 120}, {"temperature": 5.0, "cutoff": 160},
+])
+def test_verify_passes_at_large_cutoffs(changes):
+    # the north-star domain: T/omega = 5 at the cutoff its 1e-8 budget needs,
+    # and the vacuum at cutoff 120; both exited 3 on the analytic sum's
+    # column-sum check (excess 2.9e56 and 9.5e34)
+    lines, failures = verify_invariants(canonical_config().replace(**changes))
+    assert failures == 0, "\n".join(lines)
 
 
 def _sigma_sweep(grid):
@@ -648,15 +650,17 @@ def test_verify_catches_a_shifted_vacuum_column(monkeypatch):
     # 1e-5 of probability from 2 to 4 quanta shifts <n_c> by 2e-5, past
     # the 1e-6 tolerance; the kernel checks read the full kernel and pass.
     # vacuum-law reads the vacuum kernel too, and fails beside it
-    real = fock_mod._vacuum_block
+    real = fock_mod._amplitudes
 
-    def shifted(z, cutoff):
-        block = real(z, cutoff)
-        p1, p2 = block[1:3, 0] ** 2
-        block[1, 0], block[2, 0] = np.sqrt(p1 - 1e-5), np.sqrt(p2 + 1e-5)
-        return block
+    def shifted(z, cutoff, vacuum):
+        amps = real(z, cutoff, vacuum)
+        if vacuum:
+            block = amps.reshape(cutoff + 1, cutoff + 1)
+            p1, p2 = block[1:3, 0] ** 2
+            block[1, 0], block[2, 0] = np.sqrt(p1 - 1e-5), np.sqrt(p2 + 1e-5)
+        return amps
 
-    monkeypatch.setattr(fock_mod, "_vacuum_block", shifted)
+    monkeypatch.setattr(fock_mod, "_amplitudes", shifted)
     lines, failures = verify_invariants(canonical_config().replace(temperature=0.0))
     assert failures == 2
     created, law = [ln for ln in lines if ln.startswith("  FAIL")]
@@ -669,16 +673,16 @@ def test_battery_catches_a_shifted_kernel_entry(monkeypatch):
     # failure witness for oracle-equivalence: one entry inside the 9 x 9
     # corner of block d = 2 moves by 3e-10, past the line's 1e-10
     # tolerance and below the 1e-9 column-sum limit, so the kernel builds
-    real = fock_mod._kernel_amplitudes
+    real = fock_mod._amplitudes
 
-    def shifted(z, cutoff):
-        amps = real(z, cutoff)
-        if z > 0.0:
+    def shifted(z, cutoff, vacuum):
+        amps = real(z, cutoff, vacuum)
+        if z > 0.0 and not vacuum:
             size = cutoff - 1
             amps[fock_mod.sector_index(cutoff).block_start[2] + 3 * size + 1] += 3e-10
         return amps
 
-    monkeypatch.setattr(fock_mod, "_kernel_amplitudes", shifted)
+    monkeypatch.setattr(fock_mod, "_amplitudes", shifted)
     items = report_mod._battery_global()
     assert [name for name, ok, _detail in items if not ok] == ["oracle-equivalence"]
 
@@ -762,6 +766,26 @@ def test_run_simulation_raises_first_failed_check(monkeypatch):
     monkeypatch.setattr(fluctuation_mod, "quantum_relative_entropy", failing("qre"))
     with pytest.raises(VerificationError, match="^kl$"):
         run_simulation(canonical_config())
+
+
+@pytest.mark.parametrize("flags, rendering", [
+    (["--precision", "6"], {"precision": 6}), (["--output", "csv"], {"output": "csv"}),
+])
+def test_cli_verify_with_rendering_flags_checks_the_canonical_point(
+    monkeypatch, capsys, flags, rendering
+):
+    # rendering flags alone once made verify build a config without a
+    # scenario and exit 1; they leave the canonical point to check
+    import cosmoflux.cli as cli_mod
+
+    checked = []
+    monkeypatch.setattr(
+        cli_mod, "verify_invariants", lambda cfg: (checked.append(cfg), (["ok"], 0))[1]
+    )
+    assert main(["verify", *flags]) == 0
+    assert checked == [canonical_config().replace(**rendering)]
+    assert main(["verify", "--precision", "0"]) == 1  # still validated
+    capsys.readouterr()
 
 
 def test_cli_verify_failure_exit(monkeypatch, capsys):
