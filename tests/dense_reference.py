@@ -9,7 +9,9 @@ work at any cutoff: reference_sector_amplitudes is the plain per-sector
 analytic formula, the normal-ordered alternating sum the package once
 evaluated, an independent route to the amplitudes whose cancellation
 costs it digits as blocks grow (up to 2.8e-13 on a 9 x 9 block and
-1.1e-11 at cutoff 16), and the reference_* loops after it are the
+1.1e-11 at cutoff 16); reference_sector_recurrence is the kernel's own
+recurrence run on one sector block alone, which the flat builder must
+reproduce bit for bit; and the reference_* loops after them are the
 per-sector loops the pipeline ran before it kept each quantity in one
 sector-major buffer, or before it took the work averages in one pass. Fed
 the production kernel, they must reproduce the flat stages and the work
@@ -97,6 +99,51 @@ def reference_sector_amplitudes(z, d, size):
     D = np.exp(-(2 * i + d + 1) * logcosh)
     M = L @ (D[:, None] * U)
     return np.tril(M) + np.triu(sign * M.T, 1)
+
+
+def reference_sector_recurrence(z, d, size):
+    """The kernel's recurrence for one sector block, run on that block alone.
+
+    The same float operations, in the same order, as fock._amplitudes takes
+    for sector d, with none of its flat buffers or gather tables: start
+    column sech(z)^(d+1), one column q + 1 at a time from columns q and
+    q - 1 on the rows p > q, the factor sqrt(C_p / C_q), then each entry
+    of the upper triangle from its mirror with the sign and tanh(z)^|p-q|.
+    The flat builder must reproduce it bit for bit, signed zeros included.
+    """
+    if z == 0.0:
+        return np.eye(size)
+    # the powers are taken as the kernel takes them, over arrays of the
+    # box's side size + d: numpy's vector pow may round a power one ulp
+    # away from the scalar pow, and which lanes it takes depends on the
+    # array's length
+    side = size + d
+    sech, tau = 1.0 / np.cosh(z), np.tanh(z)
+    tau_powers = tau ** np.arange(side)
+    start = (sech ** (np.arange(side) + 1.0))[d]
+    t2 = tau * tau
+    k = np.arange(1.0, size)
+    beta = np.sqrt(np.cumprod(np.concatenate([[1.0], (k + d) / k])))
+    p = np.arange(size)
+    phi = np.zeros((size, size))
+    phi[:, 0] = start
+    for q in range(size - 1):
+        rows = p[q + 1:]
+        coef = (rows - q) - ((rows + d + 1.0) * t2 + q * t2)
+        new = coef * phi[q + 1:, q]
+        if q:
+            new -= (d * t2 + q * t2) * phi[q + 1:, q - 1]
+        phi[q + 1:, q + 1] = new / (q + 1.0)
+    lower = np.zeros((size, size))
+    for q in range(size):
+        lower[q:, q] = phi[q:, q] * beta[q:] / beta[q]
+    block = np.empty((size, size))
+    for i in range(size):
+        for j in range(size):
+            k = abs(i - j)
+            sign = (-1.0) ** k if i < j else 1.0
+            block[i, j] = lower[max(i, j), min(i, j)] * (sign * tau_powers[k])
+    return block
 
 
 def reference_gibbs_weights(temperature, omega, cutoff):

@@ -21,6 +21,7 @@ from dense_reference import (
     dense_generator,
     dense_view,
     reference_sector_amplitudes,
+    reference_sector_recurrence,
 )
 
 # 50-digit reference values for <m| S |n> at tanh z = 1/2 (and one at z = 1).
@@ -114,6 +115,23 @@ def test_blocks_match_the_spectral_route(cutoff):
     # entry of the first, middle and last sectors within 1e-13
     sectors = sorted({0, 1, 5, cutoff // 2, cutoff - 1, cutoff})
     assert worst_against_spectral(cutoff, sectors) <= 1e-13
+
+
+# The flat builder runs every sector's recurrence at once through the
+# lower-triangle buffer and its gather tables; each block must be the one
+# the same recurrence gives when run on that sector alone, bit for bit,
+# signed zeros included. (1.0, 56) once raised NumericError, where the
+# analytic sum had lost double precision.
+@pytest.mark.parametrize("cutoff", [8, 40, 56])
+@pytest.mark.parametrize("z", [1e-300, 0.25, Z_CANON, 1.0])
+def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
+    layout = sector_layout(cutoff)
+    kernel = transition_kernel(z, TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5))
+    assert not kernel.vacuum and len(kernel.amplitudes) == len(layout)
+    for block, s in zip(kernel.amplitudes, layout):
+        reference = reference_sector_recurrence(z, s.d, s.size)
+        assert block.shape == reference.shape
+        assert block.tobytes() == reference.tobytes()
 
 
 def test_kernel_accurate_at_cutoff_120():
