@@ -13,6 +13,12 @@ degeneracies would otherwise contaminate the increment. The Crooks and KL
 checks pair the same lattice points, leaving out those whose partner
 underflows as the relation predicts. Every check here fails closed on a
 NaN: it passes only when its residual is <= its tolerance.
+
+The quantum relative entropy is the only stage that calls LAPACK, through
+dgejsv, which imports scipy.linalg on its first call (fock._lapack). A
+T = 0 point skips that stage, so a process that runs only vacuum points
+never loads scipy; any other process pays for the import once, inside its
+first quantum relative entropy.
 """
 
 from __future__ import annotations
@@ -20,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgejsv
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, sector_index
+from .fock import TransitionKernel, _lapack, sector_index
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
 PROBABILITY_FLOOR = 1e-12
@@ -263,6 +268,11 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
             f"{resid_friction:.3e}, {resid_creation:.3e} > {tolerance:.3e}"
         )
     return record
+
+
+def dgejsv(a: np.ndarray, **options):
+    """LAPACK dgejsv, imported with scipy.linalg on the first call."""
+    return _lapack().dgejsv(a, **options)
 
 
 def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

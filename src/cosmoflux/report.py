@@ -100,12 +100,18 @@ class RunConfig:
         return out
 
     def replace(self, **updates) -> "RunConfig":
-        """This config with updates, coerced and validated as from_mapping does."""
+        """This config with updates, coerced and validated as from_mapping does.
+
+        The copy takes this instance's field values as they stand and sets
+        only the updated ones; the frozen __init__ would re-run over every
+        field.
+        """
         unknown = sorted(set(updates) - _FIELD_NAMES)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = dataclass_replace(
-            self, **{key: _coerce(key, value) for key, value in updates.items()}
+        cfg = object.__new__(type(self))
+        cfg.__dict__.update(
+            self.__dict__, **{key: _coerce(key, value) for key, value in updates.items()}
         )
         cfg.validate()
         return cfg

@@ -79,6 +79,15 @@ def test_truncation_spec_validation():
         TruncationSpec(cutoff=8, leakage_tolerance=0.0)
     with pytest.raises(ValueError):
         TruncationSpec(cutoff=8, leakage_tolerance=1.5)
+    assert TruncationSpec(np.int64(12)).cutoff == 12
+
+
+@pytest.mark.parametrize("cutoff", [40.0, np.float64(40.0), True, "40", None])
+def test_truncation_spec_rejects_a_non_integer_cutoff(cutoff):
+    # every stage indexes by the cutoff, so a float one must fail here, not
+    # with a TypeError deep inside the kernel or the thermal weights
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        TruncationSpec(cutoff)
 
 
 def test_sector_layout_built_once_and_read_only():

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
     ConfigError,
@@ -151,6 +152,48 @@ def test_replace_coerces_like_from_mapping():
     base = RunConfig.from_mapping(SMALL_DIRECT)
     updates = {"cutoff": "24", "z": "0.25", "sigma": None}
     assert base.replace(**updates) == RunConfig.from_mapping({**SMALL_DIRECT, **updates})
+
+
+# candidate values per key, valid and invalid, for SMALL_DIRECT's scenario
+REPLACE_CANDIDATES = {
+    "scenario": ["direct-z", "cosmology"],
+    "z": [0.0, 0.25, "0.5", -0.5, "nan", None],
+    "omega_in": [0.5, "1", 3.0],
+    "omega_out": [2.0, "2.5", 0.25],
+    "sigma": [None, 1.0],
+    "temperature": [0.0, 0.5, "1.5", -1.0, float("inf")],
+    "cutoff": [8, "24", 20.0, 7, "16.5"],
+    "leakage_tolerance": [1e-8, "1e-6", 0.02],
+    "output": ["json", "csv", "yaml"],
+    "precision": [6, "12", 0],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(updates=st.fixed_dictionaries({}, optional={
+    key: st.sampled_from(values) for key, values in REPLACE_CANDIDATES.items()
+}))
+def test_replace_equals_from_mapping_over_many_updates(updates):
+    # replace copies the instance state and sets the updated fields; it must
+    # give the config from_mapping builds from the merged mapping, field
+    # values and types alike, or refuse it with the same message
+    base = RunConfig.from_mapping(SMALL_DIRECT)
+    # updates first, so that both coerce them in the same order
+    merged = {**updates, **{k: v for k, v in base.to_mapping().items() if k not in updates}}
+    try:
+        direct = RunConfig.from_mapping(merged)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as replaced:
+            base.replace(**updates)
+        assert str(replaced.value) == str(exc)
+        return
+    replaced = base.replace(**updates)
+    assert replaced == direct and hash(replaced) == hash(direct)
+    assert {k: (type(v), v) for k, v in vars(replaced).items()} == {
+        k: (type(v), v) for k, v in vars(direct).items()
+    }
+    with pytest.raises(FrozenInstanceError):
+        replaced.cutoff = 12
 
 
 def test_config_round_trip():
