@@ -40,9 +40,10 @@ Two independent evaluation routes are provided:
   z and the block is rebuilt in real arithmetic. It and
   squeeze_operator_oracle take one z or a 1-D array of z; an array gives
   every block a leading z axis. It is this module's only LAPACK call,
-  made through dstevd, which imports scipy.linalg on its first call
-  (_lapack): importing cosmoflux, or running a point that never reaches
-  the oracle, does not load scipy.
+  made through dstevd, which loads scipy's compiled LAPACK module on its
+  first call (_lapack) and never the package scipy.linalg: importing
+  cosmoflux, or running a point that never reaches the oracle, does not
+  load scipy.
 
 Both routes raise ValueError for a negative or non-finite z, and
 sector_spectral also for a sector label or size that is not an integer;
@@ -51,7 +52,11 @@ transition_kernel checks z before its leakage gate.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -282,15 +287,38 @@ def _squeeze_values(z: ArrayLike) -> np.ndarray:
 
 @cache
 def _lapack():
-    """scipy.linalg.lapack, imported on the first LAPACK call.
+    """scipy's compiled LAPACK module scipy.linalg._flapack, loaded on first use.
 
-    Importing scipy.linalg costs about 0.2 s and 27 MiB; the two routines
-    the package calls, dstevd here and dgejsv in fluctuation, load in 4 ms
-    and 2 MiB, and a T = 0 point calls neither.
+    Importing the package scipy.linalg costs about 0.2 s and 26 MiB of
+    modules this package never calls. The two routines it calls, dstevd
+    here and dgejsv in fluctuation, live in the f2py extension _flapack,
+    so only the top-level scipy package is imported (about 12 ms and
+    1.3 MiB; it sets up the paths of scipy's bundled libraries) and the
+    extension is loaded from its file in scipy/linalg/, which skips
+    scipy/linalg/__init__.py. The module is entered in sys.modules under
+    its own name, so a later import of scipy.linalg uses it, and a process
+    that has imported scipy.linalg already uses that module as it is. A
+    scipy with no such file raises ImportError.
     """
-    from scipy.linalg import lapack
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
 
-    return lapack
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(
+            f"no compiled LAPACK module _flapack in {directory} (scipy {scipy.__version__})"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 def dstevd(diagonal: np.ndarray, off_diagonal: np.ndarray):

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace as dataclass_replace
+from dataclasses import MISSING, dataclass, fields as dataclass_fields, replace as dataclass_replace
 
 import numpy as np
 
@@ -162,16 +162,22 @@ class RunConfig:
                 raise ConfigError("need 0 < omega_in <= omega_out")
 
 
-# RunConfig's field names in declaration order, and its float fields among
-# them, read once here rather than scanned on every replace and validate;
+# RunConfig's field names in declaration order, its float fields and the
+# fields whose default is a value (a null there is an error, not an absent
+# key), read once here rather than scanned on every replace and validate;
 # CONFIG_KEYS is also the CLI's list of config flags
 CONFIG_KEYS = tuple(f.name for f in dataclass_fields(RunConfig))
 _FIELD_NAMES = frozenset(CONFIG_KEYS)
 _FLOAT_FIELDS = tuple(name for name in CONFIG_KEYS if name in FLOAT_KEYS)
+_VALUED_FIELDS = frozenset(
+    f.name for f in dataclass_fields(RunConfig) if f.default not in (None, MISSING)
+)
 
 
 def _coerce(key: str, value):
     if value is None:
+        if key in _VALUED_FIELDS:
+            raise ConfigError(f"config key {key!r} may not be null")
         return None
     if key in FLOAT_KEYS:
         return _number(key, value)
@@ -181,6 +187,9 @@ def _coerce(key: str, value):
 
 
 def _number(key: str, value) -> float:
+    # a JSON true would otherwise run as 1.0
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"config key {key!r}: {value!r} is not a number")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -191,6 +200,8 @@ def _number(key: str, value) -> float:
 
 
 def _integer(key: str, value) -> int:
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"config key {key!r}: {value!r} is not an integer")
     try:
         if isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{value} is not an integer")

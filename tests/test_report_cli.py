@@ -161,11 +161,11 @@ REPLACE_CANDIDATES = {
     "omega_in": [0.5, "1", 3.0],
     "omega_out": [2.0, "2.5", 0.25],
     "sigma": [None, 1.0],
-    "temperature": [0.0, 0.5, "1.5", -1.0, float("inf")],
-    "cutoff": [8, "24", 20.0, 7, "16.5"],
-    "leakage_tolerance": [1e-8, "1e-6", 0.02],
+    "temperature": [0.0, 0.5, "1.5", -1.0, float("inf"), None, True],
+    "cutoff": [8, "24", 20.0, 7, "16.5", None, True],
+    "leakage_tolerance": [1e-8, "1e-6", 0.02, None],
     "output": ["json", "csv", "yaml"],
-    "precision": [6, "12", 0],
+    "precision": [6, "12", 0, None],
 }
 
 
@@ -521,12 +521,34 @@ def test_cli_rejects_bad_numbers(argv, key, capsys):
     assert repr(key) in err
 
 
-@pytest.mark.parametrize("grid", ["0.5,1.0", [0.5, "abc"], [0.5, None], [0.5, "nan"]])
+@pytest.mark.parametrize(
+    "grid", ["0.5,1.0", [0.5, "abc"], [0.5, None], [0.5, "nan"], [True, 2.0]]
+)
 def test_cli_rejects_bad_grid_in_config_file(grid, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**SMALL_DIRECT, "axis": "temperature", "grid": grid}))
     assert main(["sweep", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cutoff", None), ("temperature", None), ("leakage_tolerance", None),
+    ("precision", None), ("temperature", True), ("cutoff", True), ("cutoff", False),
+])
+def test_cli_rejects_null_and_boolean_config_values(key, value, tmp_path, capsys):
+    # a null for a key with a default once crashed validate with TypeError,
+    # and a JSON true once ran as the number 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_DIRECT, key: value}))
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err
+
+
+def test_sweep_rejects_a_boolean_grid_count():
+    with pytest.raises(ConfigError, match="'grid_count'"):
+        SweepConfig.from_mapping({**SMALL_DIRECT, "axis": "temperature", "grid_min": 0.5,
+                                  "grid_max": 1.0, "grid_count": True})
 
 
 def test_cli_simulate_roundtrip(tmp_path, capsys):
