@@ -1,8 +1,9 @@
 """Command line interface: simulate, sweep, verify.
 
 Every config key doubles as a CLI flag so a file can be overridden per
-key. Unknown keys fail closed. Exit codes: 0 success, 1 config error,
-2 verification failure, 3 leakage or numeric-instability error.
+key. Unknown keys fail closed. Exit codes: 0 success, 1 config error or
+a report that cannot be written, 2 verification failure, 3 leakage or
+numeric-instability error.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def _load_mapping(args: argparse.Namespace, sweep: bool = False) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
         if not isinstance(mapping, dict):
             raise ConfigError("config file must hold a single JSON object")
     keys = CONFIG_KEYS + (SWEEP_ONLY_KEYS if sweep else ())
@@ -86,8 +89,11 @@ def _load_mapping(args: argparse.Namespace, sweep: bool = False) -> dict:
 
 def _emit(text: str, outfile: str | None) -> None:
     if outfile:
-        with open(outfile, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(outfile, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CosmofluxError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -4,11 +4,11 @@ Mode occupations (n_a, n_b) live on a square box 0..cutoff per mode. The
 squeeze unitary S = exp(z(a+b+ - ab)) conserves n_a - n_b, so every operator
 is block-diagonal in the difference sector d and is stored only as its
 blocks. This module owns the sector layout (sector_layout) and its flat
-storage: a kernel keeps each per-sector quantity in one sector-major buffer
-(the blocks d = 0..cutoff end to end, or their states end to end), and its
-per-sector blocks are read-only views into that buffer (sector_views). It
-stores the signed amplitudes, not their squares: every stage that reads
-p(m|n) squares the buffer itself, once per call.
+storage: a full kernel keeps each per-sector quantity in one sector-major
+buffer (the blocks d = 0..cutoff end to end, or their states end to end),
+and its per-sector blocks are read-only views into that buffer
+(sector_views). It stores the signed amplitudes, not their squares: every
+stage that reads p(m|n) squares the buffer itself, once per call.
 sector_index holds, once per cutoff, the gather indices that let a stage
 treat every sector of a buffer in one array pass.
 
@@ -28,8 +28,9 @@ Two independent evaluation routes are provided:
   gross excess. sector_index holds the per-entry gathers of the mirror
   step, built once per cutoff beside the layout. A T = 0 point reads
   only the vacuum column of d = 0; transition_kernel with vacuum builds
-  that column alone from the same closed form, in O(N) work and bit for
-  bit the full kernel's.
+  and holds that column alone, N + 1 amplitudes and one leakage value,
+  from the same closed form, in O(N) work and bit for bit the full
+  kernel's.
 
 - sector_spectral: the spectral exponential of the tridiagonal generator.
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
@@ -152,8 +153,8 @@ def sector_views(
 
     With blocks, sector d takes (cutoff + 1 - d)^2 entries, viewed as its
     row-major square block; without, cutoff + 1 - d, one per sector state.
-    The buffer may end after any sector, as a vacuum kernel's does after
-    d = 0. Views of a read-only buffer cannot be made writeable.
+    The buffer may end after any sector, as the vacuum's Gibbs weights do
+    after d = 0. Views of a read-only buffer cannot be made writeable.
     """
     views, start = [], 0
     for size in range(cutoff + 1, 0, -1):
@@ -415,7 +416,7 @@ def squeeze_operator_oracle(
 
 def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     """Squeeze amplitudes of every block of the box, one sector-major
-    buffer; with vacuum, the d = 0 block with only its vacuum column.
+    buffer; with vacuum, the N + 1 amplitudes of column 0 of d = 0 alone.
 
     On the lower triangle q <= p of sector d, with C_j = C(j+d, j),
 
@@ -437,9 +438,8 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     mirror identity <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes
     the squared entries satisfy the transpose symmetry exactly; the gather
     applies the sign and tanh(z)^|p-q| together. The vacuum column is
-    column 0 of d = 0 from the same start, bit for bit the full kernel's,
-    in O(N) work; the block keeps its full size, its other columns 0, so
-    that every sum over it takes the same path.
+    column 0 of d = 0 from the same start, tanh(z)^p sech(z), bit for bit
+    the full kernel's, in O(N) work and memory.
     """
     side = cutoff + 1
     sech, tau = 1.0 / np.cosh(z), np.tanh(z)
@@ -447,9 +447,7 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     d = np.arange(1 if vacuum else side)
     start = sech ** (d + 1.0)
     if vacuum:  # the block's column 0, where sqrt(C_p / C_0) = 1
-        amps = np.zeros(side * side)
-        amps[::side] = tau_powers * start[0]
-        return amps
+        return tau_powers * start[0]
     # beta[p, d] = sqrt(C(p+d, p)), a running product over p
     k = np.arange(1.0, side)[:, None]
     beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), (k + d) / k]), axis=0))
@@ -501,14 +499,15 @@ class TransitionKernel:
     same bits, that a stored copy would hold at twice the kernel's bytes.
     column_leakage[d][i] is the true probability that the image of the
     sector state at position i escaped the box. Each is a tuple of
-    read-only views (sector_views) into one sector-major buffer,
-    flat_amplitudes and flat_column_leakage; only the buffers are fields,
-    so each byte is held and counted once. A full kernel holds every
-    sector of the box. A vacuum kernel (vacuum True) serves only a T = 0
-    point, whose initial state is the vacuum (0, 0): it holds the d = 0
-    block alone, and of that block only column 0; its other columns are
-    0, so their leakage reads 1. All arrays are read-only, since a sweep
-    shares one kernel between its points.
+    read-only views into one buffer, flat_amplitudes and
+    flat_column_leakage; only the buffers are fields, so each byte is held
+    and counted once. A full kernel holds every sector of the box, its
+    buffers sector-major (sector_views). A vacuum kernel (vacuum True)
+    serves only a T = 0 point, whose initial state is the vacuum (0, 0):
+    it holds column 0 of the d = 0 block alone, its N + 1 amplitudes as
+    the one (N + 1, 1) view amplitudes[0] and its leakage as the one value
+    column_leakage[0][0]. All arrays are read-only, since a sweep shares
+    one kernel between its points.
     """
 
     z: float
@@ -520,10 +519,14 @@ class TransitionKernel:
     def __post_init__(self) -> None:
         # set here rather than declared, so that they are not fields
         cutoff = self.spec.cutoff
-        views = sector_views(self.flat_amplitudes, cutoff, True)
-        object.__setattr__(self, "amplitudes", views)
-        views = sector_views(self.flat_column_leakage, cutoff, False)
-        object.__setattr__(self, "column_leakage", views)
+        if self.vacuum:
+            amplitudes = (self.flat_amplitudes.reshape(cutoff + 1, 1),)
+            leakage = (self.flat_column_leakage[:1],)
+        else:
+            amplitudes = sector_views(self.flat_amplitudes, cutoff, True)
+            leakage = sector_views(self.flat_column_leakage, cutoff, False)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "column_leakage", leakage)
 
 
 def transition_kernel(
@@ -532,15 +535,15 @@ def transition_kernel(
     """Build the transition kernel by the su(1,1) recurrence (_amplitudes).
 
     Builds every sector of the box, or with vacuum the vacuum kernel: the
-    d = 0 block with only its vacuum column, in O(N) work from the same
-    closed form, so that column is the full kernel's bit for bit.
+    vacuum column of d = 0 alone, in O(N) work from the same closed form,
+    so that column and its leakage are the full kernel's bit for bit.
 
     Gates on the closed-form vacuum-column leakage: the vacuum column is the
     slowest-leaking low-lying column, so a budget violation there means the
     box cannot represent this squeeze at all. Columns of higher total leak
     more; their losses are recorded per column and must be folded into
     downstream truncation bounds rather than gated here. The column-sum
-    check runs on every block built. vacuum must be a bool: the slot once
+    check runs on every column built. vacuum must be a bool: the slot once
     took a sector count, and a count read as a flag would build the wrong
     kernel without a word.
     """
@@ -555,11 +558,10 @@ def transition_kernel(
     # the buffers are frozen where they are made; a view of a frozen array
     # cannot be made writeable
     amps = _frozen(_amplitudes(z, spec.cutoff, vacuum))
-    if vacuum:
-        side = spec.cutoff + 1
-        colsums = (amps.reshape(side, side) ** 2).sum(axis=0)
+    # sums in row order, as a block's sum over axis 0 takes them
+    if vacuum:  # a sequential scan; a 1-D sum would add pairwise
+        colsums = np.cumsum(amps**2)[-1:]
     else:
-        # sums in row order, as a block's sum over axis 0 takes them
         colsums = np.bincount(
             sector_index(spec.cutoff).col,
             weights=amps**2,

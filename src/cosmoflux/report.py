@@ -321,10 +321,12 @@ class _KernelSlot:
     The kernel is reused while (z, spec) repeats, as along a temperature
     axis, and it serves the point: a full kernel serves every point, a
     vacuum kernel only a vacuum point. Block d depends on (z, cutoff) only,
-    and the vacuum kernel's column is the full kernel's bit for bit; every
-    check transition_kernel makes depends on (z, cutoff, leakage budget)
-    and the blocks built. So a held kernel with that key is one already
-    checked, and a full kernel serves a vacuum point unchanged.
+    and the vacuum kernel's one column and its leakage are the full
+    kernel's bit for bit; every check transition_kernel makes depends on
+    (z, cutoff, leakage budget) and the blocks built. So a held kernel
+    with that key is one already checked, and a full kernel serves a
+    vacuum point unchanged: the work pass reads that column alone at
+    T = 0, so either kernel gives the point the same bits.
 
     The Gibbs state, and its thermal gate, depend on (T, omega_in, spec)
     only, so it is reused while that key repeats, as along a sigma or

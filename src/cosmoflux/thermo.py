@@ -9,14 +9,16 @@ The Gibbs weights of every occupied sector state are one buffer, formed in
 one pass over the box's state totals (fock.state_totals); the per-sector
 weight vectors are read-only views of it. Every kernel average the work
 bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>) comes from
-one pass over the occupied sectors (_work_pass), which squares the kernel's
-amplitudes once into p(m|n) and forms each sector's totals @ P once;
-inner_friction reads that pass and reports every average in its
-WorkReport. Each sector term keeps its operands and each sum its order, so
-the averages are those of one loop per average bit for bit. Every stage
-that pairs a kernel with an initial state, here and in fluctuation, first
-checks that the two fit (_require_pairing): one cutoff, and a vacuum
-kernel only for the vacuum.
+one work pass (_work_pass); inner_friction reads that pass and reports
+every average in its WorkReport. At T > 0 the pass runs over every sector,
+squares the kernel's amplitudes once into p(m|n) and forms each sector's
+totals @ P once; each sector term keeps its operands and each sum its
+order, so the averages are those of one loop per average bit for bit. At
+T = 0 the vacuum (0, 0) carries all the weight, and the pass reads only
+column 0 of block d = 0 and its leakage, in O(N) work, from a vacuum
+kernel or a full one alike. Every stage that pairs a kernel with an
+initial state, here and in fluctuation, first checks that the two fit
+(_require_pairing): one cutoff, and a vacuum kernel only for the vacuum.
 """
 
 from __future__ import annotations
@@ -189,16 +191,28 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     """Every kernel average of the work bookkeeping, in one pass over the
     sectors the initial state occupies.
 
-    The amplitudes are squared once into p(m|n), the same bits at every
-    call. Each sector's totals @ P is formed once and serves both <n_f>
-    and <n_c>. Every sector term keeps its operands, and each sum adds the
-    terms in layout order, as one loop per average would.
+    At T = 0 the initial state is the vacuum, state 0 of sector d = 0 with
+    weight exactly 1, so only column 0 of block d = 0 counts: the leakage
+    is that column's plus the thermal tail, <n_i> = 0, and <n_f> = <n_c> =
+    sum_p 2p A[p, 0]^2, summed correctly rounded (math.fsum), so in no
+    order a BLAS build picks. A vacuum kernel and a full one hold that
+    column with the same bits, so the averages do not depend on which of
+    them serves the point.
+
+    At T > 0 the amplitudes are squared once into p(m|n), the same bits
+    at every call. Each sector's totals @ P is formed once and serves both
+    <n_f> and <n_c>. Every sector term keeps its operands, and each sum
+    adds the terms in layout order, as one loop per average would.
     """
     _require_pairing(kernel, thermal)
     cutoff = kernel.spec.cutoff
+    if thermal.is_vacuum:
+        column = kernel.amplitudes[0][:, 0]
+        created = math.fsum((sector_layout(cutoff)[0].totals * column**2).tolist())
+        leakage = float(kernel.column_leakage[0][0]) + thermal.renorm_defect
+        return _WorkSums(leakage, created, 0.0, created)
     squares = sector_views(kernel.flat_amplitudes**2, cutoff, True)
     leakage = final = initial = created = 0
-    # zip stops at the last sector the initial state occupies
     for s, P, leak, w in zip(
         sector_layout(cutoff), squares, kernel.column_leakage, thermal.weights
     ):

@@ -328,17 +328,14 @@ def test_kernel_arrays_read_only(kernel40):
 
 
 def test_vacuum_kernel_holds_the_full_kernels_vacuum_column(kernel40, spec40):
-    # a vacuum point builds the d = 0 block's vacuum column only; it is the
-    # full kernel's, and the block's other columns hold 0 and leak 1
+    # a vacuum point builds and holds the d = 0 block's vacuum column only,
+    # its 41 amplitudes and one leakage value; both are the full kernel's
     vac = transition_kernel(Z_CANON, spec40, True)
     assert vac.vacuum and not kernel40.vacuum
-    for field in ("amplitudes", "column_leakage"):
-        (held,) = getattr(vac, field)
-        full = getattr(kernel40, field)[0]
-        assert held.shape == full.shape
-        assert held[..., 0].tobytes() == full[..., 0].tobytes()
-    assert not vac.amplitudes[0][:, 1:].any()
-    assert np.all(vac.column_leakage[0][1:] == 1.0)
+    (column,), (leak,) = vac.amplitudes, vac.column_leakage
+    assert column.shape == (41, 1) and leak.shape == (1,)
+    assert column.tobytes() == kernel40.amplitudes[0][:, :1].tobytes()
+    assert leak.tobytes() == kernel40.column_leakage[0][:1].tobytes()
 
 
 def test_vacuum_kernel_keeps_its_guards(spec40, monkeypatch):
@@ -353,7 +350,7 @@ def test_vacuum_kernel_keeps_its_guards(spec40, monkeypatch):
     def heavy(z, cutoff, vacuum):
         amps = real(z, cutoff, vacuum)
         if vacuum:
-            amps[cutoff + 1] *= 1.001  # block[1, 0]: column 0 now holds more than 1
+            amps[1] *= 1.001  # block[1, 0]: column 0 now holds more than 1
         return amps
 
     monkeypatch.setattr(fock_mod, "_amplitudes", heavy)
@@ -389,12 +386,12 @@ def test_sector_count_out_of_range(spec40, sectors):
     cutoff=st.integers(min_value=8, max_value=170),
 )
 def test_vacuum_column_matches_the_closed_form(z, cutoff):
-    # column 0 of d = 0 is sech(z) tanh(z)^p: the O(N) vacuum block holds
+    # column 0 of d = 0 is sech(z) tanh(z)^p: the O(N) vacuum kernel holds
     # it to rounding at every cutoff a vacuum point reaches, and nothing else
     block = transition_kernel(z, TruncationSpec(cutoff, 0.5), True).amplitudes[0]
     closed = np.tanh(z) ** np.arange(cutoff + 1) / np.cosh(z)
+    assert block.shape == (cutoff + 1, 1)
     assert np.max(np.abs(block[:, 0] - closed)) <= 1e-15
-    assert not block[:, 1:].any()
 
 
 @settings(max_examples=15, deadline=None)

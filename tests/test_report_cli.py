@@ -576,6 +576,29 @@ def test_cli_outfile(tmp_path):
     assert out.read_text().startswith("scenario,")
 
 
+def test_cli_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    # a Latin-1 byte once escaped as a UnicodeDecodeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(SMALL_DIRECT)[:-1].encode() + b', "note": "caf\xe9"}')
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not UTF-8 text:")
+    assert err.count("\n") == 1
+
+
+def test_cli_unwritable_outfile_fails_closed(tmp_path, capsys):
+    # a run that succeeds but cannot write its report once ended in a
+    # FileNotFoundError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_DIRECT))
+    out = tmp_path / "absent" / "report.json"
+    assert main(["simulate", "--config", str(path), "--outfile", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report:") and str(out) in err
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SMALL_DIRECT, "mistyped": True}))
@@ -719,10 +742,9 @@ def test_verify_catches_a_shifted_vacuum_column(monkeypatch):
 
     def shifted(z, cutoff, vacuum):
         amps = real(z, cutoff, vacuum)
-        if vacuum:
-            block = amps.reshape(cutoff + 1, cutoff + 1)
-            p1, p2 = block[1:3, 0] ** 2
-            block[1, 0], block[2, 0] = np.sqrt(p1 - 1e-5), np.sqrt(p2 + 1e-5)
+        if vacuum:  # amps is column 0 of block d = 0
+            p1, p2 = amps[1:3] ** 2
+            amps[1], amps[2] = np.sqrt(p1 - 1e-5), np.sqrt(p2 + 1e-5)
         return amps
 
     monkeypatch.setattr(fock_mod, "_amplitudes", shifted)

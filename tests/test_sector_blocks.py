@@ -4,6 +4,7 @@ loops, footprint, layout checks."""
 import dataclasses
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,9 +149,19 @@ def _float_bits(values):
 
 
 # The work pass takes the four averages the bookkeeping once took in four
-# per-sector loops (dense_reference.reference_work_sums), each bit for bit:
-# a full kernel at T > 0, a vacuum kernel at T = 0 and a full kernel
-# serving a T = 0 point.
+# per-sector loops (dense_reference.reference_work_sums), each bit for bit,
+# for a full kernel at T > 0. At T = 0 it reads the vacuum column alone,
+# from a vacuum kernel or a full one, and <n_c> is the truncated series
+# sum_{p <= N} 2p (1 - r) r^p, r = tanh^2 z, to 1e-14 relative (a BLAS
+# dot over the whole block met 2.2e-15).
+def _truncated_pair_count(z, cutoff):
+    """2r (1 - (N+1) r^N + N r^(N+1)) / (1 - r), the series' closed form,
+    at 40 digits from the double z."""
+    with mpmath.workdps(40):
+        r, n = mpmath.tanh(z) ** 2, cutoff
+        return float(2 * r * (1 - (n + 1) * r**n + n * r ** (n + 1)) / (1 - r))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     z=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -160,24 +171,28 @@ def _float_bits(values):
 def test_work_pass_equals_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
     full = transition_kernel(z, spec)
-    cases = (
-        (full, thermal_distribution(t_ratio, 1.0, spec)),
-        (transition_kernel(z, spec, True), thermal_distribution(0.0, 1.0, spec)),
-        (full, thermal_distribution(0.0, 1.0, spec)),
+    thermal = thermal_distribution(t_ratio, 1.0, spec)
+    # the reference loops take squares formed here, so the squaring inside
+    # the pass is checked too
+    reference = reference_work_sums(
+        [A**2 for A in full.amplitudes], full.column_leakage,
+        thermal.weights, thermal.renorm_defect,
     )
-    for kernel, thermal in cases:
-        # the reference loops take squares formed here, so the squaring
-        # inside the pass is checked too
-        reference = reference_work_sums(
-            [A**2 for A in kernel.amplitudes], kernel.column_leakage,
-            thermal.weights, thermal.renorm_defect,
-        )
-        assert _float_bits(_work_pass(kernel, thermal)) == _float_bits(reference)
-        leakage, final, initial, created = reference
-        work = inner_friction(kernel, thermal, 1.0, 2.0)
-        assert _float_bits((work.weighted_leakage, work.mean_work, work.mean_created)) == (
-            _float_bits((leakage, 2.0 * (final + 1.0) - 1.0 * (initial + 1.0), created))
-        )
+    assert _float_bits(_work_pass(full, thermal)) == _float_bits(reference)
+    leakage, final, initial, created = reference
+    work = inner_friction(full, thermal, 1.0, 2.0)
+    assert _float_bits((work.weighted_leakage, work.mean_work, work.mean_created)) == (
+        _float_bits((leakage, 2.0 * (final + 1.0) - 1.0 * (initial + 1.0), created))
+    )
+
+    vacuum = thermal_distribution(0.0, 1.0, spec)
+    closed = _truncated_pair_count(z, cutoff)
+    for kernel in (transition_kernel(z, spec, True), full):
+        sums = _work_pass(kernel, vacuum)
+        assert sums.leakage == kernel.column_leakage[0][0] + vacuum.renorm_defect
+        assert sums.initial == 0.0 and sums.final == sums.created
+        # relative, with a floor below which the squares are subnormal
+        assert abs(sums.created - closed) <= 1e-14 * closed + np.finfo(float).tiny
 
 
 def test_sector_index_tables_fit_their_budget():
@@ -228,18 +243,23 @@ def test_footprint_at_cutoff_56():
 
 
 @pytest.mark.parametrize("cutoff, vacuum, expected", [
-    (40, False, 197_456), (56, False, 520_144), (56, True, 26_448),
+    (40, False, 197_456), (56, False, 520_144), (56, True, 464),
 ])
 def test_kernel_holds_each_quantity_once(cutoff, vacuum, expected):
     # one double per block entry (the signed amplitude) and one per state
     # (the column leakage); every consumer squares the amplitudes into
-    # p(m|n) itself. A vacuum kernel holds the d = 0 block and its states
+    # p(m|n) itself. A vacuum kernel holds the vacuum column of d = 0, its
+    # cutoff + 1 entries and one leakage value (26,448 bytes at cutoff 56
+    # while it held the whole d = 0 block and its states)
     fields = [f.name for f in dataclasses.fields(TransitionKernel)]
     assert fields == ["z", "spec", "vacuum", "flat_amplitudes", "flat_column_leakage"]
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=1e-8)
     kern = transition_kernel(Z_CANON, spec, vacuum)
-    sizes = [cutoff + 1] if vacuum else range(cutoff + 1, 0, -1)
-    assert array_bytes(kern) == 8 * sum(n * n + n for n in sizes) == expected
+    if vacuum:
+        held = 8 * (cutoff + 1 + 1)
+    else:
+        held = 8 * sum(n * n + n for n in range(cutoff + 1, 0, -1))
+    assert array_bytes(kern) == held == expected
 
 
 def test_conservation_checks_flag_wrong_layout(kernel40):

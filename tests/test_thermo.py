@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -158,17 +160,28 @@ def test_vacuum_initial_state(kernel40, spec40):
     assert work.adiabatic_work == 1.0
 
 
-def test_vacuum_sums_match_a_full_kernel(kernel40, spec40):
-    # the sectors and columns a vacuum kernel skips carry weight exactly 0
-    vac = thermal_distribution(0.0, 1.0, spec40)
-    part = transition_kernel(Z_CANON, spec40, True)
-    assert part.vacuum
-    assert inner_friction(part, vac, 1.0, 2.0) == inner_friction(kernel40, vac, 1.0, 2.0)
-    dense_weights = vac.weights + tuple(np.zeros(41 - d) for d in range(1, 41))
-    full = ThermalDistribution(
-        0.0, 1.0, spec40, np.concatenate(dense_weights), vac.renorm_defect
+@settings(max_examples=25, deadline=None)
+@given(
+    z=st.one_of(st.floats(min_value=0.0, max_value=1.5), st.just(5e-324)),
+    cutoff=st.integers(min_value=8, max_value=64),
+)
+def test_vacuum_sums_match_a_full_kernel(z, cutoff):
+    # one set of bits at T = 0: the work pass reads the vacuum column alone,
+    # which a vacuum kernel and a full kernel hold alike, and the sectors a
+    # vacuum kernel skips carry weight exactly 0 in a Gibbs state that
+    # lists them
+    spec = TruncationSpec(cutoff, 0.5)
+    vac = thermal_distribution(0.0, 1.0, spec)
+    part, whole = transition_kernel(z, spec, True), transition_kernel(z, spec)
+    assert part.vacuum and not whole.vacuum
+    expected = dataclasses.astuple(inner_friction(whole, vac, 1.0, 2.0))
+    empty = tuple(np.zeros(cutoff + 1 - d) for d in range(1, cutoff + 1))
+    listed = ThermalDistribution(
+        0.0, 1.0, spec, np.concatenate(vac.weights + empty), vac.renorm_defect
     )
-    assert inner_friction(kernel40, full, 1.0, 2.0) == inner_friction(part, vac, 1.0, 2.0)
+    for kernel, thermal in ((part, vac), (whole, listed), (part, listed)):
+        work = dataclasses.astuple(inner_friction(kernel, thermal, 1.0, 2.0))
+        assert np.array(work).tobytes() == np.array(expected).tobytes()
 
 
 def _kernel_stages(kernel, thermal):
