@@ -7,10 +7,10 @@
 The parent revision is exported with ``git archive`` into a temporary
 directory; the change is this checkout's working tree, or ``--change REV``
 exported the same way. Each pair runs ``cosmobench/run.py`` once on each
-side with the same seed, the parent first in even pairs and the change
-first in odd ones, so that a drift of the machine falls on both sides
-alike. Seeds run from ``--seed-start`` up, one per pair; the run length
-defaults to ``run_seconds`` of BENCHMARK.json.
+side with the same seed, the parent first in pairs 1, 3, 5, ... and the
+change first in pairs 2, 4, 6, ..., so that a drift of the machine falls
+on both sides alike. Seeds run from ``--seed-start`` up, one per pair;
+the run length defaults to ``run_seconds`` of BENCHMARK.json.
 
 For every workload and every end-to-end metric of BENCHMARK.json the
 output holds each side's runs, median and quartiles, the change's wins
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
         "command": (
             f"python3 cosmobench/run.py --workload W --seed S --seconds {args.seconds:g}, "
             f"seeds {seeds.start}..{seeds.stop - 1}, the same seed for both sides of a pair; "
-            "even pairs run the parent first, odd pairs the change"
+            "pairs 1, 3, 5, ... run the parent first, pairs 2, 4, 6, ... the change"
         ),
         "machine": f"{platform.system()} {platform.machine()}, Python {platform.python_version()}",
         "workloads": result,

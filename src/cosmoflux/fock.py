@@ -444,10 +444,10 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     side = cutoff + 1
     sech, tau = 1.0 / np.cosh(z), np.tanh(z)
     tau_powers = tau ** np.arange(side)
-    d = np.arange(1 if vacuum else side)
-    start = sech ** (d + 1.0)
     if vacuum:  # the block's column 0, where sqrt(C_p / C_0) = 1
-        return tau_powers * start[0]
+        return tau_powers * sech
+    d = np.arange(side)
+    start = sech ** (d + 1.0)
     # beta[p, d] = sqrt(C(p+d, p)), a running product over p
     k = np.arange(1.0, side)[:, None]
     beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), (k + d) / k]), axis=0))

@@ -249,8 +249,7 @@ def test_kernel_holds_each_quantity_once(cutoff, vacuum, expected):
     # one double per block entry (the signed amplitude) and one per state
     # (the column leakage); every consumer squares the amplitudes into
     # p(m|n) itself. A vacuum kernel holds the vacuum column of d = 0, its
-    # cutoff + 1 entries and one leakage value (26,448 bytes at cutoff 56
-    # while it held the whole d = 0 block and its states)
+    # cutoff + 1 entries and one leakage value
     fields = [f.name for f in dataclasses.fields(TransitionKernel)]
     assert fields == ["z", "spec", "vacuum", "flat_amplitudes", "flat_column_leakage"]
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=1e-8)
