@@ -16,7 +16,8 @@ For every workload and every end-to-end metric of BENCHMARK.json the
 output holds each side's runs, median and quartiles, the change's wins
 (pairs in which it is strictly better, in the metric's better direction)
 and the relative median change in that direction, and per workload the
-ops each side attempted and failed. Progress goes to stderr. Standard
+ops each side attempted and failed. Progress goes to stderr; a run that
+fails raises RuntimeError with the last lines of its stderr. Standard
 library only; nothing under ``cosmobench/`` is written.
 """
 
@@ -33,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# stderr lines of a failed run kept in its RuntimeError
+STDERR_TAIL_LINES = 20
 
 
 def export(revision: str, into: Path) -> Path:
@@ -53,10 +56,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(
-        cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True
+        cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        raise RuntimeError(
+            f"{' '.join(cmd)} in {checkout} exited {proc.returncode}; "
+            f"the last lines of its stderr:\n{tail}"
+        )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

@@ -3,7 +3,7 @@
 Every config key doubles as a CLI flag so a file can be overridden per
 key. Unknown keys fail closed. Exit codes: 0 success, 1 config error or
 a report that cannot be written, 2 verification failure, 3 leakage or
-numeric-instability error.
+numeric-instability error, or arrays that do not fit in memory.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def _load_mapping(args: argparse.Namespace, sweep: bool = False) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:  # json nests by recursion
+            raise ConfigError(f"config file nests too deeply: {exc}") from exc
         if not isinstance(mapping, dict):
             raise ConfigError("config file must hold a single JSON object")
     keys = CONFIG_KEYS + (SWEEP_ONLY_KEYS if sweep else ())
@@ -158,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (LeakageError, NumericError) as exc:
         print(f"numerical budget error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a cutoff whose arrays do not fit in memory
+        detail = str(exc) or "MemoryError"
+        print(f"numerical budget error: out of memory: {detail}", file=sys.stderr)
         return 3
     except CosmofluxError as exc:  # any future subtype: fail closed, not a crash
         print(f"error: {exc}", file=sys.stderr)

@@ -73,6 +73,14 @@ def entropy_distributions(
     log p - s < LOG_TINY: there the relation puts q below the smallest
     normal double, so it underflows at low temperature and its log carries
     no digits. A q that is 0 where it should be representable gives +inf.
+
+    No kernel fault can move this residual, nor the distribution residual
+    of crooks_deviation: entry [p, q] of P enters the expansion mass as
+    P w(q) and the contraction mass as P w(p), and w(p)/w(q) = e^(-s) on
+    every lattice bin, so both residuals vanish for any kernel up to
+    rounding. Their witness is a fault in the weights or in the lattice
+    keys (sector_index's lattice and change); the kernel is checked by the
+    spectral oracle.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
@@ -174,6 +182,11 @@ def crooks_deviation(
     partner mass is exactly zero is a support mismatch: impossible for
     thermal inputs, so it surfaces as a verification error instead of an
     infinity.
+
+    No kernel fault can move either residual: each lattice bin's masses
+    carry w(p)/w(q) = e^(-s) whatever the kernel entries are
+    (entropy_distributions). Their witness is a fault in the weights or in
+    the lattice keys.
     """
     paired = _mirrored_masses(p_e, p_c)
     checked = _paired_points(p_e)

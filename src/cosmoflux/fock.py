@@ -38,13 +38,19 @@ Two independent evaluation routes are provided:
   measuring it, so it serves as the entrywise oracle on a padded box.
   The sector generator is z times a z-free tridiagonal matrix, so one
   eigendecomposition per sector serves every z: the eigenvalues scale with
-  z and the block is rebuilt in real arithmetic. It and
-  squeeze_operator_oracle take one z or a 1-D array of z; an array gives
-  every block a leading z axis. It is this module's only LAPACK call,
-  made through dstevd, which loads scipy's compiled LAPACK module on its
-  first call (_lapack) and never the package scipy.linalg: importing
-  cosmoflux, or running a point that never reaches the oracle, does not
-  load scipy.
+  z and the block is rebuilt in real arithmetic. The decompositions are a
+  read-only table (_sector_eigen), built on first use once per sector,
+  size and corner per process, as sector_layout is per cutoff: a process
+  decomposes on its first verify battery only. The table holds each
+  sector's eigenvalues and the eigenvector rows its corner reads: 264,400
+  bytes (0.25 MiB) after the battery, whose N = 40 oracle takes 197,440
+  of them, and 13,568,720 bytes (12.9 MiB) after the oracle at N = 170.
+  sector_spectral and squeeze_operator_oracle take one z or a 1-D array
+  of z; an array gives every block a leading z axis. The decomposition is
+  this module's only LAPACK call, made through dstevd, which loads scipy's
+  compiled LAPACK module on its first call (_lapack) and never the package
+  scipy.linalg: importing cosmoflux, or running a point that never reaches
+  the oracle, does not load scipy.
 
 Both routes raise ValueError for a negative or non-finite z, and
 sector_spectral also for a sector label or size that is not an integer;
@@ -337,6 +343,25 @@ def _check_sector(d: int, size: int) -> None:
         raise ValueError("difference sector label must be >= 0")
 
 
+@cache
+def _sector_eigen(d: int, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The z-free decomposition of sector d's tridiagonal generator at this
+    size: its eigenvalues lam and the first n rows of its eigenvectors V.
+
+    Built once per (d, size, n) and shared by every later call, so both
+    arrays are read-only. A failed decomposition raises NumericError and is
+    not held, since functools.cache stores only returned values.
+    """
+    k = np.arange(size - 1)
+    # LAPACK's divide-and-conquer driver, the one eigh_tridiagonal picks for
+    # a full decomposition, called without that wrapper's checks
+    lam, V, info = dstevd(np.zeros(size), np.sqrt((k + 1.0 + d) * (k + 1.0)))
+    if info != 0:
+        raise NumericError(f"dstevd failed with info = {info} in sector {d}")
+    # a copy holds only the n rows read, in V's column-major order
+    return _frozen(lam), _frozen(V[:n].copy(order="K"))
+
+
 def sector_spectral(
     z: ArrayLike, d: int, size: int, corner: int | None = None
 ) -> np.ndarray:
@@ -345,7 +370,9 @@ def sector_spectral(
     The generator restricted to a difference sector is z times i times a
     real symmetric tridiagonal matrix T after the phase rotation diag(i^k).
     T does not depend on z, so one eigendecomposition T = V diag(lam) V^T
-    serves every z: the block is the real part of
+    serves every z, and every later call: it is made on the first call for
+    this (d, size, corner) and then read from a table (_sector_eigen). The
+    block is the real part of
     i^(j-k) [V cos(z lam) V^T - i V sin(z lam) V^T]_jk, which takes the
     cosine part where j - k is even and the sine part where it is odd, with
     the sign of the period-4 pattern of i^(j-k). The result is orthogonal
@@ -363,14 +390,8 @@ def sector_spectral(
         raise ValueError(f"corner must lie in [1, {size}], got {corner}")
     if size == 1 or not zs.any():
         return np.broadcast_to(np.eye(n), zs.shape + (n, n)).copy()
-    k = np.arange(size - 1)
-    # LAPACK's divide-and-conquer driver, the one eigh_tridiagonal picks for
-    # a full decomposition, called without that wrapper's checks
-    lam, V, info = dstevd(np.zeros(size), np.sqrt((k + 1.0 + d) * (k + 1.0)))
-    if info != 0:
-        raise NumericError(f"dstevd failed with info = {info} in sector {d}")
+    lam, Vn = _sector_eigen(d, size, n)
     theta = zs[..., None, None] * lam
-    Vn = V[:n]
     cos_part = (Vn * np.cos(theta)) @ Vn.T
     sin_part = (Vn * np.sin(theta)) @ Vn.T
     j = np.arange(n)

@@ -15,7 +15,7 @@ from cosmoflux import (
 import cosmoflux.fock as fock_mod
 from cosmoflux.fock import sector_layout, sector_spectral
 
-from conftest import Z_CANON
+from conftest import Z_CANON, spy_on
 from dense_reference import (
     basis_states,
     dense_generator,
@@ -255,13 +255,71 @@ def test_zero_squeeze_spectral_is_exact_identity():
         assert np.array_equal(blocks[2], np.eye(n))
 
 
-def test_spectral_decomposition_failure_is_numeric_error(monkeypatch):
-    def failing(d, e):
-        return np.zeros_like(d), np.eye(len(d)), 1
+def failing_dstevd(d, e):
+    return np.zeros_like(d), np.eye(len(d)), 1
 
-    monkeypatch.setattr(fock_mod, "dstevd", failing)
+
+def test_spectral_decomposition_failure_is_numeric_error(monkeypatch):
+    # an empty table, so that the sector is decomposed here whatever ran
+    # before
+    fock_mod._sector_eigen.cache_clear()
+    monkeypatch.setattr(fock_mod, "dstevd", failing_dstevd)
     with pytest.raises(NumericError, match="dstevd failed"):
         sector_spectral(0.5, 2, 6)
+
+
+def test_failed_decomposition_is_not_held(monkeypatch):
+    # the next call with the real routine decomposes the same sector again
+    # and gets the block of the dense exponential
+    fock_mod._sector_eigen.cache_clear()
+    monkeypatch.setattr(fock_mod, "dstevd", failing_dstevd)
+    with pytest.raises(NumericError, match="dstevd failed"):
+        sector_spectral(0.5, 2, 6, corner=4)
+    assert fock_mod._sector_eigen.cache_info().currsize == 0
+    monkeypatch.undo()
+    decompositions = spy_on(monkeypatch, fock_mod, "dstevd")
+    block = sector_spectral(0.5, 2, 6, corner=4)
+    assert len(decompositions) == 1
+    rows = sector_layout(7)[2].index[:4]
+    dense = expm(dense_generator(0.5, 7))
+    assert np.max(np.abs(block - dense[np.ix_(rows, rows)])) <= 1e-12
+
+
+def test_spectral_table_arrays_are_read_only():
+    fock_mod._sector_eigen.cache_clear()
+    sector_spectral(0.5, 2, 6, corner=4)
+    lam, rows = fock_mod._sector_eigen(2, 6, 4)
+    assert lam.shape == (6,) and rows.shape == (4, 6)
+    for a in (lam, rows):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("size, corner", [(2, None), (20, None), (97, 9)])
+def test_spectral_table_gives_equal_bits(monkeypatch, size, corner):
+    # the first call decomposes, the later ones read the table: a scalar z
+    # and the same z inside an array give the first call's bits
+    fock_mod._sector_eigen.cache_clear()
+    decompositions = spy_on(monkeypatch, fock_mod, "dstevd")
+    first = sector_spectral(Z_CANON, 3, size, corner)
+    second = sector_spectral(Z_CANON, 3, size, corner)
+    stacked = sector_spectral([0.25, Z_CANON, 1.0], 3, size, corner)
+    assert len(decompositions) == 1
+    assert second.tobytes() == first.tobytes()
+    assert stacked[1].tobytes() == first.tobytes()
+    assert stacked[0].tobytes() == sector_spectral(0.25, 3, size, corner).tobytes()
+    assert len(decompositions) == 1
+
+
+def test_writing_a_returned_block_leaves_the_table_unchanged():
+    fock_mod._sector_eigen.cache_clear()
+    block = sector_spectral(Z_CANON, 1, 12)
+    expected = block.copy()
+    block[:] = 7.0
+    stacked = sector_spectral([Z_CANON, 1.0], 1, 12)
+    stacked[:] = -7.0
+    assert sector_spectral(Z_CANON, 1, 12).tobytes() == expected.tobytes()
 
 
 def test_analytic_matches_spectral_small_indices():

@@ -586,6 +586,31 @@ def test_cli_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_rejects_a_deeply_nested_config_file(tmp_path, capsys):
+    # json decodes arrays by recursion; 100,000 nested [ once escaped as a
+    # RecursionError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 100_000)
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file nests too deeply:")
+    assert err.count("\n") == 1
+
+
+def test_cli_out_of_memory_is_budget_error(monkeypatch, capsys):
+    # a cutoff whose kernel does not fit in memory once ended in a numpy
+    # _ArrayMemoryError traceback
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(report_mod, "transition_kernel", out_of_memory)
+    argv = ["simulate", "--scenario", "direct-z", "--z", "0.5",
+            "--omega_in", "1", "--omega_out", "2", "--cutoff", "100000"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical budget error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_cli_unwritable_outfile_fails_closed(tmp_path, capsys):
     # a run that succeeds but cannot write its report once ended in a
     # FileNotFoundError traceback
@@ -832,13 +857,15 @@ def test_kl_identity_holds_below_t_005(temperature):
 
 def test_battery_decomposes_each_sector_once(monkeypatch):
     # one decomposition per sector serves all three z: 40 sectors of size
-    # >= 2 at cutoff 40 for orthogonality, 9 sectors for equivalence
-    import cosmoflux.fock as fock_mod
-
+    # >= 2 at cutoff 40 for orthogonality, 9 sectors for equivalence. The
+    # table holds them, so a second battery in the process decomposes none
+    fock_mod._sector_eigen.cache_clear()
     decompositions = spy_on(monkeypatch, fock_mod, "dstevd")
     items = report_mod._battery_global()
     assert len(decompositions) == 49
     assert all(ok for _name, ok, _detail in items)
+    assert report_mod._battery_global() == items
+    assert len(decompositions) == 49
 
 
 def test_run_simulation_raises_first_failed_check(monkeypatch):
