@@ -15,8 +15,10 @@ the run length defaults to ``run_seconds`` of BENCHMARK.json.
 For every workload and every end-to-end metric of BENCHMARK.json the
 output holds each side's runs, median and quartiles, the change's wins
 (pairs in which it is strictly better, in the metric's better direction)
-and the relative median change in that direction, and per workload the
-ops each side attempted and failed. Progress goes to stderr; a run that
+and the relative median change in that direction, per workload the ops
+each side attempted and failed, and each side's line count of
+``src/cosmoflux/*.py`` (as ``wc -l`` counts), so that a change that
+deletes code shows it. Progress goes to stderr; a run that
 fails raises RuntimeError with the last lines of its stderr. Standard
 library only; nothing under ``cosmobench/`` is written.
 """
@@ -47,6 +49,14 @@ def export(revision: str, into: Path) -> Path:
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
+
+
+def source_lines(checkout: Path) -> int:
+    """Lines of the package's modules in checkout, as wc -l counts them."""
+    return sum(
+        path.read_bytes().count(b"\n")
+        for path in (checkout / "src" / "cosmoflux").glob("*.py")
+    )
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -118,6 +128,7 @@ def main(argv=None) -> int:
     try:
         sides = {"parent": export(args.parent, tmp / "parent")}
         sides["change"] = export(args.change, tmp / "change") if args.change else ROOT
+        src_lines = {side: source_lines(path) for side, path in sides.items()}
         result = {}
         for workload in workloads:
             runs = {"parent": [], "change": []}
@@ -160,6 +171,7 @@ def main(argv=None) -> int:
             "pairs 1, 3, 5, ... run the parent first, pairs 2, 4, 6, ... the change"
         ),
         "machine": f"{platform.system()} {platform.machine()}, Python {platform.python_version()}",
+        "src_lines": src_lines,
         "workloads": result,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")

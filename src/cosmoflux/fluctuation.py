@@ -79,8 +79,8 @@ def entropy_distributions(
     P w(q) and the contraction mass as P w(p), and w(p)/w(q) = e^(-s) on
     every lattice bin, so both residuals vanish for any kernel up to
     rounding. Their witness is a fault in the weights or in the lattice
-    keys (sector_index's lattice and change); the kernel is checked by the
-    spectral oracle.
+    key (sector_index's change); the kernel is checked by the spectral
+    oracle.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
@@ -95,12 +95,12 @@ def entropy_distributions(
     # masses by its final state; only the live entries are kept past binning
     J = np.take(w, ix.col)
     J *= P
-    mass_e = _binned(J, ix.lattice, cutoff)
+    mass_e = _binned(J, ix.change, cutoff)
     live = J > PROBABILITY_FLOOR
     J = J[live]
     Q = np.repeat(w, ix.state_size)
     Q *= P
-    mass_c = _binned(Q, ix.lattice, cutoff)
+    mass_c = _binned(Q, ix.change, cutoff)
     Q = Q[live]
     micro_dev = 0.0
     # total(m) - total(n) = 2(p - q)
@@ -125,19 +125,14 @@ def entropy_distributions(
     return p_e, p_c, micro_dev
 
 
-def _binned(masses: np.ndarray, lattice: np.ndarray, cutoff: int) -> np.ndarray:
-    """Trajectory masses of a kernel buffer per total change -2N..2N.
-
-    Each sector is binned on its own (one bincount keyed by sector and
-    p - q), then the sectors are added in order with their multiplicity,
-    as a loop over sectors would add them. Odd total changes hold 0.
-    """
-    binned = np.bincount(
-        lattice, weights=masses, minlength=(cutoff + 1) * (2 * cutoff + 1)
-    ).reshape(cutoff + 1, 2 * cutoff + 1)
-    binned[1:] *= 2.0  # mirrored sectors
+def _binned(masses: np.ndarray, change: np.ndarray, cutoff: int) -> np.ndarray:
+    """Trajectory masses of a kernel buffer per total change -2N..2N, keyed
+    by sector_index's change: the d = 0 block once, the blocks d > 0 twice
+    for their mirrors. Odd total changes hold 0."""
+    bins, d0 = 2 * cutoff + 1, (cutoff + 1) ** 2
     total = np.zeros(4 * cutoff + 1)
-    np.add.reduce(binned, axis=0, out=total[::2])
+    total[::2] = np.bincount(change[:d0], weights=masses[:d0], minlength=bins)
+    total[::2] += 2.0 * np.bincount(change[d0:], weights=masses[d0:], minlength=bins)
     return total
 
 
@@ -165,6 +160,12 @@ def _paired_points(p_e: EntropyDistribution) -> np.ndarray:
     checked = p_e.masses > PROBABILITY_FLOOR
     checked[checked] = np.log(p_e.masses[checked]) - p_e.support[checked] >= LOG_TINY
     return checked
+
+
+def left_out_points(p_e: EntropyDistribution) -> tuple[float, float]:
+    """Mass and sum of P_E(s) s over the points left out (_paired_points)."""
+    out = ~_paired_points(p_e)
+    return float(p_e.masses[out].sum()), float(p_e.support[out] @ p_e.masses[out])
 
 
 def crooks_deviation(
@@ -235,7 +236,7 @@ def mean_entropy_and_kl(
     masses = p_e.masses[checked]
     with np.errstate(divide="ignore"):
         kl = float(masses @ (np.log(masses) - np.log(paired[checked])))
-    gap = abs(s_mean - float(p_e.support[~checked] @ p_e.masses[~checked]) - kl)
+    gap = abs(s_mean - left_out_points(p_e)[1] - kl)
     if not gap <= 1e-8:
         raise VerificationError(f"<s> and KL disagree by {gap:.3e} (> 1e-8)")
     if not s_mean >= -1e-10:

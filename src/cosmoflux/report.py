@@ -582,6 +582,8 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     t_ad, w_fric = work.adiabatic_temperature, work.inner_friction
     ift = fluctuation.integral_fluctuation_defect(ent.p_e)
+    # the gap mean_entropy_and_kl judges: <s> less the left-out P_E(s) s, less KL
+    out_mass, out_s = fluctuation.left_out_points(ent.p_e)
     return items + [
         _line("crooks-microstate", ent.crooks, lambda c: (
             c.microstate_deviation <= 1e-10, f"residual = {c.microstate_deviation:.3e}"
@@ -589,9 +591,10 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         _line("crooks-distribution", ent.crooks, lambda c: (
             c.distribution_deviation <= 1e-8, f"deviation = {c.distribution_deviation:.3e}"
         )),
-        _line("kl-identity", ent.kl, lambda r: (
-            True, f"|<s>-KL| = {abs(r[0] - r[1]):.3e}, <s> = {r[0]:.6e}"
-        )),
+        _line("kl-identity", ent.kl, lambda r: (True, (
+            f"|<s>-out-KL| = {abs(r[0] - out_s - r[1]):.3e}, "
+            f"left out {out_mass:.3e}, <s> = {r[0]:.6e}"
+        ))),
         ("integral-fluctuation", ift <= 1e-6, f"|E[e^-s]-1| = {ift:.3e}"),
         _line("entropy-friction-chain", ent.friction, lambda r: (
             True, f"residuals = {r['residual_friction']:.3e}, {r['residual_creation']:.3e}"

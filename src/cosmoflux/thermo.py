@@ -10,10 +10,9 @@ one pass over the box's state totals (fock.state_totals); the per-sector
 weight vectors are read-only views of it. Every kernel average the work
 bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>) comes from
 one work pass (_work_pass); inner_friction reads that pass and reports
-every average in its WorkReport. At T > 0 the pass runs over every sector,
-squares the kernel's amplitudes once into p(m|n) and forms each sector's
-totals @ P once; each sector term keeps its operands and each sum its
-order, so the averages are those of one loop per average bit for bit. At
+every average in its WorkReport. At T > 0 the pass takes per-state sums
+over the whole kernel buffer, with no loop over sectors; it agrees with
+such loops to the rounding of its sums (tests/dense_reference.py). At
 T = 0 the vacuum (0, 0) carries all the weight, and the pass reads only
 column 0 of block d = 0 and its leakage, in O(N) work, from a vacuum
 kernel or a full one alike. Every stage that pairs a kernel with an
@@ -33,7 +32,7 @@ from .errors import LeakageError, NumericError, VerificationError
 from .fock import (
     TransitionKernel,
     TruncationSpec,
-    sector_layout,
+    sector_index,
     sector_views,
     state_totals,
 )
@@ -199,30 +198,31 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     column with the same bits, so the averages do not depend on which of
     them serves the point.
 
-    At T > 0 the amplitudes are squared once into p(m|n), the same bits
-    at every call. Each sector's totals @ P is formed once and serves both
-    <n_f> and <n_c>. Every sector term keeps its operands, and each sum
-    adds the terms in layout order, as one loop per average would.
+    At T > 0 two bincounts over sector_index's col sum, per initial state
+    n, p(m|n) and p(m|n) (total(m) - total(n)), read through change; with
+    total(n) times the first, the second gives the sum of p(m|n) total(m).
+    Each average is one dot with the weights. <n_c> never subtracts two
+    sums of totals, which would cancel its digits as z -> 0.
     """
     _require_pairing(kernel, thermal)
     cutoff = kernel.spec.cutoff
     if thermal.is_vacuum:
         column = kernel.amplitudes[0][:, 0]
-        created = math.fsum((sector_layout(cutoff)[0].totals * column**2).tolist())
+        created = math.fsum((state_totals(cutoff)[: cutoff + 1] * column**2).tolist())
         leakage = float(kernel.column_leakage[0][0]) + thermal.renorm_defect
         return _WorkSums(leakage, created, 0.0, created)
-    squares = sector_views(kernel.flat_amplitudes**2, cutoff, True)
-    leakage = final = initial = created = 0
-    for s, P, leak, w in zip(
-        sector_layout(cutoff), squares, kernel.column_leakage, thermal.weights
-    ):
-        m = s.multiplicity
-        tP = s.totals @ P
-        leakage += m * float(leak @ w)
-        final += m * float(tP @ w)
-        initial += m * float(s.totals @ w)
-        created += m * float((tP - s.totals * P.sum(axis=0)) @ w)
-    return _WorkSums(leakage + thermal.renorm_defect, final, initial, created)
+    ix = sector_index(cutoff)
+    totals = state_totals(cutoff)
+    P = kernel.flat_amplitudes**2
+    # per initial state n: sum_m p(m|n), then sum_m p(m|n) 2(p - q)
+    colsums = np.bincount(ix.col, weights=P)
+    P *= np.subtract(ix.change, cutoff, dtype=float)  # p - q
+    created = 2.0 * np.bincount(ix.col, weights=P)
+    w = 2.0 * thermal.flat_weights  # a sector d > 0 counts its mirror too
+    w[: cutoff + 1] = thermal.flat_weights[: cutoff + 1]
+    leakage = float(kernel.flat_column_leakage @ w) + thermal.renorm_defect
+    final = float((totals * colsums + created) @ w)
+    return _WorkSums(leakage, final, float(totals @ w), float(created @ w))
 
 
 def mean_created_closed_form(z: float, temperature: float, omega: float) -> float:

@@ -13,9 +13,14 @@ costs it digits as blocks grow (up to 2.8e-13 on a 9 x 9 block and
 recurrence run on one sector block alone, which the flat builder must
 reproduce bit for bit; and the reference_* loops after them are the
 per-sector loops the pipeline ran before it kept each quantity in one
-sector-major buffer, or before it took the work averages in one pass. Fed
-the production kernel, they must reproduce the flat stages and the work
-pass bit for bit.
+sector-major buffer, or before it took the work averages in one flat
+pass. Fed the production kernel, they are accuracy references: where a
+stage keeps the loop's float operations (the column leakage, the Gibbs
+weights, the microstate Crooks residual and K) the bits must agree, and
+where it sums in another order (the lattice masses and the work sums) it
+must agree within a rounding bound of terms x eps x scale, stated in
+test_sector_blocks. reference_work_sums forms <n_c> as the loops did, a
+difference of two sums of totals, which cancels as z -> 0.
 """
 
 import dataclasses

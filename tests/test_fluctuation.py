@@ -45,7 +45,7 @@ def _trajectory_masses(kernel, thermal):
 
 
 def _total_mass(blocks):
-    return sum(s.multiplicity * b.sum() for s, b in zip(sector_layout(40), blocks))
+    return sum((2 if s.d else 1) * b.sum() for s, b in zip(sector_layout(40), blocks))
 
 
 def test_joint_shapes_and_mass(kernel40, thermal40):

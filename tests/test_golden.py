@@ -44,6 +44,10 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
     # refrozen when the su(1,1) recurrence replaced the alternating analytic
     # sum: leakage, crooks_dev and a few mean_created, inner_friction and
     # kl_quantum cells moved at noise level (CHANGES.md lists each cell).
+    # The sweep CSV's mean_created of rows 0-4 moved onto the closed form
+    # (row 0 from 7.556e-78 to 2.166e-77), and inner_friction of rows 0-2
+    # by one ulp of mean_work, when the work pass stopped taking <n_c> as a
+    # difference of two sums of totals.
     path = str(ROOT / "scripts" / f"{script}.py")
     monkeypatch.setattr(sys, "argv", [path])
     runpy.run_path(path, run_name="__main__")
@@ -103,7 +107,11 @@ def test_verify_output_is_byte_identical():
     # was then refrozen, since the rescaled eigenvalues moved it at noise
     # level (2.748e-13 -> 2.768e-13); refrozen when the recurrence replaced
     # the analytic sum, which moved that detail to 2.720e-15 (now "max
-    # |kernel - spectral|"), the vacuum-law and one entropy-friction residual
+    # |kernel - spectral|"), the vacuum-law and one entropy-friction residual;
+    # refrozen when the work pass became one flat pass, which moved the
+    # entropy-friction creation residual and adiabatic-consistency's
+    # |<W> - W_ad| to 4.441e-16, and when the kl-identity line began to
+    # print the gap it judges and the left-out mass
     proc = subprocess.run(
         [sys.executable, "-m", "cosmoflux", "verify"],
         capture_output=True, env=CHILD_ENV, timeout=120,

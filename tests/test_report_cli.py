@@ -15,6 +15,10 @@ from cosmoflux import (
     TruncationSpec,
     VerificationError,
     canonical_config,
+    crooks_deviation,
+    entropy_distributions,
+    mean_entropy,
+    thermal_distribution,
     verify_invariants,
 )
 import cosmoflux.fock as fock_mod
@@ -853,6 +857,26 @@ def test_kl_identity_holds_below_t_005(temperature):
     assert row["flags"] == "ok"
     lines, failures = verify_invariants(cfg)
     assert failures == 0
+
+
+def test_kl_identity_line_prints_the_gap_it_judges(kernel40, spec40):
+    # at T = 0.02 the points whose partner underflows carry 6.1e-5 of P_E,
+    # and <s> - KL is 4.5e-2; the line once printed that beside PASS. It
+    # prints the gap mean_entropy_and_kl holds to 1e-8, <s> less the
+    # left-out points' P_E(s) s less KL, and the left-out mass
+    cfg = canonical_config().replace(temperature=0.02)
+    configured = _section(verify_invariants(cfg)[0], "configured point (scenario=direct-z)")
+    line = next(ln for ln in configured if ln.split()[1] == "kl-identity")
+    status, _name, detail = line.split(None, 2)
+    assert status == "PASS" and detail.startswith("|<s>-out-KL| = ")
+    gap, mass, s_mean = (float(part.split()[-1]) for part in detail.split(", "))
+    assert gap <= 1e-8
+    p_e, p_c, micro_dev = entropy_distributions(
+        kernel40, thermal_distribution(0.02, 1.0, spec40)
+    )
+    floored = crooks_deviation(p_e, p_c, micro_dev).floored_mass
+    assert mass == float(f"{floored:.3e}") and 6e-5 < mass < 6.2e-5
+    assert abs(s_mean - mean_entropy(p_e)) <= 1e-6 * s_mean
 
 
 def test_battery_decomposes_each_sector_once(monkeypatch):

@@ -104,9 +104,21 @@ def _same_bits(flat_views, reference):
         assert view.tobytes() == ref.tobytes()
 
 
-# The flat stages replace per-sector loops without moving a bit: each entry
-# gets the same float operations on the same operands, and every sum adds
-# in the loop's order. The references are those loops (dense_reference).
+EPS = np.finfo(float).eps
+
+
+def _entry_count(cutoff):
+    """Entries of the box's blocks, sum_n n^2 over sizes n = 1..N+1: at
+    least the terms of any sum a stage takes over the kernel buffer."""
+    return (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6
+
+
+# The flat stages against the per-sector loops they replaced
+# (dense_reference). Where a stage's float operations per entry are those
+# of the loop, the bits must agree: the column leakage, the Gibbs weights,
+# the microstate Crooks residual and K. The lattice masses bin the same
+# nonnegative entries in another order, so each bin may differ by the
+# rounding of a sum of that many terms: terms x eps x the bin's mass.
 @settings(max_examples=30, deadline=None)
 @given(
     z=st.one_of(
@@ -116,7 +128,7 @@ def _same_bits(flat_views, reference):
     t_ratio=st.floats(min_value=0.05, max_value=2.0, allow_nan=False),
     cutoff=st.integers(min_value=8, max_value=48),
 )
-def test_flat_stages_equal_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
+def test_flat_stages_match_the_per_sector_loops(z, t_ratio, cutoff):
     # the reference loops read the production kernel: its accuracy is
     # tested against the spectral route (test_fock), its passes here
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
@@ -136,24 +148,27 @@ def test_flat_stages_equal_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
     p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
     mass_e, mass_c, ref_dev = reference_entropy_pass(probs, weights, 1.0 / t_ratio, cutoff)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
-    assert np.array_equal(p_e.masses, mass_e[keep])
-    assert np.array_equal(p_c.masses, mass_c[keep][::-1])
+    bound = _entry_count(cutoff) * EPS
+    assert np.all(np.abs(p_e.masses - mass_e[keep]) <= bound * mass_e[keep])
+    assert np.all(np.abs(p_c.masses - mass_c[keep][::-1]) <= bound * mass_c[keep][::-1])
     assert micro_dev == ref_dev
 
     K = quantum_relative_entropy(thermal, kern, 2.0 * t_ratio)
     assert K == reference_relative_entropy(amps, weights)
 
 
-def _float_bits(values):
-    return [np.float64(v).tobytes() for v in values]
-
-
-# The work pass takes the four averages the bookkeeping once took in four
-# per-sector loops (dense_reference.reference_work_sums), each bit for bit,
-# for a full kernel at T > 0. At T = 0 it reads the vacuum column alone,
-# from a vacuum kernel or a full one, and <n_c> is the truncated series
-# sum_{p <= N} 2p (1 - r) r^p, r = tanh^2 z, to 1e-14 relative (a BLAS
-# dot over the whole block met 2.2e-15).
+# The work pass against the four per-sector loops the bookkeeping once ran
+# (dense_reference.reference_work_sums), for a full kernel at T > 0. Both
+# sum the same nonnegative terms in other orders, so the leakage, <n_f>
+# and <n_i> agree within terms x eps x the sum. The loops form <n_c> as
+# the difference of the sums of p(m|n) total(m) and p(m|n) total(n), which
+# cancel as z -> 0, so <n_c> agrees only within terms x eps x the size of
+# those sums, <n_f> + <n_i>; its own accuracy is tested against the closed
+# form (test_mean_created_meets_the_closed_form_at_slow_expansion). At
+# T = 0 the pass reads the vacuum column alone, from a vacuum kernel or a
+# full one, and <n_c> is the truncated series sum_{p <= N} 2p (1 - r) r^p,
+# r = tanh^2 z, to 1e-14 relative (a BLAS dot over the whole block met
+# 2.2e-15).
 def _truncated_pair_count(z, cutoff):
     """2r (1 - (N+1) r^N + N r^(N+1)) / (1 - r), the series' closed form,
     at 40 digits from the double z."""
@@ -168,21 +183,24 @@ def _truncated_pair_count(z, cutoff):
     t_ratio=st.floats(min_value=0.05, max_value=2.0, allow_nan=False),
     cutoff=st.integers(min_value=8, max_value=48),
 )
-def test_work_pass_equals_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
+def test_work_pass_matches_the_per_sector_loops(z, t_ratio, cutoff):
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5)
     full = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    # the reference loops take squares formed here, so the squaring inside
-    # the pass is checked too
-    reference = reference_work_sums(
+    leakage, final, initial, created = reference_work_sums(
         [A**2 for A in full.amplitudes], full.column_leakage,
         thermal.weights, thermal.renorm_defect,
     )
-    assert _float_bits(_work_pass(full, thermal)) == _float_bits(reference)
-    leakage, final, initial, created = reference
+    sums = _work_pass(full, thermal)
+    bound = _entry_count(cutoff) * EPS
+    assert abs(sums.leakage - leakage) <= bound * leakage
+    assert abs(sums.final - final) <= bound * final
+    assert abs(sums.initial - initial) <= bound * initial
+    assert abs(sums.created - created) <= bound * (final + initial)
+    # inner_friction reports the pass's own sums
     work = inner_friction(full, thermal, 1.0, 2.0)
-    assert _float_bits((work.weighted_leakage, work.mean_work, work.mean_created)) == (
-        _float_bits((leakage, 2.0 * (final + 1.0) - 1.0 * (initial + 1.0), created))
+    assert (work.weighted_leakage, work.mean_work, work.mean_created) == (
+        sums.leakage, 2.0 * (sums.final + 1.0) - 1.0 * (sums.initial + 1.0), sums.created
     )
 
     vacuum = thermal_distribution(0.0, 1.0, spec)
@@ -197,17 +215,17 @@ def test_work_pass_equals_the_per_sector_loops_bitwise(z, t_ratio, cutoff):
 
 def test_sector_index_tables_fit_their_budget():
     # the tables are built once per cutoff and live as long as the process,
-    # so the indices are held in the narrowest integer types: 7 bytes per
-    # kernel entry in all, 167,608 bytes at cutoff 40, where the four index
-    # arrays alone would take 762,272 bytes as int64
-    for cutoff, budget in ((40, 0.2 * 2**20), (56, 0.5 * 2**20)):
+    # so the indices are held in the narrowest integer types: 5 bytes per
+    # kernel entry in all at cutoffs 40 and 56, where the three per-entry
+    # index arrays alone would take 24 as int64
+    for cutoff, held in ((40, 119_966), (56, 318_478)):
         ix = sector_index(cutoff)
         assert sector_index(cutoff) is ix
         tables = [
             getattr(ix, f.name) for f in dataclasses.fields(SectorIndex)
             if isinstance(getattr(ix, f.name), np.ndarray)
         ]
-        assert sum(a.nbytes for a in tables) <= budget
+        assert sum(a.nbytes for a in tables) == held
         for a in tables:
             assert a.dtype.kind == "u" and a.dtype.itemsize <= 2
             with pytest.raises(ValueError):
