@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
     LeakageError,
-    canonical_config,
-    run_simulation,
     ThermalDistribution,
     TruncationSpec,
     VerificationError,
     adiabatic_work,
+    canonical_config,
     entropy_distributions,
     inner_friction,
     mean_created_closed_form,
     quantum_relative_entropy,
+    run_simulation,
     thermal_distribution,
     transition_kernel,
 )
