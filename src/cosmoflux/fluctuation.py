@@ -5,14 +5,15 @@ after the squeeze. For geometric thermal weights the entropy increment per
 trajectory s = (omega/T)(total(m) - total(n)) cancels the weight ratio
 exactly, so the forward/reverse log-ratio identity holds microstate by
 microstate and every deviation measured here is pure floating-point or
-truncation noise. The trajectory masses of every sector are formed in one
-pass over the kernel's sector-major buffer, squared once into p(m|n),
-binned onto the entropy lattice and checked microstate by microstate;
-coarse-graining to the lattice happens only for reporting, since sector
-degeneracies would otherwise contaminate the increment. The Crooks and KL
-checks pair the same lattice points, leaving out those whose partner
-underflows as the relation predicts. Every check here fails closed on a
-NaN: it passes only when its residual is <= its tolerance.
+truncation noise. The trajectory masses are formed in one pass over the
+kernel's sector-major buffer, in chunks of whole sectors held in the
+thread's work buffers (fock.sector_chunks, fock.work_buffer), squared
+into p(m|n), binned onto the entropy lattice and checked microstate by
+microstate; coarse-graining to the lattice happens only for reporting,
+since sector degeneracies would otherwise contaminate the increment. The
+Crooks and KL checks pair the same lattice points, leaving out those whose
+partner underflows as the relation predicts. Every check here fails closed
+on a NaN: it passes only when its residual is <= its tolerance.
 
 The quantum relative entropy is the only stage that calls LAPACK, through
 dgejsv, which loads scipy's compiled LAPACK module on its first call
@@ -29,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, _lapack, sector_index
+from .fock import (
+    TransitionKernel,
+    _lapack,
+    chunk_keys,
+    sector_chunks,
+    sector_index,
+    work_buffer,
+)
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
 PROBABILITY_FLOOR = 1e-12
@@ -68,11 +76,14 @@ def entropy_distributions(
     rate omega_in / T, so the expansion value s and the contraction value
     -s land on shared points; the contraction distribution is returned over
     its own increment (the negated lattice, in ascending order; _binned
-    says how the sectors add up). The residual is max |log p - log q - s|
-    over p > PROBABILITY_FLOOR, leaving out the microstates with
-    log p - s < LOG_TINY: there the relation puts q below the smallest
-    normal double, so it underflows at low temperature and its log carries
-    no digits. A q that is 0 where it should be representable gives +inf.
+    says how the sectors add up). Up to cutoff 56 the box is one chunk;
+    past it, each bin adds its chunks' sums, the only sums of this module
+    whose order depends on the chunking. The residual is
+    max |log p - log q - s| over p > PROBABILITY_FLOOR, leaving out the
+    microstates with log p - s < LOG_TINY: there the relation puts q below
+    the smallest normal double, so it underflows at low temperature and its
+    log carries no digits. A q that is 0 where it should be representable
+    gives +inf.
 
     No kernel fault can move this residual, nor the distribution residual
     of crooks_deviation: entry [p, q] of P enters the expansion mass as
@@ -80,7 +91,9 @@ def entropy_distributions(
     every lattice bin, so both residuals vanish for any kernel up to
     rounding. Their witness is a fault in the weights or in the lattice
     key (sector_index's change); the kernel is checked by the spectral
-    oracle.
+    oracle. So the pass reads each entry's weights through its initial
+    state (col) and, row by row, its final state, never through change: a
+    fault in the key then moves s and the bins, not the weights.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
@@ -90,28 +103,39 @@ def entropy_distributions(
     rate = thermal.omega / thermal.temperature
     cutoff = thermal.spec.cutoff
     ix = sector_index(cutoff)
-    P, w = kernel.flat_amplitudes**2, thermal.flat_weights
-    # expansion masses weigh each entry by its initial state, contraction
-    # masses by its final state; only the live entries are kept past binning
-    J = np.take(w, ix.col)
-    J *= P
-    mass_e = _binned(J, ix.change, cutoff)
-    live = J > PROBABILITY_FLOOR
-    J = J[live]
-    Q = np.repeat(w, ix.state_size)
-    Q *= P
-    mass_c = _binned(Q, ix.change, cutoff)
-    Q = Q[live]
+    # s per change key: total(m) - total(n) = 2(p - q)
+    s_of_key = rate * np.arange(-2 * cutoff, 2 * cutoff + 1, 2)
+    # per total change, the d = 0 block's masses and the rest's
+    sums_e, sums_c = np.zeros((2, 2 * cutoff + 1)), np.zeros((2, 2 * cutoff + 1))
     micro_dev = 0.0
-    # total(m) - total(n) = 2(p - q)
-    change = np.arange(-2 * cutoff, 2 * cutoff + 1, 2)
-    s_vals = rate * np.take(change, ix.change[live])
-    log_j = np.log(J)
-    normal = log_j - s_vals >= LOG_TINY  # q = J e^(-s) is a normal double
-    if normal.any():
-        with np.errstate(divide="ignore"):
-            resid = log_j[normal] - np.log(Q[normal]) - s_vals[normal]
-        micro_dev = float(np.max(np.abs(resid)))
+    for chunk in sector_chunks(cutoff):
+        n, w = chunk.size, thermal.flat_weights[chunk.states]
+        P = np.square(kernel.flat_amplitudes[chunk.entries], out=work_buffer("values", n))
+        # expansion masses weigh each entry by its initial state, through
+        # col, and contraction masses by its final state, row by row
+        keys = chunk_keys(ix.col, chunk, chunk.states.start)
+        J = np.take(w, keys, out=work_buffer("values2", n), mode="clip")
+        J *= P
+        for block, w_d in zip(chunk.views(P, True), chunk.views(w, False)):
+            block *= w_d[:, None]
+        Q = P
+        keys = chunk_keys(ix.change, chunk)
+        once = (cutoff + 1) ** 2 if chunk.sectors.start == 0 else 0
+        for masses, sums in ((J, sums_e), (Q, sums_c)):
+            sums[0] += np.bincount(keys[:once], weights=masses[:once], minlength=2 * cutoff + 1)
+            sums[1] += np.bincount(keys[once:], weights=masses[once:], minlength=2 * cutoff + 1)
+        # the microstate residual reads copies of the live entries only
+        live = np.flatnonzero(
+            np.greater(J, PROBABILITY_FLOOR, out=work_buffer("mask", n, np.bool_))
+        )
+        s_vals = s_of_key[keys[live]]
+        log_j = np.log(J[live])
+        normal = log_j - s_vals >= LOG_TINY  # q = J e^(-s) is a normal double
+        if normal.any():
+            with np.errstate(divide="ignore"):
+                resid = log_j[normal] - np.log(Q[live][normal]) - s_vals[normal]
+            micro_dev = float(np.maximum(micro_dev, np.max(np.abs(resid))))
+    mass_e, mass_c = _binned(sums_e), _binned(sums_c)
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
     s_vals = rate * delta[keep].astype(float)
@@ -125,14 +149,14 @@ def entropy_distributions(
     return p_e, p_c, micro_dev
 
 
-def _binned(masses: np.ndarray, change: np.ndarray, cutoff: int) -> np.ndarray:
-    """Trajectory masses of a kernel buffer per total change -2N..2N, keyed
-    by sector_index's change: the d = 0 block once, the blocks d > 0 twice
-    for their mirrors. Odd total changes hold 0."""
-    bins, d0 = 2 * cutoff + 1, (cutoff + 1) ** 2
-    total = np.zeros(4 * cutoff + 1)
-    total[::2] = np.bincount(change[:d0], weights=masses[:d0], minlength=bins)
-    total[::2] += 2.0 * np.bincount(change[d0:], weights=masses[d0:], minlength=bins)
+def _binned(sums: np.ndarray) -> np.ndarray:
+    """Trajectory masses per total change -2N..2N from a kernel buffer's
+    masses binned per change key: the d = 0 block once (sums[0]) and the
+    blocks d > 0 twice for their mirrors (sums[1]). Odd total changes hold
+    0."""
+    total = np.zeros(2 * len(sums[0]) - 1)
+    total[::2] = sums[0]
+    total[::2] += 2.0 * sums[1]
     return total
 
 
@@ -316,9 +340,9 @@ def quantum_relative_entropy(
     rho is diagonal and simultaneously thermal for the rescaled adiabatic
     Hamiltonian at t_ad, so K = tr rho log rho - tr rho log rho'. rho'
     block-diagonalizes per difference sector as B B^T with B the amplitude
-    block times sqrt of the sector weights; B and log rho are formed for
-    every sector in one pass over the buffers, and the eigenpairs of each
-    block come from the one-sided Jacobi SVD of its B (LAPACK dgejsv).
+    block times sqrt of the sector weights; log rho is formed once, B chunk
+    by chunk in a held work buffer, and the eigenpairs of each block come
+    from the one-sided Jacobi SVD of its B (LAPACK dgejsv).
     Eigendirections below the clip are excluded from the trace (their
     rho-weight is bounded by the leaked mass). When a work report is
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
@@ -329,31 +353,41 @@ def quantum_relative_entropy(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
     _require_pairing(kernel, thermal)
-    ix = sector_index(thermal.spec.cutoff)
+    cutoff = thermal.spec.cutoff
+    ix = sector_index(cutoff)
     w = thermal.flat_weights
-    B = np.take(np.sqrt(w), ix.col)
-    B *= kernel.flat_amplitudes
-    # tr rho log rho per sector over its states of positive weight
+    sqrt_w = np.sqrt(w)
+    # tr rho log rho per sector over its states of positive weight; when
+    # every weight is positive, a sector's states are its positive ones
     pos = w > 0.0
-    w_pos = w[pos]
+    if pos.all():
+        w_pos, pos_before = w, np.arange(len(w) + 1)
+    else:
+        w_pos = w[pos]
+        pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
     log_w = np.log(w_pos)
-    pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
     K = 0.0
-    for d, size in enumerate(range(thermal.spec.cutoff + 1, 0, -1)):
-        a, b = pos_before[ix.state_start[d]], pos_before[ix.state_start[d + 1]]
-        rho_term = float(w_pos[a:b] @ log_w[a:b]) if b > a else 0.0
-        U, sv = _graded_svd(
-            B[ix.block_start[d]:ix.block_start[d + 1]].reshape(size, size)
+    for chunk in sector_chunks(cutoff):
+        B = np.take(
+            sqrt_w[chunk.states], chunk_keys(ix.col, chunk, chunk.states.start),
+            out=work_buffer("values", chunk.size), mode="clip",
         )
-        lam = sv * sv
-        keep = lam > EIGENVALUE_CLIP
-        if keep.any():
-            wd = w[ix.state_start[d]:ix.state_start[d + 1]]
-            r = (U[:, keep] ** 2).T @ wd
-            rho_prime_term = float(r @ np.log(lam[keep]))
-        else:
-            rho_prime_term = 0.0
-        K += (2 if d else 1) * (rho_term - rho_prime_term)
+        B *= kernel.flat_amplitudes[chunk.entries]
+        for d, block in zip(chunk.sectors, chunk.views(B, True)):
+            a, b = pos_before[ix.state_start[d]], pos_before[ix.state_start[d + 1]]
+            rho_term = float(w_pos[a:b] @ log_w[a:b]) if b > a else 0.0
+            U, sv = _graded_svd(block)
+            lam = sv * sv
+            keep = lam > EIGENVALUE_CLIP
+            if not keep.all():  # the kept directions, as copies
+                U, lam = U[:, keep], lam[keep]
+            if len(lam):
+                wd = w[ix.state_start[d]:ix.state_start[d + 1]]
+                r = (U**2).T @ wd
+                rho_prime_term = float(r @ np.log(lam))
+            else:
+                rho_prime_term = 0.0
+            K += (2 if d else 1) * (rho_term - rho_prime_term)
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))
         tolerance = max(1e-5 * scale, work.truncation_bound + FLOAT_SLACK * scale)

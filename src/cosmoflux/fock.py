@@ -10,7 +10,21 @@ and its per-sector blocks are read-only views into that buffer
 (sector_views). It stores the signed amplitudes, not their squares: every
 stage that reads p(m|n) squares the buffer itself, once per call.
 sector_index holds, once per cutoff, the gather indices that let a stage
-treat every sector of a buffer in one array pass.
+treat many sectors of a buffer in one array pass.
+
+Every pass over a kernel buffer (the build's gather and column sums, the
+work pass, the entropy pass, the relative entropy's B and the battery's
+scans) walks it in chunks of whole sectors of at most CHUNK_ENTRIES
+entries (sector_chunks), so that a per-sector sum keeps its order and
+every box up to cutoff 56 is one chunk. Its temporaries are work buffers
+the thread holds across calls (work_buffer), one set per thread, grown to
+the largest chunk a call has touched. So a pass frees no buffer-length
+array and the heap does not shrink and regrow around each op; past cutoff
+56 a pass's transient memory no longer grows with the box. The index
+tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
+cast np.take and np.bincount would otherwise allocate on every call. The
+one box-sized temporary left is the build's lower-triangle buffer, half a
+double per entry (_amplitudes).
 
 Two independent evaluation routes are provided:
 
@@ -26,7 +40,8 @@ Two independent evaluation routes are provided:
   5e-324 to 1.5 and cutoffs up to 120. The column-sum excess check
   (COLSUM_EXCESS_LIMIT) stays as a fail-closed guard against a NaN or a
   gross excess. sector_index holds the per-entry gathers of the mirror
-  step, built once per cutoff beside the layout. A T = 0 point reads
+  step, and _recurrence_table the recurrence's z-free inputs, each built
+  once per cutoff beside the layout. A T = 0 point reads
   only the vacuum column of d = 0; transition_kernel with vacuum builds
   and holds that column alone, N + 1 amplitudes and one leakage value,
   from the same closed form, in O(N) work and bit for bit the full
@@ -64,6 +79,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -75,6 +91,12 @@ from .errors import LeakageError, NumericError
 # Column sums of squared amplitudes may exceed 1 only by accumulated rounding
 # noise; anything larger, or a NaN, means the kernel is broken.
 COLSUM_EXCESS_LIMIT = 1e-9
+
+# Most entries a chunk of a pass over a kernel buffer holds (sector_chunks).
+# 2^16 doubles are 512 KiB per work buffer, so a pass's transient memory
+# stays bounded at any cutoff, while every box up to cutoff 56 (63,365
+# entries) is one chunk and its cross-sector sums keep their order.
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -276,6 +298,92 @@ def sector_index(cutoff: int) -> SectorIndex:
     )
 
 
+@dataclass(frozen=True)
+class Chunk:
+    """Whole sectors of the box that a pass over a kernel buffer takes at
+    once: the sectors d in sectors, their entries of a sector-major kernel
+    buffer and their states of a per-state buffer."""
+
+    cutoff: int
+    sectors: range
+    entries: slice
+    states: slice
+
+    @property
+    def size(self) -> int:
+        return self.entries.stop - self.entries.start
+
+    def views(self, values: np.ndarray, blocks: bool) -> tuple[np.ndarray, ...]:
+        """sector_views of the chunk's sectors in values: its entries with
+        blocks, else its states."""
+        return sector_views(values, self.cutoff - self.sectors.start, blocks)
+
+
+@cache
+def sector_chunks(cutoff: int) -> tuple[Chunk, ...]:
+    """The box's sectors in chunks, d ascending: each chunk holds as many
+    whole sectors as fit in CHUNK_ENTRIES entries, and a sector larger than
+    that (d = 0 past cutoff 255) is a chunk of its own."""
+    ix = sector_index(cutoff)
+    bs, ss = ix.block_start, ix.state_start
+    chunks, first = [], 0
+    for d in range(1, cutoff + 2):
+        if d > cutoff or bs[d + 1] - bs[first] > CHUNK_ENTRIES:
+            chunks.append(Chunk(
+                cutoff, range(first, d), slice(bs[first], bs[d]), slice(ss[first], ss[d])
+            ))
+            first = d
+    return tuple(chunks)
+
+
+class _WorkBuffers(threading.local):
+    """One thread's work buffers, by name, held across calls."""
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+
+_BUFFERS = _WorkBuffers()
+
+
+def work_buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """The first size entries of this thread's held work array name.
+
+    The passes over a kernel buffer take their temporaries from here, so
+    that a pass frees no buffer-length array: freed ones make the heap
+    shrink and regrow around every op, one page fault per page. Each
+    thread holds its own set (threads share no buffer), and an array only
+    grows, to the largest size a call has asked for. A returned array is a
+    view of the held one, valid until the next call for that name: a pass
+    returns none of them, only what it computed from them.
+    """
+    held = _BUFFERS.arrays.get(name)
+    if held is None or held.size < size or held.dtype != dtype:
+        _BUFFERS.arrays.pop(name, None)  # dropped before its replacement is made
+        held = _BUFFERS.arrays[name] = np.empty(size, dtype)
+    return held[:size]
+
+
+def chunk_keys(table: np.ndarray, chunk: Chunk, offset: int = 0) -> np.ndarray:
+    """A sector_index table's keys for the chunk's entries, less offset, as
+    the intp array np.take and np.bincount read without a cast of their own;
+    held in the work buffer "keys"."""
+    keys = work_buffer("keys", chunk.size, np.intp)
+    np.copyto(keys, table[chunk.entries])
+    if offset:
+        keys -= offset
+    return keys
+
+
+def state_sums(values: np.ndarray, keys: np.ndarray, chunk: Chunk) -> np.ndarray:
+    """Sums of the chunk's entry values over each of its initial states,
+    keys being chunk_keys(col, chunk, first state); each sums its column's
+    rows in order, as a block's sum over axis 0 does."""
+    return np.bincount(
+        keys, weights=values, minlength=chunk.states.stop - chunk.states.start
+    )
+
+
 def _squeeze_error(z) -> ValueError:
     return ValueError(f"squeeze parameter must be finite and >= 0, got {z}")
 
@@ -418,6 +526,9 @@ def squeeze_operator_oracle(
     Returns one block per difference sector in sector_layout order, each
     from one z-free decomposition of its sector (sector_spectral). z is one
     value or a 1-D array; for an array every block gains a leading z axis.
+    The blocks are views of one sector-major buffer, as a kernel's are, so
+    that the battery's oracle is one allocation and not one per sector: a
+    run of small frees at the top of the heap makes it shrink and regrow.
     Raises LeakageError when the vacuum column already loses more mass than
     the budget allows at any z; entries of such an operator renormalize
     escaped mass back into the box and are not trustworthy for any state of
@@ -426,8 +537,60 @@ def squeeze_operator_oracle(
     zs = _squeeze_values(z)
     for value in zs.flat:
         _gate_vacuum_leakage(float(value), spec)
-    return tuple(
-        sector_spectral(zs, s.d, s.size) for s in sector_layout(spec.cutoff)
+    layout = sector_layout(spec.cutoff)
+    flat = np.empty(zs.size * sum(s.size * s.size for s in layout))
+    blocks, start = [], 0
+    for s in layout:
+        block = flat[start:start + zs.size * s.size * s.size]
+        block = block.reshape(zs.shape + (s.size, s.size))
+        block[...] = sector_spectral(zs, s.d, s.size)
+        blocks.append(block)
+        start += block.size
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
+class _RecurrenceTable:
+    """The z-free inputs of the kernel build at one cutoff (_amplitudes).
+
+    A row is (p, d), row p of sector d; the rows run row-major over (p, d),
+    and column q of the lower-triangle buffer holds the last of them, the
+    rows p >= q. Per row: p and d as floats, d as an index, p + d + 1 and
+    beta[p, d].
+    """
+
+    row_start: list[int]
+    col_start: list[int]
+    exponents: np.ndarray  # d + 1.0 for d = 0..cutoff: sech(z)^(d+1) starts sector d
+    beta: np.ndarray  # [p, d]: sqrt(C(p+d, p)), a running product over p
+    signs: np.ndarray  # (-1)^k for k = cutoff..1, the upper triangle's sign
+    p: np.ndarray
+    d: np.ndarray
+    d_index: np.ndarray
+    small: np.ndarray  # p + d + 1.0, tanh^2 z's factor in the recurrence
+    row_beta: np.ndarray
+
+
+@cache
+def _recurrence_table(cutoff: int) -> _RecurrenceTable:
+    """Built once per cutoff, as sector_index is; O(cutoff^2) and read-only."""
+    side = cutoff + 1
+    d = np.arange(side)
+    k = np.arange(1.0, side)[:, None]
+    beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), (k + d) / k]), axis=0))
+    p, d = np.nonzero(np.add.outer(np.arange(side), d) <= cutoff)
+    row_start, col_start = _lower_starts(cutoff)
+    return _RecurrenceTable(
+        row_start=row_start,
+        col_start=col_start,
+        exponents=_frozen(np.arange(side) + 1.0),
+        beta=_frozen(beta),
+        signs=_frozen((-1.0) ** np.arange(cutoff, 0, -1)),
+        p=_frozen(p.astype(float)),
+        d=_frozen(d.astype(float)),
+        d_index=_frozen(d),
+        small=_frozen(p + d + 1.0),
+        row_beta=_frozen(beta[p, d]),
     )
 
 
@@ -451,41 +614,42 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     subnormal z up; as z -> 0, Phi[p, q] tends to the integer C(p, q), so
     the diagonal is exactly 1 while C(p, q) (p - q) stays below 2^53. Each
     step fills column q + 1 of every sector at once, reading columns q and
-    q - 1 from the same buffer. The upper triangle follows from the
-    mirror identity <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>, which makes
-    the squared entries satisfy the transpose symmetry exactly; the gather
-    applies the sign and tanh(z)^|p-q| together. The vacuum column is
-    column 0 of d = 0 from the same start, tanh(z)^p sech(z), bit for bit
-    the full kernel's, in O(N) work and memory.
+    q - 1 from the same buffer, which takes half a double per kernel entry
+    and is the build's one temporary sized by the box. The z-free inputs
+    (C_j, p + d + 1, the rows' layout) come from _recurrence_table, and the
+    per-row temporaries are held work buffers. The upper triangle follows
+    from the mirror identity <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>,
+    which makes the squared entries satisfy the transpose symmetry
+    exactly; the gather, chunk by chunk, applies the sign and tanh(z)^|p-q|
+    together. The vacuum column is column 0 of d = 0 from the same start,
+    tanh(z)^p sech(z), bit for bit the full kernel's, in O(N) work and
+    memory; it returns before any table is read.
     """
     side = cutoff + 1
     sech, tau = 1.0 / np.cosh(z), np.tanh(z)
     tau_powers = tau ** np.arange(side)
     if vacuum:  # the block's column 0, where sqrt(C_p / C_0) = 1
         return tau_powers * sech
-    d = np.arange(side)
-    start = sech ** (d + 1.0)
-    # beta[p, d] = sqrt(C(p+d, p)), a running product over p
-    k = np.arange(1.0, side)[:, None]
-    beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), (k + d) / k]), axis=0))
     ix = sector_index(cutoff)
+    amps = np.empty(ix.block_start[-1])
     if z == 0.0:
-        return (ix.change == cutoff) * 1.0  # identity blocks
-    # the rows p of every sector d, row-major over (p, d); column q of the
-    # lower-triangle buffer holds the last of them, the rows p >= q
-    p, d = np.nonzero(np.add.outer(np.arange(side), d) <= cutoff)
-    row_start, col_start = _lower_starts(cutoff)
+        return np.equal(ix.change, cutoff, out=amps)  # identity blocks
+    tab = _recurrence_table(cutoff)
+    row_start, col_start, rows = tab.row_start, tab.col_start, len(tab.p)
     lower = np.empty(col_start[-1])
     cols = [lower[a:b] for a, b in zip(col_start, col_start[1:])]
-    cols[0][:] = start[d]
+    # mode="clip" writes straight into out, where "raise" would buffer it;
+    # every index the tables hold is in range
+    np.take(sech ** tab.exponents, tab.d_index, out=cols[0], mode="clip")
     t2 = tau * tau
-    small, tail = (p + d + 1.0) * t2, d * t2
-    coef, work = np.empty(len(p)), np.empty(len(p))
+    small = np.multiply(tab.small, t2, out=work_buffer("small", rows))
+    tail = np.multiply(tab.d, t2, out=work_buffer("tail", rows))
+    coef, work = work_buffer("coef", rows), work_buffer("work", rows)
     for q in range(cutoff):
         r = slice(row_start[q + 1], None)  # the rows p > q
         new = cols[q + 1]
         coef_r, work_r = coef[r], work[r]
-        np.subtract(p[r], q, out=coef_r)  # exact, before the small term
+        np.subtract(tab.p[r], q, out=coef_r)  # exact, before the small term
         np.add(small[r], q * t2, out=work_r)
         coef_r -= work_r
         np.multiply(coef_r, cols[q][-len(new):], out=new)
@@ -494,14 +658,21 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
             work_r *= cols[q - 1][-len(new):]
             new -= work_r
         new /= q + 1.0
-    row_beta = beta[p, d]
     for q, col in enumerate(cols):  # times sqrt(C_p / C_q)
-        col *= row_beta[row_start[q]:]
-        col /= np.take(beta[q], d[row_start[q]:])
-    amps = np.take(lower, ix.mirror)
+        col *= tab.row_beta[row_start[q]:]
+        if q:  # sqrt(C_0) is exactly 1
+            col /= np.take(
+                tab.beta[q], tab.d_index[row_start[q]:], out=work[:len(col)], mode="clip"
+            )
     # (-1)^(q-p) for p < q and tanh(z)^|p-q|, keyed by p - q + cutoff
-    factor = np.concatenate([(-1.0) ** np.arange(cutoff, 0, -1) * tau_powers[:0:-1], tau_powers])
-    amps *= np.take(factor, ix.change)
+    factor = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
+    for chunk in sector_chunks(cutoff):
+        out = amps[chunk.entries]
+        np.take(lower, chunk_keys(ix.mirror, chunk), out=out, mode="clip")
+        out *= np.take(
+            factor, chunk_keys(ix.change, chunk),
+            out=work_buffer("values", chunk.size), mode="clip",
+        )
     return amps
 
 
@@ -579,11 +750,12 @@ def transition_kernel(
     if vacuum:  # a sequential scan; a 1-D sum would add pairwise
         colsums = np.cumsum(amps**2)[-1:]
     else:
-        colsums = np.bincount(
-            sector_index(spec.cutoff).col,
-            weights=amps**2,
-            minlength=len(state_totals(spec.cutoff)),
-        )
+        colsums = np.empty(len(state_totals(spec.cutoff)))
+        col = sector_index(spec.cutoff).col
+        for chunk in sector_chunks(spec.cutoff):
+            squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
+            keys = chunk_keys(col, chunk, chunk.states.start)
+            colsums[chunk.states] = state_sums(squares, keys, chunk)
     excess = float(colsums.max()) - 1.0
     if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(

@@ -543,10 +543,7 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     kernel = kernels.kernel_for(channel.z, staged.spec, False)
     items: list[tuple[str, bool, str]] = []
 
-    sym = max(
-        float(np.max(np.abs(P - P.T)))
-        for P in fock.sector_views(kernel.flat_amplitudes**2, cfg.cutoff, True)
-    )
+    sym = max(_asymmetries(kernel))
     items.append(("kernel-symmetry", sym <= 1e-12, f"max |p(m|n)-p(n|m)| = {sym:.3e}"))
     items.extend(_conservation_checks(kernel, layout))
 
@@ -612,6 +609,17 @@ def _line(name: str, result, judge) -> tuple[str, bool, str]:
     return name, *judge(result)
 
 
+def _asymmetries(kernel: fock.TransitionKernel):
+    """max |p(m|n) - p(n|m)| of each block, d ascending."""
+    for chunk in fock.sector_chunks(kernel.spec.cutoff):
+        P = np.square(
+            kernel.flat_amplitudes[chunk.entries],
+            out=fock.work_buffer("values", chunk.size),
+        )
+        for block in chunk.views(P, True):
+            yield float(np.max(np.abs(block - block.T)))
+
+
 def _max_mass(P: np.ndarray, where: np.ndarray) -> float:
     return float(np.max(P[where])) if where.any() else 0.0
 
@@ -627,25 +635,48 @@ def _conservation_checks(
     difference d (mirror -d) and cover the box once, and the totals it
     carries are the states' own. Mass a wrong layout would place between
     states of another sector, or on an odd change of total, is reported.
+
+    One flat pass over the states of every sector flags each state whose
+    index or mirror index lies outside its sector, whose total is not its
+    own, or whose total's parity is not its sector's first state's. Every
+    entry either check reports lies in the row or the column of a flagged
+    state, so only those lines of the kernel are read: none for a right
+    layout.
     """
     side = kernel.spec.cutoff + 1
-    cover = np.zeros(side * side, dtype=int)
-    off_sector = odd_change = 0.0
-    blocks = fock.sector_views(kernel.flat_amplitudes**2, kernel.spec.cutoff, True)
-    for s, P in zip(layout, blocks):
-        a, b = np.divmod(s.index, side)
-        ma, mb = np.divmod(s.mirror_index, side)
-        cover[s.index] += 1
-        if s.d:
-            cover[s.mirror_index] += 1
-        foreign = (a - b != s.d) | (mb - ma != s.d)
-        off_sector = max(off_sector, _max_mass(P, foreign[:, None] | foreign[None, :]))
-        mislabeled = s.totals != a + b
-        odd = (s.totals[:, None] - s.totals[None, :]) % 2 != 0
-        odd_change = max(
-            odd_change, _max_mass(P, odd | mislabeled[:, None] | mislabeled[None, :])
-        )
+    sizes = np.array([s.size for s in layout])
+    index, mirror, totals = (
+        np.concatenate([getattr(s, name) for s in layout])
+        for name in ("index", "mirror_index", "totals")
+    )
+    d = np.repeat([s.d for s in layout], sizes)
+    a, b = np.divmod(index, side)
+    ma, mb = np.divmod(mirror, side)
+    cover = np.bincount(np.concatenate([index, mirror[d > 0]]), minlength=side * side)
     uncovered = int(np.count_nonzero(cover != 1))
+    foreign = (a - b != d) | (mb - ma != d)
+    mislabeled = totals != a + b
+    parity = totals % 2
+    first = np.cumsum(sizes) - sizes  # each sector's first state
+    flagged = foreign | mislabeled | (parity != np.repeat(parity[first], sizes))
+    # each flagged state's row, then its column: the entries, their final
+    # and their initial states
+    t = np.flatnonzero(flagged)
+    sector = np.repeat(np.arange(len(layout)), sizes)[t]
+    n = sizes[sector]
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # along the line
+    n, i, block, start = (
+        np.repeat(v, n)
+        for v in (n, t - first[sector], (np.cumsum(sizes**2) - sizes**2)[sector], first[sector])
+    )
+    entries = np.concatenate([block + i * n + j, block + j * n + i])
+    final = np.concatenate([start + i, start + j])
+    initial = np.concatenate([start + j, start + i])
+    P = kernel.flat_amplitudes[entries] ** 2
+    off_sector = _max_mass(P, foreign[final] | foreign[initial])
+    odd_change = _max_mass(
+        P, mislabeled[final] | mislabeled[initial] | (parity[final] != parity[initial])
+    )
     return [
         (
             "difference-conservation",

@@ -6,13 +6,14 @@ differences, so the work decomposition keeps the explicit (omega_out -
 omega_in) shift. All kernel averages carry a truncation bound equal to the
 largest in-box energy times the initial-weighted mass lost to the box.
 The Gibbs weights of every occupied sector state are one buffer, formed in
-one pass over the box's state totals (fock.state_totals); the per-sector
-weight vectors are read-only views of it. Every kernel average the work
-bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>) comes from
-one work pass (_work_pass); inner_friction reads that pass and reports
-every average in its WorkReport. At T > 0 the pass takes per-state sums
-over the whole kernel buffer, with no loop over sectors; it agrees with
-such loops to the rounding of its sums (tests/dense_reference.py). At
+one pass over the box's state totals (fock.state_totals). Every kernel
+average the work bookkeeping reads (the weighted leakage, <n_f>, <n_i> and
+<n_c>) comes from one work pass (_work_pass); inner_friction reads that
+pass and reports every average in its WorkReport. At T > 0 the pass takes
+per-state sums over the kernel buffer in chunks of whole sectors
+(fock.sector_chunks), its squares in the thread's held work buffers; it
+agrees with per-sector loops to the rounding of its sums
+(tests/dense_reference.py). At
 T = 0 the vacuum (0, 0) carries all the weight, and the pass reads only
 column 0 of block d = 0 and its leakage, in O(N) work, from a vacuum
 kernel or a full one alike. Every stage that pairs a kernel with an
@@ -32,9 +33,12 @@ from .errors import LeakageError, NumericError, VerificationError
 from .fock import (
     TransitionKernel,
     TruncationSpec,
+    chunk_keys,
+    sector_chunks,
     sector_index,
-    sector_views,
+    state_sums,
     state_totals,
+    work_buffer,
 )
 
 # Slack added to truncation-bound comparisons to absorb pure rounding noise.
@@ -47,11 +51,12 @@ class ThermalDistribution:
 
     flat_weights holds the weights of the sector states of every occupied
     sector, sector-major in sector_layout order (fock.state_totals);
-    mirrored states share them. weights[d] is sector d's read-only view of
-    it. Every sector of the box is occupied at T > 0, and only d = 0 at
-    temperature = 0, which marks the vacuum path: a point mass on (0, 0)
-    with no entropy scale, served by a vacuum kernel or a full one
-    (_require_pairing). renorm_defect is the Gibbs mass outside the box.
+    mirrored states share them, and fock.sector_views gives one read-only
+    view per sector. Every sector of the box is occupied at T > 0, and
+    only d = 0 at temperature = 0, which marks the vacuum path: a point
+    mass on (0, 0) with no entropy scale, served by a vacuum kernel or a
+    full one (_require_pairing). renorm_defect is the Gibbs mass outside
+    the box.
     """
 
     temperature: float
@@ -59,11 +64,6 @@ class ThermalDistribution:
     spec: TruncationSpec
     flat_weights: np.ndarray
     renorm_defect: float
-
-    def __post_init__(self) -> None:
-        # set here rather than declared, so that it is not a field
-        weights = sector_views(self.flat_weights, self.spec.cutoff, False)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def is_vacuum(self) -> bool:
@@ -201,8 +201,10 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     At T > 0 two bincounts over sector_index's col sum, per initial state
     n, p(m|n) and p(m|n) (total(m) - total(n)), read through change; with
     total(n) times the first, the second gives the sum of p(m|n) total(m).
-    Each average is one dot with the weights. <n_c> never subtracts two
-    sums of totals, which would cancel its digits as z -> 0.
+    They run chunk by chunk in held work buffers; a state's sums lie in
+    one sector, so they keep their order at every cutoff. Each average is
+    one dot with the weights. <n_c> never subtracts two sums of totals,
+    which would cancel its digits as z -> 0.
     """
     _require_pairing(kernel, thermal)
     cutoff = kernel.spec.cutoff
@@ -213,11 +215,18 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
         return _WorkSums(leakage, created, 0.0, created)
     ix = sector_index(cutoff)
     totals = state_totals(cutoff)
-    P = kernel.flat_amplitudes**2
     # per initial state n: sum_m p(m|n), then sum_m p(m|n) 2(p - q)
-    colsums = np.bincount(ix.col, weights=P)
-    P *= np.subtract(ix.change, cutoff, dtype=float)  # p - q
-    created = 2.0 * np.bincount(ix.col, weights=P)
+    colsums, created = np.empty(len(totals)), np.empty(len(totals))
+    for chunk in sector_chunks(cutoff):
+        P = np.square(kernel.flat_amplitudes[chunk.entries], out=work_buffer("values", chunk.size))
+        keys = chunk_keys(ix.col, chunk, chunk.states.start)
+        colsums[chunk.states] = state_sums(P, keys, chunk)
+        P *= np.subtract(  # p - q
+            ix.change[chunk.entries], cutoff, dtype=float,
+            out=work_buffer("values2", chunk.size),
+        )
+        created[chunk.states] = state_sums(P, keys, chunk)
+    created *= 2.0
     w = 2.0 * thermal.flat_weights  # a sector d > 0 counts its mirror too
     w[: cutoff + 1] = thermal.flat_weights[: cutoff + 1]
     leakage = float(kernel.flat_column_leakage @ w) + thermal.renorm_defect

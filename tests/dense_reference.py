@@ -29,6 +29,8 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 from scipy.special import gammaln
 
+from cosmoflux.fock import sector_views
+
 
 def basis_states(cutoff):
     side = cutoff + 1
@@ -53,6 +55,11 @@ def dense_view(blocks, cutoff):
             if m[0] - m[1] == n[0] - n[1]:
                 dense[i, j] = blocks[abs(n[0] - n[1])][min(m), min(n)]
     return dense
+
+
+def sector_weights(thermal):
+    """The Gibbs weights of each occupied sector, as read-only views."""
+    return sector_views(thermal.flat_weights, thermal.spec.cutoff, False)
 
 
 def dense_state_vector(vectors, cutoff):

@@ -29,7 +29,7 @@ from cosmoflux.fluctuation import (
 from cosmoflux.fock import sector_layout
 
 from conftest import Z_CANON
-from dense_reference import dense_state_vector
+from dense_reference import dense_state_vector, sector_weights
 
 Q_11_TO_00 = 0.01013939726055356  # 0.1875 * (1-1/e)^2 / e^2
 N_CREATED_CANON = 1.442635609159102
@@ -39,8 +39,8 @@ def _trajectory_masses(kernel, thermal):
     """Per-sector expansion and contraction masses, as the lattice pass forms them."""
     probabilities = [A**2 for A in kernel.amplitudes]
     return (
-        [P * w[None, :] for P, w in zip(probabilities, thermal.weights)],
-        [P * w[:, None] for P, w in zip(probabilities, thermal.weights)],
+        [P * w[None, :] for P, w in zip(probabilities, sector_weights(thermal))],
+        [P * w[:, None] for P, w in zip(probabilities, sector_weights(thermal))],
     )
 
 
@@ -58,7 +58,7 @@ def test_joint_shapes_and_mass(kernel40, thermal40):
 
 def test_reverse_jump_reference_value(kernel40, thermal40):
     # sector d = 0, final (1, 1) at position 1, initial (0, 0) at position 0
-    q = kernel40.amplitudes[0][1, 0] ** 2 * thermal40.weights[0][1]
+    q = kernel40.amplitudes[0][1, 0] ** 2 * sector_weights(thermal40)[0][1]
     assert q == pytest.approx(Q_11_TO_00, rel=1e-13)
 
 
@@ -279,7 +279,7 @@ def test_crooks_exact_for_geometric_weights(z, t_ratio):
     # by the renormalized initial state, exactly
     leak_w = float(
         dense_state_vector(kern.column_leakage, 16)
-        @ dense_state_vector(thermal.weights, 16)
+        @ dense_state_vector(sector_weights(thermal), 16)
     )
     assert abs(integral_fluctuation_defect(p_e) - leak_w) <= 1e-9
 

@@ -28,6 +28,7 @@ from cosmoflux.thermo import _work_pass, inner_friction
 
 from conftest import Z_CANON
 from dense_reference import (
+    sector_weights,
     array_bytes,
     dense_crooks_microstate,
     dense_entropy_lattice,
@@ -53,7 +54,7 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    w = dense_state_vector(thermal.weights, cutoff)
+    w = dense_state_vector(sector_weights(thermal), cutoff)
     P = dense_view(kern.amplitudes, cutoff) ** 2
 
     # kernel: every block within rounding of the spectral route on a box
@@ -140,10 +141,10 @@ def test_flat_stages_match_the_per_sector_loops(z, t_ratio, cutoff):
 
     weights, defect = reference_gibbs_weights(t_ratio, 1.0, cutoff)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    _same_bits(thermal.weights, weights)
+    _same_bits(sector_weights(thermal), weights)
     assert thermal.renorm_defect == defect
     vacuum = thermal_distribution(0.0, 1.0, spec)
-    _same_bits(vacuum.weights, reference_gibbs_weights(0.0, 1.0, cutoff)[0])
+    _same_bits(sector_weights(vacuum), reference_gibbs_weights(0.0, 1.0, cutoff)[0])
 
     p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
     mass_e, mass_c, ref_dev = reference_entropy_pass(probs, weights, 1.0 / t_ratio, cutoff)
@@ -190,7 +191,7 @@ def test_work_pass_matches_the_per_sector_loops(z, t_ratio, cutoff):
     thermal = thermal_distribution(t_ratio, 1.0, spec)
     leakage, final, initial, created = reference_work_sums(
         [A**2 for A in full.amplitudes], full.column_leakage,
-        thermal.weights, thermal.renorm_defect,
+        sector_weights(thermal), thermal.renorm_defect,
     )
     sums = _work_pass(full, thermal)
     bound = _entry_count(cutoff) * EPS
@@ -240,7 +241,7 @@ def test_sector_views_cannot_be_made_writeable(kernel40, thermal40, spec40):
     for views in (
         kernel40.amplitudes, kernel40.column_leakage,
         vacuum.amplitudes, vacuum.column_leakage,
-        thermal40.weights, thermal_distribution(0.0, 1.0, spec40).weights,
+        sector_weights(thermal40), sector_weights(thermal_distribution(0.0, 1.0, spec40)),
     ):
         for view in views:
             assert not view.flags.writeable

@@ -29,7 +29,7 @@ from cosmoflux.thermo import (
 )
 
 from conftest import Z_CANON, spy_on
-from dense_reference import dense_state_vector
+from dense_reference import dense_state_vector, sector_weights
 
 # geometric-weight reference values at T = 1, omega = 1 (x = 1/e)
 PTH_00 = 0.39957640089372803
@@ -43,7 +43,7 @@ W_MEAN_CANON = 5.049224632056856
 
 
 def test_thermal_reference_weights(thermal40):
-    w = thermal40.weights  # w[d][i] is the weight of (i + d, i) and (i, i + d)
+    w = sector_weights(thermal40)  # w[d][i] is the weight of (i + d, i) and (i, i + d)
     assert w[0][0] == pytest.approx(PTH_00, rel=1e-14)
     assert w[1][0] == pytest.approx(PTH_10, rel=1e-14)
     assert w[0][1] == pytest.approx(PTH_11, rel=1e-14)
@@ -150,9 +150,9 @@ def test_created_closed_form_region(z, t_ratio):
 def test_vacuum_initial_state(kernel40, spec40):
     vac = thermal_distribution(0.0, 1.0, spec40)
     assert vac.is_vacuum
-    assert len(vac.weights) == 1  # the vacuum occupies sector 0 only
+    assert len(sector_weights(vac)) == 1  # the vacuum occupies sector 0 only
     empty = tuple(np.zeros(41 - d) for d in range(1, 41))
-    w = dense_state_vector(vac.weights + empty, 40)
+    w = dense_state_vector(sector_weights(vac) + empty, 40)
     assert w[0] == 1.0
     assert w.sum() == 1.0
     created = _work_pass(kernel40, vac).created
@@ -179,7 +179,7 @@ def test_vacuum_sums_match_a_full_kernel(z, cutoff):
     expected = dataclasses.astuple(inner_friction(whole, vac, 1.0, 2.0))
     empty = tuple(np.zeros(cutoff + 1 - d) for d in range(1, cutoff + 1))
     listed = ThermalDistribution(
-        0.0, 1.0, spec, np.concatenate(vac.weights + empty), vac.renorm_defect
+        0.0, 1.0, spec, np.concatenate(sector_weights(vac) + empty), vac.renorm_defect
     )
     for kernel, thermal in ((part, vac), (whole, listed), (part, listed)):
         work = dataclasses.astuple(inner_friction(kernel, thermal, 1.0, 2.0))
@@ -235,7 +235,7 @@ def test_weighted_leakage_combines_sources(kernel40, thermal40):
     wleak = _work_pass(kernel40, thermal40).leakage
     direct = (
         dense_state_vector(kernel40.column_leakage, 40)
-        @ dense_state_vector(thermal40.weights, 40)
+        @ dense_state_vector(sector_weights(thermal40), 40)
         + thermal40.renorm_defect
     )
     assert wleak == pytest.approx(direct, rel=1e-12)
@@ -273,7 +273,7 @@ def spectral_mean_created(z, temperature, omega, cutoff):
     Gibbs weights: the independent route to the work pass's <n_c>."""
     thermal = thermal_distribution(temperature, omega, TruncationSpec(cutoff, 0.5))
     total = 0.0
-    for s, w in zip(sector_layout(cutoff), thermal.weights):
+    for s, w in zip(sector_layout(cutoff), sector_weights(thermal)):
         P = sector_spectral(z, s.d, s.size) ** 2
         total += (2 if s.d else 1) * float((s.totals @ P - s.totals * P.sum(axis=0)) @ w)
     return total
