@@ -1,8 +1,8 @@
 """Failure witnesses for the verify battery.
 
-Each test injects one program fault by monkeypatching a stage, asserts
-that the check it witnesses FAILs at the canonical point, and pins every
-other line that FAILs beside it. Witnesses for oracle-equivalence,
+Each test injects one program fault by monkeypatching a stage or the
+layout the battery reads, asserts that the check it witnesses FAILs at
+the canonical point, and pins every other line that FAILs beside it. Witnesses for oracle-equivalence,
 vacuum-law and created-closed-form live in test_report_cli.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from cosmoflux import VerificationError, verify_invariants
 import cosmoflux.fluctuation as fluctuation_mod
 import cosmoflux.fock as fock_mod
+import cosmoflux.report as report_mod
 import cosmoflux.thermo as thermo_mod
 
 
@@ -103,3 +104,57 @@ def test_kernel_symmetry_catches_an_asymmetric_bump(monkeypatch):
     lines, failures = verify_invariants()
     assert _failed(lines) == ["kernel-symmetry", "oracle-equivalence"]
     assert failures == 2
+
+
+class _FockWithLayout:
+    """The fock module as report sees it, with the cutoff-40 layout
+    replaced: the battery's layout scan reads the faulty layout, while
+    every stage and the oracle keep reading fock's own."""
+
+    def __init__(self, layout):
+        self._layout = layout
+
+    def __getattr__(self, name):
+        return getattr(fock_mod, name)
+
+    def sector_layout(self, cutoff):
+        return self._layout if cutoff == 40 else fock_mod.sector_layout(cutoff)
+
+
+def _with_sector(index, **arrays):
+    """sector_layout(40) with sector index's arrays replaced."""
+    layout = list(fock_mod.sector_layout(40))
+    layout[index] = dataclasses.replace(layout[index], **arrays)
+    return tuple(layout)
+
+
+def test_difference_conservation_catches_a_shifted_mirror_index(monkeypatch):
+    # state 3 of sector 1, (4, 3), gets the mirror index of (3, 5) in place
+    # of (3, 4): its mirror lies in sector -2, so the mass of its row and
+    # column is off-sector (up to 0.215 at the canonical point), and
+    # (3, 4) is left uncovered while (3, 5) is covered twice. The scan
+    # reads the layout's mirror_index; no other line reads the layout
+    mirror = fock_mod.sector_layout(40)[1].mirror_index.copy()
+    mirror[3] += 1
+    monkeypatch.setattr(report_mod, "fock", _FockWithLayout(_with_sector(1, mirror_index=mirror)))
+    lines, failures = verify_invariants()
+    assert _failed(lines) == ["difference-conservation"]
+    assert failures == 1
+    line = next(ln for ln in lines if "difference-conservation" in ln)
+    assert "max off-sector mass = 2.153e-01, states not covered once = 2" in line
+
+
+def test_parity_support_catches_a_mislabeled_total(monkeypatch):
+    # state 2 of sector 0, (2, 2), carries total 6 in place of 4: the
+    # parity is kept, but the total is not the state's own, so the mass of
+    # its row and column counts as odd-change mass (up to 0.293). The scan
+    # reads the layout's totals; difference-conservation reads index and
+    # mirror_index only, and passes
+    totals = fock_mod.sector_layout(40)[0].totals.copy()
+    totals[2] += 2
+    monkeypatch.setattr(report_mod, "fock", _FockWithLayout(_with_sector(0, totals=totals)))
+    lines, failures = verify_invariants()
+    assert _failed(lines) == ["parity-support"]
+    assert failures == 1
+    line = next(ln for ln in lines if "parity-support" in ln)
+    assert "max odd-change mass = 2.930e-01" in line
