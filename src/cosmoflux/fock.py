@@ -375,15 +375,6 @@ def chunk_keys(table: np.ndarray, chunk: Chunk, offset: int = 0) -> np.ndarray:
     return keys
 
 
-def state_sums(values: np.ndarray, keys: np.ndarray, chunk: Chunk) -> np.ndarray:
-    """Sums of the chunk's entry values over each of its initial states,
-    keys being chunk_keys(col, chunk, first state); each sums its column's
-    rows in order, as a block's sum over axis 0 does."""
-    return np.bincount(
-        keys, weights=values, minlength=chunk.states.stop - chunk.states.start
-    )
-
-
 def _squeeze_error(z) -> ValueError:
     return ValueError(f"squeeze parameter must be finite and >= 0, got {z}")
 
@@ -754,8 +745,10 @@ def transition_kernel(
         col = sector_index(spec.cutoff).col
         for chunk in sector_chunks(spec.cutoff):
             squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
-            keys = chunk_keys(col, chunk, chunk.states.start)
-            colsums[chunk.states] = state_sums(squares, keys, chunk)
+            colsums[chunk.states] = np.bincount(
+                chunk_keys(col, chunk, chunk.states.start),
+                weights=squares, minlength=chunk.states.stop - chunk.states.start,
+            )
     excess = float(colsums.max()) - 1.0
     if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(

@@ -36,7 +36,6 @@ from .fock import (
     chunk_keys,
     sector_chunks,
     sector_index,
-    state_sums,
     state_totals,
     work_buffer,
 )
@@ -220,12 +219,13 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     for chunk in sector_chunks(cutoff):
         P = np.square(kernel.flat_amplitudes[chunk.entries], out=work_buffer("values", chunk.size))
         keys = chunk_keys(ix.col, chunk, chunk.states.start)
-        colsums[chunk.states] = state_sums(P, keys, chunk)
+        states = chunk.states.stop - chunk.states.start
+        colsums[chunk.states] = np.bincount(keys, weights=P, minlength=states)
         P *= np.subtract(  # p - q
             ix.change[chunk.entries], cutoff, dtype=float,
             out=work_buffer("values2", chunk.size),
         )
-        created[chunk.states] = state_sums(P, keys, chunk)
+        created[chunk.states] = np.bincount(keys, weights=P, minlength=states)
     created *= 2.0
     w = 2.0 * thermal.flat_weights  # a sector d > 0 counts its mirror too
     w[: cutoff + 1] = thermal.flat_weights[: cutoff + 1]
