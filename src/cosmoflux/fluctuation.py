@@ -76,9 +76,8 @@ def entropy_distributions(
     rate omega_in / T, so the expansion value s and the contraction value
     -s land on shared points; the contraction distribution is returned over
     its own increment (the negated lattice, in ascending order; _binned
-    says how the sectors add up). Up to cutoff 56 the box is one chunk;
-    past it, each bin adds its chunks' sums, the only sums of this module
-    whose order depends on the chunking. The residual is
+    says how the sectors add up; each bin accumulates chunk after chunk in
+    entry order, as one pass over the whole buffer would). The residual is
     max |log p - log q - s| over p > PROBABILITY_FLOOR, leaving out the
     microstates with log p - s < LOG_TINY: there the relation puts q below
     the smallest normal double, so it underflows at low temperature and its
@@ -91,9 +90,8 @@ def entropy_distributions(
     every lattice bin, so both residuals vanish for any kernel up to
     rounding. Their witness is a fault in the weights or in the lattice
     key (sector_index's change); the kernel is checked by the spectral
-    oracle. So the pass reads each entry's weights through its initial
-    state (col) and, row by row, its final state, never through change: a
-    fault in the key then moves s and the bins, not the weights.
+    oracle. So the pass weighs each block by its columns and its rows
+    (_masses), never through change.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
@@ -109,27 +107,19 @@ def entropy_distributions(
     sums_e, sums_c = np.zeros((2, 2 * cutoff + 1)), np.zeros((2, 2 * cutoff + 1))
     micro_dev = 0.0
     for chunk in sector_chunks(cutoff):
-        n, w = chunk.size, thermal.flat_weights[chunk.states]
-        P = np.square(kernel.flat_amplitudes[chunk.entries], out=work_buffer("values", n))
-        # expansion masses weigh each entry by its initial state, through
-        # col, and contraction masses by its final state, row by row
-        keys = chunk_keys(ix.col, chunk, chunk.states.start)
-        J = np.take(w, keys, out=work_buffer("values2", n), mode="clip")
-        J *= P
-        for block, w_d in zip(chunk.views(P, True), chunk.views(w, False)):
-            block *= w_d[:, None]
-        Q = P
+        amps, w = kernel.flat_amplitudes[chunk.entries], thermal.flat_weights[chunk.states]
         keys = chunk_keys(ix.change, chunk)
         once = (cutoff + 1) ** 2 if chunk.sectors.start == 0 else 0
-        for masses, sums in ((J, sums_e), (Q, sums_c)):
-            sums[0] += np.bincount(keys[:once], weights=masses[:once], minlength=2 * cutoff + 1)
-            sums[1] += np.bincount(keys[once:], weights=masses[once:], minlength=2 * cutoff + 1)
+        J = _masses(amps, w, chunk, final=False)
+        _add_bins(sums_e, J, keys, once)
         # the microstate residual reads copies of the live entries only
         live = np.flatnonzero(
-            np.greater(J, PROBABILITY_FLOOR, out=work_buffer("mask", n, np.bool_))
+            np.greater(J, PROBABILITY_FLOOR, out=work_buffer("mask", chunk.size, np.bool_))
         )
-        s_vals = s_of_key[keys[live]]
         log_j = np.log(J[live])
+        Q = _masses(amps, w, chunk, final=True)  # in J's buffer
+        _add_bins(sums_c, Q, keys, once)
+        s_vals = s_of_key[keys[live]]
         normal = log_j - s_vals >= LOG_TINY  # q = J e^(-s) is a normal double
         if normal.any():
             with np.errstate(divide="ignore"):
@@ -147,6 +137,26 @@ def entropy_distributions(
         masses=mass_c[keep][::-1].copy(),
     )
     return p_e, p_c, micro_dev
+
+
+def _masses(amps: np.ndarray, w: np.ndarray, chunk, final: bool) -> np.ndarray:
+    """p(m|n) of the chunk's entries times the weight of each entry's
+    initial state, its block's column, or with final of its final state,
+    its row; held in the work buffer "values". Neither reads a lattice
+    key, so a fault in one moves s and the bins, not the weights."""
+    masses = np.square(amps, out=work_buffer("values", chunk.size))
+    for block, w_d in zip(chunk.views(masses, True), chunk.views(w, False)):
+        block *= w_d[:, None] if final else w_d
+    return masses
+
+
+def _add_bins(sums: np.ndarray, masses: np.ndarray, keys: np.ndarray, once: int) -> None:
+    """Add a chunk's masses per change key to sums: its first once entries
+    (the d = 0 block) to sums[0], the rest to sums[1]. np.add.at adds them
+    one by one in entry order, so each bin's sum over the whole buffer is
+    the one a single bincount over it takes, whatever the chunks."""
+    np.add.at(sums[0], keys[:once], masses[:once])
+    np.add.at(sums[1], keys[once:], masses[once:])
 
 
 def _binned(sums: np.ndarray) -> np.ndarray:

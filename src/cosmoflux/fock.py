@@ -14,13 +14,14 @@ treat many sectors of a buffer in one array pass.
 
 Every pass over a kernel buffer (the build's gather and column sums, the
 work pass, the entropy pass, the relative entropy's B and the battery's
-scans) walks it in chunks of whole sectors of at most CHUNK_ENTRIES
-entries (sector_chunks), so that a per-sector sum keeps its order and
-every box up to cutoff 56 is one chunk. Its temporaries are work buffers
-the thread holds across calls (work_buffer), one set per thread, grown to
-the largest chunk a call has touched. So a pass frees no buffer-length
-array and the heap does not shrink and regrow around each op; past cutoff
-56 a pass's transient memory no longer grows with the box. The index
+symmetry scan) walks it in chunks of whole sectors of at most
+CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
+order; the sums that span sectors accumulate chunk after chunk in entry
+order, so no result depends on the chunking. Its temporaries are work
+buffers the thread holds across calls (work_buffer), one set per thread,
+grown to the largest chunk a call has touched. So a pass frees no
+buffer-length array, the heap does not shrink and regrow around each op,
+and a pass's transient memory does not grow with the box. The index
 tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
 cast np.take and np.bincount would otherwise allocate on every call. The
 one box-sized temporary left is the build's lower-triangle buffer, half a
@@ -93,10 +94,14 @@ from .errors import LeakageError, NumericError
 COLSUM_EXCESS_LIMIT = 1e-9
 
 # Most entries a chunk of a pass over a kernel buffer holds (sector_chunks).
-# 2^16 doubles are 512 KiB per work buffer, so a pass's transient memory
-# stays bounded at any cutoff, while every box up to cutoff 56 (63,365
-# entries) is one chunk and its cross-sector sums keep their order.
-CHUNK_ENTRIES = 1 << 16
+# 2^14 doubles are 128 KiB per work buffer: every sector up to cutoff 127
+# fits in one chunk, a cutoff-40 box takes two, and the held buffers stay
+# small beside the spectral oracle's blocks, which the verify battery
+# holds at the same time (with 2^16, one chunk of the whole cutoff-40 box,
+# its peak RSS was about 0.2 MiB higher). No result depends on the
+# chunking (entropy_distributions adds its bins in entry order), so the
+# bound trades memory against per-chunk numpy calls only.
+CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -323,7 +328,7 @@ class Chunk:
 def sector_chunks(cutoff: int) -> tuple[Chunk, ...]:
     """The box's sectors in chunks, d ascending: each chunk holds as many
     whole sectors as fit in CHUNK_ENTRIES entries, and a sector larger than
-    that (d = 0 past cutoff 255) is a chunk of its own."""
+    that (d = 0 past cutoff 127) is a chunk of its own."""
     ix = sector_index(cutoff)
     bs, ss = ix.block_start, ix.state_start
     chunks, first = [], 0

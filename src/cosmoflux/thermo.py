@@ -221,9 +221,11 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
         keys = chunk_keys(ix.col, chunk, chunk.states.start)
         states = chunk.states.stop - chunk.states.start
         colsums[chunk.states] = np.bincount(keys, weights=P, minlength=states)
-        P *= np.subtract(  # p - q
-            ix.change[chunk.entries], cutoff, dtype=float,
-            out=work_buffer("values2", chunk.size),
+        # p - q, exact in the narrowest signed type that holds 2 cutoff
+        diff = np.min_scalar_type(-2 * cutoff)
+        P *= np.subtract(
+            ix.change[chunk.entries], cutoff, dtype=diff,
+            out=work_buffer("diffs", chunk.size, diff),
         )
         created[chunk.states] = np.bincount(keys, weights=P, minlength=states)
     created *= 2.0

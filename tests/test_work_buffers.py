@@ -3,10 +3,10 @@
 Every pass over a kernel buffer walks it in chunks of whole sectors
 (fock.sector_chunks) and takes its temporaries from the work buffers its
 thread holds (fock.work_buffer). These tests pin what that promises: the
-chunks tile the box and every box up to cutoff 56 is one chunk; a
-chunking moves no bit but the entropy lattice's sums across chunks; a
-stage's transient memory is bounded; threads share no buffer, and no
-result is a view of one.
+chunks tile the box; a chunking moves no bit of any result, and the
+chunked passes match the per-sector loops of dense_reference; a stage's
+transient memory is bounded; threads share no buffer, and no result is a
+view of one.
 """
 
 import sys
@@ -72,18 +72,13 @@ def _check_tiling(cutoff, bound):
     return chunks
 
 
-@pytest.mark.parametrize("cutoff, count", [(8, 1), (40, 1), (56, 1), (57, 2), (120, 10)])
+@pytest.mark.parametrize("cutoff, count", [(8, 1), (40, 2), (56, 5), (130, 58)])
 def test_chunks_tile_the_box(cutoff, count):
-    # every box up to cutoff 56 (63,365 entries) is one chunk, so its
-    # reports keep the bytes of the whole-buffer passes
-    assert len(_check_tiling(cutoff, CHUNK_ENTRIES)) == count
-
-
-def test_a_sector_past_the_bound_is_a_chunk_of_its_own(chunk_bound):
-    # block d = 0 at cutoff 60 holds 3721 entries, over a bound of 3000
-    chunk_bound(3000)
-    chunks = _check_tiling(60, 3000)
-    assert chunks[0].sectors == range(0, 1) and chunks[0].size == 61**2
+    # block d = 0 at cutoff 130 holds 17,161 entries, over the bound: a
+    # chunk of its own
+    chunks = _check_tiling(cutoff, CHUNK_ENTRIES)
+    assert len(chunks) == count
+    assert (chunks[0].size > CHUNK_ENTRIES) == (cutoff == 130)
 
 
 def _stages(z, t_ratio, cutoff):
@@ -95,34 +90,35 @@ def _stages(z, t_ratio, cutoff):
     return kernel, thermal, _work_pass(kernel, thermal), p_e, p_c, micro, K
 
 
+def _bits(stages):
+    kernel, _thermal, sums, p_e, p_c, micro, K = stages
+    return (
+        kernel.flat_amplitudes.tobytes(), kernel.flat_column_leakage.tobytes(), sums,
+        p_e.support.tobytes(), p_e.masses.tobytes(), p_c.masses.tobytes(), micro, K,
+    )
+
+
 @pytest.mark.parametrize("z, t_ratio", [(Z_CANON, 1.0), (1.0, 0.3), (1e-8, 2.0)])
-def test_chunking_moves_only_the_lattice_sums(chunk_bound, z, t_ratio):
-    # cutoff 40 in 10 chunks of at most 3000 entries against its one
-    # chunk: the kernel, its column sums, the work sums, the microstate
-    # residual and K sum within one sector and keep their bits; each
-    # lattice bin adds its chunks' sums, within terms x eps x its mass
-    whole = _stages(z, t_ratio, 40)
-    chunk_bound(3000)
-    assert len(sector_chunks(40)) == 10
-    chunked = _stages(z, t_ratio, 40)
-    for attr in ("flat_amplitudes", "flat_column_leakage"):
-        assert getattr(chunked[0], attr).tobytes() == getattr(whole[0], attr).tobytes()
-    assert chunked[2] == whole[2]
-    assert chunked[5:] == whole[5:]
-    bound = _entry_count(40) * EPS
-    for mine, ref in ((chunked[3], whole[3]), (chunked[4], whole[4])):
-        assert np.array_equal(mine.support, ref.support)
-        assert np.all(np.abs(mine.masses - ref.masses) <= bound * ref.masses)
+def test_chunking_moves_no_bit(chunk_bound, z, t_ratio):
+    # cutoff 40 in its 2 chunks, in one, and in 10 of at most 3000
+    # entries: every per-sector sum lies in one chunk, and the lattice
+    # bins add chunk after chunk in entry order, so every result keeps
+    # its bits
+    default = _bits(_stages(z, t_ratio, 40))
+    for bound, count in ((1 << 16, 1), (3000, 10)):
+        chunk_bound(bound)
+        assert len(sector_chunks(40)) == count
+        assert _bits(_stages(z, t_ratio, 40)) == default
 
 
 @pytest.mark.parametrize("z, t_ratio", [(Z_CANON, 1.0), (1.0, 2.0)])
-def test_passes_past_cutoff_56_match_the_per_sector_loops(z, t_ratio):
-    # cutoff 60 is two chunks; the per-sector loops of dense_reference
-    # give the same microstate residual and K bit for bit, the lattice
-    # within terms x eps x the bin's mass and the work sums within the
-    # bounds of test_work_pass_matches_the_per_sector_loops
+def test_chunked_passes_match_the_per_sector_loops(z, t_ratio):
+    # cutoff 60 in 6 chunks against the per-sector loops of
+    # dense_reference: the same microstate residual and K bit for bit,
+    # the lattice within terms x eps x the bin's mass and the work sums
+    # within the bounds of test_work_pass_matches_the_per_sector_loops
     cutoff = 60
-    assert len(sector_chunks(cutoff)) == 2
+    assert len(sector_chunks(cutoff)) == 6
     kernel, thermal, sums, p_e, p_c, micro, K = _stages(z, t_ratio, cutoff)
     probs = [A**2 for A in kernel.amplitudes]
     weights = sector_weights(thermal)
@@ -182,7 +178,7 @@ def _arrays(obj):
 def test_no_result_is_a_view_of_a_held_buffer():
     results = _stages(Z_CANON, 1.0, 40)
     held = list(fock_mod._BUFFERS.arrays.values())
-    assert {"values", "values2", "keys", "mask"} <= set(fock_mod._BUFFERS.arrays)
+    assert {"values", "keys", "mask", "diffs"} <= set(fock_mod._BUFFERS.arrays)
     arrays = list(_arrays(results))
     assert len(arrays) >= 8
     for a in arrays:
