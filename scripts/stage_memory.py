@@ -107,7 +107,7 @@ def table_bytes(cutoff: int) -> int:
     return sum(
         value.nbytes
         for table in tables
-        for value in vars(table).values()
+        for value in (table._asdict() if hasattr(table, "_asdict") else vars(table)).values()
         if isinstance(value, np.ndarray)
     )
 

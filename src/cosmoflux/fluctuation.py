@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import (
+    Chunk,
     TransitionKernel,
     _lapack,
     chunk_keys,
@@ -139,7 +140,7 @@ def entropy_distributions(
     return p_e, p_c, micro_dev
 
 
-def _masses(amps: np.ndarray, w: np.ndarray, chunk, final: bool) -> np.ndarray:
+def _masses(amps: np.ndarray, w: np.ndarray, chunk: Chunk, final: bool) -> np.ndarray:
     """p(m|n) of the chunk's entries times the weight of each entry's
     initial state, its block's column, or with final of its final state,
     its row; held in the work buffer "values". Neither reads a lattice

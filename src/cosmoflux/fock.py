@@ -83,6 +83,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -231,22 +232,19 @@ class SectorIndex:
     Entry k of a kernel buffer is [p, q] of block d, indexed by final and
     initial sector position; block d starts at block_start[d], and sector
     d's states at state_start[d] of a per-state buffer (state_totals
-    order). A per-state value of the final state p of every entry is
-    np.repeat(values, state_size), since the entries of row p are
-    consecutive; col keys sums over each initial state, and change the
-    total change the work pass weighs and the entropy lattice bins by. The
+    order). col keys sums over each initial state, and change the total
+    change the work pass weighs and the entropy lattice bins by. The
     kernel builder fills the lower triangles of every block column by
     column into one buffer (_amplitudes): column q holds the rows p >= q
     of every sector, row-major over (p, d), and mirror reads each entry
     from there. Index arrays hold the smallest unsigned integer type that
-    fits: 119,966 bytes at cutoff 40, 13,465,794 at 170. All read-only.
+    fits: 119,105 bytes at cutoff 40, 13,451,088 at 170. All read-only.
     """
 
     block_start: tuple[int, ...]  # d = 0..cutoff + 1
     state_start: tuple[int, ...]  # d = 0..cutoff + 1
     mirror: np.ndarray  # [max(p, q), min(p, q)]: its place in the lower-triangle buffer
     change: np.ndarray  # (p - q) + cutoff: half the entry's total change, offset
-    state_size: np.ndarray  # per state: the size of its sector, cutoff + 1 - d
     col: np.ndarray  # the initial state of the entry, sector d position q
 
 
@@ -296,15 +294,11 @@ def sector_index(cutoff: int) -> SectorIndex:
         state_start=state_start,
         mirror=_frozen(mirror),
         change=_frozen(change),
-        state_size=_frozen(np.repeat(
-            np.arange(side, 0, -1, dtype=np.min_scalar_type(side)), sizes
-        )),
         col=_frozen(col),
     )
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """Whole sectors of the box that a pass over a kernel buffer takes at
     once: the sectors d in sectors, their entries of a sector-major kernel
     buffer and their states of a per-state buffer."""
@@ -545,8 +539,7 @@ def squeeze_operator_oracle(
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class _RecurrenceTable:
+class _RecurrenceTable(NamedTuple):
     """The z-free inputs of the kernel build at one cutoff (_amplitudes).
 
     A row is (p, d), row p of sector d; the rows run row-major over (p, d),

@@ -220,7 +220,7 @@ def test_sector_index_tables_fit_their_budget():
     # so the indices are held in the narrowest integer types: 5 bytes per
     # kernel entry in all at cutoffs 40 and 56, where the three per-entry
     # index arrays alone would take 24 as int64
-    for cutoff, held in ((40, 119_966), (56, 318_478)):
+    for cutoff, held in ((40, 119_105), (56, 316_825)):
         ix = sector_index(cutoff)
         assert sector_index(cutoff) is ix
         tables = [
