@@ -368,15 +368,11 @@ def quantum_relative_entropy(
     ix = sector_index(cutoff)
     w = thermal.flat_weights
     sqrt_w = np.sqrt(w)
-    # tr rho log rho per sector over its states of positive weight; when
-    # every weight is positive, a sector's states are its positive ones
+    # tr rho log rho per sector over its states of positive weight
     pos = w > 0.0
-    if pos.all():
-        w_pos, pos_before = w, np.arange(len(w) + 1)
-    else:
-        w_pos = w[pos]
-        pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
+    w_pos = w[pos]
     log_w = np.log(w_pos)
+    pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
     K = 0.0
     for chunk in sector_chunks(cutoff):
         B = np.take(
@@ -390,12 +386,10 @@ def quantum_relative_entropy(
             U, sv = _graded_svd(block)
             lam = sv * sv
             keep = lam > EIGENVALUE_CLIP
-            if not keep.all():  # the kept directions, as copies
-                U, lam = U[:, keep], lam[keep]
-            if len(lam):
+            if keep.any():
                 wd = w[ix.state_start[d]:ix.state_start[d + 1]]
                 r = (U**2).T @ wd
-                rho_prime_term = float(r @ np.log(lam))
+                rho_prime_term = float(r[keep] @ np.log(lam[keep]))
             else:
                 rho_prime_term = 0.0
             K += (2 if d else 1) * (rho_term - rho_prime_term)
