@@ -1,6 +1,6 @@
 """Per-stage memory, page faults per op and the peak of a large run.
 
-    python3 scripts/stage_memory.py [--quick]
+    python3 scripts/stage_memory.py
 
 Prints one JSON object with three parts:
 
@@ -20,8 +20,8 @@ Prints one JSON object with three parts:
   N = 170 and 250, each in a fresh process, its wall time and the
   process's ``ru_maxrss``.
 
-BLAS is pinned to one thread. --quick skips N = 170 and 250. Run it from
-the checkout root; it imports the package from ``src``.
+BLAS is pinned to one thread. Run it from the checkout root; it imports
+the package from ``src``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import argparse
 import gc
 import json
 import subprocess
@@ -162,17 +161,11 @@ def large_run(cutoff: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--quick", action="store_true", help="skip N = 170 and 250")
-    args = ap.parse_args(argv)
-    points = [(40, Z_CANON, 1.0, 1e-8), (56, Z_CANON, 1.0, 1e-8)]
-    if not args.quick:
-        points.append((170, 1.0, 2.0, 1e-2))
+def main() -> int:
+    points = [(40, Z_CANON, 1.0, 1e-8), (56, Z_CANON, 1.0, 1e-8), (170, 1.0, 2.0, 1e-2)]
     report = {"stages": {str(p[0]): stages(*p) for p in points}}
     report["faults"] = faults_per_call()
-    if not args.quick:
-        report["large"] = {str(n): large_run(n) for n in (170, 250)}
+    report["large"] = {str(n): large_run(n) for n in (170, 250)}
     print(json.dumps(report, indent=1))
     return 0
 
