@@ -35,6 +35,7 @@ from .fock import (
     TransitionKernel,
     _lapack,
     chunk_keys,
+    holds_buffers,
     sector_chunks,
     sector_index,
     work_buffer,
@@ -63,6 +64,7 @@ class CrooksReport:
     floored_mass: float
 
 
+@holds_buffers("values", "keys", "mask")
 def entropy_distributions(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> tuple[EntropyDistribution, EntropyDistribution, float]:
@@ -340,6 +342,7 @@ def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, sva * (work[0] / work[1])
 
 
+@holds_buffers("values", "keys")
 def quantum_relative_entropy(
     thermal: ThermalDistribution,
     kernel: TransitionKernel,

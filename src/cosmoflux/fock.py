@@ -19,7 +19,9 @@ CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
 order; the sums that span sectors accumulate chunk after chunk in entry
 order, so no result depends on the chunking. Its temporaries are work
 buffers the thread holds across calls (work_buffer), one set per thread,
-grown to the largest chunk a call has touched. So a pass frees no
+grown to the largest chunk a call has touched; a pass declares the
+buffers it takes (holds_buffers), and a pass called inside another that
+holds one of them raises instead of writing over it. So a pass frees no
 buffer-length array, the heap does not shrink and regrow around each op,
 and a pass's transient memory does not grow with the box. The index
 tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
@@ -82,7 +84,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -336,13 +338,44 @@ def sector_chunks(cutoff: int) -> tuple[Chunk, ...]:
 
 
 class _WorkBuffers(threading.local):
-    """One thread's work buffers, by name, held across calls."""
+    """One thread's work buffers, by name, held across calls, and the names
+    the running passes hold."""
 
     def __init__(self) -> None:
         self.arrays: dict[str, np.ndarray] = {}
+        self.in_use: set[str] = set()
 
 
 _BUFFERS = _WorkBuffers()
+
+
+def holds_buffers(*names: str):
+    """Decorate a pass that takes the named work buffers for its whole call.
+
+    A pass may not call another pass that takes a buffer it holds: both
+    would write the one held array. Such a call raises RuntimeError
+    instead of aliasing, and so does a work_buffer call for a name no
+    running pass holds.
+    """
+
+    def decorate(run_pass):
+        @wraps(run_pass)
+        def held_pass(*args, **kwargs):
+            in_use = _BUFFERS.in_use
+            if not in_use.isdisjoint(names):
+                raise RuntimeError(
+                    f"{run_pass.__qualname__} takes work buffers "
+                    f"{sorted(in_use.intersection(names))} that a calling pass holds"
+                )
+            in_use.update(names)
+            try:
+                return run_pass(*args, **kwargs)
+            finally:
+                in_use.difference_update(names)
+
+        return held_pass
+
+    return decorate
 
 
 def work_buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
@@ -354,8 +387,11 @@ def work_buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
     thread holds its own set (threads share no buffer), and an array only
     grows, to the largest size a call has asked for. A returned array is a
     view of the held one, valid until the next call for that name: a pass
-    returns none of them, only what it computed from them.
+    returns none of them, only what it computed from them. The caller
+    must run inside a pass that holds name (holds_buffers).
     """
+    if name not in _BUFFERS.in_use:
+        raise RuntimeError(f"work buffer {name!r} taken outside a pass that holds it")
     held = _BUFFERS.arrays.get(name)
     if held is None or held.size < size or held.dtype != dtype:
         _BUFFERS.arrays.pop(name, None)  # dropped before its replacement is made
@@ -706,6 +742,22 @@ class TransitionKernel:
         object.__setattr__(self, "column_leakage", leakage)
 
 
+@holds_buffers("small", "tail", "coef", "work", "values", "keys")
+def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every block's amplitudes (_amplitudes), frozen, and each column's sum
+    of their squares, in row order as a block's sum over axis 0 takes it."""
+    amps = _frozen(_amplitudes(z, cutoff, False))
+    colsums = np.empty(len(state_totals(cutoff)))
+    col = sector_index(cutoff).col
+    for chunk in sector_chunks(cutoff):
+        squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
+        colsums[chunk.states] = np.bincount(
+            chunk_keys(col, chunk, chunk.states.start),
+            weights=squares, minlength=chunk.states.stop - chunk.states.start,
+        )
+    return amps, colsums
+
+
 def transition_kernel(
     z: float, spec: TruncationSpec, vacuum: bool = False
 ) -> TransitionKernel:
@@ -734,19 +786,11 @@ def transition_kernel(
     _gate_vacuum_leakage(z, spec)
     # the buffers are frozen where they are made; a view of a frozen array
     # cannot be made writeable
-    amps = _frozen(_amplitudes(z, spec.cutoff, vacuum))
-    # sums in row order, as a block's sum over axis 0 takes them
-    if vacuum:  # a sequential scan; a 1-D sum would add pairwise
+    if vacuum:  # column sums in row order by a sequential scan; a 1-D sum would add pairwise
+        amps = _frozen(_amplitudes(z, spec.cutoff, vacuum))
         colsums = np.cumsum(amps**2)[-1:]
     else:
-        colsums = np.empty(len(state_totals(spec.cutoff)))
-        col = sector_index(spec.cutoff).col
-        for chunk in sector_chunks(spec.cutoff):
-            squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
-            colsums[chunk.states] = np.bincount(
-                chunk_keys(col, chunk, chunk.states.start),
-                weights=squares, minlength=chunk.states.stop - chunk.states.start,
-            )
+        amps, colsums = _full_build(z, spec.cutoff)
     excess = float(colsums.max()) - 1.0
     if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(

@@ -34,6 +34,7 @@ from .fock import (
     TransitionKernel,
     TruncationSpec,
     chunk_keys,
+    holds_buffers,
     sector_chunks,
     sector_index,
     state_totals,
@@ -185,6 +186,7 @@ class _WorkSums(NamedTuple):
     created: float  # <total(m) - total(n)> under p(m|n) p_th(n), in-box
 
 
+@holds_buffers("values", "keys", "diffs")
 def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkSums:
     """Every kernel average of the work bookkeeping, in one pass over the
     sectors the initial state occupies.

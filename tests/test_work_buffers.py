@@ -5,8 +5,8 @@ Every pass over a kernel buffer walks it in chunks of whole sectors
 thread holds (fock.work_buffer). These tests pin what that promises: the
 chunks tile the box; a chunking moves no bit of any result, and the
 chunked passes match the per-sector loops of dense_reference; a stage's
-transient memory is bounded; threads share no buffer, and no result is a
-view of one.
+transient memory is bounded; a pass cannot take a buffer its caller
+holds; threads share no buffer, and no result is a view of one.
 """
 
 import sys
@@ -183,6 +183,26 @@ def test_no_result_is_a_view_of_a_held_buffer():
     assert len(arrays) >= 8
     for a in arrays:
         assert not any(np.shares_memory(a, h) for h in held)
+
+
+def test_a_pass_cannot_take_a_buffer_its_caller_holds():
+    spec = TruncationSpec(16, 0.5)
+    kernel = transition_kernel(Z_CANON, spec)
+    thermal = thermal_distribution(1.0, 1.0, spec)
+    expected = _work_pass(kernel, thermal)
+
+    @fock_mod.holds_buffers("values")
+    def caller():
+        fock_mod.work_buffer("values", 4)
+        return _work_pass(kernel, thermal)
+
+    with pytest.raises(RuntimeError, match=r"_work_pass takes work buffers \['values'\]"):
+        caller()
+    # the refused call gives back what its caller held
+    assert fock_mod._BUFFERS.in_use == set()
+    assert _work_pass(kernel, thermal) == expected
+    with pytest.raises(RuntimeError, match="outside a pass that holds it"):
+        fock_mod.work_buffer("values", 4)
 
 
 def test_threads_share_no_buffer():
