@@ -21,14 +21,20 @@ each side attempted and failed, and each side's line count of
 deletes code shows it. Progress goes to stderr; a run that
 fails raises RuntimeError with the last lines of its stderr. Standard
 library only; nothing under ``cosmobench/`` is written.
+
+Each run starts in a session of its own. Stopped by SIGTERM or SIGINT,
+the script ends the running run's process group (the run, its workers
+and its probes) and removes its temporary directory before it exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the benchmark run, from a checkout's root
+RUN_SCRIPT = "cosmobench/run.py"
 # stderr lines of a failed run kept in its RuntimeError
 STDERR_TAIL_LINES = 20
 
@@ -62,19 +70,33 @@ def source_lines(checkout: Path) -> int:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One cosmobench/run.py result line from checkout."""
     cmd = [
-        sys.executable, "cosmobench/run.py", "--workload", workload,
+        sys.executable, RUN_SCRIPT, "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(
-        cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    proc = subprocess.Popen(
+        cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
     )
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        # not yet reaped, so its process group is still its own
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
     if proc.returncode != 0:
-        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        tail = "\n".join(stderr.splitlines()[-STDERR_TAIL_LINES:])
         raise RuntimeError(
             f"{' '.join(cmd)} in {checkout} exited {proc.returncode}; "
             f"the last lines of its stderr:\n{tail}"
         )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _exit(signum, frame):
+    """SIGTERM as SystemExit, so that the run's process group ends and the
+    temporary directory goes, as on SIGINT."""
+    raise SystemExit(128 + signum)
 
 
 def sig(value: float) -> float:
@@ -122,6 +144,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
+    signal.signal(signal.SIGTERM, _exit)
     workloads = args.workload or names
     seeds = range(args.seed_start, args.seed_start + args.pairs)
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))

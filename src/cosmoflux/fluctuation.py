@@ -16,21 +16,29 @@ partner underflows as the relation predicts. Every check here fails closed
 on a NaN: it passes only when its residual is <= its tolerance.
 
 The quantum relative entropy is the only stage that calls LAPACK, through
-dgejsv, which loads scipy's compiled LAPACK module on its first call
-(fock._lapack), never the package scipy.linalg. A T = 0 point skips that
-stage, so a process that runs only vacuum points never loads scipy; any
-other process loads the module once, in about 16 ms, inside its first
-quantum relative entropy.
+dgejsv, which loads scipy's Cython LAPACK module and binds the routine on
+its first call (fock._lapack), never the package scipy.linalg. A T = 0
+point skips that stage, so a process that runs only vacuum points never
+loads scipy; any other process loads the module once, in about 8 ms and
+2.6 MiB, inside its first quantum relative entropy. That call also starts
+the one helper thread the package runs (_helper_jobs): the relative
+entropy decomposes about half its sector blocks there, with the GIL
+released, while its caller decomposes the rest. The helper costs a daemon
+thread, its stack and its share of the blocks in flight; it waits on its
+queue between calls, and a forked child starts its own.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import (
+    CHUNK_ENTRIES,
     Chunk,
     TransitionKernel,
     _lapack,
@@ -64,7 +72,7 @@ class CrooksReport:
     floored_mass: float
 
 
-@holds_buffers("values", "keys", "mask")
+@holds_buffers("values", "keys", "mask", "logs", "s", "checked")
 def entropy_distributions(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> tuple[EntropyDistribution, EntropyDistribution, float]:
@@ -115,19 +123,25 @@ def entropy_distributions(
         once = (cutoff + 1) ** 2 if chunk.sectors.start == 0 else 0
         J = _masses(amps, w, chunk, final=False)
         _add_bins(sums_e, J, keys, once)
-        # the microstate residual reads copies of the live entries only
-        live = np.flatnonzero(
-            np.greater(J, PROBABILITY_FLOOR, out=work_buffer("mask", chunk.size, np.bool_))
-        )
-        log_j = np.log(J[live])
+        # the microstate residual, entry by entry; the max reads the entries
+        # checked only, so the others may hold -inf or NaN
+        live = np.greater(J, PROBABILITY_FLOOR, out=work_buffer("mask", chunk.size, np.bool_))
+        with np.errstate(divide="ignore"):
+            log_j = np.log(J, out=work_buffer("logs", chunk.size))
         Q = _masses(amps, w, chunk, final=True)  # in J's buffer
         _add_bins(sums_c, Q, keys, once)
-        s_vals = s_of_key[keys[live]]
-        normal = log_j - s_vals >= LOG_TINY  # q = J e^(-s) is a normal double
-        if normal.any():
-            with np.errstate(divide="ignore"):
-                resid = log_j[normal] - np.log(Q[live][normal]) - s_vals[normal]
-            micro_dev = float(np.maximum(micro_dev, np.max(np.abs(resid))))
+        s = np.take(s_of_key, keys, out=work_buffer("s", chunk.size), mode="clip")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            resid = np.subtract(log_j, np.log(Q, out=Q), out=Q)
+            resid -= s
+            np.abs(resid, out=resid)
+            log_j -= s
+        # live, and q = J e^(-s) is a normal double
+        checked = np.greater_equal(
+            log_j, LOG_TINY, out=work_buffer("checked", chunk.size, np.bool_)
+        )
+        checked &= live
+        micro_dev = float(np.max(resid, where=checked, initial=micro_dev))
     mass_e, mass_c = _binned(sums_e), _binned(sums_c)
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
@@ -322,12 +336,44 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
     return record
 
 
-def dgejsv(a: np.ndarray, **options):
-    """LAPACK dgejsv, from scipy's compiled module loaded on the first call."""
-    return _lapack().dgejsv(a, **options)
+def dgejsv(a: np.ndarray, overwrite_a: bool = False):
+    """LAPACK dgejsv with the jobs C, U, N, R, N, P: the left singular vectors
+    and the singular values of a (rows >= columns), with no right vectors.
+
+    Returns what scipy.linalg.lapack.dgejsv(a, joba=0, jobu=0, jobv=3) does,
+    bit for bit: sva, u in Fortran order, an empty v, work[:7], iwork[:3]
+    and info, from the same workspace sizes and zeroed workspaces (a larger
+    work array, or u in C order, moves K in its last digit). a is copied
+    into Fortran order, unless overwrite_a and it is in Fortran order
+    already; then the routine overwrites it. The routine runs with the GIL
+    released (fock._lapack), and every array it reads or writes is held
+    here until it returns.
+    """
+    a = np.asfortranarray(a, np.float64) if overwrite_a else np.array(a, np.float64, order="F")
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ValueError(f"dgejsv takes a matrix with rows >= columns, got shape {a.shape}")
+    m, n = a.shape
+    lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
+    # u, sva, work and v in one zeroed buffer, each starting 16-byte aligned
+    u_end = m * n + m * n % 2
+    sva_end = u_end + n + n % 2
+    out = np.zeros(sva_end + lwork + 1)
+    # m, n, lda, ldu, ldv, lwork, info, then the integer workspace
+    ints = np.zeros(7 + max(3, m + 3 * n), np.intc)
+    ints[:6] = m, n, m, m, 1, lwork
+    p, o = ints.ctypes.data, out.ctypes.data
+    i, f = ints.itemsize, out.itemsize
+    _lapack().dgejsv(
+        b"C", b"U", b"N", b"R", b"N", b"P", p, p + i, a.ctypes.data, p + 2 * i,
+        o + u_end * f, o, p + 3 * i, o + (sva_end + lwork) * f, p + 4 * i,
+        o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i,
+    )
+    u = out[:m * n].reshape((m, n), order="F")
+    sva, work = out[u_end:u_end + n], out[sva_end:sva_end + 7]
+    return sva, u, np.empty((0, 0)), work, ints[7:10], int(ints[6])
 
 
-def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _graded_svd(B: np.ndarray, overwrite_b: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of B (rows >= columns).
 
     LAPACK dgejsv is the preconditioned one-sided Jacobi SVD of Drmac and
@@ -335,11 +381,73 @@ def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     accuracy on column-graded matrices, whose small singular values a
     bidiagonalizing SVD loses. dgejsv may return the singular values in
     the factored form (work[0] / work[1]) * sva, which is undone here.
+    With overwrite_b, a Fortran-ordered B is overwritten.
     """
-    sva, U, _v, work, _iwork, info = dgejsv(B, joba=0, jobu=0, jobv=3)
+    sva, U, _v, work, _iwork, info = dgejsv(B, overwrite_a=overwrite_b)
     if info != 0:
         raise NumericError(f"dgejsv failed with info = {info}")
     return U, sva * (work[0] / work[1])
+
+
+def _rho_prime_term(B: np.ndarray, wd: np.ndarray) -> float:
+    """One sector's sum over the kept eigendirections of rho' = B B^T of
+    <rho> log lam, from the Jacobi SVD of B, a Fortran-ordered copy that it
+    overwrites; wd is the sector's weights, the diagonal of rho."""
+    U, sv = _graded_svd(B, overwrite_b=True)
+    lam = sv * sv
+    keep = lam > EIGENVALUE_CLIP
+    if not keep.any():
+        return 0.0
+    r = (U**2).T @ wd
+    return float(r[keep] @ np.log(lam[keep]))
+
+
+def _run_job(d: int, B: np.ndarray, wd: np.ndarray, results) -> None:
+    """One sector's _rho_prime_term, or the exception it raised, put on the
+    caller's results queue with d."""
+    try:
+        term = _rho_prime_term(B, wd)
+    except BaseException as exc:  # raised again on the caller's thread
+        term = exc
+    results.put((d, term))
+
+
+def _serve(jobs) -> None:
+    """The helper thread: run each job of the queue, in order, for ever."""
+    while True:
+        _run_job(*jobs.get())  # a job and its arrays are dropped once it is done
+
+
+_helper_lock = threading.Lock()
+_helper_queue = None
+
+
+def _helper_jobs():
+    """The job queue of this process's helper thread, started on the first
+    call: one daemon thread, fed by a queue.SimpleQueue, that every thread's
+    relative entropy shares."""
+    global _helper_queue
+    with _helper_lock:
+        if _helper_queue is None:
+            import queue
+
+            jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(jobs,), name="cosmoflux-dgejsv", daemon=True
+            ).start()
+            _helper_queue = jobs
+        return _helper_queue
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no helper thread: the next relative
+    entropy starts its own."""
+    global _helper_lock, _helper_queue
+    _helper_lock, _helper_queue = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 @holds_buffers("values", "keys")
@@ -356,46 +464,76 @@ def quantum_relative_entropy(
     block-diagonalizes per difference sector as B B^T with B the amplitude
     block times sqrt of the sector weights; log rho is formed once, B chunk
     by chunk in a held work buffer, and the eigenpairs of each block come
-    from the one-sided Jacobi SVD of its B (LAPACK dgejsv).
+    from the one-sided Jacobi SVD of its B (LAPACK dgejsv, _rho_prime_term).
     Eigendirections below the clip are excluded from the trace (their
     rho-weight is bounded by the leaked mass). When a work report is
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
     truncation bound at inadequate cutoffs.
+
+    The SVDs run on two threads. Each block of a chunk is copied into
+    Fortran order on this thread, the copy dgejsv would make. The helper
+    thread (_helper_jobs) takes the sectors d = 0, 2, 4, ..., sent before
+    this thread decomposes the odd ones: the blocks shrink with d, so the
+    helper's n^3 share is a little over half (52 % at N = 40), which
+    offsets the B formation and copies made here. Its copies in flight stay
+    within CHUNK_ENTRIES entries, or two blocks where blocks are larger, so
+    that one waits while it decomposes the other: before it sends more,
+    this thread takes back the oldest result. dgejsv runs with the GIL
+    released, so both run at once, and K adds the sectors' terms up in
+    sector order once all are back: the same bits whichever thread took a
+    block. An exception on the helper is raised here.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
     _require_pairing(kernel, thermal)
+    import queue
+
     cutoff = thermal.spec.cutoff
     ix = sector_index(cutoff)
     w = thermal.flat_weights
     sqrt_w = np.sqrt(w)
-    # tr rho log rho per sector over its states of positive weight
-    pos = w > 0.0
-    w_pos = w[pos]
-    log_w = np.log(w_pos)
-    pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
-    K = 0.0
+    _lapack()  # loaded on this thread, before the helper takes a block
+    jobs, results = _helper_jobs(), queue.SimpleQueue()
+    rho_prime_terms = [0.0] * (cutoff + 1)
+    sent = in_flight = 0  # blocks and entries on the helper
+
+    def take_back() -> None:
+        nonlocal sent, in_flight
+        d, term = results.get()
+        if isinstance(term, BaseException):
+            raise term
+        rho_prime_terms[d] = term
+        sent, in_flight = sent - 1, in_flight - (cutoff + 1 - d) ** 2
+
     for chunk in sector_chunks(cutoff):
         B = np.take(
             sqrt_w[chunk.states], chunk_keys(ix.col, chunk, chunk.states.start),
             out=work_buffer("values", chunk.size), mode="clip",
         )
         B *= kernel.flat_amplitudes[chunk.entries]
-        for d, block in zip(chunk.sectors, chunk.views(B, True)):
-            a, b = pos_before[ix.state_start[d]], pos_before[ix.state_start[d + 1]]
-            rho_term = float(w_pos[a:b] @ log_w[a:b]) if b > a else 0.0
-            U, sv = _graded_svd(block)
-            lam = sv * sv
-            keep = lam > EIGENVALUE_CLIP
-            if keep.any():
-                wd = w[ix.state_start[d]:ix.state_start[d + 1]]
-                r = (U**2).T @ wd
-                rho_prime_term = float(r[keep] @ np.log(lam[keep]))
-            else:
-                rho_prime_term = 0.0
-            K += (2 if d else 1) * (rho_term - rho_prime_term)
+        blocks = list(zip(chunk.sectors, chunk.views(B, True), chunk.views(w[chunk.states], False)))
+        first_odd = 1 - chunk.sectors.start % 2
+        for d, block, wd in blocks[1 - first_odd::2]:  # the helper's, sent first
+            while sent > 1 and in_flight + block.size > CHUNK_ENTRIES:
+                take_back()
+            jobs.put((d, np.array(block, order="F"), wd, results))
+            sent, in_flight = sent + 1, in_flight + block.size
+        for d, block, wd in blocks[first_odd::2]:
+            rho_prime_terms[d] = _rho_prime_term(np.array(block, order="F"), wd)
+    while sent:
+        take_back()
+    # tr rho log rho per sector over its states of positive weight
+    pos = w > 0.0
+    w_pos = w[pos]
+    log_w = np.log(w_pos)
+    pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
+    K = 0.0
+    for d, rho_prime_term in enumerate(rho_prime_terms):
+        a, b = pos_before[ix.state_start[d]], pos_before[ix.state_start[d + 1]]
+        rho_term = float(w_pos[a:b] @ log_w[a:b]) if b > a else 0.0
+        K += (2 if d else 1) * (rho_term - rho_prime_term)
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))
         tolerance = max(1e-5 * scale, work.truncation_bound + FLOAT_SLACK * scale)

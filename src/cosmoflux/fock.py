@@ -65,10 +65,16 @@ Two independent evaluation routes are provided:
   of them, and 13,568,720 bytes (12.9 MiB) after the oracle at N = 170.
   sector_spectral and squeeze_operator_oracle take one z or a 1-D array
   of z; an array gives every block a leading z axis. The decomposition is
-  this module's only LAPACK call, made through dstevd, which loads scipy's
-  compiled LAPACK module on its first call (_lapack) and never the package
-  scipy.linalg: importing cosmoflux, or running a point that never reaches
-  the oracle, does not load scipy.
+  this module's only LAPACK call, made through dstevd.
+
+The package calls two LAPACK routines, dstevd here and dgejsv in
+fluctuation, and calls them one way: through the function pointers that
+scipy's Cython module scipy.linalg.cython_lapack exports, bound with ctypes
+on the first call (_lapack), which loads that module from its file and
+never the package scipy.linalg. Importing cosmoflux, or running a point
+that never reaches LAPACK, does not load scipy, and imports no ctypes of
+its own. ctypes releases the GIL for the call, so that the relative
+entropy runs dgejsv on two threads at once.
 
 Both routes raise ValueError for a negative or non-finite z, and
 sector_spectral also for a sector label or size that is not an integer;
@@ -85,7 +91,8 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cache, wraps
-from typing import NamedTuple
+from types import ModuleType
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -422,45 +429,127 @@ def _squeeze_values(z: ArrayLike) -> np.ndarray:
     return zs
 
 
+class _Lapack(NamedTuple):
+    """scipy's Cython LAPACK module and the two routines this package calls,
+    bound with ctypes to the function pointers the module exports."""
+
+    module: ModuleType
+    dgejsv: Callable
+    dstevd: Callable
+
+
+# (name, parameter count) of each routine bound: every parameter is a pointer
+_ROUTINES = (("dgejsv", 19), ("dstevd", 11))
+_LAPACK_LOCK = threading.Lock()
+
+
+def _lapack() -> _Lapack:
+    """scipy's LAPACK routines, loaded on the first call (_load_lapack).
+
+    The lock makes a second thread wait for the first thread's load: a
+    Cython module enters itself in sys.modules before its exports are set,
+    so a concurrent load could find it there half made.
+    """
+    with _LAPACK_LOCK:
+        return _load_lapack()
+
+
 @cache
-def _lapack():
-    """scipy's compiled LAPACK module scipy.linalg._flapack, loaded on first use.
+def _load_lapack() -> _Lapack:
+    """Load scipy.linalg.cython_lapack and bind dgejsv and dstevd.
 
     Importing the package scipy.linalg costs about 0.2 s and 26 MiB of
-    modules this package never calls. The two routines it calls, dstevd
-    here and dgejsv in fluctuation, live in the f2py extension _flapack,
-    so only the top-level scipy package is imported (about 12 ms and
-    1.3 MiB; it sets up the paths of scipy's bundled libraries) and the
-    extension is loaded from its file in scipy/linalg/, which skips
-    scipy/linalg/__init__.py. The module is entered in sys.modules under
-    its own name, so a later import of scipy.linalg uses it, and a process
-    that has imported scipy.linalg already uses that module as it is. A
-    scipy with no such file raises ImportError.
+    modules this package never calls. The Cython module cython_lapack
+    exports every LAPACK routine as a function pointer in its __pyx_capi__
+    capsules, so only the top-level scipy package is imported (it sets up
+    the paths of scipy's bundled libraries) and the module is loaded from
+    its file in scipy/linalg/, skipping scipy/linalg/__init__.py. If
+    scipy.linalg is imported already, it has imported the module, which is
+    used as it is (or, were it not, the module is entered and bound on
+    it). If not, the loaded module is taken back out of sys.modules,
+    which it enters itself: the import system never binds a submodule
+    cached ahead of its package on that package, whereas a later import
+    of scipy.linalg that loads it anew gets this same module object back
+    from Cython and binds it. A scipy with no such module file raises
+    ImportError, and so does a capsule whose signature does not take the
+    parameters bound.
+
+    ctypes calls a bound routine with the GIL released, so two threads run
+    LAPACK at once (fluctuation.quantum_relative_entropy); f2py's wrappers
+    in scipy.linalg._flapack hold it.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+    import ctypes
+
     import scipy
 
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    finder = importlib.machinery.FileFinder(
-        directory,
-        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-    )
-    spec = finder.find_spec(name)
-    if spec is None:
-        raise ImportError(
-            f"no compiled LAPACK module _flapack in {directory} (scipy {scipy.__version__})"
+    name = "scipy.linalg.cython_lapack"
+    module = sys.modules.get(name)
+    if module is None:
+        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        finder = importlib.machinery.FileFinder(
+            directory,
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
         )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(
+                f"no compiled LAPACK module cython_lapack in {directory} "
+                f"(scipy {scipy.__version__})"
+            )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parent = sys.modules.get("scipy.linalg")
+        if parent is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = module
+            parent.cython_lapack = module
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    routines = {}
+    for routine, count in _ROUTINES:
+        capsule = module.__pyx_capi__[routine]
+        signature = capsule_name(capsule)
+        if signature.count(b"*") != count:
+            raise ImportError(f"{name}.{routine} has the signature {signature.decode()}")
+        routines[routine] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(
+            capsule_pointer(capsule, signature)
+        )
+    return _Lapack(module, **routines)
 
 
 def dstevd(diagonal: np.ndarray, off_diagonal: np.ndarray):
-    """LAPACK dstevd: eigenpairs of a symmetric tridiagonal matrix."""
-    return _lapack().dstevd(diagonal, off_diagonal)
+    """LAPACK dstevd: eigenpairs of a symmetric tridiagonal matrix.
+
+    Returns what scipy.linalg.lapack.dstevd(diagonal, off_diagonal) does,
+    bit for bit: the eigenvalues, the eigenvectors in Fortran order and
+    info, from the same job and workspace sizes and zeroed workspaces.
+    """
+    vals = np.array(diagonal, dtype=np.float64)  # overwritten by the eigenvalues
+    n = len(vals)
+    if vals.ndim != 1 or len(off_diagonal) < n - 1:
+        raise ValueError(
+            f"dstevd takes n diagonal and n - 1 off-diagonal entries, got "
+            f"{vals.shape} and {len(off_diagonal)}"
+        )
+    e = np.zeros(max(n - 1, 1))  # destroyed
+    e[:n - 1] = off_diagonal[:n - 1]
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    z = np.zeros((n, n), order="F")
+    work = np.zeros(lwork)
+    # n, ldz, lwork, liwork, info, then the integer workspace
+    ints = np.zeros(5 + liwork, np.intc)
+    ints[:4] = n, n, lwork, liwork
+    p, i = ints.ctypes.data, ints.itemsize
+    _lapack().dstevd(
+        b"V", p, vals.ctypes.data, e.ctypes.data, z.ctypes.data, p + i,
+        work.ctypes.data, p + 2 * i, p + 5 * i, p + 3 * i, p + 4 * i,
+    )
+    return vals, z, int(ints[4])
 
 
 def _check_sector(d: int, size: int) -> None:

@@ -120,6 +120,14 @@ def _log_sinh(x: float) -> float:
     return x - np.log(2.0) + np.log1p(-e)
 
 
+# Where a or b - a lies below CANCELLING (and both below 64), the form
+# y = (b - a) + g(b) - g(a) of squeeze_from_cosmology loses digits: g(a) is
+# about log a, and y a small difference of such logs; and where y lies
+# below it, exp(-y) keeps too few of y's digits for arctanh.
+CANCELLING = 1.0 / 64.0
+EXP_CANCELLING = math.exp(-CANCELLING)
+
+
 def squeeze_from_cosmology(
     omega_in: float, omega_out: float, sigma: float
 ) -> float:
@@ -129,9 +137,14 @@ def squeeze_from_cosmology(
     numbers, so y is taken as b - a = pi w_in / sigma plus g(b) - g(a),
     with g(x) = log sinh x - x near -log 2. Small sigma (huge sinh
     arguments) then underflows gracefully to z = 0, and large epsilon keeps
-    z finite. log y comes from y = (b - a) coth(x) for some x in [a, b],
-    exact to first order in b - a; _artanh_exp reads it only where y
-    rounds to 0 or below.
+    z finite. Where a or b - a is small (below CANCELLING) and neither is
+    large, that sum cancels instead, so y is
+    log1p(2 cosh((a + b)/2) sinh((b - a)/2) / sinh a), the ratio's excess
+    sinh b - sinh a over sinh a, with (a + b)/2 and (b - a)/2 formed from
+    w_out and w_in: each factor keeps its relative accuracy, and no factor
+    overflows below 64. log y comes from y = (b - a) coth(x) for some x in
+    [a, b], exact to first order in b - a; _artanh_exp reads it only where
+    y rounds to 0 or below.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -141,7 +154,12 @@ def squeeze_from_cosmology(
         return 0.0
     a = np.pi * (omega_out - omega_in) / (2.0 * sigma)
     b = np.pi * (omega_out + omega_in) / (2.0 * sigma)
-    y = np.pi * omega_in / sigma + ((_log_sinh(b) - b) - (_log_sinh(a) - a))
+    half_gap = np.pi * omega_in / (2.0 * sigma)  # (b - a) / 2
+    if (a < CANCELLING or half_gap < CANCELLING) and 0.0 < a < 64.0 and half_gap < 64.0:
+        mean = np.pi * omega_out / (2.0 * sigma)  # (a + b) / 2
+        y = np.log1p(2.0 * np.cosh(mean) * np.sinh(half_gap) / np.sinh(a))
+    else:
+        y = np.pi * omega_in / sigma + ((_log_sinh(b) - b) - (_log_sinh(a) - a))
     log_y = np.log(np.pi) + np.log(omega_in) - np.log(sigma) - np.log(np.tanh(a))
     return _artanh_exp(y, log_y)
 
@@ -149,15 +167,17 @@ def squeeze_from_cosmology(
 def _artanh_exp(y: float, log_y: float) -> float:
     """z with tanh z = exp(-y) for y > 0, given y and log y.
 
-    Where exp(-y) rounds to 1, arctanh would divide by zero; z is then
-    -log(tanh(y/2))/2, about 19 at y = 1e-17, and the vacuum gate rejects
-    it. Where even tanh(y/2) = y/2 underflows to 0, z = (log 2 - log y)/2
-    from the log y that the caller forms without underflow, so z stays
-    finite (about 460 at y = 1e-400). Elsewhere arctanh is kept, since the
-    log-tanh form loses the tail: -0.0 against 1.9e-22 at y = 50.
+    Below CANCELLING, exp(-y) keeps too few of y's digits (it rounds to 1
+    below about 1e-16, where arctanh would divide by zero), so z is taken
+    as -log(tanh(y/2))/2, about 19 at y = 1e-17, and the vacuum gate
+    rejects it. Where even tanh(y/2) = y/2 underflows to 0, z =
+    (log 2 - log y)/2 from the log y that the caller forms without
+    underflow, so z stays finite (about 460 at y = 1e-400). Elsewhere
+    arctanh is kept, since the log-tanh form loses the tail: -0.0 against
+    1.9e-22 at y = 50.
     """
     t = np.exp(-y)
-    if t < 1.0:
+    if t < EXP_CANCELLING:  # y > CANCELLING
         return float(np.arctanh(t))
     tanh_half = np.tanh(0.5 * y)
     if tanh_half > 0.0:

@@ -111,7 +111,10 @@ def test_verify_output_is_byte_identical():
     # refrozen when the work pass became one flat pass, which moved the
     # entropy-friction creation residual and adiabatic-consistency's
     # |<W> - W_ad| to 4.441e-16, and when the kl-identity line began to
-    # print the gap it judges and the left-out mass
+    # print the gap it judges and the left-out mass; refrozen when the
+    # squeeze map stopped cancelling at small a and b, which moved the
+    # sudden-limit deviation at sigma = 1e6 from 4.492e-12 to 7.983e-13
+    # (mpmath: 7.9825e-13)
     proc = subprocess.run(
         [sys.executable, "-m", "cosmoflux", "verify"],
         capture_output=True, env=CHILD_ENV, timeout=120,

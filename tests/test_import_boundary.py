@@ -1,12 +1,12 @@
-"""Which entry points load scipy.linalg, and which load its LAPACK module.
+"""Which entry points load scipy.linalg, and which load LAPACK.
 
 Importing the package scipy.linalg costs about 0.2 s and 27 MiB, and the
-package calls only two LAPACK routines, which live in scipy's compiled
-module scipy.linalg._flapack. fock._lapack loads that module from its file
-without running scipy/linalg/__init__.py, so no step here, a T > 0 run and
-verify included, may load scipy.linalg; the T > 0 run must have loaded
-_flapack. This test process has imported scipy already, so the steps run
-in one fresh child that reports after each.
+package calls only two LAPACK routines, which it binds with ctypes from
+scipy's compiled module scipy.linalg.cython_lapack. fock._lapack loads
+that module from its file without running scipy/linalg/__init__.py, so no
+step here, a T > 0 run and verify included, may load scipy.linalg; the
+T > 0 run must have loaded LAPACK. This test process has imported scipy
+already, so the steps run in one fresh child that reports after each.
 """
 
 import json
@@ -22,9 +22,10 @@ import contextlib, io, json, sys
 loaded = {}
 
 def mark(step):
-    loaded[step] = [name in sys.modules for name in ("scipy.linalg", "scipy.linalg._flapack")]
+    loaded[step] = ["scipy.linalg" in sys.modules, fock._load_lapack.cache_info().currsize == 1]
 
 import cosmoflux, cosmoflux.cli
+from cosmoflux import fock
 from cosmoflux import RunConfig, SweepConfig, run_simulation, run_sweep
 mark("import")
 
@@ -68,7 +69,7 @@ def test_no_step_loads_scipy_linalg():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    # [scipy.linalg loaded, scipy.linalg._flapack loaded] after each step
+    # [scipy.linalg loaded, LAPACK loaded] after each step
     assert loaded == {
         "import": [False, False],
         "from_mapping": [False, False],
@@ -81,9 +82,10 @@ def test_no_step_loads_scipy_linalg():
     }
 
 
-# fock._lapack assumes scipy's private layout: the f2py module _flapack in
-# scipy/linalg/. Whichever of it and scipy.linalg loads the module first,
-# the other must find the same module, and the package's routines must give
+# fock._lapack assumes scipy's private layout: the Cython module
+# cython_lapack in scipy/linalg/. Whichever of it and scipy.linalg loads the
+# module first, the other must find the same module, bound on scipy.linalg
+# as its attribute, and the package's routines must give
 # scipy.linalg.lapack's bits on a column-graded matrix and a tridiagonal.
 CROSS_LOAD = r"""
 import json, sys
@@ -110,14 +112,13 @@ B = np.random.default_rng(5).standard_normal((14, 8)) * np.logspace(0, -14, 8)
 diagonal = np.arange(1.0, 10.0)
 off_diagonal = np.sqrt(np.arange(1.0, 9.0))
 pairs = [
-    (fluctuation.dgejsv(B, joba=0, jobu=0, jobv=3),
-     scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)),
+    (fluctuation.dgejsv(B), scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)),
     (fock.dstevd(diagonal, off_diagonal),
      scipy.linalg.lapack.dstevd(diagonal, off_diagonal)),
 ]
 print(json.dumps({
-    "same module": fock._lapack() is sys.modules["scipy.linalg._flapack"]
-    is scipy.linalg.lapack._flapack,
+    "same module": fock._lapack().module is sys.modules["scipy.linalg.cython_lapack"]
+    is scipy.linalg.cython_lapack,
     "same bits": [
         [np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, theirs)]
         for ours, theirs in pairs
@@ -143,9 +144,9 @@ def test_a_scipy_without_flapack_is_an_import_error(tmp_path, monkeypatch):
 
     from cosmoflux import fock
 
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
     with pytest.raises(ImportError) as exc:
-        fock._lapack.__wrapped__()
+        fock._load_lapack.__wrapped__()
     assert str(tmp_path / "linalg") in str(exc.value)
     assert scipy.__version__ in str(exc.value)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +98,38 @@ def test_large_epsilon_squeeze_stays_accurate(epsilon):
     p = CosmologyParams(epsilon=epsilon, sigma=1e3, mass=1.0, momentum=0.0)
     z = channel_from_cosmology(p).z
     assert z == pytest.approx(np.arctanh(np.exp(-np.pi / 1e3)), rel=1e-14)
+
+
+def _mpmath_squeeze(w_in, w_out, sigma):
+    with mpmath.workdps(60):
+        w_in, w_out, sigma = map(mpmath.mpf, (w_in, w_out, sigma))
+        a = mpmath.pi * (w_out - w_in) / (2 * sigma)
+        b = mpmath.pi * (w_out + w_in) / (2 * sigma)
+        return mpmath.atanh(mpmath.sinh(a) / mpmath.sinh(b))
+
+
+@pytest.mark.parametrize("momentum", [0.0, 1.0])
+def test_squeeze_matches_mpmath_on_a_log_grid(momentum):
+    # m = 1, epsilon and sigma from 1e-2 to 1e30 by half decades; where a
+    # and b are small and nearly equal, log sinh b - log sinh a cancelled
+    # (z = 34.31 for 17.4427 at k = 0, epsilon = sigma = 1e30). The
+    # reference reads the float frequencies the map is given. Points with z
+    # below 1e-100 (y above 230) are left out: the rounding of pi w / sigma
+    # alone moves y by y eps there, and z = e^(-y) by as much relative
+    grid = 10.0 ** np.arange(-2.0, 30.25, 0.5)
+    worst, checked = 0.0, 0
+    for epsilon in grid:
+        for sigma in grid:
+            p = CosmologyParams(epsilon=epsilon, sigma=sigma, mass=1.0, momentum=momentum)
+            w_in, w_out = asymptotic_frequencies(p)
+            exact = _mpmath_squeeze(w_in, w_out, sigma)
+            if exact < 1e-100:
+                continue
+            z = squeeze_from_cosmology(w_in, w_out, sigma)
+            worst = max(worst, float(abs(z - exact) / exact))
+            checked += 1
+    assert checked > 2000
+    assert worst <= 1e-12
 
 
 def test_unruh_reference_value():
