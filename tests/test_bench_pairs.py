@@ -25,7 +25,7 @@ with open(os.environ["STUB_PIDS"], "w") as fh:
 time.sleep(600)
 """
 
-DRIVER = r"""
+LAUNCHER = r"""
 import sys
 sys.path.insert(0, sys.argv[1])
 import bench_pairs
@@ -69,7 +69,7 @@ def test_sigterm_ends_the_run_and_removes_the_export(tmp_path):
     tmpdir.mkdir()
     env = {**os.environ, "TMPDIR": str(tmpdir), "STUB_PIDS": str(pids_file)}
     proc = subprocess.Popen(
-        [sys.executable, "-c", DRIVER, str(ROOT / "scripts"), str(stub), str(tmp_path / "out")],
+        [sys.executable, "-c", LAUNCHER, str(ROOT / "scripts"), str(stub), str(tmp_path / "out")],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     pids = []
