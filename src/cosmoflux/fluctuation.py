@@ -15,17 +15,14 @@ Crooks and KL checks pair the same lattice points, leaving out those whose
 partner underflows as the relation predicts. Every check here fails closed
 on a NaN: it passes only when its residual is <= its tolerance.
 
-The quantum relative entropy is the only stage that calls LAPACK, through
-dgejsv, which loads scipy's Cython LAPACK module and binds the routine on
-its first call (fock._lapack), never the package scipy.linalg. A T = 0
-point skips that stage, so a process that runs only vacuum points never
-loads scipy; any other process loads the module once, in about 8 ms and
-2.6 MiB, inside its first quantum relative entropy. That call also starts
-the one helper thread the package runs (_helper_jobs): the relative
-entropy decomposes about half its sector blocks there, with the GIL
-released, while its caller decomposes the rest. The helper costs a daemon
-thread, its stack and its share of the blocks in flight; it waits on its
-queue between calls, and a forked child starts its own.
+The quantum relative entropy is the only stage that calls LAPACK: dgejsv,
+bound on its first call by fock._lapack, which never loads the package
+scipy.linalg. A process that runs only T = 0 points never loads scipy;
+any other loads its LAPACK module once, in about 8 ms and 2.6 MiB. Where
+the process may use two CPUs, that first call also starts the package's
+one helper thread (_helper_jobs), which decomposes about half the sector
+blocks with the GIL released. It costs a daemon thread and its blocks in
+flight, and a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -336,20 +333,20 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
     return record
 
 
-def dgejsv(a: np.ndarray, overwrite_a: bool = False):
+def dgejsv(a: np.ndarray):
     """LAPACK dgejsv with the jobs C, U, N, R, N, P: the left singular vectors
     and the singular values of a (rows >= columns), with no right vectors.
 
     Returns what scipy.linalg.lapack.dgejsv(a, joba=0, jobu=0, jobv=3) does,
     bit for bit: sva, u in Fortran order, an empty v, work[:7], iwork[:3]
     and info, from the same workspace sizes and zeroed workspaces (a larger
-    work array, or u in C order, moves K in its last digit). a is copied
-    into Fortran order, unless overwrite_a and it is in Fortran order
-    already; then the routine overwrites it. The routine runs with the GIL
-    released (fock._lapack), and every array it reads or writes is held
-    here until it returns.
+    work array, or u in C order, moves K in its last digit). The routine
+    overwrites a when a is a Fortran-ordered float64 array (a single
+    column is one), else a Fortran copy of it; a read-only one raises. It
+    runs with the GIL released (fock._lapack), and every array it reads or
+    writes is held here until it returns.
     """
-    a = np.asfortranarray(a, np.float64) if overwrite_a else np.array(a, np.float64, order="F")
+    a = np.asfortranarray(a, np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ValueError(f"dgejsv takes a matrix with rows >= columns, got shape {a.shape}")
     m, n = a.shape
@@ -361,10 +358,11 @@ def dgejsv(a: np.ndarray, overwrite_a: bool = False):
     # m, n, lda, ldu, ldv, lwork, info, then the integer workspace
     ints = np.zeros(7 + max(3, m + 3 * n), np.intc)
     ints[:6] = m, n, m, m, 1, lwork
-    p, o = ints.ctypes.data, out.ctypes.data
+    lapack = _lapack()
+    p, o = lapack.address(ints), lapack.address(out)
     i, f = ints.itemsize, out.itemsize
-    _lapack().dgejsv(
-        b"C", b"U", b"N", b"R", b"N", b"P", p, p + i, a.ctypes.data, p + 2 * i,
+    lapack.dgejsv(
+        b"C", b"U", b"N", b"R", b"N", b"P", p, p + i, lapack.address(a.T), p + 2 * i,
         o + u_end * f, o, p + 3 * i, o + (sva_end + lwork) * f, p + 4 * i,
         o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i,
     )
@@ -373,7 +371,7 @@ def dgejsv(a: np.ndarray, overwrite_a: bool = False):
     return sva, u, np.empty((0, 0)), work, ints[7:10], int(ints[6])
 
 
-def _graded_svd(B: np.ndarray, overwrite_b: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of B (rows >= columns).
 
     LAPACK dgejsv is the preconditioned one-sided Jacobi SVD of Drmac and
@@ -381,9 +379,8 @@ def _graded_svd(B: np.ndarray, overwrite_b: bool = False) -> tuple[np.ndarray, n
     accuracy on column-graded matrices, whose small singular values a
     bidiagonalizing SVD loses. dgejsv may return the singular values in
     the factored form (work[0] / work[1]) * sva, which is undone here.
-    With overwrite_b, a Fortran-ordered B is overwritten.
     """
-    sva, U, _v, work, _iwork, info = dgejsv(B, overwrite_a=overwrite_b)
+    sva, U, _v, work, _iwork, info = dgejsv(B)
     if info != 0:
         raise NumericError(f"dgejsv failed with info = {info}")
     return U, sva * (work[0] / work[1])
@@ -391,9 +388,9 @@ def _graded_svd(B: np.ndarray, overwrite_b: bool = False) -> tuple[np.ndarray, n
 
 def _rho_prime_term(B: np.ndarray, wd: np.ndarray) -> float:
     """One sector's sum over the kept eigendirections of rho' = B B^T of
-    <rho> log lam, from the Jacobi SVD of B, a Fortran-ordered copy that it
-    overwrites; wd is the sector's weights, the diagonal of rho."""
-    U, sv = _graded_svd(B, overwrite_b=True)
+    <rho> log lam, from the Jacobi SVD of B (dgejsv overwrites a B in
+    Fortran order); wd is the sector's weights, the diagonal of rho."""
+    U, sv = _graded_svd(B)
     lam = sv * sv
     keep = lam > EIGENVALUE_CLIP
     if not keep.any():
@@ -418,16 +415,27 @@ def _serve(jobs) -> None:
         _run_job(*jobs.get())  # a job and its arrays are dropped once it is done
 
 
-_helper_lock = threading.Lock()
+_HELPER_LOCK = threading.Lock()
 _helper_queue = None
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _helper_jobs():
-    """The job queue of this process's helper thread, started on the first
-    call: one daemon thread, fed by a queue.SimpleQueue, that every thread's
-    relative entropy shares."""
+    """The job queue of the helper thread that every thread's relative
+    entropy shares, started on the first call; None while the process may
+    run on one CPU only, where the helper gains no time and its hand-offs
+    cost 6 % of a canonical run_simulation. queue is imported under the
+    lock a fork waits for (below), so no child inherits it half imported."""
     global _helper_queue
-    with _helper_lock:
+    if _cpus() < 2:
+        return None
+    with _HELPER_LOCK:
         if _helper_queue is None:
             import queue
 
@@ -442,12 +450,17 @@ def _helper_jobs():
 def _forget_helper() -> None:
     """In a forked child, which has no helper thread: the next relative
     entropy starts its own."""
-    global _helper_lock, _helper_queue
-    _helper_lock, _helper_queue = threading.Lock(), None
+    global _helper_queue
+    _helper_queue = None
+    _HELPER_LOCK.release()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    os.register_at_fork(
+        before=_HELPER_LOCK.acquire,
+        after_in_parent=_HELPER_LOCK.release,
+        after_in_child=_forget_helper,
+    )
 
 
 @holds_buffers("values", "keys")
@@ -470,32 +483,33 @@ def quantum_relative_entropy(
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
     truncation bound at inadequate cutoffs.
 
-    The SVDs run on two threads. Each block of a chunk is copied into
-    Fortran order on this thread, the copy dgejsv would make. The helper
-    thread (_helper_jobs) takes the sectors d = 0, 2, 4, ..., sent before
-    this thread decomposes the odd ones: the blocks shrink with d, so the
-    helper's n^3 share is a little over half (52 % at N = 40), which
-    offsets the B formation and copies made here. Its copies in flight stay
-    within CHUNK_ENTRIES entries, or two blocks where blocks are larger, so
-    that one waits while it decomposes the other: before it sends more,
-    this thread takes back the oldest result. dgejsv runs with the GIL
-    released, so both run at once, and K adds the sectors' terms up in
-    sector order once all are back: the same bits whichever thread took a
-    block. An exception on the helper is raised here.
+    The SVDs run on two threads where the process may use two CPUs: the
+    helper thread (_helper_jobs) takes the sectors d = 0, 2, 4, ..., whose
+    blocks shrink with d, so its n^3 share (52 % at N = 40) offsets the B
+    formation done here. Each of its blocks is copied into Fortran order
+    here, the copy dgejsv would make, and sent before this thread
+    decomposes the odd ones. Its copies in flight stay within
+    CHUNK_ENTRIES entries, or two blocks where blocks are larger: before it
+    sends more, this thread takes back the oldest result. K adds the
+    sectors' terms up in sector order once all are back, so its bits do not
+    depend on which thread took a block. An exception on the helper is
+    raised here.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
     _require_pairing(kernel, thermal)
-    import queue
-
     cutoff = thermal.spec.cutoff
     ix = sector_index(cutoff)
     w = thermal.flat_weights
     sqrt_w = np.sqrt(w)
     _lapack()  # loaded on this thread, before the helper takes a block
-    jobs, results = _helper_jobs(), queue.SimpleQueue()
+    jobs = _helper_jobs()
+    if jobs is not None:
+        import queue  # imported by _helper_jobs
+
+        results = queue.SimpleQueue()
     rho_prime_terms = [0.0] * (cutoff + 1)
     sent = in_flight = 0  # blocks and entries on the helper
 
@@ -515,13 +529,14 @@ def quantum_relative_entropy(
         B *= kernel.flat_amplitudes[chunk.entries]
         blocks = list(zip(chunk.sectors, chunk.views(B, True), chunk.views(w[chunk.states], False)))
         first_odd = 1 - chunk.sectors.start % 2
-        for d, block, wd in blocks[1 - first_odd::2]:  # the helper's, sent first
+        helpers, own = (blocks[1 - first_odd::2], blocks[first_odd::2]) if jobs else ((), blocks)
+        for d, block, wd in helpers:  # sent first
             while sent > 1 and in_flight + block.size > CHUNK_ENTRIES:
                 take_back()
             jobs.put((d, np.array(block, order="F"), wd, results))
             sent, in_flight = sent + 1, in_flight + block.size
-        for d, block, wd in blocks[first_odd::2]:
-            rho_prime_terms[d] = _rho_prime_term(np.array(block, order="F"), wd)
+        for d, block, wd in own:
+            rho_prime_terms[d] = _rho_prime_term(block, wd)
     while sent:
         take_back()
     # tr rho log rho per sector over its states of positive weight

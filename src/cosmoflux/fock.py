@@ -430,28 +430,44 @@ def _squeeze_values(z: ArrayLike) -> np.ndarray:
 
 
 class _Lapack(NamedTuple):
-    """scipy's Cython LAPACK module and the two routines this package calls,
-    bound with ctypes to the function pointers the module exports."""
+    """scipy's Cython LAPACK module, the two routines this package calls,
+    bound with ctypes, and address: the address of a writable C-contiguous
+    array (a third of the time of array.ctypes.data; others raise)."""
 
     module: ModuleType
     dgejsv: Callable
     dstevd: Callable
+    address: Callable[[np.ndarray], int]
 
 
 # (name, parameter count) of each routine bound: every parameter is a pointer
 _ROUTINES = (("dgejsv", 19), ("dstevd", 11))
 _LAPACK_LOCK = threading.Lock()
+_LOADED: _Lapack | None = None
 
 
 def _lapack() -> _Lapack:
     """scipy's LAPACK routines, loaded on the first call (_load_lapack).
 
-    The lock makes a second thread wait for the first thread's load: a
-    Cython module enters itself in sys.modules before its exports are set,
-    so a concurrent load could find it there half made.
+    Only the load takes the lock: a Cython module enters itself in
+    sys.modules before its exports are set, so a concurrent load could
+    find it half made. A fork waits for a load in flight (below), so a
+    child inherits the lock free.
     """
-    with _LAPACK_LOCK:
-        return _load_lapack()
+    global _LOADED
+    if _LOADED is None:
+        with _LAPACK_LOCK:
+            if _LOADED is None:
+                _LOADED = _load_lapack()
+    return _LOADED
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_LAPACK_LOCK.acquire,
+        after_in_parent=_LAPACK_LOCK.release,
+        after_in_child=_LAPACK_LOCK.release,
+    )
 
 
 @cache
@@ -459,24 +475,18 @@ def _load_lapack() -> _Lapack:
     """Load scipy.linalg.cython_lapack and bind dgejsv and dstevd.
 
     Importing the package scipy.linalg costs about 0.2 s and 26 MiB of
-    modules this package never calls. The Cython module cython_lapack
-    exports every LAPACK routine as a function pointer in its __pyx_capi__
-    capsules, so only the top-level scipy package is imported (it sets up
-    the paths of scipy's bundled libraries) and the module is loaded from
-    its file in scipy/linalg/, skipping scipy/linalg/__init__.py. If
-    scipy.linalg is imported already, it has imported the module, which is
-    used as it is (or, were it not, the module is entered and bound on
-    it). If not, the loaded module is taken back out of sys.modules,
-    which it enters itself: the import system never binds a submodule
-    cached ahead of its package on that package, whereas a later import
-    of scipy.linalg that loads it anew gets this same module object back
-    from Cython and binds it. A scipy with no such module file raises
-    ImportError, and so does a capsule whose signature does not take the
-    parameters bound.
-
-    ctypes calls a bound routine with the GIL released, so two threads run
-    LAPACK at once (fluctuation.quantum_relative_entropy); f2py's wrappers
-    in scipy.linalg._flapack hold it.
+    modules this package never calls, so only the top-level scipy package
+    is imported (it sets up the paths of scipy's bundled libraries) and
+    the Cython module, which exports every LAPACK routine as a function
+    pointer in its __pyx_capi__ capsules, is loaded from its file in
+    scipy/linalg/. If scipy.linalg is imported already, its module is
+    used, or this one is entered and bound on it. If not, the module is
+    taken back out of sys.modules, which it enters itself: the import
+    system would never bind it on scipy.linalg, whereas a later import of
+    scipy.linalg gets this same module object back and binds it. A scipy
+    with no such file, or a capsule whose signature does not take the
+    parameters bound, raises ImportError. ctypes calls a bound routine
+    with the GIL released; f2py's wrappers in scipy.linalg._flapack hold it.
     """
     import ctypes
 
@@ -519,7 +529,11 @@ def _load_lapack() -> _Lapack:
         routines[routine] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(
             capsule_pointer(capsule, signature)
         )
-    return _Lapack(module, **routines)
+
+    def address(array: np.ndarray) -> int:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+    return _Lapack(module, address=address, **routines)
 
 
 def dstevd(diagonal: np.ndarray, off_diagonal: np.ndarray):
@@ -544,10 +558,11 @@ def dstevd(diagonal: np.ndarray, off_diagonal: np.ndarray):
     # n, ldz, lwork, liwork, info, then the integer workspace
     ints = np.zeros(5 + liwork, np.intc)
     ints[:4] = n, n, lwork, liwork
-    p, i = ints.ctypes.data, ints.itemsize
-    _lapack().dstevd(
-        b"V", p, vals.ctypes.data, e.ctypes.data, z.ctypes.data, p + i,
-        work.ctypes.data, p + 2 * i, p + 5 * i, p + 3 * i, p + 4 * i,
+    lapack = _lapack()
+    p, i = lapack.address(ints), ints.itemsize
+    lapack.dstevd(
+        b"V", p, lapack.address(vals), lapack.address(e), lapack.address(z.T), p + i,
+        lapack.address(work), p + 2 * i, p + 5 * i, p + 3 * i, p + 4 * i,
     )
     return vals, z, int(ints[4])
 

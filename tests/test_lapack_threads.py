@@ -46,9 +46,9 @@ def test_routines_give_scipy_bits_from_1_to_171():
     rng = np.random.default_rng(11)
     for n in range(1, 172):
         B = rng.standard_normal((n, n)) * np.logspace(0.0, -14.0, n)
-        assert _same(
-            fluctuation_mod.dgejsv(B), scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
-        ), n
+        # scipy's first: ours overwrites B at n = 1, where B is in Fortran order
+        theirs = scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
+        assert _same(fluctuation_mod.dgejsv(B), theirs), n
         diagonal, off = rng.standard_normal(n), rng.standard_normal(max(n - 1, 1))
         assert _same(dstevd(diagonal, off), scipy.linalg.lapack.dstevd(diagonal, off)), n
 
@@ -62,13 +62,16 @@ def test_routines_refuse_shapes_lapack_would_reject():
         dstevd(np.ones(4), np.ones(2))
 
 
-def test_dgejsv_copies_its_input_unless_told_to_overwrite():
-    B = np.asfortranarray(np.random.default_rng(2).standard_normal((5, 5)))
+def test_dgejsv_leaves_a_c_ordered_input_unchanged_and_refuses_a_read_only_one():
+    B = np.random.default_rng(2).standard_normal((5, 5))
     kept = B.copy()
     fluctuation_mod.dgejsv(B)
     assert np.array_equal(B, kept)
-    fluctuation_mod.dgejsv(B, overwrite_a=True)
-    assert not np.array_equal(B, kept)
+    # a Fortran-ordered input is overwritten, so it must be writable
+    column = B[:, :1].copy()
+    column.flags.writeable = False
+    with pytest.raises(TypeError):
+        fluctuation_mod.dgejsv(column)
 
 
 IMPORT_CHILD = r"""
@@ -104,50 +107,76 @@ def test_import_starts_no_thread_and_imports_no_ctypes():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert not {"ctypes", "queue", "scipy"} & set(result["imported"])
-    # the helper starts with the first T > 0 relative entropy
-    assert result["threads"] == {"import": 1, "T = 0": 1, "T = 1": 2}
+    # the helper starts with the first T > 0 relative entropy, where the
+    # process may use two CPUs (the child inherits this one's affinity)
+    helper = fluctuation_mod._cpus() > 1
+    assert result["threads"] == {"import": 1, "T = 0": 1, "T = 1": 1 + helper}
 
 
 FORK_CHILD = r"""
-import json, os, sys, time
-from cosmoflux import canonical_config, run_simulation
+import json, os, sys, threading, time
+from cosmoflux import canonical_config, fluctuation, run_simulation
 
+fluctuation._cpus = lambda: 2  # the helper runs whatever CPUs this may use
 cfg = canonical_config()
-K = run_simulation(cfg)["kl_quantum"]
-pid = os.fork()
-if pid == 0:
-    ok = run_simulation(cfg)["kl_quantum"] == K
-    os._exit(0 if ok else 1)
+stop = threading.Event()
+
+def busy():
+    # the first run loads LAPACK, the later ones keep the helper at work
+    while not stop.is_set():
+        run_simulation(cfg)
+
+thread = threading.Thread(target=busy)
+thread.start()
+children = []
+for _ in range(int(sys.argv[1])):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        os.write(write, run_simulation(cfg)["kl_quantum"].hex().encode())
+        os._exit(0)
+    os.close(write)
+    children.append((pid, read))
+    time.sleep(0.002)
+stop.set()
+thread.join()
+K = run_simulation(cfg)["kl_quantum"].hex()
 deadline = time.monotonic() + 60
-while True:
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        print(json.dumps({"finished": True, "status": os.waitstatus_to_exitcode(status)}))
-        break
-    if time.monotonic() > deadline:
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        print(json.dumps({"finished": False}))
-        break
-    time.sleep(0.01)
+outcomes = []
+for pid, read in children:
+    while not os.waitpid(pid, os.WNOHANG)[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            break
+        time.sleep(0.01)
+    with os.fdopen(read) as pipe:
+        outcomes.append(pipe.read() == K)
+print(json.dumps(outcomes))
 """
+
+FORKS = 20
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_runs_a_thermal_point():
-    # the parent's helper thread does not exist in the child, whose first
-    # relative entropy must start its own instead of waiting on it
+def test_forked_children_run_a_thermal_point():
+    # a second thread runs points while the main thread forks, from its
+    # first LAPACK load on: the parent's helper thread does not exist in a
+    # child, whose first relative entropy must start its own, and no child
+    # may inherit a lock held by a thread it does not have
     proc = subprocess.run(
-        [sys.executable, "-c", FORK_CHILD],
+        [sys.executable, "-c", FORK_CHILD, str(FORKS)],
         capture_output=True, env=CHILD_ENV, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"finished": True, "status": 0}
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True] * FORKS
 
 
-def test_four_threads_get_the_serial_K_bitwise():
+def test_four_threads_get_the_serial_K_bitwise(monkeypatch):
     # four user threads share one helper, switching every 10 us, at four
     # temperatures; every K equals the serial one bit for bit
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
     configs = [canonical_config().replace(temperature=t) for t in (0.25, 0.5, 1.0, 1.5)]
     expected = [run_simulation(cfg)["kl_quantum"].hex() for cfg in configs]
     results, errors = [[] for _ in configs], []
@@ -174,26 +203,48 @@ def test_four_threads_get_the_serial_K_bitwise():
     assert results == [[k] * 5 for k in expected]
 
 
-@pytest.mark.parametrize("failing_thread", ["caller", "helper"])
-def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failing_thread):
-    spec = TruncationSpec(12, 1e-2)
-    kernel = transition_kernel(Z_CANON, spec)
-    thermal = thermal_distribution(1.0, 1.0, spec)
-    expected = quantum_relative_entropy(thermal, kernel, 2.0)
+def _calls_per_thread(monkeypatch, failing_thread=None) -> dict:
+    """Spy on fluctuation.dgejsv: the calls on the calling thread and on
+    the helper, and info = 1 from the calls on failing_thread."""
     caller = threading.current_thread()
     real = fluctuation_mod.dgejsv
     calls = {"caller": 0, "helper": 0}
 
-    def dgejsv(a, **options):
+    def dgejsv(a):
         side = "caller" if threading.current_thread() is caller else "helper"
         calls[side] += 1
-        sva, u, v, work, iwork, info = real(a, **options)
+        sva, u, v, work, iwork, info = real(a)
         return sva, u, v, work, iwork, 1 if side == failing_thread else info
 
     monkeypatch.setattr(fluctuation_mod, "dgejsv", dgejsv)
+    return calls
+
+
+def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
+    spec = TruncationSpec(12, 1e-2)
+    kernel = transition_kernel(Z_CANON, spec)
+    thermal = thermal_distribution(1.0, 1.0, spec)
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    expected = quantum_relative_entropy(thermal, kernel, 2.0)
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
+    calls = _calls_per_thread(monkeypatch)
+    assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == expected.hex()
+    assert calls == {"caller": 13, "helper": 0}
+
+
+@pytest.mark.parametrize("failing_thread", ["caller", "helper"])
+def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failing_thread):
+    # two CPUs, whatever this process may use, so that the helper runs
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    spec = TruncationSpec(12, 1e-2)
+    kernel = transition_kernel(Z_CANON, spec)
+    thermal = thermal_distribution(1.0, 1.0, spec)
+    expected = quantum_relative_entropy(thermal, kernel, 2.0)
+    calls = _calls_per_thread(monkeypatch, failing_thread)
     with pytest.raises(NumericError, match="dgejsv failed with info = 1"):
         quantum_relative_entropy(thermal, kernel, 2.0)
     assert calls[failing_thread] >= 1
     monkeypatch.undo()
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
     # the helper survives the failure, and the next K is the same
     assert quantum_relative_entropy(thermal, kernel, 2.0) == expected
