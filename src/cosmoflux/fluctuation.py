@@ -430,7 +430,7 @@ def _helper_jobs():
     """The job queue of the helper thread that every thread's relative
     entropy shares, started on the first call; None while the process may
     run on one CPU only, where the helper gains no time and its hand-offs
-    cost 6 % of a canonical run_simulation. queue is imported under the
+    cost 4 % of a canonical run_simulation. queue is imported under the
     lock a fork waits for (below), so no child inherits it half imported."""
     global _helper_queue
     if _cpus() < 2:

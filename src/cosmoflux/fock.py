@@ -74,7 +74,7 @@ on the first call (_lapack), which loads that module from its file and
 never the package scipy.linalg. Importing cosmoflux, or running a point
 that never reaches LAPACK, does not load scipy, and imports no ctypes of
 its own. ctypes releases the GIL for the call, so that the relative
-entropy runs dgejsv on two threads at once.
+entropy can run dgejsv on two threads at once.
 
 Both routes raise ValueError for a negative or non-finite z, and
 sector_spectral also for a sector label or size that is not an integer;
