@@ -19,23 +19,23 @@ The quantum relative entropy is the only stage that calls LAPACK: dgejsv,
 bound on its first call by fock._lapack, which never loads the package
 scipy.linalg. A process that runs only T = 0 points never loads scipy;
 any other loads its LAPACK module once, in about 8 ms and 2.6 MiB. Where
-the process may use two CPUs, that first call also starts the package's
-one helper thread (_helper_jobs), which decomposes about half the sector
-blocks with the GIL released. It costs a daemon thread and its blocks in
-flight, and a forked child starts its own.
+the process may use two CPUs, a point hands its sector SVDs to one daemon
+helper thread before its entropy pass (start_relative_entropy); a forked
+child starts its own.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import (
-    CHUNK_ENTRIES,
     Chunk,
     TransitionKernel,
     _lapack,
@@ -232,10 +232,7 @@ def crooks_deviation(
     thermal inputs, so it surfaces as a verification error instead of an
     infinity.
 
-    No kernel fault can move either residual: each lattice bin's masses
-    carry w(p)/w(q) = e^(-s) whatever the kernel entries are
-    (entropy_distributions). Their witness is a fault in the weights or in
-    the lattice keys.
+    No kernel fault can move either residual (entropy_distributions).
     """
     paired = _mirrored_masses(p_e, p_c)
     checked = _paired_points(p_e)
@@ -333,6 +330,20 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
     return record
 
 
+@cache
+def _dgejsv_layout(m: int, n: int) -> tuple[int, int, int, np.ndarray]:
+    """dgejsv's workspaces for an m x n matrix as scipy sizes them, once per
+    shape (8 N^2 bytes for a cutoff N): where u, sva, work and v (16-byte
+    aligned) end in the float buffer, its length, and the integer buffer."""
+    lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
+    u_end = m * n + m * n % 2
+    sva_end = u_end + n + n % 2
+    ints = np.zeros(7 + max(3, m + 3 * n), np.intc)
+    ints[:6] = m, n, m, m, 1, lwork
+    ints.flags.writeable = False
+    return u_end, sva_end, sva_end + lwork + 1, ints
+
+
 def dgejsv(a: np.ndarray):
     """LAPACK dgejsv with the jobs C, U, N, R, N, P: the left singular vectors
     and the singular values of a (rows >= columns), with no right vectors.
@@ -350,25 +361,18 @@ def dgejsv(a: np.ndarray):
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ValueError(f"dgejsv takes a matrix with rows >= columns, got shape {a.shape}")
     m, n = a.shape
-    lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
-    # u, sva, work and v in one zeroed buffer, each starting 16-byte aligned
-    u_end = m * n + m * n % 2
-    sva_end = u_end + n + n % 2
-    out = np.zeros(sva_end + lwork + 1)
-    # m, n, lda, ldu, ldv, lwork, info, then the integer workspace
-    ints = np.zeros(7 + max(3, m + 3 * n), np.intc)
-    ints[:6] = m, n, m, m, 1, lwork
+    u_end, sva_end, size, ints = _dgejsv_layout(m, n)
+    out, ints = np.zeros(size), ints.copy()
     lapack = _lapack()
     p, o = lapack.address(ints), lapack.address(out)
     i, f = ints.itemsize, out.itemsize
     lapack.dgejsv(
         b"C", b"U", b"N", b"R", b"N", b"P", p, p + i, lapack.address(a.T), p + 2 * i,
-        o + u_end * f, o, p + 3 * i, o + (sva_end + lwork) * f, p + 4 * i,
+        o + u_end * f, o, p + 3 * i, o + (size - 1) * f, p + 4 * i,
         o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i,
     )
-    u = out[:m * n].reshape((m, n), order="F")
-    sva, work = out[u_end:u_end + n], out[sva_end:sva_end + 7]
-    return sva, u, np.empty((0, 0)), work, ints[7:10], int(ints[6])
+    sva, u, work = out[u_end:u_end + n], out[:m * n].reshape((m, n), order="F"), out[sva_end:]
+    return sva, u, np.empty((0, 0)), work[:7], ints[7:10], int(ints[6])
 
 
 def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,20 +403,49 @@ def _rho_prime_term(B: np.ndarray, wd: np.ndarray) -> float:
     return float(r[keep] @ np.log(lam[keep]))
 
 
-def _run_job(d: int, B: np.ndarray, wd: np.ndarray, results) -> None:
-    """One sector's _rho_prime_term, or the exception it raised, put on the
-    caller's results queue with d."""
-    try:
-        term = _rho_prime_term(B, wd)
-    except BaseException as exc:  # raised again on the caller's thread
-        term = exc
-    results.put((d, term))
+class SectorSvds:
+    """A point's sector terms of quantum_relative_entropy in flight: the
+    sectors not taken, d = 0 (the largest block) first, which the helper
+    takes from the front (holding busy) and the caller from the back."""
+
+    def __init__(self, thermal: ThermalDistribution, kernel: TransitionKernel) -> None:
+        self.thermal, self.kernel = thermal, kernel
+        self.sqrt_w = np.sqrt(thermal.flat_weights)
+        self.sectors = deque(range(thermal.spec.cutoff + 1))
+        self.terms: list = [0.0] * len(self.sectors)
+        self.busy = threading.Lock()
+
+    def serve(self) -> None:
+        with self.busy:
+            self.decompose(self.sectors.popleft)
+
+    @holds_buffers("block")
+    def decompose(self, take) -> None:
+        """Each sector's term, taken with take until it raises IndexError, its
+        B formed in this thread's work buffer; an exception empties the queue."""
+        cutoff, w = self.thermal.spec.cutoff, self.thermal.flat_weights
+        starts, block = sector_index(cutoff).state_start, work_buffer("block", (cutoff + 1) ** 2)
+        while True:
+            try:
+                d = take()
+            except IndexError:
+                return
+            try:
+                states, n = slice(starts[d], starts[d + 1]), cutoff + 1 - d
+                B = block[:n * n].reshape((n, n), order="F")
+                np.multiply(self.kernel.amplitudes[d], self.sqrt_w[states], out=B)
+                wd = w[states]  # weights fall along a sector: the positive ones lead
+                live = wd[:np.count_nonzero(wd)]
+                self.terms[d] = float(live @ np.log(live)) - _rho_prime_term(B, wd)
+            except BaseException as exc:  # raised again by quantum_relative_entropy
+                self.terms[d] = exc
+                self.sectors.clear()
 
 
 def _serve(jobs) -> None:
-    """The helper thread: run each job of the queue, in order, for ever."""
+    """The helper thread: call each job of the queue, in order, for ever."""
     while True:
-        _run_job(*jobs.get())  # a job and its arrays are dropped once it is done
+        jobs.get()()  # a job and its arrays are dropped once it is done
 
 
 _HELPER_LOCK = threading.Lock()
@@ -427,11 +460,10 @@ def _cpus() -> int:
 
 
 def _helper_jobs():
-    """The job queue of the helper thread that every thread's relative
-    entropy shares, started on the first call; None while the process may
-    run on one CPU only, where the helper gains no time and its hand-offs
-    cost 4 % of a canonical run_simulation. queue is imported under the
-    lock a fork waits for (below), so no child inherits it half imported."""
+    """The job queue of the helper thread every relative entropy shares,
+    started on the first call; None on one CPU, where it would only add GIL
+    hand-offs. queue is imported under the lock a fork waits for (below),
+    so no child inherits it half imported."""
     global _helper_queue
     if _cpus() < 2:
         return None
@@ -463,92 +495,54 @@ if hasattr(os, "register_at_fork"):
     )
 
 
-@holds_buffers("values", "keys")
+def start_relative_entropy(thermal: ThermalDistribution, kernel: TransitionKernel):
+    """The sector SVDs of quantum_relative_entropy(thermal, kernel, ...) on the
+    helper, if any: they read no t_ad nor work, so a point starts them early."""
+    _require_pairing(kernel, thermal)
+    svds = SectorSvds(thermal, kernel)
+    jobs = _helper_jobs()
+    if jobs is not None:
+        jobs.put(svds.serve)
+    return svds
+
+
 def quantum_relative_entropy(
-    thermal: ThermalDistribution,
-    kernel: TransitionKernel,
-    t_ad: float,
-    work: WorkReport | None = None,
+    thermal: ThermalDistribution, kernel: TransitionKernel, t_ad: float,
+    work: WorkReport | None = None, svds: SectorSvds | None = None,
 ) -> float:
     """K[rho || rho'] with rho' the squeezed image of the thermal state.
 
     rho is diagonal and simultaneously thermal for the rescaled adiabatic
     Hamiltonian at t_ad, so K = tr rho log rho - tr rho log rho'. rho'
     block-diagonalizes per difference sector as B B^T with B the amplitude
-    block times sqrt of the sector weights; log rho is formed once, B chunk
-    by chunk in a held work buffer, and the eigenpairs of each block come
+    block times sqrt of the sector weights; each sector's eigenpairs come
     from the one-sided Jacobi SVD of its B (LAPACK dgejsv, _rho_prime_term).
     Eigendirections below the clip are excluded from the trace (their
     rho-weight is bounded by the leaked mass). When a work report is
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
     truncation bound at inadequate cutoffs.
 
-    The SVDs run on two threads where the process may use two CPUs: the
-    helper thread (_helper_jobs) takes the sectors d = 0, 2, 4, ..., whose
-    blocks shrink with d, so its n^3 share (52 % at N = 40) offsets the B
-    formation done here. Each of its blocks is copied into Fortran order
-    here, the copy dgejsv would make, and sent before this thread
-    decomposes the odd ones. Its copies in flight stay within
-    CHUNK_ENTRIES entries, or two blocks where blocks are larger: before it
-    sends more, this thread takes back the oldest result. K adds the
-    sectors' terms up in sector order once all are back, so its bits do not
-    depend on which thread took a block. An exception on the helper is
-    raised here.
+    svds are those start_relative_entropy started for thermal and kernel,
+    else the call starts them. This thread takes the sectors left, smallest
+    first, then waits for the helper's block, if any. K adds the terms up
+    in sector order, so its bits do not depend on which thread took which.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(
             "quantum relative entropy is undefined on the T = 0 vacuum path"
         )
-    _require_pairing(kernel, thermal)
-    cutoff = thermal.spec.cutoff
-    ix = sector_index(cutoff)
-    w = thermal.flat_weights
-    sqrt_w = np.sqrt(w)
-    _lapack()  # loaded on this thread, before the helper takes a block
-    jobs = _helper_jobs()
-    if jobs is not None:
-        import queue  # imported by _helper_jobs
-
-        results = queue.SimpleQueue()
-    rho_prime_terms = [0.0] * (cutoff + 1)
-    sent = in_flight = 0  # blocks and entries on the helper
-
-    def take_back() -> None:
-        nonlocal sent, in_flight
-        d, term = results.get()
+    if svds is None:
+        svds = start_relative_entropy(thermal, kernel)
+    elif svds.thermal is not thermal or svds.kernel is not kernel:
+        raise ValueError("these sector SVDs were started for another point")
+    svds.decompose(svds.sectors.pop)
+    with svds.busy:  # the helper's last block
+        pass
+    K = 0.0
+    for d, term in enumerate(svds.terms):
         if isinstance(term, BaseException):
             raise term
-        rho_prime_terms[d] = term
-        sent, in_flight = sent - 1, in_flight - (cutoff + 1 - d) ** 2
-
-    for chunk in sector_chunks(cutoff):
-        B = np.take(
-            sqrt_w[chunk.states], chunk_keys(ix.col, chunk, chunk.states.start),
-            out=work_buffer("values", chunk.size), mode="clip",
-        )
-        B *= kernel.flat_amplitudes[chunk.entries]
-        blocks = list(zip(chunk.sectors, chunk.views(B, True), chunk.views(w[chunk.states], False)))
-        first_odd = 1 - chunk.sectors.start % 2
-        helpers, own = (blocks[1 - first_odd::2], blocks[first_odd::2]) if jobs else ((), blocks)
-        for d, block, wd in helpers:  # sent first
-            while sent > 1 and in_flight + block.size > CHUNK_ENTRIES:
-                take_back()
-            jobs.put((d, np.array(block, order="F"), wd, results))
-            sent, in_flight = sent + 1, in_flight + block.size
-        for d, block, wd in own:
-            rho_prime_terms[d] = _rho_prime_term(block, wd)
-    while sent:
-        take_back()
-    # tr rho log rho per sector over its states of positive weight
-    pos = w > 0.0
-    w_pos = w[pos]
-    log_w = np.log(w_pos)
-    pos_before = np.concatenate(([0], np.cumsum(pos)))  # positive states before each
-    K = 0.0
-    for d, rho_prime_term in enumerate(rho_prime_terms):
-        a, b = pos_before[ix.state_start[d]], pos_before[ix.state_start[d + 1]]
-        rho_term = float(w_pos[a:b] @ log_w[a:b]) if b > a else 0.0
-        K += (2 if d else 1) * (rho_term - rho_prime_term)
+        K += (2 if d else 1) * term
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))
         tolerance = max(1e-5 * scale, work.truncation_bound + FLOAT_SLACK * scale)

@@ -13,17 +13,17 @@ sector_index holds, once per cutoff, the gather indices that let a stage
 treat many sectors of a buffer in one array pass.
 
 Every pass over a kernel buffer (the build's gather and column sums, the
-work pass, the entropy pass, the relative entropy's B and the battery's
-symmetry scan) walks it in chunks of whole sectors of at most
-CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
-order; the sums that span sectors accumulate chunk after chunk in entry
-order, so no result depends on the chunking. Its temporaries are work
-buffers the thread holds across calls (work_buffer), one set per thread,
-grown to the largest chunk a call has touched; a pass declares the
-buffers it takes (holds_buffers), and a pass called inside another that
-holds one of them raises instead of writing over it. So a pass frees no
-buffer-length array, the heap does not shrink and regrow around each op,
-and a pass's transient memory does not grow with the box. The index
+work pass, the entropy pass and the battery's symmetry scan; the relative
+entropy takes one block at a time) walks it in chunks of whole sectors of
+at most CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum
+keeps its order; the sums that span sectors accumulate chunk after chunk
+in entry order, so no result depends on the chunking. Its temporaries are
+work buffers the thread holds across calls (work_buffer), one set per
+thread, grown to the largest chunk a call has touched; a pass declares
+the buffers it takes (holds_buffers), and a pass called inside another
+that holds one of them raises instead of writing over it. So a pass frees
+no buffer-length array, the heap does not shrink and regrow around each
+op, and a pass's transient memory does not grow with the box. The index
 tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
 cast np.take and np.bincount would otherwise allocate on every call. The
 one box-sized temporary left is the build's lower-triangle buffer, half a

@@ -2,9 +2,12 @@
 helper thread.
 
 fluctuation.dgejsv and fock.dstevd must give scipy.linalg.lapack's bits;
-the relative entropy hands about half its blocks to one helper thread,
-which starts with the first T > 0 relative entropy, survives no fork (a
-child starts its own) and raises its failures on the caller's thread. K
+a point starts its relative entropy's sector SVDs on one helper thread
+before its entropy pass, and the calling thread takes the sectors the
+helper has not taken when it needs K. The helper starts with the first
+T > 0 relative entropy, survives no fork (a child starts its own) and
+raises its failures on the caller's thread; a point that fails first
+cancels its sectors, and a helper busy elsewhere holds no caller up. K
 must not depend on which thread took a block, nor on how many threads ask
 at once.
 """
@@ -14,6 +17,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from cosmoflux import (
     transition_kernel,
 )
 from cosmoflux.errors import NumericError
+from cosmoflux.fluctuation import start_relative_entropy
 from cosmoflux.fock import dstevd
 
 
@@ -220,15 +226,36 @@ def _calls_per_thread(monkeypatch, failing_thread=None) -> dict:
     return calls
 
 
-def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
+def _helper_claims(monkeypatch) -> tuple[list, threading.Event]:
+    """Spy on the sectors the helper takes: a list of them, and an event
+    set when it takes its first."""
+    claims, first = [], threading.Event()
+
+    class Sectors(deque):
+        def popleft(self):
+            d = super().popleft()
+            claims.append(d)
+            first.set()
+            return d
+
+    monkeypatch.setattr(fluctuation_mod, "deque", Sectors)
+    return claims, first
+
+
+def _point12():
     spec = TruncationSpec(12, 1e-2)
-    kernel = transition_kernel(Z_CANON, spec)
-    thermal = thermal_distribution(1.0, 1.0, spec)
+    return transition_kernel(Z_CANON, spec), thermal_distribution(1.0, 1.0, spec)
+
+
+def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
+    kernel, thermal = _point12()
     monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
     monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
     calls = _calls_per_thread(monkeypatch)
-    assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == expected.hex()
+    svds = start_relative_entropy(thermal, kernel)
+    assert list(svds.sectors) == list(range(13))  # no helper takes any
+    assert quantum_relative_entropy(thermal, kernel, 2.0, svds=svds).hex() == expected.hex()
     assert calls == {"caller": 13, "helper": 0}
 
 
@@ -236,15 +263,96 @@ def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
 def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failing_thread):
     # two CPUs, whatever this process may use, so that the helper runs
     monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
-    spec = TruncationSpec(12, 1e-2)
-    kernel = transition_kernel(Z_CANON, spec)
-    thermal = thermal_distribution(1.0, 1.0, spec)
+    kernel, thermal = _point12()
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
+    _claims, first = _helper_claims(monkeypatch)
     calls = _calls_per_thread(monkeypatch, failing_thread)
+    svds = start_relative_entropy(thermal, kernel)
+    if failing_thread == "helper":
+        assert first.wait(10)
     with pytest.raises(NumericError, match="dgejsv failed with info = 1"):
-        quantum_relative_entropy(thermal, kernel, 2.0)
+        quantum_relative_entropy(thermal, kernel, 2.0, svds=svds)
     assert calls[failing_thread] >= 1
     monkeypatch.undo()
     monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
     # the helper survives the failure, and the next K is the same
     assert quantum_relative_entropy(thermal, kernel, 2.0) == expected
+
+
+def test_the_helper_decomposes_while_the_entropy_pass_runs(monkeypatch):
+    # the entropy pass waits for the helper's first sector: the point
+    # started its SVDs before the pass, not after it
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    cfg = canonical_config()
+    expected = run_simulation(cfg)["kl_quantum"]
+    _claims, first = _helper_claims(monkeypatch)
+    real = fluctuation_mod.entropy_distributions
+    waited = []
+
+    def entropy_distributions(kernel, thermal):
+        waited.append(first.wait(10))
+        return real(kernel, thermal)
+
+    monkeypatch.setattr(fluctuation_mod, "entropy_distributions", entropy_distributions)
+    assert run_simulation(cfg)["kl_quantum"].hex() == expected.hex()
+    assert waited == [True]
+
+
+def test_an_error_before_the_relative_entropy_cancels_its_sectors(monkeypatch):
+    cfg = canonical_config()
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
+    serial = run_simulation(cfg)["kl_quantum"]
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    with monkeypatch.context() as patch:
+        claims, first = _helper_claims(patch)
+        # the helper holds its first block until the point has failed
+        failed, real = threading.Event(), fluctuation_mod.dgejsv
+
+        def dgejsv(a):
+            if threading.current_thread().name == "cosmoflux-dgejsv":
+                failed.wait(10)
+            return real(a)
+
+        def failing(kernel, thermal):
+            assert first.wait(10)
+            raise KeyboardInterrupt
+
+        patch.setattr(fluctuation_mod, "dgejsv", dgejsv)
+        patch.setattr(fluctuation_mod, "entropy_distributions", failing)
+        with pytest.raises(KeyboardInterrupt):
+            run_simulation(cfg)
+        taken = len(claims)
+        failed.set()
+        idle = threading.Event()
+        fluctuation_mod._helper_jobs().put(idle.set)  # served after the point
+        assert idle.wait(10)
+        # of the 41 sectors, the helper took at most one more than it had
+        assert len(claims) <= taken + 1 < 41
+    assert run_simulation(cfg)["kl_quantum"].hex() == serial.hex()
+
+
+def test_a_stalled_helper_does_not_stall_the_caller(monkeypatch):
+    # the helper is held on another job queued in front of this point's:
+    # the caller takes every sector and does not wait for it
+    kernel, thermal = _point12()
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
+    serial = quantum_relative_entropy(thermal, kernel, 2.0)
+    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    stalled, release = threading.Event(), threading.Event()
+
+    def stall():
+        stalled.set()
+        release.wait(30)
+
+    fluctuation_mod._helper_jobs().put(stall)
+    try:
+        assert stalled.wait(10)
+        calls = _calls_per_thread(monkeypatch)
+        began = time.monotonic()
+        K = quantum_relative_entropy(thermal, kernel, 2.0)
+        elapsed = time.monotonic() - began
+    finally:
+        release.set()
+    assert K.hex() == serial.hex()
+    assert calls == {"caller": 13, "helper": 0}
+    assert elapsed < 5
