@@ -15,21 +15,17 @@ Crooks and KL checks pair the same lattice points, leaving out those whose
 partner underflows as the relation predicts. Every check here fails closed
 on a NaN: it passes only when its residual is <= its tolerance.
 
-The quantum relative entropy is the only stage that calls LAPACK: dgejsv,
-bound on its first call by fock._lapack, which never loads scipy.linalg. A
-process that runs only T = 0 points never loads scipy; any other loads its
-LAPACK module once, in about 8 ms and 2.6 MiB. Where the process may use
-two CPUs, a point hands its sector SVDs to a daemon helper thread before
-its entropy pass (start_relative_entropy); a forked child starts its own.
+The quantum relative entropy alone calls LAPACK (lapack.dgejsv), one
+sector block at a time, and a T = 0 point never does. Where the process
+may use two CPUs, a point hands its sector SVDs to lapack's helper thread
+before its entropy pass (start_relative_entropy).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -37,13 +33,13 @@ from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import (
     Chunk,
     TransitionKernel,
-    _lapack,
     chunk_keys,
     holds_buffers,
     sector_chunks,
     sector_index,
     work_buffer,
 )
+from .lapack import dgejsv, run_on_helper
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
 PROBABILITY_FLOOR = 1e-12
@@ -51,6 +47,7 @@ EIGENVALUE_CLIP = 1e-300
 # log of the smallest normal double: a partner mass P e^(-s) with
 # log P - s below it underflows, as the Crooks relation predicts
 LOG_TINY = float(np.log(np.finfo(float).tiny))
+_QRE_UNDEFINED = "quantum relative entropy is undefined on the T = 0 vacuum path"
 
 
 @dataclass(frozen=True)
@@ -329,71 +326,17 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
     return record
 
 
-@cache
-def _dgejsv_layout(m: int, n: int) -> tuple[int, int, int, np.ndarray]:
-    """dgejsv's workspaces for an m x n matrix as scipy sizes them, once per
-    shape (8 N^2 bytes for a cutoff N): where u, sva, work and v (16-byte
-    aligned) end in the float buffer, its length, and the integer buffer."""
-    lwork = max(6 * n + 2 * n * n, 2 * m + n, 4 * n + n * n, 2 * n + n * n + 6, 7)
-    u_end = m * n + m * n % 2
-    sva_end = u_end + n + n % 2
-    ints = np.zeros(7 + max(3, m + 3 * n), np.intc)
-    ints[:6] = m, n, m, m, 1, lwork
-    ints.flags.writeable = False
-    return u_end, sva_end, sva_end + lwork + 1, ints
-
-
-def dgejsv(a: np.ndarray):
-    """LAPACK dgejsv with the jobs C, U, N, R, N, P: the left singular vectors
-    and the singular values of a (rows >= columns), with no right vectors.
-
-    Returns what scipy.linalg.lapack.dgejsv(a, joba=0, jobu=0, jobv=3) does,
-    bit for bit: sva, u in Fortran order, an empty v, work[:7], iwork[:3]
-    and info, from the same workspace sizes and zeroed workspaces (a larger
-    work array, or u in C order, moves K in its last digit). The routine
-    overwrites a when a is a Fortran-ordered float64 array (a single
-    column is one), else a Fortran copy of it; a read-only one raises. It
-    runs with the GIL released (fock._lapack), and every array it reads or
-    writes is held here until it returns.
-    """
-    a = np.asfortranarray(a, np.float64)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise ValueError(f"dgejsv takes a matrix with rows >= columns, got shape {a.shape}")
-    m, n = a.shape
-    u_end, sva_end, size, ints = _dgejsv_layout(m, n)
-    out, ints = np.zeros(size), ints.copy()
-    lapack = _lapack()
-    p, o = lapack.address(ints), lapack.address(out)
-    i, f = ints.itemsize, out.itemsize
-    lapack.dgejsv(
-        b"C", b"U", b"N", b"R", b"N", b"P", p, p + i, lapack.address(a.T), p + 2 * i,
-        o + u_end * f, o, p + 3 * i, o + (size - 1) * f, p + 4 * i,
-        o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i,
-    )
-    sva, u, work = out[u_end:u_end + n], out[:m * n].reshape((m, n), order="F"), out[sva_end:]
-    return sva, u, np.empty((0, 0)), work[:7], ints[7:10], int(ints[6])
-
-
-def _graded_svd(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors and singular values of B (rows >= columns).
-
-    LAPACK dgejsv is the preconditioned one-sided Jacobi SVD of Drmac and
-    Veselic (SIAM J. Matrix Anal. Appl. 29, 2008). It keeps high relative
-    accuracy on column-graded matrices, whose small singular values a
-    bidiagonalizing SVD loses. dgejsv may return the singular values in
-    the factored form (work[0] / work[1]) * sva, which is undone here.
-    """
-    sva, U, _v, work, _iwork, info = dgejsv(B)
-    if info != 0:
-        raise NumericError(f"dgejsv failed with info = {info}")
-    return U, sva * (work[0] / work[1])
-
-
 def _rho_prime_term(B: np.ndarray, wd: np.ndarray) -> float:
     """One sector's sum over the kept eigendirections of rho' = B B^T of
-    <rho> log lam, from the Jacobi SVD of B (dgejsv overwrites a B in
-    Fortran order); wd is the sector's weights, the diagonal of rho."""
-    U, sv = _graded_svd(B)
+    <rho> log lam; wd is the sector's weights, the diagonal of rho.
+
+    The eigenpairs come from LAPACK dgejsv, which overwrites B: the
+    preconditioned one-sided Jacobi SVD of Drmac and Veselic (SIAM J.
+    Matrix Anal. Appl. 29, 2008) keeps high relative accuracy on a
+    column-graded B, whose small singular values a bidiagonalizing SVD loses."""
+    U, sv, info = dgejsv(B)
+    if info != 0:
+        raise NumericError(f"dgejsv failed with info = {info}")
     lam = sv * sv
     keep = lam > EIGENVALUE_CLIP
     if not keep.any():
@@ -441,68 +384,15 @@ class SectorSvds:
                 self.sectors.clear()
 
 
-def _serve(jobs) -> None:
-    """The helper thread: call each job of the queue, in order, for ever."""
-    while True:
-        jobs.get()()  # a job and its arrays are dropped once it is done
-
-
-_HELPER_LOCK = threading.Lock()
-_helper_queue = None
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _helper_jobs():
-    """The helper thread's job queue, started on the first call; None on one
-    CPU, where it would only add GIL hand-offs. queue is imported under the
-    lock a fork waits for (below), so no child inherits it half imported."""
-    global _helper_queue
-    if _cpus() < 2:
-        return None
-    with _HELPER_LOCK:
-        if _helper_queue is None:
-            import queue
-
-            jobs = queue.SimpleQueue()
-            threading.Thread(
-                target=_serve, args=(jobs,), name="cosmoflux-dgejsv", daemon=True
-            ).start()
-            _helper_queue = jobs
-        return _helper_queue
-
-
-def _forget_helper() -> None:
-    """In a forked child, which has no helper thread: the next relative
-    entropy starts its own."""
-    global _helper_queue
-    _helper_queue = None
-    _HELPER_LOCK.release()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_HELPER_LOCK.acquire,
-        after_in_parent=_HELPER_LOCK.release,
-        after_in_child=_forget_helper,
-    )
-
-
 def start_relative_entropy(thermal: ThermalDistribution, kernel: TransitionKernel):
     """The sector SVDs of quantum_relative_entropy(thermal, kernel, ...) on the
-    helper, if any; they read no t_ad nor work, so a point starts them early.
-    LAPACK loads on this thread: on the helper it took 0.6 MiB more RSS."""
+    helper, if any (lapack.run_on_helper); they read no t_ad nor work, so a
+    point starts them early. The T = 0 vacuum raises before LAPACK loads."""
+    if thermal.is_vacuum:
+        raise EntropyUndefinedError(_QRE_UNDEFINED)
     _require_pairing(kernel, thermal)
     svds = SectorSvds(thermal, kernel)
-    _lapack()
-    jobs = _helper_jobs()
-    if jobs is not None:
-        jobs.put(svds.serve)
+    run_on_helper(svds.serve)
     return svds
 
 
@@ -516,7 +406,7 @@ def quantum_relative_entropy(
     Hamiltonian at t_ad, so K = tr rho log rho - tr rho log rho'. rho'
     block-diagonalizes per difference sector as B B^T with B the amplitude
     block times sqrt of the sector weights; each sector's eigenpairs come
-    from the one-sided Jacobi SVD of its B (LAPACK dgejsv, _rho_prime_term).
+    from the one-sided Jacobi SVD of its B (lapack.dgejsv, _rho_prime_term).
     Eigendirections below the clip are excluded from the trace (their
     rho-weight is bounded by the leaked mass). When a work report is
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
@@ -528,9 +418,7 @@ def quantum_relative_entropy(
     in sector order, so its bits do not depend on which thread took which.
     """
     if thermal.is_vacuum or t_ad == 0.0:
-        raise EntropyUndefinedError(
-            "quantum relative entropy is undefined on the T = 0 vacuum path"
-        )
+        raise EntropyUndefinedError(_QRE_UNDEFINED)
     if svds is None:
         svds = start_relative_entropy(thermal, kernel)
     elif svds.thermal is not thermal or svds.kernel is not kernel:

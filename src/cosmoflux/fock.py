@@ -65,16 +65,7 @@ Two independent evaluation routes are provided:
   of them, and 13,568,720 bytes (12.9 MiB) after the oracle at N = 170.
   sector_spectral and squeeze_operator_oracle take one z or a 1-D array
   of z; an array gives every block a leading z axis. The decomposition is
-  this module's only LAPACK call, made through dstevd.
-
-The package calls two LAPACK routines, dstevd here and dgejsv in
-fluctuation, and calls them one way: through the function pointers that
-scipy's Cython module scipy.linalg.cython_lapack exports, bound with ctypes
-on the first call (_lapack), which loads that module from its file and
-never the package scipy.linalg. Importing cosmoflux, or running a point
-that never reaches LAPACK, does not load scipy, and imports no ctypes of
-its own. ctypes releases the GIL for the call, so that the relative
-entropy can run dgejsv on two threads at once.
+  this module's only LAPACK call, made through lapack.dstevd.
 
 Both routes raise ValueError for a negative or non-finite z, and
 sector_spectral also for a sector label or size that is not an integer;
@@ -83,21 +74,17 @@ transition_kernel checks z before its leakage gate.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cache, wraps
-from types import ModuleType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import LeakageError, NumericError
+from .lapack import dstevd
 
 # Column sums of squared amplitudes may exceed 1 only by accumulated rounding
 # noise; anything larger, or a NaN, means the kernel is broken.
@@ -427,144 +414,6 @@ def _squeeze_values(z: ArrayLike) -> np.ndarray:
     if not np.all(np.isfinite(zs) & (zs >= 0.0)):
         raise _squeeze_error(z)
     return zs
-
-
-class _Lapack(NamedTuple):
-    """scipy's Cython LAPACK module, the two routines this package calls,
-    bound with ctypes, and address: the address of a writable C-contiguous
-    array (a third of the time of array.ctypes.data; others raise)."""
-
-    module: ModuleType
-    dgejsv: Callable
-    dstevd: Callable
-    address: Callable[[np.ndarray], int]
-
-
-# (name, parameter count) of each routine bound: every parameter is a pointer
-_ROUTINES = (("dgejsv", 19), ("dstevd", 11))
-_LAPACK_LOCK = threading.Lock()
-_LOADED: _Lapack | None = None
-
-
-def _lapack() -> _Lapack:
-    """scipy's LAPACK routines, loaded on the first call (_load_lapack).
-
-    Only the load takes the lock: a Cython module enters itself in
-    sys.modules before its exports are set, so a concurrent load could
-    find it half made. A fork waits for a load in flight (below), so a
-    child inherits the lock free.
-    """
-    global _LOADED
-    if _LOADED is None:
-        with _LAPACK_LOCK:
-            if _LOADED is None:
-                _LOADED = _load_lapack()
-    return _LOADED
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_LAPACK_LOCK.acquire,
-        after_in_parent=_LAPACK_LOCK.release,
-        after_in_child=_LAPACK_LOCK.release,
-    )
-
-
-@cache
-def _load_lapack() -> _Lapack:
-    """Load scipy.linalg.cython_lapack and bind dgejsv and dstevd.
-
-    Importing the package scipy.linalg costs about 0.2 s and 26 MiB of
-    modules this package never calls, so only the top-level scipy package
-    is imported (it sets up the paths of scipy's bundled libraries) and
-    the Cython module, which exports every LAPACK routine as a function
-    pointer in its __pyx_capi__ capsules, is loaded from its file in
-    scipy/linalg/. If scipy.linalg is imported already, its module is
-    used, or this one is entered and bound on it. If not, the module is
-    taken back out of sys.modules, which it enters itself: the import
-    system would never bind it on scipy.linalg, whereas a later import of
-    scipy.linalg gets this same module object back and binds it. A scipy
-    with no such file, or a capsule whose signature does not take the
-    parameters bound, raises ImportError. ctypes calls a bound routine
-    with the GIL released; f2py's wrappers in scipy.linalg._flapack hold it.
-    """
-    import ctypes
-
-    import scipy
-
-    name = "scipy.linalg.cython_lapack"
-    module = sys.modules.get(name)
-    if module is None:
-        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        finder = importlib.machinery.FileFinder(
-            directory,
-            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec(name)
-        if spec is None:
-            raise ImportError(
-                f"no compiled LAPACK module cython_lapack in {directory} "
-                f"(scipy {scipy.__version__})"
-            )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        parent = sys.modules.get("scipy.linalg")
-        if parent is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = module
-            parent.cython_lapack = module
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    routines = {}
-    for routine, count in _ROUTINES:
-        capsule = module.__pyx_capi__[routine]
-        signature = capsule_name(capsule)
-        if signature.count(b"*") != count:
-            raise ImportError(f"{name}.{routine} has the signature {signature.decode()}")
-        routines[routine] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(
-            capsule_pointer(capsule, signature)
-        )
-
-    def address(array: np.ndarray) -> int:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-
-    return _Lapack(module, address=address, **routines)
-
-
-def dstevd(diagonal: np.ndarray, off_diagonal: np.ndarray):
-    """LAPACK dstevd: eigenpairs of a symmetric tridiagonal matrix.
-
-    Returns what scipy.linalg.lapack.dstevd(diagonal, off_diagonal) does,
-    bit for bit: the eigenvalues, the eigenvectors in Fortran order and
-    info, from the same job and workspace sizes and zeroed workspaces.
-    """
-    vals = np.array(diagonal, dtype=np.float64)  # overwritten by the eigenvalues
-    n = len(vals)
-    if vals.ndim != 1 or len(off_diagonal) < n - 1:
-        raise ValueError(
-            f"dstevd takes n diagonal and n - 1 off-diagonal entries, got "
-            f"{vals.shape} and {len(off_diagonal)}"
-        )
-    e = np.zeros(max(n - 1, 1))  # destroyed
-    e[:n - 1] = off_diagonal[:n - 1]
-    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    z = np.zeros((n, n), order="F")
-    work = np.zeros(lwork)
-    # n, ldz, lwork, liwork, info, then the integer workspace
-    ints = np.zeros(5 + liwork, np.intc)
-    ints[:4] = n, n, lwork, liwork
-    lapack = _lapack()
-    p, i = lapack.address(ints), ints.itemsize
-    lapack.dstevd(
-        b"V", p, lapack.address(vals), lapack.address(e), lapack.address(z.T), p + i,
-        lapack.address(work), p + 2 * i, p + 5 * i, p + 3 * i, p + 4 * i,
-    )
-    return vals, z, int(ints[4])
 
 
 def _check_sector(d: int, size: int) -> None:

@@ -24,9 +24,10 @@ from cosmoflux.fluctuation import (
     LOG_TINY,
     PROBABILITY_FLOOR,
     EntropyDistribution,
-    _graded_svd,
+    _rho_prime_term,
 )
 from cosmoflux.fock import sector_layout
+from cosmoflux.lapack import dgejsv
 
 from conftest import Z_CANON
 from dense_reference import dense_state_vector, sector_weights
@@ -221,7 +222,8 @@ def test_crooks_still_rejects_a_missing_representable_partner():
 
 
 def test_jacobi_svd_identity():
-    U, s = _graded_svd(np.eye(6))
+    U, s, info = dgejsv(np.eye(6, order="F"))
+    assert info == 0
     assert np.allclose(np.sort(s), np.ones(6), atol=1e-15)
     assert np.max(np.abs(U.T @ U - np.eye(6))) <= 1e-14
 
@@ -233,27 +235,20 @@ def test_jacobi_svd_graded_relative_accuracy():
     rng = np.random.default_rng(7)
     g = 10.0 ** -np.linspace(0.0, 30.0, 8)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    B = Q * g[None, :]
-    U, s = _graded_svd(B)
+    B = np.asfortranarray(Q * g[None, :])
+    U, s, _info = dgejsv(B)
     rel = np.abs(np.sort(s)[::-1] - g) / g
     assert np.max(rel) <= 1e-12
     assert np.max(np.abs(U.T @ U - np.eye(8))) <= 1e-12
 
 
-def test_jacobi_svd_single_column():
-    U, s = _graded_svd(np.array([[3.0], [4.0]]))
-    assert s[0] == pytest.approx(5.0, rel=1e-15)
-    assert np.allclose(U[:, 0], [0.6, 0.8], atol=1e-15)
-
-
 def test_jacobi_svd_failure_is_numeric_error(monkeypatch):
-    def failing(a, **kwargs):
-        n = a.shape[1]
-        return np.zeros(n), np.zeros_like(a), None, np.ones(7), np.zeros(3), 1
+    def failing(B):
+        return np.zeros_like(B), np.zeros(len(B)), 1
 
     monkeypatch.setattr(fluctuation_mod, "dgejsv", failing)
-    with pytest.raises(NumericError):
-        _graded_svd(np.eye(3))
+    with pytest.raises(NumericError, match="dgejsv failed with info = 1"):
+        _rho_prime_term(np.eye(3, order="F"), np.ones(3))
 
 
 @settings(max_examples=10, deadline=None)

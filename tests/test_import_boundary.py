@@ -2,16 +2,18 @@
 
 Importing the package scipy.linalg costs about 0.2 s and 27 MiB, and the
 package calls only two LAPACK routines, which it binds with ctypes from
-scipy's compiled module scipy.linalg.cython_lapack. fock._lapack loads
+scipy's compiled module scipy.linalg.cython_lapack. cosmoflux.lapack loads
 that module from its file without running scipy/linalg/__init__.py, so no
 step here, a T > 0 run and verify included, may load scipy.linalg; the
 T > 0 run must have loaded LAPACK. This test process has imported scipy
 already, so the steps run in one fresh child that reports after each.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import CHILD_ENV
@@ -22,10 +24,10 @@ import contextlib, io, json, sys
 loaded = {}
 
 def mark(step):
-    loaded[step] = ["scipy.linalg" in sys.modules, fock._load_lapack.cache_info().currsize == 1]
+    loaded[step] = ["scipy.linalg" in sys.modules, lapack._LOADED is not None]
 
 import cosmoflux, cosmoflux.cli
-from cosmoflux import fock
+from cosmoflux import lapack
 from cosmoflux import RunConfig, SweepConfig, run_simulation, run_sweep
 mark("import")
 
@@ -82,7 +84,7 @@ def test_no_step_loads_scipy_linalg():
     }
 
 
-# fock._lapack assumes scipy's private layout: the Cython module
+# cosmoflux.lapack assumes scipy's private layout: the Cython module
 # cython_lapack in scipy/linalg/. Whichever of it and scipy.linalg loads the
 # module first, the other must find the same module, bound on scipy.linalg
 # as its attribute, and the package's routines must give
@@ -106,18 +108,20 @@ else:
     import scipy.linalg
     thermal_run()
 
-from cosmoflux import fluctuation, fock
+from cosmoflux import lapack
 
-B = np.random.default_rng(5).standard_normal((14, 8)) * np.logspace(0, -14, 8)
+B = np.asfortranarray(np.random.default_rng(5).standard_normal((8, 8)) * np.logspace(0, -14, 8))
 diagonal = np.arange(1.0, 10.0)
 off_diagonal = np.sqrt(np.arange(1.0, 9.0))
+# scipy's first: ours overwrites its inputs
+sva, u, _v, work, _iwork, info = scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
+eigen = scipy.linalg.lapack.dstevd(diagonal, off_diagonal)
 pairs = [
-    (fluctuation.dgejsv(B), scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)),
-    (fock.dstevd(diagonal, off_diagonal),
-     scipy.linalg.lapack.dstevd(diagonal, off_diagonal)),
+    (lapack.dgejsv(B), (u, sva * (work[0] / work[1]), info)),
+    (lapack.dstevd(diagonal, off_diagonal), eigen),
 ]
 print(json.dumps({
-    "same module": fock._lapack().module is sys.modules["scipy.linalg.cython_lapack"]
+    "same module": lapack._routines().module is sys.modules["scipy.linalg.cython_lapack"]
     is scipy.linalg.cython_lapack,
     "same bits": [
         [np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, theirs)]
@@ -128,25 +132,63 @@ print(json.dumps({
 
 
 @pytest.mark.parametrize("order", ["cosmoflux first", "scipy.linalg first"])
-def test_flapack_cross_loads_with_scipy_linalg(order):
+def test_cython_lapack_cross_loads_with_scipy_linalg(order):
     proc = subprocess.run(
         [sys.executable, "-c", CROSS_LOAD, order],
         capture_output=True, env=CHILD_ENV, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    # dgejsv returns sva, u, v, work, iwork, info; dstevd w, z, info
-    assert result == {"same module": True, "same bits": [[True] * 6, [True] * 3]}
+    # dgejsv returns U, the scaled singular values and info; dstevd w, z, info
+    assert result == {"same module": True, "same bits": [[True] * 3, [True] * 3]}
 
 
-def test_a_scipy_without_flapack_is_an_import_error(tmp_path, monkeypatch):
+def test_a_scipy_without_cython_lapack_is_an_import_error(tmp_path, monkeypatch):
     import scipy
 
-    from cosmoflux import fock
+    from cosmoflux import lapack
 
     monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
     with pytest.raises(ImportError) as exc:
-        fock._load_lapack.__wrapped__()
+        lapack._load()
     assert str(tmp_path / "linalg") in str(exc.value)
     assert scipy.__version__ in str(exc.value)
+
+
+# Only cosmoflux.lapack may know how LAPACK and its helper thread are run:
+# no other module imports ctypes or scipy, registers a fork hook or makes a
+# thread, so that the lock, the fork hook and the thread stay one each.
+SRC = Path(__file__).resolve().parent.parent / "src" / "cosmoflux"
+BOUNDARY = ("ctypes", "scipy", "os.register_at_fork", "threading.Thread")
+
+
+def lapack_machinery(source: str) -> list[str]:
+    """The names of BOUNDARY that source imports or refers to."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif (isinstance(node, ast.Call) and node.args
+              and ast.unparse(node.func).endswith(("import_module", "__import__"))):
+            names = [ast.literal_eval(node.args[0])]
+        else:
+            continue
+        found += [n for n in names if any(n == b or n.startswith(b + ".") for b in BOUNDARY)]
+    return found
+
+
+def test_only_the_lapack_module_loads_lapack_or_starts_threads():
+    assert sorted(lapack_machinery(
+        "import ctypes\nfrom scipy.linalg import lapack\nfrom threading import Thread\n"
+        "os.register_at_fork(before=f)\nclass T(threading.Thread): pass\n"
+        "importlib.import_module('scipy')\n"
+    )) == ["ctypes", "os.register_at_fork", "scipy", "scipy.linalg.lapack",
+           "threading.Thread", "threading.Thread"]
+    modules = {path.name: lapack_machinery(path.read_text()) for path in SRC.glob("*.py")}
+    assert set(BOUNDARY) <= set(modules.pop("lapack.py"))
+    assert {name: found for name, found in modules.items() if found} == {}

@@ -1,15 +1,16 @@
 """The two LAPACK routines, bound with ctypes, and the relative entropy's
 helper thread.
 
-fluctuation.dgejsv and fock.dstevd must give scipy.linalg.lapack's bits;
-a point starts its relative entropy's sector SVDs on one helper thread
-before its entropy pass, and the calling thread takes the sectors the
-helper has not taken when it needs K. The helper starts with the first
+lapack.dgejsv and lapack.dstevd must give scipy.linalg.lapack's bits, and
+dgejsv takes only the block the relative entropy forms; a point starts
+its relative entropy's sector SVDs on one helper thread before its
+entropy pass, and the calling thread takes the sectors the helper has not
+taken when it needs K. The helper starts with the first
 T > 0 relative entropy, survives no fork (a child starts its own) and
 raises its failures on the caller's thread; a point that fails first
 cancels its sectors, and a helper busy elsewhere holds no caller up. K
 must not depend on which thread took a block, nor on how many threads ask
-at once.
+at once. A T = 0 point raises before LAPACK loads.
 """
 
 import json
@@ -26,6 +27,7 @@ import scipy.linalg.lapack
 from conftest import CHILD_ENV, Z_CANON
 
 import cosmoflux.fluctuation as fluctuation_mod
+import cosmoflux.lapack as lapack_mod
 from cosmoflux import (
     TruncationSpec,
     canonical_config,
@@ -34,9 +36,9 @@ from cosmoflux import (
     thermal_distribution,
     transition_kernel,
 )
-from cosmoflux.errors import NumericError
+from cosmoflux.errors import EntropyUndefinedError, NumericError
 from cosmoflux.fluctuation import start_relative_entropy
-from cosmoflux.fock import dstevd
+from cosmoflux.lapack import dgejsv, dstevd
 
 
 def _same(ours, theirs) -> bool:
@@ -51,33 +53,37 @@ def test_routines_give_scipy_bits_from_1_to_171():
     # sizes and the Fortran order of u are what keep K's last digit
     rng = np.random.default_rng(11)
     for n in range(1, 172):
-        B = rng.standard_normal((n, n)) * np.logspace(0.0, -14.0, n)
-        # scipy's first: ours overwrites B at n = 1, where B is in Fortran order
-        theirs = scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
-        assert _same(fluctuation_mod.dgejsv(B), theirs), n
+        B = np.asfortranarray(rng.standard_normal((n, n)) * np.logspace(0.0, -14.0, n))
+        # scipy's first: ours overwrites B, and the tridiagonal's inputs
+        sva, u, _v, work, _iwork, info = scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
+        assert _same(dgejsv(B), (u, sva * (work[0] / work[1]), info)), n
         diagonal, off = rng.standard_normal(n), rng.standard_normal(max(n - 1, 1))
-        assert _same(dstevd(diagonal, off), scipy.linalg.lapack.dstevd(diagonal, off)), n
+        theirs = scipy.linalg.lapack.dstevd(diagonal, off)
+        assert _same(dstevd(diagonal, off), theirs), n
 
 
 def test_routines_refuse_shapes_lapack_would_reject():
-    with pytest.raises(ValueError, match="rows >= columns"):
-        fluctuation_mod.dgejsv(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="rows >= columns"):
-        fluctuation_mod.dgejsv(np.ones(3))
+    with pytest.raises(ValueError, match="square"):
+        dgejsv(np.ones(3))
+    with pytest.raises(ValueError, match="square"):
+        dgejsv(np.ones((0, 0), order="F"))
     with pytest.raises(ValueError, match="off-diagonal"):
         dstevd(np.ones(4), np.ones(2))
 
 
-def test_dgejsv_leaves_a_c_ordered_input_unchanged_and_refuses_a_read_only_one():
+def test_dgejsv_refuses_a_c_ordered_read_only_or_non_square_array():
+    # the routine overwrites a square Fortran-ordered float64 block, the one
+    # the relative entropy forms; any other array is refused untouched
     B = np.random.default_rng(2).standard_normal((5, 5))
     kept = B.copy()
-    fluctuation_mod.dgejsv(B)
-    assert np.array_equal(B, kept)
-    # a Fortran-ordered input is overwritten, so it must be writable
-    column = B[:, :1].copy()
-    column.flags.writeable = False
-    with pytest.raises(TypeError):
-        fluctuation_mod.dgejsv(column)
+    read_only = np.asfortranarray(B)
+    read_only.flags.writeable = False
+    refused = [B, read_only, np.asfortranarray(B[:, :3]), np.asfortranarray(B[:3]),
+               np.asfortranarray(B, np.float32)]
+    for a in refused:
+        with pytest.raises(ValueError, match="square, writable, Fortran-ordered float64"):
+            dgejsv(a)
+    assert np.array_equal(B, kept) and np.array_equal(read_only, kept)
 
 
 IMPORT_CHILD = r"""
@@ -115,15 +121,15 @@ def test_import_starts_no_thread_and_imports_no_ctypes():
     assert not {"ctypes", "queue", "scipy"} & set(result["imported"])
     # the helper starts with the first T > 0 relative entropy, where the
     # process may use two CPUs (the child inherits this one's affinity)
-    helper = fluctuation_mod._cpus() > 1
+    helper = lapack_mod._cpus() > 1
     assert result["threads"] == {"import": 1, "T = 0": 1, "T = 1": 1 + helper}
 
 
 FORK_CHILD = r"""
 import json, os, sys, threading, time
-from cosmoflux import canonical_config, fluctuation, run_simulation
+from cosmoflux import canonical_config, lapack, run_simulation
 
-fluctuation._cpus = lambda: 2  # the helper runs whatever CPUs this may use
+lapack._cpus = lambda: 2  # the helper runs whatever CPUs this may use
 cfg = canonical_config()
 stop = threading.Event()
 
@@ -182,7 +188,7 @@ def test_forked_children_run_a_thermal_point():
 def test_four_threads_get_the_serial_K_bitwise(monkeypatch):
     # four user threads share one helper, switching every 10 us, at four
     # temperatures; every K equals the serial one bit for bit
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     configs = [canonical_config().replace(temperature=t) for t in (0.25, 0.5, 1.0, 1.5)]
     expected = [run_simulation(cfg)["kl_quantum"].hex() for cfg in configs]
     results, errors = [[] for _ in configs], []
@@ -210,8 +216,8 @@ def test_four_threads_get_the_serial_K_bitwise(monkeypatch):
 
 
 def _calls_per_thread(monkeypatch, failing_thread=None) -> dict:
-    """Spy on fluctuation.dgejsv: the calls on the calling thread and on
-    the helper, and info = 1 from the calls on failing_thread."""
+    """Spy on the relative entropy's dgejsv: the calls on the calling thread
+    and on the helper, and info = 1 from the calls on failing_thread."""
     caller = threading.current_thread()
     real = fluctuation_mod.dgejsv
     calls = {"caller": 0, "helper": 0}
@@ -219,8 +225,8 @@ def _calls_per_thread(monkeypatch, failing_thread=None) -> dict:
     def dgejsv(a):
         side = "caller" if threading.current_thread() is caller else "helper"
         calls[side] += 1
-        sva, u, v, work, iwork, info = real(a)
-        return sva, u, v, work, iwork, 1 if side == failing_thread else info
+        U, sv, info = real(a)
+        return U, sv, 1 if side == failing_thread else info
 
     monkeypatch.setattr(fluctuation_mod, "dgejsv", dgejsv)
     return calls
@@ -249,9 +255,9 @@ def _point12():
 
 def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
     kernel, thermal = _point12()
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
     calls = _calls_per_thread(monkeypatch)
     svds = start_relative_entropy(thermal, kernel)
     assert list(svds.sectors) == list(range(13))  # no helper takes any
@@ -262,7 +268,7 @@ def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
 @pytest.mark.parametrize("failing_thread", ["caller", "helper"])
 def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failing_thread):
     # two CPUs, whatever this process may use, so that the helper runs
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     kernel, thermal = _point12()
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
     _claims, first = _helper_claims(monkeypatch)
@@ -274,7 +280,7 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
         quantum_relative_entropy(thermal, kernel, 2.0, svds=svds)
     assert calls[failing_thread] >= 1
     monkeypatch.undo()
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     # the helper survives the failure, and the next K is the same
     assert quantum_relative_entropy(thermal, kernel, 2.0) == expected
 
@@ -282,7 +288,7 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
 def test_the_helper_decomposes_while_the_entropy_pass_runs(monkeypatch):
     # the entropy pass waits for the helper's first sector: the point
     # started its SVDs before the pass, not after it
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     cfg = canonical_config()
     expected = run_simulation(cfg)["kl_quantum"]
     _claims, first = _helper_claims(monkeypatch)
@@ -300,9 +306,9 @@ def test_the_helper_decomposes_while_the_entropy_pass_runs(monkeypatch):
 
 def test_an_error_before_the_relative_entropy_cancels_its_sectors(monkeypatch):
     cfg = canonical_config()
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
     serial = run_simulation(cfg)["kl_quantum"]
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     with monkeypatch.context() as patch:
         claims, first = _helper_claims(patch)
         # the helper holds its first block until the point has failed
@@ -324,7 +330,7 @@ def test_an_error_before_the_relative_entropy_cancels_its_sectors(monkeypatch):
         taken = len(claims)
         failed.set()
         idle = threading.Event()
-        fluctuation_mod._helper_jobs().put(idle.set)  # served after the point
+        lapack_mod.run_on_helper(idle.set)  # served after the point
         assert idle.wait(10)
         # of the 41 sectors, the helper took at most one more than it had
         assert len(claims) <= taken + 1 < 41
@@ -335,16 +341,16 @@ def test_a_stalled_helper_does_not_stall_the_caller(monkeypatch):
     # the helper is held on another job queued in front of this point's:
     # the caller takes every sector and does not wait for it
     kernel, thermal = _point12()
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
     serial = quantum_relative_entropy(thermal, kernel, 2.0)
-    monkeypatch.setattr(fluctuation_mod, "_cpus", lambda: 2)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     stalled, release = threading.Event(), threading.Event()
 
     def stall():
         stalled.set()
         release.wait(30)
 
-    fluctuation_mod._helper_jobs().put(stall)
+    lapack_mod.run_on_helper(stall)
     try:
         assert stalled.wait(10)
         calls = _calls_per_thread(monkeypatch)
@@ -356,3 +362,23 @@ def test_a_stalled_helper_does_not_stall_the_caller(monkeypatch):
     assert K.hex() == serial.hex()
     assert calls == {"caller": 13, "helper": 0}
     assert elapsed < 5
+
+
+def test_a_vacuum_point_raises_before_lapack_loads(monkeypatch):
+    # a T = 0 Gibbs state has weight in d = 0 alone: its relative entropy
+    # raises at the start, before LAPACK loads or a helper takes a sector
+    spec = TruncationSpec(12, 1e-2)
+    kernel, vacuum = transition_kernel(Z_CANON, spec), thermal_distribution(0.0, 1.0, spec)
+    loads = []
+
+    def load():
+        loads.append(threading.current_thread().name)
+        raise AssertionError("LAPACK loaded for a T = 0 point")
+
+    monkeypatch.setattr(lapack_mod, "_LOADED", None)
+    monkeypatch.setattr(lapack_mod, "_load", load)
+    with pytest.raises(EntropyUndefinedError, match="T = 0 vacuum"):
+        start_relative_entropy(vacuum, kernel)
+    with pytest.raises(EntropyUndefinedError, match="T = 0 vacuum"):
+        quantum_relative_entropy(vacuum, kernel, 1.0)
+    assert loads == []
