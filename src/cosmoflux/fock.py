@@ -435,7 +435,7 @@ def _sector_eigen(d: int, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     arrays are read-only. A failed decomposition raises NumericError and is
     not held, since functools.cache stores only returned values.
     """
-    k = np.arange(size - 1)
+    k = np.arange(max(size - 1, 1))  # a one-state sector's entry goes unread
     # LAPACK's divide-and-conquer driver, the one eigh_tridiagonal picks for
     # a full decomposition, called without that wrapper's checks
     lam, V, info = dstevd(np.zeros(size), np.sqrt((k + 1.0 + d) * (k + 1.0)))

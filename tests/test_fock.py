@@ -294,6 +294,9 @@ def test_spectral_table_arrays_are_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+    # a one-state sector is its own eigenvector
+    lam, rows = fock_mod._sector_eigen(3, 1, 1)
+    assert lam.tolist() == [0.0] and rows.tolist() == [[1.0]]
 
 
 @pytest.mark.parametrize("size, corner", [(2, None), (20, None), (97, 9)])
