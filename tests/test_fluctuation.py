@@ -242,6 +242,17 @@ def test_jacobi_svd_graded_relative_accuracy():
     assert np.max(np.abs(U.T @ U - np.eye(8))) <= 1e-12
 
 
+def test_jacobi_svd_single_column():
+    # one nonzero column, in the square block dgejsv takes; the bare column
+    # is refused, as every rectangular block is
+    U, s, info = dgejsv(np.array([[3.0, 0.0], [4.0, 0.0]], order="F"))
+    assert info == 0 and s[1] == 0.0
+    assert s[0] == pytest.approx(5.0, rel=1e-15)
+    assert np.allclose(U[:, 0], [0.6, 0.8], atol=1e-15)
+    with pytest.raises(ValueError, match="square"):
+        dgejsv(np.array([[3.0], [4.0]], order="F"))
+
+
 def test_jacobi_svd_failure_is_numeric_error(monkeypatch):
     def failing(B):
         return np.zeros_like(B), np.zeros(len(B)), 1
