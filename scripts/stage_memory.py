@@ -6,13 +6,17 @@ Prints one JSON object with three parts:
 
 - ``stages``: at N = 40, 56 and 170, each stage's ``tracemalloc`` peak on
   its second call, in bytes per kernel entry, beside the work buffers the
-  package holds for the thread after it (``held``) and the per-cutoff
-  tables (``tables``). The stages are the kernel build
-  (``transition_kernel``; its peak includes the 8 bytes per entry of the
-  amplitudes it returns), the work pass (``thermo._work_pass``), the
-  entropy pass (``entropy_distributions``) and the quantum relative
-  entropy. N = 40 and 56 run the canonical z at T = 1; N = 170 runs z = 1
-  at T = 2, under a leakage budget of 1e-2.
+  package holds for the thread after it (``held``), the per-cutoff tables
+  (``tables``) and the kernel's total table (``total_table``). The stages
+  are the kernel build (``transition_kernel``, which also forms the total
+  table; its peak includes the 8 bytes per entry of the amplitudes and
+  the table it returns), the two contractions of the total table at one
+  temperature (the work bookkeeping's, ``thermo._work_pass``, and the
+  entropy distributions', ``entropy_distributions``) and the quantum
+  relative entropy. ``us`` holds the median wall time of 21 calls of the
+  build and of each contraction, in microseconds. N = 40 and 56 run the
+  canonical z at T = 1; N = 170 runs z = 1 at T = 2, under a leakage
+  budget of 1e-2.
 - ``faults``: ``ru_minflt`` per call over 100 calls of
   ``run_simulation(canonical_config())`` and of ``verify_invariants()``,
   each after 2 warm-up calls, in one fresh process.
@@ -33,8 +37,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import gc
 import json
+import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -91,6 +97,16 @@ def second_call_peak(fn, *args):
     return result, peak
 
 
+def median_us(fn, *args, calls: int = 21) -> float:
+    """Median wall time of calls calls of fn(*args), in microseconds."""
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1e6, 1)
+
+
 def held_bytes() -> int:
     """Bytes of the work buffers the package holds for this thread (0 where
     the package holds none)."""
@@ -100,10 +116,8 @@ def held_bytes() -> int:
 
 def table_bytes(cutoff: int) -> int:
     """Bytes of the per-cutoff tables the kernel build and the passes read."""
-    tables = [fock.sector_index(cutoff)]
-    if hasattr(fock, "_recurrence_table"):
-        tables.append(fock._recurrence_table(cutoff))
-    return sum(
+    tables = [fock.sector_index(cutoff), fock._recurrence_table(cutoff)]
+    return fock.cell_changes(cutoff).nbytes + sum(
         value.nbytes
         for table in tables
         for value in (table._asdict() if hasattr(table, "_asdict") else vars(table)).values()
@@ -127,10 +141,16 @@ def stages(cutoff: int, z: float, temperature: float, tolerance: float) -> dict:
     return {
         "entries": entries,
         "kernel_build": per_entry(build),
-        "work_pass": per_entry(work),
-        "entropy_pass": per_entry(entropy),
+        "work_contraction": per_entry(work),
+        "entropy_contraction": per_entry(entropy),
         "qre": per_entry(qre),
         "amplitudes": per_entry(kernel.flat_amplitudes.nbytes),
+        "total_table": per_entry(kernel.total_table.nbytes),
+        "us": {
+            "kernel_build": median_us(cf.transition_kernel, z, spec),
+            "work_contraction": median_us(thermo._work_pass, kernel, thermal),
+            "entropy_contraction": median_us(fluctuation.entropy_distributions, kernel, thermal),
+        },
         "held": per_entry(held_bytes()),
         "tables": per_entry(table_bytes(cutoff)),
     }

@@ -5,15 +5,15 @@ after the squeeze. For geometric thermal weights the entropy increment per
 trajectory s = (omega/T)(total(m) - total(n)) cancels the weight ratio
 exactly, so the forward/reverse log-ratio identity holds microstate by
 microstate and every deviation measured here is pure floating-point or
-truncation noise. The trajectory masses are formed in one pass over the
-kernel's sector-major buffer, in chunks of whole sectors held in the
-thread's work buffers (fock.sector_chunks, fock.work_buffer), squared
-into p(m|n), binned onto the entropy lattice and checked microstate by
-microstate; coarse-graining to the lattice happens only for reporting,
-since sector degeneracies would otherwise contaminate the increment. The
-Crooks and KL checks pair the same lattice points, leaving out those whose
-partner underflows as the relation predicts. Every check here fails closed
-on a NaN: it passes only when its residual is <= its tolerance.
+truncation noise. A Gibbs weight depends on a state's total alone, so the
+trajectory masses are contractions of the kernel's total table R
+(fock.TransitionKernel) with the per-total weights: O(N^2) cells, whatever
+the box's O(N^3) kernel entries. They are binned onto the entropy lattice
+and checked cell by cell; coarse-graining to the lattice happens only for
+reporting. The Crooks and KL checks pair the same lattice points, leaving
+out those whose partner underflows as the relation predicts. Every check
+here fails closed on a NaN: it passes only when its residual is <= its
+tolerance.
 
 The quantum relative entropy alone calls LAPACK (lapack.dgejsv), one
 sector block at a time, and a T = 0 point never does. Where the process
@@ -30,15 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import (
-    Chunk,
-    TransitionKernel,
-    chunk_keys,
-    holds_buffers,
-    sector_chunks,
-    sector_index,
-    work_buffer,
-)
+from .fock import TransitionKernel, cell_changes, holds_buffers, sector_index, work_buffer
 from .lapack import dgejsv, run_on_helper
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
@@ -65,37 +57,36 @@ class CrooksReport:
     floored_mass: float
 
 
-@holds_buffers("values", "keys", "mask", "logs", "s", "checked")
 def entropy_distributions(
     kernel: TransitionKernel, thermal: ThermalDistribution
 ) -> tuple[EntropyDistribution, EntropyDistribution, float]:
     """Entropy distributions of both processes and the microstate Crooks residual.
 
     The expansion masses p(n -> m) = p(m|n) p_th(n) and the contraction
-    masses q(m -> n) = p(m|n) p_th(m) of every sector are formed in one pass
-    over the squared kernel buffer: the contraction's initial thermal state
-    at the rescaled frequency and adiabatic temperature has the same
-    Boltzmann factor, so its weights coincide with the expansion's on the
-    shared basis. Both are binned onto one integer lattice of total change at the
-    rate omega_in / T, so the expansion value s and the contraction value
-    -s land on shared points; the contraction distribution is returned over
-    its own increment (the negated lattice, in ascending order; _binned
-    says how the sectors add up; each bin accumulates chunk after chunk in
-    entry order, as one pass over the whole buffer would). The residual is
-    max |log p - log q - s| over p > PROBABILITY_FLOOR, leaving out the
-    microstates with log p - s < LOG_TINY: there the relation puts q below
-    the smallest normal double, so it underflows at low temperature and its
-    log carries no digits. A q that is 0 where it should be representable
-    gives +inf.
+    masses q(m -> n) = p(m|n) p_th(m), summed per cell [t_f, t_i] of the
+    kernel's total table R, are J = R[t_f, t_i] w(t_i) and
+    Q = R[t_f, t_i] w(t_f): the contraction's initial thermal state at the
+    rescaled frequency and adiabatic temperature has the same Boltzmann
+    factor, so its weights coincide with the expansion's on the shared
+    basis. Both are binned onto one integer lattice of total change
+    t_f - t_i (fock.cell_changes) at the rate omega_in / T, so that
+    P_E(c) = sum_t R[t + c, t] w(t) and P_C is the same sum with
+    w(t + c); the expansion value s and the contraction value -s land on
+    shared points, and the contraction distribution is returned over its
+    own increment (the negated lattice, in ascending order). The residual
+    is max |log J - log Q - s| over the cells with J > PROBABILITY_FLOOR,
+    leaving out those with log J - s < LOG_TINY: there the relation puts Q
+    below the smallest normal double, so it underflows at low temperature
+    and its log carries no digits. A Q that is 0 where it should be
+    representable gives +inf.
 
     No kernel fault can move this residual, nor the distribution residual
-    of crooks_deviation: entry [p, q] of P enters the expansion mass as
-    P w(q) and the contraction mass as P w(p), and w(p)/w(q) = e^(-s) on
-    every lattice bin, so both residuals vanish for any kernel up to
-    rounding. Their witness is a fault in the weights or in the lattice
-    key (sector_index's change); the kernel is checked by the spectral
-    oracle. So the pass weighs each block by its columns and its rows
-    (_masses), never through change.
+    of crooks_deviation: a cell's R enters J as R w(t_i) and Q as
+    R w(t_f), and w(t_f)/w(t_i) = e^(-s) on every cell, so both residuals
+    vanish for any R up to rounding. Their witness is a fault in the
+    weights or in a cell's lattice key (cell_changes); the kernel is
+    checked by the spectral oracle. So the masses weigh R by its columns
+    and by its rows, never through the keys.
     """
     if thermal.is_vacuum:
         raise EntropyUndefinedError(
@@ -104,38 +95,19 @@ def entropy_distributions(
     _require_pairing(kernel, thermal)
     rate = thermal.omega / thermal.temperature
     cutoff = thermal.spec.cutoff
-    ix = sector_index(cutoff)
-    # s per change key: total(m) - total(n) = 2(p - q)
-    s_of_key = rate * np.arange(-2 * cutoff, 2 * cutoff + 1, 2)
-    # per total change, the d = 0 block's masses and the rest's
-    sums_e, sums_c = np.zeros((2, 2 * cutoff + 1)), np.zeros((2, 2 * cutoff + 1))
-    micro_dev = 0.0
-    for chunk in sector_chunks(cutoff):
-        amps, w = kernel.flat_amplitudes[chunk.entries], thermal.flat_weights[chunk.states]
-        keys = chunk_keys(ix.change, chunk)
-        once = (cutoff + 1) ** 2 if chunk.sectors.start == 0 else 0
-        J = _masses(amps, w, chunk, final=False)
-        _add_bins(sums_e, J, keys, once)
-        # the microstate residual, entry by entry; the max reads the entries
-        # checked only, so the others may hold -inf or NaN
-        live = np.greater(J, PROBABILITY_FLOOR, out=work_buffer("mask", chunk.size, np.bool_))
-        with np.errstate(divide="ignore"):
-            log_j = np.log(J, out=work_buffer("logs", chunk.size))
-        Q = _masses(amps, w, chunk, final=True)  # in J's buffer
-        _add_bins(sums_c, Q, keys, once)
-        s = np.take(s_of_key, keys, out=work_buffer("s", chunk.size), mode="clip")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resid = np.subtract(log_j, np.log(Q, out=Q), out=Q)
-            resid -= s
-            np.abs(resid, out=resid)
-            log_j -= s
-        # live, and q = J e^(-s) is a normal double
-        checked = np.greater_equal(
-            log_j, LOG_TINY, out=work_buffer("checked", chunk.size, np.bool_)
-        )
-        checked &= live
-        micro_dev = float(np.max(resid, where=checked, initial=micro_dev))
-    mass_e, mass_c = _binned(sums_e), _binned(sums_c)
+    R, w = kernel.total_table, thermal.total_weights
+    keys = cell_changes(cutoff)
+    J, Q = (R * w).ravel(), (R * w[:, None]).ravel()
+    mass_e = np.bincount(keys, weights=J, minlength=4 * cutoff + 1)
+    mass_c = np.bincount(keys, weights=Q, minlength=4 * cutoff + 1)
+    # the microstate residual, cell by cell
+    live = np.flatnonzero(J > PROBABILITY_FLOOR)
+    s = rate * (keys[live] - 2 * cutoff)
+    log_j = np.log(J[live])
+    with np.errstate(divide="ignore"):
+        resid = np.abs(log_j - np.log(Q[live]) - s)
+    # q = J e^(-s) is a normal double
+    micro_dev = float(np.max(resid, where=log_j - s >= LOG_TINY, initial=0.0))
     delta = np.arange(-2 * cutoff, 2 * cutoff + 1)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
     s_vals = rate * delta[keep].astype(float)
@@ -147,37 +119,6 @@ def entropy_distributions(
         masses=mass_c[keep][::-1].copy(),
     )
     return p_e, p_c, micro_dev
-
-
-def _masses(amps: np.ndarray, w: np.ndarray, chunk: Chunk, final: bool) -> np.ndarray:
-    """p(m|n) of the chunk's entries times the weight of each entry's
-    initial state, its block's column, or with final of its final state,
-    its row; held in the work buffer "values". Neither reads a lattice
-    key, so a fault in one moves s and the bins, not the weights."""
-    masses = np.square(amps, out=work_buffer("values", chunk.size))
-    for block, w_d in zip(chunk.views(masses, True), chunk.views(w, False)):
-        block *= w_d[:, None] if final else w_d
-    return masses
-
-
-def _add_bins(sums: np.ndarray, masses: np.ndarray, keys: np.ndarray, once: int) -> None:
-    """Add a chunk's masses per change key to sums: its first once entries
-    (the d = 0 block) to sums[0], the rest to sums[1]. np.add.at adds them
-    one by one in entry order, so each bin's sum over the whole buffer is
-    the one a single bincount over it takes, whatever the chunks."""
-    np.add.at(sums[0], keys[:once], masses[:once])
-    np.add.at(sums[1], keys[once:], masses[once:])
-
-
-def _binned(sums: np.ndarray) -> np.ndarray:
-    """Trajectory masses per total change -2N..2N from a kernel buffer's
-    masses binned per change key: the d = 0 block once (sums[0]) and the
-    blocks d > 0 twice for their mirrors (sums[1]). Odd total changes hold
-    0."""
-    total = np.zeros(2 * len(sums[0]) - 1)
-    total[::2] = sums[0]
-    total[::2] += 2.0 * sums[1]
-    return total
 
 
 def _mirrored_masses(

@@ -8,16 +8,19 @@ storage: a full kernel keeps each per-sector quantity in one sector-major
 buffer (the blocks d = 0..cutoff end to end, or their states end to end),
 and its per-sector blocks are read-only views into that buffer
 (sector_views). It stores the signed amplitudes, not their squares: every
-stage that reads p(m|n) squares the buffer itself, once per call.
+stage that reads p(m|n) squares the buffer itself, once per call. The
+build also sums the squares into the kernel's total table, (2N+1)^2 cells
+keyed by the totals of the final and the initial state, which every T > 0
+work and entropy statistic contracts in O(N^2) work (TransitionKernel).
 sector_index holds, once per cutoff, the gather indices that let a stage
 treat many sectors of a buffer in one array pass.
 
-Every pass over a kernel buffer (the build's gather and column sums, the
-work pass, the entropy pass and the battery's symmetry scan; the relative
-entropy takes one block at a time) walks it in chunks of whole sectors of
-at most CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum
-keeps its order; the sums that span sectors accumulate chunk after chunk
-in entry order, so no result depends on the chunking. Its temporaries are
+Every pass over a kernel buffer (the build's gather, column sums and
+total table, and the battery's symmetry scan; the relative entropy takes
+one block at a time) walks it in chunks of whole sectors of at most
+CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
+order; the total table's cells accumulate chunk after chunk in entry
+order, so no result depends on the chunking. Its temporaries are
 work buffers the thread holds across calls (work_buffer), one set per
 thread, grown to the largest chunk a call has touched; a pass declares
 the buffers it takes (holds_buffers), and a pass called inside another
@@ -25,9 +28,9 @@ that holds one of them raises instead of writing over it. So a pass frees
 no buffer-length array, the heap does not shrink and regrow around each
 op, and a pass's transient memory does not grow with the box. The index
 tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
-cast np.take and np.bincount would otherwise allocate on every call. The
-one box-sized temporary left is the build's lower-triangle buffer, half a
-double per entry (_amplitudes).
+cast np.take, np.bincount and np.add.at would otherwise allocate on every
+call. The one box-sized temporary left is the build's lower-triangle
+buffer, half a double per entry (_amplitudes).
 
 Two independent evaluation routes are provided:
 
@@ -43,8 +46,8 @@ Two independent evaluation routes are provided:
   5e-324 to 1.5 and cutoffs up to 120. The column-sum excess check
   (COLSUM_EXCESS_LIMIT) stays as a fail-closed guard against a NaN or a
   gross excess. sector_index holds the per-entry gathers of the mirror
-  step, and _recurrence_table the recurrence's z-free inputs, each built
-  once per cutoff beside the layout. A T = 0 point reads
+  step and the total table, and _recurrence_table the recurrence's z-free
+  inputs, each built once per cutoff beside the layout. A T = 0 point reads
   only the vacuum column of d = 0; transition_kernel with vacuum builds
   and holds that column alone, N + 1 amplitudes and one leakage value,
   from the same closed form, in O(N) work and bit for bit the full
@@ -96,7 +99,7 @@ COLSUM_EXCESS_LIMIT = 1e-9
 # small beside the spectral oracle's blocks, which the verify battery
 # holds at the same time (with 2^16, one chunk of the whole cutoff-40 box,
 # its peak RSS was about 0.2 MiB higher). No result depends on the
-# chunking (entropy_distributions adds its bins in entry order), so the
+# chunking (the build adds the total table's cells in entry order), so the
 # bound trades memory against per-chunk numpy calls only.
 CHUNK_ENTRIES = 1 << 14
 
@@ -228,20 +231,21 @@ class SectorIndex:
     Entry k of a kernel buffer is [p, q] of block d, indexed by final and
     initial sector position; block d starts at block_start[d], and sector
     d's states at state_start[d] of a per-state buffer (state_totals
-    order). col keys sums over each initial state, and change the total
-    change the work pass weighs and the entropy lattice bins by. The
-    kernel builder fills the lower triangles of every block column by
-    column into one buffer (_amplitudes): column q holds the rows p >= q
-    of every sector, row-major over (p, d), and mirror reads each entry
-    from there. Index arrays hold the smallest unsigned integer type that
-    fits: 119,105 bytes at cutoff 40, 13,451,088 at 170. All read-only.
+    order). col keys the column sums over each initial state, and cell the
+    entry's cell of the total table (TransitionKernel), which the builder
+    also reads the entry's sign and power of tanh(z) by. The kernel
+    builder fills the lower triangles of every block column by column
+    into one buffer (_amplitudes): column q holds the rows p >= q of every
+    sector, row-major over (p, d), and mirror reads each entry from there.
+    Index arrays hold the smallest unsigned integer type that fits:
+    142,926 bytes at cutoff 40, 16,813,860 at 170. All read-only.
     """
 
     block_start: tuple[int, ...]  # d = 0..cutoff + 1
     state_start: tuple[int, ...]  # d = 0..cutoff + 1
     mirror: np.ndarray  # [max(p, q), min(p, q)]: its place in the lower-triangle buffer
-    change: np.ndarray  # (p - q) + cutoff: half the entry's total change, offset
     col: np.ndarray  # the initial state of the entry, sector d position q
+    cell: np.ndarray  # (2p + d) (2 cutoff + 1) + 2q + d: [t_f, t_i] of the flat total table
 
 
 def _lower_starts(cutoff: int) -> tuple[list[int], list[int]]:
@@ -276,22 +280,32 @@ def sector_index(cutoff: int) -> SectorIndex:
 
     mirror = table(col_start[-1] - 1)
     col = table(state_start[-1] - 1)
-    change = table(2 * cutoff)
+    totals = 2 * cutoff + 1
+    cell = table(totals * totals - 1)
     for d, size in enumerate(sizes):
         block = slice(block_start[d], block_start[d + 1])
         i = np.arange(size)
         p, q = i[:, None], i[None, :]
         hi, lo = np.maximum(p, q), np.minimum(p, q)
         mirror[block] = (col_start[lo] + row_start[hi] - row_start[lo] + d).ravel()
-        change[block] = (cutoff + p - q).ravel()
         col[block] = np.tile(state_start[d] + i, size)
+        cell[block] = ((2 * p + d) * totals + 2 * q + d).ravel()
     return SectorIndex(
         block_start=block_start,
         state_start=state_start,
         mirror=_frozen(mirror),
-        change=_frozen(change),
         col=_frozen(col),
+        cell=_frozen(cell),
     )
+
+
+@cache
+def cell_changes(cutoff: int) -> np.ndarray:
+    """t_f - t_i + 2 cutoff of every cell of a total table, flat and
+    row-major: the key of the cell's total change, as the intp array
+    np.bincount reads. Built once per cutoff; read-only."""
+    t = np.arange(2 * cutoff + 1)
+    return _frozen(np.subtract.outer(t, t).ravel() + 2 * cutoff)
 
 
 class Chunk(NamedTuple):
@@ -540,7 +554,7 @@ class _RecurrenceTable(NamedTuple):
     row_start: list[int]
     col_start: list[int]
     exponents: np.ndarray  # d + 1.0 for d = 0..cutoff: sech(z)^(d+1) starts sector d
-    beta: np.ndarray  # [p, d]: sqrt(C(p+d, p)), a running product over p
+    beta: np.ndarray  # [p, d]: sqrt(C(p+d, p)), a running product over p; read on p + d <= cutoff
     signs: np.ndarray  # (-1)^k for k = cutoff..1, the upper triangle's sign
     p: np.ndarray
     d: np.ndarray
@@ -555,7 +569,11 @@ def _recurrence_table(cutoff: int) -> _RecurrenceTable:
     side = cutoff + 1
     d = np.arange(side)
     k = np.arange(1.0, side)[:, None]
-    beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), (k + d) / k]), axis=0))
+    # the factors of C(p+d, p) on p + d <= cutoff, the rows a build reads;
+    # past them a factor of 1 holds the product, which would otherwise
+    # grow unread until it overflowed (from cutoff 520 on)
+    ratios = np.where(k + d <= cutoff, (k + d) / k, 1.0)
+    beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), ratios]), axis=0))
     p, d = np.nonzero(np.add.outer(np.arange(side), d) <= cutoff)
     row_start, col_start = _lower_starts(cutoff)
     return _RecurrenceTable(
@@ -610,8 +628,8 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
         return tau_powers * sech
     ix = sector_index(cutoff)
     amps = np.empty(ix.block_start[-1])
-    if z == 0.0:
-        return np.equal(ix.change, cutoff, out=amps)  # identity blocks
+    if z == 0.0:  # identity blocks: the cells t_f = t_i, keyed by multiples of 2 cutoff + 2
+        return np.equal(ix.cell % (2 * cutoff + 2), 0, out=amps)
     tab = _recurrence_table(cutoff)
     row_start, col_start, rows = tab.row_start, tab.col_start, len(tab.p)
     lower = np.empty(col_start[-1])
@@ -642,13 +660,16 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
             col /= np.take(
                 tab.beta[q], tab.d_index[row_start[q]:], out=work[:len(col)], mode="clip"
             )
-    # (-1)^(q-p) for p < q and tanh(z)^|p-q|, keyed by p - q + cutoff
-    factor = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
+    # (-1)^(q-p) for p < q and tanh(z)^|p-q|, per total change 2(p - q),
+    # then per cell of the total table, which keys each entry
+    factor = np.zeros(4 * cutoff + 1)
+    factor[::2] = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
+    factor = np.take(factor, cell_changes(cutoff))
     for chunk in sector_chunks(cutoff):
         out = amps[chunk.entries]
         np.take(lower, chunk_keys(ix.mirror, chunk), out=out, mode="clip")
         out *= np.take(
-            factor, chunk_keys(ix.change, chunk),
+            factor, chunk_keys(ix.cell, chunk),
             out=work_buffer("values", chunk.size), mode="clip",
         )
     return amps
@@ -674,6 +695,17 @@ class TransitionKernel:
     the one (N + 1, 1) view amplitudes[0] and its leakage as the one value
     column_leakage[0][0]. All arrays are read-only, since a sweep shares
     one kernel between its points.
+
+    A full kernel also holds its total table R (total_table), the
+    (2N+1) x (2N+1) sums R[t_f, t_i] of p(m|n) over the box states m of
+    total t_f and n of total t_i; entry [p, q] of block d falls in cell
+    (2p + d, 2q + d), and a block d > 0 counts twice, once for its mirror.
+    A Gibbs weight depends on a state's total alone, so every T > 0 work
+    and entropy statistic is a contraction of R with the per-total weights
+    (thermo._work_pass, fluctuation.entropy_distributions). R is symmetric,
+    as p(m|n) = p(n|m), and its column t_i sums to the number of box states
+    of total t_i less their column leakage. A vacuum kernel holds none
+    (None): a T = 0 point reads the vacuum column alone.
     """
 
     z: float
@@ -681,6 +713,7 @@ class TransitionKernel:
     vacuum: bool
     flat_amplitudes: np.ndarray = field(repr=False)
     flat_column_leakage: np.ndarray = field(repr=False)
+    total_table: np.ndarray | None = field(repr=False)
 
     def __post_init__(self) -> None:
         # set here rather than declared, so that they are not fields
@@ -696,19 +729,32 @@ class TransitionKernel:
 
 
 @holds_buffers("small", "tail", "coef", "work", "values", "keys")
-def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every block's amplitudes (_amplitudes), frozen, and each column's sum
-    of their squares, in row order as a block's sum over axis 0 takes it."""
+def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every block's amplitudes (_amplitudes), frozen; each column's sum of
+    their squares, in row order as a block's sum over axis 0 takes it; and
+    the total table of the squares (TransitionKernel), frozen.
+
+    np.add.at adds the squares into their cells one by one in entry order,
+    so each cell sums its sectors d ascending whatever the chunks, and
+    cells [a, b] and [b, a] add equal squares in one order: R is exactly
+    symmetric. Per-sector strided adds into R took 2.3x as long at cutoff
+    40; a bincount per chunk took as long there, 1.2x at 56 and 1.9x at 120.
+    """
     amps = _frozen(_amplitudes(z, cutoff, False))
+    ix = sector_index(cutoff)
     colsums = np.empty(len(state_totals(cutoff)))
-    col = sector_index(cutoff).col
+    side = 2 * cutoff + 1
+    table = np.zeros(side * side)
     for chunk in sector_chunks(cutoff):
         squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
         colsums[chunk.states] = np.bincount(
-            chunk_keys(col, chunk, chunk.states.start),
+            chunk_keys(ix.col, chunk, chunk.states.start),
             weights=squares, minlength=chunk.states.stop - chunk.states.start,
         )
-    return amps, colsums
+        # a block d > 0 counts its mirror too: every block past d = 0's
+        squares[(cutoff + 1) ** 2 if chunk.sectors.start == 0 else 0:] *= 2.0
+        np.add.at(table, chunk_keys(ix.cell, chunk), squares)
+    return amps, colsums, _frozen(table.reshape(side, side))
 
 
 def transition_kernel(
@@ -741,9 +787,9 @@ def transition_kernel(
     # cannot be made writeable
     if vacuum:  # column sums in row order by a sequential scan; a 1-D sum would add pairwise
         amps = _frozen(_amplitudes(z, spec.cutoff, vacuum))
-        colsums = np.cumsum(amps**2)[-1:]
+        colsums, table = np.cumsum(amps**2)[-1:], None
     else:
-        amps, colsums = _full_build(z, spec.cutoff)
+        amps, colsums, table = _full_build(z, spec.cutoff)
     excess = float(colsums.max()) - 1.0
     if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(
@@ -756,4 +802,5 @@ def transition_kernel(
         vacuum=vacuum,
         flat_amplitudes=amps,
         flat_column_leakage=_frozen(np.maximum(1.0 - colsums, 0.0)),
+        total_table=table,
     )

@@ -8,7 +8,10 @@ repeated runs byte-identical.
 A run holds its last kernel and its last Gibbs state (_KernelSlot): the
 kernel is reused while (z, spec) repeats, which is the temperature axis of
 a sweep, and the Gibbs state while (T, omega_in, spec) repeats, which is
-the sigma and epsilon axes.
+the sigma and epsilon axes. A full kernel carries its total table, from
+which each T > 0 point contracts its work and entropy statistics, so a
+temperature axis forms that table once; a T = 0 point builds the vacuum
+column alone and never forms it.
 """
 
 from __future__ import annotations
@@ -323,10 +326,11 @@ class _KernelSlot:
     vacuum kernel only a vacuum point. Block d depends on (z, cutoff) only,
     and the vacuum kernel's one column and its leakage are the full
     kernel's bit for bit; every check transition_kernel makes depends on
-    (z, cutoff, leakage budget) and the blocks built. So a held kernel
-    with that key is one already checked, and a full kernel serves a
-    vacuum point unchanged: the work pass reads that column alone at
-    T = 0, so either kernel gives the point the same bits.
+    (z, cutoff, leakage budget) and the blocks built, and so does the
+    total table a full kernel holds. So a held kernel with that key is one
+    already checked, and a full kernel serves a vacuum point unchanged:
+    the work pass reads that column alone at T = 0, so either kernel gives
+    the point the same bits.
 
     The Gibbs state, and its thermal gate, depend on (T, omega_in, spec)
     only, so it is reused while that key repeats, as along a sigma or

@@ -5,20 +5,22 @@ zero-point energy, which cancels inside thermal weights but not in work
 differences, so the work decomposition keeps the explicit (omega_out -
 omega_in) shift. All kernel averages carry a truncation bound equal to the
 largest in-box energy times the initial-weighted mass lost to the box.
-The Gibbs weights of every occupied sector state are one buffer, formed in
-one pass over the box's state totals (fock.state_totals). Every kernel
-average the work bookkeeping reads (the weighted leakage, <n_f>, <n_i> and
-<n_c>) comes from one work pass (_work_pass); inner_friction reads that
-pass and reports every average in its WorkReport. At T > 0 the pass takes
-per-state sums over the kernel buffer in chunks of whole sectors
-(fock.sector_chunks), its squares in the thread's held work buffers; it
-agrees with per-sector loops to the rounding of its sums
-(tests/dense_reference.py). At
-T = 0 the vacuum (0, 0) carries all the weight, and the pass reads only
-column 0 of block d = 0 and its leakage, in O(N) work, from a vacuum
-kernel or a full one alike. Every stage that pairs a kernel with an
-initial state, here and in fluctuation, first checks that the two fit
-(_require_pairing): one cutoff, and a vacuum kernel only for the vacuum.
+A Gibbs weight depends on a state's total alone: a Gibbs state holds the
+2N+1 weights per total, and gathers from them the weights of every
+occupied sector state, one sector-major buffer (fock.state_totals). Every
+kernel average the work bookkeeping reads (the weighted leakage, <n_f>,
+<n_i> and <n_c>) comes from one work pass (_work_pass); inner_friction
+reads that pass and reports every average in its WorkReport. At T > 0 the
+pass contracts the kernel's total table (fock.TransitionKernel) with the
+per-total weights, O(N^2) work whatever the box's O(N^3) entries, and
+takes the weighted leakage from the kernel's column leakage; it agrees
+with per-sector loops to the rounding of its sums
+(tests/dense_reference.py). At T = 0 the vacuum (0, 0) carries all the
+weight, and the pass reads only column 0 of block d = 0 and its leakage,
+in O(N) work, from a vacuum kernel or a full one alike. Every stage that
+pairs a kernel with an initial state, here and in fluctuation, first
+checks that the two fit (_require_pairing): one cutoff, and a vacuum
+kernel only for the vacuum.
 """
 
 from __future__ import annotations
@@ -30,16 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LeakageError, NumericError, VerificationError
-from .fock import (
-    TransitionKernel,
-    TruncationSpec,
-    chunk_keys,
-    holds_buffers,
-    sector_chunks,
-    sector_index,
-    state_totals,
-    work_buffer,
-)
+from .fock import TransitionKernel, TruncationSpec, cell_changes, state_totals
 
 # Slack added to truncation-bound comparisons to absorb pure rounding noise.
 FLOAT_SLACK = 1e-12
@@ -49,9 +42,12 @@ FLOAT_SLACK = 1e-12
 class ThermalDistribution:
     """Diagonal Gibbs weights over the joint basis, renormalized to the box.
 
-    flat_weights holds the weights of the sector states of every occupied
-    sector, sector-major in sector_layout order (fock.state_totals);
-    mirrored states share them, and fock.sector_views gives one read-only
+    total_weights[t] is the weight of every box state of total t, for
+    t = 0..2N. flat_weights holds the weights of the sector states of
+    every occupied sector, sector-major in sector_layout order
+    (fock.state_totals), gathered from total_weights (thermal_distribution),
+    so every state's weight is its total's, as the contractions of a
+    kernel's total table need; mirrored states share them, and fock.sector_views gives one read-only
     view per sector. Every sector of the box is occupied at T > 0, and
     only d = 0 at temperature = 0, which marks the vacuum path: a point
     mass on (0, 0) with no entropy scale, served by a vacuum kernel or a
@@ -64,6 +60,7 @@ class ThermalDistribution:
     spec: TruncationSpec
     flat_weights: np.ndarray
     renorm_defect: float
+    total_weights: np.ndarray
 
     @property
     def is_vacuum(self) -> bool:
@@ -103,23 +100,19 @@ def _require_pairing(kernel: TransitionKernel, thermal: ThermalDistribution) -> 
 def _gibbs_weights(
     temperature: float, omega: float, cutoff: int
 ) -> tuple[np.ndarray, float]:
-    """Box-renormalized Gibbs weights of the occupied sector states, as one
-    sector-major buffer, and the mass outside the box.
+    """Box-renormalized Gibbs weights of a state of each total 0..2N, and
+    the mass outside the box.
 
     The weight of n is (1-x)^2 x^total(n) with x = exp(-omega/T). Each mode
     keeps 1 - t of its mass in the box, t = x^(cutoff+1), so the weights
     are divided by (1-t)^2 and the escaped mass is t(2-t), both in closed
-    form. At T = 0, x = 0 gives the point mass on (0, 0) through 0^0 = 1,
-    and only the states of sector 0 are returned. When T >> omega rounds x
-    to 1, the box holds none of the mass.
+    form. At T = 0, x = 0 gives the point mass on (0, 0) through 0^0 = 1.
+    When T >> omega rounds x to 1, the box holds none of the mass.
     """
     x = 0.0 if temperature == 0.0 else float(np.exp(-omega / temperature))
     t = x ** (cutoff + 1)
     scale = ((1.0 - x) / (1.0 - t)) ** 2 if t < 1.0 else 0.0
-    totals = state_totals(cutoff)
-    if temperature == 0.0:
-        totals = totals[: cutoff + 1]
-    weights = scale * x**totals
+    weights = scale * x ** np.arange(2 * cutoff + 1)
     weights.flags.writeable = False
     return weights, t * (2.0 - t)
 
@@ -146,12 +139,19 @@ def thermal_distribution(
             f"{spec.leakage_tolerance:.3e}: cutoff {spec.cutoff} too small "
             f"for T/omega = {temperature / omega:.3g}"
         )
+    # the occupied sector states' weights, each its total's: the float
+    # operations per state are x ** total and one product, as one pass over
+    # the states would take them; at T = 0 sector 0 alone
+    totals = state_totals(spec.cutoff)
+    flat = weights[totals[: spec.cutoff + 1] if temperature == 0.0 else totals]
+    flat.flags.writeable = False
     return ThermalDistribution(
         temperature=temperature,
         omega=omega,
         spec=spec,
-        flat_weights=weights,
+        flat_weights=flat,
         renorm_defect=defect,
+        total_weights=weights,
     )
 
 
@@ -186,10 +186,9 @@ class _WorkSums(NamedTuple):
     created: float  # <total(m) - total(n)> under p(m|n) p_th(n), in-box
 
 
-@holds_buffers("values", "keys", "diffs")
 def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkSums:
-    """Every kernel average of the work bookkeeping, in one pass over the
-    sectors the initial state occupies.
+    """Every kernel average of the work bookkeeping, in one pass: over the
+    vacuum column at T = 0, over the kernel's total table at T > 0.
 
     At T = 0 the initial state is the vacuum, state 0 of sector d = 0 with
     weight exactly 1, so only column 0 of block d = 0 counts: the leakage
@@ -199,13 +198,15 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     column with the same bits, so the averages do not depend on which of
     them serves the point.
 
-    At T > 0 two bincounts over sector_index's col sum, per initial state
-    n, p(m|n) and p(m|n) (total(m) - total(n)), read through change; with
-    total(n) times the first, the second gives the sum of p(m|n) total(m).
-    They run chunk by chunk in held work buffers; a state's sums lie in
-    one sector, so they keep their order at every cutoff. Each average is
-    one dot with the weights. <n_c> never subtracts two sums of totals,
-    which would cancel its digits as z -> 0.
+    At T > 0 the masses R[t_f, t_i] w(t_i) of the kernel's total table give
+    <n_f> as their sum times t_f, and <n_c> as their sum per total change
+    t_f - t_i times that change, so <n_c> never subtracts two sums of
+    totals, which would cancel its digits as z -> 0. <n_i> weighs each
+    total by its number of box states, which R holds on its diagonal at
+    z = 0, where <n_f> then has the same bits. The weighted leakage is a
+    dot of the kernel's column leakage with the sector states' weights: a
+    leakage taken as the box's multiplicity less R's column sums would
+    keep no digit past eps / leakage.
     """
     _require_pairing(kernel, thermal)
     cutoff = kernel.spec.cutoff
@@ -214,28 +215,16 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
         created = math.fsum((state_totals(cutoff)[: cutoff + 1] * column**2).tolist())
         leakage = float(kernel.column_leakage[0][0]) + thermal.renorm_defect
         return _WorkSums(leakage, created, 0.0, created)
-    ix = sector_index(cutoff)
-    totals = state_totals(cutoff)
-    # per initial state n: sum_m p(m|n), then sum_m p(m|n) 2(p - q)
-    colsums, created = np.empty(len(totals)), np.empty(len(totals))
-    for chunk in sector_chunks(cutoff):
-        P = np.square(kernel.flat_amplitudes[chunk.entries], out=work_buffer("values", chunk.size))
-        keys = chunk_keys(ix.col, chunk, chunk.states.start)
-        states = chunk.states.stop - chunk.states.start
-        colsums[chunk.states] = np.bincount(keys, weights=P, minlength=states)
-        # p - q, exact in the narrowest signed type that holds 2 cutoff
-        diff = np.min_scalar_type(-2 * cutoff)
-        P *= np.subtract(
-            ix.change[chunk.entries], cutoff, dtype=diff,
-            out=work_buffer("diffs", chunk.size, diff),
-        )
-        created[chunk.states] = np.bincount(keys, weights=P, minlength=states)
-    created *= 2.0
     w = 2.0 * thermal.flat_weights  # a sector d > 0 counts its mirror too
     w[: cutoff + 1] = thermal.flat_weights[: cutoff + 1]
     leakage = float(kernel.flat_column_leakage @ w) + thermal.renorm_defect
-    final = float((totals * colsums + created) @ w)
-    return _WorkSums(leakage, final, float(totals @ w), float(created @ w))
+    totals, w_t = np.arange(2 * cutoff + 1), thermal.total_weights
+    masses = kernel.total_table * w_t  # [t_f, t_i]
+    per_change = np.bincount(cell_changes(cutoff), weights=masses.ravel(), minlength=4 * cutoff + 1)
+    created = float(np.arange(-2 * cutoff, 2 * cutoff + 1) @ per_change)
+    states = np.minimum(totals, 2 * cutoff - totals) + 1  # box states of each total
+    initial = float(totals @ (states * w_t))
+    return _WorkSums(leakage, float(totals @ masses.sum(axis=1)), initial, created)
 
 
 def mean_created_closed_form(z: float, temperature: float, omega: float) -> float:

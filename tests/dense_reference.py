@@ -13,14 +13,16 @@ costs it digits as blocks grow (up to 2.8e-13 on a 9 x 9 block and
 recurrence run on one sector block alone, which the flat builder must
 reproduce bit for bit; and the reference_* loops after them are the
 per-sector loops the pipeline ran before it kept each quantity in one
-sector-major buffer, or before it took the work averages in one flat
-pass. Fed the production kernel, they are accuracy references: where a
+sector-major buffer, before it took the work averages in one flat
+pass, or before it read every T > 0 statistic from the kernel's total
+table. Fed the production kernel, they are accuracy references: where a
 stage keeps the loop's float operations (the column leakage, the Gibbs
-weights, the microstate Crooks residual and K) the bits must agree, and
-where it sums in another order (the lattice masses and the work sums) it
-must agree within a rounding bound of terms x eps x scale, stated in
-test_sector_blocks. reference_work_sums forms <n_c> as the loops did, a
-difference of two sums of totals, which cancels as z -> 0.
+weights, K, and the microstate Crooks residual of each cell of the total
+table) the bits must agree, and where it sums in another order (the
+total table, the lattice masses and the work sums) it must agree within
+a rounding bound of terms x eps x scale, stated in test_sector_blocks.
+reference_work_sums forms <n_c> as the loops did, a difference of two
+sums of totals, which cancels as z -> 0.
 """
 
 import dataclasses
@@ -196,20 +198,13 @@ def reference_work_sums(probabilities, column_leakage, weights, renorm_defect):
     return leakage, final, initial, created
 
 
-def reference_entropy_pass(probabilities, weights, rate, cutoff, floor=1e-12):
+def reference_entropy_pass(probabilities, weights, cutoff):
     """Expansion and contraction masses per total change -2N..2N (offset by
-    2N) and the microstate Crooks residual, one sector at a time.
-
-    The residual leaves out the microstates with log J - s below the log of
-    the smallest normal double, whose contraction mass J e^(-s) underflows
-    as the relation predicts."""
+    2N), one sector at a time, each entry weighed by its own states."""
     i = np.arange(cutoff + 1)
-    total_change = 2 * (i[:, None] - i[None, :])
-    bins = total_change + 2 * cutoff
+    bins = 2 * (i[:, None] - i[None, :]) + 2 * cutoff
     mass_e = np.zeros(4 * cutoff + 1)
     mass_c = np.zeros(4 * cutoff + 1)
-    micro_dev = 0.0
-    log_tiny = np.log(np.finfo(float).tiny)
     for d, (P, w) in enumerate(zip(probabilities, weights)):
         size, multiplicity = len(w), 2 if d else 1
         J, Q = P * w[None, :], P * w[:, None]
@@ -220,14 +215,39 @@ def reference_entropy_pass(probabilities, weights, rate, cutoff, floor=1e-12):
         mass_c += multiplicity * np.bincount(
             sector_bins, weights=Q.ravel(), minlength=4 * cutoff + 1
         )
-        mask = J > floor
-        mask[mask] = np.log(J[mask]) - rate * total_change[:size, :size][mask] >= log_tiny
-        if np.any(mask):
-            s_vals = rate * total_change[:size, :size][mask]
-            with np.errstate(divide="ignore"):
-                resid = np.log(J[mask]) - np.log(Q[mask]) - s_vals
-            micro_dev = max(micro_dev, float(np.max(np.abs(resid))))
-    return mass_e, mass_c, micro_dev
+    return mass_e, mass_c
+
+
+def reference_total_table(probabilities, cutoff):
+    """R[t_f, t_i]: p(m|n) summed over the box states of totals t_f and
+    t_i, one sector and one entry at a time, a mirrored sector added once
+    more for its mirror states."""
+    R = np.zeros((2 * cutoff + 1, 2 * cutoff + 1))
+    for d, P in enumerate(probabilities):
+        for p in range(len(P)):
+            for q in range(len(P)):
+                for _ in range(2 if d else 1):
+                    R[2 * p + d, 2 * q + d] += P[p, q]
+    return R
+
+
+def reference_cell_residual(table, total_weights, rate, floor=1e-12):
+    """max |log J - log Q - s| over the cells [t_f, t_i] of a total table,
+    one cell at a time: J = R w(t_i), Q = R w(t_f), s = rate (t_f - t_i).
+
+    Cells with J <= floor are left out, and so are those with log J - s
+    below the log of the smallest normal double, whose contraction mass
+    J e^(-s) underflows as the relation predicts."""
+    log_tiny = np.log(np.finfo(float).tiny)
+    worst = 0.0
+    for t_f, row in enumerate(table):
+        for t_i, R in enumerate(row):
+            J, Q = R * total_weights[t_i], R * total_weights[t_f]
+            s = rate * (t_f - t_i)
+            if J > floor and np.log(J) - s >= log_tiny:
+                with np.errstate(divide="ignore"):
+                    worst = max(worst, float(abs(np.log(J) - np.log(Q) - s)))
+    return worst
 
 
 def reference_relative_entropy(amplitudes, weights, clip=1e-300):
@@ -270,14 +290,12 @@ def dense_entropy_lattice(J, cutoff):
     return np.bincount(delta.ravel(), weights=J.ravel(), minlength=4 * cutoff + 1)
 
 
-def dense_crooks_microstate(J, Q, rate, cutoff, floor=1e-12):
-    """max |log J - log Q - rate * (total(m) - total(n))| over J > floor."""
-    tot = dense_totals(cutoff)
-    s_mat = rate * (tot[:, None] - tot[None, :])
-    mask = J > floor
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(np.log(J[mask]) - np.log(Q[mask]) - s_mat[mask])))
+def dense_total_table(P, cutoff):
+    """Dense p(m|n) summed per cell [total(m), total(n)]."""
+    tot = dense_totals(cutoff).astype(int)
+    cells = tot[:, None] * (2 * cutoff + 1) + tot[None, :]
+    side = 2 * cutoff + 1
+    return np.bincount(cells.ravel(), weights=P.ravel(), minlength=side * side).reshape(side, side)
 
 
 def array_bytes(obj):

@@ -23,26 +23,27 @@ def _failed(lines):
 
 
 def test_crooks_microstate_catches_a_shifted_change_key(monkeypatch, kernel40, thermal40):
-    # the live entry of least expansion mass, just over PROBABILITY_FLOOR
-    # (1.0e-12), is keyed one step of p - q off: its increment s is off by
+    # the live cell of the total table with the least expansion mass
+    # R[t_f, t_i] w(t_i), just over PROBABILITY_FLOOR (1.0e-12), is keyed
+    # one lattice step, a total change of 2, off: its increment s is off by
     # 2 omega_in / T, so its residual |log J - log Q - s| reads 2. Its mass
     # moves to the next lattice bin in both distributions, which
-    # crooks-distribution sees too (3.2e-5); no other line does
-    ix = fock_mod.sector_index(40)
-    J = np.take(thermal40.flat_weights, ix.col) * kernel40.flat_amplitudes**2
+    # crooks-distribution sees too (5.8e-2); no other line does
+    J = (kernel40.total_table * thermal40.total_weights).ravel()
     live = np.flatnonzero(J > fluctuation_mod.PROBABILITY_FLOOR)
-    entry = live[np.argmin(J[live])]
-    assert J[entry] < 2 * fluctuation_mod.PROBABILITY_FLOOR
-    change = ix.change.copy()
-    change[entry] += 1 if change[entry] < 2 * 40 else -1
-    shifted = dataclasses.replace(ix, change=change)
+    cell = live[np.argmin(J[live])]
+    assert J[cell] < 2 * fluctuation_mod.PROBABILITY_FLOOR
+    keys = fock_mod.cell_changes(40).copy()
+    keys[cell] += 2 if keys[cell] < 4 * 40 else -2
     monkeypatch.setattr(
-        fluctuation_mod, "sector_index",
-        lambda cutoff: shifted if cutoff == 40 else fock_mod.sector_index(cutoff),
+        fluctuation_mod, "cell_changes",
+        lambda cutoff: keys if cutoff == 40 else fock_mod.cell_changes(cutoff),
     )
     lines, failures = verify_invariants()
     assert _failed(lines) == ["crooks-microstate", "crooks-distribution"]
     assert failures == 2
+    line = next(ln for ln in lines if "crooks-microstate" in ln)
+    assert "residual = 2.000e+00" in line
 
 
 def _noisy(weights):
@@ -53,14 +54,15 @@ def _noisy(weights):
 
 def test_crooks_lines_catch_noise_on_the_gibbs_weights(monkeypatch):
     # no kernel fault can move either Crooks residual (entropy_distributions
-    # says why); a fault in the weights the entropy pass reads breaks
-    # w(p) / w(q) = e^(-s), and both lines FAIL, with every line that reads
-    # the lattice. The work bookkeeping and the QRE read the true weights
+    # says why); a fault in the per-total weights the entropy pass reads
+    # breaks w(t_f) / w(t_i) = e^(-s), and both lines FAIL, with every line
+    # that reads the lattice. The work bookkeeping and the QRE read the true
+    # weights
     real = fluctuation_mod.entropy_distributions
 
     def noisy(kernel, thermal):
-        weights = _noisy(thermal.flat_weights)
-        return real(kernel, dataclasses.replace(thermal, flat_weights=weights))
+        weights = _noisy(thermal.total_weights)
+        return real(kernel, dataclasses.replace(thermal, total_weights=weights))
 
     monkeypatch.setattr(fluctuation_mod, "entropy_distributions", noisy)
     lines, failures = verify_invariants()
@@ -72,9 +74,10 @@ def test_crooks_lines_catch_noise_on_the_gibbs_weights(monkeypatch):
 
 
 def test_noise_in_the_gibbs_stage_stops_the_battery(monkeypatch):
-    # the same noise where the weights are built also moves <n_i> and
-    # <n_f>, and inner_friction's friction/creation check raises before
-    # any line is printed: the battery fails closed
+    # the same noise where the per-total weights are built reaches every
+    # sector state's weight too, moves <n_i> and <n_f>, and
+    # inner_friction's friction/creation check raises before any line is
+    # printed: the battery fails closed
     real = thermo_mod._gibbs_weights
 
     def noisy(temperature, omega, cutoff):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +143,16 @@ def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
         reference = reference_sector_recurrence(z, s.d, s.size)
         assert block.shape == reference.shape
         assert block.tobytes() == reference.tobytes()
+
+
+def test_recurrence_table_stays_finite_at_cutoff_600():
+    # the running products of C(p+d, p) are formed on the rows p + d <= N a
+    # build reads; past them they once grew until numpy's cumprod
+    # overflowed, from cutoff 520 on, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = fock_mod._recurrence_table.__wrapped__(600)
+    assert np.all(np.isfinite(table.beta)) and np.all(np.isfinite(table.row_beta))
 
 
 def test_kernel_accurate_at_cutoff_120():

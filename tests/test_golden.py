@@ -47,7 +47,11 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
     # The sweep CSV's mean_created of rows 0-4 moved onto the closed form
     # (row 0 from 7.556e-78 to 2.166e-77), and inner_friction of rows 0-2
     # by one ulp of mean_work, when the work pass stopped taking <n_c> as a
-    # difference of two sums of totals.
+    # difference of two sums of totals. When every T > 0 statistic came to
+    # be contracted from the kernel's total table, run_canonical's
+    # crooks_dev moved from 1.42e-14 to 7.11e-15, the sweep CSV's crooks_dev
+    # of rows 5-9, 11 and 12 by at most 1.8e-15, and its inner_friction of
+    # rows 0-2 from -2.2e-16 to 2.2e-16, one ulp of mean_work either way.
     path = str(ROOT / "scripts" / f"{script}.py")
     monkeypatch.setattr(sys, "argv", [path])
     runpy.run_path(path, run_name="__main__")
@@ -58,7 +62,9 @@ def test_script_report_is_byte_identical(script, capsys, monkeypatch):
 # the canonical point swept over temperature, with a thermal-gate failure
 # (T = 50) mid-grid; frozen before the sweep shared one kernel between
 # points, and refrozen when the recurrence replaced the analytic sum
-# (leakage, crooks_dev and kl_quantum moved at noise level)
+# (leakage, crooks_dev and kl_quantum moved at noise level) and when the
+# statistics came from the kernel's total table (crooks_dev at T = 1 moved
+# from 1.42e-14 to 7.11e-15)
 TEMPERATURE_GRID = (0.25, 0.5, 0.75, 50.0, 1.0, 1.25, 1.5)
 
 
@@ -114,7 +120,10 @@ def test_verify_output_is_byte_identical():
     # print the gap it judges and the left-out mass; refrozen when the
     # squeeze map stopped cancelling at small a and b, which moved the
     # sudden-limit deviation at sigma = 1e6 from 4.492e-12 to 7.983e-13
-    # (mpmath: 7.9825e-13)
+    # (mpmath: 7.9825e-13); refrozen when the statistics came from the
+    # kernel's total table, which moved the crooks-microstate residual, now
+    # per cell of the table, from 1.421e-14 to 7.105e-15 and the
+    # entropy-friction creation residual from 4.441e-16 to 0
     proc = subprocess.run(
         [sys.executable, "-m", "cosmoflux", "verify"],
         capture_output=True, env=CHILD_ENV, timeout=120,

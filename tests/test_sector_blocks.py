@@ -23,23 +23,33 @@ from cosmoflux.fock import (
     sector_layout,
     sector_spectral,
 )
-from cosmoflux.report import _conservation_checks
+import cosmoflux.fock as fock_mod
+from cosmoflux.report import (
+    RunConfig,
+    SweepConfig,
+    _conservation_checks,
+    canonical_config,
+    run_simulation,
+    run_sweep,
+)
 from cosmoflux.thermo import _work_pass, inner_friction
 
-from conftest import Z_CANON
+from conftest import Z_CANON, spy_on
 from dense_reference import (
     sector_weights,
     array_bytes,
-    dense_crooks_microstate,
     dense_entropy_lattice,
     dense_mean_created,
     dense_mean_final_total,
     dense_state_vector,
+    dense_total_table,
     dense_totals,
     dense_view,
+    reference_cell_residual,
     reference_entropy_pass,
     reference_gibbs_weights,
     reference_relative_entropy,
+    reference_total_table,
     reference_work_sums,
 )
 
@@ -87,8 +97,12 @@ def test_sectors_match_dense_reference(z, t_ratio, cutoff):
     assert np.max(np.abs(lattice_e - dense_entropy_lattice(J, cutoff))) <= rounding
     assert np.max(np.abs(lattice_c - dense_entropy_lattice(Q, cutoff))) <= rounding
 
-    # microstate Crooks residual: same entries, same arithmetic, same max
-    assert micro_dev == dense_crooks_microstate(J, Q, rate, cutoff)
+    # the total table: each cell sums at most N + 1 squares of either
+    # mirror, in another order than the dense route's
+    R = kern.total_table
+    assert np.all(np.abs(R - dense_total_table(P, cutoff)) <= 2 * (cutoff + 1) * EPS * R)
+    # microstate Crooks residual: same cells, same arithmetic, same max
+    assert micro_dev == reference_cell_residual(R, thermal.total_weights, rate)
 
 
 def _lattice(support, masses, rate, cutoff):
@@ -114,12 +128,27 @@ def _entry_count(cutoff):
     return (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6
 
 
+def _assert_lattice_within_rounding(p_e, p_c, mass_e, mass_c, cutoff):
+    """The lattice masses against the per-sector loops' (mass_e, mass_c, per
+    total change offset by 2N): terms x (eps x the bin's mass + one
+    subnormal step)."""
+    keep = (mass_e > 0.0) | (mass_c > 0.0)
+    terms = _entry_count(cutoff)
+    step = np.finfo(float).smallest_subnormal
+    for got, want in ((p_e.masses, mass_e[keep]), (p_c.masses[::-1], mass_c[keep])):
+        assert np.all(np.abs(got - want) <= terms * (EPS * want + step))
+
+
 # The flat stages against the per-sector loops they replaced
-# (dense_reference). Where a stage's float operations per entry are those
-# of the loop, the bits must agree: the column leakage, the Gibbs weights,
-# the microstate Crooks residual and K. The lattice masses bin the same
-# nonnegative entries in another order, so each bin may differ by the
-# rounding of a sum of that many terms: terms x eps x the bin's mass.
+# (dense_reference). Where a stage's float operations per entry or per
+# cell are those of the loop, the bits must agree: the column leakage, the
+# Gibbs weights, K and the microstate Crooks residual of each cell of the
+# total table. The total table and the lattice masses sum the same
+# nonnegative entries in another order, so each cell and each bin may
+# differ by the rounding of a sum of that many terms: terms x eps x its
+# mass. The lattice masses weigh a cell's sum, not each entry, so where a
+# product falls below the smallest normal double each of those terms
+# also carries an absolute rounding of up to one subnormal step.
 @settings(max_examples=30, deadline=None)
 @given(
     z=st.one_of(
@@ -146,13 +175,12 @@ def test_flat_stages_match_the_per_sector_loops(z, t_ratio, cutoff):
     vacuum = thermal_distribution(0.0, 1.0, spec)
     _same_bits(sector_weights(vacuum), reference_gibbs_weights(0.0, 1.0, cutoff)[0])
 
+    R = kern.total_table
+    assert np.all(np.abs(R - reference_total_table(probs, cutoff)) <= 2 * (cutoff + 1) * EPS * R)
     p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
-    mass_e, mass_c, ref_dev = reference_entropy_pass(probs, weights, 1.0 / t_ratio, cutoff)
-    keep = (mass_e > 0.0) | (mass_c > 0.0)
-    bound = _entry_count(cutoff) * EPS
-    assert np.all(np.abs(p_e.masses - mass_e[keep]) <= bound * mass_e[keep])
-    assert np.all(np.abs(p_c.masses - mass_c[keep][::-1]) <= bound * mass_c[keep][::-1])
-    assert micro_dev == ref_dev
+    mass_e, mass_c = reference_entropy_pass(probs, weights, cutoff)
+    _assert_lattice_within_rounding(p_e, p_c, mass_e, mass_c, cutoff)
+    assert micro_dev == reference_cell_residual(R, thermal.total_weights, 1.0 / t_ratio)
 
     K = quantum_relative_entropy(thermal, kern, 2.0 * t_ratio)
     assert K == reference_relative_entropy(amps, weights)
@@ -215,12 +243,60 @@ def test_work_pass_matches_the_per_sector_loops(z, t_ratio, cutoff):
         assert abs(sums.created - closed) <= 1e-14 * closed + np.finfo(float).tiny
 
 
+# The kernel's total table R[t_f, t_i], the sums of p(m|n) over the box
+# states of totals t_f and t_i, from which every T > 0 statistic is
+# contracted: each cell sums at most N + 1 squares of either mirror, so it
+# meets the sum of the squared blocks within (N + 1) x eps x the cell. It
+# is symmetric, as p(m|n) = p(n|m), and its column t_i, with the column
+# leakage of the states of total t_i, counts those states.
+@settings(max_examples=30, deadline=None)
+@given(
+    z=st.one_of(
+        st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+        st.sampled_from([0.0, 5e-324]),
+    ),
+    cutoff=st.integers(min_value=2, max_value=48),
+)
+def test_total_table_sums_the_kernel_blocks(z, cutoff):
+    kern = transition_kernel(z, TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5))
+    R = kern.total_table
+    terms = cutoff + 1
+    with pytest.raises(ValueError):
+        R[0, 0] = 0.0
+    expected = reference_total_table([A**2 for A in kern.amplitudes], cutoff)
+    assert np.all(np.abs(R - expected) <= terms * EPS * expected)
+    assert np.all(np.abs(R - R.T) <= terms * EPS * R)
+    totals = np.arange(2 * cutoff + 1)
+    states = np.minimum(totals, 2 * cutoff - totals) + 1  # box states per total
+    multiplicity = np.where(np.arange(cutoff + 1) > 0, 2.0, 1.0)
+    leakage = np.zeros(2 * cutoff + 1)
+    for s, leak, m in zip(sector_layout(cutoff), kern.column_leakage, multiplicity):
+        np.add.at(leakage, s.totals, m * leak)
+    assert np.all(np.abs(R.sum(axis=0) + leakage - states) <= terms * terms * EPS * states)
+
+
+def test_a_vacuum_point_or_sweep_never_forms_the_total_table(monkeypatch):
+    # a T = 0 point builds the vacuum column alone, which holds no table;
+    # a sweep at T = 0 does so at every point
+    calls = spy_on(monkeypatch, fock_mod, "_full_build")
+    report = run_simulation(canonical_config().replace(temperature=0.0))
+    base = RunConfig(
+        scenario="cosmology", momentum=1.0, mass=1.0, epsilon=3.0, sigma=1.0,
+        temperature=0.0, cutoff=56,
+    )
+    rows = run_sweep(SweepConfig(base=base, axis="sigma", grid=(0.1, 1.0, 10.0)))
+    assert "vacuum-path" in report["flags"] and len(rows) == 3
+    assert all("vacuum-path" in row["flags"] for row in rows)
+    assert calls == []
+    assert transition_kernel(Z_CANON, TruncationSpec(40), True).total_table is None
+
+
 def test_sector_index_tables_fit_their_budget():
     # the tables are built once per cutoff and live as long as the process,
-    # so the indices are held in the narrowest integer types: 5 bytes per
+    # so the indices are held in the narrowest integer types: 6 bytes per
     # kernel entry in all at cutoffs 40 and 56, where the three per-entry
     # index arrays alone would take 24 as int64
-    for cutoff, held in ((40, 119_105), (56, 316_825)):
+    for cutoff, held in ((40, 142_926), (56, 380_190)):
         ix = sector_index(cutoff)
         assert sector_index(cutoff) is ix
         tables = [
@@ -267,18 +343,25 @@ def test_footprint_at_cutoff_56():
 ])
 def test_kernel_holds_each_quantity_once(cutoff, vacuum, expected):
     # one double per block entry (the signed amplitude) and one per state
-    # (the column leakage); every consumer squares the amplitudes into
-    # p(m|n) itself. A vacuum kernel holds the vacuum column of d = 0, its
-    # cutoff + 1 entries and one leakage value
+    # (the column leakage), expected in all; every consumer squares the
+    # amplitudes into p(m|n) itself. A full kernel also holds its
+    # (2N+1) x (2N+1) total table. A vacuum kernel holds the vacuum column
+    # of d = 0, its cutoff + 1 entries and one leakage value, and no table
     fields = [f.name for f in dataclasses.fields(TransitionKernel)]
-    assert fields == ["z", "spec", "vacuum", "flat_amplitudes", "flat_column_leakage"]
+    assert fields == [
+        "z", "spec", "vacuum", "flat_amplitudes", "flat_column_leakage", "total_table",
+    ]
     spec = TruncationSpec(cutoff=cutoff, leakage_tolerance=1e-8)
     kern = transition_kernel(Z_CANON, spec, vacuum)
     if vacuum:
-        held = 8 * (cutoff + 1 + 1)
+        held, table = 8 * (cutoff + 1 + 1), 0
+        assert kern.total_table is None
     else:
         held = 8 * sum(n * n + n for n in range(cutoff + 1, 0, -1))
-    assert array_bytes(kern) == held == expected
+        table = 8 * (2 * cutoff + 1) ** 2
+        assert kern.total_table.shape == (2 * cutoff + 1, 2 * cutoff + 1)
+    assert held == expected
+    assert array_bytes(kern) == held + table
 
 
 def test_conservation_checks_flag_wrong_layout(kernel40):

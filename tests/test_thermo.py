@@ -179,7 +179,8 @@ def test_vacuum_sums_match_a_full_kernel(z, cutoff):
     expected = dataclasses.astuple(inner_friction(whole, vac, 1.0, 2.0))
     empty = tuple(np.zeros(cutoff + 1 - d) for d in range(1, cutoff + 1))
     listed = ThermalDistribution(
-        0.0, 1.0, spec, np.concatenate(sector_weights(vac) + empty), vac.renorm_defect
+        0.0, 1.0, spec, np.concatenate(sector_weights(vac) + empty), vac.renorm_defect,
+        vac.total_weights,
     )
     for kernel, thermal in ((part, vac), (whole, listed), (part, listed)):
         work = dataclasses.astuple(inner_friction(kernel, thermal, 1.0, 2.0))

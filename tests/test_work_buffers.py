@@ -1,10 +1,12 @@
 """Chunked passes over the kernel buffer and the held work buffers.
 
-Every pass over a kernel buffer walks it in chunks of whole sectors
-(fock.sector_chunks) and takes its temporaries from the work buffers its
-thread holds (fock.work_buffer). These tests pin what that promises: the
-chunks tile the box; a chunking moves no bit of any result, and the
-chunked passes match the per-sector loops of dense_reference; a stage's
+Every pass over a kernel buffer (the kernel build, with its column sums
+and its total table, and the battery's symmetry scan) walks it in chunks
+of whole sectors (fock.sector_chunks) and takes its temporaries from the
+work buffers its thread holds (fock.work_buffer); the work and entropy
+passes contract the build's total table. These tests pin what that
+promises: the chunks tile the box; a chunking moves no bit of any result,
+and the stages match the per-sector loops of dense_reference; a stage's
 transient memory is bounded; a pass cannot take a buffer its caller
 holds; threads share no buffer, and no result is a view of one.
 """
@@ -32,8 +34,10 @@ from cosmoflux.thermo import _work_pass
 
 from conftest import Z_CANON
 from dense_reference import (
+    reference_cell_residual,
     reference_entropy_pass,
     reference_relative_entropy,
+    reference_total_table,
     reference_work_sums,
     sector_weights,
 )
@@ -93,7 +97,8 @@ def _stages(z, t_ratio, cutoff):
 def _bits(stages):
     kernel, _thermal, sums, p_e, p_c, micro, K = stages
     return (
-        kernel.flat_amplitudes.tobytes(), kernel.flat_column_leakage.tobytes(), sums,
+        kernel.flat_amplitudes.tobytes(), kernel.flat_column_leakage.tobytes(),
+        kernel.total_table.tobytes(), sums,
         p_e.support.tobytes(), p_e.masses.tobytes(), p_c.masses.tobytes(), micro, K,
     )
 
@@ -101,9 +106,9 @@ def _bits(stages):
 @pytest.mark.parametrize("z, t_ratio", [(Z_CANON, 1.0), (1.0, 0.3), (1e-8, 2.0)])
 def test_chunking_moves_no_bit(chunk_bound, z, t_ratio):
     # cutoff 40 in its 2 chunks, in one, and in 10 of at most 3000
-    # entries: every per-sector sum lies in one chunk, and the lattice
-    # bins add chunk after chunk in entry order, so every result keeps
-    # its bits
+    # entries: every per-sector sum lies in one chunk, and the total table
+    # adds each square into its cell in entry order (np.add.at), so the
+    # kernel and every statistic contracted from its table keep their bits
     default = _bits(_stages(z, t_ratio, 40))
     for bound, count in ((1 << 16, 1), (3000, 10)):
         chunk_bound(bound)
@@ -114,20 +119,24 @@ def test_chunking_moves_no_bit(chunk_bound, z, t_ratio):
 @pytest.mark.parametrize("z, t_ratio", [(Z_CANON, 1.0), (1.0, 2.0)])
 def test_chunked_passes_match_the_per_sector_loops(z, t_ratio):
     # cutoff 60 in 6 chunks against the per-sector loops of
-    # dense_reference: the same microstate residual and K bit for bit,
-    # the lattice within terms x eps x the bin's mass and the work sums
+    # dense_reference: the total table within terms x eps x its cell, each
+    # cell summing at most N + 1 squares of either mirror; the microstate
+    # residual of its cells and K bit for bit; the lattice within terms x
+    # eps x the bin's mass (no product here is subnormal) and the work sums
     # within the bounds of test_work_pass_matches_the_per_sector_loops
     cutoff = 60
     assert len(sector_chunks(cutoff)) == 6
     kernel, thermal, sums, p_e, p_c, micro, K = _stages(z, t_ratio, cutoff)
     probs = [A**2 for A in kernel.amplitudes]
     weights = sector_weights(thermal)
-    mass_e, mass_c, ref_micro = reference_entropy_pass(probs, weights, 1.0 / t_ratio, cutoff)
+    R = kernel.total_table
+    assert np.all(np.abs(R - reference_total_table(probs, cutoff)) <= 2 * (cutoff + 1) * EPS * R)
+    mass_e, mass_c = reference_entropy_pass(probs, weights, cutoff)
     keep = (mass_e > 0.0) | (mass_c > 0.0)
     bound = _entry_count(cutoff) * EPS
     assert np.all(np.abs(p_e.masses - mass_e[keep]) <= bound * mass_e[keep])
     assert np.all(np.abs(p_c.masses - mass_c[keep][::-1]) <= bound * mass_c[keep][::-1])
-    assert micro == ref_micro
+    assert micro == reference_cell_residual(R, thermal.total_weights, 1.0 / t_ratio)
     assert K == reference_relative_entropy(kernel.amplitudes, weights)
     leakage, final, initial, created = reference_work_sums(
         probs, kernel.column_leakage, weights, thermal.renorm_defect
@@ -149,9 +158,9 @@ def _second_call_peak(fn, *args):
 
 
 def test_each_stage_peaks_at_12_bytes_per_entry_at_cutoff_56():
-    # beyond the 8 bytes per entry of the amplitudes a build returns; the
-    # whole-buffer passes peaked at 22.3 (build), 17.3 (work), 25.2
-    # (entropy) and 28.5 (relative entropy)
+    # beyond the 8 bytes per entry of the amplitudes a build returns (its
+    # total table among them); the whole-buffer passes peaked at 22.3
+    # (build), 17.3 (work), 25.2 (entropy) and 28.5 (relative entropy)
     spec = TruncationSpec(56, 1e-8)
     budget = 12 * _entry_count(56)
     kernel = transition_kernel(Z_CANON, spec)
@@ -178,7 +187,7 @@ def _arrays(obj):
 def test_no_result_is_a_view_of_a_held_buffer():
     results = _stages(Z_CANON, 1.0, 40)
     held = list(fock_mod._BUFFERS.arrays.values())
-    assert {"values", "keys", "mask", "diffs"} <= set(fock_mod._BUFFERS.arrays)
+    assert {"values", "keys", "block"} <= set(fock_mod._BUFFERS.arrays)
     arrays = list(_arrays(results))
     assert len(arrays) >= 8
     for a in arrays:
@@ -187,20 +196,18 @@ def test_no_result_is_a_view_of_a_held_buffer():
 
 def test_a_pass_cannot_take_a_buffer_its_caller_holds():
     spec = TruncationSpec(16, 0.5)
-    kernel = transition_kernel(Z_CANON, spec)
-    thermal = thermal_distribution(1.0, 1.0, spec)
-    expected = _work_pass(kernel, thermal)
+    expected = transition_kernel(Z_CANON, spec).flat_amplitudes.tobytes()
 
     @fock_mod.holds_buffers("values")
     def caller():
         fock_mod.work_buffer("values", 4)
-        return _work_pass(kernel, thermal)
+        return transition_kernel(Z_CANON, spec)
 
-    with pytest.raises(RuntimeError, match=r"_work_pass takes work buffers \['values'\]"):
+    with pytest.raises(RuntimeError, match=r"_full_build takes work buffers \['values'\]"):
         caller()
     # the refused call gives back what its caller held
     assert fock_mod._BUFFERS.in_use == set()
-    assert _work_pass(kernel, thermal) == expected
+    assert transition_kernel(Z_CANON, spec).flat_amplitudes.tobytes() == expected
     with pytest.raises(RuntimeError, match="outside a pass that holds it"):
         fock_mod.work_buffer("values", 4)
 
