@@ -19,8 +19,8 @@ Every pass over a kernel buffer (the build's gather, column sums and
 total table, and the battery's symmetry scan; the relative entropy takes
 one block at a time) walks it in chunks of whole sectors of at most
 CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
-order; the total table's cells accumulate chunk after chunk in entry
-order, so no result depends on the chunking. Its temporaries are
+order; each block adds into the total table whole, d ascending, so no
+result depends on the chunking. Its temporaries are
 work buffers the thread holds across calls (work_buffer), one set per
 thread, grown to the largest chunk a call has touched; a pass declares
 the buffers it takes (holds_buffers), and a pass called inside another
@@ -28,9 +28,9 @@ that holds one of them raises instead of writing over it. So a pass frees
 no buffer-length array, the heap does not shrink and regrow around each
 op, and a pass's transient memory does not grow with the box. The index
 tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
-cast np.take, np.bincount and np.add.at would otherwise allocate on every
-call. The one box-sized temporary left is the build's lower-triangle
-buffer, half a double per entry (_amplitudes).
+cast np.take and np.bincount would otherwise allocate on every call. The
+one box-sized temporary left is the build's lower-triangle buffer, half a
+double per entry (_amplitudes).
 
 Two independent evaluation routes are provided:
 
@@ -46,8 +46,8 @@ Two independent evaluation routes are provided:
   5e-324 to 1.5 and cutoffs up to 120. The column-sum excess check
   (COLSUM_EXCESS_LIMIT) stays as a fail-closed guard against a NaN or a
   gross excess. sector_index holds the per-entry gathers of the mirror
-  step and the total table, and _recurrence_table the recurrence's z-free
-  inputs, each built once per cutoff beside the layout. A T = 0 point reads
+  step, and _recurrence_table the recurrence's z-free inputs, each built
+  once per cutoff beside the layout. A T = 0 point reads
   only the vacuum column of d = 0; transition_kernel with vacuum builds
   and holds that column alone, N + 1 amplitudes and one leakage value,
   from the same closed form, in O(N) work and bit for bit the full
@@ -99,7 +99,7 @@ COLSUM_EXCESS_LIMIT = 1e-9
 # small beside the spectral oracle's blocks, which the verify battery
 # holds at the same time (with 2^16, one chunk of the whole cutoff-40 box,
 # its peak RSS was about 0.2 MiB higher). No result depends on the
-# chunking (the build adds the total table's cells in entry order), so the
+# chunking (the build adds each block into the total table whole), so the
 # bound trades memory against per-chunk numpy calls only.
 CHUNK_ENTRIES = 1 << 14
 
@@ -231,21 +231,21 @@ class SectorIndex:
     Entry k of a kernel buffer is [p, q] of block d, indexed by final and
     initial sector position; block d starts at block_start[d], and sector
     d's states at state_start[d] of a per-state buffer (state_totals
-    order). col keys the column sums over each initial state, and cell the
-    entry's cell of the total table (TransitionKernel), which the builder
-    also reads the entry's sign and power of tanh(z) by. The kernel
-    builder fills the lower triangles of every block column by column
-    into one buffer (_amplitudes): column q holds the rows p >= q of every
-    sector, row-major over (p, d), and mirror reads each entry from there.
-    Index arrays hold the smallest unsigned integer type that fits:
-    142,926 bytes at cutoff 40, 16,813,860 at 170. All read-only.
+    order). col keys sums over each initial state, and change the half
+    total change p - q, by which the builder reads the entry's sign and
+    power of tanh(z). The kernel builder fills the lower triangles of
+    every block column by column into one buffer (_amplitudes): column q
+    holds the rows p >= q of every sector, row-major over (p, d), and
+    mirror reads each entry from there. Index arrays hold the smallest
+    unsigned integer type that fits: 119,105 bytes at cutoff 40,
+    13,451,088 at 170. All read-only.
     """
 
     block_start: tuple[int, ...]  # d = 0..cutoff + 1
     state_start: tuple[int, ...]  # d = 0..cutoff + 1
     mirror: np.ndarray  # [max(p, q), min(p, q)]: its place in the lower-triangle buffer
+    change: np.ndarray  # (p - q) + cutoff: half the entry's total change, offset
     col: np.ndarray  # the initial state of the entry, sector d position q
-    cell: np.ndarray  # (2p + d) (2 cutoff + 1) + 2q + d: [t_f, t_i] of the flat total table
 
 
 def _lower_starts(cutoff: int) -> tuple[list[int], list[int]]:
@@ -280,22 +280,21 @@ def sector_index(cutoff: int) -> SectorIndex:
 
     mirror = table(col_start[-1] - 1)
     col = table(state_start[-1] - 1)
-    totals = 2 * cutoff + 1
-    cell = table(totals * totals - 1)
+    change = table(2 * cutoff)
     for d, size in enumerate(sizes):
         block = slice(block_start[d], block_start[d + 1])
         i = np.arange(size)
         p, q = i[:, None], i[None, :]
         hi, lo = np.maximum(p, q), np.minimum(p, q)
         mirror[block] = (col_start[lo] + row_start[hi] - row_start[lo] + d).ravel()
+        change[block] = (cutoff + p - q).ravel()
         col[block] = np.tile(state_start[d] + i, size)
-        cell[block] = ((2 * p + d) * totals + 2 * q + d).ravel()
     return SectorIndex(
         block_start=block_start,
         state_start=state_start,
         mirror=_frozen(mirror),
+        change=_frozen(change),
         col=_frozen(col),
-        cell=_frozen(cell),
     )
 
 
@@ -322,10 +321,10 @@ class Chunk(NamedTuple):
     def size(self) -> int:
         return self.entries.stop - self.entries.start
 
-    def views(self, values: np.ndarray, blocks: bool) -> tuple[np.ndarray, ...]:
-        """sector_views of the chunk's sectors in values: its entries with
-        blocks, else its states."""
-        return sector_views(values, self.cutoff - self.sectors.start, blocks)
+    def views(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The square blocks of the chunk's sectors in values, its entries
+        of a sector-major kernel buffer (sector_views)."""
+        return sector_views(values, self.cutoff - self.sectors.start, True)
 
 
 @cache
@@ -628,8 +627,8 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
         return tau_powers * sech
     ix = sector_index(cutoff)
     amps = np.empty(ix.block_start[-1])
-    if z == 0.0:  # identity blocks: the cells t_f = t_i, keyed by multiples of 2 cutoff + 2
-        return np.equal(ix.cell % (2 * cutoff + 2), 0, out=amps)
+    if z == 0.0:
+        return np.equal(ix.change, cutoff, out=amps)  # identity blocks
     tab = _recurrence_table(cutoff)
     row_start, col_start, rows = tab.row_start, tab.col_start, len(tab.p)
     lower = np.empty(col_start[-1])
@@ -660,16 +659,13 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
             col /= np.take(
                 tab.beta[q], tab.d_index[row_start[q]:], out=work[:len(col)], mode="clip"
             )
-    # (-1)^(q-p) for p < q and tanh(z)^|p-q|, per total change 2(p - q),
-    # then per cell of the total table, which keys each entry
-    factor = np.zeros(4 * cutoff + 1)
-    factor[::2] = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
-    factor = np.take(factor, cell_changes(cutoff))
+    # (-1)^(q-p) for p < q and tanh(z)^|p-q|, keyed by p - q + cutoff
+    factor = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
     for chunk in sector_chunks(cutoff):
         out = amps[chunk.entries]
         np.take(lower, chunk_keys(ix.mirror, chunk), out=out, mode="clip")
         out *= np.take(
-            factor, chunk_keys(ix.cell, chunk),
+            factor, chunk_keys(ix.change, chunk),
             out=work_buffer("values", chunk.size), mode="clip",
         )
     return amps
@@ -734,27 +730,31 @@ def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     their squares, in row order as a block's sum over axis 0 takes it; and
     the total table of the squares (TransitionKernel), frozen.
 
-    np.add.at adds the squares into their cells one by one in entry order,
-    so each cell sums its sectors d ascending whatever the chunks, and
-    cells [a, b] and [b, a] add equal squares in one order: R is exactly
-    symmetric. Per-sector strided adds into R took 2.3x as long at cutoff
-    40; a bincount per chunk took as long there, 1.2x at 56 and 1.9x at 120.
+    Block d's cells (2p + d, 2q + d) are a strided view of the table, so
+    each block adds into its view whole, with no per-entry cell index;
+    each cell sums its sectors d ascending whatever the chunks, and cells
+    [a, b] and [b, a] add equal squares in one order: R is exactly
+    symmetric. np.add.at on cell keys formed per chunk from col and change
+    took 0.8x as long at cutoff 40, 1.1x at 56 and 1.8x at 120; a stored
+    per-entry cell key saved 60-80 us at cutoffs 40 and 56 but held 1-2
+    more bytes per entry.
     """
     amps = _frozen(_amplitudes(z, cutoff, False))
-    ix = sector_index(cutoff)
     colsums = np.empty(len(state_totals(cutoff)))
-    side = 2 * cutoff + 1
-    table = np.zeros(side * side)
+    col = sector_index(cutoff).col
+    table = np.zeros((2 * cutoff + 1, 2 * cutoff + 1))
     for chunk in sector_chunks(cutoff):
         squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
         colsums[chunk.states] = np.bincount(
-            chunk_keys(ix.col, chunk, chunk.states.start),
+            chunk_keys(col, chunk, chunk.states.start),
             weights=squares, minlength=chunk.states.stop - chunk.states.start,
         )
         # a block d > 0 counts its mirror too: every block past d = 0's
         squares[(cutoff + 1) ** 2 if chunk.sectors.start == 0 else 0:] *= 2.0
-        np.add.at(table, chunk_keys(ix.cell, chunk), squares)
-    return amps, colsums, _frozen(table.reshape(side, side))
+        for d, block in zip(chunk.sectors, chunk.views(squares)):
+            cells = table[d:d + 2 * len(block):2, d:d + 2 * len(block):2]
+            cells += block
+    return amps, colsums, _frozen(table)
 
 
 def transition_kernel(

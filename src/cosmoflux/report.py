@@ -629,7 +629,7 @@ def _max_asymmetry(kernel: fock.TransitionKernel) -> float:
             out=fock.work_buffer("values", chunk.size),
         )
         asymmetries.extend(
-            float(np.max(np.abs(block - block.T))) for block in chunk.views(P, True)
+            float(np.max(np.abs(block - block.T))) for block in chunk.views(P)
         )
     return max(asymmetries)
 

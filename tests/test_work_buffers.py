@@ -107,7 +107,7 @@ def _bits(stages):
 def test_chunking_moves_no_bit(chunk_bound, z, t_ratio):
     # cutoff 40 in its 2 chunks, in one, and in 10 of at most 3000
     # entries: every per-sector sum lies in one chunk, and the total table
-    # adds each square into its cell in entry order (np.add.at), so the
+    # adds each block into its cells whole, d ascending, so the
     # kernel and every statistic contracted from its table keep their bits
     default = _bits(_stages(z, t_ratio, 40))
     for bound, count in ((1 << 16, 1), (3000, 10)):
