@@ -1,34 +1,33 @@
 """The package's one way to call LAPACK, and the thread that calls it.
 
 The package calls two LAPACK routines, dstevd (fock's spectral oracle) and
-dgejsv (fluctuation's relative entropy), through the function pointers
-that scipy's Cython module scipy.linalg.cython_lapack exports, bound with
-ctypes on the first call (_routines), in about 8 ms and 2.6 MiB. Importing
-cosmoflux, or a point that never reaches LAPACK, loads no scipy and no
-ctypes. ctypes releases the GIL for the call, so where the process may
-use two CPUs the relative entropy runs dgejsv on a helper thread too
-(run_on_helper).
+dgejsv (fluctuation's relative entropy), from the OpenBLAS that numpy's
+core extension links, bound with ctypes on the first call (_routines), in
+about 0.1 ms: no scipy is imported and no second BLAS is mapped. Importing
+cosmoflux, or a point that never reaches LAPACK, binds no routine and
+starts no thread. ctypes releases the GIL for the call, so where the
+process may use two CPUs the relative entropy runs dgejsv on a helper
+thread too (run_on_helper).
 
-One lock guards the first load and the helper's start: a Cython module
-enters itself in sys.modules before its exports are set, so a concurrent
-load could find it half made. A fork waits for either, so a child
-inherits the lock free; it has no helper thread, and starts its own.
+One lock guards the first load and the helper's start, so that each
+happens once. A fork waits for either, so a child inherits the lock free;
+it has no helper thread, and starts its own.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import os
-import sys
 import threading
 from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
 
-# (name, parameter count) of each routine bound: every parameter is a pointer
-_ROUTINES = (("dgejsv", 19), ("dstevd", 11))
+# the library bound from: numpy's core extension, whose handle dlsym
+# searches with the libraries it links
+_LIBRARY = np._core._multiarray_umath.__file__
+# (name, pointer parameters, hidden Fortran string lengths) of each routine
+_ROUTINES = (("dgejsv", 19, 6), ("dstevd", 11, 1))
 _LOCK = threading.Lock()
 _LOADED: SimpleNamespace | None = None
 _helper_queue = None
@@ -44,65 +43,35 @@ def _routines() -> SimpleNamespace:
 
 
 def _load() -> SimpleNamespace:
-    """scipy.linalg.cython_lapack as module, dgejsv and dstevd bound from its
-    __pyx_capi__ capsules, and address: the address of a writable
-    C-contiguous array (a third of the time of array.ctypes.data).
+    """dgejsv and dstevd bound from _LIBRARY, and address: the address of a
+    writable C-contiguous array (a third of the time of array.ctypes.data).
 
-    Importing scipy.linalg costs about 0.2 s and 26 MiB of modules this
-    package never calls, so only the top-level scipy (which sets up the
-    paths of its bundled libraries) is imported, and the Cython module is
-    loaded from its file. Unless scipy.linalg is imported, the module is
-    taken back out of sys.modules, which it enters itself, so that a later
-    import of scipy.linalg gets this same module back and binds it. A scipy
-    with no such file, or a capsule whose signature does not take the
-    parameters bound, raises ImportError.
+    numpy's wheels (2.0 on) link scipy-openblas64, which exports LAPACK as
+    scipy_<name>_64_ with 64-bit integers; each routine takes, after its
+    pointers, the length of each character argument. A numpy linked to
+    another LAPACK lacks these symbols and raises ImportError.
     """
     import ctypes
 
-    import scipy
-
-    name = "scipy.linalg.cython_lapack"
-    module = sys.modules.get(name)
-    if module is None:
-        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        finder = importlib.machinery.FileFinder(
-            directory,
-            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec(name)
-        if spec is None:
-            raise ImportError(
-                f"no compiled LAPACK module cython_lapack in {directory} "
-                f"(scipy {scipy.__version__})"
-            )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        parent = sys.modules.get("scipy.linalg")
-        if parent is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = module
-            parent.cython_lapack = module
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    routines = {}
-    for routine, count in _ROUTINES:
-        capsule = module.__pyx_capi__[routine]
-        signature = capsule_name(capsule)
-        if signature.count(b"*") != count:
-            raise ImportError(f"{name}.{routine} has the signature {signature.decode()}")
-        routines[routine] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(
-            capsule_pointer(capsule, signature)
-        )
+    library = ctypes.CDLL(_LIBRARY)
+    routines, missing = {}, []
+    for routine, pointers, lengths in _ROUTINES:
+        symbol = f"scipy_{routine}_64_"
+        try:
+            function = getattr(library, symbol)
+        except AttributeError:
+            missing.append(symbol)
+            continue
+        function.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
+        function.restype = None
+        routines[routine] = function
+    if missing:
+        raise ImportError(f"{_LIBRARY} exports no {' or '.join(missing)}")
 
     def address(array: np.ndarray) -> int:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
-    return SimpleNamespace(module=module, address=address, **routines)
+    return SimpleNamespace(address=address, **routines)
 
 
 def dstevd(d: np.ndarray, e: np.ndarray):
@@ -120,13 +89,13 @@ def dstevd(d: np.ndarray, e: np.ndarray):
     lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
     z, work = np.zeros((n, n), order="F"), np.zeros(lwork)
     # n, ldz, lwork, liwork, info, then the integer workspace
-    ints = np.zeros(5 + liwork, np.intc)
+    ints = np.zeros(5 + liwork, np.int64)
     ints[:4] = n, n, lwork, liwork
     lapack = _routines()
     p, i = lapack.address(ints), ints.itemsize
     lapack.dstevd(
         b"V", p, lapack.address(d), lapack.address(e), lapack.address(z.T), p + i,
-        lapack.address(work), p + 2 * i, p + 5 * i, p + 3 * i, p + 4 * i,
+        lapack.address(work), p + 2 * i, p + 5 * i, p + 3 * i, p + 4 * i, 1,
     )
     return d, z, int(ints[4])
 
@@ -139,7 +108,7 @@ def _dgejsv_workspace(n: int) -> tuple[int, int, int, np.ndarray]:
     lwork = max(6 * n + 2 * n * n, 2 * n + n * n + 6)  # scipy's, at m = n
     u_end = n * n + n * n % 2
     sva_end = u_end + n + n % 2
-    ints = np.zeros(7 + 4 * n, np.intc)
+    ints = np.zeros(7 + 4 * n, np.int64)
     ints[:6] = n, n, n, n, 1, lwork
     ints.flags.writeable = False
     return u_end, sva_end, sva_end + lwork + 1, ints
@@ -171,7 +140,7 @@ def dgejsv(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     lapack.dgejsv(
         b"C", b"U", b"N", b"R", b"N", b"P", p, p + i, lapack.address(B.T), p + 2 * i,
         o + u_end * f, o, p + 3 * i, o + (size - 1) * f, p + 4 * i,
-        o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i,
+        o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i, 1, 1, 1, 1, 1, 1,
     )
     scale = out[sva_end] / out[sva_end + 1]
     return out[:n * n].reshape((n, n), order="F"), out[u_end:u_end + n] * scale, int(ints[6])

@@ -1,12 +1,10 @@
-"""Which entry points load scipy.linalg, and which load LAPACK.
+"""Which entry points load scipy, and which load LAPACK.
 
-Importing the package scipy.linalg costs about 0.2 s and 27 MiB, and the
-package calls only two LAPACK routines, which it binds with ctypes from
-scipy's compiled module scipy.linalg.cython_lapack. cosmoflux.lapack loads
-that module from its file without running scipy/linalg/__init__.py, so no
-step here, a T > 0 run and verify included, may load scipy.linalg; the
-T > 0 run must have loaded LAPACK. This test process has imported scipy
-already, so the steps run in one fresh child that reports after each.
+The package calls only two LAPACK routines, which it binds with ctypes
+from the OpenBLAS that numpy's core extension links, so no step here, a
+T > 0 run and verify included, may import any scipy module; the T > 0 run
+must have loaded LAPACK. This test process has imported scipy already, so
+the steps run in one fresh child that reports after each.
 """
 
 import ast
@@ -24,7 +22,8 @@ import contextlib, io, json, sys
 loaded = {}
 
 def mark(step):
-    loaded[step] = ["scipy.linalg" in sys.modules, lapack._LOADED is not None]
+    scipy = [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+    loaded[step] = [scipy, lapack._LOADED is not None]
 
 import cosmoflux, cosmoflux.cli
 from cosmoflux import lapack
@@ -64,31 +63,29 @@ print(json.dumps(loaded))
 """
 
 
-def test_no_step_loads_scipy_linalg():
+def test_no_step_loads_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", CHILD],
         capture_output=True, env=CHILD_ENV, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    # [scipy.linalg loaded, LAPACK loaded] after each step
+    # [scipy modules loaded, LAPACK loaded] after each step
     assert loaded == {
-        "import": [False, False],
-        "from_mapping": [False, False],
-        "simulate T = 0": [False, False],
-        "sweep sigma T = 0": [False, False],
-        "cli --help": [False, False],
-        "cli config error": [False, False],
-        "simulate T = 0.5": [False, True],
-        "cli verify": [False, True],
+        "import": [[], False],
+        "from_mapping": [[], False],
+        "simulate T = 0": [[], False],
+        "sweep sigma T = 0": [[], False],
+        "cli --help": [[], False],
+        "cli config error": [[], False],
+        "simulate T = 0.5": [[], True],
+        "cli verify": [[], True],
     }
 
 
-# cosmoflux.lapack assumes scipy's private layout: the Cython module
-# cython_lapack in scipy/linalg/. Whichever of it and scipy.linalg loads the
-# module first, the other must find the same module, bound on scipy.linalg
-# as its attribute, and the package's routines must give
-# scipy.linalg.lapack's bits on a column-graded matrix and a tridiagonal.
+# Whichever of cosmoflux.lapack and scipy.linalg loads its LAPACK first,
+# the package's routines must give scipy.linalg.lapack's bits on a
+# column-graded matrix and a tridiagonal.
 CROSS_LOAD = r"""
 import json, sys
 import numpy as np
@@ -120,19 +117,15 @@ pairs = [
     (lapack.dgejsv(B), (u, sva * (work[0] / work[1]), info)),
     (lapack.dstevd(diagonal, off_diagonal), eigen),
 ]
-print(json.dumps({
-    "same module": lapack._routines().module is sys.modules["scipy.linalg.cython_lapack"]
-    is scipy.linalg.cython_lapack,
-    "same bits": [
-        [np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, theirs)]
-        for ours, theirs in pairs
-    ],
-}))
+print(json.dumps([
+    [np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, theirs)]
+    for ours, theirs in pairs
+]))
 """
 
 
 @pytest.mark.parametrize("order", ["cosmoflux first", "scipy.linalg first"])
-def test_cython_lapack_cross_loads_with_scipy_linalg(order):
+def test_lapack_cross_loads_with_scipy_linalg(order):
     proc = subprocess.run(
         [sys.executable, "-c", CROSS_LOAD, order],
         capture_output=True, env=CHILD_ENV, text=True, timeout=120,
@@ -140,27 +133,30 @@ def test_cython_lapack_cross_loads_with_scipy_linalg(order):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     # dgejsv returns U, the scaled singular values and info; dstevd w, z, info
-    assert result == {"same module": True, "same bits": [[True] * 3, [True] * 3]}
+    assert result == [[True] * 3, [True] * 3]
 
 
-def test_a_scipy_without_cython_lapack_is_an_import_error(tmp_path, monkeypatch):
-    import scipy
+def test_a_numpy_without_the_lapack_symbols_is_an_import_error(monkeypatch):
+    # a library that links no scipy-openblas64: Python's own _ctypes
+    import _ctypes
 
     from cosmoflux import lapack
 
-    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack", raising=False)
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(lapack, "_LIBRARY", _ctypes.__file__)
     with pytest.raises(ImportError) as exc:
         lapack._load()
-    assert str(tmp_path / "linalg") in str(exc.value)
-    assert scipy.__version__ in str(exc.value)
+    message = str(exc.value)
+    assert _ctypes.__file__ in message
+    assert "scipy_dgejsv_64_" in message and "scipy_dstevd_64_" in message
 
 
 # Only cosmoflux.lapack may know how LAPACK and its helper thread are run:
-# no other module imports ctypes or scipy, registers a fork hook or makes a
-# thread, so that the lock, the fork hook and the thread stay one each.
+# no other module imports ctypes, registers a fork hook or makes a thread,
+# so that the lock, the fork hook and the thread stay one each; and no
+# module, cosmoflux.lapack included, imports scipy.
 SRC = Path(__file__).resolve().parent.parent / "src" / "cosmoflux"
-BOUNDARY = ("ctypes", "scipy", "os.register_at_fork", "threading.Thread")
+LAPACK_ONLY = ("ctypes", "os.register_at_fork", "threading.Thread")
+BOUNDARY = (*LAPACK_ONLY, "scipy")
 
 
 def lapack_machinery(source: str) -> list[str]:
@@ -190,5 +186,41 @@ def test_only_the_lapack_module_loads_lapack_or_starts_threads():
     )) == ["ctypes", "os.register_at_fork", "scipy", "scipy.linalg.lapack",
            "threading.Thread", "threading.Thread"]
     modules = {path.name: lapack_machinery(path.read_text()) for path in SRC.glob("*.py")}
-    assert set(BOUNDARY) <= set(modules.pop("lapack.py"))
+    lapack_module = modules.pop("lapack.py")
+    assert set(LAPACK_ONLY) <= set(lapack_module)
+    assert [name for name in lapack_module if name.partition(".")[0] == "scipy"] == []
     assert {name: found for name, found in modules.items() if found} == {}
+
+
+# A T > 0 point and verify map no BLAS beside numpy's: the OpenBLAS files
+# mapped after them are the one numpy mapped on import.
+MAPS = Path("/proc/self/maps")
+BLAS_MAPS = r"""
+import contextlib, io, json
+from pathlib import Path
+
+def openblas():
+    paths = (line.split(maxsplit=5)[5:] for line in Path("/proc/self/maps").read_text().splitlines())
+    return sorted({p[0] for p in paths if p and "openblas" in Path(p[0]).name.lower()})
+
+import numpy
+on_import = openblas()
+import cosmoflux.cli
+from cosmoflux import canonical_config, run_simulation
+assert run_simulation(canonical_config())["flags"] == "ok"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cosmoflux.cli.main(["verify"]) == 0
+print(json.dumps({"numpy": on_import, "after": openblas()}))
+"""
+
+
+@pytest.mark.skipif(not MAPS.exists(), reason="needs /proc/self/maps")
+def test_a_thermal_point_and_verify_map_only_numpys_openblas():
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_MAPS],
+        capture_output=True, env=CHILD_ENV, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    mapped = json.loads(proc.stdout.splitlines()[-1])
+    assert len(mapped["numpy"]) == 1
+    assert mapped["after"] == mapped["numpy"]
