@@ -2,7 +2,7 @@
 
     python3 scripts/stage_memory.py
 
-Prints one JSON object with three parts:
+Prints one JSON object with four parts:
 
 - ``stages``: at N = 40, 56 and 170, each stage's ``tracemalloc`` peak on
   its second call, in bytes per kernel entry, beside the work buffers the
@@ -20,9 +20,16 @@ Prints one JSON object with three parts:
 - ``faults``: ``ru_minflt`` per call over 100 calls of
   ``run_simulation(canonical_config())`` and of ``verify_invariants()``,
   each after 2 warm-up calls, in one fresh process.
+- ``load``: a fresh process's ``ru_maxrss`` after ``import cosmoflux``,
+  after a T = 0 canonical ``run_simulation`` and after a T = 1 one (the
+  first to load LAPACK).
 - ``large``: for one ``run_simulation`` at z = 1, T = 2 (budget 1e-2) and
-  N = 170 and 250, each in a fresh process, its wall time and the
-  process's ``ru_maxrss``.
+  N = 170 and 250 in a fresh process, its wall time and the process's
+  ``ru_maxrss``.
+
+``load`` and ``large`` run three fresh processes each and give the median,
+min and max of each figure: one process's ``ru_maxrss`` is bimodal and
+can be 20 MiB off.
 
 BLAS is pinned to one thread. Run it from the checkout root; it imports
 the package from ``src``.
@@ -55,6 +62,7 @@ from cosmoflux import fluctuation, fock, thermo  # noqa: E402
 Z_CANON = float(np.arctanh(0.5))
 CALLS = 100
 WARM_UP = 2
+FRESH_PROCESSES = 3
 FAULTS_RUN = """
 import resource, sys
 sys.path.insert(0, {src!r})
@@ -67,6 +75,16 @@ for fn in (lambda: run_simulation(cfg), verify_invariants):
     for _ in range({calls}):
         fn()
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / {calls})
+"""
+LOAD_RUN = """
+import resource, sys
+sys.path.insert(0, {src!r})
+from cosmoflux.report import canonical_config, run_simulation
+rss = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+for temperature in (0.0, 1.0):
+    run_simulation(canonical_config().replace(temperature=temperature))
+    rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(*rss)
 """
 LARGE_RUN = """
 import resource, sys, time
@@ -168,16 +186,39 @@ def faults_per_call() -> dict:
     return {"run_simulation": simulate, "verify_invariants": verify}
 
 
-def large_run(cutoff: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", LARGE_RUN.format(src=str(SRC), cutoff=cutoff)],
-        check=True, stdout=subprocess.PIPE, text=True,
-    )
-    wall, maxrss_kib, outcome = proc.stdout.split()
+def fresh_runs(script: str) -> list[list[str]]:
+    """The fields script prints, in each of FRESH_PROCESSES fresh processes."""
+    return [
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, stdout=subprocess.PIPE, text=True,
+        ).stdout.split()
+        for _ in range(FRESH_PROCESSES)
+    ]
+
+
+def spread(values, digits: int = 1) -> dict:
+    """The median, min and max of values."""
     return {
-        "wall_s": round(float(wall), 3),
-        "ru_maxrss_mib": round(int(maxrss_kib) / 1024, 1),
-        "outcome": outcome,
+        key: round(fn(values), digits)
+        for key, fn in (("median", statistics.median), ("min", min), ("max", max))
+    }
+
+
+def load() -> dict:
+    """ru_maxrss in MiB after the import, a T = 0 point and a T = 1 point."""
+    runs = fresh_runs(LOAD_RUN.format(src=str(SRC)))
+    steps = ("import", "T = 0 point", "T = 1 point")
+    return {
+        step: spread([int(run[i]) / 1024 for run in runs]) for i, step in enumerate(steps)
+    }
+
+
+def large_run(cutoff: int) -> dict:
+    runs = fresh_runs(LARGE_RUN.format(src=str(SRC), cutoff=cutoff))
+    return {
+        "wall_s": spread([float(wall) for wall, _, _ in runs], 3),
+        "ru_maxrss_mib": spread([int(kib) / 1024 for _, kib, _ in runs]),
+        "outcomes": sorted({outcome for *_, outcome in runs}),
     }
 
 
@@ -185,6 +226,7 @@ def main() -> int:
     points = [(40, Z_CANON, 1.0, 1e-8), (56, Z_CANON, 1.0, 1e-8), (170, 1.0, 2.0, 1e-2)]
     report = {"stages": {str(p[0]): stages(*p) for p in points}}
     report["faults"] = faults_per_call()
+    report["load"] = load()
     report["large"] = {str(n): large_run(n) for n in (170, 250)}
     print(json.dumps(report, indent=1))
     return 0
