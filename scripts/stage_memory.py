@@ -20,16 +20,17 @@ Prints one JSON object with four parts:
 - ``faults``: ``ru_minflt`` per call over 100 calls of
   ``run_simulation(canonical_config())`` and of ``verify_invariants()``,
   each after 2 warm-up calls, in one fresh process.
-- ``load``: a fresh process's ``ru_maxrss`` after ``import cosmoflux``,
-  after a T = 0 canonical ``run_simulation`` and after a T = 1 one (the
-  first to load LAPACK).
+- ``load``: a fresh process's peak RSS after ``import cosmoflux``, after a
+  T = 0 canonical ``run_simulation`` and after a T = 1 one (the first to
+  load LAPACK).
 - ``large``: for one ``run_simulation`` at z = 1, T = 2 (budget 1e-2) and
-  N = 170 and 250 in a fresh process, its wall time and the process's
-  ``ru_maxrss``.
+  N = 170 and 250 in a fresh process, its wall time and peak RSS.
 
 ``load`` and ``large`` run three fresh processes each and give the median,
-min and max of each figure: one process's ``ru_maxrss`` is bimodal and
-can be 20 MiB off.
+min and max of each figure. A fresh process reads its peak RSS as
+``VmHWM`` from ``/proc/self/status`` (so the script needs Linux): its
+``ru_maxrss`` also counts this process's peak at the spawn, which after
+the N = 170 stages is about 89 MiB.
 
 BLAS is pinned to one thread. Run it from the checkout root; it imports
 the package from ``src``.
@@ -76,18 +77,24 @@ for fn in (lambda: run_simulation(cfg), verify_invariants):
         fn()
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / {calls})
 """
-LOAD_RUN = """
-import resource, sys
+# a fresh process's peak RSS in KiB since it started
+PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+LOAD_RUN = PEAK_KIB + """
+import sys
 sys.path.insert(0, {src!r})
 from cosmoflux.report import canonical_config, run_simulation
-rss = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+peaks = [peak_kib()]
 for temperature in (0.0, 1.0):
     run_simulation(canonical_config().replace(temperature=temperature))
-    rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-print(*rss)
+    peaks.append(peak_kib())
+print(*peaks)
 """
-LARGE_RUN = """
-import resource, sys, time
+LARGE_RUN = PEAK_KIB + """
+import sys, time
 sys.path.insert(0, {src!r})
 from cosmoflux.report import canonical_config, run_simulation
 cfg = canonical_config().replace(z=1.0, temperature=2.0, cutoff={cutoff}, leakage_tolerance=1e-2)
@@ -98,7 +105,7 @@ try:
 except Exception as exc:
     outcome = type(exc).__name__
 wall = time.perf_counter() - start
-print(wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, outcome)
+print(wall, peak_kib(), outcome)
 """
 
 
@@ -205,7 +212,7 @@ def spread(values, digits: int = 1) -> dict:
 
 
 def load() -> dict:
-    """ru_maxrss in MiB after the import, a T = 0 point and a T = 1 point."""
+    """Peak RSS in MiB after the import, a T = 0 point and a T = 1 point."""
     runs = fresh_runs(LOAD_RUN.format(src=str(SRC)))
     steps = ("import", "T = 0 point", "T = 1 point")
     return {
@@ -217,7 +224,7 @@ def large_run(cutoff: int) -> dict:
     runs = fresh_runs(LARGE_RUN.format(src=str(SRC), cutoff=cutoff))
     return {
         "wall_s": spread([float(wall) for wall, _, _ in runs], 3),
-        "ru_maxrss_mib": spread([int(kib) / 1024 for _, kib, _ in runs]),
+        "peak_rss_mib": spread([int(kib) / 1024 for _, kib, _ in runs]),
         "outcomes": sorted({outcome for *_, outcome in runs}),
     }
 
