@@ -5,8 +5,7 @@
 Prints one JSON object with four parts:
 
 - ``stages``: at N = 40, 56 and 170, each stage's ``tracemalloc`` peak on
-  its second call, in bytes per kernel entry, beside the work buffers the
-  package holds for the thread after it (``held``), the per-cutoff tables
+  its second call, in bytes per kernel entry, beside the per-cutoff tables
   (``tables``) and the kernel's total table (``total_table``). The stages
   are the kernel build (``transition_kernel``, which also forms the total
   table; its peak includes the 8 bytes per entry of the amplitudes and
@@ -132,13 +131,6 @@ def median_us(fn, *args, calls: int = 21) -> float:
     return round(statistics.median(times) * 1e6, 1)
 
 
-def held_bytes() -> int:
-    """Bytes of the work buffers the package holds for this thread (0 where
-    the package holds none)."""
-    arrays = getattr(getattr(fock, "_BUFFERS", None), "arrays", {})
-    return sum(a.nbytes for a in arrays.values())
-
-
 def table_bytes(cutoff: int) -> int:
     """Bytes of the per-cutoff tables the kernel build and the passes read."""
     tables = [fock.sector_index(cutoff), fock._recurrence_table(cutoff)]
@@ -176,7 +168,6 @@ def stages(cutoff: int, z: float, temperature: float, tolerance: float) -> dict:
             "work_contraction": median_us(thermo._work_pass, kernel, thermal),
             "entropy_contraction": median_us(fluctuation.entropy_distributions, kernel, thermal),
         },
-        "held": per_entry(held_bytes()),
         "tables": per_entry(table_bytes(cutoff)),
     }
 

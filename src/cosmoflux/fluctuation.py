@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, cell_changes, holds_buffers, sector_index, work_buffer
+from .fock import TransitionKernel, cell_changes, sector_index
 from .lapack import dgejsv, run_on_helper
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
@@ -302,12 +302,11 @@ class SectorSvds:
         with self.busy:
             self.decompose(self.sectors.popleft)
 
-    @holds_buffers("block")
     def decompose(self, take) -> None:
         """Each sector's term, taken with take until it raises IndexError, its
-        B formed in this thread's work buffer; an exception empties the queue."""
+        B formed in one block this call allocates; an exception empties the queue."""
         cutoff, w = self.thermal.spec.cutoff, self.thermal.flat_weights
-        starts, block = sector_index(cutoff).state_start, work_buffer("block", (cutoff + 1) ** 2)
+        starts, block = sector_index(cutoff).state_start, np.empty((cutoff + 1) ** 2)
         while True:
             try:
                 d = take()

@@ -15,22 +15,17 @@ work and entropy statistic contracts in O(N^2) work (TransitionKernel).
 sector_index holds, once per cutoff, the gather indices that let a stage
 treat many sectors of a buffer in one array pass.
 
-Every pass over a kernel buffer (the build's gather, column sums and
-total table, and the battery's symmetry scan; the relative entropy takes
-one block at a time) walks it in chunks of whole sectors of at most
+The kernel build's passes over its buffer (the gather, the column sums
+and the total table) walk it in chunks of whole sectors of at most
 CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
 order; each block adds into the total table whole, d ascending, so no
-result depends on the chunking. Its temporaries are
-work buffers the thread holds across calls (work_buffer), one set per
-thread, grown to the largest chunk a call has touched; a pass declares
-the buffers it takes (holds_buffers), and a pass called inside another
-that holds one of them raises instead of writing over it. So a pass frees
-no buffer-length array, the heap does not shrink and regrow around each
-op, and a pass's transient memory does not grow with the box. The index
-tables are cast into a held intp buffer chunk by chunk (chunk_keys), the
-cast np.take and np.bincount would otherwise allocate on every call. The
-one box-sized temporary left is the build's lower-triangle buffer, half a
-double per entry (_amplitudes).
+result depends on the chunking. Each pass allocates its scratch per
+call, one float64 and one intp array of the largest chunk's size
+(_chunk_scratch), so its transient memory does not grow with the box;
+the index tables are cast into the intp array chunk by chunk
+(chunk_keys). The one box-sized temporary is the build's lower-triangle
+buffer, half a double per entry (_amplitudes), freed before the column
+sums take their scratch.
 
 Two independent evaluation routes are provided:
 
@@ -78,9 +73,8 @@ transition_kernel checks z before its leakage gate.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from functools import cache, wraps
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -94,13 +88,11 @@ from .lapack import dstevd
 COLSUM_EXCESS_LIMIT = 1e-9
 
 # Most entries a chunk of a pass over a kernel buffer holds (sector_chunks).
-# 2^14 doubles are 128 KiB per work buffer: every sector up to cutoff 127
-# fits in one chunk, a cutoff-40 box takes two, and the held buffers stay
-# small beside the spectral oracle's blocks, which the verify battery
-# holds at the same time (with 2^16, one chunk of the whole cutoff-40 box,
-# its peak RSS was about 0.2 MiB higher). No result depends on the
-# chunking (the build adds each block into the total table whole), so the
-# bound trades memory against per-chunk numpy calls only.
+# 2^14 doubles are 128 KiB per scratch array: every sector up to cutoff
+# 127 fits in one chunk, a cutoff-40 box takes two, and the scratch stays
+# small beside the kernel it walks. No result depends on the chunking (the
+# build adds each block into the total table whole), so the bound trades
+# memory against per-chunk numpy calls only.
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -344,73 +336,20 @@ def sector_chunks(cutoff: int) -> tuple[Chunk, ...]:
     return tuple(chunks)
 
 
-class _WorkBuffers(threading.local):
-    """One thread's work buffers, by name, held across calls, and the names
-    the running passes hold."""
-
-    def __init__(self) -> None:
-        self.arrays: dict[str, np.ndarray] = {}
-        self.in_use: set[str] = set()
+def _chunk_scratch(chunks: tuple[Chunk, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A pass's scratch for one chunk at a time: a float64 and an intp
+    array, each of the largest chunk's size."""
+    size = max(chunk.size for chunk in chunks)
+    return np.empty(size), np.empty(size, np.intp)
 
 
-_BUFFERS = _WorkBuffers()
-
-
-def holds_buffers(*names: str):
-    """Decorate a pass that takes the named work buffers for its whole call.
-
-    A pass may not call another pass that takes a buffer it holds: both
-    would write the one held array. Such a call raises RuntimeError
-    instead of aliasing, and so does a work_buffer call for a name no
-    running pass holds.
-    """
-
-    def decorate(run_pass):
-        @wraps(run_pass)
-        def held_pass(*args, **kwargs):
-            in_use = _BUFFERS.in_use
-            if not in_use.isdisjoint(names):
-                raise RuntimeError(
-                    f"{run_pass.__qualname__} takes work buffers "
-                    f"{sorted(in_use.intersection(names))} that a calling pass holds"
-                )
-            in_use.update(names)
-            try:
-                return run_pass(*args, **kwargs)
-            finally:
-                in_use.difference_update(names)
-
-        return held_pass
-
-    return decorate
-
-
-def work_buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
-    """The first size entries of this thread's held work array name.
-
-    The passes over a kernel buffer take their temporaries from here, so
-    that a pass frees no buffer-length array: freed ones make the heap
-    shrink and regrow around every op, one page fault per page. Each
-    thread holds its own set (threads share no buffer), and an array only
-    grows, to the largest size a call has asked for. A returned array is a
-    view of the held one, valid until the next call for that name: a pass
-    returns none of them, only what it computed from them. The caller
-    must run inside a pass that holds name (holds_buffers).
-    """
-    if name not in _BUFFERS.in_use:
-        raise RuntimeError(f"work buffer {name!r} taken outside a pass that holds it")
-    held = _BUFFERS.arrays.get(name)
-    if held is None or held.size < size or held.dtype != dtype:
-        _BUFFERS.arrays.pop(name, None)  # dropped before its replacement is made
-        held = _BUFFERS.arrays[name] = np.empty(size, dtype)
-    return held[:size]
-
-
-def chunk_keys(table: np.ndarray, chunk: Chunk, offset: int = 0) -> np.ndarray:
+def chunk_keys(
+    table: np.ndarray, chunk: Chunk, keys: np.ndarray, offset: int = 0
+) -> np.ndarray:
     """A sector_index table's keys for the chunk's entries, less offset, as
     the intp array np.take and np.bincount read without a cast of their own;
-    held in the work buffer "keys"."""
-    keys = work_buffer("keys", chunk.size, np.intp)
+    written into the first chunk.size entries of keys."""
+    keys = keys[:chunk.size]
     np.copyto(keys, table[chunk.entries])
     if offset:
         keys -= offset
@@ -611,12 +550,11 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     step fills column q + 1 of every sector at once, reading columns q and
     q - 1 from the same buffer, which takes half a double per kernel entry
     and is the build's one temporary sized by the box. The z-free inputs
-    (C_j, p + d + 1, the rows' layout) come from _recurrence_table, and the
-    per-row temporaries are held work buffers. The upper triangle follows
-    from the mirror identity <m|S|n> = (-1)^(total(n)-total(m)) <n|S|m>,
-    which makes the squared entries satisfy the transpose symmetry
-    exactly; the gather, chunk by chunk, applies the sign and tanh(z)^|p-q|
-    together. The vacuum column is column 0 of d = 0 from the same start,
+    (C_j, p + d + 1, the rows' layout) come from _recurrence_table. The
+    upper triangle follows from the mirror identity <m|S|n> =
+    (-1)^(total(n)-total(m)) <n|S|m>, which makes the squared entries
+    satisfy the transpose symmetry exactly; the gather, chunk by chunk,
+    applies the sign and tanh(z)^|p-q| together. The vacuum column is column 0 of d = 0 from the same start,
     tanh(z)^p sech(z), bit for bit the full kernel's, in O(N) work and
     memory; it returns before any table is read.
     """
@@ -637,9 +575,8 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     # every index the tables hold is in range
     np.take(sech ** tab.exponents, tab.d_index, out=cols[0], mode="clip")
     t2 = tau * tau
-    small = np.multiply(tab.small, t2, out=work_buffer("small", rows))
-    tail = np.multiply(tab.d, t2, out=work_buffer("tail", rows))
-    coef, work = work_buffer("coef", rows), work_buffer("work", rows)
+    small, tail = tab.small * t2, tab.d * t2
+    coef, work = np.empty(rows), np.empty(rows)
     for q in range(cutoff):
         r = slice(row_start[q + 1], None)  # the rows p > q
         new = cols[q + 1]
@@ -661,12 +598,13 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
             )
     # (-1)^(q-p) for p < q and tanh(z)^|p-q|, keyed by p - q + cutoff
     factor = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
-    for chunk in sector_chunks(cutoff):
+    chunks = sector_chunks(cutoff)
+    values, keys = _chunk_scratch(chunks)
+    for chunk in chunks:
         out = amps[chunk.entries]
-        np.take(lower, chunk_keys(ix.mirror, chunk), out=out, mode="clip")
+        np.take(lower, chunk_keys(ix.mirror, chunk, keys), out=out, mode="clip")
         out *= np.take(
-            factor, chunk_keys(ix.change, chunk),
-            out=work_buffer("values", chunk.size), mode="clip",
+            factor, chunk_keys(ix.change, chunk, keys), out=values[:chunk.size], mode="clip"
         )
     return amps
 
@@ -724,7 +662,6 @@ class TransitionKernel:
         object.__setattr__(self, "column_leakage", leakage)
 
 
-@holds_buffers("small", "tail", "coef", "work", "values", "keys")
 def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every block's amplitudes (_amplitudes), frozen; each column's sum of
     their squares, in row order as a block's sum over axis 0 takes it; and
@@ -740,13 +677,15 @@ def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     more bytes per entry.
     """
     amps = _frozen(_amplitudes(z, cutoff, False))
+    chunks = sector_chunks(cutoff)
+    values, keys = _chunk_scratch(chunks)  # after the build has freed its own
     colsums = np.empty(len(state_totals(cutoff)))
     col = sector_index(cutoff).col
     table = np.zeros((2 * cutoff + 1, 2 * cutoff + 1))
-    for chunk in sector_chunks(cutoff):
-        squares = np.square(amps[chunk.entries], out=work_buffer("values", chunk.size))
+    for chunk in chunks:
+        squares = np.square(amps[chunk.entries], out=values[:chunk.size])
         colsums[chunk.states] = np.bincount(
-            chunk_keys(col, chunk, chunk.states.start),
+            chunk_keys(col, chunk, keys, chunk.states.start),
             weights=squares, minlength=chunk.states.stop - chunk.states.start,
         )
         # a block d > 0 counts its mirror too: every block past d = 0's

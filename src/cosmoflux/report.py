@@ -156,8 +156,9 @@ class RunConfig:
             )
         if self.output not in ("json", "csv"):
             raise ConfigError(f"output must be json or csv, got {self.output!r}")
-        if self.precision < 1:
-            raise ConfigError(f"precision must be >= 1, got {self.precision}")
+        # 17 significant digits round-trip a float64: more print the same
+        if not 1 <= self.precision <= 17:
+            raise ConfigError(f"precision must lie in [1, 17], got {self.precision}")
         if self.scenario == "direct-z":
             if self.z < 0.0:
                 raise ConfigError(f"z must be >= 0, got {self.z}")
@@ -619,19 +620,9 @@ def _line(name: str, result, judge) -> tuple[str, bool, str]:
     return name, *judge(result)
 
 
-@fock.holds_buffers("values")
 def _max_asymmetry(kernel: fock.TransitionKernel) -> float:
-    """The largest max |p(m|n) - p(n|m)| of the blocks, d ascending."""
-    asymmetries = []
-    for chunk in fock.sector_chunks(kernel.spec.cutoff):
-        P = np.square(
-            kernel.flat_amplitudes[chunk.entries],
-            out=fock.work_buffer("values", chunk.size),
-        )
-        asymmetries.extend(
-            float(np.max(np.abs(block - block.T))) for block in chunk.views(P)
-        )
-    return max(asymmetries)
+    """The largest max |p(m|n) - p(n|m)| of the blocks."""
+    return max(float(np.max(np.abs(P - P.T))) for P in map(np.square, kernel.amplitudes))
 
 
 def _max_mass(P: np.ndarray, where: np.ndarray) -> float:

@@ -525,6 +525,21 @@ def test_cli_rejects_bad_numbers(argv, key, capsys):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("precision", [0, 18, 2**31])
+def test_cli_rejects_a_precision_outside_1_to_17(precision, capsys):
+    # 17 digits round-trip a float64; 2^31 once printed every float to one
+    # digit, since CPython formats .2147483647e as 1e+00, and 2^31 + 1
+    # raised a bare ValueError
+    assert main(["simulate", *_flags({**SMALL_DIRECT, "precision": precision})]) == 1
+    assert capsys.readouterr().err.startswith("config error: precision must lie in [1, 17]")
+
+
+def test_precision_17_round_trips_every_float(capsys):
+    assert main(["simulate", *_flags({**SMALL_DIRECT, "precision": 17})]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row == run_simulation(RunConfig.from_mapping(SMALL_DIRECT))
+
+
 @pytest.mark.parametrize(
     "grid", ["0.5,1.0", [0.5, "abc"], [0.5, None], [0.5, "nan"], [True, 2.0]]
 )

@@ -1,14 +1,14 @@
-"""Chunked passes over the kernel buffer and the held work buffers.
+"""Chunked passes over the kernel buffer and each pass's own scratch.
 
-Every pass over a kernel buffer (the kernel build, with its column sums
-and its total table, and the battery's symmetry scan) walks it in chunks
-of whole sectors (fock.sector_chunks) and takes its temporaries from the
-work buffers its thread holds (fock.work_buffer); the work and entropy
-passes contract the build's total table. These tests pin what that
-promises: the chunks tile the box; a chunking moves no bit of any result,
-and the stages match the per-sector loops of dense_reference; a stage's
-transient memory is bounded; a pass cannot take a buffer its caller
-holds; threads share no buffer, and no result is a view of one.
+The kernel build's passes over its buffer (the gather, the column sums
+and the total table) walk it in chunks of whole sectors
+(fock.sector_chunks), each with scratch it allocates per call; the work
+and entropy passes contract the build's total table. These tests pin
+what that promises: the chunks tile the box; a chunking moves no bit of
+any result, and the stages match the per-sector loops of
+dense_reference; a stage's transient memory, its scratch included, is
+bounded; and threads that run the point and the battery at once get the
+serial results.
 """
 
 import sys
@@ -148,7 +148,7 @@ def test_chunked_passes_match_the_per_sector_loops(z, t_ratio):
 
 
 def _second_call_peak(fn, *args):
-    fn(*args)  # tables and held buffers are made on the first call
+    fn(*args)  # the per-cutoff tables are made on the first call
     tracemalloc.start()
     try:
         fn(*args)
@@ -159,8 +159,9 @@ def _second_call_peak(fn, *args):
 
 def test_each_stage_peaks_at_12_bytes_per_entry_at_cutoff_56():
     # beyond the 8 bytes per entry of the amplitudes a build returns (its
-    # total table among them); the whole-buffer passes peaked at 22.3
-    # (build), 17.3 (work), 25.2 (entropy) and 28.5 (relative entropy)
+    # total table among them), and with each pass's scratch counted; the
+    # whole-buffer passes peaked at 22.3 (build), 17.3 (work), 25.2
+    # (entropy) and 28.5 (relative entropy)
     spec = TruncationSpec(56, 1e-8)
     budget = 12 * _entry_count(56)
     kernel = transition_kernel(Z_CANON, spec)
@@ -170,46 +171,6 @@ def test_each_stage_peaks_at_12_bytes_per_entry_at_cutoff_56():
     assert _second_call_peak(_work_pass, kernel, thermal) <= budget
     assert _second_call_peak(entropy_distributions, kernel, thermal) <= budget
     assert _second_call_peak(quantum_relative_entropy, thermal, kernel, 2.0) <= budget
-
-
-def _arrays(obj):
-    """Every numpy array among obj's values, attributes and items."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
-    elif hasattr(obj, "__dict__"):
-        for value in vars(obj).values():
-            yield from _arrays(value)
-
-
-def test_no_result_is_a_view_of_a_held_buffer():
-    results = _stages(Z_CANON, 1.0, 40)
-    held = list(fock_mod._BUFFERS.arrays.values())
-    assert {"values", "keys", "block"} <= set(fock_mod._BUFFERS.arrays)
-    arrays = list(_arrays(results))
-    assert len(arrays) >= 8
-    for a in arrays:
-        assert not any(np.shares_memory(a, h) for h in held)
-
-
-def test_a_pass_cannot_take_a_buffer_its_caller_holds():
-    spec = TruncationSpec(16, 0.5)
-    expected = transition_kernel(Z_CANON, spec).flat_amplitudes.tobytes()
-
-    @fock_mod.holds_buffers("values")
-    def caller():
-        fock_mod.work_buffer("values", 4)
-        return transition_kernel(Z_CANON, spec)
-
-    with pytest.raises(RuntimeError, match=r"_full_build takes work buffers \['values'\]"):
-        caller()
-    # the refused call gives back what its caller held
-    assert fock_mod._BUFFERS.in_use == set()
-    assert transition_kernel(Z_CANON, spec).flat_amplitudes.tobytes() == expected
-    with pytest.raises(RuntimeError, match="outside a pass that holds it"):
-        fock_mod.work_buffer("values", 4)
 
 
 def test_threads_share_no_buffer():
