@@ -17,8 +17,7 @@ tolerance.
 
 The quantum relative entropy alone calls LAPACK (lapack.dgejsv), one
 sector block at a time, and a T = 0 point never does. Where the process
-may use two CPUs, a point hands its sector SVDs to lapack's helper thread
-before its entropy pass (start_relative_entropy).
+may use two CPUs, the call shares its sector SVDs with lapack's helper.
 """
 
 from __future__ import annotations
@@ -324,21 +323,9 @@ class SectorSvds:
                 self.sectors.clear()
 
 
-def start_relative_entropy(thermal: ThermalDistribution, kernel: TransitionKernel):
-    """The sector SVDs of quantum_relative_entropy(thermal, kernel, ...) on the
-    helper, if any (lapack.run_on_helper); they read no t_ad nor work, so a
-    point starts them early. The T = 0 vacuum raises before LAPACK loads."""
-    if thermal.is_vacuum:
-        raise EntropyUndefinedError(_QRE_UNDEFINED)
-    _require_pairing(kernel, thermal)
-    svds = SectorSvds(thermal, kernel)
-    run_on_helper(svds.serve)
-    return svds
-
-
 def quantum_relative_entropy(
     thermal: ThermalDistribution, kernel: TransitionKernel, t_ad: float,
-    work: WorkReport | None = None, svds: SectorSvds | None = None,
+    work: WorkReport | None = None,
 ) -> float:
     """K[rho || rho'] with rho' the squeezed image of the thermal state.
 
@@ -352,17 +339,16 @@ def quantum_relative_entropy(
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
     truncation bound at inadequate cutoffs.
 
-    svds are those start_relative_entropy started for thermal and kernel,
-    else the call starts them. This thread takes the sectors left, smallest
-    first, then waits for the helper's block, if any. K adds the terms up
-    in sector order, so its bits do not depend on which thread took which.
+    The sector SVDs start with the call, shared with the helper if any
+    (lapack.run_on_helper, SectorSvds). K adds the terms up in sector
+    order, so its bits do not depend on which thread took which. The
+    T = 0 vacuum raises before LAPACK loads.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(_QRE_UNDEFINED)
-    if svds is None:
-        svds = start_relative_entropy(thermal, kernel)
-    elif svds.thermal is not thermal or svds.kernel is not kernel:
-        raise ValueError("these sector SVDs were started for another point")
+    _require_pairing(kernel, thermal)
+    svds = SectorSvds(thermal, kernel)
+    run_on_helper(svds.serve)
     svds.decompose(svds.sectors.pop)
     with svds.busy:  # the helper's last block
         pass

@@ -370,30 +370,24 @@ def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tup
     vacuum kernel, which holds the vacuum column alone. entropy is None on
     the vacuum path and when, without fluctuations, the sequence stops at
     the work. A failed identity check is captured and the later ones still
-    run (<s> then comes from mean_entropy); other errors propagate.
+    run (<s> then comes from mean_entropy); other errors propagate. The
+    last check, the relative entropy, starts its sector SVDs when called.
     """
     channel, flags = resolve_channel(cfg)
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
     kernel = kernels.kernel_for(channel.z, spec, cfg.temperature == 0.0)
     thermal = kernels.thermal_for(cfg.temperature, channel.omega_in, spec)
+    work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
-        work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
         return channel, flags, kernel, work, None
-    svds = fluctuation.start_relative_entropy(thermal, kernel)  # run meanwhile
-    try:
-        work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
-        p_e, p_c, micro_dev = fluctuation.entropy_distributions(kernel, thermal)
-        crooks = _capture(fluctuation.crooks_deviation, p_e, p_c, micro_dev)
-        kl = _capture(fluctuation.mean_entropy_and_kl, p_e, p_c)
-        s_mean = fluctuation.mean_entropy(p_e) if isinstance(kl, VerificationError) else kl[0]
-        friction = _capture(fluctuation.entropy_friction_identity, work, s_mean)
-        k_quantum = _capture(
-            fluctuation.quantum_relative_entropy,
-            thermal, kernel, work.adiabatic_temperature, work, svds,
-        )
-    except BaseException:
-        svds.sectors.clear()  # the helper stops after the block it is on
-        raise
+    p_e, p_c, micro_dev = fluctuation.entropy_distributions(kernel, thermal)
+    crooks = _capture(fluctuation.crooks_deviation, p_e, p_c, micro_dev)
+    kl = _capture(fluctuation.mean_entropy_and_kl, p_e, p_c)
+    s_mean = fluctuation.mean_entropy(p_e) if isinstance(kl, VerificationError) else kl[0]
+    friction = _capture(fluctuation.entropy_friction_identity, work, s_mean)
+    k_quantum = _capture(
+        fluctuation.quantum_relative_entropy, thermal, kernel, work.adiabatic_temperature, work
+    )
     return channel, flags, kernel, work, _Entropy(p_e, crooks, kl, friction, k_quantum)
 
 

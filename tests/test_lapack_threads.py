@@ -2,15 +2,15 @@
 helper thread.
 
 lapack.dgejsv and lapack.dstevd must give scipy.linalg.lapack's bits, and
-dgejsv takes only the block the relative entropy forms; a point starts
-its relative entropy's sector SVDs on one helper thread before its
-entropy pass, and the calling thread takes the sectors the helper has not
-taken when it needs K. The helper starts with the first
-T > 0 relative entropy, survives no fork (a child starts its own) and
-raises its failures on the caller's thread; a point that fails first
-cancels its sectors, and a helper busy elsewhere holds no caller up. K
-must not depend on which thread took a block, nor on how many threads ask
-at once. A T = 0 point raises before LAPACK loads.
+dgejsv takes only the block the relative entropy forms. The relative
+entropy, a point's last check, starts its sector SVDs when it is called,
+on one helper thread and the calling thread, so no SVD runs before it and
+a point that fails first leaves the helper nothing to take. The helper
+starts with the first T > 0 relative entropy, survives no fork (a child
+starts its own) and raises its failures on the caller's thread, and a
+helper busy elsewhere holds no caller up. K must not depend on which
+thread took a block, nor on how many threads ask at once. A T = 0 point
+raises before LAPACK loads.
 """
 
 import json
@@ -37,7 +37,6 @@ from cosmoflux import (
     transition_kernel,
 )
 from cosmoflux.errors import EntropyUndefinedError, NumericError
-from cosmoflux.fluctuation import start_relative_entropy
 from cosmoflux.lapack import dgejsv, dstevd
 
 
@@ -265,10 +264,10 @@ def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
+    claims, _first = _helper_claims(monkeypatch)
     calls = _calls_per_thread(monkeypatch)
-    svds = start_relative_entropy(thermal, kernel)
-    assert list(svds.sectors) == list(range(13))  # no helper takes any
-    assert quantum_relative_entropy(thermal, kernel, 2.0, svds=svds).hex() == expected.hex()
+    assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == expected.hex()
+    assert claims == []  # no helper takes any
     assert calls == {"caller": 13, "helper": 0}
 
 
@@ -280,11 +279,19 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
     _claims, first = _helper_claims(monkeypatch)
     calls = _calls_per_thread(monkeypatch, failing_thread)
-    svds = start_relative_entropy(thermal, kernel)
     if failing_thread == "helper":
-        assert first.wait(10)
+        # the caller's first block waits for the helper's first claim, so
+        # that the helper always takes a block
+        spied, caller = fluctuation_mod.dgejsv, threading.current_thread()
+
+        def dgejsv(a):
+            if threading.current_thread() is caller:
+                assert first.wait(10)
+            return spied(a)
+
+        monkeypatch.setattr(fluctuation_mod, "dgejsv", dgejsv)
     with pytest.raises(NumericError, match="dgejsv failed with info = 1"):
-        quantum_relative_entropy(thermal, kernel, 2.0, svds=svds)
+        quantum_relative_entropy(thermal, kernel, 2.0)
     assert calls[failing_thread] >= 1
     monkeypatch.undo()
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
@@ -292,55 +299,49 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
     assert quantum_relative_entropy(thermal, kernel, 2.0) == expected
 
 
-def test_the_helper_decomposes_while_the_entropy_pass_runs(monkeypatch):
-    # the entropy pass waits for the helper's first sector: the point
-    # started its SVDs before the pass, not after it
-    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
-    cfg = canonical_config()
-    expected = run_simulation(cfg)["kl_quantum"]
-    _claims, first = _helper_claims(monkeypatch)
-    real = fluctuation_mod.entropy_distributions
-    waited = []
-
-    def entropy_distributions(kernel, thermal):
-        waited.append(first.wait(10))
-        return real(kernel, thermal)
-
-    monkeypatch.setattr(fluctuation_mod, "entropy_distributions", entropy_distributions)
-    assert run_simulation(cfg)["kl_quantum"].hex() == expected.hex()
-    assert waited == [True]
+def _drain_helper() -> None:
+    """Wait until the helper has run every job queued before this one."""
+    idle = threading.Event()
+    lapack_mod.run_on_helper(idle.set)
+    assert idle.wait(10)
 
 
-def test_an_error_before_the_relative_entropy_cancels_its_sectors(monkeypatch):
+def test_no_sector_svd_runs_before_the_relative_entropy(monkeypatch):
+    # the relative entropy, a point's last check, starts its sector SVDs:
+    # once the entropy pass is done, every job the helper was given has
+    # run and none took a sector, and a point that fails in the pass
+    # leaves the helper none to take
     cfg = canonical_config()
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
     serial = run_simulation(cfg)["kl_quantum"]
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
+    real = fluctuation_mod.entropy_distributions
     with monkeypatch.context() as patch:
-        claims, first = _helper_claims(patch)
-        # the helper holds its first block until the point has failed
-        failed, real = threading.Event(), fluctuation_mod.dgejsv
+        claims, _first = _helper_claims(patch)
+        calls = _calls_per_thread(patch)
+        seen = []
 
-        def dgejsv(a):
-            if threading.current_thread().name == "cosmoflux-dgejsv":
-                failed.wait(10)
-            return real(a)
+        def entropy_distributions(kernel, thermal):
+            result = real(kernel, thermal)
+            _drain_helper()
+            seen.append((dict(calls), list(claims)))
+            return result
+
+        patch.setattr(fluctuation_mod, "entropy_distributions", entropy_distributions)
+        assert run_simulation(cfg)["kl_quantum"].hex() == serial.hex()
+        assert seen == [({"caller": 0, "helper": 0}, [])]
+    with monkeypatch.context() as patch:
+        claims, _first = _helper_claims(patch)
+        calls = _calls_per_thread(patch)
 
         def failing(kernel, thermal):
-            assert first.wait(10)
             raise KeyboardInterrupt
 
-        patch.setattr(fluctuation_mod, "dgejsv", dgejsv)
         patch.setattr(fluctuation_mod, "entropy_distributions", failing)
         with pytest.raises(KeyboardInterrupt):
             run_simulation(cfg)
-        taken = len(claims)
-        failed.set()
-        idle = threading.Event()
-        lapack_mod.run_on_helper(idle.set)  # served after the point
-        assert idle.wait(10)
-        # of the 41 sectors, the helper took at most one more than it had
-        assert len(claims) <= taken + 1 < 41
+        _drain_helper()
+        assert claims == [] and calls == {"caller": 0, "helper": 0}
     assert run_simulation(cfg)["kl_quantum"].hex() == serial.hex()
 
 
@@ -384,8 +385,6 @@ def test_a_vacuum_point_raises_before_lapack_loads(monkeypatch):
 
     monkeypatch.setattr(lapack_mod, "_LOADED", None)
     monkeypatch.setattr(lapack_mod, "_load", load)
-    with pytest.raises(EntropyUndefinedError, match="T = 0 vacuum"):
-        start_relative_entropy(vacuum, kernel)
     with pytest.raises(EntropyUndefinedError, match="T = 0 vacuum"):
         quantum_relative_entropy(vacuum, kernel, 1.0)
     assert loads == []
