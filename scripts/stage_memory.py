@@ -137,7 +137,7 @@ def table_bytes(cutoff: int) -> int:
     return fock.cell_changes(cutoff).nbytes + sum(
         value.nbytes
         for table in tables
-        for value in (table._asdict() if hasattr(table, "_asdict") else vars(table)).values()
+        for value in table._asdict().values()
         if isinstance(value, np.ndarray)
     )
 

@@ -16,8 +16,9 @@ here fails closed on a NaN: it passes only when its residual is <= its
 tolerance.
 
 The quantum relative entropy alone calls LAPACK (lapack.dgejsv), one
-sector block at a time, and a T = 0 point never does. Where the process
-may use two CPUs, the call shares its sector SVDs with lapack's helper.
+sector block at a time, and a T = 0 point never does; it reads sector
+d's weights as a stride-2 slice of the per-total ones (SectorSvds). Where
+the process may use two CPUs, it shares its SVDs with lapack's helper.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, cell_changes, sector_index
+from .fock import TransitionKernel, cell_changes
 from .lapack import dgejsv, run_on_helper
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
@@ -292,7 +293,7 @@ class SectorSvds:
 
     def __init__(self, thermal: ThermalDistribution, kernel: TransitionKernel) -> None:
         self.thermal, self.kernel = thermal, kernel
-        self.sqrt_w = np.sqrt(thermal.flat_weights)
+        self.sqrt_w = np.sqrt(thermal.total_weights)
         self.sectors = deque(range(thermal.spec.cutoff + 1))
         self.terms: list = [0.0] * len(self.sectors)
         self.busy = threading.Lock()
@@ -303,19 +304,23 @@ class SectorSvds:
 
     def decompose(self, take) -> None:
         """Each sector's term, taken with take until it raises IndexError, its
-        B formed in one block this call allocates; an exception empties the queue."""
-        cutoff, w = self.thermal.spec.cutoff, self.thermal.flat_weights
-        starts, block = sector_index(cutoff).state_start, np.empty((cutoff + 1) ** 2)
+        B formed in one block this call allocates; an exception empties the
+        queue. Sector d's states have the totals d, d + 2, ..., 2N - d."""
+        cutoff, w = self.thermal.spec.cutoff, self.thermal.total_weights
+        block = np.empty((cutoff + 1) ** 2)
         while True:
             try:
                 d = take()
             except IndexError:
                 return
             try:
-                states, n = slice(starts[d], starts[d + 1]), cutoff + 1 - d
+                n = cutoff + 1 - d
+                totals = slice(d, d + 2 * n, 2)
                 B = block[:n * n].reshape((n, n), order="F")
-                np.multiply(self.kernel.amplitudes[d], self.sqrt_w[states], out=B)
-                wd = w[states]  # weights fall along a sector: the positive ones lead
+                np.multiply(self.kernel.amplitudes[d], self.sqrt_w[totals], out=B)
+                # BLAS reads a contiguous copy: a strided view moved K's last bit;
+                # weights fall along a sector, so the positive ones lead
+                wd = w[totals].copy()
                 live = wd[:np.count_nonzero(wd)]
                 self.terms[d] = float(live @ np.log(live)) - _rho_prime_term(B, wd)
             except BaseException as exc:  # raised again by quantum_relative_entropy

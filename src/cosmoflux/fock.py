@@ -12,16 +12,16 @@ stage that reads p(m|n) squares the buffer itself, once per call. The
 build also sums the squares into the kernel's total table, (2N+1)^2 cells
 keyed by the totals of the final and the initial state, which every T > 0
 work and entropy statistic contracts in O(N^2) work (TransitionKernel).
-sector_index holds, once per cutoff, the gather indices that let a stage
-treat many sectors of a buffer in one array pass.
+sector_index holds, once per cutoff, the build's gather tables and the
+chunks its passes walk; no other module reads them.
 
 The kernel build's passes over its buffer (the gather, the column sums
 and the total table) walk it in chunks of whole sectors of at most
-CHUNK_ENTRIES entries (sector_chunks), so that a per-sector sum keeps its
-order; each block adds into the total table whole, d ascending, so no
-result depends on the chunking. Each pass allocates its scratch per
-call, one float64 and one intp array of the largest chunk's size
-(_chunk_scratch), so its transient memory does not grow with the box;
+CHUNK_ENTRIES entries (sector_index(N).chunks), so that a per-sector sum
+keeps its order; each block adds into the total table whole, d
+ascending, so no result depends on the chunking. Each pass allocates its
+scratch per call, one float64 and one intp array of the largest chunk's
+size (_chunk_scratch), so its transient memory does not grow with the box;
 the index tables are cast into the intp array chunk by chunk
 (chunk_keys). The one box-sized temporary is the build's lower-triangle
 buffer, half a double per entry (_amplitudes), freed before the column
@@ -87,7 +87,7 @@ from .lapack import dstevd
 # noise; anything larger, or a NaN, means the kernel is broken.
 COLSUM_EXCESS_LIMIT = 1e-9
 
-# Most entries a chunk of a pass over a kernel buffer holds (sector_chunks).
+# Most entries a chunk of a pass over a kernel buffer holds (SectorIndex).
 # 2^14 doubles are 128 KiB per scratch array: every sector up to cutoff
 # 127 fits in one chunk, a cutoff-40 box takes two, and the scratch stays
 # small beside the kernel it walks. No result depends on the chunking (the
@@ -176,8 +176,8 @@ def sector_views(
 
     With blocks, sector d takes (cutoff + 1 - d)^2 entries, viewed as its
     row-major square block; without, cutoff + 1 - d, one per sector state.
-    The buffer may end after any sector, as the vacuum's Gibbs weights do
-    after d = 0. Views of a read-only buffer cannot be made writeable.
+    The buffer may end after any sector, as a chunk's entries do
+    (Chunk.views). Views of a read-only buffer cannot be made writeable.
     """
     views, start = [], 0
     for size in range(cutoff + 1, 0, -1):
@@ -216,89 +216,6 @@ def suggested_cutoff(z: float, leakage_tolerance: float) -> int:
     return int(np.ceil(max(needed, 0.0)))
 
 
-@dataclass(frozen=True)
-class SectorIndex:
-    """Where each entry of the box's sector-major buffers reads its inputs.
-
-    Entry k of a kernel buffer is [p, q] of block d, indexed by final and
-    initial sector position; block d starts at block_start[d], and sector
-    d's states at state_start[d] of a per-state buffer (state_totals
-    order). col keys sums over each initial state, and change the half
-    total change p - q, by which the builder reads the entry's sign and
-    power of tanh(z). The kernel builder fills the lower triangles of
-    every block column by column into one buffer (_amplitudes): column q
-    holds the rows p >= q of every sector, row-major over (p, d), and
-    mirror reads each entry from there. Index arrays hold the smallest
-    unsigned integer type that fits: 119,105 bytes at cutoff 40,
-    13,451,088 at 170. All read-only.
-    """
-
-    block_start: tuple[int, ...]  # d = 0..cutoff + 1
-    state_start: tuple[int, ...]  # d = 0..cutoff + 1
-    mirror: np.ndarray  # [max(p, q), min(p, q)]: its place in the lower-triangle buffer
-    change: np.ndarray  # (p - q) + cutoff: half the entry's total change, offset
-    col: np.ndarray  # the initial state of the entry, sector d position q
-
-
-def _lower_starts(cutoff: int) -> tuple[list[int], list[int]]:
-    """Where each row p and each column q start in the lower-triangle
-    buffer's order, each list ending with its total.
-
-    The rows p of every sector run row-major over (p, d), sector d holding
-    rows 0..cutoff - d; column q holds the rows p >= q, the last of them.
-    """
-    rows = np.arange(cutoff + 1, 0, -1)
-    row_start = np.concatenate([[0], np.cumsum(rows)])
-    col_start = np.concatenate([[0], np.cumsum(row_start[-1] - row_start[:-1])])
-    return row_start.tolist(), col_start.tolist()
-
-
-@cache
-def sector_index(cutoff: int) -> SectorIndex:
-    """The gather tables of the box's buffers, built once per cutoff.
-
-    Built sector by sector straight into the narrow arrays, so the build
-    holds no wide temporaries of the buffer's length.
-    """
-    side = cutoff + 1
-    sizes = range(side, 0, -1)
-    block_start = (0, *np.cumsum([n * n for n in sizes]).tolist())
-    state_start = (0, *np.cumsum(sizes).tolist())
-    count = block_start[-1]
-    row_start, col_start = map(np.array, _lower_starts(cutoff))
-
-    def table(top: int) -> np.ndarray:
-        return np.empty(count, dtype=np.min_scalar_type(top))
-
-    mirror = table(col_start[-1] - 1)
-    col = table(state_start[-1] - 1)
-    change = table(2 * cutoff)
-    for d, size in enumerate(sizes):
-        block = slice(block_start[d], block_start[d + 1])
-        i = np.arange(size)
-        p, q = i[:, None], i[None, :]
-        hi, lo = np.maximum(p, q), np.minimum(p, q)
-        mirror[block] = (col_start[lo] + row_start[hi] - row_start[lo] + d).ravel()
-        change[block] = (cutoff + p - q).ravel()
-        col[block] = np.tile(state_start[d] + i, size)
-    return SectorIndex(
-        block_start=block_start,
-        state_start=state_start,
-        mirror=_frozen(mirror),
-        change=_frozen(change),
-        col=_frozen(col),
-    )
-
-
-@cache
-def cell_changes(cutoff: int) -> np.ndarray:
-    """t_f - t_i + 2 cutoff of every cell of a total table, flat and
-    row-major: the key of the cell's total change, as the intp array
-    np.bincount reads. Built once per cutoff; read-only."""
-    t = np.arange(2 * cutoff + 1)
-    return _frozen(np.subtract.outer(t, t).ravel() + 2 * cutoff)
-
-
 class Chunk(NamedTuple):
     """Whole sectors of the box that a pass over a kernel buffer takes at
     once: the sectors d in sectors, their entries of a sector-major kernel
@@ -319,21 +236,84 @@ class Chunk(NamedTuple):
         return sector_views(values, self.cutoff - self.sectors.start, True)
 
 
+class SectorIndex(NamedTuple):
+    """How the kernel build walks the box's sector-major buffers.
+
+    Entry k of a kernel buffer is [p, q] of block d, indexed by final and
+    initial sector position. col keys sums over each initial state, its
+    place in a per-state buffer (state_totals order), and change the half
+    total change p - q, by which the builder reads the entry's sign and
+    power of tanh(z). The kernel builder fills the lower triangles of
+    every block column by column into one buffer (_amplitudes): column q
+    holds the rows p >= q of every sector, row-major over (p, d), and
+    mirror reads each entry from there. Index arrays hold the smallest
+    unsigned integer type that fits: 119,105 bytes at cutoff 40,
+    13,451,088 at 170. All read-only. chunks tiles the box's sectors, d
+    ascending: each chunk holds as many whole sectors as fit in
+    CHUNK_ENTRIES entries, and a sector larger than that (d = 0 past
+    cutoff 127) is a chunk of its own.
+    """
+
+    mirror: np.ndarray  # [max(p, q), min(p, q)]: its place in the lower-triangle buffer
+    change: np.ndarray  # (p - q) + cutoff: half the entry's total change, offset
+    col: np.ndarray  # the initial state of the entry, sector d position q
+    chunks: tuple[Chunk, ...]
+
+
 @cache
-def sector_chunks(cutoff: int) -> tuple[Chunk, ...]:
-    """The box's sectors in chunks, d ascending: each chunk holds as many
-    whole sectors as fit in CHUNK_ENTRIES entries, and a sector larger than
-    that (d = 0 past cutoff 127) is a chunk of its own."""
-    ix = sector_index(cutoff)
-    bs, ss = ix.block_start, ix.state_start
+def sector_index(cutoff: int) -> SectorIndex:
+    """The gather tables and chunks of the box's buffers, built once per
+    cutoff.
+
+    Built sector by sector straight into the narrow arrays, so the build
+    holds no wide temporaries of the buffer's length.
+    """
+    side = cutoff + 1
+    sizes = range(side, 0, -1)
+    block_start = (0, *np.cumsum([n * n for n in sizes]).tolist())
+    state_start = (0, *np.cumsum(sizes).tolist())
+    count = block_start[-1]
+    tab = _recurrence_table(cutoff)
+    row_start, col_start = np.array(tab.row_start), np.array(tab.col_start)
+
+    def table(top: int) -> np.ndarray:
+        return np.empty(count, dtype=np.min_scalar_type(top))
+
+    mirror = table(col_start[-1] - 1)
+    col = table(state_start[-1] - 1)
+    change = table(2 * cutoff)
+    for d, size in enumerate(sizes):
+        block = slice(block_start[d], block_start[d + 1])
+        i = np.arange(size)
+        p, q = i[:, None], i[None, :]
+        hi, lo = np.maximum(p, q), np.minimum(p, q)
+        mirror[block] = (col_start[lo] + row_start[hi] - row_start[lo] + d).ravel()
+        change[block] = (cutoff + p - q).ravel()
+        col[block] = np.tile(state_start[d] + i, size)
     chunks, first = [], 0
-    for d in range(1, cutoff + 2):
-        if d > cutoff or bs[d + 1] - bs[first] > CHUNK_ENTRIES:
+    for d in range(1, side + 1):
+        if d == side or block_start[d + 1] - block_start[first] > CHUNK_ENTRIES:
             chunks.append(Chunk(
-                cutoff, range(first, d), slice(bs[first], bs[d]), slice(ss[first], ss[d])
+                cutoff, range(first, d),
+                slice(block_start[first], block_start[d]),
+                slice(state_start[first], state_start[d]),
             ))
             first = d
-    return tuple(chunks)
+    return SectorIndex(
+        mirror=_frozen(mirror),
+        change=_frozen(change),
+        col=_frozen(col),
+        chunks=tuple(chunks),
+    )
+
+
+@cache
+def cell_changes(cutoff: int) -> np.ndarray:
+    """t_f - t_i + 2 cutoff of every cell of a total table, flat and
+    row-major: the key of the cell's total change, as the intp array
+    np.bincount reads. Built once per cutoff; read-only."""
+    t = np.arange(2 * cutoff + 1)
+    return _frozen(np.subtract.outer(t, t).ravel() + 2 * cutoff)
 
 
 def _chunk_scratch(chunks: tuple[Chunk, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -513,10 +493,12 @@ def _recurrence_table(cutoff: int) -> _RecurrenceTable:
     ratios = np.where(k + d <= cutoff, (k + d) / k, 1.0)
     beta = np.sqrt(np.cumprod(np.vstack([np.ones(side), ratios]), axis=0))
     p, d = np.nonzero(np.add.outer(np.arange(side), d) <= cutoff)
-    row_start, col_start = _lower_starts(cutoff)
+    # sector d holds rows 0..cutoff - d; column q holds the rows p >= q
+    row_start = np.concatenate([[0], np.cumsum(np.arange(side, 0, -1))])
+    col_start = np.concatenate([[0], np.cumsum(row_start[-1] - row_start[:-1])])
     return _RecurrenceTable(
-        row_start=row_start,
-        col_start=col_start,
+        row_start=row_start.tolist(),
+        col_start=col_start.tolist(),
         exponents=_frozen(np.arange(side) + 1.0),
         beta=_frozen(beta),
         signs=_frozen((-1.0) ** np.arange(cutoff, 0, -1)),
@@ -564,7 +546,7 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     if vacuum:  # the block's column 0, where sqrt(C_p / C_0) = 1
         return tau_powers * sech
     ix = sector_index(cutoff)
-    amps = np.empty(ix.block_start[-1])
+    amps = np.empty(len(ix.mirror))
     if z == 0.0:
         return np.equal(ix.change, cutoff, out=amps)  # identity blocks
     tab = _recurrence_table(cutoff)
@@ -598,9 +580,8 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
             )
     # (-1)^(q-p) for p < q and tanh(z)^|p-q|, keyed by p - q + cutoff
     factor = np.concatenate([tab.signs * tau_powers[:0:-1], tau_powers])
-    chunks = sector_chunks(cutoff)
-    values, keys = _chunk_scratch(chunks)
-    for chunk in chunks:
+    values, keys = _chunk_scratch(ix.chunks)
+    for chunk in ix.chunks:
         out = amps[chunk.entries]
         np.take(lower, chunk_keys(ix.mirror, chunk, keys), out=out, mode="clip")
         out *= np.take(
@@ -677,15 +658,14 @@ def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     more bytes per entry.
     """
     amps = _frozen(_amplitudes(z, cutoff, False))
-    chunks = sector_chunks(cutoff)
-    values, keys = _chunk_scratch(chunks)  # after the build has freed its own
+    ix = sector_index(cutoff)
+    values, keys = _chunk_scratch(ix.chunks)  # after the build has freed its own
     colsums = np.empty(len(state_totals(cutoff)))
-    col = sector_index(cutoff).col
     table = np.zeros((2 * cutoff + 1, 2 * cutoff + 1))
-    for chunk in chunks:
+    for chunk in ix.chunks:
         squares = np.square(amps[chunk.entries], out=values[:chunk.size])
         colsums[chunk.states] = np.bincount(
-            chunk_keys(col, chunk, keys, chunk.states.start),
+            chunk_keys(ix.col, chunk, keys, chunk.states.start),
             weights=squares, minlength=chunk.states.stop - chunk.states.start,
         )
         # a block d > 0 counts its mirror too: every block past d = 0's

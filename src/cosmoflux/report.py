@@ -52,6 +52,10 @@ FLOAT_KEYS = {
 INT_KEYS = {"cutoff", "precision"}
 SWEEP_AXES = ("momentum", "sigma", "epsilon", "temperature")
 SWEEP_ONLY_KEYS = ("axis", "grid", "grid_min", "grid_max", "grid_count", "grid_scale")
+# Most points a generated grid may hold, checked before it is made: at 1-6
+# ms a point, a sweep of at most about a minute. An explicit grid's size is
+# its file's own.
+MAX_GRID_POINTS = 10_000
 
 REPORT_FIELDS = (
     "scenario", "k", "m", "epsilon", "sigma", "T", "cutoff", "z",
@@ -228,7 +232,7 @@ class SweepConfig:
         grid_min = mapping.pop("grid_min", None)
         grid_max = mapping.pop("grid_max", None)
         grid_count = mapping.pop("grid_count", None)
-        grid_scale = mapping.pop("grid_scale", "linear")
+        grid_scale = mapping.pop("grid_scale", None)
         base = RunConfig.from_mapping(mapping)
         if axis not in SWEEP_AXES:
             raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -237,8 +241,10 @@ class SweepConfig:
                 f"axis {axis!r} applies only to the cosmology scenario"
             )
         if grid is not None:
-            if grid_min is not None or grid_max is not None or grid_count is not None:
-                raise ConfigError("give either an explicit grid or min/max/count, not both")
+            if any(v is not None for v in (grid_min, grid_max, grid_count, grid_scale)):
+                raise ConfigError(
+                    "give either an explicit grid or min/max/count/scale, not both"
+                )
             if not isinstance(grid, (list, tuple)):
                 raise ConfigError(f"grid must be a list of numbers, got {grid!r}")
             values = tuple(_number("grid", v) for v in grid)
@@ -246,10 +252,12 @@ class SweepConfig:
             if grid_min is None or grid_max is None or grid_count is None:
                 raise ConfigError("grid requires grid_min, grid_max and grid_count")
             count = _integer("grid_count", grid_count)
-            if count < 2:
-                raise ConfigError(f"grid_count must be >= 2, got {count}")
+            if not 2 <= count <= MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"grid_count must lie in [2, {MAX_GRID_POINTS}], got {count}"
+                )
             lo, hi = _number("grid_min", grid_min), _number("grid_max", grid_max)
-            if grid_scale == "linear":
+            if grid_scale in (None, "linear"):
                 values = tuple(np.linspace(lo, hi, count).tolist())
             elif grid_scale == "log":
                 if lo <= 0.0 or hi <= 0.0:

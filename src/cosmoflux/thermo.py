@@ -5,13 +5,13 @@ zero-point energy, which cancels inside thermal weights but not in work
 differences, so the work decomposition keeps the explicit (omega_out -
 omega_in) shift. All kernel averages carry a truncation bound equal to the
 largest in-box energy times the initial-weighted mass lost to the box.
-A Gibbs weight depends on a state's total alone: a Gibbs state holds the
-2N+1 weights per total, and gathers from them the weights of every
-occupied sector state, one sector-major buffer (fock.state_totals). Every
-kernel average the work bookkeeping reads (the weighted leakage, <n_f>,
-<n_i> and <n_c>) comes from one work pass (_work_pass); inner_friction
-reads that pass and reports every average in its WorkReport. At T > 0 the
-pass contracts the kernel's total table (fock.TransitionKernel) with the
+A Gibbs weight depends on a state's total alone, so a Gibbs state holds
+its 2N+1 weights per total and no other: a stage that needs a state's
+weight reads its total's (fock.state_totals). Every kernel average the
+work bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>)
+comes from one work pass (_work_pass); inner_friction reads that pass
+and reports every average in its WorkReport. At T > 0 the pass
+contracts the kernel's total table (fock.TransitionKernel) with the
 per-total weights, O(N^2) work whatever the box's O(N^3) entries, and
 takes the weighted leakage from the kernel's column leakage; it agrees
 with per-sector loops to the rounding of its sums
@@ -43,22 +43,18 @@ class ThermalDistribution:
     """Diagonal Gibbs weights over the joint basis, renormalized to the box.
 
     total_weights[t] is the weight of every box state of total t, for
-    t = 0..2N. flat_weights holds the weights of the sector states of
-    every occupied sector, sector-major in sector_layout order
-    (fock.state_totals), gathered from total_weights (thermal_distribution),
-    so every state's weight is its total's, as the contractions of a
-    kernel's total table need; mirrored states share them, and fock.sector_views gives one read-only
-    view per sector. Every sector of the box is occupied at T > 0, and
-    only d = 0 at temperature = 0, which marks the vacuum path: a point
-    mass on (0, 0) with no entropy scale, served by a vacuum kernel or a
-    full one (_require_pairing). renorm_defect is the Gibbs mass outside
-    the box.
+    t = 0..2N, read-only: the state's only weight, as the contractions of
+    a kernel's total table need. The n = N + 1 - d states of sector d
+    have the totals d, d + 2, ..., 2N - d, so their weights are
+    total_weights[d : d + 2n : 2]. At temperature = 0 only total 0 weighs
+    anything, which marks the vacuum path: a point mass on (0, 0) with no
+    entropy scale, served by a vacuum kernel or a full one
+    (_require_pairing). renorm_defect is the Gibbs mass outside the box.
     """
 
     temperature: float
     omega: float
     spec: TruncationSpec
-    flat_weights: np.ndarray
     renorm_defect: float
     total_weights: np.ndarray
 
@@ -83,8 +79,7 @@ def _require_pairing(kernel: TransitionKernel, thermal: ThermalDistribution) -> 
     """ValueError unless the kernel can serve the initial state: both must
     share one cutoff, and a vacuum kernel, which holds the vacuum column
     alone, serves only the vacuum (T = 0). A full kernel serves every
-    state; at T = 0 the sectors past d = 0 carry weight exactly 0, and the
-    sums over the initial state skip them."""
+    state; at T = 0 every state but the vacuum weighs exactly 0."""
     if kernel.spec.cutoff != thermal.spec.cutoff:
         raise ValueError(
             f"kernel cutoff {kernel.spec.cutoff} does not match the initial "
@@ -139,17 +134,10 @@ def thermal_distribution(
             f"{spec.leakage_tolerance:.3e}: cutoff {spec.cutoff} too small "
             f"for T/omega = {temperature / omega:.3g}"
         )
-    # the occupied sector states' weights, each its total's: the float
-    # operations per state are x ** total and one product, as one pass over
-    # the states would take them; at T = 0 sector 0 alone
-    totals = state_totals(spec.cutoff)
-    flat = weights[totals[: spec.cutoff + 1] if temperature == 0.0 else totals]
-    flat.flags.writeable = False
     return ThermalDistribution(
         temperature=temperature,
         omega=omega,
         spec=spec,
-        flat_weights=flat,
         renorm_defect=defect,
         total_weights=weights,
     )
@@ -204,9 +192,9 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
     totals, which would cancel its digits as z -> 0. <n_i> weighs each
     total by its number of box states, which R holds on its diagonal at
     z = 0, where <n_f> then has the same bits. The weighted leakage is a
-    dot of the kernel's column leakage with the sector states' weights: a
-    leakage taken as the box's multiplicity less R's column sums would
-    keep no digit past eps / leakage.
+    dot of the kernel's column leakage with the sector states' weights,
+    each its total's: a leakage taken as the box's multiplicity less R's
+    column sums would keep no digit past eps / leakage.
     """
     _require_pairing(kernel, thermal)
     cutoff = kernel.spec.cutoff
@@ -215,10 +203,10 @@ def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkS
         created = math.fsum((state_totals(cutoff)[: cutoff + 1] * column**2).tolist())
         leakage = float(kernel.column_leakage[0][0]) + thermal.renorm_defect
         return _WorkSums(leakage, created, 0.0, created)
-    w = 2.0 * thermal.flat_weights  # a sector d > 0 counts its mirror too
-    w[: cutoff + 1] = thermal.flat_weights[: cutoff + 1]
-    leakage = float(kernel.flat_column_leakage @ w) + thermal.renorm_defect
     totals, w_t = np.arange(2 * cutoff + 1), thermal.total_weights
+    w = w_t[state_totals(cutoff)]  # each sector state's weight, its total's
+    w[cutoff + 1:] *= 2.0  # a sector d > 0 counts its mirror too
+    leakage = float(kernel.flat_column_leakage @ w) + thermal.renorm_defect
     masses = kernel.total_table * w_t  # [t_f, t_i]
     per_change = np.bincount(cell_changes(cutoff), weights=masses.ravel(), minlength=4 * cutoff + 1)
     created = float(np.arange(-2 * cutoff, 2 * cutoff + 1) @ per_change)

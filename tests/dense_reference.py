@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dgejsv
 from scipy.special import gammaln
 
-from cosmoflux.fock import sector_views
+from cosmoflux.fock import sector_layout
 
 
 def basis_states(cutoff):
@@ -60,8 +60,9 @@ def dense_view(blocks, cutoff):
 
 
 def sector_weights(thermal):
-    """The Gibbs weights of each occupied sector, as read-only views."""
-    return sector_views(thermal.flat_weights, thermal.spec.cutoff, False)
+    """The Gibbs weights of every sector's states, each gathered from
+    total_weights by the state's total (fock.sector_layout)."""
+    return tuple(thermal.total_weights[s.totals] for s in sector_layout(thermal.spec.cutoff))
 
 
 def dense_state_vector(vectors, cutoff):

@@ -227,3 +227,39 @@ def test_a_thermal_point_and_verify_map_only_numpys_openblas():
     mapped = json.loads(proc.stdout.splitlines()[-1])
     assert len(mapped["numpy"]) == 1
     assert mapped["after"] == mapped["numpy"]
+
+
+# Only cosmoflux.fock may know how a kernel buffer is walked entry by
+# entry: its gather tables, its chunks and the recurrence's row layout.
+# Every other stage reads a kernel's per-sector views or its total table,
+# and a Gibbs state's per-total weights.
+FOCK_ONLY = {
+    "sector_index", "SectorIndex", "Chunk", "chunk_keys", "_chunk_scratch",
+    "_recurrence_table", "CHUNK_ENTRIES",
+}
+
+
+def fock_walk_names(source: str) -> set[str]:
+    """The names of FOCK_ONLY that source imports, names or reads as an
+    attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found & FOCK_ONLY
+
+
+def test_only_fock_walks_a_kernel_buffer():
+    assert fock_walk_names(
+        "from .fock import sector_index as ix\nfock.CHUNK_ENTRIES\n"
+        "def f(c: Chunk): return _recurrence_table(c)\n"
+    ) == {"sector_index", "CHUNK_ENTRIES", "Chunk", "_recurrence_table"}
+    modules = {path.name: fock_walk_names(path.read_text()) for path in SRC.glob("*.py")}
+    assert modules.pop("fock.py") == FOCK_ONLY
+    assert {name: found for name, found in modules.items() if found} == {}

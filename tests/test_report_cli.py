@@ -494,6 +494,48 @@ def test_sweep_grid_generation():
     assert sweep.grid == pytest.approx((0.5, 1.0, 2.0), rel=1e-12)
 
 
+@pytest.fixture
+def bounded_grids(monkeypatch):
+    """np.linspace and np.geomspace, failing a request for more points
+    than report.MAX_GRID_POINTS before anything is allocated."""
+    for name in ("linspace", "geomspace"):
+        def guarded(lo, hi, num, real=getattr(np, name), name=name):
+            assert num <= report_mod.MAX_GRID_POINTS, f"np.{name} asked for {num} points"
+            return real(lo, hi, num)
+
+        monkeypatch.setattr(np, name, guarded)
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_grid_count_fails_closed_before_the_grid_is_made(bounded_grids, scale):
+    # a billion points would take 8 GB before the first one ran
+    mapping = {**SMALL_DIRECT, "axis": "temperature", "grid_min": 0.5,
+               "grid_max": 1.0, "grid_scale": scale}
+    with pytest.raises(ConfigError, match="10000"):
+        SweepConfig.from_mapping({**mapping, "grid_count": 1_000_000_000})
+    with pytest.raises(ConfigError, match="10000"):
+        SweepConfig.from_mapping({**mapping, "grid_count": 10_001})
+    most = SweepConfig.from_mapping({**mapping, "grid_count": 10_000})
+    assert len(most.grid) == report_mod.MAX_GRID_POINTS == 10_000
+
+
+def test_cli_refuses_a_grid_count_past_the_ceiling(bounded_grids, capsys):
+    argv = ["sweep", *_flags({**SMALL_DIRECT, "axis": "temperature", "grid_min": 0.5,
+                              "grid_max": 1, "grid_count": 1_000_000_000})]
+    assert main(argv) == 1
+    assert "10000" in capsys.readouterr().err
+
+
+def test_an_explicit_grid_takes_no_scale():
+    # the scale of an explicit grid would be ignored unchecked, a typo and all
+    for scale in ("cubic", "log", "linear"):
+        with pytest.raises(ConfigError, match="not both"):
+            SweepConfig.from_mapping(
+                {**SMALL_DIRECT, "axis": "temperature", "grid": [0.5, 1.0],
+                 "grid_scale": scale}
+            )
+
+
 def test_directly_built_config_rejects_nan():
     cfg = RunConfig(scenario="direct-z", z=float("nan"), omega_in=1.0, omega_out=2.0)
     with pytest.raises(ConfigError):
@@ -809,8 +851,8 @@ def test_battery_catches_a_shifted_kernel_entry(monkeypatch):
     def shifted(z, cutoff, vacuum):
         amps = real(z, cutoff, vacuum)
         if z > 0.0 and not vacuum:
-            size = cutoff - 1
-            amps[fock_mod.sector_index(cutoff).block_start[2] + 3 * size + 1] += 3e-10
+            size = cutoff - 1  # block 2 follows blocks 0 and 1
+            amps[(cutoff + 1) ** 2 + cutoff**2 + 3 * size + 1] += 3e-10
         return amps
 
     monkeypatch.setattr(fock_mod, "_amplitudes", shifted)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cosmoflux import (
+    ThermalDistribution,
     TransitionKernel,
     TruncationSpec,
     entropy_distributions,
@@ -18,7 +19,6 @@ from cosmoflux import (
     transition_kernel,
 )
 from cosmoflux.fock import (
-    SectorIndex,
     sector_index,
     sector_layout,
     sector_spectral,
@@ -181,8 +181,9 @@ def test_flat_stages_match_the_per_sector_loops(z, t_ratio, cutoff):
     thermal = thermal_distribution(t_ratio, 1.0, spec)
     _same_bits(sector_weights(thermal), weights)
     assert thermal.renorm_defect == defect
-    vacuum = thermal_distribution(0.0, 1.0, spec)
-    _same_bits(sector_weights(vacuum), reference_gibbs_weights(0.0, 1.0, cutoff)[0])
+    vacuum = sector_weights(thermal_distribution(0.0, 1.0, spec))
+    _same_bits(vacuum[:1], reference_gibbs_weights(0.0, 1.0, cutoff)[0])
+    assert not any(w.any() for w in vacuum[1:])  # every sector past d = 0 weighs 0
 
     R = kern.total_table
     assert np.all(np.abs(R - reference_total_table(probs, cutoff)) <= 2 * (cutoff + 1) * EPS * R)
@@ -308,10 +309,7 @@ def test_sector_index_tables_fit_their_budget():
     for cutoff, held in ((40, 119_105), (56, 316_825)):
         ix = sector_index(cutoff)
         assert sector_index(cutoff) is ix
-        tables = [
-            getattr(ix, f.name) for f in dataclasses.fields(SectorIndex)
-            if isinstance(getattr(ix, f.name), np.ndarray)
-        ]
+        tables = [a for a in ix if isinstance(a, np.ndarray)]
         assert sum(a.nbytes for a in tables) == held
         for a in tables:
             assert a.dtype.kind == "u" and a.dtype.itemsize <= 2
@@ -326,7 +324,6 @@ def test_sector_views_cannot_be_made_writeable(kernel40, thermal40, spec40):
     for views in (
         kernel40.amplitudes, kernel40.column_leakage,
         vacuum.amplitudes, vacuum.column_leakage,
-        sector_weights(thermal40), sector_weights(thermal_distribution(0.0, 1.0, spec40)),
     ):
         for view in views:
             assert not view.flags.writeable
@@ -334,7 +331,7 @@ def test_sector_views_cannot_be_made_writeable(kernel40, thermal40, spec40):
                 view.flags.writeable = True
     for flat in (
         kernel40.flat_amplitudes, kernel40.flat_column_leakage,
-        thermal40.flat_weights,
+        thermal40.total_weights, thermal_distribution(0.0, 1.0, spec40).total_weights,
     ):
         with pytest.raises(ValueError):
             flat[0] = 0.0
@@ -371,6 +368,19 @@ def test_kernel_holds_each_quantity_once(cutoff, vacuum, expected):
         assert kern.total_table.shape == (2 * cutoff + 1, 2 * cutoff + 1)
     assert held == expected
     assert array_bytes(kern) == held + table
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_gibbs_state_holds_each_weight_once(temperature):
+    # a Gibbs weight depends on a state's total alone, so the 2N + 1
+    # per-total weights are the state's only weights, read-only
+    fields = [f.name for f in dataclasses.fields(ThermalDistribution)]
+    assert fields == ["temperature", "omega", "spec", "renorm_defect", "total_weights"]
+    thermal = thermal_distribution(temperature, 1.0, TruncationSpec(40))
+    assert thermal.total_weights.shape == (81,)
+    assert not thermal.total_weights.flags.writeable
+    with pytest.raises(ValueError):
+        thermal.total_weights[0] = 0.0
 
 
 def test_conservation_checks_flag_wrong_layout(kernel40):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cosmoflux import (
     LeakageError,
-    ThermalDistribution,
     TruncationSpec,
     VerificationError,
     adiabatic_work,
@@ -150,9 +149,9 @@ def test_created_closed_form_region(z, t_ratio):
 def test_vacuum_initial_state(kernel40, spec40):
     vac = thermal_distribution(0.0, 1.0, spec40)
     assert vac.is_vacuum
-    assert len(sector_weights(vac)) == 1  # the vacuum occupies sector 0 only
-    empty = tuple(np.zeros(41 - d) for d in range(1, 41))
-    w = dense_state_vector(sector_weights(vac) + empty, 40)
+    weights = sector_weights(vac)
+    assert not any(w.any() for w in weights[1:])  # the vacuum occupies sector 0 only
+    w = dense_state_vector(weights, 40)
     assert w[0] == 1.0
     assert w.sum() == 1.0
     created = _work_pass(kernel40, vac).created
@@ -169,22 +168,16 @@ def test_vacuum_initial_state(kernel40, spec40):
 )
 def test_vacuum_sums_match_a_full_kernel(z, cutoff):
     # one set of bits at T = 0: the work pass reads the vacuum column alone,
-    # which a vacuum kernel and a full kernel hold alike, and the sectors a
-    # vacuum kernel skips carry weight exactly 0 in a Gibbs state that
-    # lists them
+    # which a vacuum kernel and a full kernel hold alike, and every sector
+    # a vacuum kernel skips carries weight exactly 0 in the Gibbs state
     spec = TruncationSpec(cutoff, 0.5)
     vac = thermal_distribution(0.0, 1.0, spec)
+    assert not any(w.any() for w in sector_weights(vac)[1:])
     part, whole = transition_kernel(z, spec, True), transition_kernel(z, spec)
     assert part.vacuum and not whole.vacuum
     expected = dataclasses.astuple(inner_friction(whole, vac, 1.0, 2.0))
-    empty = tuple(np.zeros(cutoff + 1 - d) for d in range(1, cutoff + 1))
-    listed = ThermalDistribution(
-        0.0, 1.0, spec, np.concatenate(sector_weights(vac) + empty), vac.renorm_defect,
-        vac.total_weights,
-    )
-    for kernel, thermal in ((part, vac), (whole, listed), (part, listed)):
-        work = dataclasses.astuple(inner_friction(kernel, thermal, 1.0, 2.0))
-        assert np.array(work).tobytes() == np.array(expected).tobytes()
+    work = dataclasses.astuple(inner_friction(part, vac, 1.0, 2.0))
+    assert np.array(work).tobytes() == np.array(expected).tobytes()
 
 
 def _kernel_stages(kernel, thermal):

@@ -2,7 +2,7 @@
 
 The kernel build's passes over its buffer (the gather, the column sums
 and the total table) walk it in chunks of whole sectors
-(fock.sector_chunks), each with scratch it allocates per call; the work
+(fock.sector_index(N).chunks), each with scratch it allocates per call; the work
 and entropy passes contract the build's total table. These tests pin
 what that promises: the chunks tile the box; a chunking moves no bit of
 any result, and the stages match the per-sector loops of
@@ -29,7 +29,7 @@ from cosmoflux import (
     verify_invariants,
 )
 import cosmoflux.fock as fock_mod
-from cosmoflux.fock import CHUNK_ENTRIES, sector_chunks
+from cosmoflux.fock import CHUNK_ENTRIES, sector_index
 from cosmoflux.thermo import _work_pass
 
 from conftest import Z_CANON
@@ -51,18 +51,18 @@ def _entry_count(cutoff):
 
 @pytest.fixture
 def chunk_bound(monkeypatch):
-    """Sets CHUNK_ENTRIES for one test; sector_chunks is rebuilt for each
-    bound and once more after the test."""
+    """Sets CHUNK_ENTRIES for one test; sector_index, which holds the
+    chunks, is rebuilt for each bound and once more after the test."""
     def set_bound(bound):
         monkeypatch.setattr(fock_mod, "CHUNK_ENTRIES", bound)
-        sector_chunks.cache_clear()
+        sector_index.cache_clear()
 
     yield set_bound
-    sector_chunks.cache_clear()
+    sector_index.cache_clear()
 
 
 def _check_tiling(cutoff, bound):
-    chunks = sector_chunks(cutoff)
+    chunks = sector_index(cutoff).chunks
     assert [d for c in chunks for d in c.sectors] == list(range(cutoff + 1))
     assert chunks[0].entries.start == chunks[0].states.start == 0
     for before, after in zip(chunks, chunks[1:]):
@@ -112,7 +112,7 @@ def test_chunking_moves_no_bit(chunk_bound, z, t_ratio):
     default = _bits(_stages(z, t_ratio, 40))
     for bound, count in ((1 << 16, 1), (3000, 10)):
         chunk_bound(bound)
-        assert len(sector_chunks(40)) == count
+        assert len(sector_index(40).chunks) == count
         assert _bits(_stages(z, t_ratio, 40)) == default
 
 
@@ -125,7 +125,7 @@ def test_chunked_passes_match_the_per_sector_loops(z, t_ratio):
     # eps x the bin's mass (no product here is subnormal) and the work sums
     # within the bounds of test_work_pass_matches_the_per_sector_loops
     cutoff = 60
-    assert len(sector_chunks(cutoff)) == 6
+    assert len(sector_index(cutoff).chunks) == 6
     kernel, thermal, sums, p_e, p_c, micro, K = _stages(z, t_ratio, cutoff)
     probs = [A**2 for A in kernel.amplitudes]
     weights = sector_weights(thermal)
