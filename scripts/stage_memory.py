@@ -6,10 +6,11 @@ Prints one JSON object with four parts:
 
 - ``stages``: at N = 40, 56 and 170, each stage's ``tracemalloc`` peak on
   its second call, in bytes per kernel entry, beside the per-cutoff tables
-  (``tables``) and the kernel's total table (``total_table``). The stages
-  are the kernel build (``transition_kernel``, which also forms the total
-  table; its peak includes the 8 bytes per entry of the amplitudes and
-  the table it returns), the two contractions of the total table at one
+  (``tables``) and the kernel's total table (``total_table``, the cells of
+  ``kernel.table.masses``). The stages are the kernel build
+  (``transition_kernel``, which also forms the total table; its peak
+  includes the 8 bytes per entry of the amplitudes and the table it
+  returns), the two contractions of the total table at one
   temperature (the work bookkeeping's, ``thermo._work_pass``, and the
   entropy distributions', ``entropy_distributions``) and the quantum
   relative entropy. ``us`` holds the median wall time of 21 calls of the
@@ -147,8 +148,9 @@ def stages(cutoff: int, z: float, temperature: float, tolerance: float) -> dict:
     entries = sum(n * n for n in range(cutoff + 1, 0, -1))
     kernel, build = second_call_peak(cf.transition_kernel, z, spec)
     thermal = cf.thermal_distribution(temperature, 1.0, spec)
-    _, work = second_call_peak(thermo._work_pass, kernel, thermal)
-    _, entropy = second_call_peak(fluctuation.entropy_distributions, kernel, thermal)
+    table = kernel.table
+    _, work = second_call_peak(thermo._work_pass, table, thermal)
+    _, entropy = second_call_peak(fluctuation.entropy_distributions, table, thermal)
     t_ad = 2.0 * temperature
     _, qre = second_call_peak(fluctuation.quantum_relative_entropy, thermal, kernel, t_ad)
 
@@ -162,11 +164,11 @@ def stages(cutoff: int, z: float, temperature: float, tolerance: float) -> dict:
         "entropy_contraction": per_entry(entropy),
         "qre": per_entry(qre),
         "amplitudes": per_entry(kernel.flat_amplitudes.nbytes),
-        "total_table": per_entry(kernel.total_table.nbytes),
+        "total_table": per_entry(table.masses.nbytes),
         "us": {
             "kernel_build": median_us(cf.transition_kernel, z, spec),
-            "work_contraction": median_us(thermo._work_pass, kernel, thermal),
-            "entropy_contraction": median_us(fluctuation.entropy_distributions, kernel, thermal),
+            "work_contraction": median_us(thermo._work_pass, table, thermal),
+            "entropy_contraction": median_us(fluctuation.entropy_distributions, table, thermal),
         },
         "tables": per_entry(table_bytes(cutoff)),
     }

@@ -16,12 +16,14 @@ from .errors import (
     VerificationError,
 )
 from .fock import (
+    TotalTable,
     TransitionKernel,
     TruncationSpec,
     squeeze_operator_oracle,
     suggested_cutoff,
     transition_kernel,
     vacuum_column_leakage,
+    vacuum_table,
 )
 from .spacetime import (
     BlackHoleParams,
@@ -85,6 +87,7 @@ __all__ = [
     "SqueezeChannel",
     "SweepConfig",
     "ThermalDistribution",
+    "TotalTable",
     "TransitionKernel",
     "TruncationSpec",
     "UnruhParams",
@@ -120,5 +123,6 @@ __all__ = [
     "thermal_distribution",
     "transition_kernel",
     "vacuum_column_leakage",
+    "vacuum_table",
     "verify_invariants",
 ]

@@ -6,19 +6,20 @@ trajectory s = (omega/T)(total(m) - total(n)) cancels the weight ratio
 exactly, so the forward/reverse log-ratio identity holds microstate by
 microstate and every deviation measured here is pure floating-point or
 truncation noise. A Gibbs weight depends on a state's total alone, so the
-trajectory masses are contractions of the kernel's total table R
-(fock.TransitionKernel) with the per-total weights: O(N^2) cells, whatever
-the box's O(N^3) kernel entries. They are binned onto the entropy lattice
+trajectory masses are contractions of the run's total table R
+(fock.TotalTable) with the per-total weights: O(N^2) cells, whatever the
+box's O(N^3) kernel entries. They are binned onto the entropy lattice
 and checked cell by cell; coarse-graining to the lattice happens only for
 reporting. The Crooks and KL checks pair the same lattice points, leaving
 out those whose partner underflows as the relation predicts. Every check
 here fails closed on a NaN: it passes only when its residual is <= its
 tolerance.
 
-The quantum relative entropy alone calls LAPACK (lapack.dgejsv), one
-sector block at a time, and a T = 0 point never does; it reads sector
-d's weights as a stride-2 slice of the per-total ones (SectorSvds). Where
-the process may use two CPUs, it shares its SVDs with lapack's helper.
+The quantum relative entropy alone reads the kernel's amplitudes and
+calls LAPACK (lapack.dgejsv), one sector block at a time, and a T = 0
+point never does; it reads sector d's weights as a stride-2 slice of the
+per-total ones (SectorSvds). Where the process may use two CPUs, it
+shares its SVDs with lapack's helper.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
-from .fock import TransitionKernel, cell_changes
+from .fock import TotalTable, TransitionKernel, cell_changes
 from .lapack import dgejsv, run_on_helper
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
@@ -58,13 +59,13 @@ class CrooksReport:
 
 
 def entropy_distributions(
-    kernel: TransitionKernel, thermal: ThermalDistribution
+    table: TotalTable, thermal: ThermalDistribution
 ) -> tuple[EntropyDistribution, EntropyDistribution, float]:
     """Entropy distributions of both processes and the microstate Crooks residual.
 
     The expansion masses p(n -> m) = p(m|n) p_th(n) and the contraction
     masses q(m -> n) = p(m|n) p_th(m), summed per cell [t_f, t_i] of the
-    kernel's total table R, are J = R[t_f, t_i] w(t_i) and
+    total table R (fock.TotalTable), are J = R[t_f, t_i] w(t_i) and
     Q = R[t_f, t_i] w(t_f): the contraction's initial thermal state at the
     rescaled frequency and adiabatic temperature has the same Boltzmann
     factor, so its weights coincide with the expansion's on the shared
@@ -92,10 +93,10 @@ def entropy_distributions(
         raise EntropyUndefinedError(
             "entropy distributions are undefined on the T = 0 vacuum path"
         )
-    _require_pairing(kernel, thermal)
+    _require_pairing(table, thermal)
     rate = thermal.omega / thermal.temperature
     cutoff = thermal.spec.cutoff
-    R, w = kernel.total_table, thermal.total_weights
+    R, w = table.masses, thermal.total_weights
     keys = cell_changes(cutoff)
     J, Q = (R * w).ravel(), (R * w[:, None]).ravel()
     mass_e = np.bincount(keys, weights=J, minlength=4 * cutoff + 1)
@@ -289,13 +290,15 @@ def _rho_prime_term(B: np.ndarray, wd: np.ndarray) -> float:
 class SectorSvds:
     """A point's sector terms of quantum_relative_entropy in flight: the
     sectors not taken, d = 0 (the largest block) first, which the helper
-    takes from the front (holding busy) and the caller from the back."""
+    takes from the front (holding busy) and the caller from the back, and
+    the errors either thread met, for the caller to raise."""
 
     def __init__(self, thermal: ThermalDistribution, kernel: TransitionKernel) -> None:
         self.thermal, self.kernel = thermal, kernel
         self.sqrt_w = np.sqrt(thermal.total_weights)
         self.sectors = deque(range(thermal.spec.cutoff + 1))
         self.terms: list = [0.0] * len(self.sectors)
+        self.errors: list = []
         self.busy = threading.Lock()
 
     def serve(self) -> None:
@@ -304,16 +307,17 @@ class SectorSvds:
 
     def decompose(self, take) -> None:
         """Each sector's term, taken with take until it raises IndexError, its
-        B formed in one block this call allocates; an exception empties the
+        B formed in one block this call allocates. No exception leaves the
+        call, so none ends the helper: it is held in errors and empties the
         queue. Sector d's states have the totals d, d + 2, ..., 2N - d."""
         cutoff, w = self.thermal.spec.cutoff, self.thermal.total_weights
-        block = np.empty((cutoff + 1) ** 2)
-        while True:
-            try:
-                d = take()
-            except IndexError:
-                return
-            try:
+        try:
+            block = np.empty((cutoff + 1) ** 2)
+            while True:
+                try:
+                    d = take()
+                except IndexError:
+                    return
                 n = cutoff + 1 - d
                 totals = slice(d, d + 2 * n, 2)
                 B = block[:n * n].reshape((n, n), order="F")
@@ -323,9 +327,9 @@ class SectorSvds:
                 wd = w[totals].copy()
                 live = wd[:np.count_nonzero(wd)]
                 self.terms[d] = float(live @ np.log(live)) - _rho_prime_term(B, wd)
-            except BaseException as exc:  # raised again by quantum_relative_entropy
-                self.terms[d] = exc
-                self.sectors.clear()
+        except BaseException as exc:  # raised again by quantum_relative_entropy
+            self.errors.append(exc)
+            self.sectors.clear()
 
 
 def quantum_relative_entropy(
@@ -345,22 +349,22 @@ def quantum_relative_entropy(
     truncation bound at inadequate cutoffs.
 
     The sector SVDs start with the call, shared with the helper if any
-    (lapack.run_on_helper, SectorSvds). K adds the terms up in sector
-    order, so its bits do not depend on which thread took which. The
-    T = 0 vacuum raises before LAPACK loads.
+    (lapack.run_on_helper, SectorSvds), whose errors it raises. K adds the
+    terms up in sector order, so its bits do not depend on which thread
+    took which. The T = 0 vacuum raises before LAPACK loads.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(_QRE_UNDEFINED)
-    _require_pairing(kernel, thermal)
+    _require_pairing(kernel.table, thermal)
     svds = SectorSvds(thermal, kernel)
     run_on_helper(svds.serve)
     svds.decompose(svds.sectors.pop)
     with svds.busy:  # the helper's last block
         pass
+    if svds.errors:
+        raise svds.errors[0]
     K = 0.0
     for d, term in enumerate(svds.terms):
-        if isinstance(term, BaseException):
-            raise term
         K += (2 if d else 1) * term
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))

@@ -1,19 +1,23 @@
-"""Truncated two-mode Fock space and the squeeze-transition kernel.
+"""Truncated two-mode Fock space, the squeeze-transition kernel and its
+total table.
 
 Mode occupations (n_a, n_b) live on a square box 0..cutoff per mode. The
 squeeze unitary S = exp(z(a+b+ - ab)) conserves n_a - n_b, so every operator
 is block-diagonal in the difference sector d and is stored only as its
 blocks. This module owns the sector layout (sector_layout) and its flat
-storage: a full kernel keeps each per-sector quantity in one sector-major
-buffer (the blocks d = 0..cutoff end to end, or their states end to end),
-and its per-sector blocks are read-only views into that buffer
-(sector_views). It stores the signed amplitudes, not their squares: every
-stage that reads p(m|n) squares the buffer itself, once per call. The
-build also sums the squares into the kernel's total table, (2N+1)^2 cells
-keyed by the totals of the final and the initial state, which every T > 0
-work and entropy statistic contracts in O(N^2) work (TransitionKernel).
+storage: a kernel keeps its amplitudes in one sector-major buffer (the
+blocks d = 0..cutoff end to end), and its per-sector blocks are read-only
+views into that buffer (sector_views). It stores the signed amplitudes,
+not their squares: a stage that reads p(m|n) squares the buffer itself,
+once per call.
+
+Every work and entropy statistic of a run contracts one read-only table
+(TotalTable), the one thing the work and entropy passes read:
+transition_kernel builds all its 2N+1 columns beside the kernel, and
+vacuum_table its column 0 alone in O(N) work, bit for bit the same.
 sector_index holds, once per cutoff, the build's gather tables and the
-chunks its passes walk; no other module reads them.
+chunks its passes walk, and state_totals the totals of the per-state
+order; no other module reads them.
 
 The kernel build's passes over its buffer (the gather, the column sums
 and the total table) walk it in chunks of whole sectors of at most
@@ -42,11 +46,8 @@ Two independent evaluation routes are provided:
   (COLSUM_EXCESS_LIMIT) stays as a fail-closed guard against a NaN or a
   gross excess. sector_index holds the per-entry gathers of the mirror
   step, and _recurrence_table the recurrence's z-free inputs, each built
-  once per cutoff beside the layout. A T = 0 point reads
-  only the vacuum column of d = 0; transition_kernel with vacuum builds
-  and holds that column alone, N + 1 amplitudes and one leakage value,
-  from the same closed form, in O(N) work and bit for bit the full
-  kernel's.
+  once per cutoff beside the layout. vacuum_table takes the vacuum
+  column, sech(z) tanh(z)^p, from the recurrence's own start.
 
 - sector_spectral: the spectral exponential of the tridiagonal generator.
   Orthogonal-in-the-box at any size (columns renormalize escaped mass back
@@ -67,14 +68,14 @@ Two independent evaluation routes are provided:
 
 Both routes raise ValueError for a negative or non-finite z, and
 sector_spectral also for a sector label or size that is not an integer;
-transition_kernel checks z before its leakage gate.
+transition_kernel and vacuum_table check z before their leakage gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -169,24 +170,19 @@ def state_totals(cutoff: int) -> np.ndarray:
     return _frozen(np.concatenate([s.totals for s in sector_layout(cutoff)]))
 
 
-def sector_views(
-    flat: np.ndarray, cutoff: int, blocks: bool
-) -> tuple[np.ndarray, ...]:
-    """Views of the sectors d = 0, 1, ... that a sector-major buffer holds.
-
-    With blocks, sector d takes (cutoff + 1 - d)^2 entries, viewed as its
-    row-major square block; without, cutoff + 1 - d, one per sector state.
-    The buffer may end after any sector, as a chunk's entries do
-    (Chunk.views). Views of a read-only buffer cannot be made writeable.
+def sector_views(flat: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
+    """Views of the square blocks d = 0, 1, ... that a sector-major buffer
+    holds: sector d takes (cutoff + 1 - d)^2 entries, viewed as its
+    row-major block. The buffer may end after any sector, as a chunk's
+    entries do (Chunk.views). Views of a read-only buffer cannot be made
+    writeable.
     """
     views, start = [], 0
     for size in range(cutoff + 1, 0, -1):
         if start >= flat.size:
             break
-        stop = start + (size * size if blocks else size)
-        view = flat[start:stop]
-        views.append(view.reshape(size, size) if blocks else view)
-        start = stop
+        views.append(flat[start:start + size * size].reshape(size, size))
+        start += size * size
     return tuple(views)
 
 
@@ -233,7 +229,7 @@ class Chunk(NamedTuple):
     def views(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
         """The square blocks of the chunk's sectors in values, its entries
         of a sector-major kernel buffer (sector_views)."""
-        return sector_views(values, self.cutoff - self.sectors.start, True)
+        return sector_views(values, self.cutoff - self.sectors.start)
 
 
 class SectorIndex(NamedTuple):
@@ -510,9 +506,9 @@ def _recurrence_table(cutoff: int) -> _RecurrenceTable:
     )
 
 
-def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
+def _amplitudes(z: float, cutoff: int) -> np.ndarray:
     """Squeeze amplitudes of every block of the box, one sector-major
-    buffer; with vacuum, the N + 1 amplitudes of column 0 of d = 0 alone.
+    buffer.
 
     On the lower triangle q <= p of sector d, with C_j = C(j+d, j),
 
@@ -536,15 +532,11 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     upper triangle follows from the mirror identity <m|S|n> =
     (-1)^(total(n)-total(m)) <n|S|m>, which makes the squared entries
     satisfy the transpose symmetry exactly; the gather, chunk by chunk,
-    applies the sign and tanh(z)^|p-q| together. The vacuum column is column 0 of d = 0 from the same start,
-    tanh(z)^p sech(z), bit for bit the full kernel's, in O(N) work and
-    memory; it returns before any table is read.
+    applies the sign and tanh(z)^|p-q| together.
     """
     side = cutoff + 1
     sech, tau = 1.0 / np.cosh(z), np.tanh(z)
     tau_powers = tau ** np.arange(side)
-    if vacuum:  # the block's column 0, where sqrt(C_p / C_0) = 1
-        return tau_powers * sech
     ix = sector_index(cutoff)
     amps = np.empty(len(ix.mirror))
     if z == 0.0:
@@ -590,63 +582,57 @@ def _amplitudes(z: float, cutoff: int, vacuum: bool) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Signed squeeze amplitudes <m|S|n> with truncation diagnostics.
+class TotalTable(NamedTuple):
+    """The run path's read-only table of squared amplitudes, for the
+    initial totals t_i < k.
 
-    amplitudes[d] is the block of difference sector d (sector_layout),
-    indexed [final, initial] by the sector position i. Its elementwise
-    square is the transition probability p(m|n), which each consumer
-    forms per call as flat_amplitudes**2: the same float operation, so the
-    same bits, that a stored copy would hold at twice the kernel's bytes.
-    column_leakage[d][i] is the true probability that the image of the
-    sector state at position i escaped the box. Each is a tuple of
-    read-only views into one buffer, flat_amplitudes and
-    flat_column_leakage; only the buffers are fields, so each byte is held
-    and counted once. A full kernel holds every sector of the box, its
-    buffers sector-major (sector_views). A vacuum kernel (vacuum True)
-    serves only a T = 0 point, whose initial state is the vacuum (0, 0):
-    it holds column 0 of the d = 0 block alone, its N + 1 amplitudes as
-    the one (N + 1, 1) view amplitudes[0] and its leakage as the one value
-    column_leakage[0][0]. All arrays are read-only, since a sweep shares
-    one kernel between its points.
-
-    A full kernel also holds its total table R (total_table), the
-    (2N+1) x (2N+1) sums R[t_f, t_i] of p(m|n) over the box states m of
-    total t_f and n of total t_i; entry [p, q] of block d falls in cell
-    (2p + d, 2q + d), and a block d > 0 counts twice, once for its mirror.
-    A Gibbs weight depends on a state's total alone, so every T > 0 work
-    and entropy statistic is a contraction of R with the per-total weights
-    (thermo._work_pass, fluctuation.entropy_distributions). R is symmetric,
-    as p(m|n) = p(n|m), and its column t_i sums to the number of box states
-    of total t_i less their column leakage. A vacuum kernel holds none
-    (None): a T = 0 point reads the vacuum column alone.
+    masses[t_f, t_i] is R, the sum of p(m|n) over the box states m of
+    total t_f and n of total t_i, shape (2N+1, k): entry [p, q] of block
+    d falls in cell (2p + d, 2q + d), and a block d > 0 counts twice, once
+    for its mirror. leakage[t_i] is L(t_i), the column leakage summed over
+    the box states of total t_i, d > 0 doubled, so column t_i of R sums
+    to their number less L(t_i). A Gibbs weight depends on a state's
+    total alone, so every work and entropy statistic contracts the table
+    with the per-total weights. A kernel's table holds every column,
+    k = 2N+1, R symmetric as p(m|n) = p(n|m). vacuum_table holds column
+    0 alone: R[2p, 0] = A_0[p, 0]^2 and odd rows 0, the kernel table's
+    bits. A table short of 2N+1 columns serves only the vacuum
+    (thermo._require_pairing).
     """
 
     z: float
     spec: TruncationSpec
-    vacuum: bool
-    flat_amplitudes: np.ndarray = field(repr=False)
-    flat_column_leakage: np.ndarray = field(repr=False)
-    total_table: np.ndarray | None = field(repr=False)
+    masses: np.ndarray
+    leakage: np.ndarray
 
-    def __post_init__(self) -> None:
-        # set here rather than declared, so that they are not fields
-        cutoff = self.spec.cutoff
-        if self.vacuum:
-            amplitudes = (self.flat_amplitudes.reshape(cutoff + 1, 1),)
-            leakage = (self.flat_column_leakage[:1],)
-        else:
-            amplitudes = sector_views(self.flat_amplitudes, cutoff, True)
-            leakage = sector_views(self.flat_column_leakage, cutoff, False)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "column_leakage", leakage)
+
+@dataclass(frozen=True)
+class TransitionKernel:
+    """Signed squeeze amplitudes <m|S|n> and their total table.
+
+    amplitudes[d] is the block of difference sector d (sector_layout),
+    indexed [final, initial] by the sector position i: read-only views
+    into one sector-major buffer, flat_amplitudes (sector_views), which
+    alone is a field, so each byte is held and counted once. Its
+    elementwise square is p(m|n), which each consumer forms per call: the
+    bits a stored copy would hold at twice the bytes. table holds all 2N+1
+    columns (TotalTable). All arrays are read-only: a sweep shares them.
+    """
+
+    z: float
+    spec: TruncationSpec
+    flat_amplitudes: np.ndarray = field(repr=False)
+    table: TotalTable = field(repr=False)
+
+    @cached_property
+    def amplitudes(self) -> tuple[np.ndarray, ...]:
+        return sector_views(self.flat_amplitudes, self.spec.cutoff)
 
 
 def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every block's amplitudes (_amplitudes), frozen; each column's sum of
     their squares, in row order as a block's sum over axis 0 takes it; and
-    the total table of the squares (TransitionKernel), frozen.
+    the total table of the squares (TotalTable).
 
     Block d's cells (2p + d, 2q + d) are a strided view of the table, so
     each block adds into its view whole, with no per-entry cell index;
@@ -657,7 +643,7 @@ def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     per-entry cell key saved 60-80 us at cutoffs 40 and 56 but held 1-2
     more bytes per entry.
     """
-    amps = _frozen(_amplitudes(z, cutoff, False))
+    amps = _frozen(_amplitudes(z, cutoff))
     ix = sector_index(cutoff)
     values, keys = _chunk_scratch(ix.chunks)  # after the build has freed its own
     colsums = np.empty(len(state_totals(cutoff)))
@@ -673,53 +659,57 @@ def _full_build(z: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         for d, block in zip(chunk.sectors, chunk.views(squares)):
             cells = table[d:d + 2 * len(block):2, d:d + 2 * len(block):2]
             cells += block
-    return amps, colsums, _frozen(table)
+    return amps, colsums, table
 
 
-def transition_kernel(
-    z: float, spec: TruncationSpec, vacuum: bool = False
-) -> TransitionKernel:
-    """Build the transition kernel by the su(1,1) recurrence (_amplitudes).
+def _vacuum_build(z: float, cutoff: int) -> tuple[None, np.ndarray, np.ndarray]:
+    """Column 0 of the total table from the vacuum column of d = 0,
+    sech(z) tanh(z)^p, the recurrence's start (sqrt(C_p / C_0) = 1), and
+    its sum in row order by a sequential scan, as the full build's
+    bincount takes it; a 1-D sum would add pairwise."""
+    column = np.tanh(z) ** np.arange(cutoff + 1) * (1.0 / np.cosh(z))
+    table = np.zeros((2 * cutoff + 1, 1))
+    squares = np.square(column, out=table[0::2, 0])  # cell (2p, 0): A_0[p, 0]^2 alone
+    return None, np.cumsum(squares)[-1:], table
 
-    Builds every sector of the box, or with vacuum the vacuum kernel: the
-    vacuum column of d = 0 alone, in O(N) work from the same closed form,
-    so that column and its leakage are the full kernel's bit for bit.
 
-    Gates on the closed-form vacuum-column leakage: the vacuum column is the
-    slowest-leaking low-lying column, so a budget violation there means the
-    box cannot represent this squeeze at all. Columns of higher total leak
-    more; their losses are recorded per column and must be folded into
-    downstream truncation bounds rather than gated here. The column-sum
-    check runs on every column built. vacuum must be a bool: the slot once
-    took a sector count, and a count read as a flag would build the wrong
-    kernel without a word.
+def _checked_build(z: float, spec: TruncationSpec, build) -> tuple:
+    """build(z, cutoff)'s amplitudes and TotalTable behind the checks both
+    builders share: the domain guard on z, the vacuum gate, and the
+    column-sum check on the column sums build returns, which the table
+    folds per total as its leakage.
+
+    The gate is the closed-form vacuum-column leakage: the vacuum column is
+    the slowest-leaking low-lying column, so a budget violation there means
+    the box cannot represent this squeeze at all. Columns of higher total
+    leak more; their losses are recorded per total and must be folded into
+    downstream truncation bounds rather than gated here.
     """
-    if not isinstance(vacuum, (bool, np.bool_)):
-        raise ValueError(
-            f"vacuum must be a bool, got {vacuum!r}: transition_kernel takes "
-            "no sector count; pass vacuum=True for the d = 0 vacuum column"
-        )
     if not (math.isfinite(z) and z >= 0.0):
         raise _squeeze_error(z)
     _gate_vacuum_leakage(z, spec)
-    # the buffers are frozen where they are made; a view of a frozen array
-    # cannot be made writeable
-    if vacuum:  # column sums in row order by a sequential scan; a 1-D sum would add pairwise
-        amps = _frozen(_amplitudes(z, spec.cutoff, vacuum))
-        colsums, table = np.cumsum(amps**2)[-1:], None
-    else:
-        amps, colsums, table = _full_build(z, spec.cutoff)
+    amps, colsums, masses = build(z, spec.cutoff)
     excess = float(colsums.max()) - 1.0
     if not excess <= COLSUM_EXCESS_LIMIT:  # a NaN column fails too
         raise NumericError(
             f"column mass exceeds 1 by {excess:.3e} at z={z}, "
             f"cutoff={spec.cutoff}: the kernel is not a substochastic matrix"
         )
-    return TransitionKernel(
-        z=z,
-        spec=spec,
-        vacuum=vacuum,
-        flat_amplitudes=amps,
-        flat_column_leakage=_frozen(np.maximum(1.0 - colsums, 0.0)),
-        total_table=table,
-    )
+    leakage = np.maximum(1.0 - colsums, 0.0)
+    if len(leakage) > 1:  # per total, a sector d > 0 counting its mirror too
+        leakage[spec.cutoff + 1:] *= 2.0
+        leakage = np.bincount(state_totals(spec.cutoff), weights=leakage, minlength=masses.shape[1])
+    return amps, TotalTable(z, spec, _frozen(masses), _frozen(leakage))
+
+
+def transition_kernel(z: float, spec: TruncationSpec) -> TransitionKernel:
+    """Every sector of the box by the su(1,1) recurrence (_amplitudes), with
+    its total table (_checked_build)."""
+    amps, table = _checked_build(z, spec, _full_build)
+    return TransitionKernel(z=z, spec=spec, flat_amplitudes=amps, table=table)
+
+
+def vacuum_table(z: float, spec: TruncationSpec) -> TotalTable:
+    """The total table of the vacuum column alone (TotalTable), in O(N) work
+    and memory, behind transition_kernel's checks."""
+    return _checked_build(z, spec, _vacuum_build)[1]

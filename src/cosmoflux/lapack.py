@@ -154,7 +154,8 @@ def _cpus() -> int:
 
 
 def _serve(jobs) -> None:
-    """The helper thread: call each job of the queue, in order, for ever."""
+    """The helper thread: call each job of the queue, in order, for ever. A
+    job holds its errors for its caller: one it raised would end the thread."""
     while True:
         jobs.get()()  # a job and its arrays are dropped once it is done
 

@@ -5,13 +5,12 @@ errors so a typo cannot silently run different physics. Reports serialize
 with a fixed field order and a fixed significant-digit rounding, making
 repeated runs byte-identical.
 
-A run holds its last kernel and its last Gibbs state (_KernelSlot): the
-kernel is reused while (z, spec) repeats, which is the temperature axis of
-a sweep, and the Gibbs state while (T, omega_in, spec) repeats, which is
-the sigma and epsilon axes. A full kernel carries its total table, from
-which each T > 0 point contracts its work and entropy statistics, so a
-temperature axis forms that table once; a T = 0 point builds the vacuum
-column alone and never forms it.
+A run holds its last total table (fock.TotalTable), the kernel that
+carries it at T > 0, and its last Gibbs state (_KernelSlot): the table is
+reused while (z, spec) repeats, the temperature axis of a sweep, and the
+Gibbs state while (T, omega_in, spec) repeats, the sigma and epsilon
+axes. Every point's work and entropy statistics contract the table; only
+the relative entropy reads the kernel, and a T = 0 point builds none.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, VerificationError
 from . import fock, spacetime, thermo, fluctuation
-from .fock import TruncationSpec, transition_kernel
+from .fock import TruncationSpec, transition_kernel, vacuum_table
 from .spacetime import (
     BlackHoleParams,
     CosmologyParams,
@@ -327,19 +326,16 @@ def _capture(fn, *args):
 
 
 class _KernelSlot:
-    """The last kernel and the last Gibbs state built for a run, each held
-    while its key repeats.
+    """The last total table, the kernel that carries it (if any) and the
+    last Gibbs state built for a run, each held while its key repeats.
 
-    The kernel is reused while (z, spec) repeats, as along a temperature
-    axis, and it serves the point: a full kernel serves every point, a
-    vacuum kernel only a vacuum point. Block d depends on (z, cutoff) only,
-    and the vacuum kernel's one column and its leakage are the full
-    kernel's bit for bit; every check transition_kernel makes depends on
-    (z, cutoff, leakage budget) and the blocks built, and so does the
-    total table a full kernel holds. So a held kernel with that key is one
-    already checked, and a full kernel serves a vacuum point unchanged:
-    the work pass reads that column alone at T = 0, so either kernel gives
-    the point the same bits.
+    A T = 0 point takes any held table of its (z, spec), or else builds the
+    vacuum table; a T > 0 point needs the kernel, for its full table and
+    its relative entropy, and reuses the held one, or else builds one.
+    The vacuum table's column and L(0) are a kernel table's bit for bit,
+    and every check either builder makes depends on (z, cutoff, leakage
+    budget) and the entries built. So a held table with that key is one
+    already checked, and either table gives a vacuum point the same bits.
 
     The Gibbs state, and its thermal gate, depend on (T, omega_in, spec)
     only, so it is reused while that key repeats, as along a sigma or
@@ -349,17 +345,26 @@ class _KernelSlot:
     """
 
     def __init__(self) -> None:
-        self.kernel: fock.TransitionKernel | None = None
+        self.table: fock.TotalTable | None = None
+        self.kernel: fock.TransitionKernel | None = None  # None, or the table's
         self.thermal: thermo.ThermalDistribution | None = None
 
-    def kernel_for(
-        self, z: float, spec: TruncationSpec, vacuum: bool
-    ) -> fock.TransitionKernel:
+    def kernel_for(self, z: float, spec: TruncationSpec) -> fock.TransitionKernel:
         held = self.kernel
-        if held is None or (held.z, held.spec) != (z, spec) or (held.vacuum and not vacuum):
-            self.kernel = None  # dropped before the build: one kernel alive at most
-            self.kernel = transition_kernel(z, spec, vacuum)
+        if held is None or (held.z, held.spec) != (z, spec):
+            self.table = self.kernel = None  # dropped before the build: one alive at most
+            self.kernel = transition_kernel(z, spec)
+            self.table = self.kernel.table
         return self.kernel
+
+    def table_for(self, z: float, spec: TruncationSpec, vacuum: bool) -> fock.TotalTable:
+        if not vacuum:
+            return self.kernel_for(z, spec).table
+        held = self.table
+        if held is None or (held.z, held.spec) != (z, spec):
+            self.table = self.kernel = None
+            self.table = vacuum_table(z, spec)
+        return self.table
 
     def thermal_for(
         self, temperature: float, omega: float, spec: TruncationSpec
@@ -372,10 +377,10 @@ class _KernelSlot:
 
 
 def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tuple:
-    """One point's stages in order: (channel, flags, kernel, work, entropy).
+    """One point's stages in order: (channel, flags, table, work, entropy).
 
-    The kernel comes from kernels; on the vacuum path (T = 0) it may be a
-    vacuum kernel, which holds the vacuum column alone. entropy is None on
+    The table comes from kernels; on the vacuum path (T = 0) it may be the
+    vacuum table, which holds column 0 alone. entropy is None on
     the vacuum path and when, without fluctuations, the sequence stops at
     the work. A failed identity check is captured and the later ones still
     run (<s> then comes from mean_entropy); other errors propagate. The
@@ -383,20 +388,20 @@ def _run_stages(cfg: RunConfig, fluctuations: bool, kernels: _KernelSlot) -> tup
     """
     channel, flags = resolve_channel(cfg)
     spec = TruncationSpec(cfg.cutoff, cfg.leakage_tolerance)
-    kernel = kernels.kernel_for(channel.z, spec, cfg.temperature == 0.0)
+    table = kernels.table_for(channel.z, spec, cfg.temperature == 0.0)
     thermal = kernels.thermal_for(cfg.temperature, channel.omega_in, spec)
-    work = inner_friction(kernel, thermal, channel.omega_in, channel.omega_out)
+    work = inner_friction(table, thermal, channel.omega_in, channel.omega_out)
     if not fluctuations or thermal.is_vacuum:
-        return channel, flags, kernel, work, None
-    p_e, p_c, micro_dev = fluctuation.entropy_distributions(kernel, thermal)
+        return channel, flags, table, work, None
+    p_e, p_c, micro_dev = fluctuation.entropy_distributions(table, thermal)
     crooks = _capture(fluctuation.crooks_deviation, p_e, p_c, micro_dev)
     kl = _capture(fluctuation.mean_entropy_and_kl, p_e, p_c)
     s_mean = fluctuation.mean_entropy(p_e) if isinstance(kl, VerificationError) else kl[0]
     friction = _capture(fluctuation.entropy_friction_identity, work, s_mean)
     k_quantum = _capture(
-        fluctuation.quantum_relative_entropy, thermal, kernel, work.adiabatic_temperature, work
+        fluctuation.quantum_relative_entropy, thermal, kernels.kernel, work.adiabatic_temperature, work
     )
-    return channel, flags, kernel, work, _Entropy(p_e, crooks, kl, friction, k_quantum)
+    return channel, flags, table, work, _Entropy(p_e, crooks, kl, friction, k_quantum)
 
 
 def _config_fields(cfg: RunConfig) -> dict:
@@ -425,8 +430,8 @@ def run_simulation(cfg: RunConfig) -> dict:
 
 
 def _simulate(cfg: RunConfig, kernels: _KernelSlot) -> dict:
-    """One validated point's report row; kernels may hold a kernel to reuse."""
-    channel, flags, _kernel, work, ent = _run_stages(cfg, True, kernels)
+    """One validated point's report row; kernels may hold a table to reuse."""
+    channel, flags, _table, work, ent = _run_stages(cfg, True, kernels)
     if ent is None:
         flags = flags + ["vacuum-path"]
         s_mean = kl = k_quantum = crooks_dev = None
@@ -462,7 +467,7 @@ def run_sweep(sweep: SweepConfig) -> list[dict]:
     its value, with its config fields when it fails at run time.
 
     Consecutive points sharing (z, cutoff, leakage budget), as on a
-    temperature axis, share one transition kernel, and consecutive points
+    temperature axis, share one total table, and consecutive points
     sharing (T, omega_in, cutoff, leakage budget), as on a sigma or
     epsilon axis, one Gibbs state; each is built for the first of them
     and dropped when the sweep returns.
@@ -551,9 +556,9 @@ def _battery_point(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     kernels = _KernelSlot()
     channel, _flags, staged, work, ent = _run_stages(cfg, True, kernels)
     layout = fock.sector_layout(cfg.cutoff)
-    # the kernel checks read the full kernel; a vacuum point builds its
-    # vacuum column only
-    kernel = kernels.kernel_for(channel.z, staged.spec, False)
+    # the kernel checks read the kernel; a vacuum point builds its vacuum
+    # table only
+    kernel = kernels.kernel_for(channel.z, staged.spec)
     items: list[tuple[str, bool, str]] = []
 
     sym = _max_asymmetry(kernel)
@@ -723,8 +728,7 @@ def _battery_global() -> list[tuple[str, bool, str]]:
     items.append(("oracle-equivalence", worst <= 1e-10, f"max |kernel - spectral| = {worst:.3e}"))
 
     tau = 0.5
-    vacuum = transition_kernel(z_canon, TruncationSpec(11, 1e-2), vacuum=True)
-    col = vacuum.amplitudes[0][:, 0] ** 2
+    col = vacuum_table(z_canon, TruncationSpec(11, 1e-2)).masses[0::2, 0]
     expect = (1.0 - tau * tau) * tau ** (2 * np.arange(12))
     rel = float(np.max(np.abs(col[:11] - expect[:11]) / expect[:11]))
     items.append(("vacuum-law", rel <= 1e-9, f"max relative error = {rel:.3e}"))

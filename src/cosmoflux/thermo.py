@@ -6,21 +6,19 @@ differences, so the work decomposition keeps the explicit (omega_out -
 omega_in) shift. All kernel averages carry a truncation bound equal to the
 largest in-box energy times the initial-weighted mass lost to the box.
 A Gibbs weight depends on a state's total alone, so a Gibbs state holds
-its 2N+1 weights per total and no other: a stage that needs a state's
-weight reads its total's (fock.state_totals). Every kernel average the
-work bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>)
-comes from one work pass (_work_pass); inner_friction reads that pass
-and reports every average in its WorkReport. At T > 0 the pass
-contracts the kernel's total table (fock.TransitionKernel) with the
-per-total weights, O(N^2) work whatever the box's O(N^3) entries, and
-takes the weighted leakage from the kernel's column leakage; it agrees
-with per-sector loops to the rounding of its sums
-(tests/dense_reference.py). At T = 0 the vacuum (0, 0) carries all the
-weight, and the pass reads only column 0 of block d = 0 and its leakage,
-in O(N) work, from a vacuum kernel or a full one alike. Every stage that
-pairs a kernel with an initial state, here and in fluctuation, first
-checks that the two fit (_require_pairing): one cutoff, and a vacuum
-kernel only for the vacuum.
+its 2N+1 weights per total and no other. Every kernel average the work
+bookkeeping reads (the weighted leakage, <n_f>, <n_i> and <n_c>) comes
+from one work pass (_work_pass) over the run's total table
+(fock.TotalTable); inner_friction reads that pass and reports every
+average in its WorkReport. At T > 0 the pass contracts R and the
+per-total leakage L with the per-total weights, O(N^2) work whatever the
+box's O(N^3) entries; it agrees with per-sector loops to the rounding of
+its sums (tests/dense_reference.py). At T = 0 the vacuum (0, 0) carries
+all the weight, and the pass reads only R's column 0 and L(0), in O(N)
+work, from a vacuum table or a kernel's alike. Every stage that pairs a
+table with an initial state, here and in fluctuation, first checks that
+the two fit (_require_pairing): one cutoff, and a table short of the
+2N+1 columns only for the vacuum.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LeakageError, NumericError, VerificationError
-from .fock import TransitionKernel, TruncationSpec, cell_changes, state_totals
+from .fock import TotalTable, TruncationSpec, cell_changes
 
 # Slack added to truncation-bound comparisons to absorb pure rounding noise.
 FLOAT_SLACK = 1e-12
@@ -44,11 +42,11 @@ class ThermalDistribution:
 
     total_weights[t] is the weight of every box state of total t, for
     t = 0..2N, read-only: the state's only weight, as the contractions of
-    a kernel's total table need. The n = N + 1 - d states of sector d
+    a total table need. The n = N + 1 - d states of sector d
     have the totals d, d + 2, ..., 2N - d, so their weights are
     total_weights[d : d + 2n : 2]. At temperature = 0 only total 0 weighs
     anything, which marks the vacuum path: a point mass on (0, 0) with no
-    entropy scale, served by a vacuum kernel or a full one
+    entropy scale, served by a vacuum table or a kernel's
     (_require_pairing). renorm_defect is the Gibbs mass outside the box.
     """
 
@@ -75,20 +73,20 @@ class WorkReport:
     omega_out: float
 
 
-def _require_pairing(kernel: TransitionKernel, thermal: ThermalDistribution) -> None:
-    """ValueError unless the kernel can serve the initial state: both must
-    share one cutoff, and a vacuum kernel, which holds the vacuum column
-    alone, serves only the vacuum (T = 0). A full kernel serves every
-    state; at T = 0 every state but the vacuum weighs exactly 0."""
-    if kernel.spec.cutoff != thermal.spec.cutoff:
+def _require_pairing(table: TotalTable, thermal: ThermalDistribution) -> None:
+    """ValueError unless the table can serve the initial state: both must
+    share one cutoff, and a table short of the 2N+1 columns, as the vacuum
+    table's one is, serves only the vacuum (T = 0). A kernel's table serves
+    every state; at T = 0 every state but the vacuum weighs exactly 0."""
+    if table.spec.cutoff != thermal.spec.cutoff:
         raise ValueError(
-            f"kernel cutoff {kernel.spec.cutoff} does not match the initial "
+            f"table cutoff {table.spec.cutoff} does not match the initial "
             f"state's cutoff {thermal.spec.cutoff}"
         )
-    if kernel.vacuum and not thermal.is_vacuum:
+    if not thermal.is_vacuum and table.masses.shape[1] < len(thermal.total_weights):
         raise ValueError(
-            "a vacuum kernel holds the vacuum column alone and cannot serve "
-            f"the Gibbs state at T = {thermal.temperature}"
+            f"a table of {table.masses.shape[1]} column(s) serves only the "
+            f"vacuum, not the Gibbs state at T = {thermal.temperature}"
         )
 
 
@@ -174,40 +172,36 @@ class _WorkSums(NamedTuple):
     created: float  # <total(m) - total(n)> under p(m|n) p_th(n), in-box
 
 
-def _work_pass(kernel: TransitionKernel, thermal: ThermalDistribution) -> _WorkSums:
-    """Every kernel average of the work bookkeeping, in one pass: over the
-    vacuum column at T = 0, over the kernel's total table at T > 0.
+def _work_pass(table: TotalTable, thermal: ThermalDistribution) -> _WorkSums:
+    """Every kernel average of the work bookkeeping, in one pass over the
+    total table (fock.TotalTable): column 0 at T = 0, all at T > 0.
 
-    At T = 0 the initial state is the vacuum, state 0 of sector d = 0 with
-    weight exactly 1, so only column 0 of block d = 0 counts: the leakage
-    is that column's plus the thermal tail, <n_i> = 0, and <n_f> = <n_c> =
-    sum_p 2p A[p, 0]^2, summed correctly rounded (math.fsum), so in no
-    order a BLAS build picks. A vacuum kernel and a full one hold that
-    column with the same bits, so the averages do not depend on which of
-    them serves the point.
+    At T = 0 the initial state is the vacuum, the one state of total 0,
+    with weight exactly 1, so only column 0 counts: the leakage is L(0)
+    plus the thermal tail, <n_i> = 0, and <n_f> = <n_c> =
+    sum_p 2p R[2p, 0] over the N+1 even rows (odd rows are 0), summed
+    correctly rounded (math.fsum), so in no order a BLAS build picks. A
+    vacuum table and a kernel's hold that column with the same bits, so
+    the averages do not depend on which of them serves the point.
 
-    At T > 0 the masses R[t_f, t_i] w(t_i) of the kernel's total table give
-    <n_f> as their sum times t_f, and <n_c> as their sum per total change
-    t_f - t_i times that change, so <n_c> never subtracts two sums of
-    totals, which would cancel its digits as z -> 0. <n_i> weighs each
-    total by its number of box states, which R holds on its diagonal at
-    z = 0, where <n_f> then has the same bits. The weighted leakage is a
-    dot of the kernel's column leakage with the sector states' weights,
-    each its total's: a leakage taken as the box's multiplicity less R's
-    column sums would keep no digit past eps / leakage.
+    At T > 0 the masses R[t_f, t_i] w(t_i) give <n_f> as their sum times
+    t_f, and <n_c> as their sum per total change t_f - t_i times that
+    change, so <n_c> never subtracts two sums of totals, which would cancel
+    its digits as z -> 0. <n_i> weighs each total by its number of box
+    states, which R holds on its diagonal at z = 0, where <n_f> then has
+    the same bits. The weighted leakage is L @ w: a leakage taken as the
+    box's multiplicity less R's column sums would keep no digit past
+    eps / leakage.
     """
-    _require_pairing(kernel, thermal)
-    cutoff = kernel.spec.cutoff
+    _require_pairing(table, thermal)
+    cutoff = table.spec.cutoff
     if thermal.is_vacuum:
-        column = kernel.amplitudes[0][:, 0]
-        created = math.fsum((state_totals(cutoff)[: cutoff + 1] * column**2).tolist())
-        leakage = float(kernel.column_leakage[0][0]) + thermal.renorm_defect
-        return _WorkSums(leakage, created, 0.0, created)
+        column = table.masses[0::2, 0]
+        created = math.fsum((np.arange(0, 2 * cutoff + 1, 2) * column).tolist())
+        return _WorkSums(float(table.leakage[0]) + thermal.renorm_defect, created, 0.0, created)
     totals, w_t = np.arange(2 * cutoff + 1), thermal.total_weights
-    w = w_t[state_totals(cutoff)]  # each sector state's weight, its total's
-    w[cutoff + 1:] *= 2.0  # a sector d > 0 counts its mirror too
-    leakage = float(kernel.flat_column_leakage @ w) + thermal.renorm_defect
-    masses = kernel.total_table * w_t  # [t_f, t_i]
+    leakage = float(table.leakage @ w_t) + thermal.renorm_defect
+    masses = table.masses * w_t  # [t_f, t_i]
     per_change = np.bincount(cell_changes(cutoff), weights=masses.ravel(), minlength=4 * cutoff + 1)
     created = float(np.arange(-2 * cutoff, 2 * cutoff + 1) @ per_change)
     states = np.minimum(totals, 2 * cutoff - totals) + 1  # box states of each total
@@ -224,7 +218,7 @@ def mean_created_closed_form(z: float, temperature: float, omega: float) -> floa
 
 
 def inner_friction(
-    kernel: TransitionKernel,
+    table: TotalTable,
     thermal: ThermalDistribution,
     omega_in: float,
     omega_out: float,
@@ -238,9 +232,9 @@ def inner_friction(
     finite, as when omega_out near the float64 limit overflows the work:
     a NaN would otherwise pass every comparison.
     """
-    sums = _work_pass(kernel, thermal)
+    sums = _work_pass(table, thermal)
     leakage, n_c = sums.leakage, sums.created
-    bound = truncation_bound(kernel.spec, omega_out, leakage)
+    bound = truncation_bound(table.spec, omega_out, leakage)
     # omega_out(<n_f> + 1) - omega_in(<n_i> + 1), in-box
     mean_work = omega_out * (sums.final + 1.0) - omega_in * (sums.initial + 1.0)
     w_ad = adiabatic_work(thermal.temperature, omega_in, omega_out)

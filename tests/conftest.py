@@ -53,12 +53,12 @@ def thermal40(spec40):
 
 @pytest.fixture(scope="session")
 def work40(kernel40, thermal40):
-    return inner_friction(kernel40, thermal40, 1.0, 2.0)
+    return inner_friction(kernel40.table, thermal40, 1.0, 2.0)
 
 
 @pytest.fixture(scope="session")
 def dists40(kernel40, thermal40):
-    return entropy_distributions(kernel40, thermal40)
+    return entropy_distributions(kernel40.table, thermal40)
 
 
 def pytest_configure(config):

@@ -16,11 +16,12 @@ per-sector loops the pipeline ran before it kept each quantity in one
 sector-major buffer, before it took the work averages in one flat
 pass, or before it read every T > 0 statistic from the kernel's total
 table. Fed the production kernel, they are accuracy references: where a
-stage keeps the loop's float operations (the column leakage, the Gibbs
-weights, K, and the microstate Crooks residual of each cell of the total
-table) the bits must agree, and where it sums in another order (the
-total table, the lattice masses and the work sums) it must agree within
-a rounding bound of terms x eps x scale, stated in test_sector_blocks.
+stage keeps the loop's float operations (the per-state column leakage,
+the Gibbs weights, K, and the microstate Crooks residual of each cell of
+the total table) the bits must agree, and where it sums in another order
+(the total table, its per-total leakage, the lattice masses and the work
+sums) it must agree within a rounding bound of terms x eps x scale,
+stated in test_sector_blocks.
 reference_work_sums forms <n_c> as the loops did, a difference of two
 sums of totals, which cancels as z -> 0.
 """
@@ -169,6 +170,24 @@ def reference_gibbs_weights(temperature, omega, cutoff):
     occupied = 1 if temperature == 0.0 else cutoff + 1
     weights = [scale * x ** (2 * np.arange(cutoff + 1 - d) + d) for d in range(occupied)]
     return weights, t * (2.0 - t)
+
+
+def reference_column_leakage(amplitudes):
+    """Each sector state's column leakage 1 - sum_p A[p, q]^2, floored at
+    0, one block at a time: the per-state values a kernel's per-total
+    leakage L(t) folds (fock.TotalTable)."""
+    return tuple(np.maximum(1.0 - np.square(A).sum(axis=0), 0.0) for A in amplitudes)
+
+
+def reference_total_leakage(column_leakage, cutoff):
+    """L(t): the per-state column leakage summed per total, one state at a
+    time, a mirrored sector's states added once more for their mirrors."""
+    L = np.zeros(2 * cutoff + 1)
+    for d, leak in enumerate(column_leakage):
+        for i, value in enumerate(leak):
+            for _ in range(2 if d else 1):
+                L[2 * i + d] += value
+    return L
 
 
 def reference_work_sums(probabilities, column_leakage, weights, renorm_defect):

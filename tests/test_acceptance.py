@@ -130,8 +130,8 @@ def test_06_quantum_relative_entropy(request, thermal40, kernel40, work40):
 def test_07_work_bookkeeping(request, work40, thermal40):
     r1 = abs(work40.mean_work - W_MEAN_CANON)
     r2 = abs(work40.adiabatic_work - W_AD_CANON)
-    kern0 = transition_kernel(0.0, TruncationSpec(40, 1e-8))
-    work0 = inner_friction(kern0, thermal40, 1.0, 2.0)
+    table0 = transition_kernel(0.0, TruncationSpec(40, 1e-8)).table
+    work0 = inner_friction(table0, thermal40, 1.0, 2.0)
     r3 = abs(work0.mean_work - work0.adiabatic_work)
     ok = r1 <= 1e-6 and r2 <= 1e-9 and r3 <= 1e-12
     _accept(
@@ -145,7 +145,7 @@ def test_08_created_pairs_closed_form(request):
     def kernel_created(z, t_ratio, size):
         spec = TruncationSpec(size, 0.5)
         thermal = thermal_distribution(t_ratio, 1.0, spec)
-        return inner_friction(transition_kernel(z, spec), thermal, 1.0, 2.0).mean_created
+        return inner_friction(transition_kernel(z, spec).table, thermal, 1.0, 2.0).mean_created
 
     def ladder(z, t_ratio):
         prev = kernel_created(z, t_ratio, 40)
@@ -206,14 +206,14 @@ def test_10_second_law_positivity(request):
     min_fric_margin = np.inf
     min_s = np.inf
     for z in (0.0, 0.6, 1.2):
-        kern = transition_kernel(z, spec)
+        table = transition_kernel(z, spec).table
         for t_ratio in (0.1, 2.5, 5.0):
             thermal = thermal_distribution(t_ratio, 1.0, spec)
             # the entropy lattice runs at omega_in / T whatever omega_out is
-            p_e, _, _ = entropy_distributions(kern, thermal)
+            p_e, _, _ = entropy_distributions(table, thermal)
             min_s = min(min_s, mean_entropy(p_e))
             for ratio in (1.0, 2.0, 3.0):
-                work = inner_friction(kern, thermal, 1.0, ratio)
+                work = inner_friction(table, thermal, 1.0, ratio)
                 min_fric_margin = min(
                     min_fric_margin, work.inner_friction + work.truncation_bound
                 )

@@ -29,7 +29,7 @@ def test_crooks_microstate_catches_a_shifted_change_key(monkeypatch, kernel40, t
     # 2 omega_in / T, so its residual |log J - log Q - s| reads 2. Its mass
     # moves to the next lattice bin in both distributions, which
     # crooks-distribution sees too (5.8e-2); no other line does
-    J = (kernel40.total_table * thermal40.total_weights).ravel()
+    J = (kernel40.table.masses * thermal40.total_weights).ravel()
     live = np.flatnonzero(J > fluctuation_mod.PROBABILITY_FLOOR)
     cell = live[np.argmin(J[live])]
     assert J[cell] < 2 * fluctuation_mod.PROBABILITY_FLOOR
@@ -97,9 +97,9 @@ def test_kernel_symmetry_catches_an_asymmetric_bump(monkeypatch):
     # builder at cutoff 16 and FAILs beside it, at 1e-9
     real = fock_mod._amplitudes
 
-    def bumped(z, cutoff, vacuum):
-        amps = real(z, cutoff, vacuum)
-        if not vacuum and z != 0.0:
+    def bumped(z, cutoff):
+        amps = real(z, cutoff)
+        if z != 0.0:
             amps[5 * (cutoff + 1)] += 1e-9  # block d = 0 is row-major at the start
         return amps
 

@@ -30,7 +30,7 @@ from cosmoflux.fock import sector_layout
 from cosmoflux.lapack import dgejsv
 
 from conftest import Z_CANON
-from dense_reference import dense_state_vector, sector_weights
+from dense_reference import dense_state_vector, reference_column_leakage, sector_weights
 
 Q_11_TO_00 = 0.01013939726055356  # 0.1875 * (1-1/e)^2 / e^2
 N_CREATED_CANON = 1.442635609159102
@@ -85,7 +85,7 @@ def test_entropy_distributions_lattice(dists40):
 
 def test_distributions_require_temperature(kernel40, spec40):
     with pytest.raises(EntropyUndefinedError):
-        entropy_distributions(kernel40, thermal_distribution(0.0, 1.0, spec40))
+        entropy_distributions(kernel40.table, thermal_distribution(0.0, 1.0, spec40))
 
 
 def test_crooks_canonical(dists40):
@@ -164,9 +164,9 @@ def test_kl_pairing_fails_closed_when_reverse_underflows():
     # holds on the rest. A reverse mass that underflows where it should be
     # representable must still be refused
     spec = TruncationSpec(cutoff=44, leakage_tolerance=1e-2)
-    kern = transition_kernel(1.2, spec)
+    table = transition_kernel(1.2, spec).table
     thermal = thermal_distribution(0.1, 1.0, spec)
-    p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
+    p_e, p_c, micro_dev = entropy_distributions(table, thermal)
     live, under = _underflowing(p_e)
     assert under.any()
     left_out = ~live | under
@@ -194,7 +194,7 @@ def _cold_canonical_distributions():
     normal double."""
     spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-8)
     p_e, p_c, micro_dev = entropy_distributions(
-        transition_kernel(Z_CANON, spec), thermal_distribution(0.05, 1.0, spec)
+        transition_kernel(Z_CANON, spec).table, thermal_distribution(0.05, 1.0, spec)
     )
     return p_e, p_c, micro_dev, *_underflowing(p_e)
 
@@ -274,7 +274,7 @@ def test_crooks_exact_for_geometric_weights(z, t_ratio):
     spec = TruncationSpec(cutoff=16, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    p_e, p_c, micro_dev = entropy_distributions(kern, thermal)
+    p_e, p_c, micro_dev = entropy_distributions(kern.table, thermal)
     report = crooks_deviation(p_e, p_c, micro_dev)
     assert report.distribution_deviation <= 1e-8
     assert report.microstate_deviation <= 1e-10
@@ -284,7 +284,7 @@ def test_crooks_exact_for_geometric_weights(z, t_ratio):
     # the integral-fluctuation defect equals the kernel leakage weighted
     # by the renormalized initial state, exactly
     leak_w = float(
-        dense_state_vector(kern.column_leakage, 16)
+        dense_state_vector(reference_column_leakage(kern.amplitudes), 16)
         @ dense_state_vector(sector_weights(thermal), 16)
     )
     assert abs(integral_fluctuation_defect(p_e) - leak_w) <= 1e-9

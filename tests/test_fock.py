@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from cosmoflux import (
     suggested_cutoff,
     transition_kernel,
     vacuum_column_leakage,
+    vacuum_table,
 )
 import cosmoflux.fock as fock_mod
 from cosmoflux.fock import sector_layout, sector_spectral
@@ -138,7 +140,7 @@ def test_blocks_match_the_spectral_route(cutoff):
 def test_blocks_equal_the_per_sector_formula_bitwise(z, cutoff):
     layout = sector_layout(cutoff)
     kernel = transition_kernel(z, TruncationSpec(cutoff=cutoff, leakage_tolerance=0.5))
-    assert not kernel.vacuum and len(kernel.amplitudes) == len(layout)
+    assert len(kernel.amplitudes) == len(layout)
     for block, s in zip(kernel.amplitudes, layout):
         reference = reference_sector_recurrence(z, s.d, s.size)
         assert block.shape == reference.shape
@@ -164,16 +166,16 @@ def test_kernel_accurate_at_cutoff_120():
 @pytest.mark.parametrize("z", [1e-300, 0.25, Z_CANON, 1.0])
 def test_battery_blocks_match_the_spectral_route(z):
     # the verify battery's kernels: the 9 x 9 corners of blocks d = 0..8 at
-    # cutoff 16 and the vacuum column at cutoff 11. The tests' analytic
+    # cutoff 16 and the vacuum table at cutoff 11. The tests' analytic
     # formula is off by up to 2.8e-13 on these blocks, so the spectral
     # route on a padded box is the yardstick
     blocks = transition_kernel(z, TruncationSpec(16, 1e-2)).amplitudes
     for d in range(9):
         spectral = sector_spectral(z, d, 97 - d, corner=9)
         assert np.max(np.abs(blocks[d][:9, :9] - spectral)) <= 1e-13
-    vacuum = transition_kernel(z, TruncationSpec(11, 1e-2), vacuum=True)
+    squares = vacuum_table(z, TruncationSpec(11, 1e-2)).masses[0::2, 0]
     column = sector_spectral(z, 0, 97, corner=12)[:, 0]
-    assert np.max(np.abs(vacuum.amplitudes[0][:, 0] - column)) <= 1e-13
+    assert np.max(np.abs(squares - column**2)) <= 1e-13
 
 
 def test_generator_antisymmetric_and_sector_structured():
@@ -393,50 +395,54 @@ def test_transition_kernel_rejects_infinite_squeeze():
 
 
 def test_kernel_arrays_read_only(kernel40):
-    # a sweep shares one kernel between its points
-    for blocks in (kernel40.amplitudes, kernel40.column_leakage):
-        for a in blocks:
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+    # a sweep shares one kernel and its table between its points
+    table = kernel40.table
+    for a in (*kernel40.amplitudes, table.masses, table.leakage):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_vacuum_kernel_holds_the_full_kernels_vacuum_column(kernel40, spec40):
-    # a vacuum point builds and holds the d = 0 block's vacuum column only,
-    # its 41 amplitudes and one leakage value; both are the full kernel's
-    vac = transition_kernel(Z_CANON, spec40, True)
-    assert vac.vacuum and not kernel40.vacuum
-    (column,), (leak,) = vac.amplitudes, vac.column_leakage
-    assert column.shape == (41, 1) and leak.shape == (1,)
-    assert column.tobytes() == kernel40.amplitudes[0][:, :1].tobytes()
-    assert leak.tobytes() == kernel40.column_leakage[0][:1].tobytes()
+    # a vacuum point builds and holds column 0 of the total table only (the
+    # vacuum table, once a vacuum kernel's one column of amplitudes), its
+    # 81 cells and one leakage value; both are the kernel table's bit for
+    # bit, and its odd rows are exactly 0
+    vac = vacuum_table(Z_CANON, spec40)
+    assert vac.masses.shape == (81, 1) and vac.leakage.shape == (1,)
+    assert (vac.z, vac.spec) == (Z_CANON, spec40)
+    assert vac.masses[:, 0].tobytes() == kernel40.table.masses[:, 0].tobytes()
+    assert vac.leakage.tobytes() == kernel40.table.leakage[:1].tobytes()
+    assert not vac.masses[1::2].any()
+    for a in (vac.masses, vac.leakage):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_vacuum_kernel_keeps_its_guards(spec40, monkeypatch):
     # the domain guard, the vacuum gate and the column-sum check all run
-    # on the vacuum path
+    # on the vacuum path, where vacuum_table builds
     with pytest.raises(ValueError, match="squeeze parameter"):
-        transition_kernel(np.nan, spec40, True)
+        vacuum_table(np.nan, spec40)
     with pytest.raises(LeakageError):
-        transition_kernel(1.2, TruncationSpec(cutoff=8, leakage_tolerance=1e-8), True)
-    real = fock_mod._amplitudes
+        vacuum_table(1.2, TruncationSpec(cutoff=8, leakage_tolerance=1e-8))
+    real = fock_mod._vacuum_build
 
-    def heavy(z, cutoff, vacuum):
-        amps = real(z, cutoff, vacuum)
-        if vacuum:
-            amps[1] *= 1.001  # block[1, 0]: column 0 now holds more than 1
-        return amps
+    def heavy(z, cutoff):
+        amps, _colsums, table = real(z, cutoff)
+        table[2, 0] *= 1.002  # cell (2, 0): column 0 now holds more than 1
+        return amps, np.cumsum(table[0::2, 0])[-1:], table
 
-    monkeypatch.setattr(fock_mod, "_amplitudes", heavy)
+    monkeypatch.setattr(fock_mod, "_vacuum_build", heavy)
     with pytest.raises(NumericError, match="column mass exceeds 1"):
-        transition_kernel(Z_CANON, spec40, True)
+        vacuum_table(Z_CANON, spec40)
 
 
 def test_column_sum_check_fails_closed_on_nan(spec40, monkeypatch):
     # a NaN column sum once passed "excess > limit" as False
     real = fock_mod._amplitudes
 
-    def poisoned(z, cutoff, vacuum):
-        amps = real(z, cutoff, vacuum)
+    def poisoned(z, cutoff):
+        amps = real(z, cutoff)
         amps[5] = np.nan
         return amps
 
@@ -445,12 +451,12 @@ def test_column_sum_check_fails_closed_on_nan(spec40, monkeypatch):
         transition_kernel(Z_CANON, spec40)
 
 
-@pytest.mark.parametrize("sectors", [0, 42])
-def test_sector_count_out_of_range(spec40, sectors):
-    # the third slot once took a sector count; a count is refused, not read
-    # as the vacuum flag (0 would build the full kernel, 42 the vacuum one)
-    with pytest.raises(ValueError, match="vacuum must be a bool"):
-        transition_kernel(Z_CANON, spec40, sectors)
+def test_transition_kernel_takes_z_and_spec_alone(spec40):
+    # the third slot once took a sector count, then a vacuum flag; a T = 0
+    # point now builds vacuum_table, so a third argument is refused
+    assert list(inspect.signature(transition_kernel).parameters) == ["z", "spec"]
+    with pytest.raises(TypeError):
+        transition_kernel(Z_CANON, spec40, True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,12 +465,14 @@ def test_sector_count_out_of_range(spec40, sectors):
     cutoff=st.integers(min_value=8, max_value=170),
 )
 def test_vacuum_column_matches_the_closed_form(z, cutoff):
-    # column 0 of d = 0 is sech(z) tanh(z)^p: the O(N) vacuum kernel holds
-    # it to rounding at every cutoff a vacuum point reaches, and nothing else
-    block = transition_kernel(z, TruncationSpec(cutoff, 0.5), True).amplitudes[0]
+    # column 0 of d = 0 is sech(z) tanh(z)^p: the O(N) vacuum table holds
+    # its squares to rounding at every cutoff a vacuum point reaches, on
+    # the even rows, and nothing else
+    masses = vacuum_table(z, TruncationSpec(cutoff, 0.5)).masses
     closed = np.tanh(z) ** np.arange(cutoff + 1) / np.cosh(z)
-    assert block.shape == (cutoff + 1, 1)
-    assert np.max(np.abs(block[:, 0] - closed)) <= 1e-15
+    assert masses.shape == (2 * cutoff + 1, 1)
+    assert np.max(np.abs(masses[0::2, 0] - closed**2)) <= 1e-15
+    assert not masses[1::2].any()
 
 
 @settings(max_examples=15, deadline=None)
@@ -473,14 +481,13 @@ def test_vacuum_column_matches_the_closed_form(z, cutoff):
     cutoff=st.integers(min_value=8, max_value=64),
 )
 def test_vacuum_column_is_the_full_kernels_bitwise(z, cutoff):
-    # one builder serves both kernels, so a vacuum point's report does not
-    # depend on which of them it reads
+    # both builders start from one closed form, so a vacuum point's report
+    # does not depend on which table it reads
     spec = TruncationSpec(cutoff, 0.5)
-    vacuum = transition_kernel(z, spec, True)
-    full = transition_kernel(z, spec)
-    for field in ("amplitudes", "column_leakage"):
-        held, whole = getattr(vacuum, field)[0], getattr(full, field)[0]
-        assert held[..., 0].tobytes() == whole[..., 0].tobytes()
+    vacuum = vacuum_table(z, spec)
+    full = transition_kernel(z, spec).table
+    assert vacuum.masses[:, 0].tobytes() == full.masses[:, 0].tobytes()
+    assert vacuum.leakage[0].tobytes() == full.leakage[0].tobytes()
 
 
 def test_kernel_symmetry_exact(kernel40):
@@ -500,7 +507,11 @@ def test_zero_squeeze_is_identity():
     kern = transition_kernel(0.0, spec)
     for A in kern.amplitudes:
         assert np.array_equal(A**2, np.eye(len(A)))
-    assert max(np.max(leak) for leak in kern.column_leakage) == 0.0
+    # R holds each total's number of box states on its diagonal, and
+    # nothing leaks
+    t = np.arange(21)
+    assert np.array_equal(kern.table.masses, np.diag(np.minimum(t, 20 - t) + 1.0))
+    assert not kern.table.leakage.any()
 
 
 @settings(max_examples=25, deadline=None)
@@ -508,15 +519,18 @@ def test_zero_squeeze_is_identity():
 def test_kernel_columns_substochastic(z):
     spec = TruncationSpec(cutoff=14, leakage_tolerance=1e-2)
     kern = transition_kernel(z, spec)
-    for A, leak in zip(kern.amplitudes, kern.column_leakage):
+    leakage, terms = np.zeros(29), np.zeros(29)  # per total, 1 - colsum
+    for A, s in zip(kern.amplitudes, sector_layout(14)):
         P = A**2
         assert np.min(P) >= 0.0
         colsums = P.sum(axis=0)
         assert np.max(colsums) <= 1.0 + 1e-12
         assert np.max(np.abs(P - P.T)) == 0.0
-        # leakage is clipped at zero; an allowed excess below the stability
-        # limit may leave a gap of that size
-        assert np.max(np.abs((1.0 - colsums) - leak)) <= 2e-9
+        np.add.at(leakage, s.totals, (2.0 if s.d else 1.0) * (1.0 - colsums))
+        np.add.at(terms, s.totals, 2.0 if s.d else 1.0)
+    # leakage is clipped at zero; an allowed excess below the stability
+    # limit may leave a gap of that size in each term
+    assert np.all(np.abs(leakage - kern.table.leakage) <= 2e-9 * terms)
 
 
 @settings(max_examples=20, deadline=None)

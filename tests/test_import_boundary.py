@@ -230,17 +230,20 @@ def test_a_thermal_point_and_verify_map_only_numpys_openblas():
 
 
 # Only cosmoflux.fock may know how a kernel buffer is walked entry by
-# entry: its gather tables, its chunks and the recurrence's row layout.
-# Every other stage reads a kernel's per-sector views or its total table,
-# and a Gibbs state's per-total weights.
+# entry: its gather tables, its chunks, the recurrence's row layout, the
+# per-state order of the sector states' totals and the views it cuts into
+# blocks. Every other stage reads a total table or a kernel's per-sector
+# views, and a Gibbs state's per-total weights.
 FOCK_ONLY = {
     "sector_index", "SectorIndex", "Chunk", "chunk_keys", "_chunk_scratch",
-    "_recurrence_table", "CHUNK_ENTRIES",
+    "_recurrence_table", "CHUNK_ENTRIES", "state_totals", "sector_views",
 }
+# thermo reads a total table, never a kernel or its amplitudes
+KERNEL_NAMES = {"TransitionKernel", "amplitudes", "flat_amplitudes"}
 
 
-def fock_walk_names(source: str) -> set[str]:
-    """The names of FOCK_ONLY that source imports, names or reads as an
+def source_names(source: str) -> set[str]:
+    """Every name source imports, names, defines or reads as an
     attribute."""
     found = set()
     for node in ast.walk(ast.parse(source)):
@@ -252,14 +255,21 @@ def fock_walk_names(source: str) -> set[str]:
             found.add(node.name)
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.add(node.name)
-    return found & FOCK_ONLY
+    return found
 
 
 def test_only_fock_walks_a_kernel_buffer():
-    assert fock_walk_names(
+    assert source_names(
         "from .fock import sector_index as ix\nfock.CHUNK_ENTRIES\n"
         "def f(c: Chunk): return _recurrence_table(c)\n"
-    ) == {"sector_index", "CHUNK_ENTRIES", "Chunk", "_recurrence_table"}
-    modules = {path.name: fock_walk_names(path.read_text()) for path in SRC.glob("*.py")}
+    ) & FOCK_ONLY == {"sector_index", "CHUNK_ENTRIES", "Chunk", "_recurrence_table"}
+    modules = {path.name: source_names(path.read_text()) & FOCK_ONLY for path in SRC.glob("*.py")}
     assert modules.pop("fock.py") == FOCK_ONLY
     assert {name: found for name, found in modules.items() if found} == {}
+
+
+def test_thermo_names_no_kernel():
+    assert source_names("k.amplitudes[0]\nx: TransitionKernel\n") & KERNEL_NAMES == {
+        "amplitudes", "TransitionKernel",
+    }
+    assert source_names((SRC / "thermo.py").read_text()) & KERNEL_NAMES == set()

@@ -299,6 +299,53 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
     assert quantum_relative_entropy(thermal, kernel, 2.0) == expected
 
 
+@pytest.mark.skipif(lapack_mod._cpus() < 2, reason="the helper runs on two CPUs or more")
+def test_a_failure_outside_a_sector_surfaces_and_the_helper_serves_on(monkeypatch):
+    # the helper's block, allocated before it takes a sector, fails as a
+    # MemoryError there would: the error once left the job and ended the
+    # helper thread, so K came from the caller alone and every later job
+    # stayed queued, its kernel held. The caller raises it, and the
+    # helper serves the next call's job
+    kernel, thermal = _point12()
+    expected = quantum_relative_entropy(thermal, kernel, 2.0)
+    _drain_helper()  # its job, if the caller took every sector, fails on no other
+    failed, caller = threading.Event(), threading.current_thread()
+
+    class Numpy:
+        """fluctuation's numpy, whose first empty on the helper fails."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            if threading.current_thread() is not caller and not failed.is_set():
+                failed.set()
+                raise MemoryError("no block for the helper")
+            return np.empty(*args, **kwargs)
+
+    def after(event):
+        # the caller's blocks wait for event, so that the helper takes the job
+        spied = fluctuation_mod.dgejsv
+
+        def dgejsv(a):
+            if threading.current_thread() is caller:
+                assert event.wait(10)
+            return spied(a)
+
+        return dgejsv
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fluctuation_mod, "np", Numpy())
+        patch.setattr(fluctuation_mod, "dgejsv", after(failed))
+        with pytest.raises(MemoryError, match="no block for the helper"):
+            quantum_relative_entropy(thermal, kernel, 2.0)
+    _claims, first = _helper_claims(monkeypatch)
+    calls = _calls_per_thread(monkeypatch)
+    monkeypatch.setattr(fluctuation_mod, "dgejsv", after(first))
+    assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == expected.hex()
+    assert calls["helper"] >= 1
+
+
 def _drain_helper() -> None:
     """Wait until the helper has run every job queued before this one."""
     idle = threading.Event()

@@ -293,36 +293,39 @@ def _temperature_sweep(grid, **base):
 
 
 def test_temperature_sweep_builds_one_kernel(monkeypatch):
-    # the T = 0 point builds a vacuum kernel; the first T > 0 point needs
-    # the full kernel, and that kernel serves the rest
+    # the T = 0 point builds the vacuum table; the first T > 0 point needs
+    # the kernel, and that kernel serves the rest
+    tables = spy_on(monkeypatch, report_mod, "vacuum_table")
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(_temperature_sweep([0.0, 0.25, 0.5, 0.75]))
     assert [r["error"] for r in rows] == [""] * 4
     spec = TruncationSpec(16, 1e-6)
-    assert builds == [(0.3, spec, True), (0.3, spec, False)]
+    assert tables == builds == [(0.3, spec)]
 
 
 def test_vacuum_points_reuse_a_full_kernel(monkeypatch):
-    # a held full kernel serves a vacuum point
+    # a held kernel's table serves a vacuum point
     grid = [1.0, 0.0, 0.5, 0.0]
     sweep = _temperature_sweep(grid)
     singles = [run_simulation(sweep.base.replace(temperature=t)) for t in grid]
+    tables = spy_on(monkeypatch, report_mod, "vacuum_table")
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(sweep)
-    assert builds == [(0.3, TruncationSpec(16, 1e-6), False)]
+    assert builds == [(0.3, TruncationSpec(16, 1e-6))] and tables == []
     assert rows == [{**single, "error": ""} for single in singles]
 
 
 def test_vacuum_kernel_gives_way_to_a_full_kernel(monkeypatch):
-    # a held vacuum kernel never serves a T > 0 point; the full kernel
-    # built for it serves the vacuum point after it
+    # a held vacuum table never serves a T > 0 point; the kernel built for
+    # it serves the vacuum point after it with its table
     grid = [0.0, 0.5, 0.0]
     sweep = _temperature_sweep(grid)
     singles = [run_simulation(sweep.base.replace(temperature=t)) for t in grid]
+    tables = spy_on(monkeypatch, report_mod, "vacuum_table")
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(sweep)
     spec = TruncationSpec(16, 1e-6)
-    assert builds == [(0.3, spec, True), (0.3, spec, False)]
+    assert tables == builds == [(0.3, spec)]
     assert rows == [{**single, "error": ""} for single in singles]
 
 
@@ -378,21 +381,23 @@ def _sigma_sweep(grid):
 
 
 def test_sigma_sweep_builds_one_kernel_per_z(monkeypatch):
+    # at T = 0 each z builds its vacuum table, and no kernel
+    tables = spy_on(monkeypatch, report_mod, "vacuum_table")
     builds = spy_on(monkeypatch, report_mod, "transition_kernel")
     rows = run_sweep(_sigma_sweep([0.5, 1.0, 1.0, 2.0]))
     zs = [r["z"] for r in rows]
     assert len(set(zs)) == 3
-    assert [z for z, _spec, _vacuum in builds] == list(dict.fromkeys(zs))
-    assert [vacuum for *_, vacuum in builds] == [True, True, True]
+    assert [z for z, _spec in tables] == list(dict.fromkeys(zs))
+    assert builds == []
 
 
 def test_sweep_holds_the_gibbs_state_along_sigma(monkeypatch):
     # (T, omega_in, spec) repeats on every point of a sigma axis, so one
-    # Gibbs state serves the sweep while each z builds its kernel
+    # Gibbs state serves the sweep while each z builds its vacuum table
     sweep = _sigma_sweep([0.5, 1.0, 2.0])
     singles = [run_simulation(sweep.base.replace(sigma=v)) for v in sweep.grid]
     gibbs = spy_on(monkeypatch, report_mod, "thermal_distribution")
-    builds = spy_on(monkeypatch, report_mod, "transition_kernel")
+    builds = spy_on(monkeypatch, report_mod, "vacuum_table")
     rows = run_sweep(sweep)
     assert len(gibbs) == 1 and len(builds) == 3
     assert rows == [{**single, "error": ""} for single in singles]
@@ -822,18 +827,17 @@ def test_verify_reports_crooks_failure(monkeypatch):
 def test_verify_catches_a_shifted_vacuum_column(monkeypatch):
     # failure witness for created-closed-form on the vacuum path: moving
     # 1e-5 of probability from 2 to 4 quanta shifts <n_c> by 2e-5, past
-    # the 1e-6 tolerance; the kernel checks read the full kernel and pass.
-    # vacuum-law reads the vacuum kernel too, and fails beside it
-    real = fock_mod._amplitudes
+    # the 1e-6 tolerance; the kernel checks read the kernel and pass.
+    # vacuum-law reads the vacuum table too, and fails beside it
+    real = fock_mod._vacuum_build
 
-    def shifted(z, cutoff, vacuum):
-        amps = real(z, cutoff, vacuum)
-        if vacuum:  # amps is column 0 of block d = 0
-            p1, p2 = amps[1:3] ** 2
-            amps[1], amps[2] = np.sqrt(p1 - 1e-5), np.sqrt(p2 + 1e-5)
-        return amps
+    def shifted(z, cutoff):
+        amps, _colsums, table = real(z, cutoff)
+        table[2, 0] -= 1e-5  # cells (2p, 0) hold the squares of column 0
+        table[4, 0] += 1e-5
+        return amps, np.cumsum(table[0::2, 0])[-1:], table
 
-    monkeypatch.setattr(fock_mod, "_amplitudes", shifted)
+    monkeypatch.setattr(fock_mod, "_vacuum_build", shifted)
     lines, failures = verify_invariants(canonical_config().replace(temperature=0.0))
     assert failures == 2
     created, law = [ln for ln in lines if ln.startswith("  FAIL")]
@@ -848,9 +852,9 @@ def test_battery_catches_a_shifted_kernel_entry(monkeypatch):
     # tolerance and below the 1e-9 column-sum limit, so the kernel builds
     real = fock_mod._amplitudes
 
-    def shifted(z, cutoff, vacuum):
-        amps = real(z, cutoff, vacuum)
-        if z > 0.0 and not vacuum:
+    def shifted(z, cutoff):
+        amps = real(z, cutoff)
+        if z > 0.0:
             size = cutoff - 1  # block 2 follows blocks 0 and 1
             amps[(cutoff + 1) ** 2 + cutoff**2 + 3 * size + 1] += 3e-10
         return amps
@@ -877,7 +881,7 @@ def _section(lines, title):
 
 
 def test_verify_vacuum_point_checks_the_full_kernel():
-    # the vacuum path builds sector 0 only, but the kernel checks read
+    # the vacuum path builds the vacuum table only, but the kernel checks read
     # every sector; the configured point stops after second-law
     lines, failures = verify_invariants(canonical_config().replace(temperature=0.0))
     assert failures == 0
@@ -929,7 +933,7 @@ def test_kl_identity_line_prints_the_gap_it_judges(kernel40, spec40):
     gap, mass, s_mean = (float(part.split()[-1]) for part in detail.split(", "))
     assert gap <= 1e-8
     p_e, p_c, micro_dev = entropy_distributions(
-        kernel40, thermal_distribution(0.02, 1.0, spec40)
+        kernel40.table, thermal_distribution(0.02, 1.0, spec40)
     )
     floored = crooks_deviation(p_e, p_c, micro_dev).floored_mass
     assert mass == float(f"{floored:.3e}") and 6e-5 < mass < 6.2e-5

@@ -18,6 +18,7 @@ from cosmoflux import (
     run_simulation,
     thermal_distribution,
     transition_kernel,
+    vacuum_table,
 )
 from cosmoflux.fock import sector_layout, sector_spectral
 import cosmoflux.thermo as thermo_mod
@@ -28,7 +29,7 @@ from cosmoflux.thermo import (
 )
 
 from conftest import Z_CANON, spy_on
-from dense_reference import dense_state_vector, sector_weights
+from dense_reference import dense_state_vector, reference_column_leakage, sector_weights
 
 # geometric-weight reference values at T = 1, omega = 1 (x = 1/e)
 PTH_00 = 0.39957640089372803
@@ -90,7 +91,7 @@ def test_thermal_tail_gate_raises():
 
 
 def test_mean_initial_total(kernel40, thermal40):
-    initial = _work_pass(kernel40, thermal40).initial
+    initial = _work_pass(kernel40.table, thermal40).initial
     assert initial == pytest.approx(N_INITIAL, abs=1e-12)
     assert mean_initial_closed_form(1.0, 1.0) == pytest.approx(N_INITIAL, abs=1e-14)
 
@@ -140,9 +141,9 @@ def test_created_closed_form_region(z, t_ratio):
     # region where cutoff 40 captures the closed form to 1e-6; larger
     # z and hotter states push real mass over the boundary
     spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-2)
-    kern = transition_kernel(z, spec)
+    table = transition_kernel(z, spec).table
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    created = _work_pass(kern, thermal).created
+    created = _work_pass(table, thermal).created
     assert abs(created - mean_created_closed_form(z, t_ratio, 1.0)) <= 1e-6
 
 
@@ -154,9 +155,9 @@ def test_vacuum_initial_state(kernel40, spec40):
     w = dense_state_vector(weights, 40)
     assert w[0] == 1.0
     assert w.sum() == 1.0
-    created = _work_pass(kernel40, vac).created
+    created = _work_pass(kernel40.table, vac).created
     assert created == pytest.approx(2.0 * np.sinh(Z_CANON) ** 2, abs=1e-8)
-    work = inner_friction(kernel40, vac, 1.0, 2.0)
+    work = inner_friction(kernel40.table, vac, 1.0, 2.0)
     assert work.adiabatic_temperature == 0.0
     assert work.adiabatic_work == 1.0
 
@@ -167,34 +168,34 @@ def test_vacuum_initial_state(kernel40, spec40):
     cutoff=st.integers(min_value=8, max_value=64),
 )
 def test_vacuum_sums_match_a_full_kernel(z, cutoff):
-    # one set of bits at T = 0: the work pass reads the vacuum column alone,
-    # which a vacuum kernel and a full kernel hold alike, and every sector
-    # a vacuum kernel skips carries weight exactly 0 in the Gibbs state
+    # one set of bits at T = 0: the work pass reads column 0 of the table
+    # alone, which the vacuum table and a kernel's hold alike, and every
+    # column the vacuum table skips carries weight exactly 0 in the Gibbs
+    # state
     spec = TruncationSpec(cutoff, 0.5)
     vac = thermal_distribution(0.0, 1.0, spec)
-    assert not any(w.any() for w in sector_weights(vac)[1:])
-    part, whole = transition_kernel(z, spec, True), transition_kernel(z, spec)
-    assert part.vacuum and not whole.vacuum
+    assert not vac.total_weights[1:].any()
+    part, whole = vacuum_table(z, spec), transition_kernel(z, spec).table
+    assert part.masses.shape[1] == 1 and whole.masses.shape[1] == 2 * cutoff + 1
     expected = dataclasses.astuple(inner_friction(whole, vac, 1.0, 2.0))
     work = dataclasses.astuple(inner_friction(part, vac, 1.0, 2.0))
     assert np.array(work).tobytes() == np.array(expected).tobytes()
 
 
-def _kernel_stages(kernel, thermal):
-    # every stage that pairs a kernel with an initial state
+def _table_stages(table, thermal):
+    # every stage that pairs a table with an initial state
     return (
-        lambda: inner_friction(kernel, thermal, 1.0, 2.0),
-        lambda: entropy_distributions(kernel, thermal),
-        lambda: quantum_relative_entropy(thermal, kernel, 2.0),
+        lambda: inner_friction(table, thermal, 1.0, 2.0),
+        lambda: entropy_distributions(table, thermal),
     )
 
 
 def test_thermal_state_needs_every_sector(spec40, thermal40):
-    # a vacuum kernel holds the vacuum column alone; a Gibbs state weighs
-    # every sector, so the pair is refused
-    part = transition_kernel(Z_CANON, spec40, True)
-    for stage in _kernel_stages(part, thermal40):
-        with pytest.raises(ValueError, match="vacuum kernel .* T = 1.0"):
+    # the vacuum table holds column 0 alone; a Gibbs state weighs every
+    # total, so the pair is refused
+    part = vacuum_table(Z_CANON, spec40)
+    for stage in _table_stages(part, thermal40):
+        with pytest.raises(ValueError, match="1 column.* T = 1.0"):
             stage()
 
 
@@ -204,16 +205,17 @@ def test_kernel_and_state_must_share_a_cutoff(kernel_cutoff, state_cutoff):
     # broadcast message, or as a sector count
     kernel = transition_kernel(Z_CANON, TruncationSpec(kernel_cutoff))
     thermal = thermal_distribution(1.0, 1.0, TruncationSpec(state_cutoff))
-    message = f"kernel cutoff {kernel_cutoff} .* cutoff {state_cutoff}"
-    for stage in _kernel_stages(kernel, thermal):
+    message = f"table cutoff {kernel_cutoff} .* cutoff {state_cutoff}"
+    stages = _table_stages(kernel.table, thermal)
+    for stage in (*stages, lambda: quantum_relative_entropy(thermal, kernel, 2.0)):
         with pytest.raises(ValueError, match=message):
             stage()
 
 
 def test_zero_squeeze_work_is_adiabatic(thermal40):
     spec = TruncationSpec(cutoff=40, leakage_tolerance=1e-8)
-    kern = transition_kernel(0.0, spec)
-    work = inner_friction(kern, thermal40, 1.0, 2.0)
+    table = transition_kernel(0.0, spec).table
+    work = inner_friction(table, thermal40, 1.0, 2.0)
     assert abs(work.mean_work - work.adiabatic_work) <= 1e-12
     assert work.mean_created == 0.0
     assert work.inner_friction == pytest.approx(0.0, abs=1e-12)
@@ -226,9 +228,9 @@ def test_truncation_bound_scales():
 
 
 def test_weighted_leakage_combines_sources(kernel40, thermal40):
-    wleak = _work_pass(kernel40, thermal40).leakage
+    wleak = _work_pass(kernel40.table, thermal40).leakage
     direct = (
-        dense_state_vector(kernel40.column_leakage, 40)
+        dense_state_vector(reference_column_leakage(kernel40.amplitudes), 40)
         @ dense_state_vector(sector_weights(thermal40), 40)
         + thermal40.renorm_defect
     )
@@ -238,9 +240,9 @@ def test_weighted_leakage_combines_sources(kernel40, thermal40):
 def test_inner_friction_weighs_leakage_once(kernel40, thermal40, monkeypatch):
     # the truncation bound, the reported leakage and every average come
     # from one work pass
-    leakage = _work_pass(kernel40, thermal40).leakage
+    leakage = _work_pass(kernel40.table, thermal40).leakage
     calls = spy_on(monkeypatch, thermo_mod, "_work_pass")
-    work = inner_friction(kernel40, thermal40, 1.0, 2.0)
+    work = inner_friction(kernel40.table, thermal40, 1.0, 2.0)
     assert len(calls) == 1
     assert work.weighted_leakage == leakage
     assert work.truncation_bound == truncation_bound(
@@ -253,13 +255,13 @@ def test_friction_consistency_tripwire(kernel40, thermal40, monkeypatch):
     # only way to exercise the error branch is to corrupt one route
     original = thermo_mod._work_pass
 
-    def corrupted(kernel, thermal):
-        sums = original(kernel, thermal)
+    def corrupted(table, thermal):
+        sums = original(table, thermal)
         return sums._replace(created=sums.created + 0.5)
 
     monkeypatch.setattr(thermo_mod, "_work_pass", corrupted)
     with pytest.raises(VerificationError):
-        inner_friction(kernel40, thermal40, 1.0, 2.0)
+        inner_friction(kernel40.table, thermal40, 1.0, 2.0)
 
 
 def spectral_mean_created(z, temperature, omega, cutoff):
@@ -275,7 +277,7 @@ def spectral_mean_created(z, temperature, omega, cutoff):
 
 def test_spectral_route_matches_kernel_route(kernel40, thermal40):
     spectral = spectral_mean_created(Z_CANON, 1.0, 1.0, 40)
-    kernelled = _work_pass(kernel40, thermal40).created
+    kernelled = _work_pass(kernel40.table, thermal40).created
     assert abs(spectral - kernelled) <= 1e-7
 
 
@@ -310,9 +312,9 @@ def test_mean_created_meets_the_closed_form_at_slow_expansion(log_z):
 )
 def test_work_report_invariants(t_ratio, z):
     spec = TruncationSpec(cutoff=16, leakage_tolerance=1e-2)
-    kern = transition_kernel(z, spec)
+    table = transition_kernel(z, spec).table
     thermal = thermal_distribution(t_ratio, 1.0, spec)
-    work = inner_friction(kern, thermal, 1.0, 2.0)
+    work = inner_friction(table, thermal, 1.0, 2.0)
     assert work.mean_created >= -1e-12
     assert work.inner_friction >= -work.truncation_bound - 1e-12
     assert work.truncation_bound >= 0.0
