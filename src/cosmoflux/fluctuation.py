@@ -16,15 +16,14 @@ here fails closed on a NaN: it passes only when its residual is <= its
 tolerance.
 
 The quantum relative entropy alone reads the kernel's amplitudes and
-calls LAPACK (lapack.dgejsv), one sector block at a time, and a T = 0
+calls LAPACK (lapack.Dgejsv), one sector block at a time, and a T = 0
 point never does; it reads sector d's weights as a stride-2 slice of the
-per-total ones (SectorSvds). Where the process may use two CPUs, it
-shares its SVDs with lapack's helper.
+per-total ones. Where the process may use two CPUs, lapack's helper
+thread runs some of its calls, which this thread stages and finishes.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import EntropyUndefinedError, NumericError, VerificationError
 from .fock import TotalTable, TransitionKernel, cell_changes
-from .lapack import dgejsv, run_on_helper
+from .lapack import Dgejsv, helper_jobs
 from .thermo import FLOAT_SLACK, ThermalDistribution, WorkReport, _require_pairing
 
 PROBABILITY_FLOOR = 1e-12
@@ -41,6 +40,8 @@ EIGENVALUE_CLIP = 1e-300
 # log P - s below it underflows, as the Crooks relation predicts
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 _QRE_UNDEFINED = "quantum relative entropy is undefined on the T = 0 vacuum path"
+# calls staged for lapack's helper: the one it runs and the next it takes
+HELPER_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -268,70 +269,6 @@ def entropy_friction_identity(work: WorkReport, s_mean: float) -> dict[str, floa
     return record
 
 
-def _rho_prime_term(B: np.ndarray, wd: np.ndarray) -> float:
-    """One sector's sum over the kept eigendirections of rho' = B B^T of
-    <rho> log lam; wd is the sector's weights, the diagonal of rho.
-
-    The eigenpairs come from LAPACK dgejsv, which overwrites B: the
-    preconditioned one-sided Jacobi SVD of Drmac and Veselic (SIAM J.
-    Matrix Anal. Appl. 29, 2008) keeps high relative accuracy on a
-    column-graded B, whose small singular values a bidiagonalizing SVD loses."""
-    U, sv, info = dgejsv(B)
-    if info != 0:
-        raise NumericError(f"dgejsv failed with info = {info}")
-    lam = sv * sv
-    keep = lam > EIGENVALUE_CLIP
-    if not keep.any():
-        return 0.0
-    r = np.square(U, out=U).T @ wd
-    return float(r[keep] @ np.log(lam[keep]))
-
-
-class SectorSvds:
-    """A point's sector terms of quantum_relative_entropy in flight: the
-    sectors not taken, d = 0 (the largest block) first, which the helper
-    takes from the front (holding busy) and the caller from the back, and
-    the errors either thread met, for the caller to raise."""
-
-    def __init__(self, thermal: ThermalDistribution, kernel: TransitionKernel) -> None:
-        self.thermal, self.kernel = thermal, kernel
-        self.sqrt_w = np.sqrt(thermal.total_weights)
-        self.sectors = deque(range(thermal.spec.cutoff + 1))
-        self.terms: list = [0.0] * len(self.sectors)
-        self.errors: list = []
-        self.busy = threading.Lock()
-
-    def serve(self) -> None:
-        with self.busy:
-            self.decompose(self.sectors.popleft)
-
-    def decompose(self, take) -> None:
-        """Each sector's term, taken with take until it raises IndexError, its
-        B formed in one block this call allocates. No exception leaves the
-        call, so none ends the helper: it is held in errors and empties the
-        queue. Sector d's states have the totals d, d + 2, ..., 2N - d."""
-        cutoff, w = self.thermal.spec.cutoff, self.thermal.total_weights
-        try:
-            block = np.empty((cutoff + 1) ** 2)
-            while True:
-                try:
-                    d = take()
-                except IndexError:
-                    return
-                n = cutoff + 1 - d
-                totals = slice(d, d + 2 * n, 2)
-                B = block[:n * n].reshape((n, n), order="F")
-                np.multiply(self.kernel.amplitudes[d], self.sqrt_w[totals], out=B)
-                # BLAS reads a contiguous copy: a strided view moved K's last bit;
-                # weights fall along a sector, so the positive ones lead
-                wd = w[totals].copy()
-                live = wd[:np.count_nonzero(wd)]
-                self.terms[d] = float(live @ np.log(live)) - _rho_prime_term(B, wd)
-        except BaseException as exc:  # raised again by quantum_relative_entropy
-            self.errors.append(exc)
-            self.sectors.clear()
-
-
 def quantum_relative_entropy(
     thermal: ThermalDistribution, kernel: TransitionKernel, t_ad: float,
     work: WorkReport | None = None,
@@ -342,29 +279,73 @@ def quantum_relative_entropy(
     Hamiltonian at t_ad, so K = tr rho log rho - tr rho log rho'. rho'
     block-diagonalizes per difference sector as B B^T with B the amplitude
     block times sqrt of the sector weights; each sector's eigenpairs come
-    from the one-sided Jacobi SVD of its B (lapack.dgejsv, _rho_prime_term).
+    from the one-sided Jacobi SVD of its B (lapack.Dgejsv), the
+    preconditioned one of Drmac and Veselic (SIAM J. Matrix Anal. Appl.
+    29, 2008), which keeps high relative accuracy on a column-graded B,
+    whose small singular values a bidiagonalizing SVD loses.
     Eigendirections below the clip are excluded from the trace (their
     rho-weight is bounded by the leaked mass). When a work report is
     supplied, asserts T_ad K = W_fric within 1e-5 relative, widened by the
     truncation bound at inadequate cutoffs.
 
-    The sector SVDs start with the call, shared with the helper if any
-    (lapack.run_on_helper, SectorSvds), whose errors it raises. K adds the
-    terms up in sector order, so its bits do not depend on which thread
-    took which. The T = 0 vacuum raises before LAPACK loads.
+    The SVDs start with the call. This thread stages each sector's call
+    (lapack.Dgejsv) in the buffer of a call it has finished, one buffer
+    per call in flight, and finishes each. Where the process may use two
+    CPUs, it hands the helper thread (lapack.helper_jobs) the largest
+    sector first and keeps HELPER_DEPTH staged for it, runs its own from
+    the small end and runs any the helper has not taken, so a stalled
+    helper holds it up for none. K sums the terms in sector order: its
+    bits do not depend on which thread ran which call. The T = 0 vacuum
+    raises before LAPACK loads.
     """
     if thermal.is_vacuum or t_ad == 0.0:
         raise EntropyUndefinedError(_QRE_UNDEFINED)
     _require_pairing(kernel.table, thermal)
-    svds = SectorSvds(thermal, kernel)
-    run_on_helper(svds.serve)
-    svds.decompose(svds.sectors.pop)
-    with svds.busy:  # the helper's last block
-        pass
-    if svds.errors:
-        raise svds.errors[0]
+    cutoff, w = thermal.spec.cutoff, thermal.total_weights
+    amplitudes, sqrt_w = kernel.amplitudes, np.sqrt(w)
+    terms = [0.0] * (cutoff + 1)
+    jobs = helper_jobs()
+    # one buffer per call in flight, each sized for d = 0
+    free = list(np.empty((1 if jobs is None else HELPER_DEPTH + 1, Dgejsv.length(cutoff + 1))))
+
+    def stage(d: int) -> tuple[int, Dgejsv]:
+        # sector d's states have the totals d, d + 2, ..., 2N - d
+        n = cutoff + 1 - d
+        call = Dgejsv(n, free.pop())
+        np.multiply(amplitudes[d], sqrt_w[d:d + 2 * n:2], out=call.B)
+        return d, call
+
+    def finish(d: int, call: Dgejsv) -> None:
+        """Sector d's term: tr rho log rho less <rho> log lam over rho' = B B^T."""
+        U, sv, info = call.result()
+        if info != 0:
+            raise NumericError(f"dgejsv failed with info = {info}")
+        # BLAS reads a contiguous copy: a strided view moved K's last bit;
+        # weights fall along a sector, so the positive ones lead
+        wd = w[d:d + 2 * len(sv):2].copy()
+        live = wd[:np.count_nonzero(wd)]
+        lam = sv * sv
+        keep = lam > EIGENVALUE_CLIP  # none kept: an empty sum, 0.0
+        r = np.square(U, out=U).T @ wd
+        terms[d] = float(live @ np.log(live)) - float(r[keep] @ np.log(lam[keep]))
+        free.append(call.buffer)
+
+    low, high, ahead = 0, cutoff, deque()
+    while low <= high:
+        if jobs is not None and len(ahead) < HELPER_DEPTH:
+            ahead.append(stage(low))
+            jobs.put(ahead[-1][1])
+            low += 1
+        else:
+            finish(*stage(high))
+            high -= 1
+            while ahead and ahead[0][1].ready():
+                finish(*ahead.popleft())
+    # the last staged call first, which the helper has most likely not taken
+    for d, call in reversed(ahead):
+        finish(d, call)
     K = 0.0
-    for d, term in enumerate(svds.terms):
+    for d, term in enumerate(terms):
         K += (2 if d else 1) * term
     if work is not None:
         scale = max(1.0, abs(work.inner_friction))

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -624,7 +624,7 @@ class TransitionKernel:
     flat_amplitudes: np.ndarray = field(repr=False)
     table: TotalTable = field(repr=False)
 
-    @cached_property
+    @property  # not cached: a fork may leave cached_property's lock (Python 3.11) held
     def amplitudes(self) -> tuple[np.ndarray, ...]:
         return sector_views(self.flat_amplitudes, self.spec.cutoff)
 

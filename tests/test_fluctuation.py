@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 
 import numpy as np
@@ -19,12 +20,11 @@ from cosmoflux import (
     thermal_distribution,
     transition_kernel,
 )
-import cosmoflux.fluctuation as fluctuation_mod
+import cosmoflux.lapack as lapack_mod
 from cosmoflux.fluctuation import (
     LOG_TINY,
     PROBABILITY_FLOOR,
     EntropyDistribution,
-    _rho_prime_term,
 )
 from cosmoflux.fock import sector_layout
 from cosmoflux.lapack import dgejsv
@@ -254,12 +254,20 @@ def test_jacobi_svd_single_column():
 
 
 def test_jacobi_svd_failure_is_numeric_error(monkeypatch):
-    def failing(B):
-        return np.zeros_like(B), np.zeros(len(B)), 1
+    # LAPACK reports info = 1 for a sector: the relative entropy raises it
+    spec = TruncationSpec(12, 1e-2)
+    kernel, thermal = transition_kernel(Z_CANON, spec), thermal_distribution(1.0, 1.0, spec)
+    lapack = lapack_mod._routines()
+    real = lapack.dgejsv
 
-    monkeypatch.setattr(fluctuation_mod, "dgejsv", failing)
+    def failing(*args):
+        real(*args)
+        ctypes.c_int64.from_address(args[18]).value = 1  # info
+
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
+    monkeypatch.setattr(lapack, "dgejsv", failing)
     with pytest.raises(NumericError, match="dgejsv failed with info = 1"):
-        _rho_prime_term(np.eye(3, order="F"), np.ones(3))
+        quantum_relative_entropy(thermal, kernel, 2.0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,25 +1,26 @@
 """The two LAPACK routines, bound with ctypes, and the relative entropy's
 helper thread.
 
-lapack.dgejsv and lapack.dstevd must give scipy.linalg.lapack's bits, and
-dgejsv takes only the block the relative entropy forms. The relative
-entropy, a point's last check, starts its sector SVDs when it is called,
-on one helper thread and the calling thread, so no SVD runs before it and
-a point that fails first leaves the helper nothing to take. The helper
-starts with the first T > 0 relative entropy, survives no fork (a child
-starts its own) and raises its failures on the caller's thread, and a
-helper busy elsewhere holds no caller up. K must not depend on which
-thread took a block, nor on how many threads ask at once. A T = 0 point
-raises before LAPACK loads.
+lapack.dgejsv and lapack.dstevd must give scipy.linalg.lapack's bits, from
+unzeroed workspaces too, and dgejsv takes only the block the relative
+entropy forms. The relative entropy, a point's last check, starts its
+sector SVDs when it is called, on one helper thread and the calling
+thread, so no SVD runs before it and a point that fails first leaves the
+helper nothing to run. The calling thread stages every call, so the
+helper makes no numpy call. The helper starts with the first T > 0
+relative entropy, survives no fork (a child starts its own) and raises
+its failures on the caller's thread, and a helper busy elsewhere holds no
+caller up. K must not depend on which thread ran a call, nor on how many
+threads ask at once. A T = 0 point raises before LAPACK loads.
 """
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
-from collections import deque
 
 import numpy as np
 import pytest
@@ -59,6 +60,57 @@ def test_routines_give_scipy_bits_from_1_to_171():
         diagonal, off = rng.standard_normal(n), rng.standard_normal(max(n - 1, 1))
         theirs = scipy.linalg.lapack.dstevd(diagonal, off)
         assert _same(dstevd(diagonal, off), theirs), n
+
+
+def _canonical_blocks():
+    """Every sector's B = A_d diag(sqrt(w_d)) of the canonical point at
+    T = 0.25, 1 and 1.5, formed as the relative entropy forms it."""
+    spec = TruncationSpec(40, 1e-8)
+    kernel = transition_kernel(Z_CANON, spec)
+    for t in (0.25, 1.0, 1.5):
+        sqrt_w = np.sqrt(thermal_distribution(t, 1.0, spec).total_weights)
+        for d, block in enumerate(kernel.amplitudes):
+            n = len(block)
+            yield np.multiply(block, sqrt_w[d:d + 2 * n:2], order="F")
+
+
+def test_dgejsv_writes_its_workspaces_before_it_reads_them(monkeypatch):
+    # U, sva, work and iwork start as np.empty leaves them: filled with NaN
+    # (iwork and info with NaN's bits), dgejsv gives the zeroed buffers'
+    # bits on column-graded blocks of every size up to 171 and on the 123
+    # blocks of the canonical point
+    rng = np.random.default_rng(11)
+    graded = (
+        np.asfortranarray(rng.standard_normal((n, n)) * np.logspace(0.0, -14.0, n))
+        for n in range(1, 172)
+    )
+    blocks = [*graded, *_canonical_blocks()]
+    assert len(blocks) == 171 + 123
+    workspace, nan_bits = lapack_mod._dgejsv_workspace, np.float64(np.nan).view(np.int64)
+
+    def nan_workspace(n):
+        *layout, ints = workspace(n)
+        ints = ints.copy()
+        ints[6:] = nan_bits
+        return *layout, ints
+
+    class Numpy:
+        """lapack's numpy, whose empty is fill(shape) instead."""
+
+        def __init__(self, fill):
+            self.empty = fill
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    for B in blocks:
+        with monkeypatch.context() as patch:
+            patch.setattr(lapack_mod, "np", Numpy(np.zeros))
+            zeroed = dgejsv(B.copy(order="F"))
+            patch.setattr(lapack_mod, "np", Numpy(lambda size: np.full(size, np.nan)))
+            patch.setattr(lapack_mod, "_dgejsv_workspace", nan_workspace)
+            filled = dgejsv(B)
+        assert zeroed[2] == 0 and _same(filled, zeroed), B.shape
 
 
 def test_routines_refuse_shapes_lapack_would_reject():
@@ -221,37 +273,37 @@ def test_four_threads_get_the_serial_K_bitwise(monkeypatch):
     assert results == [[k] * 5 for k in expected]
 
 
-def _calls_per_thread(monkeypatch, failing_thread=None) -> dict:
-    """Spy on the relative entropy's dgejsv: the calls on the calling thread
-    and on the helper, and info = 1 from the calls on failing_thread."""
+def _calls_per_thread(monkeypatch, failing_thread=None) -> tuple[dict, threading.Event]:
+    """Spy on the LAPACK dgejsv the relative entropy's staged calls run: the
+    calls on the calling thread and on the helper, info = 1 from the calls
+    on failing_thread, and an event set when the helper makes its first."""
     caller = threading.current_thread()
-    real = fluctuation_mod.dgejsv
-    calls = {"caller": 0, "helper": 0}
+    real = lapack_mod._routines().dgejsv
+    calls, first = {"caller": 0, "helper": 0}, threading.Event()
 
-    def dgejsv(a):
+    def dgejsv(*args):
         side = "caller" if threading.current_thread() is caller else "helper"
         calls[side] += 1
-        U, sv, info = real(a)
-        return U, sv, 1 if side == failing_thread else info
-
-    monkeypatch.setattr(fluctuation_mod, "dgejsv", dgejsv)
-    return calls
-
-
-def _helper_claims(monkeypatch) -> tuple[list, threading.Event]:
-    """Spy on the sectors the helper takes: a list of them, and an event
-    set when it takes its first."""
-    claims, first = [], threading.Event()
-
-    class Sectors(deque):
-        def popleft(self):
-            d = super().popleft()
-            claims.append(d)
+        real(*args)
+        if side == failing_thread:
+            ctypes.c_int64.from_address(args[18]).value = 1  # info
+        if side == "helper":
             first.set()
-            return d
 
-    monkeypatch.setattr(fluctuation_mod, "deque", Sectors)
-    return claims, first
+    monkeypatch.setattr(lapack_mod._routines(), "dgejsv", dgejsv)
+    return calls, first
+
+
+def _after(monkeypatch, event: threading.Event) -> None:
+    """Hold each LAPACK call on this thread until event is set."""
+    spied, caller = lapack_mod._routines().dgejsv, threading.current_thread()
+
+    def dgejsv(*args):
+        if threading.current_thread() is caller:
+            assert event.wait(10)
+        spied(*args)
+
+    monkeypatch.setattr(lapack_mod._routines(), "dgejsv", dgejsv)
 
 
 def _point12():
@@ -264,10 +316,9 @@ def test_one_cpu_runs_every_block_on_the_caller(monkeypatch):
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
-    claims, _first = _helper_claims(monkeypatch)
-    calls = _calls_per_thread(monkeypatch)
+    assert lapack_mod.helper_jobs() is None  # no helper takes any
+    calls, _first = _calls_per_thread(monkeypatch)
     assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == expected.hex()
-    assert claims == []  # no helper takes any
     assert calls == {"caller": 13, "helper": 0}
 
 
@@ -277,19 +328,11 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     kernel, thermal = _point12()
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
-    _claims, first = _helper_claims(monkeypatch)
-    calls = _calls_per_thread(monkeypatch, failing_thread)
+    calls, first = _calls_per_thread(monkeypatch, failing_thread)
     if failing_thread == "helper":
-        # the caller's first block waits for the helper's first claim, so
-        # that the helper always takes a block
-        spied, caller = fluctuation_mod.dgejsv, threading.current_thread()
-
-        def dgejsv(a):
-            if threading.current_thread() is caller:
-                assert first.wait(10)
-            return spied(a)
-
-        monkeypatch.setattr(fluctuation_mod, "dgejsv", dgejsv)
+        # the caller's calls wait for the helper's first, so that the
+        # helper always runs one
+        _after(monkeypatch, first)
     with pytest.raises(NumericError, match="dgejsv failed with info = 1"):
         quantum_relative_entropy(thermal, kernel, 2.0)
     assert calls[failing_thread] >= 1
@@ -299,87 +342,136 @@ def test_a_failed_dgejsv_is_a_numeric_error_on_either_thread(monkeypatch, failin
     assert quantum_relative_entropy(thermal, kernel, 2.0) == expected
 
 
-@pytest.mark.skipif(lapack_mod._cpus() < 2, reason="the helper runs on two CPUs or more")
 def test_a_failure_outside_a_sector_surfaces_and_the_helper_serves_on(monkeypatch):
-    # the helper's block, allocated before it takes a sector, fails as a
-    # MemoryError there would: the error once left the job and ended the
+    # an error that is no dgejsv info, on either thread: the LAPACK call
+    # the helper runs raises (an exception leaving a job once ended the
     # helper thread, so K came from the caller alone and every later job
-    # stayed queued, its kernel held. The caller raises it, and the
-    # helper serves the next call's job
+    # stayed queued, its arrays held), and the caller's staging fails
+    # after it handed the helper its first calls. The caller raises each,
+    # and the helper serves the next call's calls
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     kernel, thermal = _point12()
     expected = quantum_relative_entropy(thermal, kernel, 2.0)
-    _drain_helper()  # its job, if the caller took every sector, fails on no other
+    _drain_helper()
     failed, caller = threading.Event(), threading.current_thread()
+    with monkeypatch.context() as patch:
+        real = lapack_mod._routines().dgejsv
+
+        def dgejsv(*args):
+            if threading.current_thread() is not caller and not failed.is_set():
+                failed.set()
+                raise MemoryError("no LAPACK for the helper")
+            real(*args)
+
+        patch.setattr(lapack_mod._routines(), "dgejsv", dgejsv)
+        _after(patch, failed)
+        with pytest.raises(MemoryError, match="no LAPACK for the helper"):
+            quantum_relative_entropy(thermal, kernel, 2.0)
 
     class Numpy:
-        """fluctuation's numpy, whose first empty on the helper fails."""
+        """fluctuation's numpy, whose third multiply, the caller's first
+        block after the helper's two, fails."""
+
+        def __init__(self):
+            self.blocks = 0
 
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def empty(self, *args, **kwargs):
-            if threading.current_thread() is not caller and not failed.is_set():
-                failed.set()
-                raise MemoryError("no block for the helper")
-            return np.empty(*args, **kwargs)
-
-    def after(event):
-        # the caller's blocks wait for event, so that the helper takes the job
-        spied = fluctuation_mod.dgejsv
-
-        def dgejsv(a):
-            if threading.current_thread() is caller:
-                assert event.wait(10)
-            return spied(a)
-
-        return dgejsv
+        def multiply(self, *args, **kwargs):
+            self.blocks += 1
+            if self.blocks == 3:
+                raise MemoryError("no block for the caller")
+            return np.multiply(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(fluctuation_mod, "np", Numpy())
-        patch.setattr(fluctuation_mod, "dgejsv", after(failed))
-        with pytest.raises(MemoryError, match="no block for the helper"):
+        with pytest.raises(MemoryError, match="no block for the caller"):
             quantum_relative_entropy(thermal, kernel, 2.0)
-    _claims, first = _helper_claims(monkeypatch)
-    calls = _calls_per_thread(monkeypatch)
-    monkeypatch.setattr(fluctuation_mod, "dgejsv", after(first))
+    calls, first = _calls_per_thread(monkeypatch)
+    _after(monkeypatch, first)
     assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == expected.hex()
     assert calls["helper"] >= 1
+
+
+def test_the_helper_thread_makes_no_numpy_call(monkeypatch):
+    # during a thermal point's K the helper only runs LAPACK calls staged
+    # for it: no numpy function of fluctuation or lapack (a recording
+    # proxy on each module's np) and no C function of numpy or method of
+    # an array (a profile hook on a fresh helper) runs on it. Each call
+    # the helper ran once formed its own block and workspace and
+    # post-processed its result, holding the GIL the caller needed
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
+    seen, caller = [], threading.current_thread()
+    numpy_dir = os.path.dirname(np.__file__)
+
+    class Numpy:
+        """A module's numpy, recording each name read off the caller."""
+
+        def __getattr__(self, name):
+            if threading.current_thread() is not caller:
+                seen.append(f"np.{name}")
+            return getattr(np, name)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            seen.append(frame.f_code.co_name)
+        elif event == "c_call" and (
+            isinstance(getattr(arg, "__self__", None), np.ndarray)
+            or (getattr(arg, "__module__", None) or "").startswith("numpy")
+        ):
+            seen.append(arg.__name__)
+
+    kernel, thermal = _point12()
+    expected = quantum_relative_entropy(thermal, kernel, 2.0)
+    monkeypatch.setattr(lapack_mod, "_helper_queue", None)  # a fresh helper, profiled
+    threading.setprofile(profile)
+    try:
+        lapack_mod._routines()
+        for module in (fluctuation_mod, lapack_mod):
+            monkeypatch.setattr(module, "np", Numpy())
+        calls, first = _calls_per_thread(monkeypatch)
+        _after(monkeypatch, first)
+        K = quantum_relative_entropy(thermal, kernel, 2.0)
+    finally:
+        threading.setprofile(None)
+    monkeypatch.undo()  # the process's own helper serves on; the fresh one idles
+    assert K.hex() == expected.hex() and calls["helper"] >= 1
+    assert seen == []
 
 
 def _drain_helper() -> None:
     """Wait until the helper has run every job queued before this one."""
     idle = threading.Event()
-    lapack_mod.run_on_helper(idle.set)
+    lapack_mod.helper_jobs().put(idle.set)
     assert idle.wait(10)
 
 
 def test_no_sector_svd_runs_before_the_relative_entropy(monkeypatch):
     # the relative entropy, a point's last check, starts its sector SVDs:
     # once the entropy pass is done, every job the helper was given has
-    # run and none took a sector, and a point that fails in the pass
-    # leaves the helper none to take
+    # run and none was a LAPACK call, and a point that fails in the pass
+    # leaves the helper none to run
     cfg = canonical_config()
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
     serial = run_simulation(cfg)["kl_quantum"]
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
     real = fluctuation_mod.entropy_distributions
     with monkeypatch.context() as patch:
-        claims, _first = _helper_claims(patch)
-        calls = _calls_per_thread(patch)
+        calls, _first = _calls_per_thread(patch)
         seen = []
 
         def entropy_distributions(kernel, thermal):
             result = real(kernel, thermal)
             _drain_helper()
-            seen.append((dict(calls), list(claims)))
+            seen.append(dict(calls))
             return result
 
         patch.setattr(fluctuation_mod, "entropy_distributions", entropy_distributions)
         assert run_simulation(cfg)["kl_quantum"].hex() == serial.hex()
-        assert seen == [({"caller": 0, "helper": 0}, [])]
+        assert seen == [{"caller": 0, "helper": 0}]
     with monkeypatch.context() as patch:
-        claims, _first = _helper_claims(patch)
-        calls = _calls_per_thread(patch)
+        calls, _first = _calls_per_thread(patch)
 
         def failing(kernel, thermal):
             raise KeyboardInterrupt
@@ -388,13 +480,13 @@ def test_no_sector_svd_runs_before_the_relative_entropy(monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             run_simulation(cfg)
         _drain_helper()
-        assert claims == [] and calls == {"caller": 0, "helper": 0}
+        assert calls == {"caller": 0, "helper": 0}
     assert run_simulation(cfg)["kl_quantum"].hex() == serial.hex()
 
 
 def test_a_stalled_helper_does_not_stall_the_caller(monkeypatch):
-    # the helper is held on another job queued in front of this point's:
-    # the caller takes every sector and does not wait for it
+    # the helper is held on another job queued in front of this point's
+    # calls: the caller runs every one and does not wait for it
     kernel, thermal = _point12()
     monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
     serial = quantum_relative_entropy(thermal, kernel, 2.0)
@@ -405,10 +497,10 @@ def test_a_stalled_helper_does_not_stall_the_caller(monkeypatch):
         stalled.set()
         release.wait(30)
 
-    lapack_mod.run_on_helper(stall)
+    lapack_mod.helper_jobs().put(stall)
     try:
         assert stalled.wait(10)
-        calls = _calls_per_thread(monkeypatch)
+        calls, _first = _calls_per_thread(monkeypatch)
         began = time.monotonic()
         K = quantum_relative_entropy(thermal, kernel, 2.0)
         elapsed = time.monotonic() - began
