@@ -22,9 +22,19 @@ output holds each side's runs, median and quartiles, the change's wins
 and the relative median change in that direction, per workload the ops
 each side attempted and failed, and each side's line count of
 ``src/cosmoflux/*.py`` (as ``wc -l`` counts), so that a change that
-deletes code shows it. Progress goes to stderr; a run that
-fails raises RuntimeError with the last lines of its stderr. Standard
-library only; nothing under ``cosmobench/`` is written.
+deletes code shows it.
+
+Before each pair the script times a fixed pure-Python loop
+(``PARALLEL_LOOP``) in one process alone, then in two processes at once,
+and records the pair's ``parallel_ratio``: the mean of the two-at-once
+times over the time alone, about 1 where two CPUs run side by side and 2
+where they share one. Each workload holds the ratio of every pair, its
+median and its quartiles, so that latencies measured while the machine's
+CPUs were shared can be told from a slower program.
+
+Progress goes to stderr; a run that fails raises RuntimeError with the
+last lines of its stderr. Standard library only; nothing under
+``cosmobench/`` is written.
 
 Each run starts in a session of its own. Stopped by SIGTERM or SIGINT,
 the script ends the running run's process group (the run, its workers
@@ -50,6 +60,11 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_SCRIPT = "cosmobench/run.py"
 # stderr lines of a failed run kept in its RuntimeError
 STDERR_TAIL_LINES = 20
+# a CPU-bound loop (about 0.1 s on one CPU) that prints its own wall time
+PARALLEL_LOOP = (
+    "import time; start = time.perf_counter(); sum(i * i for i in range(1_000_000)); "
+    "print(time.perf_counter() - start)"
+)
 
 
 def export(revision: str, into: Path) -> Path:
@@ -113,6 +128,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def loop_seconds(copies: int) -> list[float]:
+    """PARALLEL_LOOP's wall time in each of copies processes started at once."""
+    procs = [
+        subprocess.Popen([sys.executable, "-c", PARALLEL_LOOP], stdout=subprocess.PIPE, text=True)
+        for _ in range(copies)
+    ]
+    try:
+        return [float(proc.communicate()[0]) for proc in procs]
+    finally:
+        for proc in procs:  # ended already, unless a signal came first
+            proc.kill()
+            proc.wait()
+
+
+def parallel_ratio() -> float:
+    """The mean wall time of PARALLEL_LOOP two processes at once over its
+    time in one process alone."""
+    alone = loop_seconds(1)[0]
+    return statistics.mean(loop_seconds(2)) / alone
+
+
 def _exit(signum, frame):
     """SIGTERM as SystemExit, so that the run's process group ends and the
     temporary directory goes, as on SIGINT."""
@@ -124,16 +160,17 @@ def sig(value: float) -> float:
     return float(f"{value:.5g}")
 
 
+def quartiles(runs: list[float]) -> list[float]:
+    """The first and third quartiles of runs."""
+    if len(runs) < 2:
+        return [sig(runs[0])] * 2
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return [sig(q1), sig(q3)]
+
+
 def summary(metric: dict, parent: list[float], change: list[float]) -> dict:
     """Medians, quartiles and wins of one metric over the pairs."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
-
-    def quartiles(runs):
-        if len(runs) < 2:
-            return [sig(runs[0])] * 2
-        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-        return [sig(q1), sig(q3)]
-
     p_med, c_med = statistics.median(parent), statistics.median(change)
     return {
         "parent_median": sig(p_med),
@@ -177,15 +214,17 @@ def main(argv=None) -> int:
         src_lines = {side: source_lines(path) for side, path in sides.items()}
         result = {}
         for workload in workloads:
-            runs = {"parent": [], "change": []}
+            runs, ratios = {"parent": [], "change": []}, []
             for i, seed in enumerate(seeds):
+                ratios.append(parallel_ratio())
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(sides[side], workload, seed, args.seconds))
                     metrics = runs[side][-1]["metrics"]
                     print(
                         f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
-                        + ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items()),
+                        + ", ".join(f"{k} {v['value']:.4g}" for k, v in metrics.items())
+                        + f" (parallel_ratio {ratios[-1]:.3f})",
                         file=sys.stderr, flush=True,
                     )
             entry = {"pairs": args.pairs}
@@ -196,6 +235,11 @@ def main(argv=None) -> int:
                     [r["metrics"][name]["value"] for r in runs["parent"]],
                     [r["metrics"][name]["value"] for r in runs["change"]],
                 )
+            entry["parallel_ratio"] = {
+                "pairs": [sig(r) for r in ratios],
+                "median": sig(statistics.median(ratios)),
+                "quartiles": quartiles(ratios),
+            }
             entry["ops"] = {
                 side: {key: sum(r[key] for r in runs[side]) for key in ("attempted", "failed")}
                 for side in runs

@@ -289,8 +289,8 @@ def quantum_relative_entropy(
     truncation bound at inadequate cutoffs.
 
     The SVDs start with the call. This thread stages each sector's call
-    (lapack.Dgejsv) in the buffer of a call it has finished, one buffer
-    per call in flight, and finishes each. Where the process may use two
+    (lapack.Dgejsv, in a buffer sized for that sector and dropped once the
+    sector is finished) and finishes each. Where the process may use two
     CPUs, it hands the helper thread (lapack.helper_jobs) the largest
     sector first and keeps HELPER_DEPTH staged for it, runs its own from
     the small end and runs any the helper has not taken, so a stalled
@@ -305,13 +305,11 @@ def quantum_relative_entropy(
     amplitudes, sqrt_w = kernel.amplitudes, np.sqrt(w)
     terms = [0.0] * (cutoff + 1)
     jobs = helper_jobs()
-    # one buffer per call in flight, each sized for d = 0
-    free = list(np.empty((1 if jobs is None else HELPER_DEPTH + 1, Dgejsv.length(cutoff + 1))))
 
     def stage(d: int) -> tuple[int, Dgejsv]:
         # sector d's states have the totals d, d + 2, ..., 2N - d
         n = cutoff + 1 - d
-        call = Dgejsv(n, free.pop())
+        call = Dgejsv(n)
         np.multiply(amplitudes[d], sqrt_w[d:d + 2 * n:2], out=call.B)
         return d, call
 
@@ -328,7 +326,6 @@ def quantum_relative_entropy(
         keep = lam > EIGENVALUE_CLIP  # none kept: an empty sum, 0.0
         r = np.square(U, out=U).T @ wd
         terms[d] = float(live @ np.log(live)) - float(r[keep] @ np.log(lam[keep]))
-        free.append(call.buffer)
 
     low, high, ahead = 0, cutoff, deque()
     while low <= high:
@@ -342,8 +339,8 @@ def quantum_relative_entropy(
             while ahead and ahead[0][1].ready():
                 finish(*ahead.popleft())
     # the last staged call first, which the helper has most likely not taken
-    for d, call in reversed(ahead):
-        finish(d, call)
+    while ahead:
+        finish(*ahead.pop())
     K = 0.0
     for d, term in enumerate(terms):
         K += (2 if d else 1) * term

@@ -8,7 +8,7 @@ cosmoflux, or a point that never reaches LAPACK, binds no routine and
 starts no thread. ctypes releases the GIL for the call, so where the
 process may use two CPUs the relative entropy runs dgejsv on a helper
 thread too (helper_jobs), which holds the GIL only to take and hand back
-the calls the caller stages (Dgejsv).
+the calls the caller stages, each in a buffer of its own (Dgejsv).
 
 One lock guards the first load and the helper's start, so that each
 happens once. A fork waits for either, so a child inherits the lock free;
@@ -121,10 +121,10 @@ def _dgejsv_workspace(n: int) -> tuple[int, int, int, int, np.ndarray]:
 class Dgejsv:
     """One LAPACK dgejsv call, jobs C, U, N, R, N, P, on an n x n block B,
     staged so that any thread may run it. The staging thread lays out B (a
-    Fortran-ordered view, which it then writes) and the workspaces in
-    buffer (length(n) float64 entries or more; allocated if None) and
-    marshals the arguments. Calling the object runs LAPACK alone, once, on
-    the first thread to call it; an error there is held for result.
+    Fortran-ordered view, which it then writes), U, sva and the workspaces
+    in one unzeroed buffer of about 4n^2 + 7n doubles and marshals the
+    arguments. Calling the object runs LAPACK alone, once, on the first
+    thread to call it; an error there is held for result.
 
     result, called once on the staging thread, runs the call there unless
     a thread has taken it, then returns U (a Fortran-ordered view of
@@ -132,19 +132,15 @@ class Dgejsv:
     joba=0, jobu=0, jobv=3)'s u and sva scaled by work[0] / work[1], bit
     for bit, from the same workspace sizes (a larger work array, or U in C
     order, moves K in its last digit). dgejsv writes U, sva, work and iwork
-    before it reads them, so a buffer is reused unzeroed (the tests hold
-    it to NaN-filled ones, bit for bit).
+    before it reads them, so the buffer needs no zeroing (the tests hold it
+    to a NaN-filled one, bit for bit).
     """
 
     __slots__ = ("B", "buffer", "_ints", "_args", "_ends", "_claim", "_done", "_error")
 
-    @staticmethod
-    def length(n: int) -> int:
-        return _dgejsv_workspace(n)[3] + n * n
-
-    def __init__(self, n: int, buffer: np.ndarray | None = None) -> None:
+    def __init__(self, n: int) -> None:
         u_end, sva_end, v, b_start, ints = _dgejsv_workspace(n)
-        out, ints = np.empty(b_start + n * n) if buffer is None else buffer, ints.copy()
+        out, ints = np.empty(b_start + n * n), ints.copy()
         lapack = _routines()
         p, o = lapack.address(ints), lapack.address(out)
         i, f, one = ints.itemsize, out.itemsize, lapack.char_length
@@ -154,7 +150,7 @@ class Dgejsv:
             o + sva_end * f, p + 5 * i, p + 7 * i, p + 6 * i, one, one, one, one, one, one,
         )
         # the arrays live as long as the call, whichever thread runs it
-        self.B = out[b_start:b_start + n * n].reshape((n, n), order="F")
+        self.B = out[b_start:].reshape((n, n), order="F")
         self.buffer, self._ints, self._ends = out, ints, (n, u_end, sva_end)
         self._claim, self._done, self._error = threading.Lock(), threading.Lock(), None
         self._done.acquire()
@@ -178,22 +174,6 @@ class Dgejsv:
         (n, u_end, sva_end), out = self._ends, self.buffer
         scale = out.item(sva_end) / out.item(sva_end + 1)
         return out[:n * n].reshape((n, n), order="F"), out[u_end:u_end + n] * scale, self._ints.item(6)
-
-
-def dgejsv(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dgejsv's result on a copy of B, run on this thread. B, left as it is,
-    must be a square, writable, Fortran-ordered float64 array, as the
-    relative entropy's blocks are; any other raises ValueError."""
-    n = B.shape[0] if B.ndim == 2 else 0
-    square_doubles = n > 0 and B.shape == (n, n) and B.dtype == np.float64
-    if not (square_doubles and B.flags.f_contiguous and B.flags.behaved):  # aligned and writable
-        raise ValueError(
-            "dgejsv takes a square, writable, Fortran-ordered float64 array, "
-            f"got a {B.dtype} array of shape {B.shape}"
-        )
-    call = Dgejsv(n)
-    call.B[...] = B
-    return call.result()
 
 
 def _cpus() -> int:

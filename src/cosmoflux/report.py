@@ -639,14 +639,16 @@ def _max_mass(P: np.ndarray, where: np.ndarray) -> float:
 def _conservation_checks(
     kernel: fock.TransitionKernel, layout: tuple[fock.Sector, ...]
 ) -> list[tuple[str, bool, str]]:
-    """Difference and parity conservation of the sector-stored kernel.
-
-    The kernel stores only in-sector blocks, so it conserves n_a - n_b and
-    changes total(n) by even steps exactly when every computation reads
-    those blocks through the right layout: the states of block d have
-    difference d (mirror -d) and cover the box once, and the totals it
-    carries are the states' own. Mass a wrong layout would place between
-    states of another sector, or on an odd change of total, is reported.
+    """Difference and parity conservation of fock.sector_layout: the
+    states of block d have difference d (mirror -d) and cover the box
+    once, and the totals it carries are the states' own. Mass a wrong
+    layout would place between states of another sector, or on an odd
+    change of total, is reported. These lines guard the layout alone:
+    only they read index and mirror_index, and a run reads only its
+    totals (state_totals, for the leakage fold). R's strided cells
+    (fock._full_build), fock.sector_views and the relative entropy's
+    weight slices place sector d by their own arithmetic; a fault there
+    FAILs the lines that read R or K, not these.
 
     One flat pass over the states of every sector flags each state whose
     index or mirror index lies outside its sector, whose total is not its

@@ -11,6 +11,7 @@ from cosmoflux import (
     thermal_distribution,
     transition_kernel,
 )
+from cosmoflux.lapack import Dgejsv
 
 Z_CANON = float(np.arctanh(0.5))
 
@@ -21,6 +22,14 @@ CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
 }
+
+
+def staged_svd(B):
+    """lapack.Dgejsv's result on a copy of the square block B, staged and
+    run on this thread, as the relative entropy runs each sector's call."""
+    call = Dgejsv(len(B))
+    call.B[...] = B
+    return call.result()
 
 
 def spy_on(monkeypatch, module, name: str) -> list:

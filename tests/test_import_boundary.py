@@ -110,11 +110,13 @@ from cosmoflux import lapack
 B = np.asfortranarray(np.random.default_rng(5).standard_normal((8, 8)) * np.logspace(0, -14, 8))
 diagonal = np.arange(1.0, 10.0)
 off_diagonal = np.sqrt(np.arange(1.0, 9.0))
-# scipy's first: ours overwrites its inputs
+# scipy's first: our dstevd overwrites its inputs
 sva, u, _v, work, _iwork, info = scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
 eigen = scipy.linalg.lapack.dstevd(diagonal, off_diagonal)
+call = lapack.Dgejsv(len(B))
+call.B[...] = B
 pairs = [
-    (lapack.dgejsv(B), (u, sva * (work[0] / work[1]), info)),
+    (call.result(), (u, sva * (work[0] / work[1]), info)),
     (lapack.dstevd(diagonal, off_diagonal), eigen),
 ]
 print(json.dumps([

@@ -1,12 +1,13 @@
 """The two LAPACK routines, bound with ctypes, and the relative entropy's
 helper thread.
 
-lapack.dgejsv and lapack.dstevd must give scipy.linalg.lapack's bits, from
-unzeroed workspaces too, and dgejsv takes only the block the relative
-entropy forms. The relative entropy, a point's last check, starts its
-sector SVDs when it is called, on one helper thread and the calling
-thread, so no SVD runs before it and a point that fails first leaves the
-helper nothing to run. The calling thread stages every call, so the
+A staged lapack.Dgejsv call and lapack.dstevd must give
+scipy.linalg.lapack's bits, a Dgejsv from its unzeroed buffer too, and
+each staged call of the relative entropy owns a buffer sized for its own
+sector. The relative entropy, a point's last check, starts its sector
+SVDs when it is called, on one helper thread and the calling thread, so
+no SVD runs before it and a point that fails first leaves the helper
+nothing to run. The calling thread stages every call, so the
 helper makes no numpy call. The helper starts with the first T > 0
 relative entropy, survives no fork (a child starts its own) and raises
 its failures on the caller's thread, and a helper busy elsewhere holds no
@@ -25,7 +26,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from conftest import CHILD_ENV, Z_CANON
+from conftest import CHILD_ENV, Z_CANON, staged_svd
 
 import cosmoflux.fluctuation as fluctuation_mod
 import cosmoflux.lapack as lapack_mod
@@ -38,7 +39,7 @@ from cosmoflux import (
     transition_kernel,
 )
 from cosmoflux.errors import EntropyUndefinedError, NumericError
-from cosmoflux.lapack import dgejsv, dstevd
+from cosmoflux.lapack import dstevd
 
 
 def _same(ours, theirs) -> bool:
@@ -54,9 +55,9 @@ def test_routines_give_scipy_bits_from_1_to_171():
     rng = np.random.default_rng(11)
     for n in range(1, 172):
         B = np.asfortranarray(rng.standard_normal((n, n)) * np.logspace(0.0, -14.0, n))
-        # scipy's first: ours overwrites B, and the tridiagonal's inputs
+        # scipy's first: ours overwrites the tridiagonal's inputs
         sva, u, _v, work, _iwork, info = scipy.linalg.lapack.dgejsv(B, joba=0, jobu=0, jobv=3)
-        assert _same(dgejsv(B), (u, sva * (work[0] / work[1]), info)), n
+        assert _same(staged_svd(B), (u, sva * (work[0] / work[1]), info)), n
         diagonal, off = rng.standard_normal(n), rng.standard_normal(max(n - 1, 1))
         theirs = scipy.linalg.lapack.dstevd(diagonal, off)
         assert _same(dstevd(diagonal, off), theirs), n
@@ -106,42 +107,41 @@ def test_dgejsv_writes_its_workspaces_before_it_reads_them(monkeypatch):
     for B in blocks:
         with monkeypatch.context() as patch:
             patch.setattr(lapack_mod, "np", Numpy(np.zeros))
-            zeroed = dgejsv(B.copy(order="F"))
+            zeroed = staged_svd(B)
             patch.setattr(lapack_mod, "np", Numpy(lambda size: np.full(size, np.nan)))
             patch.setattr(lapack_mod, "_dgejsv_workspace", nan_workspace)
-            filled = dgejsv(B)
+            filled = staged_svd(B)
         assert zeroed[2] == 0 and _same(filled, zeroed), B.shape
 
 
+def test_each_staged_call_owns_a_buffer_sized_for_its_sector(monkeypatch):
+    # a two-CPU K at N = 40 stages one call per sector, each in a buffer
+    # that holds its own sector's layout, B last, and nothing more; K
+    # keeps its bits
+    kernel = transition_kernel(Z_CANON, TruncationSpec(40, 1e-8))
+    thermal = thermal_distribution(1.0, 1.0, kernel.spec)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 1)
+    serial = quantum_relative_entropy(thermal, kernel, 2.0)
+    monkeypatch.setattr(lapack_mod, "_cpus", lambda: 2)
+    staged = []
+
+    class Recorded(lapack_mod.Dgejsv):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            staged.append(self)
+
+    monkeypatch.setattr(fluctuation_mod, "Dgejsv", Recorded)
+    assert quantum_relative_entropy(thermal, kernel, 2.0).hex() == serial.hex()
+    sizes = {len(call.B): call.buffer.size for call in staged}
+    assert len(staged) == len(sizes) == 41
+    assert sizes == {n: lapack_mod._dgejsv_workspace(n)[3] + n * n for n in range(1, 42)}
+
+
 def test_routines_refuse_shapes_lapack_would_reject():
-    with pytest.raises(ValueError, match="square"):
-        dgejsv(np.ones(3))
-    with pytest.raises(ValueError, match="square"):
-        dgejsv(np.ones((0, 0), order="F"))
     with pytest.raises(ValueError, match="off-diagonal"):
         dstevd(np.ones(4), np.ones(2))
-
-
-def test_dgejsv_leaves_a_c_ordered_input_unchanged_and_refuses_a_read_only_one():
-    # the routine overwrites the square Fortran-ordered float64 block the
-    # relative entropy forms; a C-ordered or read-only one is refused untouched
-    B = np.random.default_rng(2).standard_normal((5, 5))
-    kept = B.copy()
-    read_only = np.asfortranarray(B)
-    read_only.flags.writeable = False
-    for a in (B, read_only):
-        with pytest.raises(ValueError, match="square, writable, Fortran-ordered float64"):
-            dgejsv(a)
-    assert np.array_equal(B, kept) and np.array_equal(read_only, kept)
-
-
-def test_dgejsv_refuses_a_non_square_or_non_float64_array():
-    B = np.random.default_rng(2).standard_normal((5, 5))
-    for a in (np.asfortranarray(B[:, :3]), np.asfortranarray(B[:3]), np.asfortranarray(B, np.float32)):
-        kept = a.copy()
-        with pytest.raises(ValueError, match="square, writable, Fortran-ordered float64"):
-            dgejsv(a)
-        assert np.array_equal(a, kept)
 
 
 IMPORT_CHILD = r"""
